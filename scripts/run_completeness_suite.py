@@ -28,7 +28,6 @@ CASES = [
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--resolution", type=float, default=1e-3)
-    ap.add_argument("--workers", type=int, default=None)
     args = ap.parse_args()
 
     print(f"{'map':<34} {'n':>2} {'modulus':>8} {'count':>6} {'continua':>9} verdict")
@@ -37,8 +36,7 @@ def main() -> int:
         lift = zoo(name, **params)
         label = f"{name}({', '.join(f'{k}={v}' for k, v in params.items())})"
         start = time.perf_counter()
-        reports = completeness_check(lift, n_max, resolution=args.resolution,
-                                     workers=args.workers)
+        reports = completeness_check(lift, n_max, resolution=args.resolution)
         elapsed = time.perf_counter() - start
         for r in reports:
             verdict = "COMPLETE" if r.complete else "INCOMPLETE"

@@ -1,9 +1,10 @@
 """Command line front end for the experiment suites.
 
 Exit codes: 0 all certifications and assertions passed, 1 a certification
-or assertion failed, 2 usage error. Failures also emit one JSON object on
-stderr. Artifact JSON is deterministic for identical flags: sorted keys and
-no timestamps.
+or assertion failed, 2 usage error (bad flags, or a ValueError from an
+invalid value such as a non-positive resolution or a reversed rectangle).
+Failures also emit one JSON object on stderr. Artifact JSON is
+deterministic for identical flags: sorted keys and no timestamps.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .annulus_maps import (
     projected_plane_map,
     zoo,
 )
-from .config import DEFAULT, WORKERS_ENV_VAR, Tolerances, load_config, merge_config
+from .config import DEFAULT, Tolerances, load_config, merge_config
 from .curves import ClosedCurve, circle, curve_from_json, rectangle
 from .errors import ParamOutOfRange, ToolkitError, UnknownZooEntry
 from .fixed_points import (
@@ -211,8 +212,7 @@ def cmd_completeness(args) -> int:
     lift = _resolve_map(args.map, _parse_params(args.params))
     region = _parse_region(args.region)
     reports = completeness_check(lift, args.nmax, region=region,
-                                 resolution=args.resolution, cfg=cfg,
-                                 workers=args.workers)
+                                 resolution=args.resolution, cfg=cfg)
     clean = _print_completeness_table(reports)
     overall = all(r.complete for r in reports)
     print(f"overall: {'COMPLETE' if overall else 'INCOMPLETE'} up to n={args.nmax}")
@@ -231,8 +231,7 @@ def cmd_growth(args) -> int:
     lift = _resolve_map(args.map, _parse_params(args.params))
     region = _parse_region(args.region)
     reports = completeness_check(lift, args.nmax, region=region,
-                                 resolution=args.resolution, cfg=cfg,
-                                 workers=args.workers)
+                                 resolution=args.resolution, cfg=cfg)
     print(f"{'n':>3} {'count':>7} {'rate':>10}")
     for r in reports:
         rate = np.log(r.count_lower_bound) / r.period if r.count_lower_bound else float("-inf")
@@ -307,8 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--region", default=None)
     p.add_argument("--resolution", type=float, default=1e-3)
     p.add_argument("--csv", default=None)
-    p.add_argument("--workers", type=int, default=None,
-                   help=f"sweep workers (or set {WORKERS_ENV_VAR})")
     p.set_defaults(func=cmd_completeness)
 
     p = sub.add_parser("growth", help="periodic-point counts and growth rate")
@@ -316,7 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nmax", type=int, required=True)
     p.add_argument("--region", default=None)
     p.add_argument("--resolution", type=float, default=1e-3)
-    p.add_argument("--workers", type=int, default=None)
     p.set_defaults(func=cmd_growth)
 
     p = sub.add_parser("lemmas", help="run the executable index-identity suites")
@@ -334,7 +330,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (UsageError, UnknownZooEntry, ParamOutOfRange) as exc:
+    except (UsageError, UnknownZooEntry, ParamOutOfRange, ValueError) as exc:
         json.dump({"error": type(exc).__name__, "message": str(exc)}, sys.stderr)
         sys.stderr.write("\n")
         return 2

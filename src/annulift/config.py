@@ -10,10 +10,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import os
 from dataclasses import dataclass
-
-WORKERS_ENV_VAR = "ANNULIFT_WORKERS"
 
 
 @dataclass(frozen=True)
@@ -46,16 +43,6 @@ class Tolerances:
 
 
 DEFAULT = Tolerances()
-
-
-def worker_count(explicit: int | None = None) -> int:
-    """Resolve the sweep worker count: explicit arg, then env var, then 1."""
-    if explicit is not None:
-        return max(1, int(explicit))
-    raw = os.environ.get(WORKERS_ENV_VAR, "")
-    if raw.strip():
-        return max(1, int(raw))
-    return 1
 
 
 def load_config(path: str) -> Tolerances:

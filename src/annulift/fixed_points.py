@@ -7,12 +7,19 @@ displacement lower bound (grid minimum minus a finite-difference Lipschitz
 estimate times the grid reach) excludes zeros, so the certified boxes cover
 every fixed point of the region up to the validity of that estimate. The
 exclusion estimate is cross-checked by a dense oracle in the test suite.
+
+The quadtree is searched depth first, with the exclusion test batched: the
+untested boxes at the top of the stack, up to _CHUNK of them, are tested in
+one vectorised map call. Depth first, not level by level, because a
+subdivision line through a fixed point aborts the attempt at the first leaf
+that meets it; a level sweep would evaluate the whole tree before reaching
+that leaf. Leaves are handled in exactly the one-box-at-a-time order, so
+reports do not depend on the chunk size.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -26,7 +33,7 @@ from .annulus_maps import (
     iterate,
     project,
 )
-from .config import DEFAULT, Tolerances, worker_count
+from .config import DEFAULT, Tolerances
 from .curves import rectangle
 from .errors import (
     BoundaryFixedPoint,
@@ -42,6 +49,12 @@ from .errors import (
 from .index import lefschetz_index
 
 CONTINUUM = "SINGLE_CLASS_CONTINUUM"
+
+# boxes per vectorised exclusion call: large enough that numpy overhead is
+# paid once per chunk, small enough that the sample arrays stay a few 100 kB
+_CHUNK = 256
+# children of (x0, x1, y0, y1, xm, ym) in push order, top-right last (on top)
+_CHILDREN = np.array([[0, 4, 2, 5], [4, 1, 2, 5], [0, 4, 5, 3], [4, 1, 5, 3]])
 
 
 @dataclass(frozen=True)
@@ -87,24 +100,36 @@ def _displacement(F, pts):
     return np.asarray(F(pts), dtype=float) - pts
 
 
-def _exclusion_margin(F, box, cfg: Tolerances) -> tuple[float, float]:
-    """(margin, sampled_min): margin > 0 certifies the box has no fixed point,
-    up to the finite-difference Lipschitz estimate."""
-    x0, x1, y0, y1 = box
-    m = cfg.exclusion_grid
-    xs = np.linspace(x0, x1, m)
-    ys = np.linspace(y0, y1, m)
-    gx, gy = np.meshgrid(xs, ys)
-    pts = np.stack([gx, gy], axis=-1)
-    disp = _displacement(F, pts.reshape(-1, 2)).reshape(m, m, 2)
+def _exclusion_margins(F, boxes, cfg: Tolerances) -> tuple[np.ndarray, np.ndarray]:
+    """(margins, sampled_mins) of an (N, 4) array of boxes: margin > 0
+    certifies the box has no fixed point, up to the finite-difference
+    Lipschitz estimate. The m x m sample grids of all boxes go through one
+    map call."""
+    boxes = np.asarray(boxes, dtype=float).reshape(-1, 4)
+    n, m = len(boxes), cfg.exclusion_grid
+    lo, hi = boxes[:, 0::2], boxes[:, 1::2]   # columns x, y
+    h = (hi - lo) / (m - 1)
+    hx, hy = h.T
+    # i*step + lo with the last sample pinned to hi: np.linspace, bit for bit
+    ticks = np.arange(m, dtype=float)[:, None] * h[:, None] + lo[:, None]
+    ticks[:, -1] = hi
+    pts = np.empty((n, m, m, 2))
+    pts[..., 0] = ticks[:, None, :, 0]
+    pts[..., 1] = ticks[:, :, None, 1]
+    disp = _displacement(F, pts.reshape(-1, 2)).reshape(n, m, m, 2)
     norms = np.hypot(disp[..., 0], disp[..., 1])
-    hx = (x1 - x0) / (m - 1)
-    hy = (y1 - y0) / (m - 1)
-    lip_x = np.hypot(*(np.diff(disp, axis=1).T)).max() / hx if hx > 0 else 0.0
-    lip_y = np.hypot(*(np.diff(disp, axis=0).T)).max() / hy if hy > 0 else 0.0
-    lip = max(lip_x, lip_y, 1.0)  # displacement of id alone has slope 1
-    reach = 0.5 * float(np.hypot(hx, hy))
-    sampled_min = float(norms.min())
+    dx = disp[:, :, 1:] - disp[:, :, :-1]
+    dy = disp[:, 1:] - disp[:, :-1]
+    lip_x = np.divide(np.hypot(dx[..., 0], dx[..., 1]).max(axis=(1, 2)), hx,
+                      out=np.zeros(n), where=hx > 0)
+    lip_y = np.divide(np.hypot(dy[..., 0], dy[..., 1]).max(axis=(1, 2)), hy,
+                      out=np.zeros(n), where=hy > 0)
+    # max(lip_x, lip_y, 1.0) with Python's NaN rule; the displacement of id
+    # alone has slope 1
+    lip = np.where(lip_y > lip_x, lip_y, lip_x)
+    lip = np.where(1.0 > lip, 1.0, lip)
+    reach = 0.5 * np.hypot(hx, hy)
+    sampled_min = norms.min(axis=(1, 2))
     return sampled_min - cfg.exclusion_safety * lip * reach, sampled_min
 
 
@@ -129,47 +154,41 @@ def _jittered(region, attempt: int, cfg: Tolerances):
     return (x0 - tx - dx, x1 - tx + dx, y0 - ty - dy, y1 - ty + dy)
 
 
-def _mop_up(F, box, floor: float, cfg: Tolerances, audit: IsolationAudit) -> None:
-    """A leaf had boundary degree 0 but was not excluded: push exclusion
-    deeper. Fragments surviving at the floor scale force a jitter retry."""
-    stack = [box]
-    while stack:
-        b = stack.pop()
-        audit.boxes_processed += 1
-        if audit.boxes_processed > cfg.subdivision_budget:
-            raise BudgetExceeded(f"subdivision cap {cfg.subdivision_budget} passed")
-        margin, _ = _exclusion_margin(F, b, cfg)
-        if margin > 0:
-            continue
-        x0, x1, y0, y1 = b
-        if max(x1 - x0, y1 - y0) <= floor:
-            audit.unresolved.append(b)
-            raise _BoundaryHit
-        xm, ym = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
-        stack.extend([(x0, xm, y0, ym), (xm, x1, y0, ym),
-                      (x0, xm, ym, y1), (xm, x1, ym, y1)])
+def _isolate_once(F, region, resolution: float, cfg: Tolerances, audit: IsolationAudit,
+                  lift_offset: int, record: bool = True) -> list[CertifiedFixedBox]:
+    """One attempt: a depth-first quadtree over the region.
 
+    The stack is an (N, 4) array of boxes, top last. Each step tests the
+    untested run at the top of the stack, at most _CHUNK boxes, in one
+    _exclusion_margins call, and replaces it in place: excluded boxes go,
+    boxes at leaf scale stay, flagged as tested, and larger ones become their
+    four children, top-right on top. A flagged leaf is handled when it
+    reaches the top, so leaves are handled in exactly the order of a
+    one-box-at-a-time depth-first search, whatever the chunk size.
 
-def _isolate_once(F, region, resolution: float, cfg: Tolerances,
-                  audit: IsolationAudit, lift_offset: int) -> list[CertifiedFixedBox]:
+    A leaf at resolution scale is certified by a nonzero boundary degree.
+    A degree-0 leaf that was not excluded is mopped up: it goes back on the
+    stack, marked, to be searched down to the floor scale resolution / 256,
+    and a marked fragment surviving there forces a jitter retry. Discarded
+    boxes go to the audit only when record is set.
+    """
     x0, x1, y0, y1 = region
     boundary = rectangle(x0, x1, y0, y1, per_side=64)
     bnorm = np.hypot(*_displacement(F, boundary.samples).T)
     if bnorm.min() <= cfg.boundary_min_disp:
         raise _BoundaryHit
+    floor = resolution / 256.0
     certified = []
-    stack = [tuple(map(float, region))]
-    while stack:
-        box = stack.pop()
-        audit.boxes_processed += 1
-        if audit.boxes_processed > cfg.subdivision_budget:
-            raise BudgetExceeded(f"subdivision cap {cfg.subdivision_budget} passed")
-        margin, sampled_min = _exclusion_margin(F, box, cfg)
-        if margin > 0:
-            audit.discarded.append((box, sampled_min, margin))
-            continue
-        bx0, bx1, by0, by1 = box
-        if max(bx1 - bx0, by1 - by0) <= resolution:
+    boxes = np.array([region], dtype=float)
+    mop = np.zeros(1, dtype=bool)      # box belongs to the mop-up of a leaf
+    tested = np.zeros(1, dtype=bool)   # box was tested and kept at leaf scale
+    while len(boxes):
+        if tested[-1]:
+            box, mopping = tuple(boxes[-1].tolist()), mop[-1]
+            boxes, mop, tested = boxes[:-1], mop[:-1], tested[:-1]
+            if mopping:
+                audit.unresolved.append(box)
+                raise _BoundaryHit
             try:
                 deg = _boundary_degree(F, box, cfg)
             except (FixedPointOnCurve, DistanceViolation) as exc:
@@ -177,11 +196,39 @@ def _isolate_once(F, region, resolution: float, cfg: Tolerances,
             if deg != 0:
                 certified.append(CertifiedFixedBox(box, deg, lift_offset))
             else:
-                _mop_up(F, box, resolution / 256.0, cfg, audit)
+                boxes = np.concatenate([boxes, [box]])
+                mop = np.append(mop, True)
+                tested = np.append(tested, False)
             continue
-        xm, ym = 0.5 * (bx0 + bx1), 0.5 * (by0 + by1)
-        stack.extend([(bx0, xm, by0, ym), (xm, bx1, by0, ym),
-                      (bx0, xm, ym, by1), (xm, bx1, ym, by1)])
+        flagged = np.flatnonzero(tested[-_CHUNK:])
+        start = len(boxes) - min(len(boxes), _CHUNK)
+        if len(flagged):
+            start += int(flagged[-1]) + 1
+        chunk, chunk_mop = boxes[start:], mop[start:]
+        audit.boxes_processed += len(chunk)
+        if audit.boxes_processed > cfg.subdivision_budget:
+            raise BudgetExceeded(f"subdivision cap {cfg.subdivision_budget} passed")
+        margin, sampled_min = _exclusion_margins(F, chunk, cfg)
+        out = margin > 0
+        if record:
+            # mop-up discards are not audited; top of the stack first, the
+            # order in which the boxes would be popped one at a time
+            gone = (out & ~chunk_mop)[::-1]
+            audit.discarded.extend(zip(map(tuple, chunk[::-1][gone].tolist()),
+                                       sampled_min[::-1][gone].tolist(),
+                                       margin[::-1][gone].tolist()))
+        keep, keep_mop = chunk[~out], chunk_mop[~out]
+        leaf = (np.maximum(keep[:, 1] - keep[:, 0], keep[:, 3] - keep[:, 2])
+                <= np.where(keep_mop, floor, resolution))
+        mids = 0.5 * (keep[:, 0::2] + keep[:, 1::2])
+        slots = np.concatenate([keep, mids], axis=1)[:, _CHILDREN]
+        slots[leaf, 0] = keep[leaf]
+        used = np.ones((len(keep), 4), dtype=bool)
+        used[leaf, 1:] = False
+        fanout = used.sum(axis=1)
+        boxes = np.concatenate([boxes[:start], slots[used]])
+        mop = np.concatenate([mop[:start], np.repeat(keep_mop, fanout)])
+        tested = np.concatenate([tested[:start], np.repeat(leaf, fanout)])
     return sorted(certified, key=lambda c: c.box)
 
 
@@ -236,20 +283,26 @@ def isolate_fixed_points(F: LiftMap, region, resolution: float,
 
     Adaptive quadtree: boxes are discarded only by the displacement lower
     bound, recursed while larger than the resolution, and certified when a
-    nonzero boundary degree is found at resolution scale. A fixed point
-    sitting on a subdivision line triggers a jittered retry (the region is
-    dilated by distinct irrational offsets); BoundaryFixedPoint is raised
-    when the retries are exhausted. Boxes certifying the same point are
-    merged (radius twice the resolution).
+    nonzero boundary degree is found at resolution scale. The tree is
+    searched depth first, a chunk of boxes per vectorised exclusion call,
+    so that an attempt spoiled by a fixed point on a subdivision line stops
+    at the first leaf that meets it. Such a hit triggers a jittered retry
+    (the region is dilated by distinct irrational offsets);
+    BoundaryFixedPoint is raised when the retries are exhausted. Boxes
+    certifying the same point are merged (radius twice the resolution).
+    The subdivision budget counts tested boxes; as a chunk is tested ahead
+    of the depth-first order, an attempt that would fail on a boundary hit
+    near the budget can report BudgetExceeded instead.
     """
-    if resolution <= 0:
+    if not resolution > 0:  # NaN too
         raise ValueError("resolution must be positive")
     last_exc = None
     for attempt in range(cfg.boundary_retries + 1):
         run_audit = audit if audit is not None else IsolationAudit()
         reg = _jittered(region, attempt, cfg)
         try:
-            boxes = _isolate_once(F, reg, resolution, cfg, run_audit, lift_offset)
+            boxes = _isolate_once(F, reg, resolution, cfg, run_audit, lift_offset,
+                                  record=audit is not None)
             return _merge_clusters(boxes, cfg.merge_radius_factor * resolution, F, cfg)
         except _BoundaryHit as exc:
             last_exc = exc
@@ -298,11 +351,8 @@ def polish_fixed_point(F, box: CertifiedFixedBox, cfg: Tolerances = DEFAULT,
             xm, ym = 0.5 * (b[0] + b[1]), 0.5 * (b[2] + b[3])
             children = [(b[0], xm, b[2], ym), (xm, b[1], b[2], ym),
                         (b[0], xm, ym, b[3]), (xm, b[1], ym, b[3])]
-            mins = []
-            for c in children:
-                _, sampled = _exclusion_margin(F, c, cfg)
-                mins.append(sampled)
-            b = list(children[int(np.argmin(mins))])
+            _, mins = _exclusion_margins(F, children, cfg)
+            b = children[int(np.argmin(mins))]
         p = np.array([0.5 * (b[0] + b[1]), 0.5 * (b[2] + b[3])])
     g = _displacement(F, p)
     if np.hypot(*g) > 1e-9:
@@ -469,8 +519,7 @@ def _sweep_translate(F_base: LiftMap, F_iter: LiftMap, n: int, k: int, region,
 
 
 def completeness_check(F: LiftMap, n_max: int, region=None, resolution: float = 1e-3,
-                       cfg: Tolerances = DEFAULT, workers: Optional[int] = None
-                       ) -> list[NielsenReport]:
+                       cfg: Tolerances = DEFAULT) -> list[NielsenReport]:
     """For each period n <= n_max, sweep every deck translate F^n + (k, 0),
     certify its fixed points, classify them by residue, and report whether
     all |d^n - 1| residue classes are realized.
@@ -490,23 +539,13 @@ def completeness_check(F: LiftMap, n_max: int, region=None, resolution: float = 
             raise ToolkitError(
                 "the default sweep region failed its margin test for this map; "
                 "pass an explicit region")
-    nworkers = worker_count(workers)
 
     reports = []
     for n in range(1, n_max + 1):
         modulus = abs(F.degree ** n - 1)
         F_iter = iterate(F, n)
-        tasks = list(range(modulus))
-
-        def run(k, _n=n, _Fi=F_iter):
-            return _sweep_translate(F, _Fi, _n, k, region, resolution, cfg)
-
-        if nworkers > 1:
-            with ThreadPoolExecutor(max_workers=nworkers) as pool:
-                results = list(pool.map(run, tasks))
-        else:
-            results = [run(k) for k in tasks]
-        results.sort(key=lambda item: item[0])
+        results = [_sweep_translate(F, F_iter, n, k, region, resolution, cfg)
+                   for k in range(modulus)]
 
         realized = set()
         boxes = []

@@ -152,3 +152,16 @@ def test_tabulated_lift_as_map_argument(tmp_path, capsys):
     code, out, _ = run(capsys, "index", "--map", str(path), "--curve", "circle:r=2")
     assert code == 0
     assert out.strip() == "2"
+
+
+@pytest.mark.parametrize("argv", [
+    ("fixed-points", "--map", "power", "--params", '{"d": 2}', "--resolution", "0"),
+    ("fixed-points", "--map", "power", "--params", '{"d": 2}', "--resolution", "nan"),
+    ("index", "--map", "power", "--params", '{"d": 2}', "--curve", "rect:1,0,0,1"),
+])
+def test_invalid_values_are_usage_errors(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and "Traceback" not in err
+    assert json.loads(lines[0])["error"] == "ValueError"

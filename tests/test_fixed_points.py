@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from annulift import fixed_points
 from annulift.annulus_maps import (
     AnnulusPoint,
     counterexample_deg_minus1,
@@ -10,6 +11,7 @@ from annulift.annulus_maps import (
     counterexample_spine_segments,
     counterexample_tube_cover,
     deck_translate,
+    grid_lift_from_values,
     iterate,
     make_lift,
     zoo,
@@ -25,6 +27,7 @@ from annulift.errors import (
 )
 from annulift.fixed_points import (
     IsolationAudit,
+    _exclusion_margins,
     boxes_to_csv_rows,
     completeness_check,
     default_region,
@@ -72,6 +75,105 @@ def test_budget_exceeded():
     with pytest.raises(BudgetExceeded):
         isolate_fixed_points(zoo("power", d=2), (-2, 2, -2, 2), 1e-6,
                              cfg=DEFAULT.replace(subdivision_budget=10))
+
+
+@pytest.mark.parametrize("F, region", [
+    (zoo("power", d=2), (-1.7, 2.3, -2.1, 1.9)),
+    (deck_translate(iterate(zoo("power", d=3), 2), 4), (-1.3, 0.9, -0.7, 0.6)),
+])
+def test_audit_is_independent_of_chunk_size(monkeypatch, F, region):
+    # one attempt with no boundary hit: the chunked search tests the same
+    # boxes as the one-box-at-a-time search and discards the same ones
+    audits, results = [], []
+    for chunk in (1, fixed_points._CHUNK):
+        monkeypatch.setattr(fixed_points, "_CHUNK", chunk)
+        audit = IsolationAudit()
+        results.append(fixed_points._isolate_once(F, region, 1e-2, DEFAULT, audit, 0))
+        audits.append(audit)
+    one, many = audits
+    assert results[0] == results[1] and len(results[0]) == 1
+    assert one.boxes_processed == many.boxes_processed
+    assert len(one.discarded) == len(many.discarded) > 0
+    assert set(one.discarded) == set(many.discarded)
+    assert one.unresolved == many.unresolved == []
+
+
+def _wobble(p):
+    """Degree 1, fixed points at (k/2, 0.3) for every integer k."""
+    p = np.asarray(p, dtype=float)
+    return np.stack([p[..., 0] + 0.2 * np.sin(2 * np.pi * p[..., 0]),
+                     0.5 * p[..., 1] + 0.15], axis=-1)
+
+
+@pytest.mark.parametrize("F, region", [
+    (iterate(zoo("end_swap", d=-2), 2), (-2, 2, -1, 1)),     # continuum: every attempt fails
+    (make_lift(_wobble, 1), (-1.23, 1.91, -1.0, 1.0)),      # six fixed points
+])
+def test_leaf_order_is_independent_of_chunk_size(monkeypatch, F, region):
+    # leaves get their boundary degrees in the one-box-at-a-time depth-first
+    # order, so a failing attempt stops after exactly as many degrees
+    seen = []
+    # 7 splits sibling groups across chunks, so chunks mix depths
+    for chunk in (1, 7, fixed_points._CHUNK, 4096):
+        monkeypatch.setattr(fixed_points, "_CHUNK", chunk)
+        curves = []
+        monkeypatch.setattr(fixed_points, "lefschetz_index",
+                            lambda G, curve, _f=fixed_points.lefschetz_index, **kw:
+                            curves.append(curve.samples[0].tobytes()) or _f(G, curve, **kw))
+        audit = IsolationAudit()
+        try:
+            outcome = isolate_fixed_points(F, region, 1e-2, audit=audit)
+        except BoundaryFixedPoint:
+            outcome = "boundary"
+        seen.append((outcome, curves, audit.unresolved))
+        monkeypatch.undo()
+    assert all(s == seen[0] for s in seen[1:])
+
+
+def _scalar_exclusion_margin(F, box, cfg):
+    """The one-box exclusion formula, kept here as the reference."""
+    x0, x1, y0, y1 = box
+    m = cfg.exclusion_grid
+    gx, gy = np.meshgrid(np.linspace(x0, x1, m), np.linspace(y0, y1, m))
+    pts = np.stack([gx, gy], axis=-1)
+    disp = (np.asarray(F(pts.reshape(-1, 2))) - pts.reshape(-1, 2)).reshape(m, m, 2)
+    norms = np.hypot(disp[..., 0], disp[..., 1])
+    hx = (x1 - x0) / (m - 1)
+    hy = (y1 - y0) / (m - 1)
+    lip_x = np.hypot(*(np.diff(disp, axis=1).T)).max() / hx if hx > 0 else 0.0
+    lip_y = np.hypot(*(np.diff(disp, axis=0).T)).max() / hy if hy > 0 else 0.0
+    lip = max(lip_x, lip_y, 1.0)
+    reach = 0.5 * float(np.hypot(hx, hy))
+    sampled_min = float(norms.min())
+    return sampled_min - cfg.exclusion_safety * lip * reach, sampled_min
+
+
+def _grid_copy(F, nx=256, ny=257, y_range=(-2.0, 2.0)):
+    xs = np.arange(nx, dtype=float) / nx
+    gx, gy = np.meshgrid(xs, np.linspace(*y_range, ny))
+    return grid_lift_from_values(F(np.stack([gx, gy], axis=-1)), F.degree, 0.0, *y_range)
+
+
+@pytest.mark.parametrize("F", [
+    pytest.param(iterate(zoo("power", d=3), 3), id="power(3)^3"),
+    pytest.param(deck_translate(iterate(zoo("end_swap", d=-2), 2), 1),
+                 id="end_swap(-2)^2+(1,0)"),
+    pytest.param(zoo("ends_attracting", d=2, lam=0.7), id="ends_attracting"),
+    pytest.param(zoo("perturbed_power", d=2, eps=0.05), id="perturbed_power"),
+    pytest.param(_grid_copy(zoo("perturbed_power", d=2, eps=0.05)), id="grid_perturbed_power"),
+    pytest.param(counterexample_deg_minus1(), id="counterexample_deg_minus1"),
+])
+def test_exclusion_margins_match_scalar_reference(F):
+    rng = np.random.default_rng(7)
+    cx = rng.uniform(-3.0, 3.0, 500)
+    cy = rng.uniform(-1.5, 1.5, 500)
+    hw = 10.0 ** rng.uniform(-5.0, -0.3, (2, 500))
+    boxes = np.stack([cx - hw[0], cx + hw[0], cy - hw[1], cy + hw[1]], axis=-1)
+    margins, mins = _exclusion_margins(F, boxes, DEFAULT)
+    ref = np.array([_scalar_exclusion_margin(F, tuple(b), DEFAULT) for b in boxes.tolist()])
+    # bitwise: the chunked quadtree must discard exactly the boxes it did before
+    assert margins.tobytes() == ref[:, 0].tobytes()
+    assert mins.tobytes() == ref[:, 1].tobytes()
 
 
 def test_certification_refinement_persistence():
@@ -253,11 +355,13 @@ def test_conjugacy_collapse():
             assert ra.count_lower_bound == rb.count_lower_bound
 
 
-def test_parallel_sweep_is_deterministic():
+def test_sweep_is_independent_of_chunk_size(monkeypatch):
     F = zoo("power", d=2)
-    one = completeness_check(F, 2, resolution=1e-2, workers=1)
-    four = completeness_check(F, 2, resolution=1e-2, workers=4)
-    assert reports_to_json(one) == reports_to_json(four)
+    outputs = set()
+    for chunk in (1, fixed_points._CHUNK, 4096):
+        monkeypatch.setattr(fixed_points, "_CHUNK", chunk)
+        outputs.add(reports_to_json(completeness_check(F, 2, resolution=1e-2)))
+    assert len(outputs) == 1
 
 
 def test_polish_fixed_point_accuracy():
@@ -286,15 +390,6 @@ def test_end_swap_growth_rate_bound():
     reports = completeness_check(zoo("end_swap", d=-2), 3, resolution=1e-3)
     assert reports[2].count_lower_bound >= 9
     assert growth_rate(reports) >= np.log(9) / 3
-
-
-def test_worker_env_var(monkeypatch):
-    from annulift.config import WORKERS_ENV_VAR, worker_count
-    monkeypatch.setenv(WORKERS_ENV_VAR, "3")
-    assert worker_count() == 3
-    assert worker_count(2) == 2  # explicit argument wins
-    monkeypatch.delenv(WORKERS_ENV_VAR)
-    assert worker_count() == 1
 
 
 # -- serialization ------------------------------------------------------------------
