@@ -16,7 +16,6 @@ from .annulus_maps import (
     projected_plane_map,
     zoo,
 )
-from .config import Tolerances
 from .curves import (
     ClosedCurve,
     PlanePoint,
@@ -52,7 +51,6 @@ __all__ = [
     "LiftMap",
     "NielsenReport",
     "PlanePoint",
-    "Tolerances",
     "annulus_distance",
     "circle",
     "completeness_check",

@@ -16,16 +16,18 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .config import DEFAULT, Tolerances
 from .curves import _as_point
 from .errors import (
     DomainEscape,
     EquivarianceViolation,
+    GridFormatError,
     ParamOutOfRange,
     UnknownZooEntry,
 )
 
 TWO_PI = 2.0 * np.pi
+
+_EQUIVARIANCE_TOL = 1e-9  # max deck-equivariance defect on a check grid
 
 _DATA_DIR = Path(__file__).parent / "data"
 
@@ -92,7 +94,7 @@ class LiftMap:
 
 
 def make_lift(fn, degree: int, domain_strip=None, name: str = "", params=None,
-              y_window=(-2.0, 2.0), cfg: Tolerances = DEFAULT) -> LiftMap:
+              y_window=(-2.0, 2.0)) -> LiftMap:
     """Construct a LiftMap and spot-check deck equivariance on a small grid."""
     lift = LiftMap(fn=fn, degree=int(degree), domain_strip=domain_strip, name=name,
                    params=dict(params or {}), y_window=tuple(y_window))
@@ -101,7 +103,7 @@ def make_lift(fn, degree: int, domain_strip=None, name: str = "", params=None,
         ylo = max(ylo, domain_strip[0])
         yhi = min(yhi, domain_strip[1] - 1e-9)
     spec = GridSpec(nx=4, ny=4, x_range=(0.0, 1.0), y_range=(ylo, yhi))
-    _equivariance_defect(lift, spec, cfg, require_degree=int(degree))
+    _equivariance_defect(lift, spec, require_degree=int(degree))
     return lift
 
 
@@ -121,14 +123,14 @@ class GridSpec:
         return np.stack([gx.ravel(), gy.ravel()], axis=-1)
 
 
-def _equivariance_defect(F: LiftMap, grid: GridSpec, cfg: Tolerances,
+def _equivariance_defect(F: LiftMap, grid: GridSpec,
                          require_degree: Optional[int] = None) -> int:
     pts = grid.points()
     diff = F(pts + np.array([1.0, 0.0])) - F(pts)
     d_est = int(np.round(np.median(diff[:, 0])))
     defect = np.maximum(np.abs(diff[:, 0] - d_est), np.abs(diff[:, 1]))
     worst = int(np.argmax(defect))
-    if defect[worst] > cfg.equivariance_tol:
+    if defect[worst] > _EQUIVARIANCE_TOL:
         raise EquivarianceViolation(
             f"deck equivariance defect {defect[worst]:.3e} at grid point "
             f"({pts[worst, 0]:.4f}, {pts[worst, 1]:.4f})",
@@ -140,8 +142,7 @@ def _equivariance_defect(F: LiftMap, grid: GridSpec, cfg: Tolerances,
     return d_est
 
 
-def degree_check(F: LiftMap, grid: Optional[GridSpec] = None,
-                 cfg: Tolerances = DEFAULT) -> int:
+def degree_check(F: LiftMap, grid: Optional[GridSpec] = None) -> int:
     """Verify F(x+1, y) = F(x, y) + (d, 0) on a grid and return d.
 
     Raises EquivarianceViolation (with the worst offending grid point) when
@@ -154,7 +155,7 @@ def degree_check(F: LiftMap, grid: Optional[GridSpec] = None,
             ylo = max(ylo, F.domain_strip[0])
             yhi = min(yhi, F.domain_strip[1] - 1e-9)
         grid = GridSpec(y_range=(ylo, yhi))
-    return _equivariance_defect(F, grid, cfg, require_degree=F.degree)
+    return _equivariance_defect(F, grid, require_degree=F.degree)
 
 
 def deck_translate(F: LiftMap, k: int) -> LiftMap:
@@ -395,23 +396,39 @@ def load_grid_lift(path: str | Path) -> LiftMap:
     Header keys: degree, x0, nx, y0, y1, ny and ``values`` (nested list), or
     ``values_file`` + ``format`` ("csv": nx*ny lines of "fx,fy" row-major;
     "binary": little-endian float64, C order, shape (ny, nx, 2)).
+    Any malformed header or values file raises GridFormatError.
     """
     path = Path(path)
-    header = json.loads(path.read_text(encoding="utf-8"))
-    ny, nx = int(header["ny"]), int(header["nx"])
-    if "values" in header:
-        values = np.asarray(header["values"], dtype=float).reshape(ny, nx, 2)
-    else:
-        data_path = path.parent / header["values_file"]
-        fmt = header.get("format", "csv")
-        if fmt == "csv":
-            values = np.loadtxt(data_path, delimiter=",", dtype=float).reshape(ny, nx, 2)
-        elif fmt == "binary":
-            values = np.fromfile(data_path, dtype="<f8").reshape(ny, nx, 2)
+    try:
+        header = json.loads(path.read_text(encoding="utf-8"))
+        degree, nx, ny = (int(header[k]) for k in ("degree", "nx", "ny"))
+        x0, y0, y1 = (float(header[k]) for k in ("x0", "y0", "y1"))
+        if "values" in header:
+            values = np.asarray(header["values"], dtype=float)
         else:
-            raise ValueError(f"unknown grid format {fmt!r}")
-    return grid_lift_from_values(values, header["degree"], float(header["x0"]),
-                                 float(header["y0"]), float(header["y1"]),
+            data_path = path.parent / header["values_file"]
+            fmt = header.get("format", "csv")
+            if fmt == "csv":
+                values = np.loadtxt(data_path, delimiter=",", dtype=float)
+            elif fmt == "binary":
+                values = np.fromfile(data_path, dtype="<f8")
+            else:
+                raise ValueError(f"unknown grid format {fmt!r}")
+    except KeyError as exc:
+        raise GridFormatError(f"{path.name}: missing header key {exc}") from exc
+    except (OSError, TypeError, ValueError) as exc:
+        raise GridFormatError(f"{path.name}: {type(exc).__name__}: {exc}") from exc
+    if nx < 2 or ny < 2:
+        raise GridFormatError(f"{path.name}: need nx, ny >= 2, got nx={nx}, ny={ny}")
+    if not (np.isfinite(x0) and np.isfinite(y0) and np.isfinite(y1) and y1 > y0):
+        raise GridFormatError(f"{path.name}: need finite x0 and y0 < y1, "
+                              f"got x0={x0}, y0={y0}, y1={y1}")
+    if values.size != nx * ny * 2:
+        raise GridFormatError(f"{path.name}: {values.size} values, expected "
+                              f"nx*ny*2 = {nx * ny * 2}")
+    if not np.all(np.isfinite(values)):
+        raise GridFormatError(f"{path.name}: values must be finite")
+    return grid_lift_from_values(values.reshape(ny, nx, 2), degree, x0, y0, y1,
                                  name=header.get("name", path.stem))
 
 

@@ -5,6 +5,9 @@ or assertion failed, 2 usage error (bad flags, or a ValueError from an
 invalid value such as a non-positive resolution or a reversed rectangle).
 Failures also emit one JSON object on stderr. Artifact JSON is
 deterministic for identical flags: sorted keys and no timestamps.
+
+Every tolerance is a fixed constant of the library module that reads it;
+``index --min-disp`` is the only one a flag overrides.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from .annulus_maps import (
     projected_plane_map,
     zoo,
 )
-from .config import DEFAULT, Tolerances, load_config, merge_config
 from .curves import ClosedCurve, circle, curve_from_json, rectangle
 from .errors import ParamOutOfRange, ToolkitError, UnknownZooEntry
 from .fixed_points import (
@@ -104,18 +106,6 @@ def _parse_region(raw: str | None):
     return (x0, x1, y0, y1)
 
 
-def _config_from_args(args) -> Tolerances:
-    cfg = DEFAULT
-    if getattr(args, "config", None):
-        cfg = load_config(args.config)
-    overrides = {}
-    for name in ("min_dist", "min_disp", "boundary_min_disp", "equivariance_tol"):
-        val = getattr(args, name, None)
-        if val is not None:
-            overrides[name] = val
-    return merge_config(cfg, overrides)
-
-
 def _emit_json(path: str | None, payload: dict) -> None:
     if path:
         Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
@@ -130,7 +120,7 @@ def _emit_csv(path: str | None, rows: list[str]) -> None:
 def _meta(args, command: str) -> dict:
     # artifact destinations are excluded so the payload does not depend on
     # where it is written
-    skip = {"func", "config", "json", "csv"}
+    skip = {"func", "json", "csv"}
     return {
         "command": command,
         "args": {k: v for k, v in sorted(vars(args).items())
@@ -154,11 +144,10 @@ def cmd_zoo(args) -> int:
 
 
 def cmd_index(args) -> int:
-    cfg = _config_from_args(args)
     lift = _resolve_map(args.map, _parse_params(args.params))
     curve = _parse_curve(args.curve)
     plane_map = projected_plane_map(lift)
-    idx = lefschetz_index(plane_map, curve, min_disp=args.min_disp, cfg=cfg)
+    idx = lefschetz_index(plane_map, curve, min_disp=args.min_disp)
     print(idx)
     _emit_json(args.json, {"meta": _meta(args, "index"), "index": idx,
                            "degree": lift.degree})
@@ -166,11 +155,10 @@ def cmd_index(args) -> int:
 
 
 def cmd_fixed_points(args) -> int:
-    cfg = _config_from_args(args)
     lift = _resolve_map(args.map, _parse_params(args.params))
     translate = deck_translate(lift, args.lift_k)
     region = _parse_region(args.region) or default_region(lift, 1)
-    boxes = isolate_fixed_points(translate, region, args.resolution, cfg=cfg,
+    boxes = isolate_fixed_points(translate, region, args.resolution,
                                  lift_offset=args.lift_k)
     print(f"{len(boxes)} certified box(es) in region {region}")
     rows = ["n,k,x_lo,x_hi,y_lo,y_hi,degree,residue"]
@@ -178,9 +166,9 @@ def cmd_fixed_points(args) -> int:
     for b in boxes:
         residue = ""
         if abs(lift.degree) > 1:
-            point = polish_fixed_point(translate, b, cfg=cfg)
+            point = polish_fixed_point(translate, b)
             from .annulus_maps import project
-            residue = nielsen_residue(lift, project(point), 1, cfg=cfg)
+            residue = nielsen_residue(lift, project(point), 1)
         x0, x1, y0, y1 = b.box
         print(f"  box [{x0:.6g}, {x1:.6g}] x [{y0:.6g}, {y1:.6g}] "
               f"degree {b.boundary_degree} residue {residue}")
@@ -208,11 +196,10 @@ def _print_completeness_table(reports) -> bool:
 
 
 def cmd_completeness(args) -> int:
-    cfg = _config_from_args(args)
     lift = _resolve_map(args.map, _parse_params(args.params))
     region = _parse_region(args.region)
     reports = completeness_check(lift, args.nmax, region=region,
-                                 resolution=args.resolution, cfg=cfg)
+                                 resolution=args.resolution)
     clean = _print_completeness_table(reports)
     overall = all(r.complete for r in reports)
     print(f"overall: {'COMPLETE' if overall else 'INCOMPLETE'} up to n={args.nmax}")
@@ -227,11 +214,10 @@ def cmd_completeness(args) -> int:
 
 
 def cmd_growth(args) -> int:
-    cfg = _config_from_args(args)
     lift = _resolve_map(args.map, _parse_params(args.params))
     region = _parse_region(args.region)
     reports = completeness_check(lift, args.nmax, region=region,
-                                 resolution=args.resolution, cfg=cfg)
+                                 resolution=args.resolution)
     print(f"{'n':>3} {'count':>7} {'rate':>10}")
     for r in reports:
         rate = np.log(r.count_lower_bound) / r.period if r.count_lower_bound else float("-inf")
@@ -247,8 +233,7 @@ def cmd_growth(args) -> int:
 
 
 def cmd_lemmas(args) -> int:
-    cfg = _config_from_args(args)
-    results = lemma_suite.run_all(cfg)
+    results = lemma_suite.run_all()
     width = max(len(r.name) for r in results)
     for r in results:
         print(f"{r.name:<{width}}  {'PASS' if r.passed else 'FAIL'}  ({r.detail})")
@@ -267,10 +252,6 @@ def _add_common(p: argparse.ArgumentParser, with_map=True) -> None:
         p.add_argument("--map", required=True,
                        help="zoo entry name, or path to a tabulated-lift JSON header")
         p.add_argument("--params", default=None, help="JSON object of map parameters")
-    p.add_argument("--config", default=None, help="JSON tolerance config file")
-    p.add_argument("--min-disp", dest="min_disp", type=float, default=None,
-                   help="displacement floor for index computations")
-    p.add_argument("--min-dist", dest="min_dist", type=float, default=None)
     p.add_argument("--json", default=None, help="write a JSON artifact here")
 
 
@@ -290,6 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--curve", required=True,
                    help="circle:r=<r>[,n=<samples>] | rect:<x0,x1,y0,y1> | JSON file")
+    p.add_argument("--min-disp", dest="min_disp", type=float, default=1e-6,
+                   help="displacement floor below which the index is undefined")
     p.set_defaults(func=cmd_index)
 
     p = sub.add_parser("fixed-points", help="certified fixed boxes of one deck translate")

@@ -13,7 +13,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .config import DEFAULT, Tolerances
 from .errors import (
     DistanceViolation,
     InteriorPointNotFound,
@@ -24,6 +23,9 @@ from .errors import (
 
 TWO_PI = 2.0 * np.pi
 HALF_PI = 0.5 * np.pi
+
+_REFINEMENT_BUDGET = 2 ** 16  # inserted points per turning count
+_WINDING_RESIDUAL = 0.1       # max |total/2pi - nearest integer|
 
 
 @dataclass(frozen=True)
@@ -167,7 +169,7 @@ def curve_from_json(data) -> ClosedCurve:
 
 # -- winding numbers ----------------------------------------------------------
 
-def _turning_count(vectors, params, vec_fn, min_norm, cfg: Tolerances, too_close_cls,
+def _turning_count(vectors, params, vec_fn, min_norm, too_close_cls,
                    too_close_msg: str) -> int:
     """Sum principal-value angle steps of a cyclic vector loop, refining until
     every step is below pi/2. Returns the exact integer turning count."""
@@ -186,14 +188,14 @@ def _turning_count(vectors, params, vec_fn, min_norm, cfg: Tolerances, too_close
         if bad.size == 0:
             total = steps.sum() / TWO_PI
             nearest = round(total)
-            if abs(total - nearest) > cfg.winding_residual:
+            if abs(total - nearest) > _WINDING_RESIDUAL:
                 raise WindingResidualError(
-                    f"turning {total:.6f} not within {cfg.winding_residual} of an integer")
+                    f"turning {total:.6f} not within {_WINDING_RESIDUAL} of an integer")
             return int(nearest)
         inserted += bad.size
-        if inserted > cfg.refinement_budget:
+        if inserted > _REFINEMENT_BUDGET:
             raise RefinementBudgetExceeded(
-                f"needed more than {cfg.refinement_budget} refinement points")
+                f"needed more than {_REFINEMENT_BUDGET} refinement points")
         t_next = np.concatenate([t[1:], t[:1] + 1.0])
         t_mid = 0.5 * (t[bad] + t_next[bad])
         v_mid = np.asarray(vec_fn(t_mid), dtype=float).reshape(-1, 2)
@@ -201,19 +203,16 @@ def _turning_count(vectors, params, vec_fn, min_norm, cfg: Tolerances, too_close
         v = np.insert(v, bad + 1, v_mid, axis=0)
 
 
-def winding_number(curve: ClosedCurve, basepoint, min_dist: float | None = None,
-                   cfg: Tolerances = DEFAULT) -> int:
+def winding_number(curve: ClosedCurve, basepoint, min_dist: float = 1e-9) -> int:
     """Signed number of turns of the curve around the basepoint.
 
     Every sample and every refinement point must stay farther than
     ``min_dist`` from the basepoint, otherwise the result would be
     numerically unsafe and DistanceViolation is raised.
     """
-    if min_dist is None:
-        min_dist = cfg.min_dist
     p = _as_point(basepoint)
     vec_fn = lambda t: curve.point_at(t) - p  # noqa: E731
-    return _turning_count(curve.samples - p, curve.params, vec_fn, min_dist, cfg,
+    return _turning_count(curve.samples - p, curve.params, vec_fn, min_dist,
                           DistanceViolation, "sample too close to basepoint")
 
 
@@ -320,7 +319,7 @@ def interior_point(curve: ClosedCurve) -> np.ndarray:
     raise InteriorPointNotFound(f"no certified interior point near sample {v_i}")
 
 
-def is_positively_oriented(curve: ClosedCurve, cfg: Tolerances = DEFAULT) -> bool:
+def is_positively_oriented(curve: ClosedCurve) -> bool:
     """True when the curve winds once counterclockwise around its interior.
 
     Requires the sampled curve to be simple; the simplicity guarantee is at
@@ -330,7 +329,7 @@ def is_positively_oriented(curve: ClosedCurve, cfg: Tolerances = DEFAULT) -> boo
         raise NotSimple("sampled segments cross")
     p0 = interior_point(curve)
     clearance = distance_to_polyline(p0, curve.samples)
-    w = winding_number(curve, p0, min_dist=0.5 * clearance, cfg=cfg)
+    w = winding_number(curve, p0, min_dist=0.5 * clearance)
     if abs(w) != 1:
         raise NotSimple(f"winding {w} about an interior point; curve is not simple")
     return w == 1

@@ -62,6 +62,10 @@ class ParamOutOfRange(ToolkitError):
     """Map family parameter outside its documented range."""
 
 
+class GridFormatError(ToolkitError, ValueError):
+    """A tabulated-lift header or its values file is malformed."""
+
+
 # -- index -------------------------------------------------------------------
 
 class FixedPointOnCurve(ToolkitError):

@@ -20,6 +20,7 @@ reports do not depend on the chunk size.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -33,7 +34,6 @@ from .annulus_maps import (
     iterate,
     project,
 )
-from .config import DEFAULT, Tolerances
 from .curves import rectangle
 from .errors import (
     BoundaryFixedPoint,
@@ -49,6 +49,17 @@ from .errors import (
 from .index import lefschetz_index
 
 CONTINUUM = "SINGLE_CLASS_CONTINUUM"
+
+_BOUNDARY_MIN_DISP = 1e-10        # displacement floor on subdivision boundaries
+_EXCLUSION_GRID = 5               # exclusion test samples per box axis
+_EXCLUSION_SAFETY = 2.0           # multiplier on the finite-difference Lipschitz estimate
+_SUBDIVISION_BUDGET = 500_000     # tested boxes per attempt
+_BOUNDARY_RETRIES = 3             # jittered attempts after the first
+_JITTER_BASE = math.sqrt(2.0) * 1e-4
+_MERGE_RADIUS_FACTOR = 2.0        # merge radius = factor * resolution
+_BOUNDARY_SAMPLES_PER_SIDE = 16   # rectangle samples for a leaf's boundary degree
+_RESIDUE_DISP_TOL = 1e-7          # NotPeriodic threshold on the projected point
+_RESIDUE_INT_TOL = 1e-5           # near-integer threshold for the translation
 
 # boxes per vectorised exclusion call: large enough that numpy overhead is
 # paid once per chunk, small enough that the sample arrays stay a few 100 kB
@@ -100,13 +111,13 @@ def _displacement(F, pts):
     return np.asarray(F(pts), dtype=float) - pts
 
 
-def _exclusion_margins(F, boxes, cfg: Tolerances) -> tuple[np.ndarray, np.ndarray]:
+def _exclusion_margins(F, boxes) -> tuple[np.ndarray, np.ndarray]:
     """(margins, sampled_mins) of an (N, 4) array of boxes: margin > 0
     certifies the box has no fixed point, up to the finite-difference
     Lipschitz estimate. The m x m sample grids of all boxes go through one
     map call."""
     boxes = np.asarray(boxes, dtype=float).reshape(-1, 4)
-    n, m = len(boxes), cfg.exclusion_grid
+    n, m = len(boxes), _EXCLUSION_GRID
     lo, hi = boxes[:, 0::2], boxes[:, 1::2]   # columns x, y
     h = (hi - lo) / (m - 1)
     hx, hy = h.T
@@ -130,16 +141,16 @@ def _exclusion_margins(F, boxes, cfg: Tolerances) -> tuple[np.ndarray, np.ndarra
     lip = np.where(1.0 > lip, 1.0, lip)
     reach = 0.5 * np.hypot(hx, hy)
     sampled_min = norms.min(axis=(1, 2))
-    return sampled_min - cfg.exclusion_safety * lip * reach, sampled_min
+    return sampled_min - _EXCLUSION_SAFETY * lip * reach, sampled_min
 
 
-def _boundary_degree(F, box, cfg: Tolerances) -> int:
+def _boundary_degree(F, box) -> int:
     x0, x1, y0, y1 = box
-    curve = rectangle(x0, x1, y0, y1, per_side=cfg.boundary_samples_per_side)
-    return lefschetz_index(F, curve, min_disp=cfg.boundary_min_disp, cfg=cfg)
+    curve = rectangle(x0, x1, y0, y1, per_side=_BOUNDARY_SAMPLES_PER_SIDE)
+    return lefschetz_index(F, curve, min_disp=_BOUNDARY_MIN_DISP)
 
 
-def _jittered(region, attempt: int, cfg: Tolerances):
+def _jittered(region, attempt: int):
     if attempt == 0:
         return tuple(map(float, region))
     # translate and dilate the region to break any alignment of fixed points
@@ -147,14 +158,14 @@ def _jittered(region, attempt: int, cfg: Tolerances):
     # deterministically and independently, because a pure dilation scaled up
     # linearly can keep cancelling at one relative position forever
     rng = np.random.default_rng(attempt)
-    t = attempt * cfg.jitter_base
+    t = attempt * _JITTER_BASE
     tx, ty = t * (0.2 + 0.6 * rng.random(2))
     dx, dy = t * (1.1 + 0.5 * rng.random(2))  # dilation > translation: superset
     x0, x1, y0, y1 = map(float, region)
     return (x0 - tx - dx, x1 - tx + dx, y0 - ty - dy, y1 - ty + dy)
 
 
-def _isolate_once(F, region, resolution: float, cfg: Tolerances, audit: IsolationAudit,
+def _isolate_once(F, region, resolution: float, audit: IsolationAudit,
                   lift_offset: int, record: bool = True) -> list[CertifiedFixedBox]:
     """One attempt: a depth-first quadtree over the region.
 
@@ -175,7 +186,7 @@ def _isolate_once(F, region, resolution: float, cfg: Tolerances, audit: Isolatio
     x0, x1, y0, y1 = region
     boundary = rectangle(x0, x1, y0, y1, per_side=64)
     bnorm = np.hypot(*_displacement(F, boundary.samples).T)
-    if bnorm.min() <= cfg.boundary_min_disp:
+    if bnorm.min() <= _BOUNDARY_MIN_DISP:
         raise _BoundaryHit
     floor = resolution / 256.0
     certified = []
@@ -190,7 +201,7 @@ def _isolate_once(F, region, resolution: float, cfg: Tolerances, audit: Isolatio
                 audit.unresolved.append(box)
                 raise _BoundaryHit
             try:
-                deg = _boundary_degree(F, box, cfg)
+                deg = _boundary_degree(F, box)
             except (FixedPointOnCurve, DistanceViolation) as exc:
                 raise _BoundaryHit from exc
             if deg != 0:
@@ -206,9 +217,9 @@ def _isolate_once(F, region, resolution: float, cfg: Tolerances, audit: Isolatio
             start += int(flagged[-1]) + 1
         chunk, chunk_mop = boxes[start:], mop[start:]
         audit.boxes_processed += len(chunk)
-        if audit.boxes_processed > cfg.subdivision_budget:
-            raise BudgetExceeded(f"subdivision cap {cfg.subdivision_budget} passed")
-        margin, sampled_min = _exclusion_margins(F, chunk, cfg)
+        if audit.boxes_processed > _SUBDIVISION_BUDGET:
+            raise BudgetExceeded(f"subdivision cap {_SUBDIVISION_BUDGET} passed")
+        margin, sampled_min = _exclusion_margins(F, chunk)
         out = margin > 0
         if record:
             # mop-up discards are not audited; top of the stack first, the
@@ -232,7 +243,7 @@ def _isolate_once(F, region, resolution: float, cfg: Tolerances, audit: Isolatio
     return sorted(certified, key=lambda c: c.box)
 
 
-def _merge_clusters(boxes: list[CertifiedFixedBox], radius: float, F, cfg: Tolerances
+def _merge_clusters(boxes: list[CertifiedFixedBox], radius: float, F
                     ) -> list[CertifiedFixedBox]:
     """Merge boxes certifying the same point (centers within the merge radius).
 
@@ -268,15 +279,14 @@ def _merge_clusters(boxes: list[CertifiedFixedBox], radius: float, F, cfg: Toler
         xs0, xs1, ys0, ys1 = zip(*(m.box for m in members))
         hull = (min(xs0), max(xs1), min(ys0), max(ys1))
         try:
-            deg = _boundary_degree(F, hull, cfg)
+            deg = _boundary_degree(F, hull)
             merged.append(CertifiedFixedBox(hull, deg, members[0].lift_offset))
         except (FixedPointOnCurve, DistanceViolation):
             merged.append(members[0])
     return sorted(merged, key=lambda c: c.box)
 
 
-def isolate_fixed_points(F: LiftMap, region, resolution: float,
-                         cfg: Tolerances = DEFAULT, lift_offset: int = 0,
+def isolate_fixed_points(F: LiftMap, region, resolution: float, lift_offset: int = 0,
                          audit: Optional[IsolationAudit] = None
                          ) -> list[CertifiedFixedBox]:
     """Certified boxes around every fixed point of F inside the region.
@@ -297,23 +307,22 @@ def isolate_fixed_points(F: LiftMap, region, resolution: float,
     if not resolution > 0:  # NaN too
         raise ValueError("resolution must be positive")
     last_exc = None
-    for attempt in range(cfg.boundary_retries + 1):
+    for attempt in range(_BOUNDARY_RETRIES + 1):
         run_audit = audit if audit is not None else IsolationAudit()
-        reg = _jittered(region, attempt, cfg)
+        reg = _jittered(region, attempt)
         try:
-            boxes = _isolate_once(F, reg, resolution, cfg, run_audit, lift_offset,
+            boxes = _isolate_once(F, reg, resolution, run_audit, lift_offset,
                                   record=audit is not None)
-            return _merge_clusters(boxes, cfg.merge_radius_factor * resolution, F, cfg)
+            return _merge_clusters(boxes, _MERGE_RADIUS_FACTOR * resolution, F)
         except _BoundaryHit as exc:
             last_exc = exc
             continue
     raise BoundaryFixedPoint(
         f"fixed point kept hitting subdivision boundaries after "
-        f"{cfg.boundary_retries + 1} attempts") from last_exc
+        f"{_BOUNDARY_RETRIES + 1} attempts") from last_exc
 
 
-def polish_fixed_point(F, box: CertifiedFixedBox, cfg: Tolerances = DEFAULT,
-                       tol: float = 1e-12) -> np.ndarray:
+def polish_fixed_point(F, box: CertifiedFixedBox, tol: float = 1e-12) -> np.ndarray:
     """Refine the certified point to high accuracy.
 
     Newton with finite-difference Jacobian, verified afterwards; falls back
@@ -351,7 +360,7 @@ def polish_fixed_point(F, box: CertifiedFixedBox, cfg: Tolerances = DEFAULT,
             xm, ym = 0.5 * (b[0] + b[1]), 0.5 * (b[2] + b[3])
             children = [(b[0], xm, b[2], ym), (xm, b[1], b[2], ym),
                         (b[0], xm, ym, b[3]), (xm, b[1], ym, b[3])]
-            _, mins = _exclusion_margins(F, children, cfg)
+            _, mins = _exclusion_margins(F, children)
             b = children[int(np.argmin(mins))]
         p = np.array([0.5 * (b[0] + b[1]), 0.5 * (b[2] + b[3])])
     g = _displacement(F, p)
@@ -360,8 +369,7 @@ def polish_fixed_point(F, box: CertifiedFixedBox, cfg: Tolerances = DEFAULT,
     return p
 
 
-def nielsen_residue(F0: LiftMap, point, period: int, cfg: Tolerances = DEFAULT,
-                    lift_x_offset: int = 0) -> int:
+def nielsen_residue(F0: LiftMap, point, period: int, lift_x_offset: int = 0) -> int:
     """Deck-translation residue classifying the Nielsen class of a periodic point.
 
     Lifts the annulus point, applies the iterated base lift, and reads off
@@ -379,13 +387,13 @@ def nielsen_residue(F0: LiftMap, point, period: int, cfg: Tolerances = DEFAULT,
     p_lift = p.lift(lift_x_offset)
     q = iterate(F0, period)(p_lift) if period > 1 else F0(p_lift)
     dist = annulus_distance(project(q), p)
-    if dist > cfg.residue_disp_tol:
+    if dist > _RESIDUE_DISP_TOL:
         raise NotPeriodic(
             f"point ({p.theta:.6g}, {p.y:.6g}) moves by {dist:.3e} under the "
             f"projected period-{period} map")
     m_real = float(q[0] - p_lift[0])
     m = int(round(m_real))
-    if abs(m_real - m) > cfg.residue_int_tol or abs(q[1] - p_lift[1]) > cfg.residue_int_tol:
+    if abs(m_real - m) > _RESIDUE_INT_TOL or abs(q[1] - p_lift[1]) > _RESIDUE_INT_TOL:
         raise NonIntegerTranslation(
             f"lift displacement ({m_real:.3e}, {float(q[1] - p_lift[1]):.3e}) "
             f"is not an integer translation")
@@ -466,7 +474,7 @@ def region_margin_check(F, region, samples: int = 64) -> bool:
                 and left_sign[0] != right_sign[0])
 
 
-def diagnose_continuum(F, region, resolution: float, cfg: Tolerances = DEFAULT) -> bool:
+def diagnose_continuum(F, region, resolution: float) -> bool:
     """After isolation fails on boundary hits: does the zero set of F - id
     look one-dimensional? Probes a small circle around a polished zero; a
     1D zero set crosses the circle, an isolated point keeps it clear."""
@@ -499,33 +507,30 @@ def diagnose_continuum(F, region, resolution: float, cfg: Tolerances = DEFAULT) 
 
 
 def _sweep_translate(F_base: LiftMap, F_iter: LiftMap, n: int, k: int, region,
-                     resolution: float, cfg: Tolerances):
+                     resolution: float):
     """Isolate and classify the fixed points of one deck translate."""
     Fk = deck_translate(F_iter, k)
     try:
-        boxes = isolate_fixed_points(Fk, region, resolution, cfg=cfg, lift_offset=k)
+        boxes = isolate_fixed_points(Fk, region, resolution, lift_offset=k)
+        records = [(b, nielsen_residue(F_base, project(polish_fixed_point(Fk, b)), n))
+                   for b in boxes]
     except BoundaryFixedPoint as exc:
-        if diagnose_continuum(Fk, region, resolution, cfg=cfg):
+        if diagnose_continuum(Fk, region, resolution):
             return k, CONTINUUM, None
         return k, "error", f"{type(exc).__name__}: {exc}"
-    except (BudgetExceeded, ToolkitError) as exc:
+    except ToolkitError as exc:
         return k, "error", f"{type(exc).__name__}: {exc}"
-    records = []
-    for b in boxes:
-        point = polish_fixed_point(Fk, b, cfg=cfg)
-        residue = nielsen_residue(F_base, project(point), n, cfg=cfg)
-        records.append((b, residue))
     return k, "ok", records
 
 
-def completeness_check(F: LiftMap, n_max: int, region=None, resolution: float = 1e-3,
-                       cfg: Tolerances = DEFAULT) -> list[NielsenReport]:
+def completeness_check(F: LiftMap, n_max: int, region=None, resolution: float = 1e-3
+                       ) -> list[NielsenReport]:
     """For each period n <= n_max, sweep every deck translate F^n + (k, 0),
     certify its fixed points, classify them by residue, and report whether
     all |d^n - 1| residue classes are realized.
 
-    Isolation failures are recorded per translate in the report instead of
-    aborting the sweep; translates whose fixed set looks one-dimensional
+    Isolation, polish and residue failures are recorded per translate in the
+    report instead of aborting the sweep; translates whose fixed set looks one-dimensional
     are flagged as a single-class continuum and count once.
     """
     n_max = int(n_max)
@@ -544,7 +549,7 @@ def completeness_check(F: LiftMap, n_max: int, region=None, resolution: float = 
     for n in range(1, n_max + 1):
         modulus = abs(F.degree ** n - 1)
         F_iter = iterate(F, n)
-        results = [_sweep_translate(F, F_iter, n, k, region, resolution, cfg)
+        results = [_sweep_translate(F, F_iter, n, k, region, resolution)
                    for k in range(modulus)]
 
         realized = set()

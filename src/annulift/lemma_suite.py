@@ -1,7 +1,9 @@
 """Executable index-identity suites: each run re-derives one of the index
 facts the fixed-point machinery rests on, with exact integer expectations.
 
-Used by the CLI ``lemmas`` subcommand and by the test suite.
+Used by the CLI ``lemmas`` subcommand and by the test suite. The suites
+take no tolerances: they run at the fixed constants of the index and curves
+modules.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .annulus_maps import projected_plane_map, zoo
-from .config import DEFAULT, Tolerances
 from .curves import ClosedCurve, circle
 from .index import (
     homotopy_index_profile,
@@ -47,38 +48,38 @@ def _frame_lines():
     return alpha, beta, gamma, delta
 
 
-def suite_saddle_rectangle(cfg: Tolerances = DEFAULT) -> SuiteResult:
-    idx = saddle_rectangle_index(_saddle, (-1, 1, -1, 1), cfg=cfg)
+def suite_saddle_rectangle() -> SuiteResult:
+    idx = saddle_rectangle_index(_saddle, (-1, 1, -1, 1))
     return SuiteResult("saddle rectangle boundary", idx == -1, f"index {idx}, expected -1")
 
 
-def suite_crossed_rectangle(cfg: Tolerances = DEFAULT) -> SuiteResult:
-    idx = saddle_rectangle_index(_crossed, (-1, 1, -1, 1), cfg=cfg)
+def suite_crossed_rectangle() -> SuiteResult:
+    idx = saddle_rectangle_index(_crossed, (-1, 1, -1, 1))
     return SuiteResult("crossed rectangle boundary", idx == 1, f"index {idx}, expected +1")
 
 
-def suite_quad_straight(cfg: Tolerances = DEFAULT) -> SuiteResult:
-    idx = quad_configuration_index(_saddle, *_frame_lines(), expect=-1, cfg=cfg)
+def suite_quad_straight() -> SuiteResult:
+    idx = quad_configuration_index(_saddle, *_frame_lines(), expect=-1)
     return SuiteResult("quadrilateral frame, straight layout", idx == -1,
                        f"index {idx}, expected -1")
 
 
-def suite_quad_swapped(cfg: Tolerances = DEFAULT) -> SuiteResult:
-    idx = quad_configuration_index(_crossed, *_frame_lines(), expect=1, cfg=cfg)
+def suite_quad_swapped() -> SuiteResult:
+    idx = quad_configuration_index(_crossed, *_frame_lines(), expect=1)
     return SuiteResult("quadrilateral frame, swapped layout", idx == 1,
                        f"index {idx}, expected +1")
 
 
-def suite_index_jump(cfg: Tolerances = DEFAULT) -> SuiteResult:
+def suite_index_jump() -> SuiteResult:
     g = circle(1.0, n=256)
-    out_pair = index_jump_experiment(g, (0.0, 0.125), "out", inner_point=(0.0, 0.0), cfg=cfg)
-    in_pair = index_jump_experiment(g, (0.0, 0.125), "in", inner_point=(0.0, 0.0), cfg=cfg)
+    out_pair = index_jump_experiment(g, (0.0, 0.125), "out", inner_point=(0.0, 0.0))
+    in_pair = index_jump_experiment(g, (0.0, 0.125), "in", inner_point=(0.0, 0.0))
     ok = out_pair == (1, 0) and in_pair == (0, 1)
     return SuiteResult("index jump across an arc", ok,
                        f"outward {out_pair} expected (1, 0); inward {in_pair} expected (0, 1)")
 
 
-def suite_homotopy_invariance(cfg: Tolerances = DEFAULT, steps: int = 20) -> SuiteResult:
+def suite_homotopy_invariance(steps: int = 20) -> SuiteResult:
     # squash the saddle image onto the horizontal axis: never a fixed point
     # on the boundary, so the index must stay -1 the whole way
     boundary = ClosedCurve(np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]]))
@@ -90,14 +91,14 @@ def suite_homotopy_invariance(cfg: Tolerances = DEFAULT, steps: int = 20) -> Sui
         return f
 
     times = np.linspace(0.0, 1.0, steps)
-    profile = homotopy_index_profile(family, boundary, times, cfg=cfg)
+    profile = homotopy_index_profile(family, boundary, times)
     squash_ok = all(v == -1 for v in profile)
 
     # free homotopy of the curve: the power-map index is constant on each
     # side of the invariant circle
     plane2 = projected_plane_map(zoo("power", d=2))
-    inner = [lefschetz_index(plane2, circle(r, 256), cfg=cfg) for r in (0.3, 0.5, 0.7)]
-    outer = [lefschetz_index(plane2, circle(r, 256), cfg=cfg) for r in (1.5, 2.0, 3.0)]
+    inner = [lefschetz_index(plane2, circle(r, 256)) for r in (0.3, 0.5, 0.7)]
+    outer = [lefschetz_index(plane2, circle(r, 256)) for r in (1.5, 2.0, 3.0)]
     radii_ok = inner == [1, 1, 1] and outer == [2, 2, 2]
 
     return SuiteResult(
@@ -117,5 +118,5 @@ ALL_SUITES = (
 )
 
 
-def run_all(cfg: Tolerances = DEFAULT) -> list[SuiteResult]:
-    return [suite(cfg) for suite in ALL_SUITES]
+def run_all() -> list[SuiteResult]:
+    return [suite() for suite in ALL_SUITES]

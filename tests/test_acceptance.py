@@ -17,7 +17,6 @@ from annulift.annulus_maps import (
     projected_plane_map,
     zoo,
 )
-from annulift.config import DEFAULT
 from annulift.curves import ClosedCurve, circle
 from annulift.fixed_points import (
     IsolationAudit,

@@ -126,19 +126,27 @@ def test_usage_error_without_subcommand():
     assert main([]) == 2
 
 
-def test_config_file_and_flag_precedence(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"min_disp": 10.0}))  # absurd floor: index must fail
+def test_index_min_disp_flag(capsys):
+    # an absurd floor: the index is undefined
     code, _, err = run(capsys, "index", "--map", "power", "--params", '{"d": 2}',
-                       "--curve", "circle:r=2", "--config", str(cfg))
+                       "--curve", "circle:r=2", "--min-disp", "10")
     assert code == 1
     assert json.loads(err)["error"] == "FixedPointOnCurve"
-    # an explicit flag overrides the config file
     code, out, _ = run(capsys, "index", "--map", "power", "--params", '{"d": 2}',
-                       "--curve", "circle:r=2", "--config", str(cfg),
-                       "--min-disp", "1e-6")
+                       "--curve", "circle:r=2", "--min-disp", "1e-6")
     assert code == 0
     assert out.strip() == "2"
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--config", "cfg.json"),
+    ("--min-dist", "1e-9"),
+    ("--min-disp", "1e-6"),
+])
+def test_removed_tolerance_flags_are_usage_errors(capsys, flag, value):
+    code, _, _ = run(capsys, "completeness", "--map", "power", "--params", '{"d": 2}',
+                     "--nmax", "1", flag, value)
+    assert code == 2
 
 
 def test_tabulated_lift_as_map_argument(tmp_path, capsys):
@@ -165,3 +173,46 @@ def test_invalid_values_are_usage_errors(capsys, argv):
     lines = err.strip().splitlines()
     assert len(lines) == 1 and "Traceback" not in err
     assert json.loads(lines[0])["error"] == "ValueError"
+
+
+def _grid_header(drop=(), **changes):
+    """A valid inline tabulated-lift header of the degree-2 power map, edited."""
+    xs = np.arange(4) / 4
+    gx, gy = np.meshgrid(xs, np.linspace(-1, 1, 3))
+    values = np.stack([2 * gx, 2 * gy], axis=-1).reshape(-1, 2).tolist()
+    header = {"degree": 2, "x0": 0.0, "nx": 4, "y0": -1.0, "y1": 1.0, "ny": 3,
+              "values": values}
+    header.update(changes)
+    return {k: v for k, v in header.items() if k not in drop}
+
+
+_VALUES = _grid_header()["values"]
+
+
+@pytest.mark.parametrize("header, side", [
+    pytest.param(_grid_header(drop=["ny"]), None, id="missing-ny"),
+    pytest.param(_grid_header(drop=["values"]), None, id="no-values"),
+    pytest.param(_grid_header(drop=["values"], values_file="nosuch.csv"), None,
+                 id="missing-values-file"),
+    pytest.param(_grid_header(y0=1.0, y1=-1.0), None, id="y0-above-y1"),
+    pytest.param(_grid_header(nx=1, values=_VALUES[:3]), None, id="nx-1"),
+    pytest.param(_grid_header(values=_VALUES[:-1]), None, id="short-values"),
+    pytest.param(_grid_header(values=[[float("nan"), 0.0]] + _VALUES[1:]), None,
+                 id="nan-value"),
+    pytest.param(_grid_header(drop=["values"], values_file="tab.csv", format="csv"),
+                 b"0,0\n1,1\n", id="short-csv"),
+    pytest.param(_grid_header(drop=["values"], values_file="tab.bin", format="binary"),
+                 b"\0" * 8, id="short-binary"),
+    pytest.param(_grid_header(drop=["values"], values_file="tab.csv", format="xml"),
+                 b"0,0\n", id="unknown-format"),
+])
+def test_malformed_grid_header_is_usage_error(tmp_path, capsys, header, side):
+    if side is not None:
+        (tmp_path / header["values_file"]).write_bytes(side)
+    path = tmp_path / "tab.json"
+    path.write_text(json.dumps(header))
+    code, _, err = run(capsys, "index", "--map", str(path), "--curve", "circle:r=2")
+    assert code == 2
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and "Traceback" not in err
+    assert json.loads(lines[0])["error"] == "GridFormatError"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from annulift.config import DEFAULT
+from annulift import curves
 from annulift.curves import (
     ClosedCurve,
     circle,
@@ -76,15 +76,16 @@ def test_basepoint_too_close_raises():
         winding_number(c, (0.999, 0.0), min_dist=0.01)
 
 
-def test_refinement_budget_exceeded():
+def test_refinement_budget_exceeded(monkeypatch):
     def fn(t):
         a = 2 * np.pi * 3 * np.asarray(t, dtype=float)
         return np.stack([np.cos(a), np.sin(a)], axis=-1)
 
     t = np.arange(5) / 5
     curve = ClosedCurve(fn(t), params=t, curve_fn=fn)
+    monkeypatch.setattr(curves, "_REFINEMENT_BUDGET", 1)
     with pytest.raises(RefinementBudgetExceeded):
-        winding_number(curve, (0.0, 0.0), cfg=DEFAULT.replace(refinement_budget=1))
+        winding_number(curve, (0.0, 0.0))
 
 
 @st.composite

@@ -16,7 +16,6 @@ from annulift.annulus_maps import (
     make_lift,
     zoo,
 )
-from annulift.config import DEFAULT
 from annulift.errors import (
     BoundaryFixedPoint,
     BudgetExceeded,
@@ -24,6 +23,7 @@ from annulift.errors import (
     NonIntegerTranslation,
     NotPeriodic,
     ParamOutOfRange,
+    ToolkitError,
 )
 from annulift.fixed_points import (
     IsolationAudit,
@@ -56,7 +56,7 @@ def test_power_two_isolates_origin():
     assert len(boxes) == 1
     assert boxes[0].contains((0.0, 0.0))
     assert boxes[0].boundary_degree != 0
-    assert boxes[0].size <= 2e-3 * DEFAULT.merge_radius_factor
+    assert boxes[0].size <= 2e-3 * fixed_points._MERGE_RADIUS_FACTOR
 
 
 def test_translate_isolates_minus_one():
@@ -71,10 +71,10 @@ def test_fixed_point_free_lift_certifies_nothing():
     assert isolate_fixed_points(F, (-2, 2, -2, 2), 1e-3) == []
 
 
-def test_budget_exceeded():
+def test_budget_exceeded(monkeypatch):
+    monkeypatch.setattr(fixed_points, "_SUBDIVISION_BUDGET", 10)
     with pytest.raises(BudgetExceeded):
-        isolate_fixed_points(zoo("power", d=2), (-2, 2, -2, 2), 1e-6,
-                             cfg=DEFAULT.replace(subdivision_budget=10))
+        isolate_fixed_points(zoo("power", d=2), (-2, 2, -2, 2), 1e-6)
 
 
 @pytest.mark.parametrize("F, region", [
@@ -88,7 +88,7 @@ def test_audit_is_independent_of_chunk_size(monkeypatch, F, region):
     for chunk in (1, fixed_points._CHUNK):
         monkeypatch.setattr(fixed_points, "_CHUNK", chunk)
         audit = IsolationAudit()
-        results.append(fixed_points._isolate_once(F, region, 1e-2, DEFAULT, audit, 0))
+        results.append(fixed_points._isolate_once(F, region, 1e-2, audit, 0))
         audits.append(audit)
     one, many = audits
     assert results[0] == results[1] and len(results[0]) == 1
@@ -130,10 +130,10 @@ def test_leaf_order_is_independent_of_chunk_size(monkeypatch, F, region):
     assert all(s == seen[0] for s in seen[1:])
 
 
-def _scalar_exclusion_margin(F, box, cfg):
+def _scalar_exclusion_margin(F, box):
     """The one-box exclusion formula, kept here as the reference."""
     x0, x1, y0, y1 = box
-    m = cfg.exclusion_grid
+    m = fixed_points._EXCLUSION_GRID
     gx, gy = np.meshgrid(np.linspace(x0, x1, m), np.linspace(y0, y1, m))
     pts = np.stack([gx, gy], axis=-1)
     disp = (np.asarray(F(pts.reshape(-1, 2))) - pts.reshape(-1, 2)).reshape(m, m, 2)
@@ -145,7 +145,7 @@ def _scalar_exclusion_margin(F, box, cfg):
     lip = max(lip_x, lip_y, 1.0)
     reach = 0.5 * float(np.hypot(hx, hy))
     sampled_min = float(norms.min())
-    return sampled_min - cfg.exclusion_safety * lip * reach, sampled_min
+    return sampled_min - fixed_points._EXCLUSION_SAFETY * lip * reach, sampled_min
 
 
 def _grid_copy(F, nx=256, ny=257, y_range=(-2.0, 2.0)):
@@ -169,8 +169,8 @@ def test_exclusion_margins_match_scalar_reference(F):
     cy = rng.uniform(-1.5, 1.5, 500)
     hw = 10.0 ** rng.uniform(-5.0, -0.3, (2, 500))
     boxes = np.stack([cx - hw[0], cx + hw[0], cy - hw[1], cy + hw[1]], axis=-1)
-    margins, mins = _exclusion_margins(F, boxes, DEFAULT)
-    ref = np.array([_scalar_exclusion_margin(F, tuple(b), DEFAULT) for b in boxes.tolist()])
+    margins, mins = _exclusion_margins(F, boxes)
+    ref = np.array([_scalar_exclusion_margin(F, tuple(b)) for b in boxes.tolist()])
     # bitwise: the chunked quadtree must discard exactly the boxes it did before
     assert margins.tobytes() == ref[:, 0].tobytes()
     assert mins.tobytes() == ref[:, 1].tobytes()
@@ -216,7 +216,6 @@ def test_default_region_margin_guard_and_error_recording():
     # edges, so the default region cannot promise to contain all fixed points
     shear = make_lift(lambda p: np.stack(
         [2 * p[..., 0] + 10 * p[..., 1], 2 * p[..., 1]], axis=-1), 2)
-    from annulift.errors import ToolkitError
     with pytest.raises(ToolkitError):
         completeness_check(shear, 1, resolution=1e-2)
     # with an explicit region the sweep runs; this displacement field is too
@@ -250,13 +249,14 @@ def test_residue_independent_of_lift_choice():
     assert a == b == 1
 
 
-def test_residue_errors():
+def test_residue_errors(monkeypatch):
     F = zoo("power", d=2)
     with pytest.raises(NotPeriodic):
         nielsen_residue(F, AnnulusPoint(0.37, 0.2), 1)
-    loose = DEFAULT.replace(residue_disp_tol=10.0)
-    with pytest.raises(NonIntegerTranslation):
-        nielsen_residue(F, AnnulusPoint(0.37, 0.0), 1, cfg=loose)
+    with monkeypatch.context() as m:
+        m.setattr(fixed_points, "_RESIDUE_DISP_TOL", 10.0)
+        with pytest.raises(NonIntegerTranslation):
+            nielsen_residue(F, AnnulusPoint(0.37, 0.0), 1)
     with pytest.raises(ParamOutOfRange):
         nielsen_residue(make_lift(lambda p: np.asarray(p, float) + np.array([0.5, 0.0]), 1),
                         AnnulusPoint(0.0, 0.0), 1)
@@ -353,6 +353,29 @@ def test_conjugacy_collapse():
         for ra, rb in zip(a, b):
             assert ra.realized_residues == rb.realized_residues
             assert ra.count_lower_bound == rb.count_lower_bound
+
+
+def test_polish_failure_is_recorded_per_translate(monkeypatch):
+    # a failure after isolation (polish or residue) is recorded for its
+    # translate like an isolation failure; the other translates still count
+    real = fixed_points.polish_fixed_point
+    bad = []
+
+    def polish(F, box, **kw):
+        if box.lift_offset in bad:
+            raise ToolkitError("polish failed")
+        return real(F, box, **kw)
+
+    monkeypatch.setattr(fixed_points, "polish_fixed_point", polish)
+    bad[:] = [0]
+    (report,) = completeness_check(zoo("power", d=2), 1)
+    assert report.errors == {0: "ToolkitError: polish failed"}
+    assert not report.complete
+    bad[:] = [1]
+    n1, n2 = completeness_check(zoo("power", d=2), 2)
+    assert n1.complete and not n1.errors
+    assert n2.errors == {1: "ToolkitError: polish failed"}
+    assert not n2.complete and n2.count_lower_bound == 2
 
 
 def test_sweep_is_independent_of_chunk_size(monkeypatch):

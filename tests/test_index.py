@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from annulift.annulus_maps import projected_plane_map, zoo
-from annulift.config import DEFAULT
 from annulift.curves import ClosedCurve, circle, rectangle
 from annulift.errors import (
     BoundaryConditionViolation,
