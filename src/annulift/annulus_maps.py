@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -18,7 +18,6 @@ import numpy as np
 
 from .curves import _as_point
 from .errors import (
-    DomainEscape,
     EquivarianceViolation,
     GridFormatError,
     ParamOutOfRange,
@@ -71,38 +70,22 @@ class LiftMap:
     """A lift F of an annulus map, with its degree.
 
     ``fn`` is vectorized: it maps an (..., 2) array of cover points to their
-    images. ``domain_strip``, when set, is the y-range outside which the map
-    is undefined; evaluation outside raises DomainEscape.
+    images, and is defined on the whole plane.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
     degree: int
-    domain_strip: Optional[tuple[float, float]] = None
     name: str = ""
-    params: dict = field(default_factory=dict, compare=False)
     y_window: tuple[float, float] = (-2.0, 2.0)  # default sweep window for fixed points
 
     def __call__(self, pts) -> np.ndarray:
-        arr = np.asarray(pts, dtype=float)
-        if self.domain_strip is not None:
-            y = arr[..., 1]
-            lo, hi = self.domain_strip
-            if np.any(y < lo) or np.any(y > hi):
-                raise DomainEscape(
-                    f"evaluation outside domain strip [{lo}, {hi}] for {self.name or 'lift'}")
-        return np.asarray(self.fn(arr), dtype=float)
+        return np.asarray(self.fn(np.asarray(pts, dtype=float)), dtype=float)
 
 
-def make_lift(fn, degree: int, domain_strip=None, name: str = "", params=None,
-              y_window=(-2.0, 2.0)) -> LiftMap:
+def make_lift(fn, degree: int, name: str = "", y_window=(-2.0, 2.0)) -> LiftMap:
     """Construct a LiftMap and spot-check deck equivariance on a small grid."""
-    lift = LiftMap(fn=fn, degree=int(degree), domain_strip=domain_strip, name=name,
-                   params=dict(params or {}), y_window=tuple(y_window))
-    ylo, yhi = lift.y_window
-    if domain_strip is not None:
-        ylo = max(ylo, domain_strip[0])
-        yhi = min(yhi, domain_strip[1] - 1e-9)
-    spec = GridSpec(nx=4, ny=4, x_range=(0.0, 1.0), y_range=(ylo, yhi))
+    lift = LiftMap(fn=fn, degree=int(degree), name=name, y_window=tuple(y_window))
+    spec = GridSpec(nx=4, ny=4, x_range=(0.0, 1.0), y_range=lift.y_window)
     _equivariance_defect(lift, spec, require_degree=int(degree))
     return lift
 
@@ -149,13 +132,7 @@ def degree_check(F: LiftMap, grid: Optional[GridSpec] = None) -> int:
     the offset second coordinate is nonzero, the first coordinate is not a
     constant integer, or the constant disagrees with the declared degree.
     """
-    if grid is None:
-        ylo, yhi = -1.0, 1.0
-        if F.domain_strip is not None:
-            ylo = max(ylo, F.domain_strip[0])
-            yhi = min(yhi, F.domain_strip[1] - 1e-9)
-        grid = GridSpec(y_range=(ylo, yhi))
-    return _equivariance_defect(F, grid, require_degree=F.degree)
+    return _equivariance_defect(F, grid or GridSpec(), require_degree=F.degree)
 
 
 def deck_translate(F: LiftMap, k: int) -> LiftMap:
@@ -165,37 +142,28 @@ def deck_translate(F: LiftMap, k: int) -> LiftMap:
         return F
     offset = np.array([float(k), 0.0])
     return LiftMap(fn=lambda pts, _f=F.fn: np.asarray(_f(pts), dtype=float) + offset,
-                   degree=F.degree, domain_strip=F.domain_strip,
+                   degree=F.degree,
                    name=f"{F.name}+({k},0)" if F.name else f"translate({k})",
-                   params=F.params, y_window=F.y_window)
+                   y_window=F.y_window)
 
 
 def iterate(F: LiftMap, n: int) -> LiftMap:
-    """n-fold composition, degree F.degree**n.
-
-    Domain containment is checked lazily: if an intermediate image leaves
-    the domain strip, evaluation raises DomainEscape.
-    """
+    """n-fold composition, degree F.degree**n."""
     n = int(n)
     if n < 1:
         raise ValueError("iterate needs n >= 1")
     if n == 1:
         return F
-    strip = F.domain_strip
 
     def fn(pts):
         out = np.asarray(pts, dtype=float)
         for _ in range(n):
-            if strip is not None:
-                y = out[..., 1]
-                if np.any(y < strip[0]) or np.any(y > strip[1]):
-                    raise DomainEscape("iterate left the domain strip")
             out = np.asarray(F.fn(out), dtype=float)
         return out
 
-    return LiftMap(fn=fn, degree=F.degree ** n, domain_strip=strip,
+    return LiftMap(fn=fn, degree=F.degree ** n,
                    name=f"{F.name}^{n}" if F.name else f"iterate({n})",
-                   params=F.params, y_window=F.y_window)
+                   y_window=F.y_window)
 
 
 def projected_plane_map(F: LiftMap) -> Callable[[np.ndarray], np.ndarray]:
@@ -237,7 +205,7 @@ def _power(d: int) -> LiftMap:
     if d == 0:
         raise ParamOutOfRange("power map needs d != 0")
     return make_lift(lambda pts: float(d) * np.asarray(pts, dtype=float), d,
-                     name=f"power({d})", params={"d": d})
+                     name=f"power({d})")
 
 
 def _smooth_bump(y: np.ndarray) -> np.ndarray:
@@ -265,8 +233,7 @@ def _perturbed_power(d: int, eps: float) -> LiftMap:
         return np.stack(
             [d * x + eps * np.sin(TWO_PI * x) * _smooth_bump(y), d * y], axis=-1)
 
-    return make_lift(fn, d, name=f"perturbed_power({d},{eps})",
-                     params={"d": d, "eps": eps})
+    return make_lift(fn, d, name=f"perturbed_power({d},{eps})")
 
 
 def _ends_lift(d: int, lam: float, attracting: bool) -> LiftMap:
@@ -284,7 +251,7 @@ def _ends_lift(d: int, lam: float, attracting: bool) -> LiftMap:
         return np.stack([d * x, y + sign * lam * y / (1.0 + y * y)], axis=-1)
 
     kind = "ends_attracting" if attracting else "ends_repelling"
-    return make_lift(fn, d, name=f"{kind}({d},{lam})", params={"d": d, "lam": lam})
+    return make_lift(fn, d, name=f"{kind}({d},{lam})")
 
 
 def _end_swap(d: int) -> LiftMap:
@@ -296,7 +263,7 @@ def _end_swap(d: int) -> LiftMap:
         pts = np.asarray(pts, dtype=float)
         return np.stack([d * pts[..., 0], -pts[..., 1]], axis=-1)
 
-    return make_lift(fn, d, name=f"end_swap({d})", params={"d": d})
+    return make_lift(fn, d, name=f"end_swap({d})")
 
 
 ZOO_SCHEMAS = {

@@ -147,7 +147,10 @@ def cmd_index(args) -> int:
     lift = _resolve_map(args.map, _parse_params(args.params))
     curve = _parse_curve(args.curve)
     plane_map = projected_plane_map(lift)
-    idx = lefschetz_index(plane_map, curve, min_disp=args.min_disp)
+    # an image far out overflows to inf or NaN; lefschetz_index reports that
+    # as NonFiniteDisplacement, which numpy's warnings would only repeat
+    with np.errstate(over="ignore", invalid="ignore"):
+        idx = lefschetz_index(plane_map, curve, min_disp=args.min_disp)
     print(idx)
     _emit_json(args.json, {"meta": _meta(args, "index"), "index": idx,
                            "degree": lift.degree})

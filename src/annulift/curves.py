@@ -16,6 +16,7 @@ import numpy as np
 from .errors import (
     DistanceViolation,
     InteriorPointNotFound,
+    NonFiniteDisplacement,
     NotSimple,
     RefinementBudgetExceeded,
     WindingResidualError,
@@ -172,12 +173,17 @@ def curve_from_json(data) -> ClosedCurve:
 def _turning_count(vectors, params, vec_fn, min_norm, too_close_cls,
                    too_close_msg: str) -> int:
     """Sum principal-value angle steps of a cyclic vector loop, refining until
-    every step is below pi/2. Returns the exact integer turning count."""
+    every step is below pi/2. Returns the exact integer turning count.
+    A NaN or infinite vector, given or inserted, raises NonFiniteDisplacement."""
     t = np.asarray(params, dtype=float)
     v = np.asarray(vectors, dtype=float)
     inserted = 0
     while True:
         norms = np.hypot(v[:, 0], v[:, 1])
+        if not norms.max() < np.inf:  # NaN fails the comparison too
+            i = int(np.argmin(np.isfinite(norms)))
+            raise NonFiniteDisplacement(
+                f"non-finite vector ({v[i, 0]}, {v[i, 1]}) at t={t[i] % 1.0:.6f}")
         if norms.min() <= min_norm:
             i = int(norms.argmin())
             raise too_close_cls(

@@ -34,6 +34,11 @@ class RefinementBudgetExceeded(ToolkitError):
     """Adaptive refinement needed more inserted points than the configured cap."""
 
 
+class NonFiniteDisplacement(ToolkitError):
+    """A vector of a turning count (a displacement, or a curve point relative
+    to the basepoint) was NaN or infinite, so it has no direction."""
+
+
 # -- annulus maps ------------------------------------------------------------
 
 class EquivarianceViolation(ToolkitError):
@@ -48,10 +53,6 @@ class EquivarianceViolation(ToolkitError):
         super().__init__(message)
         self.point = point
         self.defect = defect
-
-
-class DomainEscape(ToolkitError):
-    """Iteration left the declared domain strip."""
 
 
 class UnknownZooEntry(ToolkitError):
@@ -109,7 +110,7 @@ class NonIntegerTranslation(ToolkitError):
 
 
 class BoundaryFixedPoint(ToolkitError):
-    """Fixed point persisted on subdivision boundaries after jitter retries."""
+    """Every jittered isolation attempt met a fixed point on a subdivision line."""
 
 
 class BudgetExceeded(ToolkitError):

@@ -15,6 +15,11 @@ subdivision line through a fixed point aborts the attempt at the first leaf
 that meets it; a level sweep would evaluate the whole tree before reaching
 that leaf. Leaves are handled in exactly the one-box-at-a-time order, so
 reports do not depend on the chunk size.
+
+Every attempt subdivides a jittered copy of the caller's region (seeds 1 to
+_ATTEMPTS), never the region as given: symmetric windows put the invariant
+circle y = 0 of the shipped families on the first subdivision line. A
+jittered region contains the original, so no fixed point of it is missed.
 """
 
 from __future__ import annotations
@@ -48,13 +53,11 @@ from .errors import (
 )
 from .index import lefschetz_index
 
-CONTINUUM = "SINGLE_CLASS_CONTINUUM"
-
 _BOUNDARY_MIN_DISP = 1e-10        # displacement floor on subdivision boundaries
 _EXCLUSION_GRID = 5               # exclusion test samples per box axis
 _EXCLUSION_SAFETY = 2.0           # multiplier on the finite-difference Lipschitz estimate
 _SUBDIVISION_BUDGET = 500_000     # tested boxes per attempt
-_BOUNDARY_RETRIES = 3             # jittered attempts after the first
+_ATTEMPTS = 4                     # jittered attempts before BoundaryFixedPoint
 _JITTER_BASE = math.sqrt(2.0) * 1e-4
 _MERGE_RADIUS_FACTOR = 2.0        # merge radius = factor * resolution
 _BOUNDARY_SAMPLES_PER_SIDE = 16   # rectangle samples for a leaf's boundary degree
@@ -100,7 +103,7 @@ class IsolationAudit:
 
     discarded: list = field(default_factory=list)   # (box, sampled_min, bound)
     unresolved: list = field(default_factory=list)  # fragments never resolved
-    boxes_processed: int = 0
+    boxes_processed: int = 0                        # summed over attempts
 
 
 class _BoundaryHit(Exception):
@@ -151,8 +154,6 @@ def _boundary_degree(F, box) -> int:
 
 
 def _jittered(region, attempt: int):
-    if attempt == 0:
-        return tuple(map(float, region))
     # translate and dilate the region to break any alignment of fixed points
     # with the dyadic subdivision grid; per-attempt multipliers are drawn
     # deterministically and independently, because a pure dilation scaled up
@@ -165,8 +166,8 @@ def _jittered(region, attempt: int):
     return (x0 - tx - dx, x1 - tx + dx, y0 - ty - dy, y1 - ty + dy)
 
 
-def _isolate_once(F, region, resolution: float, audit: IsolationAudit,
-                  lift_offset: int, record: bool = True) -> list[CertifiedFixedBox]:
+def _isolate_once(F, region, resolution: float, audit: Optional[IsolationAudit],
+                  lift_offset: int) -> list[CertifiedFixedBox]:
     """One attempt: a depth-first quadtree over the region.
 
     The stack is an (N, 4) array of boxes, top last. Each step tests the
@@ -180,8 +181,9 @@ def _isolate_once(F, region, resolution: float, audit: IsolationAudit,
     A leaf at resolution scale is certified by a nonzero boundary degree.
     A degree-0 leaf that was not excluded is mopped up: it goes back on the
     stack, marked, to be searched down to the floor scale resolution / 256,
-    and a marked fragment surviving there forces a jitter retry. Discarded
-    boxes go to the audit only when record is set.
+    and a marked fragment surviving there forces a jitter retry. The
+    subdivision budget counts the boxes tested in this attempt; an audit,
+    when given, only observes.
     """
     x0, x1, y0, y1 = region
     boundary = rectangle(x0, x1, y0, y1, per_side=64)
@@ -190,6 +192,7 @@ def _isolate_once(F, region, resolution: float, audit: IsolationAudit,
         raise _BoundaryHit
     floor = resolution / 256.0
     certified = []
+    processed = 0
     boxes = np.array([region], dtype=float)
     mop = np.zeros(1, dtype=bool)      # box belongs to the mop-up of a leaf
     tested = np.zeros(1, dtype=bool)   # box was tested and kept at leaf scale
@@ -198,7 +201,8 @@ def _isolate_once(F, region, resolution: float, audit: IsolationAudit,
             box, mopping = tuple(boxes[-1].tolist()), mop[-1]
             boxes, mop, tested = boxes[:-1], mop[:-1], tested[:-1]
             if mopping:
-                audit.unresolved.append(box)
+                if audit is not None:
+                    audit.unresolved.append(box)
                 raise _BoundaryHit
             try:
                 deg = _boundary_degree(F, box)
@@ -216,12 +220,13 @@ def _isolate_once(F, region, resolution: float, audit: IsolationAudit,
         if len(flagged):
             start += int(flagged[-1]) + 1
         chunk, chunk_mop = boxes[start:], mop[start:]
-        audit.boxes_processed += len(chunk)
-        if audit.boxes_processed > _SUBDIVISION_BUDGET:
+        processed += len(chunk)
+        if processed > _SUBDIVISION_BUDGET:
             raise BudgetExceeded(f"subdivision cap {_SUBDIVISION_BUDGET} passed")
         margin, sampled_min = _exclusion_margins(F, chunk)
         out = margin > 0
-        if record:
+        if audit is not None:
+            audit.boxes_processed += len(chunk)
             # mop-up discards are not audited; top of the stack first, the
             # order in which the boxes would be popped one at a time
             gone = (out & ~chunk_mop)[::-1]
@@ -296,30 +301,31 @@ def isolate_fixed_points(F: LiftMap, region, resolution: float, lift_offset: int
     nonzero boundary degree is found at resolution scale. The tree is
     searched depth first, a chunk of boxes per vectorised exclusion call,
     so that an attempt spoiled by a fixed point on a subdivision line stops
-    at the first leaf that meets it. Such a hit triggers a jittered retry
-    (the region is dilated by distinct irrational offsets);
-    BoundaryFixedPoint is raised when the retries are exhausted. Boxes
-    certifying the same point are merged (radius twice the resolution).
-    The subdivision budget counts tested boxes; as a chunk is tested ahead
-    of the depth-first order, an attempt that would fail on a boundary hit
-    near the budget can report BudgetExceeded instead.
+    at the first leaf that meets it.
+
+    There are _ATTEMPTS attempts, each over the region translated and
+    dilated by its own irrational offsets (jitter seeds 1, 2, ...; the
+    dilation exceeds the translation, so each contains the original). The
+    first attempt that meets no subdivision line returns; when all of them
+    do, BoundaryFixedPoint is raised. Boxes certifying the same point are
+    merged (radius twice the resolution). The subdivision budget counts the
+    boxes tested in one attempt; as a chunk is tested ahead of the
+    depth-first order, an attempt that would fail on a boundary hit near
+    the budget can report BudgetExceeded instead.
     """
     if not resolution > 0:  # NaN too
         raise ValueError("resolution must be positive")
     last_exc = None
-    for attempt in range(_BOUNDARY_RETRIES + 1):
-        run_audit = audit if audit is not None else IsolationAudit()
-        reg = _jittered(region, attempt)
+    for attempt in range(1, _ATTEMPTS + 1):
         try:
-            boxes = _isolate_once(F, reg, resolution, run_audit, lift_offset,
-                                  record=audit is not None)
+            boxes = _isolate_once(F, _jittered(region, attempt), resolution, audit,
+                                  lift_offset)
             return _merge_clusters(boxes, _MERGE_RADIUS_FACTOR * resolution, F)
         except _BoundaryHit as exc:
             last_exc = exc
-            continue
     raise BoundaryFixedPoint(
         f"fixed point kept hitting subdivision boundaries after "
-        f"{_BOUNDARY_RETRIES + 1} attempts") from last_exc
+        f"{_ATTEMPTS} attempts") from last_exc
 
 
 def polish_fixed_point(F, box: CertifiedFixedBox, tol: float = 1e-12) -> np.ndarray:
@@ -408,13 +414,26 @@ class NielsenReport:
 
     period: int
     modulus: int
-    realized_residues: frozenset
     fixed_boxes: tuple
     box_residues: tuple
-    complete: bool
-    count_lower_bound: int
     errors: dict = field(default_factory=dict)            # lift offset -> message
     continuum_offsets: tuple = ()                         # offsets with 1D fixed sets
+
+    @property
+    def realized_residues(self) -> frozenset:
+        # a continuum of fixed points of F^n + (k, 0) is one class, and the
+        # translation identity forces its residue to be -k
+        return frozenset(self.box_residues).union(
+            (-k) % self.modulus for k in self.continuum_offsets)
+
+    @property
+    def complete(self) -> bool:
+        return self.realized_residues == frozenset(range(self.modulus))
+
+    @property
+    def count_lower_bound(self) -> int:
+        """Certified boxes plus continua, each continuum counted once."""
+        return len(self.fixed_boxes) + len(self.continuum_offsets)
 
     def to_dict(self) -> dict:
         return {
@@ -506,23 +525,6 @@ def diagnose_continuum(F, region, resolution: float) -> bool:
     return bool(vals.min() < 0.05 * np.median(vals))
 
 
-def _sweep_translate(F_base: LiftMap, F_iter: LiftMap, n: int, k: int, region,
-                     resolution: float):
-    """Isolate and classify the fixed points of one deck translate."""
-    Fk = deck_translate(F_iter, k)
-    try:
-        boxes = isolate_fixed_points(Fk, region, resolution, lift_offset=k)
-        records = [(b, nielsen_residue(F_base, project(polish_fixed_point(Fk, b)), n))
-                   for b in boxes]
-    except BoundaryFixedPoint as exc:
-        if diagnose_continuum(Fk, region, resolution):
-            return k, CONTINUUM, None
-        return k, "error", f"{type(exc).__name__}: {exc}"
-    except ToolkitError as exc:
-        return k, "error", f"{type(exc).__name__}: {exc}"
-    return k, "ok", records
-
-
 def completeness_check(F: LiftMap, n_max: int, region=None, resolution: float = 1e-3
                        ) -> list[NielsenReport]:
     """For each period n <= n_max, sweep every deck translate F^n + (k, 0),
@@ -530,8 +532,8 @@ def completeness_check(F: LiftMap, n_max: int, region=None, resolution: float = 
     all |d^n - 1| residue classes are realized.
 
     Isolation, polish and residue failures are recorded per translate in the
-    report instead of aborting the sweep; translates whose fixed set looks one-dimensional
-    are flagged as a single-class continuum and count once.
+    report instead of aborting the sweep; translates whose fixed set looks
+    one-dimensional are flagged as a single-class continuum and count once.
     """
     n_max = int(n_max)
     if n_max < 1:
@@ -549,33 +551,26 @@ def completeness_check(F: LiftMap, n_max: int, region=None, resolution: float = 
     for n in range(1, n_max + 1):
         modulus = abs(F.degree ** n - 1)
         F_iter = iterate(F, n)
-        results = [_sweep_translate(F, F_iter, n, k, region, resolution)
-                   for k in range(modulus)]
-
-        realized = set()
-        boxes = []
-        residues = []
-        errors = {}
-        continuum = []
-        count = 0
-        for k, status, payload in results:
-            if status == CONTINUUM:
-                continuum.append(k)
-                realized.add((-k) % modulus)  # forced by the translation identity
-                count += 1
-            elif status == "error":
-                errors[k] = payload
+        boxes, residues, errors, continuum = [], [], {}, []
+        for k in range(modulus):
+            Fk = deck_translate(F_iter, k)
+            try:
+                found = isolate_fixed_points(Fk, region, resolution, lift_offset=k)
+                found_residues = [nielsen_residue(F, project(polish_fixed_point(Fk, b)), n)
+                                  for b in found]
+            except BoundaryFixedPoint as exc:
+                if diagnose_continuum(Fk, region, resolution):
+                    continuum.append(k)
+                else:
+                    errors[k] = f"{type(exc).__name__}: {exc}"
+            except ToolkitError as exc:
+                errors[k] = f"{type(exc).__name__}: {exc}"
             else:
-                for b, res in payload:
-                    boxes.append(b)
-                    residues.append(res)
-                    realized.add(res)
-                count += sum(1 for _ in payload)
+                boxes.extend(found)
+                residues.extend(found_residues)
         reports.append(NielsenReport(
-            period=n, modulus=modulus, realized_residues=frozenset(realized),
-            fixed_boxes=tuple(boxes), box_residues=tuple(residues),
-            complete=(realized == set(range(modulus))),
-            count_lower_bound=count, errors=errors,
+            period=n, modulus=modulus, fixed_boxes=tuple(boxes),
+            box_residues=tuple(residues), errors=errors,
             continuum_offsets=tuple(continuum)))
     return reports
 

@@ -38,7 +38,8 @@ def lefschetz_index(F, curve: ClosedCurve, min_disp: float = 1e-6) -> int:
 
     ``F`` is any vectorized plane-map callable (a LiftMap works). Raises
     FixedPointOnCurve when the displacement magnitude drops to min_disp at
-    any sample or refinement point, which means the index is undefined.
+    any sample or refinement point, which means the index is undefined,
+    and NonFiniteDisplacement when a displacement there is NaN or infinite.
     Refinement only reacts to angle steps of at least pi/2, so a
     displacement that turns by nearly a whole multiple of 2*pi between
     samples aliases undetected: on circle(r, 256) with 1 < r <= 2 the

@@ -21,7 +21,6 @@ from annulift.annulus_maps import (
     zoo,
 )
 from annulift.errors import (
-    DomainEscape,
     EquivarianceViolation,
     ParamOutOfRange,
     UnknownZooEntry,
@@ -101,13 +100,6 @@ def test_iterate_once_is_the_map():
     F = zoo("ends_attracting", d=2, lam=0.5)
     pts = grid_points()
     np.testing.assert_allclose(iterate(F, 1)(pts), F(pts))
-
-
-def test_iterate_domain_escape():
-    F = make_lift(lambda p: np.asarray(p, float) + np.array([0.0, 0.6]), 1,
-                  domain_strip=(-1.0, 1.0), y_window=(-0.9, 0.3))
-    with pytest.raises(DomainEscape):
-        iterate(F, 2)(np.array([[0.0, 0.5]]))
 
 
 def test_iterated_translate_is_translate_of_iterate():

@@ -122,6 +122,16 @@ def test_identity_map_index_fails_with_code_one(capsys):
     assert json.loads(err)["error"] == "FixedPointOnCurve"
 
 
+@pytest.mark.filterwarnings("error")
+def test_non_finite_displacement_fails_with_code_one(capsys):
+    # the image radius 3**729 of the circle r = 3 overflows to inf
+    code, out, err = run(capsys, "index", "--map", "power", "--params", '{"d": 729}',
+                         "--curve", "circle:r=3")
+    assert code == 1 and out == ""
+    (line,) = err.strip().splitlines()
+    assert json.loads(line)["error"] == "NonFiniteDisplacement"
+
+
 def test_usage_error_without_subcommand():
     assert main([]) == 2
 

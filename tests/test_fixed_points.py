@@ -77,6 +77,54 @@ def test_budget_exceeded(monkeypatch):
         isolate_fixed_points(zoo("power", d=2), (-2, 2, -2, 2), 1e-6)
 
 
+def test_budget_is_per_attempt_with_or_without_audit(monkeypatch):
+    # the first attempt meets a subdivision line after 530 tested boxes and
+    # the second certifies after 440: a cap of 531 holds for each attempt,
+    # and an audit that sums the boxes over both attempts does not trip it
+    F = deck_translate(iterate(zoo("power", d=3), 3), 8)
+    region = default_region(zoo("power", d=3), 4)
+    monkeypatch.setattr(fixed_points, "_SUBDIVISION_BUDGET", 531)
+    audit = IsolationAudit()
+    boxes = isolate_fixed_points(F, region, 1e-3, audit=audit)
+    assert len(boxes) == 1
+    assert boxes == isolate_fixed_points(F, region, 1e-3)
+    assert audit.boxes_processed > 531
+
+
+def _record_attempts(monkeypatch) -> list:
+    """Regions of the _isolate_once calls made from here on."""
+    regions = []
+    real = fixed_points._isolate_once
+    monkeypatch.setattr(fixed_points, "_isolate_once",
+                        lambda F, region, *a, **kw:
+                        regions.append(region) or real(F, region, *a, **kw))
+    return regions
+
+
+def _contains(outer, inner) -> bool:
+    return outer[0] < inner[0] and outer[1] > inner[1] and outer[2] < inner[2] \
+        and outer[3] > inner[3]
+
+
+def test_first_attempt_is_jittered(monkeypatch):
+    # the fixed point (0, 0) lies on both midlines of the region as given
+    region = (-2, 2, -2, 2)
+    regions = _record_attempts(monkeypatch)
+    boxes = isolate_fixed_points(zoo("power", d=2), region, 1e-3)
+    assert len(boxes) == 1 and len(regions) == 1
+    assert _contains(regions[0], region)
+
+
+def test_continuum_runs_every_attempt(monkeypatch):
+    region = (-2, 2, -1, 1)
+    regions = _record_attempts(monkeypatch)
+    with pytest.raises(BoundaryFixedPoint):
+        isolate_fixed_points(iterate(zoo("end_swap", d=-2), 2), region, 1e-2)
+    assert len(regions) == fixed_points._ATTEMPTS == 4
+    assert len(set(regions)) == 4
+    assert all(_contains(r, region) for r in regions)
+
+
 @pytest.mark.parametrize("F, region", [
     (zoo("power", d=2), (-1.7, 2.3, -2.1, 1.9)),
     (deck_translate(iterate(zoo("power", d=3), 2), 4), (-1.3, 0.9, -0.7, 0.6)),

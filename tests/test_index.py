@@ -7,6 +7,7 @@ from annulift.errors import (
     BoundaryConditionViolation,
     ConfigurationViolation,
     FixedPointOnCurve,
+    NonFiniteDisplacement,
     NotAQuadrilateral,
 )
 from annulift.index import (
@@ -75,6 +76,24 @@ def test_fixed_point_on_curve_detected():
     g = circle(1.0, 64)
     with pytest.raises(FixedPointOnCurve):
         lefschetz_index(const_map(g.samples[3]), g)
+
+
+def _cube_with_hole(pts):
+    """z -> z**3, NaN for arguments in (0.7, 0.9): finite at the four
+    samples of circle(2, 4), NaN at its first refinement point (pi/4)."""
+    pts = np.asarray(pts, dtype=float)
+    z = (pts[..., 0] + 1j * pts[..., 1]) ** 3
+    out = np.stack([z.real, z.imag], axis=-1)
+    ang = np.arctan2(pts[..., 1], pts[..., 0])
+    out[(ang > 0.7) & (ang < 0.9)] = np.nan
+    return out
+
+
+def test_non_finite_displacement_is_typed():
+    with pytest.raises(NonFiniteDisplacement):
+        lefschetz_index(_cube_with_hole, circle(2.0, 4))
+    with pytest.raises(NonFiniteDisplacement):
+        lefschetz_index(lambda p: np.full(np.shape(p), np.inf), circle(2.0, 8))
 
 
 def test_index_invariant_under_refinement_and_start_rotation():
