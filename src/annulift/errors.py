@@ -36,7 +36,8 @@ class RefinementBudgetExceeded(ToolkitError):
 
 class NonFiniteDisplacement(ToolkitError):
     """A vector of a turning count (a displacement, or a curve point relative
-    to the basepoint) was NaN or infinite, so it has no direction."""
+    to the basepoint), a polished point's displacement or a residue's map
+    image was NaN or infinite, so it has no direction or no value."""
 
 
 # -- annulus maps ------------------------------------------------------------

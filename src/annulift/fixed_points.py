@@ -46,6 +46,7 @@ from .errors import (
     DistanceViolation,
     EmptyReport,
     FixedPointOnCurve,
+    NonFiniteDisplacement,
     NotPeriodic,
     NonIntegerTranslation,
     ParamOutOfRange,
@@ -179,9 +180,11 @@ def _isolate_once(F, region, resolution: float, audit: Optional[IsolationAudit],
     one-box-at-a-time depth-first search, whatever the chunk size.
 
     A leaf at resolution scale is certified by a nonzero boundary degree.
-    A degree-0 leaf that was not excluded is mopped up: it goes back on the
-    stack, marked, to be searched down to the floor scale resolution / 256,
-    and a marked fragment surviving there forces a jitter retry. The
+    A degree-0 leaf that was not excluded is mopped up: its four children go
+    on the stack, marked, to be searched down to the floor scale
+    resolution / 256 (the leaf itself is not tested again), and a marked
+    fragment surviving there, or a degree-0 leaf already at that scale,
+    forces a jitter retry. No box is tested twice in an attempt. The
     subdivision budget counts the boxes tested in this attempt; an audit,
     when given, only observes.
     """
@@ -210,10 +213,18 @@ def _isolate_once(F, region, resolution: float, audit: Optional[IsolationAudit],
                 raise _BoundaryHit from exc
             if deg != 0:
                 certified.append(CertifiedFixedBox(box, deg, lift_offset))
-            else:
-                boxes = np.concatenate([boxes, [box]])
-                mop = np.append(mop, True)
-                tested = np.append(tested, False)
+                continue
+            if max(box[1] - box[0], box[3] - box[2]) <= floor:
+                if audit is not None:
+                    audit.unresolved.append(box)
+                raise _BoundaryHit
+            # the leaf failed exclusion, and would fail it again: go straight
+            # to its children
+            cell = np.array(box)
+            kids = np.concatenate([cell, 0.5 * (cell[0::2] + cell[1::2])])[_CHILDREN]
+            boxes = np.concatenate([boxes, kids])
+            mop = np.concatenate([mop, np.ones(4, dtype=bool)])
+            tested = np.concatenate([tested, np.zeros(4, dtype=bool)])
             continue
         flagged = np.flatnonzero(tested[-_CHUNK:])
         start = len(boxes) - min(len(boxes), _CHUNK)
@@ -369,8 +380,11 @@ def polish_fixed_point(F, box: CertifiedFixedBox, tol: float = 1e-12) -> np.ndar
             _, mins = _exclusion_margins(F, children)
             b = children[int(np.argmin(mins))]
         p = np.array([0.5 * (b[0] + b[1]), 0.5 * (b[2] + b[3])])
-    g = _displacement(F, p)
-    if np.hypot(*g) > 1e-9:
+    residual = np.hypot(*_displacement(F, p))
+    if not np.isfinite(residual):  # NaN would pass the test below
+        raise NonFiniteDisplacement(
+            f"non-finite displacement at the polished point of box {box.box}")
+    if residual > 1e-9:
         raise ToolkitError(f"could not polish fixed point in box {box.box}")
     return p
 
@@ -392,6 +406,10 @@ def nielsen_residue(F0: LiftMap, point, period: int, lift_x_offset: int = 0) -> 
             f"degree {F0.degree} has no residue classes at period {period}")
     p_lift = p.lift(lift_x_offset)
     q = iterate(F0, period)(p_lift) if period > 1 else F0(p_lift)
+    if not np.all(np.isfinite(q)):
+        raise NonFiniteDisplacement(
+            f"non-finite image ({q[0]}, {q[1]}) of ({p.theta:.6g}, {p.y:.6g}) "
+            f"under the period-{period} map")
     dist = annulus_distance(project(q), p)
     if dist > _RESIDUE_DISP_TOL:
         raise NotPeriodic(

@@ -7,6 +7,8 @@ from hypothesis import given, strategies as st
 from annulift import curves
 from annulift.curves import (
     ClosedCurve,
+    _collinear_on,
+    _orient2,
     circle,
     curve_from_json,
     curve_to_json,
@@ -160,6 +162,74 @@ def test_figure_eight_not_simple():
     assert polyline_self_intersects(eight.samples)
     with pytest.raises(NotSimple):
         is_positively_oriented(eight)
+
+
+def _all_pairs_self_intersects(samples, closed=True):
+    """Reference: the same proper-or-touch predicate on every pair of
+    non-adjacent segments, no pruning."""
+    pts = np.asarray(samples, dtype=float)
+    if len(pts) < 4:
+        return False
+    a, b = (pts, np.roll(pts, -1, axis=0)) if closed else (pts[:-1], pts[1:])
+    m = len(a)
+    i, j = np.triu_indices(m, k=2)
+    if closed:
+        keep = ~((i == 0) & (j == m - 1))
+        i, j = i[keep], j[keep]
+    if i.size == 0:
+        return False
+    p1, p2, q1, q2 = a[i], b[i], a[j], b[j]
+    d1, d2 = _orient2(p1, p2, q1), _orient2(p1, p2, q2)
+    d3, d4 = _orient2(q1, q2, p1), _orient2(q1, q2, p2)
+    proper = (d1 * d2 < 0) & (d3 * d4 < 0)
+    touch = (((d1 == 0) & _collinear_on(p1, p2, q1))
+             | ((d2 == 0) & _collinear_on(p1, p2, q2))
+             | ((d3 == 0) & _collinear_on(q1, q2, p1))
+             | ((d4 == 0) & _collinear_on(q1, q2, p2)))
+    return bool(np.any(proper | touch))
+
+
+def _polylines(kind, rng, n):
+    if kind == "random":
+        return rng.uniform(-1.0, 1.0, size=(n, 2))
+    if kind == "lattice":  # collinear runs, touching and repeated vertices
+        return rng.integers(0, 4, size=(n, 2)).astype(float)
+    # near-circular; neighbours may swap order, which folds the curve back
+    t = (np.arange(n) + rng.uniform(-0.8, 0.8, size=n)) / n
+    r = 1.0 + rng.uniform(-0.05, 0.05, size=n)
+    return np.stack([r * np.cos(2 * np.pi * t), r * np.sin(2 * np.pi * t)], axis=-1)
+
+
+@pytest.mark.parametrize("kind", ["random", "lattice", "near_circle"])
+def test_pruned_self_intersection_matches_all_pairs(kind):
+    rng = np.random.default_rng(["random", "lattice", "near_circle"].index(kind))
+    answers = set()
+    for _ in range(300):
+        pts = _polylines(kind, rng, int(rng.integers(3, 61)))
+        for closed in (True, False):
+            expected = _all_pairs_self_intersects(pts, closed)
+            assert polyline_self_intersects(pts, closed) == expected, (pts, closed)
+            answers.add(expected)
+    assert answers == {True, False}
+
+
+def test_self_intersection_fixed_cases():
+    eight = np.array([[-1.0, -1.0], [1.0, 1.0], [1.0, -1.0], [-1.0, 1.0]])
+    c256 = circle(1.0, 256).samples
+    for pts, expected in ((c256, False), (eight, True)):
+        assert polyline_self_intersects(pts) is expected
+        assert _all_pairs_self_intersects(pts) is expected
+
+
+def test_disjoint_segments_never_cross():
+    # four points on one line, segments 0 and 2 far apart in x: rounding in
+    # _orient2 makes the all-pairs test see a proper crossing, the pruned
+    # test never looks at the pair
+    x = np.array([130.1395767928599, 369.5079637628719,
+                  456.78430920336456, 987.0944758123702])
+    pts = np.stack([x, 0.1 * x + 1.0 / 3.0], axis=-1)
+    assert _all_pairs_self_intersects(pts, closed=False)
+    assert not polyline_self_intersects(pts, closed=False)
 
 
 def test_consecutive_duplicate_samples_rejected():

@@ -6,6 +6,7 @@ import pytest
 from annulift import fixed_points
 from annulift.annulus_maps import (
     AnnulusPoint,
+    LiftMap,
     counterexample_deg_minus1,
     counterexample_spine_distance,
     counterexample_spine_segments,
@@ -20,12 +21,14 @@ from annulift.errors import (
     BoundaryFixedPoint,
     BudgetExceeded,
     EmptyReport,
+    NonFiniteDisplacement,
     NonIntegerTranslation,
     NotPeriodic,
     ParamOutOfRange,
     ToolkitError,
 )
 from annulift.fixed_points import (
+    CertifiedFixedBox,
     IsolationAudit,
     _exclusion_margins,
     boxes_to_csv_rows,
@@ -78,17 +81,40 @@ def test_budget_exceeded(monkeypatch):
 
 
 def test_budget_is_per_attempt_with_or_without_audit(monkeypatch):
-    # the first attempt meets a subdivision line after 530 tested boxes and
-    # the second certifies after 440: a cap of 531 holds for each attempt,
+    # the first attempt meets a subdivision line after 525 tested boxes and
+    # the second certifies after 433: a cap of 526 holds for each attempt,
     # and an audit that sums the boxes over both attempts does not trip it
     F = deck_translate(iterate(zoo("power", d=3), 3), 8)
     region = default_region(zoo("power", d=3), 4)
-    monkeypatch.setattr(fixed_points, "_SUBDIVISION_BUDGET", 531)
+    monkeypatch.setattr(fixed_points, "_SUBDIVISION_BUDGET", 526)
     audit = IsolationAudit()
     boxes = isolate_fixed_points(F, region, 1e-3, audit=audit)
     assert len(boxes) == 1
     assert boxes == isolate_fixed_points(F, region, 1e-3)
-    assert audit.boxes_processed > 531
+    assert audit.boxes_processed > 526
+
+
+def test_no_box_is_tested_twice_in_an_attempt(monkeypatch):
+    # two attempts, each mopping up degree-0 leaves; a mopped-up leaf used to
+    # be tested again before it was split
+    tested = []
+    real_once, real_margins = fixed_points._isolate_once, fixed_points._exclusion_margins
+
+    def once(*args, **kwargs):
+        tested.append([])
+        return real_once(*args, **kwargs)
+
+    def margins(F, boxes):
+        tested[-1].extend(map(tuple, np.asarray(boxes).tolist()))
+        return real_margins(F, boxes)
+
+    monkeypatch.setattr(fixed_points, "_isolate_once", once)
+    monkeypatch.setattr(fixed_points, "_exclusion_margins", margins)
+    F = deck_translate(iterate(zoo("power", d=2), 2), 1)
+    assert len(isolate_fixed_points(F, default_region(zoo("power", d=2), 2), 1e-3)) == 1
+    assert len(tested) == 2
+    for boxes in tested:
+        assert len(set(boxes)) == len(boxes)
 
 
 def _record_attempts(monkeypatch) -> list:
@@ -440,6 +466,18 @@ def test_polish_fixed_point_accuracy():
     (box,) = isolate_fixed_points(F, (-2, 2, -2, 2), 1e-3)
     p = polish_fixed_point(F, box)
     np.testing.assert_allclose(p, [-1.0, 0.0], atol=1e-10)
+
+
+def test_polish_non_finite_residual_is_typed():
+    F = LiftMap(fn=lambda p: p * np.nan, degree=2)
+    with pytest.raises(NonFiniteDisplacement):
+        polish_fixed_point(F, CertifiedFixedBox((-0.01, 0.01, -0.01, 0.01), 1))
+
+
+def test_residue_non_finite_image_is_typed():
+    F = LiftMap(fn=lambda p: p * np.nan, degree=2)
+    with pytest.raises(NonFiniteDisplacement):
+        nielsen_residue(F, AnnulusPoint(0.3, 0.1), 1)
 
 
 # -- growth rate ------------------------------------------------------------------
