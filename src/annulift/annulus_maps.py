@@ -70,23 +70,42 @@ class LiftMap:
     """A lift F of an annulus map, with its degree.
 
     ``fn`` is vectorized: it maps an (..., 2) array of cover points to their
-    images, and is defined on the whole plane.
+    images, and is defined on the whole plane. ``lipschitz``, when given, is
+    a declared bound L with |F(p) - F(q)| <= L |p - q| for all p, q; the
+    displacement F - id is then (L + 1)-Lipschitz, which makes fixed-point
+    exclusion a proof (see ``fixed_points``). None declares nothing.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
     degree: int
     name: str = ""
     y_window: tuple[float, float] = (-2.0, 2.0)  # default sweep window for fixed points
+    lipschitz: Optional[float] = None
 
     def __call__(self, pts) -> np.ndarray:
         return np.asarray(self.fn(np.asarray(pts, dtype=float)), dtype=float)
 
 
-def make_lift(fn, degree: int, name: str = "", y_window=(-2.0, 2.0)) -> LiftMap:
-    """Construct a LiftMap and spot-check deck equivariance on a small grid."""
-    lift = LiftMap(fn=fn, degree=int(degree), name=name, y_window=tuple(y_window))
+def make_lift(fn, degree: int, name: str = "", y_window=(-2.0, 2.0),
+              lipschitz: Optional[float] = None) -> LiftMap:
+    """Construct a LiftMap and spot-check deck equivariance on a small grid.
+
+    A declared ``lipschitz`` bound must be finite and >= 0, and no two
+    adjacent points of the same grid may contradict it; otherwise
+    ParamOutOfRange is raised. The check can only refute a bound, never
+    prove one.
+    """
+    if lipschitz is not None:
+        lipschitz = float(lipschitz)
+        if not (np.isfinite(lipschitz) and lipschitz >= 0.0):
+            raise ParamOutOfRange(
+                f"a Lipschitz bound must be finite and >= 0, got {lipschitz}")
+    lift = LiftMap(fn=fn, degree=int(degree), name=name, y_window=tuple(y_window),
+                   lipschitz=lipschitz)
     spec = GridSpec(nx=4, ny=4, x_range=(0.0, 1.0), y_range=lift.y_window)
     _equivariance_defect(lift, spec, require_degree=int(degree))
+    if lipschitz is not None:
+        _check_lipschitz(lift, spec)
     return lift
 
 
@@ -125,6 +144,25 @@ def _equivariance_defect(F: LiftMap, grid: GridSpec,
     return d_est
 
 
+def _check_lipschitz(F: LiftMap, grid: GridSpec) -> None:
+    """Raise ParamOutOfRange when two adjacent grid points, in a row or a
+    column, move apart by more than F.lipschitz times their distance."""
+    pts = grid.points().reshape(grid.ny, grid.nx, 2)
+    img = F(pts)
+    for p, q, fp, fq in ((pts[:, 1:], pts[:, :-1], img[:, 1:], img[:, :-1]),
+                         (pts[1:], pts[:-1], img[1:], img[:-1])):
+        step = np.linalg.norm(p - q, axis=-1).ravel()
+        moved = np.linalg.norm(fp - fq, axis=-1).ravel()
+        excess = moved - F.lipschitz * step
+        worst = int(np.argmax(excess))
+        if not excess[worst] <= _EQUIVARIANCE_TOL:  # NaN images too
+            a, b = p.reshape(-1, 2)[worst], q.reshape(-1, 2)[worst]
+            raise ParamOutOfRange(
+                f"declared Lipschitz bound {F.lipschitz} is contradicted: "
+                f"|F(p) - F(q)| = {moved[worst]:.6g} > {F.lipschitz} * {step[worst]:.6g} "
+                f"for p = ({a[0]:.4f}, {a[1]:.4f}), q = ({b[0]:.4f}, {b[1]:.4f})")
+
+
 def degree_check(F: LiftMap, grid: Optional[GridSpec] = None) -> int:
     """Verify F(x+1, y) = F(x, y) + (d, 0) on a grid and return d.
 
@@ -144,11 +182,11 @@ def deck_translate(F: LiftMap, k: int) -> LiftMap:
     return LiftMap(fn=lambda pts, _f=F.fn: np.asarray(_f(pts), dtype=float) + offset,
                    degree=F.degree,
                    name=f"{F.name}+({k},0)" if F.name else f"translate({k})",
-                   y_window=F.y_window)
+                   y_window=F.y_window, lipschitz=F.lipschitz)
 
 
 def iterate(F: LiftMap, n: int) -> LiftMap:
-    """n-fold composition, degree F.degree**n."""
+    """n-fold composition, degree F.degree**n, Lipschitz bound F.lipschitz**n."""
     n = int(n)
     if n < 1:
         raise ValueError("iterate needs n >= 1")
@@ -163,7 +201,8 @@ def iterate(F: LiftMap, n: int) -> LiftMap:
 
     return LiftMap(fn=fn, degree=F.degree ** n,
                    name=f"{F.name}^{n}" if F.name else f"iterate({n})",
-                   y_window=F.y_window)
+                   y_window=F.y_window,
+                   lipschitz=None if F.lipschitz is None else F.lipschitz ** n)
 
 
 def projected_plane_map(F: LiftMap) -> Callable[[np.ndarray], np.ndarray]:
@@ -205,7 +244,7 @@ def _power(d: int) -> LiftMap:
     if d == 0:
         raise ParamOutOfRange("power map needs d != 0")
     return make_lift(lambda pts: float(d) * np.asarray(pts, dtype=float), d,
-                     name=f"power({d})")
+                     name=f"power({d})", lipschitz=abs(d))
 
 
 def _smooth_bump(y: np.ndarray) -> np.ndarray:

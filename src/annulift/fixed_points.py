@@ -2,11 +2,25 @@
 
 A box certifies a fixed point of a lift when the winding number of the
 displacement field F - id around its boundary is nonzero; this needs only
-continuity, no derivatives. Boxes are discarded only when a sampled
-displacement lower bound (grid minimum minus a finite-difference Lipschitz
-estimate times the grid reach) excludes zeros, so the certified boxes cover
-every fixed point of the region up to the validity of that estimate. The
-exclusion estimate is cross-checked by a dense oracle in the test suite.
+continuity, no derivatives. A box is discarded when a lower bound on the
+displacement over the box is positive: the minimum over a 5 x 5 sample grid
+minus a slope times the grid reach (the largest distance from a point of the
+box to its nearest sample). The slope comes from one of two rules:
+
+- declared: the map declares a Lipschitz bound L on F itself
+  (``LiftMap.lipschitz``), so F - id is (L + 1)-Lipschitz and the discard is
+  a proof under that bound. Of the shipped maps only ``power`` declares one
+  (L = |d|); ``iterate`` raises it to the n-th power and ``deck_translate``
+  keeps it.
+- estimated: every other map, including the other zoo families and grid
+  lifts loaded from files, gets twice the largest finite-difference slope
+  of the sampled displacement. That is a guess, not a bound: a feature
+  narrower than the sample spacing can hide from it. A dense oracle in the
+  test suite cross-checks it.
+
+Neither rule encloses the floating-point rounding of the samples; the proof
+holds in exact arithmetic. The certified boxes come from a quadtree whose
+boxes have disjoint interiors, so N of them prove N distinct fixed points.
 
 The quadtree is searched depth first, with the exclusion test batched: the
 untested boxes at the top of the stack, up to _CHUNK of them, are tested in
@@ -60,7 +74,6 @@ _EXCLUSION_SAFETY = 2.0           # multiplier on the finite-difference Lipschit
 _SUBDIVISION_BUDGET = 500_000     # tested boxes per attempt
 _ATTEMPTS = 4                     # jittered attempts before BoundaryFixedPoint
 _JITTER_BASE = math.sqrt(2.0) * 1e-4
-_MERGE_RADIUS_FACTOR = 2.0        # merge radius = factor * resolution
 _BOUNDARY_SAMPLES_PER_SIDE = 16   # rectangle samples for a leaf's boundary degree
 _RESIDUE_DISP_TOL = 1e-7          # NotPeriodic threshold on the projected point
 _RESIDUE_INT_TOL = 1e-5           # near-integer threshold for the translation
@@ -116,10 +129,16 @@ def _displacement(F, pts):
 
 
 def _exclusion_margins(F, boxes) -> tuple[np.ndarray, np.ndarray]:
-    """(margins, sampled_mins) of an (N, 4) array of boxes: margin > 0
-    certifies the box has no fixed point, up to the finite-difference
-    Lipschitz estimate. The m x m sample grids of all boxes go through one
-    map call."""
+    """(margins, sampled_mins) of an (N, 4) array of boxes; margin > 0 means
+    the box holds no fixed point. The m x m sample grids of all boxes go
+    through one map call.
+
+    Every point of a box lies within ``reach``, half a grid cell's diagonal,
+    of a sample. With a declared bound L on F the margin is
+    sampled_min - (L + 1) * reach, a proof in exact arithmetic. Without one
+    the slope is estimated as the largest finite difference of the sampled
+    displacement (at least 1, the slope of id) times _EXCLUSION_SAFETY.
+    """
     boxes = np.asarray(boxes, dtype=float).reshape(-1, 4)
     n, m = len(boxes), _EXCLUSION_GRID
     lo, hi = boxes[:, 0::2], boxes[:, 1::2]   # columns x, y
@@ -133,6 +152,10 @@ def _exclusion_margins(F, boxes) -> tuple[np.ndarray, np.ndarray]:
     pts[..., 1] = ticks[:, :, None, 1]
     disp = _displacement(F, pts.reshape(-1, 2)).reshape(n, m, m, 2)
     norms = np.hypot(disp[..., 0], disp[..., 1])
+    reach = 0.5 * np.hypot(hx, hy)
+    sampled_min = norms.min(axis=(1, 2))
+    if F.lipschitz is not None:
+        return sampled_min - (F.lipschitz + 1.0) * reach, sampled_min
     dx = disp[:, :, 1:] - disp[:, :, :-1]
     dy = disp[:, 1:] - disp[:, :-1]
     lip_x = np.divide(np.hypot(dx[..., 0], dx[..., 1]).max(axis=(1, 2)), hx,
@@ -143,8 +166,6 @@ def _exclusion_margins(F, boxes) -> tuple[np.ndarray, np.ndarray]:
     # alone has slope 1
     lip = np.where(lip_y > lip_x, lip_y, lip_x)
     lip = np.where(1.0 > lip, 1.0, lip)
-    reach = 0.5 * np.hypot(hx, hy)
-    sampled_min = norms.min(axis=(1, 2))
     return sampled_min - _EXCLUSION_SAFETY * lip * reach, sampled_min
 
 
@@ -259,49 +280,6 @@ def _isolate_once(F, region, resolution: float, audit: Optional[IsolationAudit],
     return sorted(certified, key=lambda c: c.box)
 
 
-def _merge_clusters(boxes: list[CertifiedFixedBox], radius: float, F
-                    ) -> list[CertifiedFixedBox]:
-    """Merge boxes certifying the same point (centers within the merge radius).
-
-    The merged representative is the cluster hull, re-certified when its own
-    boundary degree can be computed; otherwise the first member stands in.
-    """
-    if len(boxes) <= 1:
-        return list(boxes)
-    centers = np.array([b.center for b in boxes])
-    n = len(boxes)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if np.hypot(*(centers[i] - centers[j])) <= radius:
-                parent[find(i)] = find(j)
-
-    clusters: dict[int, list[CertifiedFixedBox]] = {}
-    for i, b in enumerate(boxes):
-        clusters.setdefault(find(i), []).append(b)
-
-    merged = []
-    for members in clusters.values():
-        if len(members) == 1:
-            merged.append(members[0])
-            continue
-        xs0, xs1, ys0, ys1 = zip(*(m.box for m in members))
-        hull = (min(xs0), max(xs1), min(ys0), max(ys1))
-        try:
-            deg = _boundary_degree(F, hull)
-            merged.append(CertifiedFixedBox(hull, deg, members[0].lift_offset))
-        except (FixedPointOnCurve, DistanceViolation):
-            merged.append(members[0])
-    return sorted(merged, key=lambda c: c.box)
-
-
 def isolate_fixed_points(F: LiftMap, region, resolution: float, lift_offset: int = 0,
                          audit: Optional[IsolationAudit] = None
                          ) -> list[CertifiedFixedBox]:
@@ -318,8 +296,8 @@ def isolate_fixed_points(F: LiftMap, region, resolution: float, lift_offset: int
     dilated by its own irrational offsets (jitter seeds 1, 2, ...; the
     dilation exceeds the translation, so each contains the original). The
     first attempt that meets no subdivision line returns; when all of them
-    do, BoundaryFixedPoint is raised. Boxes certifying the same point are
-    merged (radius twice the resolution). The subdivision budget counts the
+    do, BoundaryFixedPoint is raised. The boxes have disjoint interiors, so
+    each certifies its own fixed point. The subdivision budget counts the
     boxes tested in one attempt; as a chunk is tested ahead of the
     depth-first order, an attempt that would fail on a boundary hit near
     the budget can report BudgetExceeded instead.
@@ -329,9 +307,8 @@ def isolate_fixed_points(F: LiftMap, region, resolution: float, lift_offset: int
     last_exc = None
     for attempt in range(1, _ATTEMPTS + 1):
         try:
-            boxes = _isolate_once(F, _jittered(region, attempt), resolution, audit,
-                                  lift_offset)
-            return _merge_clusters(boxes, _MERGE_RADIUS_FACTOR * resolution, F)
+            return _isolate_once(F, _jittered(region, attempt), resolution, audit,
+                                 lift_offset)
         except _BoundaryHit as exc:
             last_exc = exc
     raise BoundaryFixedPoint(

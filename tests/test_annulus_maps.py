@@ -65,6 +65,41 @@ def test_degree_check_rejects_wrong_declared_degree():
 
 # -- deck translates and iteration -------------------------------------------------
 
+@pytest.mark.parametrize("d, n, k", [(2, 1, 0), (2, 3, 5), (3, 2, 7), (-2, 3, 4)])
+def test_lipschitz_bound_propagates(d, n, k):
+    F = zoo("power", d=d)
+    assert F.lipschitz == abs(d)
+    G = deck_translate(iterate(F, n), k)
+    assert G.lipschitz == abs(d) ** n
+    # the propagated bound holds on random pairs, some of them close; the
+    # slack covers rounding of images up to about 100
+    rng = np.random.default_rng(n * 10 + k)
+    p = rng.uniform(-3.0, 3.0, (500, 2))
+    q = p + rng.normal(size=(500, 2)) * 10.0 ** rng.uniform(-3, 0, (500, 1))
+    moved = np.hypot(*(G(p) - G(q)).T)
+    assert np.all(moved <= G.lipschitz * np.hypot(*(p - q).T) * (1 + 1e-9))
+
+
+def test_families_without_a_bound_declare_none():
+    for F in (zoo("perturbed_power", d=2, eps=0.05), zoo("end_swap", d=-2),
+              zoo("ends_attracting", d=2, lam=0.5), counterexample_deg_minus1(),
+              iterate(zoo("ends_repelling", d=2, lam=0.5), 2)):
+        assert F.lipschitz is None
+
+
+@pytest.mark.parametrize("bound", [float("nan"), float("inf"), -1.0])
+def test_make_lift_rejects_invalid_lipschitz(bound):
+    with pytest.raises(ParamOutOfRange):
+        make_lift(lambda p: 2.0 * np.asarray(p, float), 2, lipschitz=bound)
+
+
+def test_make_lift_rejects_contradicted_lipschitz():
+    # 2x moves adjacent grid points twice as far apart as they are
+    with pytest.raises(ParamOutOfRange, match="contradicted"):
+        make_lift(lambda p: 2.0 * np.asarray(p, float), 2, lipschitz=1.9)
+    assert make_lift(lambda p: 2.0 * np.asarray(p, float), 2, lipschitz=2).lipschitz == 2.0
+
+
 def test_deck_translate_power():
     F = zoo("power", d=2)
     T = deck_translate(F, 1)

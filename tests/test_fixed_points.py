@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -59,7 +60,7 @@ def test_power_two_isolates_origin():
     assert len(boxes) == 1
     assert boxes[0].contains((0.0, 0.0))
     assert boxes[0].boundary_degree != 0
-    assert boxes[0].size <= 2e-3 * fixed_points._MERGE_RADIUS_FACTOR
+    assert boxes[0].size <= 1e-3
 
 
 def test_translate_isolates_minus_one():
@@ -81,17 +82,17 @@ def test_budget_exceeded(monkeypatch):
 
 
 def test_budget_is_per_attempt_with_or_without_audit(monkeypatch):
-    # the first attempt meets a subdivision line after 525 tested boxes and
-    # the second certifies after 433: a cap of 526 holds for each attempt,
+    # the first attempt meets a subdivision line after 301 tested boxes and
+    # the second certifies after 233: a cap of 302 holds for each attempt,
     # and an audit that sums the boxes over both attempts does not trip it
     F = deck_translate(iterate(zoo("power", d=3), 3), 8)
     region = default_region(zoo("power", d=3), 4)
-    monkeypatch.setattr(fixed_points, "_SUBDIVISION_BUDGET", 526)
+    monkeypatch.setattr(fixed_points, "_SUBDIVISION_BUDGET", 302)
     audit = IsolationAudit()
     boxes = isolate_fixed_points(F, region, 1e-3, audit=audit)
     assert len(boxes) == 1
     assert boxes == isolate_fixed_points(F, region, 1e-3)
-    assert audit.boxes_processed > 526
+    assert audit.boxes_processed > 302
 
 
 def test_no_box_is_tested_twice_in_an_attempt(monkeypatch):
@@ -229,7 +230,9 @@ def _grid_copy(F, nx=256, ny=257, y_range=(-2.0, 2.0)):
 
 
 @pytest.mark.parametrize("F", [
-    pytest.param(iterate(zoo("power", d=3), 3), id="power(3)^3"),
+    # stripped of its declared bound, so that it runs the estimate path
+    pytest.param(dataclasses.replace(iterate(zoo("power", d=3), 3), lipschitz=None),
+                 id="power(3)^3"),
     pytest.param(deck_translate(iterate(zoo("end_swap", d=-2), 2), 1),
                  id="end_swap(-2)^2+(1,0)"),
     pytest.param(zoo("ends_attracting", d=2, lam=0.7), id="ends_attracting"),
@@ -238,16 +241,82 @@ def _grid_copy(F, nx=256, ny=257, y_range=(-2.0, 2.0)):
     pytest.param(counterexample_deg_minus1(), id="counterexample_deg_minus1"),
 ])
 def test_exclusion_margins_match_scalar_reference(F):
-    rng = np.random.default_rng(7)
-    cx = rng.uniform(-3.0, 3.0, 500)
-    cy = rng.uniform(-1.5, 1.5, 500)
-    hw = 10.0 ** rng.uniform(-5.0, -0.3, (2, 500))
-    boxes = np.stack([cx - hw[0], cx + hw[0], cy - hw[1], cy + hw[1]], axis=-1)
+    assert F.lipschitz is None
+    boxes = _random_boxes()
     margins, mins = _exclusion_margins(F, boxes)
     ref = np.array([_scalar_exclusion_margin(F, tuple(b)) for b in boxes.tolist()])
     # bitwise: the chunked quadtree must discard exactly the boxes it did before
     assert margins.tobytes() == ref[:, 0].tobytes()
     assert mins.tobytes() == ref[:, 1].tobytes()
+
+
+def _random_boxes():
+    rng = np.random.default_rng(7)
+    cx = rng.uniform(-3.0, 3.0, 500)
+    cy = rng.uniform(-1.5, 1.5, 500)
+    hw = 10.0 ** rng.uniform(-5.0, -0.3, (2, 500))
+    return np.stack([cx - hw[0], cx + hw[0], cy - hw[1], cy + hw[1]], axis=-1)
+
+
+def _scalar_declared_margin(F, box):
+    """The one-box exclusion formula under a declared bound L on F: sampled
+    minimum minus (L + 1) times half a grid cell's diagonal."""
+    x0, x1, y0, y1 = box
+    m = fixed_points._EXCLUSION_GRID
+    gx, gy = np.meshgrid(np.linspace(x0, x1, m), np.linspace(y0, y1, m))
+    pts = np.stack([gx.ravel(), gy.ravel()], axis=-1)
+    sampled_min = float(np.hypot(*(np.asarray(F(pts)) - pts).T).min())
+    reach = 0.5 * float(np.hypot((x1 - x0) / (m - 1), (y1 - y0) / (m - 1)))
+    return sampled_min - (F.lipschitz + 1.0) * reach, sampled_min
+
+
+def _hat(p):
+    """Degree 1 with a hat of width 0.008 at x = 0.3: two fixed points,
+    (0.3 +- 0.004/6, 0), that a 5 x 5 sample grid of a large box misses.
+    Lipschitz constant 1 + 0.6/0.004 = 151."""
+    p = np.asarray(p, dtype=float)
+    t = (np.mod(p[..., 0], 1.0) - 0.3) / 0.004
+    return np.stack([p[..., 0] + 0.5 - 0.6 * np.maximum(0.0, 1.0 - np.abs(t)),
+                     0.5 * p[..., 1]], axis=-1)
+
+
+HAT_LIPSCHITZ = 1.0 + 0.6 / 0.004
+
+
+@pytest.mark.parametrize("F", [
+    pytest.param(iterate(zoo("power", d=3), 3), id="power(3)^3"),
+    pytest.param(deck_translate(iterate(zoo("power", d=-2), 2), 1), id="power(-2)^2+(1,0)"),
+    pytest.param(make_lift(_hat, 1, lipschitz=HAT_LIPSCHITZ), id="hat"),
+])
+def test_declared_exclusion_margins_match_scalar_reference(F):
+    assert F.lipschitz is not None
+    boxes = _random_boxes()
+    margins, mins = _exclusion_margins(F, boxes)
+    ref = np.array([_scalar_declared_margin(F, tuple(b)) for b in boxes.tolist()])
+    assert margins.tobytes() == ref[:, 0].tobytes()
+    assert mins.tobytes() == ref[:, 1].tobytes()
+
+
+@pytest.mark.parametrize("region", [(0, 1, -1, 1), (0.25, 0.35, -0.1, 0.1)])
+def test_declared_bound_finds_both_hat_fixed_points(region):
+    # the estimate misses the hat on the large region; the declared bound
+    # sees it on both, and a bound below the true one (the mutation) proves
+    # the hat away
+    boxes = isolate_fixed_points(make_lift(_hat, 1, lipschitz=HAT_LIPSCHITZ), region, 1e-3)
+    assert sorted(b.boundary_degree for b in boxes) == [-1, 1]
+    for x in (0.3 - 0.004 / 6, 0.3 + 0.004 / 6):
+        assert sum(b.contains((x, 0.0)) for b in boxes) == 1
+    assert isolate_fixed_points(make_lift(_hat, 1, lipschitz=1.0), region, 1e-3) == []
+
+
+@pytest.mark.parametrize("F, region", [
+    (make_lift(_hat, 1), (0.25, 0.35, -0.1, 0.1)),       # two points of degree +1, -1
+    (zoo("power", d=2), (-2, 2, -2, 2)),
+    (make_lift(_wobble, 1), (-1.23, 1.91, -1.0, 1.0)),
+])
+def test_every_reported_box_has_nonzero_degree(F, region):
+    boxes = isolate_fixed_points(F, region, 1e-3)
+    assert boxes and all(b.boundary_degree != 0 for b in boxes)
 
 
 def test_certification_refinement_persistence():
@@ -264,6 +333,23 @@ def test_exclusion_oracle_agreement():
     assert audit.discarded, "expected some excluded boxes"
     for box, sampled_min, margin in audit.discarded:
         dense = displacement_oracle(lambda p: zoo("power", d=2)(p), box)
+        assert dense > 0.0
+        assert dense >= 0.999 * margin
+
+
+@pytest.mark.parametrize("F, region", [
+    pytest.param(zoo("ends_attracting", d=2, lam=0.7), (-2, 2, -2, 2), id="ends_attracting"),
+    pytest.param(_grid_copy(zoo("perturbed_power", d=2, eps=0.05)), (-2, 2, -1.5, 1.5),
+                 id="grid_perturbed_power"),
+])
+def test_estimated_exclusion_oracle_agreement(F, region):
+    # the estimate path, on maps that declare no bound
+    assert F.lipschitz is None
+    audit = IsolationAudit()
+    isolate_fixed_points(F, region, 1e-2, audit=audit)
+    assert audit.discarded, "expected some excluded boxes"
+    for box, sampled_min, margin in audit.discarded:
+        dense = displacement_oracle(F, box)
         assert dense > 0.0
         assert dense >= 0.999 * margin
 
