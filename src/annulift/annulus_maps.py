@@ -562,27 +562,33 @@ def counterexample_spine_distance(points) -> np.ndarray:
     return d
 
 
-def _nearest_on_spine(points: np.ndarray, segs) -> tuple[np.ndarray, np.ndarray]:
-    """Distance to the invariant set and parameter of the nearest point."""
-    a = np.stack([s[0] for s in segs])
-    b = np.stack([s[1] for s in segs])
-    ta = np.asarray([s[2] for s in segs])
-    tb = np.asarray([s[3] for s in segs])
-    ab = b - a
-    ab2 = np.einsum("ij,ij->i", ab, ab)
+def _nearest_on_spine(points: np.ndarray, segs, reach: float = np.inf
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """Distance to the invariant set and parameter of the nearest point.
+
+    Each segment, in order, measures only the points inside its bounding
+    box grown by ``reach``; a running minimum updated with strict ``<``
+    gives ties to the lowest segment index. Every point within ``reach`` of
+    the set gets its exact distance and parameter. A point farther than
+    ``reach`` from the set gets some distance above ``reach``, not
+    necessarily the true one: inf and parameter 0 when it lies in no grown
+    box. ``reach = inf`` is exact everywhere.
+    """
     best_d = np.full(len(points), np.inf)
     best_t = np.zeros(len(points))
-    chunk = 20_000
-    for lo in range(0, len(points), chunk):
-        p = points[lo:lo + chunk]
-        ap = p[:, None, :] - a[None, :, :]
-        u = np.clip(np.einsum("nmj,mj->nm", ap, ab) / ab2, 0.0, 1.0)
-        foot = a[None] + u[..., None] * ab[None]
-        d = np.hypot(foot[..., 0] - p[:, None, 0], foot[..., 1] - p[:, None, 1])
-        j = np.argmin(d, axis=1)
-        rows = np.arange(len(p))
-        best_d[lo:lo + chunk] = d[rows, j]
-        best_t[lo:lo + chunk] = ta[j] + u[rows, j] * (tb[j] - ta[j])
+    px, py = points[:, 0], points[:, 1]
+    for a, b, ta, tb in segs:
+        lo = np.minimum(a, b) - reach
+        hi = np.maximum(a, b) + reach
+        idx = np.flatnonzero((px >= lo[0]) & (px <= hi[0]) & (py >= lo[1]) & (py <= hi[1]))
+        ab = b - a
+        apx, apy = px[idx] - a[0], py[idx] - a[1]
+        u = np.clip((apx * ab[0] + apy * ab[1]) / (ab[0] * ab[0] + ab[1] * ab[1]), 0.0, 1.0)
+        d = np.hypot(a[0] + u * ab[0] - px[idx], a[1] + u * ab[1] - py[idx])
+        closer = d < best_d[idx]
+        hit = idx[closer]
+        best_d[hit] = d[closer]
+        best_t[hit] = ta + u[closer] * (tb - ta)
     return best_d, best_t
 
 
@@ -599,6 +605,11 @@ def counterexample_deg_minus1() -> LiftMap:
     fixed-point-free background; the values are tabulated on a grid and
     extended by bilinear interpolation and equivariance, so the shipped map
     is continuous regardless of the blending seams.
+
+    The blend weight falls linearly from 1 at distance ``blend.inner`` from
+    the curve to 0 at ``blend.outer``, so the nearest-point search reaches
+    only ``blend.outer``: a node farther away has weight 0 and takes the
+    background value exactly.
     """
     geo = _counterexample_geometry()
     spine, _ = _spine_interp(geo)
@@ -614,7 +625,7 @@ def counterexample_deg_minus1() -> LiftMap:
     gx, gy = np.meshgrid(xs, ys)
     nodes = np.stack([gx.ravel(), gy.ravel()], axis=-1)
 
-    dist, t_near = _nearest_on_spine(nodes, segs)
+    dist, t_near = _nearest_on_spine(nodes, segs, reach=outer)
     on_curve = spine(gmap(t_near))
     background = np.stack([bg["cx"] - nodes[:, 0], nodes[:, 1] + bg["dy"]], axis=-1)
     w = np.clip((outer - dist) / (outer - inner), 0.0, 1.0)[:, None]

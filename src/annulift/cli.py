@@ -25,6 +25,7 @@ from .annulus_maps import (
     LiftMap,
     deck_translate,
     load_grid_lift,
+    project,
     projected_plane_map,
     zoo,
 )
@@ -38,6 +39,7 @@ from .fixed_points import (
     isolate_fixed_points,
     nielsen_residue,
     polish_fixed_point,
+    region_margin_check,
     reports_to_json,
 )
 from .index import lefschetz_index
@@ -160,7 +162,14 @@ def cmd_index(args) -> int:
 def cmd_fixed_points(args) -> int:
     lift = _resolve_map(args.map, _parse_params(args.params))
     translate = deck_translate(lift, args.lift_k)
-    region = _parse_region(args.region) or default_region(lift, 1)
+    region = _parse_region(args.region)
+    if region is None:
+        region = default_region(lift, 1)
+        if not region_margin_check(translate, region):
+            raise ToolkitError(
+                f"the default region {region} failed its margin test for the "
+                f"translate by ({args.lift_k}, 0), so it may miss fixed points; "
+                f"pass --region")
     boxes = isolate_fixed_points(translate, region, args.resolution,
                                  lift_offset=args.lift_k)
     print(f"{len(boxes)} certified box(es) in region {region}")
@@ -170,7 +179,6 @@ def cmd_fixed_points(args) -> int:
         residue = ""
         if abs(lift.degree) > 1:
             point = polish_fixed_point(translate, b)
-            from .annulus_maps import project
             residue = nielsen_residue(lift, project(point), 1)
         x0, x1, y0, y1 = b.box
         print(f"  box [{x0:.6g}, {x1:.6g}] x [{y0:.6g}, {y1:.6g}] "

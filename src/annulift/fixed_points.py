@@ -526,9 +526,11 @@ def completeness_check(F: LiftMap, n_max: int, region=None, resolution: float = 
     certify its fixed points, classify them by residue, and report whether
     all |d^n - 1| residue classes are realized.
 
-    Isolation, polish and residue failures are recorded per translate in the
-    report instead of aborting the sweep; translates whose fixed set looks
-    one-dimensional are flagged as a single-class continuum and count once.
+    Every fixed point p of F^n + (k, 0) has F^n(p) = p - (k, 0), so its
+    residue is (-k) mod |d^n - 1| for every lift; no point is polished. Isolation failures are recorded per
+    translate in the report instead of aborting the sweep; translates whose
+    fixed set looks one-dimensional are flagged as a single-class continuum
+    and count once.
     """
     n_max = int(n_max)
     if n_max < 1:
@@ -551,8 +553,6 @@ def completeness_check(F: LiftMap, n_max: int, region=None, resolution: float = 
             Fk = deck_translate(F_iter, k)
             try:
                 found = isolate_fixed_points(Fk, region, resolution, lift_offset=k)
-                found_residues = [nielsen_residue(F, project(polish_fixed_point(Fk, b)), n)
-                                  for b in found]
             except BoundaryFixedPoint as exc:
                 if diagnose_continuum(Fk, region, resolution):
                     continuum.append(k)
@@ -562,7 +562,7 @@ def completeness_check(F: LiftMap, n_max: int, region=None, resolution: float = 
                 errors[k] = f"{type(exc).__name__}: {exc}"
             else:
                 boxes.extend(found)
-                residues.extend(found_residues)
+                residues.extend([(-k) % modulus] * len(found))
         reports.append(NielsenReport(
             period=n, modulus=modulus, fixed_boxes=tuple(boxes),
             box_residues=tuple(residues), errors=errors,

@@ -305,3 +305,76 @@ def test_counterexample_restriction_is_continuous_at_the_jump():
 def test_counterexample_glue_point_is_single_point():
     pts = counterexample_spine(np.array([0.2, 0.8]))
     np.testing.assert_allclose(pts[0], pts[1])
+
+
+# -- the culled nearest-point kernel against a dense reference --------------------
+
+def dense_nearest_on_spine(points, segs):
+    """Every point against every segment; argmin gives ties to the lowest
+    segment index."""
+    a = np.stack([s[0] for s in segs])
+    b = np.stack([s[1] for s in segs])
+    ta = np.asarray([s[2] for s in segs])
+    tb = np.asarray([s[3] for s in segs])
+    ab = b - a
+    ab2 = np.einsum("ij,ij->i", ab, ab)
+    best_d = np.full(len(points), np.inf)
+    best_t = np.zeros(len(points))
+    chunk = 20_000
+    for lo in range(0, len(points), chunk):
+        p = points[lo:lo + chunk]
+        ap = p[:, None, :] - a[None, :, :]
+        u = np.clip(np.einsum("nmj,mj->nm", ap, ab) / ab2, 0.0, 1.0)
+        foot = a[None] + u[..., None] * ab[None]
+        d = np.hypot(foot[..., 0] - p[:, None, 0], foot[..., 1] - p[:, None, 1])
+        j = np.argmin(d, axis=1)
+        rows = np.arange(len(p))
+        best_d[lo:lo + chunk] = d[rows, j]
+        best_t[lo:lo + chunk] = ta[j] + u[rows, j] * (tb[j] - ta[j])
+    return best_d, best_t
+
+
+def assert_bitwise_equal(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert a.tobytes() == b.tobytes()
+
+
+def tabulation_nodes():
+    grid = am._counterexample_geometry()["grid"]
+    xs = np.arange(int(grid["nx"]), dtype=float) / int(grid["nx"])
+    ys = np.linspace(float(grid["y0"]), float(grid["y1"]), int(grid["ny"]))
+    gx, gy = np.meshgrid(xs, ys)
+    return np.stack([gx.ravel(), gy.ravel()], axis=-1)
+
+
+def test_culled_nearest_matches_dense_within_reach():
+    nodes = tabulation_nodes()
+    segs = am.counterexample_spine_segments()
+    outer = am._counterexample_geometry()["blend"]["outer"]
+    d_ref, t_ref = dense_nearest_on_spine(nodes, segs)
+    d, t = am._nearest_on_spine(nodes, segs, reach=outer)
+    near = d_ref <= outer
+    assert 0 < near.sum() < len(nodes)
+    assert_bitwise_equal(d[near], d_ref[near])
+    assert_bitwise_equal(t[near], t_ref[near])
+    assert np.all(d[~near] > outer)
+
+
+def test_spine_distance_matches_dense_everywhere():
+    rng = np.random.default_rng(20261018)
+    pts = np.concatenate([rng.uniform((-0.5, -1.0), (1.5, 1.5), (8_000, 2)),
+                          rng.uniform(-50.0, 50.0, (2_000, 2))])
+    d_ref, _ = dense_nearest_on_spine(pts, am.counterexample_spine_segments((-1, 0, 1)))
+    assert_bitwise_equal(am.counterexample_spine_distance(pts), d_ref)
+
+
+def test_counterexample_table_matches_dense_build(monkeypatch):
+    culled = counterexample_deg_minus1()
+    monkeypatch.setattr(am, "_nearest_on_spine",
+                        lambda points, segs, reach=np.inf: dense_nearest_on_spine(points, segs))
+    dense = counterexample_deg_minus1.__wrapped__()
+    rng = np.random.default_rng(7)
+    probes = np.concatenate([tabulation_nodes(),
+                             rng.uniform((-1.0, -0.8), (2.0, 1.2), (5_000, 2))])
+    assert_bitwise_equal(culled(probes), dense(probes))

@@ -94,6 +94,21 @@ def test_fixed_points_command(tmp_path, capsys):
     assert row[7] == "0"  # residue of the k=1 translate's point
 
 
+def test_fixed_points_default_region_guard(capsys):
+    # the fixed point (-10, 0) of 2p + (10, 0) lies outside the default
+    # region; the command must say so instead of reporting 0 boxes
+    argv = ("fixed-points", "--map", "power", "--params", '{"d": 2}', "--lift-k", "10")
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert "certified box" not in out
+    payload = json.loads(err)
+    assert payload["error"] == "ToolkitError" and "--region" in payload["message"]
+    code, out, _ = run(capsys, *argv, "--region=-12,-8,-2,2")
+    assert code == 0
+    assert "1 certified box(es)" in out
+    assert "residue 0" in out  # -10 mod |2 - 1|
+
+
 def test_lemmas_command(capsys):
     code, out, _ = run(capsys, "lemmas")
     assert code == 0

@@ -515,27 +515,43 @@ def test_conjugacy_collapse():
             assert ra.count_lower_bound == rb.count_lower_bound
 
 
-def test_polish_failure_is_recorded_per_translate(monkeypatch):
-    # a failure after isolation (polish or residue) is recorded for its
-    # translate like an isolation failure; the other translates still count
-    real = fixed_points.polish_fixed_point
+def test_isolation_failure_is_recorded_per_translate(monkeypatch):
+    # an isolation ToolkitError is recorded for its translate; the other
+    # translates still count
+    real = fixed_points.isolate_fixed_points
     bad = []
 
-    def polish(F, box, **kw):
-        if box.lift_offset in bad:
-            raise ToolkitError("polish failed")
-        return real(F, box, **kw)
+    def isolate(F, region, resolution, **kw):
+        if kw.get("lift_offset") in bad:
+            raise ToolkitError("isolation failed")
+        return real(F, region, resolution, **kw)
 
-    monkeypatch.setattr(fixed_points, "polish_fixed_point", polish)
+    monkeypatch.setattr(fixed_points, "isolate_fixed_points", isolate)
     bad[:] = [0]
     (report,) = completeness_check(zoo("power", d=2), 1)
-    assert report.errors == {0: "ToolkitError: polish failed"}
+    assert report.errors == {0: "ToolkitError: isolation failed"}
     assert not report.complete
     bad[:] = [1]
     n1, n2 = completeness_check(zoo("power", d=2), 2)
     assert n1.complete and not n1.errors
-    assert n2.errors == {1: "ToolkitError: polish failed"}
+    assert n2.errors == {1: "ToolkitError: isolation failed"}
     assert not n2.complete and n2.count_lower_bound == 2
+    assert n2.realized_residues == {0, 1}
+
+
+def test_translation_identity_residues_match_polished_residues():
+    # the sweep reads each box's residue off its translate, (-k) mod |d^n - 1|;
+    # polishing the point and classifying it from scratch must agree on
+    # every census box
+    for d in (2, 3, -2):
+        F = zoo("power", d=d)
+        for r in completeness_check(F, 4, resolution=1e-3):
+            assert r.complete and not r.errors
+            Fn = iterate(F, r.period)
+            for b, res in zip(r.fixed_boxes, r.box_residues):
+                point = polish_fixed_point(deck_translate(Fn, b.lift_offset), b)
+                assert res == (-b.lift_offset) % r.modulus
+                assert nielsen_residue(F, AnnulusPoint(point[0], point[1]), r.period) == res
 
 
 def test_sweep_is_independent_of_chunk_size(monkeypatch):
