@@ -1,0 +1,58 @@
+"""Check that benchmark runs reproduce the reports of the newest trajectory point.
+
+    python scripts/check_digests.py --seed 1
+
+For each workload, reads the digest of the untraced run record
+``perfbench/results/<workload>-seed<seed>-trace0.json`` (written by
+``perfbench/run.py``) and compares it with the digest that the newest
+``BENCH_<n>.json`` at the root of the repository recorded, n the largest
+integer label. The digests do not depend on the seed. Exits 1 on a missing
+file or any mismatch, printing one line per workload.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS = ("census", "families", "index")
+
+
+def newest_bench(root: Path) -> Path:
+    labelled = [(int(p.stem[len("BENCH_"):]), p) for p in root.glob("BENCH_*.json")
+                if p.stem[len("BENCH_"):].isdigit()]
+    if not labelled:
+        raise FileNotFoundError(f"no BENCH_<n>.json in {root}")
+    return max(labelled)[1]
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--seed", type=int, required=True)
+    ap.add_argument("--root", type=Path, default=ROOT,
+                    help="repository holding BENCH_*.json and perfbench/results")
+    args = ap.parse_args(argv)
+    try:
+        bench_path = newest_bench(args.root)
+        bench = json.loads(bench_path.read_text())["workloads"]
+        ok = True
+        for w in WORKLOADS:
+            record = args.root / "perfbench" / "results" / f"{w}-seed{args.seed}-trace0.json"
+            got = json.loads(record.read_text())["digest"]
+            want = bench[w]["digests"]
+            match = want == [got]
+            ok &= match
+            print(f"{w}: {got[:16]} {'matches' if match else 'differs from'} "
+                  f"{bench_path.name} {', '.join(d[:16] for d in want)}")
+    except (OSError, ValueError, KeyError) as exc:
+        print(f"error: {exc!r}", file=sys.stderr)
+        return 1
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

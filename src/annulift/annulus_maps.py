@@ -215,14 +215,24 @@ def projected_plane_map(F: LiftMap) -> Callable[[np.ndarray], np.ndarray]:
     def fn(pts):
         pts = np.asarray(pts, dtype=float)
         r = np.hypot(pts[..., 0], pts[..., 1])
-        if np.any(r == 0.0):
+        if (r == 0.0).any():
             raise ValueError("plane map is undefined at the origin")
-        x = np.arctan2(pts[..., 1], pts[..., 0]) / TWO_PI
-        y = -np.log(r) / TWO_PI
-        img = F(np.stack([x, y], axis=-1))
-        rad = np.exp(-TWO_PI * img[..., 1])
+        # cover point (angle / 2pi, -log r / 2pi); the image (x, y) goes back
+        # as e^(-2pi y) (cos 2pi x, sin 2pi x); coordinates are written in place
+        cover = np.empty(pts.shape)
+        x, y = cover[..., 0], cover[..., 1]
+        np.arctan2(pts[..., 1], pts[..., 0], out=x)
+        x /= TWO_PI
+        np.log(r, out=y)
+        y /= -TWO_PI
+        img = F(cover)
+        rad = np.exp(img[..., 1] * -TWO_PI)
         ang = TWO_PI * img[..., 0]
-        return np.stack([rad * np.cos(ang), rad * np.sin(ang)], axis=-1)
+        out = np.empty(img.shape)
+        np.cos(ang, out=out[..., 0])
+        np.sin(ang, out=out[..., 1])
+        out *= rad[..., None]
+        return out
 
     return fn
 

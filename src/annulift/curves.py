@@ -8,6 +8,8 @@ coarsely sampled analytic curve still gets exact integer winding numbers.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -27,6 +29,12 @@ HALF_PI = 0.5 * np.pi
 
 _REFINEMENT_BUDGET = 2 ** 16  # inserted points per turning count
 _WINDING_RESIDUAL = 0.1       # max |total/2pi - nearest integer|
+# Shewchuk's static filter for the sign of the float orientation determinant
+# l - r: it is exact when |l - r| > (3 + 16 eps) eps (|l| + |r|), eps = 2^-53,
+# as long as nothing underflows; the tiny absolute term covers products that
+# fall below the normal range
+_ORIENT_ERRBOUND = (3.0 + 16.0 * 2.0 ** -53) * 2.0 ** -53
+_ORIENT_TINY = 2.0 ** -1070
 
 
 def _cyclic_next(a: np.ndarray) -> np.ndarray:
@@ -81,11 +89,12 @@ class ClosedCurve:
             raise ValueError("samples must be an (n, 2) array")
         if len(pts) < 3:
             raise ValueError("a closed curve needs at least 3 samples")
-        if not np.all(np.isfinite(pts)):
+        if not np.isfinite(pts).all():
             raise ValueError("samples must be finite")
-        gaps = np.hypot(*(_cyclic_next(pts) - pts).T)
-        if np.any(gaps == 0.0):
-            i = int(np.flatnonzero(gaps == 0.0)[0])
+        same = pts == _cyclic_next(pts)
+        coincide = same[:, 0] & same[:, 1]
+        if coincide.any():
+            i = int(coincide.argmax())
             raise ValueError(f"consecutive samples {i} and {(i + 1) % len(pts)} coincide")
         object.__setattr__(self, "samples", pts)
         if self.params is None:
@@ -94,7 +103,7 @@ class ClosedCurve:
             t = np.asarray(self.params, dtype=float)
             if t.shape != (len(pts),):
                 raise ValueError("params must match samples in length")
-            if np.any(np.diff(t) <= 0.0):
+            if (t[1:] - t[:-1] <= 0.0).any():
                 raise ValueError("params must be strictly ascending")
             if t[0] < 0.0 or t[-1] >= t[0] + 1.0:
                 raise ValueError("params must fit in one period [t0, t0+1)")
@@ -108,14 +117,18 @@ class ClosedCurve:
         t = np.asarray(t, dtype=float)
         if self.curve_fn is not None:
             return np.asarray(self.curve_fn(np.mod(t, 1.0)), dtype=float)
-        t0 = self.params[0]
+        px, xs, ys = self._closed
+        t0 = px[0]
         tt = t0 + np.mod(t - t0, 1.0)
-        px = np.append(self.params, t0 + 1.0)
-        closed = np.vstack([self.samples, self.samples[:1]])
-        return np.stack(
-            [np.interp(tt, px, closed[:, 0]), np.interp(tt, px, closed[:, 1])],
-            axis=-1,
-        )
+        return np.stack([np.interp(tt, px, xs), np.interp(tt, px, ys)], axis=-1)
+
+    @functools.cached_property
+    def _closed(self):
+        """Parameters and coordinates of the polyline closed by its first
+        sample, at parameter params[0] + 1."""
+        px = np.append(self.params, self.params[0] + 1.0)
+        closed = np.concatenate([self.samples, self.samples[:1]])
+        return px, closed[:, 0], closed[:, 1]
 
     def refined(self, extra_t) -> "ClosedCurve":
         """Insert samples at the given parameters (refinement never reorders)."""
@@ -146,7 +159,15 @@ def circle(radius: float, n: int = 256, center=(0.0, 0.0)) -> ClosedCurve:
 
     def fn(t):
         ang = TWO_PI * np.asarray(t, dtype=float)
-        return np.stack([cx + radius * np.cos(ang), cy + radius * np.sin(ang)], axis=-1)
+        out = np.empty(ang.shape + (2,))
+        x, y = out[..., 0], out[..., 1]
+        np.cos(ang, out=x)
+        x *= radius
+        x += cx
+        np.sin(ang, out=y)
+        y *= radius
+        y += cy
+        return out
 
     t = np.arange(n, dtype=float) / n
     return ClosedCurve(fn(t), params=t, curve_fn=fn, oriented=True)
@@ -156,13 +177,25 @@ def rectangle(x0: float, x1: float, y0: float, y1: float, per_side: int = 16) ->
     """Counterclockwise rectangle boundary; corners are always samples."""
     if not (x1 > x0 and y1 > y0):
         raise ValueError("rectangle needs x1 > x0 and y1 > y0")
-    k = max(1, int(per_side))
+    base, coef = _rectangle_template(max(1, int(per_side)))
+    c = np.array([x0, x1, y0, y1], dtype=float)
+    return ClosedCurve(c[base] + (c[1::2] - c[0::2]) * coef, oriented=True)
+
+
+@functools.lru_cache(maxsize=None)
+def _rectangle_template(k: int):
+    """Corner indices into (x0, x1, y0, y1) and span coefficients of the 4k
+    rectangle samples: sample = corner + (x1 - x0, y1 - y0) * coef. Sides run
+    bottom, right, top, left with u = i / k; a side's varying coordinate is
+    its start plus or minus span * u, and its constant one gets coefficient
+    -0.0, which adds nothing even to a zero of either sign."""
     u = np.arange(k, dtype=float) / k
-    bottom = np.stack([x0 + (x1 - x0) * u, np.full(k, y0)], axis=-1)
-    right = np.stack([np.full(k, x1), y0 + (y1 - y0) * u], axis=-1)
-    top = np.stack([x1 - (x1 - x0) * u, np.full(k, y1)], axis=-1)
-    left = np.stack([np.full(k, x0), y1 - (y1 - y0) * u], axis=-1)
-    return ClosedCurve(np.vstack([bottom, right, top, left]), oriented=True)
+    z = np.full(k, -0.0)
+    coef = np.concatenate([np.stack(pair, axis=-1) for pair in
+                           ((u, z), (z, u), (-u, z), (z, -u))])
+    base = np.repeat([[0, 2], [1, 2], [1, 3], [0, 3]], k, axis=0)
+    base.flags.writeable = coef.flags.writeable = False
+    return base, coef
 
 
 def curve_to_json(curve: ClosedCurve) -> list:
@@ -183,23 +216,23 @@ def _turning_count(vectors, params, vec_fn, min_norm, too_close_cls,
     every step is below pi/2. Returns the exact integer turning count.
     A NaN or infinite vector, given or inserted, raises NonFiniteDisplacement."""
     t = np.asarray(params, dtype=float)
-    v = np.asarray(vectors, dtype=float)
+    z = _as_complex(vectors)
     inserted = 0
     while True:
-        norms = np.hypot(v[:, 0], v[:, 1])
+        norms = np.hypot(z.real, z.imag)
         if not norms.max() < np.inf:  # NaN fails the comparison too
             i = int(np.argmin(np.isfinite(norms)))
             raise NonFiniteDisplacement(
-                f"non-finite vector ({v[i, 0]}, {v[i, 1]}) at t={t[i] % 1.0:.6f}")
+                f"non-finite vector ({z.real[i]}, {z.imag[i]}) at t={t[i] % 1.0:.6f}")
         if norms.min() <= min_norm:
             i = int(norms.argmin())
             raise too_close_cls(
                 f"{too_close_msg}: |v|={norms[i]:.3e} <= {min_norm:.3e} at t={t[i] % 1.0:.6f}")
-        z = v[:, 0] + 1j * v[:, 1]
-        steps = np.angle(_cyclic_next(z) / z)
-        bad = np.flatnonzero(np.abs(steps) >= HALF_PI)
+        ratio = _cyclic_next(z) / z
+        steps = np.arctan2(ratio.imag, ratio.real)   # np.angle
+        bad = (np.abs(steps) >= HALF_PI).nonzero()[0]
         if bad.size == 0:
-            total = steps.sum() / TWO_PI
+            total = float(steps.sum()) / TWO_PI
             nearest = round(total)
             if abs(total - nearest) > _WINDING_RESIDUAL:
                 raise WindingResidualError(
@@ -209,11 +242,24 @@ def _turning_count(vectors, params, vec_fn, min_norm, too_close_cls,
         if inserted > _REFINEMENT_BUDGET:
             raise RefinementBudgetExceeded(
                 f"needed more than {_REFINEMENT_BUDGET} refinement points")
-        t_next = np.concatenate([t[1:], t[:1] + 1.0])
-        t_mid = 0.5 * (t[bad] + t_next[bad])
-        v_mid = np.asarray(vec_fn(t_mid), dtype=float).reshape(-1, 2)
-        t = np.insert(t, bad + 1, t_mid)
-        v = np.insert(v, bad + 1, v_mid, axis=0)
+        t_ext = np.append(t, t[0] + 1.0)
+        t_mid = 0.5 * (t_ext[bad] + t_ext[bad + 1])
+        z_mid = _as_complex(np.asarray(vec_fn(t_mid), dtype=float).reshape(-1, 2))
+        # sample i + 1 goes after sample i, so the new sample j lands at bad[j] + j + 1
+        old = np.ones(len(t) + bad.size, dtype=bool)
+        old[bad + np.arange(1, bad.size + 1)] = False
+        new = ~old
+        t_out = np.empty(len(old))
+        t_out[old], t_out[new] = t, t_mid
+        z_out = np.empty(len(old), dtype=complex)
+        z_out[old], z_out[new] = z, z_mid
+        t, z = t_out, z_out
+
+
+def _as_complex(vectors) -> np.ndarray:
+    """An (n, 2) float array of vectors as n complex numbers x + iy (a view
+    when the array is C-contiguous)."""
+    return np.ascontiguousarray(vectors, dtype=float).view(complex)[:, 0]
 
 
 def winding_number(curve: ClosedCurve, basepoint, min_dist: float = 1e-9) -> int:
@@ -231,10 +277,32 @@ def winding_number(curve: ClosedCurve, basepoint, min_dist: float = 1e-9) -> int
 
 # -- predicates on polylines --------------------------------------------------
 
-def _orient2(a, b, c):
-    """Twice the signed area of triangle (a, b, c); broadcasts."""
-    return ((b[..., 0] - a[..., 0]) * (c[..., 1] - a[..., 1])
-            - (b[..., 1] - a[..., 1]) * (c[..., 0] - a[..., 0]))
+def _orient_signs(a, b, c) -> np.ndarray:
+    """Signs (-1, 0 or 1) of twice the signed area of the triangles (a, b, c)
+    for (n, 2) point arrays, exact for finite points: a float sign the static
+    filter cannot vouch for is recomputed by _exact_orient_sign."""
+    left = (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1])
+    right = (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0])
+    det = left - right
+    sign = np.sign(det)
+    bound = _ORIENT_ERRBOUND * (np.abs(left) + np.abs(right)) + _ORIENT_TINY
+    for k in (np.abs(det) <= bound).nonzero()[0].tolist():
+        coords = a[k].tolist() + b[k].tolist() + c[k].tolist()
+        if all(map(math.isfinite, coords)):
+            sign[k] = _exact_orient_sign(coords)
+    return sign
+
+
+def _exact_orient_sign(coords) -> int:
+    """Sign of the orientation determinant of finite (ax, ay, bx, by, cx, cy)
+    in exact rational arithmetic: each float is n / 2^e, so all six scale to
+    integers over their largest denominator (fractions.Fraction gives the
+    same sign at about five times the cost)."""
+    ratios = [v.as_integer_ratio() for v in coords]
+    den = max(d for _, d in ratios)
+    ax, ay, bx, by, cx, cy = [n * (den // d) for n, d in ratios]
+    det = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+    return (det > 0) - (det < 0)
 
 
 def _collinear_on(a, b, c):
@@ -249,8 +317,9 @@ def polyline_self_intersects(samples: np.ndarray, closed: bool = True) -> bool:
     """Whether two non-adjacent segments cross or touch, at sample resolution.
 
     Only pairs whose closed bounding boxes meet are tested: a shared point
-    lies in both boxes, so no crossing or touch is lost (a pair with disjoint
-    boxes could test positive only through rounding in ``_orient2``).
+    lies in both boxes, so no crossing or touch is lost. Orientation signs
+    are exact for finite samples (``_orient_signs``), so nearly collinear
+    segments neither cross nor touch by rounding.
     Candidate pairs come from a vectorised sort-and-sweep over the x-extents
     (Shamos & Hoey, FOCS 1976): sorted by left end, each segment meets in x
     a contiguous run of the segments after it. The pair count is near linear
@@ -280,15 +349,15 @@ def polyline_self_intersects(samples: np.ndarray, closed: bool = True) -> bool:
         return False
     p1, p2 = a[i], b[i]
     q1, q2 = a[j], b[j]
-    d1 = _orient2(p1, p2, q1)
-    d2 = _orient2(p1, p2, q2)
-    d3 = _orient2(q1, q2, p1)
-    d4 = _orient2(q1, q2, p2)
-    proper = (d1 * d2 < 0) & (d3 * d4 < 0)
-    touch = (((d1 == 0) & _collinear_on(p1, p2, q1))
-             | ((d2 == 0) & _collinear_on(p1, p2, q2))
-             | ((d3 == 0) & _collinear_on(q1, q2, p1))
-             | ((d4 == 0) & _collinear_on(q1, q2, p2)))
+    s1 = _orient_signs(p1, p2, q1)
+    s2 = _orient_signs(p1, p2, q2)
+    s3 = _orient_signs(q1, q2, p1)
+    s4 = _orient_signs(q1, q2, p2)
+    proper = (s1 * s2 < 0) & (s3 * s4 < 0)
+    touch = (((s1 == 0) & _collinear_on(p1, p2, q1))
+             | ((s2 == 0) & _collinear_on(p1, p2, q2))
+             | ((s3 == 0) & _collinear_on(q1, q2, p1))
+             | ((s4 == 0) & _collinear_on(q1, q2, p2)))
     return bool(np.any(proper | touch))
 
 

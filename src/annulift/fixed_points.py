@@ -72,8 +72,17 @@ _BOUNDARY_MIN_DISP = 1e-10        # displacement floor on subdivision boundaries
 _EXCLUSION_GRID = 5               # exclusion test samples per box axis
 _EXCLUSION_SAFETY = 2.0           # multiplier on the finite-difference Lipschitz estimate
 _SUBDIVISION_BUDGET = 500_000     # tested boxes per attempt
-_ATTEMPTS = 4                     # jittered attempts before BoundaryFixedPoint
 _JITTER_BASE = math.sqrt(2.0) * 1e-4
+# per-attempt jitter multipliers (tx, ty, dx, dy): 0.2 + 0.6 * r[0:2] and
+# 1.1 + 0.5 * r[2:4], r the first four np.random.default_rng(attempt).random()
+# draws; one row per attempt
+_JITTER = (
+    (0.507092974820154, 0.7702782177955612, 1.172079806359817, 1.574324723568622),
+    (0.3569672805495898, 0.37909468604847396, 1.5071128702971404, 1.1459579710675485),
+    (0.2513895002861746, 0.3420863039576598, 1.5006372326031985, 1.391081018032184),
+    (0.7658336633434206, 0.5067965316886169, 1.588121852853852, 1.1404180119478011),
+)
+_ATTEMPTS = len(_JITTER)          # jittered attempts before BoundaryFixedPoint
 _BOUNDARY_SAMPLES_PER_SIDE = 16   # rectangle samples for a leaf's boundary degree
 _RESIDUE_DISP_TOL = 1e-7          # NotPeriodic threshold on the projected point
 _RESIDUE_INT_TOL = 1e-5           # near-integer threshold for the translation
@@ -81,8 +90,21 @@ _RESIDUE_INT_TOL = 1e-5           # near-integer threshold for the translation
 # boxes per vectorised exclusion call: large enough that numpy overhead is
 # paid once per chunk, small enough that the sample arrays stay a few 100 kB
 _CHUNK = 256
-# children of (x0, x1, y0, y1, xm, ym) in push order, top-right last (on top)
-_CHILDREN = np.array([[0, 4, 2, 5], [4, 1, 2, 5], [0, 4, 5, 3], [4, 1, 5, 3]])
+# Quadtree stack rows are (x0, x1, y0, y1, scale, tested): a box is a leaf
+# once its size is at most its scale (the resolution, or the mop-up floor).
+# A kept untested row extended by (xm, ym, leaf) gives the rows that replace
+# it: its four untested children in push order, top-right last (on top), or
+# for a leaf, whose (xm, ym) are set to (x1, y1), the first row alone: the box
+# itself, flagged as tested.
+_CHILDREN = np.array([[0, 6, 2, 7, 4, 8], [6, 1, 2, 7, 4, 5],
+                      [0, 6, 7, 3, 4, 5], [6, 1, 7, 3, 4, 5]])
+_REPLACED = np.array([[True, True, True, True], [True, False, False, False]])
+# 5 x 5 exclusion grid: tick i of an axis is lo + i * h, the last pinned to
+# hi; sample (row i, column j) reads x tick j and y tick i of the (N, 2, m)
+# tick array flattened to (N, 2m)
+_TICKS = np.arange(_EXCLUSION_GRID, dtype=float)
+_GRID = np.array([[j, _EXCLUSION_GRID + i] for i in range(_EXCLUSION_GRID)
+                  for j in range(_EXCLUSION_GRID)])
 
 
 @dataclass(frozen=True)
@@ -143,19 +165,18 @@ def _exclusion_margins(F, boxes) -> tuple[np.ndarray, np.ndarray]:
     n, m = len(boxes), _EXCLUSION_GRID
     lo, hi = boxes[:, 0::2], boxes[:, 1::2]   # columns x, y
     h = (hi - lo) / (m - 1)
-    hx, hy = h.T
-    # i*step + lo with the last sample pinned to hi: np.linspace, bit for bit
-    ticks = np.arange(m, dtype=float)[:, None] * h[:, None] + lo[:, None]
-    ticks[:, -1] = hi
-    pts = np.empty((n, m, m, 2))
-    pts[..., 0] = ticks[:, None, :, 0]
-    pts[..., 1] = ticks[:, :, None, 1]
-    disp = _displacement(F, pts.reshape(-1, 2)).reshape(n, m, m, 2)
-    norms = np.hypot(disp[..., 0], disp[..., 1])
+    hx, hy = h[:, 0], h[:, 1]
+    # lo + i*step with the last tick pinned to hi: np.linspace, bit for bit
+    ticks = lo[:, :, None] + h[:, :, None] * _TICKS
+    ticks[:, :, -1] = hi
+    pts = ticks.reshape(n, 2 * m).take(_GRID, axis=1).reshape(-1, 2)
+    disp = _displacement(F, pts)
+    norms = np.hypot(disp[:, 0], disp[:, 1]).reshape(n, m * m)
     reach = 0.5 * np.hypot(hx, hy)
-    sampled_min = norms.min(axis=(1, 2))
+    sampled_min = norms.min(axis=1)
     if F.lipschitz is not None:
         return sampled_min - (F.lipschitz + 1.0) * reach, sampled_min
+    disp = disp.reshape(n, m, m, 2)
     dx = disp[:, :, 1:] - disp[:, :, :-1]
     dy = disp[:, 1:] - disp[:, :-1]
     lip_x = np.divide(np.hypot(dx[..., 0], dx[..., 1]).max(axis=(1, 2)), hx,
@@ -180,10 +201,10 @@ def _jittered(region, attempt: int):
     # with the dyadic subdivision grid; per-attempt multipliers are drawn
     # deterministically and independently, because a pure dilation scaled up
     # linearly can keep cancelling at one relative position forever
-    rng = np.random.default_rng(attempt)
     t = attempt * _JITTER_BASE
-    tx, ty = t * (0.2 + 0.6 * rng.random(2))
-    dx, dy = t * (1.1 + 0.5 * rng.random(2))  # dilation > translation: superset
+    mx, my, mdx, mdy = _JITTER[attempt - 1]
+    tx, ty = t * mx, t * my
+    dx, dy = t * mdx, t * mdy  # dilation > translation: superset
     x0, x1, y0, y1 = map(float, region)
     return (x0 - tx - dx, x1 - tx + dx, y0 - ty - dy, y1 - ty + dy)
 
@@ -192,19 +213,19 @@ def _isolate_once(F, region, resolution: float, audit: Optional[IsolationAudit],
                   lift_offset: int) -> list[CertifiedFixedBox]:
     """One attempt: a depth-first quadtree over the region.
 
-    The stack is an (N, 4) array of boxes, top last. Each step tests the
-    untested run at the top of the stack, at most _CHUNK boxes, in one
-    _exclusion_margins call, and replaces it in place: excluded boxes go,
-    boxes at leaf scale stay, flagged as tested, and larger ones become their
-    four children, top-right on top. A flagged leaf is handled when it
-    reaches the top, so leaves are handled in exactly the order of a
-    one-box-at-a-time depth-first search, whatever the chunk size.
+    The stack is an (N, 6) array of rows (x0, x1, y0, y1, scale, tested), top
+    last. Each step tests the untested run at the top of the stack, at most
+    _CHUNK boxes, in one _exclusion_margins call, and replaces it in place:
+    excluded boxes go, boxes at leaf scale stay, flagged as tested, and
+    larger ones become their four children, top-right on top. A flagged leaf
+    is handled when it reaches the top, so leaves are handled in exactly the
+    order of a one-box-at-a-time depth-first search, whatever the chunk size.
 
     A leaf at resolution scale is certified by a nonzero boundary degree.
     A degree-0 leaf that was not excluded is mopped up: its four children go
-    on the stack, marked, to be searched down to the floor scale
-    resolution / 256 (the leaf itself is not tested again), and a marked
-    fragment surviving there, or a degree-0 leaf already at that scale,
+    on the stack with the floor scale resolution / 256, to be searched down
+    to it (the leaf itself is not tested again), and a mop-up fragment
+    surviving there, or a degree-0 leaf already at that scale,
     forces a jitter retry. No box is tested twice in an attempt. The
     subdivision budget counts the boxes tested in this attempt; an audit,
     when given, only observes.
@@ -214,17 +235,17 @@ def _isolate_once(F, region, resolution: float, audit: Optional[IsolationAudit],
     bnorm = np.hypot(*_displacement(F, boundary.samples).T)
     if bnorm.min() <= _BOUNDARY_MIN_DISP:
         raise _BoundaryHit
+    resolution = float(resolution)
     floor = resolution / 256.0
     certified = []
     processed = 0
-    boxes = np.array([region], dtype=float)
-    mop = np.zeros(1, dtype=bool)      # box belongs to the mop-up of a leaf
-    tested = np.zeros(1, dtype=bool)   # box was tested and kept at leaf scale
-    while len(boxes):
-        if tested[-1]:
-            box, mopping = tuple(boxes[-1].tolist()), mop[-1]
-            boxes, mop, tested = boxes[:-1], mop[:-1], tested[:-1]
-            if mopping:
+    stack = np.array([[x0, x1, y0, y1, resolution, 0.0]])
+    while len(stack):
+        if stack[-1, 5]:
+            bx0, bx1, by0, by1, scale, _ = stack[-1].tolist()
+            box = (bx0, bx1, by0, by1)
+            stack = stack[:-1]
+            if scale != resolution:  # a mop-up fragment
                 if audit is not None:
                     audit.unresolved.append(box)
                 raise _BoundaryHit
@@ -235,48 +256,43 @@ def _isolate_once(F, region, resolution: float, audit: Optional[IsolationAudit],
             if deg != 0:
                 certified.append(CertifiedFixedBox(box, deg, lift_offset))
                 continue
-            if max(box[1] - box[0], box[3] - box[2]) <= floor:
+            if max(bx1 - bx0, by1 - by0) <= floor:
                 if audit is not None:
                     audit.unresolved.append(box)
                 raise _BoundaryHit
             # the leaf failed exclusion, and would fail it again: go straight
-            # to its children
-            cell = np.array(box)
-            kids = np.concatenate([cell, 0.5 * (cell[0::2] + cell[1::2])])[_CHILDREN]
-            boxes = np.concatenate([boxes, kids])
-            mop = np.concatenate([mop, np.ones(4, dtype=bool)])
-            tested = np.concatenate([tested, np.zeros(4, dtype=bool)])
+            # to its children, as mop-up fragments
+            row = [bx0, bx1, by0, by1, floor, 0.0, 0.5 * (bx0 + bx1), 0.5 * (by0 + by1), 0.0]
+            stack = np.concatenate([stack, np.array(row)[_CHILDREN]])
             continue
-        flagged = np.flatnonzero(tested[-_CHUNK:])
-        start = len(boxes) - min(len(boxes), _CHUNK)
+        top = stack[-_CHUNK:, 5]
+        flagged = top.nonzero()[0]
+        start = len(stack) - len(top)
         if len(flagged):
             start += int(flagged[-1]) + 1
-        chunk, chunk_mop = boxes[start:], mop[start:]
+        chunk = stack[start:]
         processed += len(chunk)
         if processed > _SUBDIVISION_BUDGET:
             raise BudgetExceeded(f"subdivision cap {_SUBDIVISION_BUDGET} passed")
-        margin, sampled_min = _exclusion_margins(F, chunk)
+        margin, sampled_min = _exclusion_margins(F, chunk[:, :4])
         out = margin > 0
         if audit is not None:
             audit.boxes_processed += len(chunk)
             # mop-up discards are not audited; top of the stack first, the
             # order in which the boxes would be popped one at a time
-            gone = (out & ~chunk_mop)[::-1]
-            audit.discarded.extend(zip(map(tuple, chunk[::-1][gone].tolist()),
+            gone = (out & (chunk[:, 4] == resolution))[::-1]
+            audit.discarded.extend(zip(map(tuple, chunk[::-1, :4][gone].tolist()),
                                        sampled_min[::-1][gone].tolist(),
                                        margin[::-1][gone].tolist()))
-        keep, keep_mop = chunk[~out], chunk_mop[~out]
-        leaf = (np.maximum(keep[:, 1] - keep[:, 0], keep[:, 3] - keep[:, 2])
-                <= np.where(keep_mop, floor, resolution))
-        mids = 0.5 * (keep[:, 0::2] + keep[:, 1::2])
-        slots = np.concatenate([keep, mids], axis=1)[:, _CHILDREN]
-        slots[leaf, 0] = keep[leaf]
-        used = np.ones((len(keep), 4), dtype=bool)
-        used[leaf, 1:] = False
-        fanout = used.sum(axis=1)
-        boxes = np.concatenate([boxes[:start], slots[used]])
-        mop = np.concatenate([mop[:start], np.repeat(keep_mop, fanout)])
-        tested = np.concatenate([tested[:start], np.repeat(leaf, fanout)])
+        keep = chunk.compress(~out, axis=0)
+        lo, hi = keep[:, 0:4:2], keep[:, 1:4:2]
+        size = hi - lo
+        leaf = np.maximum(size[:, 0], size[:, 1]) <= keep[:, 4]
+        ext = np.concatenate([keep, 0.5 * (lo + hi), leaf[:, None]], axis=1)
+        np.copyto(ext[:, 6:8], hi, where=leaf[:, None])
+        rows = ext.take(_CHILDREN, axis=1).reshape(-1, 6)
+        rows = rows.compress(_REPLACED.take(leaf.view(np.int8), axis=0).ravel(), axis=0)
+        stack = np.concatenate([stack[:start], rows])
     return sorted(certified, key=lambda c: c.box)
 
 
@@ -527,10 +543,10 @@ def completeness_check(F: LiftMap, n_max: int, region=None, resolution: float = 
     all |d^n - 1| residue classes are realized.
 
     Every fixed point p of F^n + (k, 0) has F^n(p) = p - (k, 0), so its
-    residue is (-k) mod |d^n - 1| for every lift; no point is polished. Isolation failures are recorded per
-    translate in the report instead of aborting the sweep; translates whose
-    fixed set looks one-dimensional are flagged as a single-class continuum
-    and count once.
+    residue is (-k) mod |d^n - 1| for every lift; no point is polished.
+    Isolation failures are recorded per translate in the report instead of
+    aborting the sweep; translates whose fixed set looks one-dimensional are
+    flagged as a single-class continuum and count once.
     """
     n_max = int(n_max)
     if n_max < 1:

@@ -188,6 +188,42 @@ def test_projected_plane_map_is_power_map():
     np.testing.assert_allclose(out[:, 0] + 1j * out[:, 1], expected, atol=1e-12)
 
 
+def _reference_plane_map(F):
+    """projected_plane_map as first written: stacked coordinate arrays."""
+
+    def fn(pts):
+        pts = np.asarray(pts, dtype=float)
+        r = np.hypot(pts[..., 0], pts[..., 1])
+        if np.any(r == 0.0):
+            raise ValueError("plane map is undefined at the origin")
+        x = np.arctan2(pts[..., 1], pts[..., 0]) / am.TWO_PI
+        y = -np.log(r) / am.TWO_PI
+        img = F(np.stack([x, y], axis=-1))
+        rad = np.exp(-am.TWO_PI * img[..., 1])
+        ang = am.TWO_PI * img[..., 0]
+        return np.stack([rad * np.cos(ang), rad * np.sin(ang)], axis=-1)
+
+    return fn
+
+
+@pytest.mark.parametrize("F", [zoo("power", d=2), iterate(zoo("power", d=3), 3),
+                               zoo("end_swap", d=-2), zoo("perturbed_power", d=2, eps=0.05)],
+                         ids=["power(2)", "power(3)^3", "end_swap(-2)", "perturbed_power"])
+def test_projected_plane_map_matches_reference_bitwise(F):
+    f, ref = projected_plane_map(F), _reference_plane_map(F)
+    rng = np.random.default_rng(5)
+    radius = 10.0 ** rng.uniform(-1.0, 1.0, 500)
+    ang = rng.uniform(-np.pi, np.pi, 500)
+    pts = np.stack([radius * np.cos(ang), radius * np.sin(ang)], axis=-1)
+    pts[:4] = [[1.0, 0.0], [-1.0, 0.0], [0.0, -2.0], [-0.0, 0.5]]
+    assert f(pts).tobytes() == ref(pts).tobytes()
+    assert f(pts[7]).shape == (2,)
+    assert f(pts[7]).tobytes() == ref(pts[7]).tobytes()
+    for origin in (np.zeros(2), np.array([[1.0, 1.0], [0.0, -0.0]])):
+        with pytest.raises(ValueError, match="undefined at the origin"):
+            f(origin)
+
+
 # -- the zoo -----------------------------------------------------------------------
 
 ZOO_CASES = [

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from annulift import curves
 from annulift.curves import (
     ClosedCurve,
     _collinear_on,
-    _orient2,
+    _turning_count,
     circle,
     curve_from_json,
     curve_to_json,
@@ -21,8 +22,10 @@ from annulift.curves import (
 )
 from annulift.errors import (
     DistanceViolation,
+    NonFiniteDisplacement,
     NotSimple,
     RefinementBudgetExceeded,
+    WindingResidualError,
 )
 
 
@@ -164,9 +167,15 @@ def test_figure_eight_not_simple():
         is_positively_oriented(eight)
 
 
+def _orient2(a, b, c):
+    """Twice the signed area of triangle (a, b, c) in float arithmetic."""
+    return ((b[..., 0] - a[..., 0]) * (c[..., 1] - a[..., 1])
+            - (b[..., 1] - a[..., 1]) * (c[..., 0] - a[..., 0]))
+
+
 def _all_pairs_self_intersects(samples, closed=True):
     """Reference: the same proper-or-touch predicate on every pair of
-    non-adjacent segments, no pruning."""
+    non-adjacent segments, no pruning, float orientation signs."""
     pts = np.asarray(samples, dtype=float)
     if len(pts) < 4:
         return False
@@ -243,3 +252,238 @@ def test_curve_json_round_trip():
     back = curve_from_json(data)
     assert np.allclose(back.samples, c.samples)
     assert len(back) == 12
+
+
+def test_near_collinear_polylines_match_exact_arithmetic():
+    # vertices rounded onto y = 0.1x + 1/3: in float arithmetic about a fifth
+    # of these report a crossing that does not exist or miss a touch
+    def orient(a, b, c):
+        det = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+        return (det > 0) - (det < 0)
+
+    def on(a, b, c):
+        return (min(a[0], b[0]) <= c[0] <= max(a[0], b[0])
+                and min(a[1], b[1]) <= c[1] <= max(a[1], b[1]))
+
+    def exact_self_intersects(pts):
+        # an open 4-point polyline has one non-adjacent pair: segments 0 and 2
+        p1, p2, q1, q2 = [tuple(map(Fraction, p)) for p in pts.tolist()]
+        d1, d2 = orient(p1, p2, q1), orient(p1, p2, q2)
+        d3, d4 = orient(q1, q2, p1), orient(q1, q2, p2)
+        return ((d1 * d2 < 0 and d3 * d4 < 0)
+                or (d1 == 0 and on(p1, p2, q1)) or (d2 == 0 and on(p1, p2, q2))
+                or (d3 == 0 and on(q1, q2, p1)) or (d4 == 0 and on(q1, q2, p2)))
+
+    x = np.random.default_rng(0).uniform(0.0, 1000.0, size=(20_000, 4))
+    answers, wrong = set(), 0
+    for row in x:
+        pts = np.stack([row, 0.1 * row + 1.0 / 3.0], axis=-1)
+        expected = exact_self_intersects(pts)
+        wrong += polyline_self_intersects(pts, closed=False) != expected
+        answers.add(expected)
+    assert wrong == 0
+    assert answers == {True, False}
+
+
+def test_exact_orientation_path_is_rare_on_smooth_curves(monkeypatch):
+    # every non-adjacent segment pair of circle(1, 256), four orientations
+    # each: the static filter vouches for all 129,536 float signs
+    pts = circle(1.0, 256).samples
+    a, b = pts, np.roll(pts, -1, axis=0)
+    i, j = np.triu_indices(len(pts), k=2)
+    keep = ~((i == 0) & (j == len(pts) - 1))
+    i, j = i[keep], j[keep]
+    monkeypatch.setattr(curves, "_exact_orient_sign", None)   # the exact path would raise
+    for p, q, r in ((a[i], b[i], a[j]), (a[i], b[i], b[j]),
+                    (a[j], b[j], a[i]), (a[j], b[j], b[i])):
+        assert np.array_equal(curves._orient_signs(p, q, r), np.sign(_orient2(p, q, r)))
+
+
+# -- the lean kernels against the code they replaced -----------------------------
+
+def _reference_rectangle(x0, x1, y0, y1, per_side=16):
+    """rectangle() as first written: four stacked sides."""
+    k = max(1, int(per_side))
+    u = np.arange(k, dtype=float) / k
+    bottom = np.stack([x0 + (x1 - x0) * u, np.full(k, y0)], axis=-1)
+    right = np.stack([np.full(k, x1), y0 + (y1 - y0) * u], axis=-1)
+    top = np.stack([x1 - (x1 - x0) * u, np.full(k, y1)], axis=-1)
+    left = np.stack([np.full(k, x0), y1 - (y1 - y0) * u], axis=-1)
+    return np.vstack([bottom, right, top, left])
+
+
+@pytest.mark.parametrize("per_side", [16, 64])
+def test_rectangle_matches_reference_bitwise(per_side):
+    rng = np.random.default_rng(per_side)
+    lo = rng.uniform(-30.0, 30.0, size=(300, 2))
+    size = 10.0 ** rng.uniform(-8.0, 1.0, size=(300, 2))
+    boxes = [(x0, x0 + w, y0, y0 + h) for (x0, y0), (w, h) in zip(lo, size)]
+    boxes += [(-0.0, 1.0, -0.0, 0.5), (-1.0, 0.0, -2.0, -0.0), (-2, 2, -1, 1)]
+    for box in boxes:
+        got = rectangle(*box, per_side=per_side)
+        assert got.samples.tobytes() == _reference_rectangle(*box, per_side).tobytes(), box
+        assert got.params.tobytes() == (np.arange(4 * per_side) / (4 * per_side)).tobytes()
+
+
+def test_circle_and_point_at_match_reference_bitwise():
+    for radius, n, center in ((1.0, 256, (0.0, 0.0)), (0.37, 17, (2.5, -1.0))):
+        ang = 2.0 * np.pi * (np.arange(n, dtype=float) / n)
+        expected = np.stack([center[0] + radius * np.cos(ang),
+                             center[1] + radius * np.sin(ang)], axis=-1)
+        assert circle(radius, n, center).samples.tobytes() == expected.tobytes()
+    rect = rectangle(0.1, 0.4, -0.3, 0.2, per_side=8)
+    t = np.random.default_rng(3).uniform(-2.0, 2.0, 200)
+    tt = rect.params[0] + np.mod(t - rect.params[0], 1.0)
+    px = np.append(rect.params, rect.params[0] + 1.0)
+    closed = np.vstack([rect.samples, rect.samples[:1]])
+    expected = np.stack([np.interp(tt, px, closed[:, 0]), np.interp(tt, px, closed[:, 1])],
+                        axis=-1)
+    for _ in range(2):   # the closed polyline is cached after the first call
+        assert rect.point_at(t).tobytes() == expected.tobytes()
+
+
+def _reference_curve_error(samples, params=None):
+    """The message ClosedCurve's checks gave as first written, or None."""
+    pts = np.asarray(samples, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        return "samples must be an (n, 2) array"
+    if len(pts) < 3:
+        return "a closed curve needs at least 3 samples"
+    if not np.all(np.isfinite(pts)):
+        return "samples must be finite"
+    gaps = np.hypot(*(np.roll(pts, -1, axis=0) - pts).T)
+    if np.any(gaps == 0.0):
+        i = int(np.flatnonzero(gaps == 0.0)[0])
+        return f"consecutive samples {i} and {(i + 1) % len(pts)} coincide"
+    if params is not None:
+        t = np.asarray(params, dtype=float)
+        if t.shape != (len(pts),):
+            return "params must match samples in length"
+        if np.any(np.diff(t) <= 0.0):
+            return "params must be strictly ascending"
+        if t[0] < 0.0 or t[-1] >= t[0] + 1.0:
+            return "params must fit in one period [t0, t0+1)"
+    return None
+
+
+def test_closed_curve_rejects_what_the_reference_rejects():
+    sq = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
+    tiny = 5e-324
+    cases = [
+        (np.zeros(6), None), (np.zeros((4, 3)), None), (sq[:2], None),
+        (sq[:3] + [[np.nan, 0.0]], None), (sq[:3] + [[0.0, np.inf]], None),
+        ([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]], None),
+        (sq + [[0.0, 0.0]], None),                        # last meets first
+        (sq[:2] + [[1.0, 0.0]] + sq[2:], None),           # one in the middle
+        ([[0.0, 0.0], [tiny, 0.0], [1.0, 1.0]], None),    # distinct by one subnormal
+        ([[-0.0, 0.0], [0.0, 0.0], [1.0, 1.0]], None),    # signed zeros coincide
+        (sq, [0.0, 0.25, 0.5]), (sq, [0.0, 0.25, 0.25, 0.5]),
+        (sq, [0.0, 0.5, 0.25, 0.75]), (sq, [-0.1, 0.2, 0.3, 0.4]),
+        (sq, [0.0, 0.3, 0.6, 1.0]), (sq, [0.5, 0.9, 1.2, 1.4]),
+        (sq, [0.0, 0.2, np.inf, np.inf]), (sq, [0.0, np.nan, 0.5, 0.7]),
+        (sq, [0.0, 0.2, 0.4, 0.6]), (sq, None),
+    ]
+    for samples, params in cases:
+        with np.errstate(invalid="ignore"):   # inf - inf in the params checks
+            expected = _reference_curve_error(samples, params)
+            if expected is None:
+                ClosedCurve(np.asarray(samples, dtype=float), params=params)
+                continue
+            with pytest.raises(ValueError) as info:
+                ClosedCurve(np.asarray(samples, dtype=float), params=params)
+        assert str(info.value) == expected, (samples, params)
+
+
+def _reference_turning_count(vectors, params, vec_fn, min_norm, too_close_cls,
+                             too_close_msg, budget):
+    """_turning_count as first written: two real arrays, np.insert refinement."""
+    t = np.asarray(params, dtype=float)
+    v = np.asarray(vectors, dtype=float)
+    inserted = 0
+    while True:
+        norms = np.hypot(v[:, 0], v[:, 1])
+        if not norms.max() < np.inf:
+            i = int(np.argmin(np.isfinite(norms)))
+            raise NonFiniteDisplacement(
+                f"non-finite vector ({v[i, 0]}, {v[i, 1]}) at t={t[i] % 1.0:.6f}")
+        if norms.min() <= min_norm:
+            i = int(norms.argmin())
+            raise too_close_cls(
+                f"{too_close_msg}: |v|={norms[i]:.3e} <= {min_norm:.3e} at t={t[i] % 1.0:.6f}")
+        z = v[:, 0] + 1j * v[:, 1]
+        steps = np.angle(np.roll(z, -1) / z)
+        bad = np.flatnonzero(np.abs(steps) >= 0.5 * np.pi)
+        if bad.size == 0:
+            total = steps.sum() / (2.0 * np.pi)
+            nearest = round(total)
+            if abs(total - nearest) > curves._WINDING_RESIDUAL:
+                raise WindingResidualError(
+                    f"turning {total:.6f} not within {curves._WINDING_RESIDUAL} of an integer")
+            return int(nearest)
+        inserted += bad.size
+        if inserted > budget:
+            raise RefinementBudgetExceeded(f"needed more than {budget} refinement points")
+        t_next = np.concatenate([t[1:], t[:1] + 1.0])
+        t_mid = 0.5 * (t[bad] + t_next[bad])
+        v_mid = np.asarray(vec_fn(t_mid), dtype=float).reshape(-1, 2)
+        t = np.insert(t, bad + 1, t_mid)
+        v = np.insert(v, bad + 1, v_mid, axis=0)
+
+
+def _seeded_loop(rng):
+    """A loop t -> sum of a few harmonics, shifted off the origin by a random
+    vector; winding numbers up to 7, some passing close to 0, some NaN."""
+    k = rng.integers(1, 4)
+    freq = rng.integers(-7, 8, size=k)
+    amp = rng.uniform(0.2, 1.5, size=k)
+    phase = rng.uniform(0.0, 2 * np.pi, size=k)
+    shift = rng.uniform(-1.5, 1.5, size=2)
+    nan_at = rng.uniform() if rng.uniform() < 0.1 else None
+
+    def fn(t):
+        t = np.asarray(t, dtype=float)
+        ang = 2 * np.pi * freq * t[:, None] + phase
+        out = np.stack([(amp * np.cos(ang)).sum(axis=1), (amp * np.sin(ang)).sum(axis=1)],
+                       axis=-1) + shift
+        if nan_at is not None:
+            out[np.abs(t - nan_at) < 0.01] = np.nan
+        return out
+
+    n = int(rng.integers(3, 40))
+    t = np.sort(rng.uniform(0.0, 1.0, n))
+    return fn, t
+
+
+def _outcome(kernel, fn, t, min_norm):
+    seen = []
+
+    def counted(tm):
+        seen.append(len(tm))
+        return fn(tm)
+
+    try:
+        result = kernel(fn(t), t, counted, min_norm, DistanceViolation, "too close")
+    except Exception as exc:  # the outcome is compared, type and message
+        result = (type(exc), str(exc))
+    return result, sum(seen)
+
+
+@pytest.mark.parametrize("budget", [curves._REFINEMENT_BUDGET, 12])
+def test_turning_count_matches_reference(monkeypatch, budget):
+    monkeypatch.setattr(curves, "_REFINEMENT_BUDGET", budget)
+    rng = np.random.default_rng(budget)
+    kinds = set()
+    for _ in range(400):
+        fn, t = _seeded_loop(rng)
+        min_norm = float(rng.choice([1e-9, 0.05, 0.3]))
+        got = _outcome(_turning_count, fn, t, min_norm)
+        ref = _outcome(lambda *a: _reference_turning_count(*a, budget), fn, t, min_norm)
+        assert got == ref
+        kinds.add(got[0][0] if isinstance(got[0], tuple) else int)
+        kinds.add("refined" if got[1] else "unrefined")
+    # the seeded loops reach every branch: integers with and without
+    # refinement, too close, non-finite, and (with budget 12) out of budget
+    expected = {int, DistanceViolation, NonFiniteDisplacement, "refined", "unrefined"}
+    if budget == 12:
+        expected.add(RefinementBudgetExceeded)
+    assert expected <= kinds

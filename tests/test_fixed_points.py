@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -142,6 +143,22 @@ def test_first_attempt_is_jittered(monkeypatch):
     assert _contains(regions[0], region)
 
 
+def test_jitter_table_matches_its_generator():
+    # the table holds what np.random.default_rng(attempt) drew for each attempt
+    region = (-1.7, 2.3, -2.1, 1.9)
+    for attempt in range(1, fixed_points._ATTEMPTS + 1):
+        rng = np.random.default_rng(attempt)
+        t = attempt * fixed_points._JITTER_BASE
+        tx, ty = t * (0.2 + 0.6 * rng.random(2))
+        dx, dy = t * (1.1 + 0.5 * rng.random(2))
+        x0, x1, y0, y1 = region
+        expected = (x0 - tx - dx, x1 - tx + dx, y0 - ty - dy, y1 - ty + dy)
+        assert fixed_points._jittered(region, attempt) == expected
+        rng = np.random.default_rng(attempt)
+        multipliers = np.concatenate([0.2 + 0.6 * rng.random(2), 1.1 + 0.5 * rng.random(2)])
+        assert fixed_points._JITTER[attempt - 1] == tuple(multipliers.tolist())
+
+
 def test_continuum_runs_every_attempt(monkeypatch):
     region = (-2, 2, -1, 1)
     regions = _record_attempts(monkeypatch)
@@ -171,6 +188,76 @@ def test_audit_is_independent_of_chunk_size(monkeypatch, F, region):
     assert len(one.discarded) == len(many.discarded) > 0
     assert set(one.discarded) == set(many.discarded)
     assert one.unresolved == many.unresolved == []
+
+
+_REFERENCE_CHILDREN = np.array([[0, 4, 2, 5], [4, 1, 2, 5], [0, 4, 5, 3], [4, 1, 5, 3]])
+
+
+def _reference_isolate_once(F, region, resolution, audit, lift_offset):
+    """_isolate_once as first written: an (N, 4) box stack beside two flag
+    arrays, three concatenates and two repeats a step."""
+    x0, x1, y0, y1 = region
+    boundary = fixed_points.rectangle(x0, x1, y0, y1, per_side=64)
+    bnorm = np.hypot(*fixed_points._displacement(F, boundary.samples).T)
+    if bnorm.min() <= fixed_points._BOUNDARY_MIN_DISP:
+        raise fixed_points._BoundaryHit
+    floor = resolution / 256.0
+    certified = []
+    processed = 0
+    boxes = np.array([region], dtype=float)
+    mop = np.zeros(1, dtype=bool)
+    tested = np.zeros(1, dtype=bool)
+    while len(boxes):
+        if tested[-1]:
+            box, mopping = tuple(boxes[-1].tolist()), mop[-1]
+            boxes, mop, tested = boxes[:-1], mop[:-1], tested[:-1]
+            if mopping:
+                audit.unresolved.append(box)
+                raise fixed_points._BoundaryHit
+            try:
+                deg = fixed_points._boundary_degree(F, box)
+            except (fixed_points.FixedPointOnCurve, fixed_points.DistanceViolation) as exc:
+                raise fixed_points._BoundaryHit from exc
+            if deg != 0:
+                certified.append(CertifiedFixedBox(box, deg, lift_offset))
+                continue
+            if max(box[1] - box[0], box[3] - box[2]) <= floor:
+                audit.unresolved.append(box)
+                raise fixed_points._BoundaryHit
+            cell = np.array(box)
+            kids = np.concatenate([cell, 0.5 * (cell[0::2] + cell[1::2])])[_REFERENCE_CHILDREN]
+            boxes = np.concatenate([boxes, kids])
+            mop = np.concatenate([mop, np.ones(4, dtype=bool)])
+            tested = np.concatenate([tested, np.zeros(4, dtype=bool)])
+            continue
+        flagged = np.flatnonzero(tested[-fixed_points._CHUNK:])
+        start = len(boxes) - min(len(boxes), fixed_points._CHUNK)
+        if len(flagged):
+            start += int(flagged[-1]) + 1
+        chunk, chunk_mop = boxes[start:], mop[start:]
+        processed += len(chunk)
+        if processed > fixed_points._SUBDIVISION_BUDGET:
+            raise BudgetExceeded("budget")
+        margin, sampled_min = fixed_points._exclusion_margins(F, chunk)
+        out = margin > 0
+        audit.boxes_processed += len(chunk)
+        gone = (out & ~chunk_mop)[::-1]
+        audit.discarded.extend(zip(map(tuple, chunk[::-1][gone].tolist()),
+                                   sampled_min[::-1][gone].tolist(),
+                                   margin[::-1][gone].tolist()))
+        keep, keep_mop = chunk[~out], chunk_mop[~out]
+        leaf = (np.maximum(keep[:, 1] - keep[:, 0], keep[:, 3] - keep[:, 2])
+                <= np.where(keep_mop, floor, resolution))
+        mids = 0.5 * (keep[:, 0::2] + keep[:, 1::2])
+        slots = np.concatenate([keep, mids], axis=1)[:, _REFERENCE_CHILDREN]
+        slots[leaf, 0] = keep[leaf]
+        used = np.ones((len(keep), 4), dtype=bool)
+        used[leaf, 1:] = False
+        fanout = used.sum(axis=1)
+        boxes = np.concatenate([boxes[:start], slots[used]])
+        mop = np.concatenate([mop[:start], np.repeat(keep_mop, fanout)])
+        tested = np.concatenate([tested[:start], np.repeat(leaf, fanout)])
+    return sorted(certified, key=lambda c: c.box)
 
 
 def _wobble(p):
@@ -203,6 +290,40 @@ def test_leaf_order_is_independent_of_chunk_size(monkeypatch, F, region):
         seen.append((outcome, curves, audit.unresolved))
         monkeypatch.undo()
     assert all(s == seen[0] for s in seen[1:])
+
+
+@pytest.mark.parametrize("F, region, resolution", [
+    (zoo("power", d=2), (-1.7, 2.3, -2.1, 1.9), 1e-3),
+    (deck_translate(iterate(zoo("power", d=3), 2), 4), (-1.3, 0.9, -0.7, 0.6), 1e-3),
+    (zoo("power", d=2), (-2, 2, -2, 2), 1e-3),       # fixed point on a subdivision line
+    (make_lift(_wobble, 1), (-1.23, 1.91, -1.0, 1.0), 1e-2),
+    (zoo("perturbed_power", d=2, eps=0.05), (-0.77, 0.61, -0.45, 0.52), 1e-3),
+])
+@pytest.mark.parametrize("chunk", [7, fixed_points._CHUNK])
+def test_isolate_once_matches_reference(monkeypatch, F, region, resolution, chunk):
+    # same certified boxes, same boxes tested and discarded in the same order,
+    # same leaves given boundary degrees in the same order, same mop-up
+    monkeypatch.setattr(fixed_points, "_CHUNK", chunk)
+    runs = []
+    for kernel in (fixed_points._isolate_once, _reference_isolate_once):
+        degrees, tested = [], []
+        degree, margins = fixed_points._boundary_degree, fixed_points._exclusion_margins
+        monkeypatch.setattr(fixed_points, "_boundary_degree",
+                            lambda F, box: degrees.append(box) or degree(F, box))
+        monkeypatch.setattr(fixed_points, "_exclusion_margins",
+                            lambda F, boxes: tested.append(np.array(boxes)) or margins(F, boxes))
+        audit = IsolationAudit()
+        try:
+            outcome = kernel(F, region, resolution, audit, 3)
+        except fixed_points._BoundaryHit:
+            outcome = "boundary"
+        monkeypatch.undo()
+        monkeypatch.setattr(fixed_points, "_CHUNK", chunk)
+        runs.append((outcome, degrees, np.concatenate(tested).tobytes(), audit))
+    (got, got_deg, got_tested, got_audit), (ref, ref_deg, ref_tested, ref_audit) = runs
+    assert got == ref and got_deg == ref_deg and got_tested == ref_tested
+    assert got_audit == ref_audit
+    assert got_deg
 
 
 def _scalar_exclusion_margin(F, box):
@@ -604,6 +725,14 @@ def test_end_swap_growth_rate_bound():
 
 
 # -- serialization ------------------------------------------------------------------
+
+def test_census_reports_are_byte_identical():
+    # the census benchmark's digest of the same reports (perfbench census)
+    text = "\n".join(reports_to_json(completeness_check(zoo("power", d=d), 4))
+                     for d in (2, 3, -2))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "14ca1eb2bbd01865e6c8ca81906051b187826c5f2ce668952227f1fb26b34fa2")
+
 
 def test_reports_serialize():
     reports = completeness_check(zoo("power", d=2), 2, resolution=1e-2)

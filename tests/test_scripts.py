@@ -1,6 +1,7 @@
 """Smoke tests of the experiment scripts: each runs to exit 0 and prints its
-final verdict line."""
+final verdict line. The benchmark digest check runs on a made-up tree."""
 
+import json
 import os
 import subprocess
 import sys
@@ -24,3 +25,33 @@ def test_script_runs_to_its_verdict(argv, last_line):
                           capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip().splitlines()[-1] == last_line
+
+
+def _check_digests(root: Path):
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / "check_digests.py"),
+                           "--seed", "1", "--root", str(root)],
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_check_digests_reads_the_newest_bench_file(tmp_path):
+    workloads = ("census", "families", "index")
+    results = tmp_path / "perfbench" / "results"
+    results.mkdir(parents=True)
+
+    def bench(label, digest):
+        doc = {"workloads": {w: {"digests": [digest + w]} for w in workloads}}
+        (tmp_path / f"BENCH_{label}.json").write_text(json.dumps(doc))
+
+    def record(digest):
+        for w in workloads:
+            (results / f"{w}-seed1-trace0.json").write_text(json.dumps({"digest": digest + w}))
+
+    bench(9, "old-")
+    bench(10, "new-")   # newest by number, not by name
+    record("new-")
+    assert _check_digests(tmp_path).returncode == 0
+    record("old-")
+    proc = _check_digests(tmp_path)
+    assert proc.returncode == 1 and "differs from BENCH_10.json" in proc.stdout
+    (results / "index-seed1-trace0.json").unlink()
+    assert _check_digests(tmp_path).returncode == 1
