@@ -292,34 +292,42 @@ def test_leaf_order_is_independent_of_chunk_size(monkeypatch, F, region):
     assert all(s == seen[0] for s in seen[1:])
 
 
+def _ring(p):
+    """Degree 1; fixed on the small closed curve sin(pi x)^2 + y^2 = 4e-6
+    around (0, 0), which one leaf at resolution 3e-2 can hold whole."""
+    p = np.asarray(p, dtype=float)
+    g = np.sin(np.pi * p[..., 0]) ** 2 + p[..., 1] ** 2 - 4e-6
+    return np.stack([p[..., 0] + g, p[..., 1] + g], axis=-1)
+
+
 @pytest.mark.parametrize("F, region, resolution", [
     (zoo("power", d=2), (-1.7, 2.3, -2.1, 1.9), 1e-3),
     (deck_translate(iterate(zoo("power", d=3), 2), 4), (-1.3, 0.9, -0.7, 0.6), 1e-3),
     (zoo("power", d=2), (-2, 2, -2, 2), 1e-3),       # fixed point on a subdivision line
     (make_lift(_wobble, 1), (-1.23, 1.91, -1.0, 1.0), 1e-2),
     (zoo("perturbed_power", d=2, eps=0.05), (-0.77, 0.61, -0.45, 0.52), 1e-3),
+    (make_lift(_ring, 1), (-0.31, 0.29, -0.3, 0.32), 3e-2),   # mop-up fragment survives
 ])
 @pytest.mark.parametrize("chunk", [7, fixed_points._CHUNK])
 def test_isolate_once_matches_reference(monkeypatch, F, region, resolution, chunk):
     # same certified boxes, same boxes tested and discarded in the same order,
     # same leaves given boundary degrees in the same order, same mop-up
     monkeypatch.setattr(fixed_points, "_CHUNK", chunk)
+    degree, margins = fixed_points._boundary_degree, fixed_points._exclusion_margins
+    log = {}
+    monkeypatch.setattr(fixed_points, "_boundary_degree",
+                        lambda F, box: log["degrees"].append(box) or degree(F, box))
+    monkeypatch.setattr(fixed_points, "_exclusion_margins",
+                        lambda F, boxes: log["tested"].append(np.array(boxes)) or margins(F, boxes))
     runs = []
     for kernel in (fixed_points._isolate_once, _reference_isolate_once):
-        degrees, tested = [], []
-        degree, margins = fixed_points._boundary_degree, fixed_points._exclusion_margins
-        monkeypatch.setattr(fixed_points, "_boundary_degree",
-                            lambda F, box: degrees.append(box) or degree(F, box))
-        monkeypatch.setattr(fixed_points, "_exclusion_margins",
-                            lambda F, boxes: tested.append(np.array(boxes)) or margins(F, boxes))
+        log.update(degrees=[], tested=[])
         audit = IsolationAudit()
         try:
             outcome = kernel(F, region, resolution, audit, 3)
         except fixed_points._BoundaryHit:
             outcome = "boundary"
-        monkeypatch.undo()
-        monkeypatch.setattr(fixed_points, "_CHUNK", chunk)
-        runs.append((outcome, degrees, np.concatenate(tested).tobytes(), audit))
+        runs.append((outcome, log["degrees"], np.concatenate(log["tested"]).tobytes(), audit))
     (got, got_deg, got_tested, got_audit), (ref, ref_deg, ref_tested, ref_audit) = runs
     assert got == ref and got_deg == ref_deg and got_tested == ref_tested
     assert got_audit == ref_audit
