@@ -277,10 +277,20 @@ def _perturbed_power(d: int, eps: float) -> LiftMap:
             f"|eps| must stay below 1/(4*pi) ~ {PERTURBATION_MAX:.6f}, got {eps}")
 
     def fn(pts):
+        # (d*x + eps*sin(2pi x)*bump(y), d*y), written into one array
         pts = np.asarray(pts, dtype=float)
         x, y = pts[..., 0], pts[..., 1]
-        return np.stack(
-            [d * x + eps * np.sin(TWO_PI * x) * _smooth_bump(y), d * y], axis=-1)
+        out = np.empty(pts.shape)
+        ox, oy = out[..., 0], out[..., 1]
+        wobble = np.empty(x.shape)   # eps*sin(2pi x)*bump(y), contiguous
+        np.multiply(TWO_PI, x, out=wobble)
+        np.sin(wobble, out=wobble)
+        np.multiply(eps, wobble, out=wobble)
+        np.multiply(wobble, _smooth_bump(y), out=wobble)
+        np.multiply(d, x, out=ox)
+        np.add(ox, wobble, out=ox)
+        np.multiply(d, y, out=oy)
+        return out
 
     return make_lift(fn, d, name=f"perturbed_power({d},{eps})")
 
@@ -292,12 +302,21 @@ def _ends_lift(d: int, lam: float, attracting: bool) -> LiftMap:
     lam = float(lam)
     if not (0.0 < lam <= 1.0):
         raise ParamOutOfRange(f"lambda must lie in (0, 1], got {lam}")
-    sign = 1.0 if attracting else -1.0
+    slope = lam if attracting else -lam
 
     def fn(pts):
+        # (d*x, y + slope*y/(1 + y*y)), written into one array
         pts = np.asarray(pts, dtype=float)
         x, y = pts[..., 0], pts[..., 1]
-        return np.stack([d * x, y + sign * lam * y / (1.0 + y * y)], axis=-1)
+        out = np.empty(pts.shape)
+        ox, oy = out[..., 0], out[..., 1]
+        np.multiply(slope, y, out=ox)     # scratch until d*x
+        np.multiply(y, y, out=oy)
+        np.add(1.0, oy, out=oy)
+        np.divide(ox, oy, out=oy)
+        np.add(y, oy, out=oy)
+        np.multiply(d, x, out=ox)
+        return out
 
     kind = "ends_attracting" if attracting else "ends_repelling"
     return make_lift(fn, d, name=f"{kind}({d},{lam})")
@@ -310,7 +329,11 @@ def _end_swap(d: int) -> LiftMap:
 
     def fn(pts):
         pts = np.asarray(pts, dtype=float)
-        return np.stack([d * pts[..., 0], -pts[..., 1]], axis=-1)
+        # (d*x, -y), written into one array
+        out = np.empty(pts.shape)
+        np.multiply(d, pts[..., 0], out=out[..., 0])
+        np.negative(pts[..., 1], out=out[..., 1])
+        return out
 
     return make_lift(fn, d, name=f"end_swap({d})")
 
@@ -381,26 +404,46 @@ def grid_lift_from_values(values: np.ndarray, degree: int, x0: float,
         raise ValueError("values must have shape (ny >= 2, nx >= 2, 2)")
     degree = int(degree)
     ny, nx, _ = values.shape
+    # one table row per node: row iy, column ix (the wrap column nx
+    # included) at iy*(nx + 1) + ix, so a cell's four corners sit at its
+    # lower left node plus `corners`
     ext = np.concatenate([values, values[:, :1] + np.array([float(degree), 0.0])], axis=1)
+    table = ext.reshape(-1, 2)
+    corners = np.array([0, 1, nx + 1, nx + 2])
     step_x = 1.0 / nx
     step_y = (y1 - y0) / (ny - 1)
+    shift = float(degree)
 
     def fn(pts):
         pts = np.asarray(pts, dtype=float)
-        x = pts[..., 0]
-        y = np.clip(pts[..., 1], y0, y1)
-        k = np.floor(x - x0)
-        gx = (x - x0 - k) / step_x
-        ix = np.clip(np.floor(gx).astype(int), 0, nx - 1)
-        ux = (gx - ix)[..., None]
-        gy = (y - y0) / step_y
-        iy = np.clip(np.floor(gy).astype(int), 0, ny - 2)
-        uy = (gy - iy)[..., None]
-        row0 = (1.0 - ux) * ext[iy, ix] + ux * ext[iy, ix + 1]
-        row1 = (1.0 - ux) * ext[iy + 1, ix] + ux * ext[iy + 1, ix + 1]
-        out = (1.0 - uy) * row0 + uy * row1
-        out[..., 0] += float(degree) * k
-        return out
+        flat = pts.reshape(-1, 2)
+        xr = flat[:, 0] - x0
+        k = np.floor(xr)
+        gx = xr - k
+        gx /= step_x
+        gy = np.clip(flat[:, 1], y0, y1)
+        gy -= y0
+        gy /= step_y
+        # gx and gy are >= 0 or NaN, so truncation floors them; NaN casts to
+        # some integer, which the clamp sends into range
+        ix = gx.astype(np.intp)
+        np.maximum(ix, 0, out=ix)
+        np.minimum(ix, nx - 1, out=ix)
+        iy = gy.astype(np.intp)
+        np.maximum(iy, 0, out=iy)
+        np.minimum(iy, ny - 2, out=iy)
+        ux = (gx - ix)[:, None, None]
+        uy = (gy - iy)[:, None]
+        base = iy * (nx + 1)
+        base += ix
+        # (N, 2, 2, 2): lower and upper row, left and right corner, (fx, fy)
+        c = table.take(base[:, None] + corners, axis=0).reshape(-1, 2, 2, 2)
+        rows = (1.0 - ux) * c[:, :, 0]
+        rows += ux * c[:, :, 1]
+        out = (1.0 - uy) * rows[:, 0]
+        out += uy * rows[:, 1]
+        out[:, 0] += shift * k
+        return out.reshape(pts.shape)
 
     return make_lift(fn, degree, name=name,
                      y_window=tuple(y_window) if y_window else (y0, y1))

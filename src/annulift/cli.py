@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -71,6 +72,17 @@ def _resolve_map(map_id: str, params: dict) -> LiftMap:
         f"{map_id!r} is neither a built-in map nor a tabulated-lift file")
 
 
+def _finite_floats(text: str, count: int, usage: str) -> tuple[float, ...]:
+    """``count`` comma-separated finite reals, else UsageError(usage)."""
+    try:
+        values = tuple(float(v) for v in text.split(","))
+    except ValueError as exc:
+        raise UsageError(usage) from exc
+    if len(values) != count or not all(math.isfinite(v) for v in values):
+        raise UsageError(usage)
+    return values
+
+
 def _parse_curve(spec: str) -> ClosedCurve:
     if spec.startswith("circle:"):
         n = 256
@@ -83,15 +95,12 @@ def _parse_curve(spec: str) -> ClosedCurve:
                 n = int(val)
             else:
                 raise UsageError(f"unknown circle option {key!r}")
-        if r is None or r <= 0:
-            raise UsageError("circle spec needs r=<positive real>")
+        if r is None or not (math.isfinite(r) and r > 0):
+            raise UsageError("circle spec needs r=<finite positive real>")
         return circle(r, n=n)
     if spec.startswith("rect:"):
-        try:
-            x0, x1, y0, y1 = (float(v) for v in spec[len("rect:"):].split(","))
-        except ValueError as exc:
-            raise UsageError("rect spec is rect:<x0,x1,y0,y1>") from exc
-        return rectangle(x0, x1, y0, y1)
+        return rectangle(*_finite_floats(spec[len("rect:"):], 4,
+                                         "rect spec is rect:<x0,x1,y0,y1>, finite reals"))
     path = Path(spec)
     if path.exists():
         return curve_from_json(json.loads(path.read_text(encoding="utf-8")))
@@ -101,11 +110,7 @@ def _parse_curve(spec: str) -> ClosedCurve:
 def _parse_region(raw: str | None):
     if raw is None:
         return None
-    try:
-        x0, x1, y0, y1 = (float(v) for v in raw.split(","))
-    except ValueError as exc:
-        raise UsageError("--region is x0,x1,y0,y1") from exc
-    return (x0, x1, y0, y1)
+    return _finite_floats(raw, 4, "--region is x0,x1,y0,y1, finite reals")
 
 
 def _emit_json(path: str | None, payload: dict) -> None:

@@ -120,7 +120,10 @@ class ClosedCurve:
         px, xs, ys = self._closed
         t0 = px[0]
         tt = t0 + np.mod(t - t0, 1.0)
-        return np.stack([np.interp(tt, px, xs), np.interp(tt, px, ys)], axis=-1)
+        out = np.empty(tt.shape + (2,))
+        out[..., 0] = np.interp(tt, px, xs)
+        out[..., 1] = np.interp(tt, px, ys)
+        return out
 
     @functools.cached_property
     def _closed(self):

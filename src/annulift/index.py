@@ -74,12 +74,13 @@ def _side_samples(rect, per_side: int):
     if not (x1 > x0 and y1 > y0):
         raise ValueError("rectangle needs x1 > x0 and y1 > y0")
     u = np.linspace(0.0, 1.0, per_side)
-    return {
-        "bottom": np.stack([x0 + (x1 - x0) * u, np.full_like(u, y0)], axis=-1),
-        "top": np.stack([x0 + (x1 - x0) * u, np.full_like(u, y1)], axis=-1),
-        "left": np.stack([np.full_like(u, x0), y0 + (y1 - y0) * u], axis=-1),
-        "right": np.stack([np.full_like(u, x1), y0 + (y1 - y0) * u], axis=-1),
-    }
+    # bottom, top, left and right, written into one array
+    out = np.empty((4, per_side, 2))
+    out[:2, :, 0] = x0 + (x1 - x0) * u
+    out[:2, :, 1] = ((y0,), (y1,))
+    out[2:, :, 0] = ((x0,), (x1,))
+    out[2:, :, 1] = y0 + (y1 - y0) * u
+    return dict(zip(("bottom", "top", "left", "right"), out))
 
 
 def saddle_rectangle_index(F, rect, per_side: int = 64, min_disp: float = 1e-6) -> int:

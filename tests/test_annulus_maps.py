@@ -414,3 +414,128 @@ def test_counterexample_table_matches_dense_build(monkeypatch):
     probes = np.concatenate([tabulation_nodes(),
                              rng.uniform((-1.0, -0.8), (2.0, 1.2), (5_000, 2))])
     assert_bitwise_equal(culled(probes), dense(probes))
+
+
+# -- one-array kernels against their np.stack / four-gather references ----------------
+
+def _reference_perturbed_power(pts, d, eps):
+    pts = np.asarray(pts, dtype=float)
+    x, y = pts[..., 0], pts[..., 1]
+    return np.stack(
+        [d * x + eps * np.sin(am.TWO_PI * x) * am._smooth_bump(y), d * y], axis=-1)
+
+
+def _reference_ends(pts, d, lam, attracting):
+    pts = np.asarray(pts, dtype=float)
+    sign = 1.0 if attracting else -1.0
+    x, y = pts[..., 0], pts[..., 1]
+    return np.stack([d * x, y + sign * lam * y / (1.0 + y * y)], axis=-1)
+
+
+def _reference_end_swap(pts, d):
+    pts = np.asarray(pts, dtype=float)
+    return np.stack([d * pts[..., 0], -pts[..., 1]], axis=-1)
+
+
+def _reference_grid_fn(values, degree, x0, y0, y1):
+    ny, nx, _ = values.shape
+    ext = np.concatenate([values, values[:, :1] + np.array([float(degree), 0.0])], axis=1)
+    step_x = 1.0 / nx
+    step_y = (y1 - y0) / (ny - 1)
+
+    def fn(pts):
+        pts = np.asarray(pts, dtype=float)
+        x = pts[..., 0]
+        y = np.clip(pts[..., 1], y0, y1)
+        k = np.floor(x - x0)
+        gx = (x - x0 - k) / step_x
+        ix = np.clip(np.floor(gx).astype(int), 0, nx - 1)
+        ux = (gx - ix)[..., None]
+        gy = (y - y0) / step_y
+        iy = np.clip(np.floor(gy).astype(int), 0, ny - 2)
+        uy = (gy - iy)[..., None]
+        row0 = (1.0 - ux) * ext[iy, ix] + ux * ext[iy, ix + 1]
+        row1 = (1.0 - ux) * ext[iy + 1, ix] + ux * ext[iy + 1, ix + 1]
+        out = (1.0 - uy) * row0 + uy * row1
+        out[..., 0] += float(degree) * k
+        return out
+
+    return fn
+
+
+_SPECIAL = [np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0, -1.0, 1e300, -1e-300, 2.5, -7.25]
+
+
+def _kernel_inputs(nx=16, ny=9, x0=0.0, y0=-1.0, y1=1.0):
+    """Point sets of shape (N, 2), (2,) and (a, b, 2): random points inside and
+    outside the grid's y range and x period, every pair of special values,
+    the grid nodes and the wrap column."""
+    rng = np.random.default_rng(7)
+    rand = np.stack([rng.uniform(-5.0, 5.0, 400), rng.uniform(-4.0, 4.0, 400)], axis=-1)
+    special = np.array([(a, b) for a in _SPECIAL for b in _SPECIAL])
+    gx, gy = np.meshgrid(x0 + np.arange(nx + 1) / nx, np.linspace(y0, y1, ny))
+    nodes = np.stack([gx.ravel(), gy.ravel()], axis=-1)
+    shifted = nodes + np.array([-3.0, 0.0])
+    sets = [rand, special, nodes, shifted, np.concatenate([rand, special, nodes])]
+    sets += [p for p in rand[:3]] + [p for p in special[::17]]
+    sets += [rand[:24].reshape(4, 6, 2), nodes[:2 * (len(nodes) // 2)].reshape(2, -1, 2),
+             np.empty((0, 2)), rand[:6].reshape(3, 2, 2)[:, ::-1]]
+    return sets
+
+
+def _assert_bitwise(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype == np.float64
+    np.testing.assert_array_equal(np.ascontiguousarray(got).view(np.int64),
+                                  np.ascontiguousarray(want).view(np.int64))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("name, params, reference", [
+    ("perturbed_power", {"d": 2, "eps": 0.05}, lambda p: _reference_perturbed_power(p, 2, 0.05)),
+    ("perturbed_power", {"d": -3, "eps": -0.07}, lambda p: _reference_perturbed_power(p, -3, -0.07)),
+    ("ends_attracting", {"d": 2, "lam": 0.7}, lambda p: _reference_ends(p, 2, 0.7, True)),
+    ("ends_repelling", {"d": -2, "lam": 0.55}, lambda p: _reference_ends(p, -2, 0.55, False)),
+    ("end_swap", {"d": -2}, lambda p: _reference_end_swap(p, -2)),
+    ("end_swap", {"d": 3}, lambda p: _reference_end_swap(p, 3)),
+])
+def test_zoo_kernels_match_stacked_reference_bitwise(name, params, reference):
+    F = zoo(name, **params)
+    for pts in _kernel_inputs():
+        _assert_bitwise(F(pts), reference(pts))
+    G, ref2 = iterate(F, 3), lambda p: reference(reference(reference(p)))
+    for pts in _kernel_inputs()[:5]:
+        _assert_bitwise(G(pts), ref2(pts))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("degree, x0, nx, ny, y0, y1", [
+    (2, 0.0, 16, 9, -1.0, 1.0),
+    (-1, 0.3, 5, 2, -0.5, 2.0),
+    (3, -1.7, 2, 7, -2.0, -1.0),
+])
+def test_grid_lift_matches_four_gather_reference_bitwise(degree, x0, nx, ny, y0, y1):
+    rng = np.random.default_rng(degree + nx)
+    values = rng.normal(size=(ny, nx, 2))
+    F = grid_lift_from_values(values, degree, x0, y0, y1)
+    reference = _reference_grid_fn(values, degree, x0, y0, y1)
+    for pts in _kernel_inputs(nx, ny, x0, y0, y1):
+        _assert_bitwise(F(pts), reference(pts))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_counterexample_lift_matches_four_gather_reference_bitwise(monkeypatch):
+    # rebuild the shipped lift, keeping the table it is made from
+    tables = []
+    build = am.grid_lift_from_values
+
+    def keep(values, degree, x0, y0, y1, **kwargs):
+        tables.append((values, degree, x0, y0, y1))
+        return build(values, degree, x0, y0, y1, **kwargs)
+
+    monkeypatch.setattr(am, "grid_lift_from_values", keep)
+    C = counterexample_deg_minus1.__wrapped__()
+    (values, degree, x0, y0, y1), = tables
+    reference = _reference_grid_fn(values, degree, x0, y0, y1)
+    ny, nx, _ = values.shape
+    for pts in _kernel_inputs(nx, ny, x0, y0, y1):
+        _assert_bitwise(C(pts), reference(pts))

@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from annulift.cli import main
 
@@ -241,3 +245,87 @@ def test_malformed_grid_header_is_usage_error(tmp_path, capsys, header, side):
     lines = err.strip().splitlines()
     assert len(lines) == 1 and "Traceback" not in err
     assert json.loads(lines[0])["error"] == "GridFormatError"
+
+
+# -- the error contract under fuzzing ------------------------------------------------
+
+# Finite values stay within |v| <= 1e3: with the coarse --resolution below a
+# region's quadtree then has a few levels at most, whereas a region 1e8 wide
+# and 2 high runs to the subdivision cap, which takes seconds.
+_NUMBER = st.one_of(
+    st.floats(-1e3, 1e3).map(repr),
+    st.integers(-5, 5).map(str),
+    st.sampled_from(["nan", "NaN", "inf", "-inf", "+Infinity", "1e999", "-1e999",
+                     "", " ", "abc", "1e", "--1", "0x10", "1_0", "\u221e"]),
+)
+_JUNK = st.text(st.characters(blacklist_categories=("Nd", "Cs")), max_size=12)
+
+
+def _numbers(min_size=0, max_size=6):
+    return st.lists(_NUMBER, min_size=min_size, max_size=max_size).map(",".join)
+
+
+_CIRCLE_PART = st.one_of(
+    st.tuples(st.just("r"), _NUMBER), st.tuples(st.just("n"), _NUMBER),
+    st.tuples(st.just("n"), st.integers(-3, 300).map(str)),
+    st.tuples(st.sampled_from(["", "x", "R"]), _NUMBER),
+).map("=".join)
+_CURVE_SPEC = st.one_of(
+    st.lists(_CIRCLE_PART, min_size=0, max_size=3).map(lambda ps: "circle:" + ",".join(ps)),
+    _numbers().map(lambda v: "rect:" + v),
+    _numbers(4, 4).map(lambda v: "rect:" + v),
+    _JUNK.map(lambda j: "circle:" + j), _JUNK.map(lambda j: "rect:" + j),
+)
+_REGION = st.one_of(_numbers(), _numbers(4, 4), _JUNK)
+
+
+def _assert_error_contract(argv):
+    """Exit 0, 1 or 2; no exception escapes and no warning is printed; a
+    failure writes exactly one JSON object on stderr. The command runs under
+    numpy's default error state, which ignores underflow."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            np.errstate(divide="warn", over="warn", under="ignore", invalid="warn"), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main(list(argv))
+    err = err.getvalue()
+    assert code in (0, 1, 2)
+    assert not caught, [str(w.message) for w in caught]
+    assert "Traceback" not in err
+    if code != 0:
+        (line,) = err.strip().splitlines()
+        payload = json.loads(line)
+        assert isinstance(payload, dict) and set(payload) == {"error", "message"}
+    return code
+
+
+@given(spec=_CURVE_SPEC)
+def test_curve_specs_keep_the_error_contract(spec):
+    _assert_error_contract(["index", "--map", "power", "--params", '{"d": 2}',
+                                    "--curve", spec])
+
+
+@given(region=_REGION)
+def test_region_strings_keep_the_error_contract(region):
+    _assert_error_contract(["fixed-points", "--map", "power", "--params", '{"d": 2}',
+                                    f"--region={region}", "--resolution", "50"])
+
+
+@pytest.mark.parametrize("argv", [
+    ("index", "--curve", "circle:r=inf"),
+    ("index", "--curve", "circle:r=nan"),
+    ("index", "--curve", "circle:r=1e999"),
+    ("index", "--curve", "rect:0,inf,-1,1"),
+    ("index", "--curve", "rect:-1,1,nan,1"),
+    ("fixed-points", "--region=0,inf,-1,1"),
+    ("fixed-points", "--region=-inf,1,-1,1"),
+    ("fixed-points", "--region=0,1,-1,nan"),
+    ("completeness", "--nmax", "1", "--region=0,1,nan,1"),
+    ("growth", "--nmax", "1", "--region=0,1,-1,inf"),
+])
+def test_non_finite_numbers_are_usage_errors(argv):
+    command, *rest = argv
+    code = _assert_error_contract([command, "--map", "power", "--params",
+                                           '{"d": 2}', *rest])
+    assert code == 2

@@ -1,6 +1,9 @@
 import dataclasses
 import hashlib
+import importlib.util
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -740,6 +743,29 @@ def test_census_reports_are_byte_identical():
                      for d in (2, 3, -2))
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "14ca1eb2bbd01865e6c8ca81906051b187826c5f2ce668952227f1fb26b34fa2")
+
+
+def _benchmark_workloads():
+    """perfbench/workloads.py, imported from its file without changing it."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module   # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("workload, digest", [
+    ("families", "e082bfc09bde4166ece16944ff4a286b18ac5feba32d168fdd1e08f891931b8d"),
+    ("index", "564726befa429e054063cecb1ce9130075000640914c4f2c0d1f1a7432e1a87d"),
+], ids=["families", "index"])
+def test_benchmark_reports_are_byte_identical(workload, digest):
+    # one pass of the benchmark workload; the digests recorded in BENCH_8.json
+    wl = _benchmark_workloads()
+    inputs, setup, run_pass = wl.WORKLOADS[workload]
+    res = wl.PassResult()
+    run_pass(setup(inputs(1)), res)
+    assert res.digest() == digest
 
 
 def test_reports_serialize():

@@ -255,3 +255,60 @@ def test_local_perturbation_stability():
             return out
 
         assert lefschetz_index(perturbed, moved) == base_idx
+
+
+# -- one-array kernels against their np.stack references -------------------------------
+
+def _reference_side_samples(rect, per_side):
+    x0, x1, y0, y1 = map(float, rect)
+    u = np.linspace(0.0, 1.0, per_side)
+    return {
+        "bottom": np.stack([x0 + (x1 - x0) * u, np.full_like(u, y0)], axis=-1),
+        "top": np.stack([x0 + (x1 - x0) * u, np.full_like(u, y1)], axis=-1),
+        "left": np.stack([np.full_like(u, x0), y0 + (y1 - y0) * u], axis=-1),
+        "right": np.stack([np.full_like(u, x1), y0 + (y1 - y0) * u], axis=-1),
+    }
+
+
+def _reference_scaled(pts, sx, sy):
+    pts = np.asarray(pts, dtype=float)
+    return np.stack([sx * pts[..., 0], sy * pts[..., 1]], axis=-1)
+
+
+def _reference_squashed_saddle(t):
+    def f(pts):
+        img = _reference_scaled(pts, 2.0, 0.5)
+        return np.stack([img[..., 0], (1.0 - t) * img[..., 1]], axis=-1)
+    return f
+
+
+def _same_bits(got, want):
+    return (got.shape == want.shape and got.dtype == want.dtype
+            and np.array_equal(got.view(np.int64), want.view(np.int64)))
+
+
+def test_side_samples_match_stacked_reference_bitwise():
+    from annulift.index import _side_samples
+    for rect in ((-1, 1, -1, 1), (0.1, 0.4, -0.3, 0.2), (-0.0, 1e-9, -3.5, 7.25)):
+        for per_side in (2, 5, 64):
+            got = _side_samples(rect, per_side)
+            want = _reference_side_samples(rect, per_side)
+            assert list(got) == list(want)
+            assert all(_same_bits(got[k], want[k]) for k in want), (rect, per_side)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_lemma_suite_maps_match_stacked_reference_bitwise():
+    from annulift.lemma_suite import _crossed, _saddle, _squashed_saddle
+    special = [np.nan, np.inf, -np.inf, 0.0, -0.0, 1.5, -1e300]
+    rng = np.random.default_rng(11)
+    rand = rng.uniform(-3.0, 3.0, size=(60, 2))
+    sets = [rand, np.array([(a, b) for a in special for b in special]), rand[0],
+            rand[:24].reshape(4, 6, 2), rand[:6].reshape(3, 2, 2)[:, ::-1]]
+    maps = [(_saddle, lambda p: _reference_scaled(p, 2.0, 0.5)),
+            (_crossed, lambda p: _reference_scaled(p, -2.0, 0.5))]
+    maps += [(_squashed_saddle(t), _reference_squashed_saddle(t))
+             for t in np.linspace(0.0, 1.0, 20)]
+    for f, ref in maps:
+        for pts in sets:
+            assert _same_bits(f(pts), ref(pts))
