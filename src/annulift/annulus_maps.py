@@ -125,11 +125,26 @@ class GridSpec:
         return np.stack([gx.ravel(), gy.ravel()], axis=-1)
 
 
+def _median(values: np.ndarray) -> float:
+    """np.median of a non-empty 1-D float array, bit for bit, without the
+    numpy.ma import that np.median makes on first use (about 13 ms and 1.3 MB
+    a process). A NaN anywhere gives NaN, and like np.mean's sum, which
+    starts from 0.0, a median of -0.0 gives 0.0."""
+    s = np.sort(values)
+    last = float(s[-1])
+    if last != last:   # NaN sorts last
+        return last
+    k = len(s) // 2
+    if len(s) % 2:
+        return float(s[k]) + 0.0
+    return (float(s[k - 1]) + float(s[k]) + 0.0) / 2
+
+
 def _equivariance_defect(F: LiftMap, grid: GridSpec,
                          require_degree: Optional[int] = None) -> int:
     pts = grid.points()
     diff = F(pts + np.array([1.0, 0.0])) - F(pts)
-    d_est = int(np.round(np.median(diff[:, 0])))
+    d_est = int(np.round(_median(diff[:, 0])))
     defect = np.maximum(np.abs(diff[:, 0] - d_est), np.abs(diff[:, 1]))
     worst = int(np.argmax(defect))
     if defect[worst] > _EQUIVARIANCE_TOL:

@@ -4,13 +4,19 @@ A ClosedCurve is a cyclic sample list; the polyline through the samples is
 the curve every operation acts on. When a continuous parametrization is
 attached, adaptive refinement queries it instead of chord midpoints, so a
 coarsely sampled analytic curve still gets exact integer winding numbers.
+
+Checks on curves hold at sample resolution. A ClosedCurve rejects non-finite
+samples and params. Simplicity means that no two non-adjacent segments of
+the polyline cross or touch, decided with exact orientation signs; the
+orientation of a simple curve is the exact turn at its lexicographically
+smallest sample.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -81,29 +87,31 @@ class ClosedCurve:
     samples: np.ndarray
     params: Optional[np.ndarray] = None
     curve_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    oriented: Optional[bool] = field(default=None, compare=False)
 
     def __post_init__(self):
         pts = np.asarray(self.samples, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 2:
             raise ValueError("samples must be an (n, 2) array")
-        if len(pts) < 3:
+        n = len(pts)
+        if n < 3:
             raise ValueError("a closed curve needs at least 3 samples")
         if not np.isfinite(pts).all():
             raise ValueError("samples must be finite")
-        same = pts == _cyclic_next(pts)
-        coincide = same[:, 0] & same[:, 1]
-        if coincide.any():
-            i = int(coincide.argmax())
-            raise ValueError(f"consecutive samples {i} and {(i + 1) % len(pts)} coincide")
+        z = _as_complex(pts)   # complex == compares both parts, so -0.0 == 0.0
+        same = z[1:] == z[:-1]
+        if same.any() or z[-1] == z[0]:
+            i = int(same.argmax()) if same.any() else n - 1
+            raise ValueError(f"consecutive samples {i} and {(i + 1) % n} coincide")
         object.__setattr__(self, "samples", pts)
         if self.params is None:
-            t = np.arange(len(pts), dtype=float) / len(pts)
+            t = np.arange(n, dtype=float) / n
         else:
             t = np.asarray(self.params, dtype=float)
-            if t.shape != (len(pts),):
+            if t.shape != (n,):
                 raise ValueError("params must match samples in length")
-            if (t[1:] - t[:-1] <= 0.0).any():
+            if not np.isfinite(t).all():
+                raise ValueError("params must be finite")
+            if (t[1:] <= t[:-1]).any():
                 raise ValueError("params must be strictly ascending")
             if t[0] < 0.0 or t[-1] >= t[0] + 1.0:
                 raise ValueError("params must fit in one period [t0, t0+1)")
@@ -137,8 +145,7 @@ class ClosedCurve:
         """Insert samples at the given parameters (refinement never reorders)."""
         extra = np.mod(np.asarray(extra_t, dtype=float), 1.0)
         t = np.unique(np.concatenate([self.params, extra]))
-        return ClosedCurve(self.point_at(t), params=t, curve_fn=self.curve_fn,
-                           oriented=self.oriented)
+        return ClosedCurve(self.point_at(t), params=t, curve_fn=self.curve_fn)
 
     def reversed(self) -> "ClosedCurve":
         c = float(self.params[-1])
@@ -147,8 +154,7 @@ class ClosedCurve:
             fwd = self.curve_fn
             rev_fn = lambda t: fwd(np.mod(c - t, 1.0))  # noqa: E731
         return ClosedCurve(self.samples[::-1], params=c - self.params[::-1],
-                           curve_fn=rev_fn,
-                           oriented=None if self.oriented is None else not self.oriented)
+                           curve_fn=rev_fn)
 
     @property
     def diameter(self) -> float:
@@ -172,17 +178,40 @@ def circle(radius: float, n: int = 256, center=(0.0, 0.0)) -> ClosedCurve:
         y += cy
         return out
 
+    t, unit = _circle_template(n)
+    samples = unit * radius
+    # adding a complex number adds each part on its own, as unit * radius +
+    # (cx, cy) would, but in one contiguous pass instead of a broadcast one
+    z = samples.view(complex)
+    z += complex(cx, cy)
+    return ClosedCurve(samples, params=t, curve_fn=fn)
+
+
+@functools.lru_cache(maxsize=16)
+def _circle_template(n: int):
+    """Read-only params t = i / n and unit samples (cos 2 pi t, sin 2 pi t) of
+    an n-sample circle, computed as circle's fn computes them, so that
+    unit * radius + center is bit for bit fn(t)."""
     t = np.arange(n, dtype=float) / n
-    return ClosedCurve(fn(t), params=t, curve_fn=fn, oriented=True)
+    ang = TWO_PI * t
+    unit = np.empty((len(t), 2))
+    np.cos(ang, out=unit[:, 0])
+    np.sin(ang, out=unit[:, 1])
+    t.flags.writeable = unit.flags.writeable = False
+    return t, unit
 
 
 def rectangle(x0: float, x1: float, y0: float, y1: float, per_side: int = 16) -> ClosedCurve:
     """Counterclockwise rectangle boundary; corners are always samples."""
+    x0, x1, y0, y1 = float(x0), float(x1), float(y0), float(y1)
     if not (x1 > x0 and y1 > y0):
         raise ValueError("rectangle needs x1 > x0 and y1 > y0")
+    if not (math.isfinite(x1 - x0) and math.isfinite(y1 - y0)):
+        # checked in Python floats, so an overflowing span warns nowhere
+        raise ValueError("rectangle side lengths x1 - x0 and y1 - y0 must be finite")
     base, coef = _rectangle_template(max(1, int(per_side)))
     c = np.array([x0, x1, y0, y1], dtype=float)
-    return ClosedCurve(c[base] + (c[1::2] - c[0::2]) * coef, oriented=True)
+    return ClosedCurve(c[base] + (c[1::2] - c[0::2]) * coef)
 
 
 @functools.lru_cache(maxsize=None)
@@ -420,17 +449,21 @@ def interior_point(curve: ClosedCurve) -> np.ndarray:
 
 
 def is_positively_oriented(curve: ClosedCurve) -> bool:
-    """True when the curve winds once counterclockwise around its interior.
+    """True when the curve runs counterclockwise around its interior.
 
     Requires the sampled curve to be simple; polyline_self_intersects checks
     that at sample resolution only, testing the segment pairs whose bounding
     boxes meet, which is near linear in the sample count for smooth curves.
+    The orientation is the exact turn at the lexicographically smallest
+    sample, a convex corner of any simple polygon. A zero turn there means
+    its two segments overlap, and raises NotSimple.
     """
-    if polyline_self_intersects(curve.samples):
+    pts = curve.samples
+    if polyline_self_intersects(pts):
         raise NotSimple("sampled segments cross")
-    p0 = interior_point(curve)
-    clearance = distance_to_polyline(p0, curve.samples)
-    w = winding_number(curve, p0, min_dist=0.5 * clearance)
-    if abs(w) != 1:
-        raise NotSimple(f"winding {w} about an interior point; curve is not simple")
-    return w == 1
+    # complex numbers order by real part, then imaginary part
+    v = int(np.argmin(_as_complex(pts)))
+    turn = _orient_signs(pts[[v - 1]], pts[[v]], pts[[(v + 1) % len(pts)]])[0]
+    if turn == 0:
+        raise NotSimple(f"the segments at sample {v} overlap; curve is not simple")
+    return bool(turn > 0)

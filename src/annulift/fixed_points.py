@@ -48,6 +48,7 @@ import numpy as np
 from .annulus_maps import (
     AnnulusPoint,
     LiftMap,
+    _median,
     annulus_distance,
     deck_translate,
     iterate,
@@ -533,7 +534,7 @@ def diagnose_continuum(F, region, resolution: float) -> bool:
     ang = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
     ring = p + 4.0 * resolution * np.stack([np.cos(ang), np.sin(ang)], axis=-1)
     vals = np.hypot(*_displacement(F, ring).T)
-    return bool(vals.min() < 0.05 * np.median(vals))
+    return bool(vals.min() < 0.05 * _median(vals))
 
 
 def completeness_check(F: LiftMap, n_max: int, region=None, resolution: float = 1e-3

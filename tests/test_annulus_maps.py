@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -539,3 +544,58 @@ def test_counterexample_lift_matches_four_gather_reference_bitwise(monkeypatch):
     ny, nx, _ = values.shape
     for pts in _kernel_inputs(nx, ny, x0, y0, y1):
         _assert_bitwise(C(pts), reference(pts))
+
+
+# -- the median without numpy.ma -----------------------------------------------------
+
+_MEDIAN_SPECIALS = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 2.2e-308,
+                    -1e-310, 1.7e308, -1.7e308, 1e308]
+
+
+@given(st.lists(st.one_of(st.sampled_from(_MEDIAN_SPECIALS),
+                          st.floats(allow_nan=False, allow_infinity=False)),
+                min_size=1, max_size=12))
+def test_median_matches_numpy_bitwise(values):
+    # the only NaN input is np.nan itself, so a NaN result has one bit pattern
+    # unless inf - inf makes a new one, which both compute the same way
+    v = np.array(values, dtype=float)
+    with np.errstate(all="ignore"):
+        expected = np.float64(np.median(v))
+    got = am._median(v)
+    assert isinstance(got, float)
+    assert np.float64(got).tobytes() == expected.tobytes(), (values, got, expected)
+
+
+def test_median_fixed_cases():
+    for values, expected in (([-0.0], 0.0), ([-0.0, -0.0], 0.0), ([3.0, np.nan, 1.0], np.nan),
+                             ([-5e-324, 0.0], -0.0), ([1.7e308, 1.7e308], np.inf),
+                             ([-np.inf, np.inf], np.nan), ([4.0, 1.0, 2.0, 3.0], 2.5)):
+        got = am._median(np.array(values))
+        assert np.float64(got).tobytes() == np.float64(expected).tobytes() or (
+            np.isnan(got) and np.isnan(expected)), (values, got)
+
+
+def test_building_maps_and_sweeping_never_imports_numpy_ma():
+    # np.median imports numpy.ma on first use; every zoo map build and the
+    # continuum diagnosis of completeness_check (end_swap(-2) at period 2)
+    # must not
+    code = (
+        "import sys\n"
+        "from annulift import annulus_maps as am, fixed_points as fp\n"
+        "for name, params in [('power', {'d': 2}), ('perturbed_power', {'d': 2, 'eps': 0.05}),\n"
+        "                     ('ends_attracting', {'d': 2, 'lam': 0.5}),\n"
+        "                     ('ends_repelling', {'d': 3, 'lam': 0.5}),\n"
+        "                     ('end_swap', {'d': -2}), ('counterexample_deg_minus1', {})]:\n"
+        "    am.zoo(name, **params)\n"
+        "reports = fp.completeness_check(am.zoo('end_swap', d=-2), 2)\n"
+        "assert reports[1].continuum_offsets, reports\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

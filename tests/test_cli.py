@@ -329,3 +329,17 @@ def test_non_finite_numbers_are_usage_errors(argv):
     code = _assert_error_contract([command, "--map", "power", "--params",
                                            '{"d": 2}', *rest])
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("fixed-points", "--region=-1.7e308,1.7e308,-1,1", "--resolution", "0.1"),
+    ("fixed-points", "--region=0,1,-1e308,1e308", "--resolution", "0.1"),
+    ("index", "--curve", "rect:-1.7e308,1.7e308,-1,1"),
+])
+def test_region_whose_span_overflows_is_a_quiet_usage_error(argv):
+    # every number is finite, but x1 - x0 (or y1 - y0) overflows; the
+    # rectangle rejects it before any numpy arithmetic can warn
+    command, *rest = argv
+    code = _assert_error_contract([command, "--map", "power", "--params",
+                                           '{"d": 2}', *rest])
+    assert code == 2

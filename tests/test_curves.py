@@ -22,6 +22,7 @@ from annulift.curves import (
 )
 from annulift.errors import (
     DistanceViolation,
+    InteriorPointNotFound,
     NonFiniteDisplacement,
     NotSimple,
     RefinementBudgetExceeded,
@@ -343,7 +344,8 @@ def test_circle_and_point_at_match_reference_bitwise():
 
 
 def _reference_curve_error(samples, params=None):
-    """The message ClosedCurve's checks gave as first written, or None."""
+    """The message ClosedCurve's checks gave as first written, with params
+    also required to be finite, or None."""
     pts = np.asarray(samples, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         return "samples must be an (n, 2) array"
@@ -359,6 +361,8 @@ def _reference_curve_error(samples, params=None):
         t = np.asarray(params, dtype=float)
         if t.shape != (len(pts),):
             return "params must match samples in length"
+        if not np.all(np.isfinite(t)):
+            return "params must be finite"
         if np.any(np.diff(t) <= 0.0):
             return "params must be strictly ascending"
         if t[0] < 0.0 or t[-1] >= t[0] + 1.0:
@@ -384,13 +388,12 @@ def test_closed_curve_rejects_what_the_reference_rejects():
         (sq, [0.0, 0.2, 0.4, 0.6]), (sq, None),
     ]
     for samples, params in cases:
-        with np.errstate(invalid="ignore"):   # inf - inf in the params checks
-            expected = _reference_curve_error(samples, params)
-            if expected is None:
-                ClosedCurve(np.asarray(samples, dtype=float), params=params)
-                continue
-            with pytest.raises(ValueError) as info:
-                ClosedCurve(np.asarray(samples, dtype=float), params=params)
+        expected = _reference_curve_error(samples, params)
+        if expected is None:
+            ClosedCurve(np.asarray(samples, dtype=float), params=params)
+            continue
+        with pytest.raises(ValueError) as info:
+            ClosedCurve(np.asarray(samples, dtype=float), params=params)
         assert str(info.value) == expected, (samples, params)
 
 
@@ -487,3 +490,81 @@ def test_turning_count_matches_reference(monkeypatch, budget):
     if budget == 12:
         expected.add(RefinementBudgetExceeded)
     assert expected <= kinds
+
+
+# -- orientation from one exact corner test ----------------------------------------
+
+def _reference_is_positively_oriented(curve):
+    """is_positively_oriented as first written: wind the curve once around a
+    certified interior point."""
+    if polyline_self_intersects(curve.samples):
+        raise NotSimple("sampled segments cross")
+    p0 = interior_point(curve)
+    clearance = curves.distance_to_polyline(p0, curve.samples)
+    w = winding_number(curve, p0, min_dist=0.5 * clearance)
+    if abs(w) != 1:
+        raise NotSimple(f"winding {w} about an interior point; curve is not simple")
+    return w == 1
+
+
+@st.composite
+def star_polygons(draw):
+    """Simple polygons star-shaped about a random center, about half of them
+    non-convex: increasing angles with a random radius at each vertex. The
+    bounds keep corners blunt enough for the reference's interior point
+    search, which fails on sharp corners."""
+    n = draw(st.integers(min_value=3, max_value=16))
+    jitter = np.array(draw(st.lists(st.floats(0.25, 0.75), min_size=n, max_size=n)))
+    radii = np.array(draw(st.lists(st.floats(1.0, 2.5), min_size=n, max_size=n)))
+    center = np.array(draw(st.tuples(st.floats(-50.0, 50.0), st.floats(-50.0, 50.0))))
+    angles = 2 * np.pi * (np.arange(n) + jitter) / n
+    pts = center + radii[:, None] * np.stack([np.cos(angles), np.sin(angles)], axis=-1)
+    return ClosedCurve(pts)
+
+
+@given(star_polygons())
+def test_orientation_matches_reference_on_star_polygons(curve):
+    for c in (curve, curve.reversed()):
+        assert is_positively_oriented(c) is _reference_is_positively_oriented(c)
+    assert is_positively_oriented(curve) is True
+
+
+def test_spike_at_the_extreme_corner_is_not_simple():
+    # the segments at the leftmost sample run along one ray and overlap;
+    # with three samples no non-adjacent pair exists to catch it
+    spike = ClosedCurve(np.array([[0.0, 0.0], [2.0, 0.0], [1.0, 0.0]]))
+    assert not polyline_self_intersects(spike.samples)
+    for c in (spike, spike.reversed()):
+        with pytest.raises(NotSimple, match="overlap"):
+            is_positively_oriented(c)
+    # with four samples the overlap is a touch between non-adjacent segments
+    with pytest.raises(NotSimple):
+        is_positively_oriented(ClosedCurve(np.array(
+            [[0.0, 0.0], [2.0, 0.0], [3.0, 1.0], [1.0, 0.0]])))
+
+
+def test_thin_sliver_gets_an_orientation():
+    # the corner at the leftmost sample is too sharp for the interior point
+    # search, so the reference cannot answer
+    sliver = ClosedCurve(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 0.01]]))
+    with pytest.raises(InteriorPointNotFound):
+        _reference_is_positively_oriented(sliver)
+    assert is_positively_oriented(sliver) is True
+    assert is_positively_oriented(sliver.reversed()) is False
+
+
+def test_circle_template_is_read_only():
+    t, unit = curves._circle_template(64)
+    for arr in (t, unit):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.5
+    c = circle(2.0, 64)
+    assert c.samples.flags.writeable and not np.shares_memory(c.samples, unit)
+    assert circle(2.0, 64).samples.tobytes() == c.samples.tobytes()
+    # signed zeros and a negative radius: the center is added part by part
+    for radius, center in ((-1.5, (-0.0, -0.0)), (1e-200, (5e-324, -0.0)), (3.0, (1e308, -7.0))):
+        ang = 2.0 * np.pi * t
+        expected = np.stack([center[0] + radius * np.cos(ang),
+                             center[1] + radius * np.sin(ang)], axis=-1)
+        assert circle(radius, 64, center).samples.tobytes() == expected.tobytes()
