@@ -495,8 +495,8 @@ def test_turning_count_matches_reference(monkeypatch, budget):
 # -- orientation from one exact corner test ----------------------------------------
 
 def _reference_is_positively_oriented(curve):
-    """is_positively_oriented as first written: wind the curve once around a
-    certified interior point."""
+    """is_positively_oriented before the exact corner test: wind the curve
+    once around a certified interior point."""
     if polyline_self_intersects(curve.samples):
         raise NotSimple("sampled segments cross")
     p0 = interior_point(curve)
@@ -509,7 +509,7 @@ def _reference_is_positively_oriented(curve):
 
 @st.composite
 def star_polygons(draw):
-    """Simple polygons star-shaped about a random center, about half of them
+    """Simple polygons star-shaped about a random center, most of them
     non-convex: increasing angles with a random radius at each vertex. The
     bounds keep corners blunt enough for the reference's interior point
     search, which fails on sharp corners."""
