@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional
@@ -258,10 +259,10 @@ PERTURBATION_MAX = 1.0 / (4.0 * np.pi)  # keeps the angular coordinate monotone
 
 
 def _int_param(value, name: str) -> int:
-    iv = int(round(float(value)))
-    if iv != float(value):
-        raise ParamOutOfRange(f"{name} must be an integer, got {value!r}")
-    return iv
+    fv = float(value)   # an int too large for a float raises OverflowError
+    if not (math.isfinite(fv) and fv == int(fv)):
+        raise ParamOutOfRange(f"{name} must be a finite integer, got {value!r}")
+    return int(fv)
 
 
 def _power(d: int) -> LiftMap:
@@ -287,7 +288,7 @@ def _perturbed_power(d: int, eps: float) -> LiftMap:
     if d == 0:
         raise ParamOutOfRange("perturbed power map needs d != 0")
     eps = float(eps)
-    if abs(eps) >= PERTURBATION_MAX:
+    if not abs(eps) < PERTURBATION_MAX:   # NaN too
         raise ParamOutOfRange(
             f"|eps| must stay below 1/(4*pi) ~ {PERTURBATION_MAX:.6f}, got {eps}")
 
@@ -398,7 +399,7 @@ def zoo(name: str, **params) -> LiftMap:
         raise UnknownZooEntry(f"unknown map family {name!r}; known: {sorted(builders)}")
     try:
         return builders[name](**params)
-    except TypeError as exc:
+    except (TypeError, OverflowError) as exc:
         raise ParamOutOfRange(f"bad parameters for {name}: {exc}") from exc
 
 

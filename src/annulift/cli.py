@@ -26,7 +26,6 @@ from .annulus_maps import (
     LiftMap,
     deck_translate,
     load_grid_lift,
-    project,
     projected_plane_map,
     zoo,
 )
@@ -38,8 +37,6 @@ from .fixed_points import (
     default_region,
     growth_rate,
     isolate_fixed_points,
-    nielsen_residue,
-    polish_fixed_point,
     region_margin_check,
     reports_to_json,
 )
@@ -153,11 +150,7 @@ def cmd_zoo(args) -> int:
 def cmd_index(args) -> int:
     lift = _resolve_map(args.map, _parse_params(args.params))
     curve = _parse_curve(args.curve)
-    plane_map = projected_plane_map(lift)
-    # an image far out overflows to inf or NaN; lefschetz_index reports that
-    # as NonFiniteDisplacement, which numpy's warnings would only repeat
-    with np.errstate(over="ignore", invalid="ignore"):
-        idx = lefschetz_index(plane_map, curve, min_disp=args.min_disp)
+    idx = lefschetz_index(projected_plane_map(lift), curve, min_disp=args.min_disp)
     print(idx)
     _emit_json(args.json, {"meta": _meta(args, "index"), "index": idx,
                            "degree": lift.degree})
@@ -178,13 +171,12 @@ def cmd_fixed_points(args) -> int:
     boxes = isolate_fixed_points(translate, region, args.resolution,
                                  lift_offset=args.lift_k)
     print(f"{len(boxes)} certified box(es) in region {region}")
+    # a fixed point p of F + (k, 0) has F(p) = p - (k, 0): its residue is
+    # (-k) mod |d - 1|, as completeness_check reads it
+    residue = (-args.lift_k) % abs(lift.degree - 1) if abs(lift.degree) > 1 else ""
     rows = ["n,k,x_lo,x_hi,y_lo,y_hi,degree,residue"]
     out_boxes = []
     for b in boxes:
-        residue = ""
-        if abs(lift.degree) > 1:
-            point = polish_fixed_point(translate, b)
-            residue = nielsen_residue(lift, project(point), 1)
         x0, x1, y0, y1 = b.box
         print(f"  box [{x0:.6g}, {x1:.6g}] x [{y0:.6g}, {y1:.6g}] "
               f"degree {b.boundary_degree} residue {residue}")
@@ -328,7 +320,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        # a map image far out overflows to inf or NaN; the library reports
+        # that as NonFiniteDisplacement, which numpy's warnings would only
+        # repeat
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except (UsageError, UnknownZooEntry, ParamOutOfRange, ValueError) as exc:
         json.dump({"error": type(exc).__name__, "message": str(exc)}, sys.stderr)
         sys.stderr.write("\n")

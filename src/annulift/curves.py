@@ -9,7 +9,7 @@ Checks on curves hold at sample resolution. A ClosedCurve rejects non-finite
 samples and params. Simplicity means that no two non-adjacent segments of
 the polyline cross or touch, decided with exact orientation signs; the
 orientation of a simple curve is the exact turn at its lexicographically
-smallest sample.
+smallest sample, and point_in_polygon decides containment by the same signs.
 """
 
 from __future__ import annotations
@@ -313,8 +313,9 @@ def _orient_signs(a, b, c) -> np.ndarray:
     """Signs (-1, 0 or 1) of twice the signed area of the triangles (a, b, c)
     for (n, 2) point arrays, exact for finite points: a float sign the static
     filter cannot vouch for is recomputed by _exact_orient_sign."""
-    left = (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1])
-    right = (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0])
+    u, v = b - a, c - a
+    left = u[:, 0] * v[:, 1]
+    right = u[:, 1] * v[:, 0]
     det = left - right
     sign = np.sign(det)
     bound = _ORIENT_ERRBOUND * (np.abs(left) + np.abs(right)) + _ORIENT_TINY
@@ -343,6 +344,19 @@ def _collinear_on(a, b, c):
             & (c[..., 0] <= np.maximum(a[..., 0], b[..., 0]))
             & (np.minimum(a[..., 1], b[..., 1]) <= c[..., 1])
             & (c[..., 1] <= np.maximum(a[..., 1], b[..., 1])))
+
+
+def _segments_meet(p1, p2, q1, q2):
+    """Whether the segments (p1[k], p2[k]) and (q1[k], q2[k]) cross or touch,
+    and the exact orientation signs behind the answer as a (4, k) array:
+    the sides of q1 and q2 of line p1 p2, then of p1 and p2 of line q1 q2."""
+    a, b = np.concatenate([p1, p1, q1, q1]), np.concatenate([p2, p2, q2, q2])
+    c = np.concatenate([q1, q2, p1, p2])
+    signs = _orient_signs(a, b, c)
+    touch = ((signs == 0) & _collinear_on(a, b, c)).reshape(4, -1).any(axis=0)
+    signs = signs.reshape(4, -1)
+    proper = (signs[0] * signs[1] < 0) & (signs[2] * signs[3] < 0)
+    return proper | touch, signs
 
 
 def polyline_self_intersects(samples: np.ndarray, closed: bool = True) -> bool:
@@ -379,73 +393,77 @@ def polyline_self_intersects(samples: np.ndarray, closed: bool = True) -> bool:
     i, j = i[keep], j[keep]
     if i.size == 0:
         return False
-    p1, p2 = a[i], b[i]
-    q1, q2 = a[j], b[j]
-    s1 = _orient_signs(p1, p2, q1)
-    s2 = _orient_signs(p1, p2, q2)
-    s3 = _orient_signs(q1, q2, p1)
-    s4 = _orient_signs(q1, q2, p2)
-    proper = (s1 * s2 < 0) & (s3 * s4 < 0)
-    touch = (((s1 == 0) & _collinear_on(p1, p2, q1))
-             | ((s2 == 0) & _collinear_on(p1, p2, q2))
-             | ((s3 == 0) & _collinear_on(q1, q2, p1))
-             | ((s4 == 0) & _collinear_on(q1, q2, p2)))
-    return bool(np.any(proper | touch))
+    return bool(_segments_meet(a[i], b[i], a[j], b[j])[0].any())
 
 
 def point_in_polygon(point, samples: np.ndarray) -> bool:
-    """Even-odd ray parity with a horizontal ray toward +x."""
+    """Even-odd parity of a horizontal ray toward +x, decided exactly: the ray
+    crosses an edge (a, b) that straddles its height when the orientation
+    sign of (a, b, p) is the edge's direction, +1 upward and -1 downward.
+    A point on an edge does not cross it."""
     p = _as_point(point)
-    x0, y0 = samples[:, 0], samples[:, 1]
-    x1, y1 = _cyclic_next(samples).T
-    straddles = (y0 <= p[1]) != (y1 <= p[1])
-    dy = np.where(y1 != y0, y1 - y0, 1.0)
-    x_hit = x0 + (p[1] - y0) * (x1 - x0) / dy
-    return int(np.count_nonzero(straddles & (x_hit > p[0]))) % 2 == 1
+    a = np.asarray(samples, dtype=float)
+    below = a[:, 1] <= p[1]
+    k = (below != _cyclic_next(below)).nonzero()[0]   # edges (a[k], a[k + 1]) that straddle
+    sign = _orient_signs(a[k], a[(k + 1) % len(a)], np.full((len(k), 2), p))
+    return int(np.count_nonzero(sign == np.where(below[k], 1.0, -1.0))) % 2 == 1
+
+
+def _segment_distances(points, a, b) -> np.ndarray:
+    """(n, m) distances from each of the n points to each segment (a[j],
+    b[j]). The nearest segment, argmin along a row, is a float choice; ties
+    go to the lowest j."""
+    ab = b - a
+    denom = np.einsum("ij,ij->i", ab, ab)
+    denom = np.where(denom == 0.0, 1.0, denom)
+    ap = points[:, None, :] - a
+    u = np.clip(np.einsum("nmj,mj->nm", ap, ab) / denom, 0.0, 1.0)
+    foot = a + u[..., None] * ab
+    return np.hypot(foot[..., 0] - points[:, None, 0], foot[..., 1] - points[:, None, 1])
 
 
 def distance_to_polyline(point, samples: np.ndarray, closed: bool = True) -> float:
     """Min distance from a point to a (closed) polyline."""
-    p = _as_point(point)
     a = np.asarray(samples, dtype=float)
     b = _cyclic_next(a) if closed else a[1:]
     if not closed:
         a = a[:-1]
-    ab = b - a
-    denom = np.einsum("ij,ij->i", ab, ab)
-    denom = np.where(denom == 0.0, 1.0, denom)
-    u = np.clip(np.einsum("ij,ij->i", p - a, ab) / denom, 0.0, 1.0)
-    foot = a + u[:, None] * ab
-    return float(np.hypot(*(foot - p).T).min())
+    return float(_segment_distances(_as_point(point)[None], a, b).min())
+
+
+def _extreme_corner(pts: np.ndarray) -> list:
+    """Indices (v - 1, v, v + 1), cyclic, of the lexicographically smallest
+    sample v and its neighbours: v is a convex corner of any simple polygon."""
+    v = int(np.argmin(_as_complex(pts)))   # complex numbers order by real part first
+    return [(v - 1) % len(pts), v, (v + 1) % len(pts)]
 
 
 def interior_point(curve: ClosedCurve) -> np.ndarray:
-    """A certified interior point: step inward along the bisector at the
-    leftmost sample, validated by ray-casting parity and edge clearance."""
+    """A point inside a simple curve, at the convex corner v of _extreme_corner
+    with neighbours a and b (G. H. Meisters, Polygons have ears, 1975): the
+    centroid of triangle (a, v, b) when no other sample lies in it (closed,
+    exact signs), else the midpoint of the internal diagonal from v to the
+    sample in it farthest from line ab (a float choice). The exact
+    point_in_polygon certifies it, or InteriorPointNotFound is raised."""
     pts = curve.samples
-    n = len(pts)
-    v_i = int(np.lexsort((pts[:, 1], pts[:, 0]))[0])
-    v = pts[v_i]
-    prev_pt, next_pt = pts[v_i - 1], pts[(v_i + 1) % n]
-    u1 = prev_pt - v
-    u2 = next_pt - v
-    u1 = u1 / np.hypot(*u1)
-    u2 = u2 / np.hypot(*u2)
-    bis = u1 + u2
-    if np.hypot(*bis) < 1e-12:
-        bis = np.array([-u2[1], u2[0]])
-        if bis[0] < 0:
-            bis = -bis  # interior lies toward +x at the leftmost vertex
-    bis = bis / np.hypot(*bis)
-    base = min(np.hypot(*(prev_pt - v)), np.hypot(*(next_pt - v)))
-    for k in range(60):
-        delta = 0.5 * base / 2.0 ** k
-        cand = v + delta * bis
-        if distance_to_polyline(cand, pts) < 0.1 * delta:
-            continue
-        if point_in_polygon(cand, pts):
-            return cand
-    raise InteriorPointNotFound(f"no certified interior point near sample {v_i}")
+    idx = _extreme_corner(pts)
+    a, v, b = corner = pts[idx]
+    m = len(pts) - 3
+    others = pts[(idx[2] + np.arange(1, m + 1)) % len(pts)]
+    # the turn at v, then the sides (a, v), (v, b) and (b, a) against the others
+    signs = _orient_signs(np.repeat(corner, [1 + m, m, m], axis=0),
+                          np.repeat(corner[[1, 2, 0]], [1 + m, m, m], axis=0),
+                          np.concatenate([b[None], others, others, others]))
+    inside = (signs[1:].reshape(3, m) * signs[0] >= 0).all(axis=0)
+    if inside.any():
+        q = others[inside]
+        height = np.abs((b[0] - a[0]) * (q[:, 1] - a[1]) - (b[1] - a[1]) * (q[:, 0] - a[0]))
+        p = 0.5 * (v + q[height.argmax()])
+    else:
+        p = (a + v + b) / 3.0
+    if not point_in_polygon(p, pts):
+        raise InteriorPointNotFound(f"no certified interior point at sample {idx[1]}")
+    return p
 
 
 def is_positively_oriented(curve: ClosedCurve) -> bool:
@@ -461,9 +479,8 @@ def is_positively_oriented(curve: ClosedCurve) -> bool:
     pts = curve.samples
     if polyline_self_intersects(pts):
         raise NotSimple("sampled segments cross")
-    # complex numbers order by real part, then imaginary part
-    v = int(np.argmin(_as_complex(pts)))
-    turn = _orient_signs(pts[[v - 1]], pts[[v]], pts[[(v + 1) % len(pts)]])[0]
+    idx = _extreme_corner(pts)
+    turn = _orient_signs(*pts[idx, None])[0]
     if turn == 0:
-        raise NotSimple(f"the segments at sample {v} overlap; curve is not simple")
+        raise NotSimple(f"the segments at sample {idx[1]} overlap; curve is not simple")
     return bool(turn > 0)

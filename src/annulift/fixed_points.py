@@ -234,6 +234,8 @@ def _isolate_once(F, region, resolution: float, audit: Optional[IsolationAudit],
     x0, x1, y0, y1 = region
     boundary = rectangle(x0, x1, y0, y1, per_side=64)
     bnorm = np.hypot(*_displacement(F, boundary.samples).T)
+    if not np.isfinite(bnorm).all():
+        raise NonFiniteDisplacement(f"non-finite displacement on the boundary of {region}")
     if bnorm.min() <= _BOUNDARY_MIN_DISP:
         raise _BoundaryHit
     resolution = float(resolution)
@@ -313,11 +315,12 @@ def isolate_fixed_points(F: LiftMap, region, resolution: float, lift_offset: int
     dilated by its own irrational offsets (jitter seeds 1, 2, ...; the
     dilation exceeds the translation, so each contains the original). The
     first attempt that meets no subdivision line returns; when all of them
-    do, BoundaryFixedPoint is raised. The boxes have disjoint interiors, so
-    each certifies its own fixed point. The subdivision budget counts the
-    boxes tested in one attempt; as a chunk is tested ahead of the
-    depth-first order, an attempt that would fail on a boundary hit near
-    the budget can report BudgetExceeded instead.
+    do, BoundaryFixedPoint is raised. A non-finite displacement on an
+    attempt's boundary raises NonFiniteDisplacement. The boxes have disjoint
+    interiors, so each certifies its own fixed point. The subdivision budget
+    counts the boxes tested in one attempt; as a chunk is tested ahead of
+    the depth-first order, an attempt that would fail on a boundary hit
+    near the budget can report BudgetExceeded instead.
     """
     if not resolution > 0:  # NaN too
         raise ValueError("resolution must be positive")

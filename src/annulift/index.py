@@ -15,12 +15,15 @@ import numpy as np
 from .curves import (
     ClosedCurve,
     _as_point,
+    _cyclic_next,
+    _orient_signs,
+    _segment_distances,
+    _segments_meet,
     _turning_count,
     distance_to_polyline,
     interior_point,
     is_positively_oriented,
     point_in_polygon,
-    polyline_self_intersects,
     rectangle,
 )
 from .errors import (
@@ -29,6 +32,7 @@ from .errors import (
     FixedPointOnCurve,
     HomotopyConstructionFailure,
     NotAQuadrilateral,
+    NotSimple,
     ToolkitError,
 )
 
@@ -133,79 +137,57 @@ def saddle_rectangle_index(F, rect, per_side: int = 64, min_disp: float = 1e-6) 
 
 # -- quadrilateral frames -------------------------------------------------------
 
-def _segment_crossing(p1, p2, q1, q2):
-    """Intersection point of two segments, or None (parallel / disjoint)."""
-    r = p2 - p1
-    s = q2 - q1
-    denom = r[0] * s[1] - r[1] * s[0]
-    if denom == 0.0:
-        return None
-    qp = q1 - p1
-    t = (qp[0] * s[1] - qp[1] * s[0]) / denom
-    u = (qp[0] * r[1] - qp[1] * r[0]) / denom
-    if 0.0 <= t <= 1.0 and 0.0 <= u <= 1.0:
-        return p1 + t * r, t, u
-    return None
+def _polyline_crossings(*lines):
+    """Every meeting of two of the open polylines, as arrays (k, l, points,
+    pos_k, pos_l): lines k < l meet at each point, at pos = segment index +
+    fraction along each. All segment pairs are tested in one broadcast, and
+    exactly (curves._segments_meet). Segment s owns [a_s, b_s), a line's last
+    segment also its end, so a shared vertex counts once. Collinear segments
+    that meet raise NotAQuadrilateral. A touch lies at its vertex exactly;
+    only a proper crossing's fractions and point are rounded."""
+    starts = np.concatenate([line[:-1] for line in lines])
+    ends = np.concatenate([line[1:] for line in lines])
+    sizes = [len(line) - 1 for line in lines]
+    owner = np.repeat(np.arange(len(lines)), sizes)
+    seg = np.arange(len(starts)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    last = seg == np.repeat(sizes, sizes) - 1
+    i, j = np.nonzero(owner[:, None] < owner)
+    meet, signs = _segments_meet(starts[i], ends[i], starts[j], ends[j])
+    on = signs == 0   # q1, q2 on the line through p1 p2, then p1, p2 on q1 q2's
+    if (meet & on.all(axis=0)).any():
+        raise NotAQuadrilateral("segments of two frame lines overlap")
+    # a meeting at a segment's end belongs to the line's next segment
+    own = meet & ~(on[3] & ~last[i]) & ~(on[1] & ~last[j])
+    i, j, on = i[own], j[own], on[:, own]
+    p1, p2, q1, q2 = starts[i], ends[i], starts[j], ends[j]
+    r, s, qp = p2 - p1, q2 - q1, q1 - p1
+    denom = r[:, 0] * s[:, 1] - r[:, 1] * s[:, 0]
+    t = np.clip((qp[:, 0] * s[:, 1] - qp[:, 1] * s[:, 0]) / denom, 0.0, 1.0)
+    u = np.clip((qp[:, 0] * r[:, 1] - qp[:, 1] * r[:, 0]) / denom, 0.0, 1.0)
+    points = p1 + t[:, None] * r
+    # a touch is the vertex on the other segment, at fraction 0 or 1
+    for k, vertex, frac, value in ((0, q1, u, 0.0), (1, q2, u, 1.0),
+                                   (2, p1, t, 0.0), (3, p2, t, 1.0)):
+        points[on[k]] = vertex[on[k]]
+        frac[on[k]] = value
+    return owner[i], owner[j], points, seg[i] + t, seg[j] + u
 
 
-def _polyline_crossings(c1: np.ndarray, c2: np.ndarray):
-    """All crossings of two open polylines as (point, pos1, pos2) with
-    pos = segment index + fraction."""
-    hits = []
-    for i in range(len(c1) - 1):
-        for j in range(len(c2) - 1):
-            hit = _segment_crossing(c1[i], c1[i + 1], c2[j], c2[j + 1])
-            if hit is not None:
-                pt, t, u = hit
-                hits.append((pt, i + t, j + u))
-    # dedupe crossings that coincide (shared polyline vertices)
-    unique = []
-    for pt, s1, s2 in hits:
-        if not any(np.hypot(*(pt - q)) < 1e-12 for q, _, _ in unique):
-            unique.append((pt, s1, s2))
-    return unique
+def _sub_arc(poly: np.ndarray, corner: np.ndarray, pos_a: float, pos_b: float) -> np.ndarray:
+    """The corner at position pos_a of an open polyline, followed by the
+    vertices strictly between positions pos_a and pos_b, from a to b."""
+    k = np.arange(len(poly))
+    lo, hi = min(pos_a, pos_b), max(pos_a, pos_b)
+    between = poly[(lo < k) & (k < hi)]
+    return np.concatenate([corner[None], between if pos_a < pos_b else between[::-1]])
 
 
-def _sub_arc(poly: np.ndarray, pos_a: float, pos_b: float) -> np.ndarray:
-    """Piece of an open polyline between two positions (index + fraction)."""
-    if pos_a > pos_b:
-        return _sub_arc(poly, pos_b, pos_a)[::-1]
-    ia, ua = int(np.floor(pos_a)), pos_a - np.floor(pos_a)
-    ib, ub = int(np.floor(pos_b)), pos_b - np.floor(pos_b)
-    start = poly[ia] + ua * (poly[min(ia + 1, len(poly) - 1)] - poly[ia])
-    end = poly[ib] + ub * (poly[min(ib + 1, len(poly) - 1)] - poly[ib])
-    middle = poly[ia + 1:ib + 1]
-    pts = [start] + list(middle) + [end]
-    out = [pts[0]]
-    for p in pts[1:]:
-        if np.hypot(*(p - out[-1])) > 1e-12:
-            out.append(p)
-    return np.asarray(out)
-
-
-def _side_of_line(poly: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Which side of a proper-line polyline each point lies on (+1/-1/0),
-    by the cross product against the nearest segment's direction."""
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    a, b = poly[:-1], poly[1:]
-    ab = b - a
-    ab2 = np.einsum("ij,ij->i", ab, ab)
-    ap = pts[:, None, :] - a[None, :, :]
-    u = np.clip(np.einsum("nmj,mj->nm", ap, ab) / ab2, 0.0, 1.0)
-    foot = a[None] + u[..., None] * ab[None]
-    d = np.hypot(foot[..., 0] - pts[:, None, 0], foot[..., 1] - pts[:, None, 1])
-    j = np.argmin(d, axis=1)
-    seg_dir = ab[j]
-    rel = pts - a[j]
-    cross = seg_dir[:, 0] * rel[:, 1] - seg_dir[:, 1] * rel[:, 0]
-    return np.sign(cross)
-
-
-def _constant_side(poly: np.ndarray, pts: np.ndarray, what: str) -> float:
-    sides = _side_of_line(poly, pts)
-    if np.any(sides == 0.0) or not (np.all(sides > 0) or np.all(sides < 0)):
-        raise ConfigurationViolation(f"{what} does not lie on one side of the frame line")
-    return float(sides[0])
+def _sides(line: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Side (+1, -1, or 0 on it) of a frame line for each point: the exact
+    orientation sign against the nearest of its segments."""
+    a, b = line[:-1], line[1:]
+    j = _segment_distances(pts, a, b).argmin(axis=1)
+    return _orient_signs(a[j], b[j], pts)
 
 
 def quad_configuration_index(F, alpha, beta, gamma, delta, expect: int,
@@ -217,73 +199,71 @@ def quad_configuration_index(F, alpha, beta, gamma, delta, expect: int,
     exactly once. ``expect=-1`` demands the straight layout (images of the
     gamma/delta sides pushed beyond their own line, away from the other),
     ``expect=+1`` the swapped layout (each pushed beyond the *other* line).
-    Side membership is decided at sample resolution.
+    Side membership is decided at sample resolution. Crossings, sides and
+    containment use exact orientation signs; only the choice of the nearest
+    segment for a side and the coordinates of a crossing are floats.
     """
     if expect not in (-1, 1):
         raise ValueError("expect must be -1 or +1")
     alpha, beta = np.asarray(alpha, float), np.asarray(beta, float)
     gamma, delta = np.asarray(gamma, float), np.asarray(delta, float)
 
-    if _polyline_crossings(alpha, beta):
+    k, l, points, pos_k, pos_l = _polyline_crossings(alpha, beta, gamma, delta)
+    pairs = list(zip(k.tolist(), l.tolist()))
+    if (0, 1) in pairs:
         raise NotAQuadrilateral("alpha and beta must be disjoint")
-    if _polyline_crossings(gamma, delta):
+    if (2, 3) in pairs:
         raise NotAQuadrilateral("gamma and delta must be disjoint")
 
-    def single(c1, c2, name):
-        hits = _polyline_crossings(c1, c2)
-        if len(hits) != 1:
-            raise NotAQuadrilateral(f"{name}: expected exactly one crossing, got {len(hits)}")
-        return hits[0]
+    def single(pair, name):
+        at = [n for n, p in enumerate(pairs) if p == pair]
+        if len(at) != 1:
+            raise NotAQuadrilateral(f"{name}: expected exactly one crossing, got {len(at)}")
+        return points[at[0]], pos_k[at[0]], pos_l[at[0]]
 
-    p_ag, a_at_g, g_at_a = single(alpha, gamma, "alpha x gamma")
-    p_ad, a_at_d, d_at_a = single(alpha, delta, "alpha x delta")
-    p_bg, b_at_g, g_at_b = single(beta, gamma, "beta x gamma")
-    p_bd, b_at_d, d_at_b = single(beta, delta, "beta x delta")
+    p_ag, a_at_g, g_at_a = single((0, 2), "alpha x gamma")
+    p_ad, a_at_d, d_at_a = single((0, 3), "alpha x delta")
+    p_bg, b_at_g, g_at_b = single((1, 2), "beta x gamma")
+    p_bd, b_at_d, d_at_b = single((1, 3), "beta x delta")
 
-    arc_a = _sub_arc(alpha, a_at_g, a_at_d)      # alpha side, gamma-end first
-    arc_b = _sub_arc(beta, b_at_d, b_at_g)       # beta side, delta-end first
-    arc_g = _sub_arc(gamma, g_at_b, g_at_a)      # gamma side, beta-end first
-    arc_d = _sub_arc(delta, d_at_a, d_at_b)      # delta side, alpha-end first
-
-    ring = [arc_a, arc_d, arc_b, arc_g]
-    pts = [ring[0][0]]
-    for arc in ring:
-        for p in arc:
-            if np.hypot(*(p - pts[-1])) > 1e-12:
-                pts.append(p)
-    if np.hypot(*(pts[-1] - pts[0])) < 1e-12:
-        pts.pop()
-    boundary = np.asarray(pts)
-    if len(boundary) < 3 or polyline_self_intersects(boundary):
+    # each side runs from its corner to the next side's corner
+    arcs = (_sub_arc(alpha, p_ag, a_at_g, a_at_d),
+            _sub_arc(delta, p_ad, d_at_a, d_at_b),
+            _sub_arc(beta, p_bd, b_at_d, b_at_g),
+            _sub_arc(gamma, p_bg, g_at_b, g_at_a))
+    ring = np.concatenate(arcs)
+    boundary = ring[(ring != _cyclic_next(ring)).any(axis=1)]
+    if len(boundary) < 3:
         raise NotAQuadrilateral("assembled boundary is not a simple closed curve")
     curve = ClosedCurve(boundary)
-    if not is_positively_oriented(curve):
+    try:
+        positive = is_positively_oriented(curve)
+    except NotSimple as exc:
+        raise NotAQuadrilateral("assembled boundary is not a simple closed curve") from exc
+    if not positive:
         curve = curve.reversed()
 
-    # sample-resolution membership checks for the four half-region conditions
-    side_ab = _constant_side(alpha, beta, "beta")       # side of alpha holding beta
-    side_ba = _constant_side(beta, alpha, "alpha")
-    side_gd = _constant_side(gamma, delta, "delta")     # side of gamma holding delta
-    side_dg = _constant_side(delta, gamma, "gamma")
+    img = np.asarray(F(np.concatenate([ring, ring[:1]])), float)
+    ends = np.cumsum([0] + [len(arc) for arc in arcs])
+    img_a, img_d, img_b, img_g = (img[lo:hi + 1] for lo, hi in zip(ends, ends[1:]))
 
-    img_a = np.asarray(F(arc_a), float)
-    img_b = np.asarray(F(arc_b), float)
-    img_g = np.asarray(F(arc_g), float)
-    img_d = np.asarray(F(arc_d), float)
-
-    def require(img, line, want, what):
-        sides = _side_of_line(line, img)
-        if not np.all(sides == want):
-            raise ConfigurationViolation(f"image of {what} is not in the required half region")
-
-    require(img_a, alpha, side_ab, "the alpha side")
-    require(img_b, beta, side_ba, "the beta side")
+    # sample-resolution membership checks for the four half-region conditions:
+    # each frame line is queried once, for the other line of its pair and for
+    # the side images that must lie on (+1) or off (-1) that line's side
     if expect == -1:
-        require(img_g, gamma, -side_gd, "the gamma side")
-        require(img_d, delta, -side_dg, "the delta side")
+        pushed = ((img_g, "the gamma side"), (img_d, "the delta side"))
     else:
-        require(img_d, gamma, -side_gd, "the delta side (swapped layout)")
-        require(img_g, delta, -side_dg, "the gamma side (swapped layout)")
+        pushed = ((img_d, "the delta side (swapped layout)"),
+                  (img_g, "the gamma side (swapped layout)"))
+    checks = ((alpha, beta, 1, img_a, "the alpha side"), (beta, alpha, 1, img_b, "the beta side"),
+              (gamma, delta, -1, *pushed[0]), (delta, gamma, -1, *pushed[1]))
+    sides = [_sides(line, np.concatenate([other, image])) for line, other, _, image, _ in checks]
+    for (_, other, _, _, _), name, s in zip(checks, ("beta", "alpha", "delta", "gamma"), sides):
+        if not (np.all(s[:len(other)] > 0) or np.all(s[:len(other)] < 0)):
+            raise ConfigurationViolation(f"{name} does not lie on one side of the frame line")
+    for (_, other, sense, _, what), s in zip(checks, sides):
+        if not np.all(s[len(other):] == sense * s[0]):
+            raise ConfigurationViolation(f"image of {what} is not in the required half region")
 
     idx = lefschetz_index(F, curve, min_disp=min_disp)
     if idx != expect:

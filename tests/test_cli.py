@@ -1,13 +1,16 @@
 import contextlib
 import io
 import json
+import time
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from annulift.annulus_maps import ZOO_SCHEMAS, deck_translate, project, zoo
 from annulift.cli import main
+from annulift.fixed_points import CertifiedFixedBox, nielsen_residue, polish_fixed_point
 
 
 def run(capsys, *argv):
@@ -343,3 +346,80 @@ def test_region_whose_span_overflows_is_a_quiet_usage_error(argv):
     code = _assert_error_contract([command, "--map", "power", "--params",
                                            '{"d": 2}', *rest])
     assert code == 2
+
+
+# -- map parameters under fuzzing ------------------------------------------------------
+
+# JSON texts of parameter values: numbers a float cannot hold (1e400 parses
+# to inf, a 400-digit integer overflows float()), NaN, and values of the
+# wrong type. Finite numbers stay within 1e3, so an index stays fast.
+_PARAM_VALUE = st.one_of(
+    st.integers(-1000, 1000).map(str),
+    st.floats(-1e3, 1e3).map(repr),
+    st.sampled_from(["1e400", "-1e400", "NaN", "1" + "0" * 400, "-" + "9" * 400,
+                     '"2"', '"abc"', '""', "[2]", "[]", "{}", "null", "true"]),
+)
+
+
+@st.composite
+def _zoo_params(draw):
+    name = draw(st.sampled_from(sorted(ZOO_SCHEMAS)))
+    keys = list(ZOO_SCHEMAS[name]["params"]) + ["x"]
+    chosen = draw(st.lists(st.sampled_from(keys), unique=True, max_size=len(keys)))
+    body = ", ".join(f'"{k}": {draw(_PARAM_VALUE)}' for k in chosen)
+    return name, "{" + body + "}"
+
+
+@given(_zoo_params())
+def test_map_params_keep_the_error_contract(case):
+    name, params = case
+    _assert_error_contract(["index", "--map", name, "--params", params,
+                            "--curve", "circle:r=2"])
+
+
+@pytest.mark.parametrize("name,params", [
+    ("power", '{"d": 1e400}'), ("power", '{"d": -1e400}'), ("power", '{"d": NaN}'),
+    ("power", '{"d": 1' + "0" * 400 + "}"), ("end_swap", '{"d": 1e400}'),
+    ("perturbed_power", '{"d": 2, "eps": NaN}'), ("ends_attracting", '{"d": 2, "lam": 1e400}'),
+], ids=["power-inf", "power-minus-inf", "power-nan", "power-huge-int", "end_swap-inf",
+        "perturbed_power-eps-nan", "ends_attracting-lam-inf"])
+def test_non_finite_map_params_are_usage_errors(name, params):
+    code = _assert_error_contract(["index", "--map", name, "--params", params,
+                                   "--curve", "circle:r=2"])
+    assert code == 2
+
+
+def test_huge_region_overflow_is_one_quiet_error():
+    # 2 * 1e308 overflows on the region's boundary: a typed error at once,
+    # not a warning followed by a subdivision budget run of seconds
+    start = time.perf_counter()
+    code = _assert_error_contract(["fixed-points", "--map", "power", "--params", '{"d": 2}',
+                                   "--region=0,1e308,-1,1", "--resolution", "0.1"])
+    assert code == 1 and time.perf_counter() - start < 1.0
+    # the sweeps record the error per translate in their table and exit 1
+    for command in ("completeness", "growth"):
+        with warnings.catch_warnings(record=True) as caught, \
+                np.errstate(over="warn", invalid="warn"), \
+                contextlib.redirect_stdout(io.StringIO()):
+            warnings.simplefilter("always")
+            code = main([command, "--map", "power", "--params", '{"d": 2}', "--nmax", "2",
+                         "--region=0,1e308,-1,1", "--resolution", "0.1"])
+        assert code == 1 and not caught, [str(w.message) for w in caught]
+
+
+@pytest.mark.parametrize("d,k", [(3, 1), (3, -1), (-2, 1), (-2, 2)])
+def test_fixed_point_residue_is_read_off_the_translate(tmp_path, capsys, d, k):
+    # the printed residue (-k) mod |d - 1| is the one nielsen_residue reads
+    # off the polished point
+    out = tmp_path / "fp.json"
+    x = -k / (d - 1)   # the fixed point of (d x + k, d y)
+    code, _, _ = run(capsys, "fixed-points", "--map", "power", "--params", f'{{"d": {d}}}',
+                     "--lift-k", str(k), f"--region={x - 0.7},{x + 0.6},-1,1",
+                     "--json", str(out))
+    assert code == 0
+    boxes = json.loads(out.read_text())["boxes"]
+    assert len(boxes) == 1
+    lift = zoo("power", d=d)
+    box = CertifiedFixedBox(tuple(boxes[0]["box"]), boxes[0]["boundary_degree"], k)
+    point = polish_fixed_point(deck_translate(lift, k), box)
+    assert boxes[0]["residue"] == nielsen_residue(lift, project(point), 1) == (-k) % abs(d - 1)

@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -494,12 +495,42 @@ def test_turning_count_matches_reference(monkeypatch, budget):
 
 # -- orientation from one exact corner test ----------------------------------------
 
+def _reference_interior_point(curve):
+    """interior_point before the convex-corner construction: step inward
+    along the bisector at the leftmost sample, validated by ray-casting
+    parity and edge clearance."""
+    pts = curve.samples
+    n = len(pts)
+    v_i = int(np.lexsort((pts[:, 1], pts[:, 0]))[0])
+    v = pts[v_i]
+    prev_pt, next_pt = pts[v_i - 1], pts[(v_i + 1) % n]
+    u1 = prev_pt - v
+    u2 = next_pt - v
+    u1 = u1 / np.hypot(*u1)
+    u2 = u2 / np.hypot(*u2)
+    bis = u1 + u2
+    if np.hypot(*bis) < 1e-12:
+        bis = np.array([-u2[1], u2[0]])
+        if bis[0] < 0:
+            bis = -bis  # interior lies toward +x at the leftmost vertex
+    bis = bis / np.hypot(*bis)
+    base = min(np.hypot(*(prev_pt - v)), np.hypot(*(next_pt - v)))
+    for k in range(60):
+        delta = 0.5 * base / 2.0 ** k
+        cand = v + delta * bis
+        if curves.distance_to_polyline(cand, pts) < 0.1 * delta:
+            continue
+        if point_in_polygon(cand, pts):
+            return cand
+    raise InteriorPointNotFound(f"no certified interior point near sample {v_i}")
+
+
 def _reference_is_positively_oriented(curve):
     """is_positively_oriented before the exact corner test: wind the curve
     once around a certified interior point."""
     if polyline_self_intersects(curve.samples):
         raise NotSimple("sampled segments cross")
-    p0 = interior_point(curve)
+    p0 = _reference_interior_point(curve)
     clearance = curves.distance_to_polyline(p0, curve.samples)
     w = winding_number(curve, p0, min_dist=0.5 * clearance)
     if abs(w) != 1:
@@ -568,3 +599,85 @@ def test_circle_template_is_read_only():
         expected = np.stack([center[0] + radius * np.cos(ang),
                              center[1] + radius * np.sin(ang)], axis=-1)
         assert circle(radius, 64, center).samples.tobytes() == expected.tobytes()
+
+
+# -- exact containment and the convex-corner interior point -------------------------
+
+def _fraction_point_in_polygon(point, samples):
+    """Even-odd parity of a horizontal ray toward +x in Fraction arithmetic:
+    an edge straddling the ray's height is crossed when its exact x there
+    lies right of the point. The straddle test is exact in floats already."""
+    x, y = map(Fraction, point)
+    inside = False
+    for (x0, y0), (x1, y1) in zip(samples.tolist(), np.roll(samples, -1, axis=0).tolist()):
+        if (y0 <= y) != (y1 <= y):
+            x0, y0, x1, y1 = map(Fraction, (x0, y0, x1, y1))
+            inside ^= x0 + (y - y0) * (x1 - x0) / (y1 - y0) > x
+    return inside
+
+
+@st.composite
+def _polygon_and_point(draw):
+    """A closed polyline on a small lattice (or with float vertices) and a
+    point that is often a vertex, on an edge or at a vertex's height."""
+    lattice = draw(st.booleans())
+    coord = st.integers(-4, 4).map(float) if lattice else st.floats(-4.0, 4.0)
+    pts = np.array(draw(st.lists(st.tuples(coord, coord), min_size=3, max_size=12)))
+    i = draw(st.integers(0, len(pts) - 1))
+    a, b = pts[i], pts[(i + 1) % len(pts)]
+    w = draw(st.sampled_from([0.0, 0.25, 0.5, 1.0]))
+    point = draw(st.one_of(
+        st.just(tuple(a + w * (b - a))),                           # on an edge or a vertex
+        st.tuples(coord, st.sampled_from(pts[:, 1].tolist())),     # at a vertex's height
+        st.tuples(coord, coord)))
+    return pts, point
+
+
+@given(_polygon_and_point())
+def test_point_in_polygon_matches_fraction_reference(case):
+    pts, point = case
+    assert point_in_polygon(point, pts) == _fraction_point_in_polygon(point, pts)
+
+
+def _seeded_star_polygons(count, seed):
+    """Star-shaped polygons about the origin and their reversals: 3-24
+    vertices, angular jitter in [0.05, 0.95] of a step, radii in [0.3, 3].
+    Their corners can be far sharper than the bisector search allowed."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        n = int(rng.integers(3, 25))
+        ang = 2 * np.pi * (np.arange(n) + rng.uniform(0.05, 0.95, n)) / n
+        r = rng.uniform(0.3, 3.0, n)
+        c = ClosedCurve(np.stack([r * np.cos(ang), r * np.sin(ang)], axis=-1))
+        out += [c, c.reversed()]
+    return out
+
+
+def test_interior_point_on_star_polygons():
+    polygons = _seeded_star_polygons(6000, seed=2024)
+    start = time.process_time()   # CPU time: other processes' load does not count
+    points = [interior_point(c) for c in polygons]   # raises on a failure
+    elapsed = time.process_time() - start
+    assert all(_fraction_point_in_polygon(p, c.samples) for p, c in zip(points, polygons))
+    assert elapsed < 2.0, elapsed
+    # the bisector search fails on some of them
+    assert any(_fails(_reference_interior_point, c) for c in polygons[:400])
+
+
+def _fails(fn, *args):
+    try:
+        fn(*args)
+    except InteriorPointNotFound:
+        return True
+    return False
+
+
+def test_interior_point_takes_a_diagonal_when_the_corner_triangle_holds_a_vertex():
+    # the corner at (0, 0) with neighbours (4, -1) and (4, 1) holds (1, 0),
+    # so the centroid (8/3, 0) is outside; the diagonal to (1, 0) is not
+    dart = ClosedCurve(np.array([[0.0, 0.0], [4.0, -1.0], [1.0, 0.0], [4.0, 1.0]]))
+    for c in (dart, dart.reversed()):
+        assert interior_point(c).tolist() == [0.5, 0.0]
+    tri = ClosedCurve(np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 3.0]]))
+    assert interior_point(tri).tolist() == [1.0, 1.0]

@@ -1,8 +1,12 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from annulift.annulus_maps import projected_plane_map, zoo
 from annulift.curves import ClosedCurve, circle, rectangle
+from annulift.lemma_suite import _saddle
 from annulift.errors import (
     BoundaryConditionViolation,
     ConfigurationViolation,
@@ -11,6 +15,7 @@ from annulift.errors import (
     NotAQuadrilateral,
 )
 from annulift.index import (
+    _polyline_crossings,
     arc_push_family,
     homotopy_index_profile,
     index_jump_experiment,
@@ -312,3 +317,127 @@ def test_lemma_suite_maps_match_stacked_reference_bitwise():
     for f, ref in maps:
         for pts in sets:
             assert _same_bits(f(pts), ref(pts))
+
+
+# -- exact frame crossings ---------------------------------------------------------------
+
+def _fraction_orient(a, b, c):
+    det = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+    return (det > 0) - (det < 0)
+
+
+def _fraction_on(a, b, c):
+    return (min(a[0], b[0]) <= c[0] <= max(a[0], b[0])
+            and min(a[1], b[1]) <= c[1] <= max(a[1], b[1]))
+
+
+def _reference_crossings(lines):
+    """_polyline_crossings in Fraction arithmetic, one segment pair at a time,
+    in the order of the first segment, then the second: (k, l, point, pos_k,
+    pos_l) for each meeting of lines k < l, a meeting at
+    a segment's end owned by the next segment of its line; raises
+    NotAQuadrilateral when collinear segments meet."""
+    lines = [[tuple(map(Fraction, p)) for p in line.tolist()] for line in lines]
+    hits = []
+    for k in range(len(lines)):
+        n = len(lines[k]) - 1
+        for i in range(n):
+            for l in range(k + 1, len(lines)):
+                m = len(lines[l]) - 1
+                for j in range(m):
+                    p1, p2 = lines[k][i], lines[k][i + 1]
+                    q1, q2 = lines[l][j], lines[l][j + 1]
+                    s = [_fraction_orient(p1, p2, q1), _fraction_orient(p1, p2, q2),
+                         _fraction_orient(q1, q2, p1), _fraction_orient(q1, q2, p2)]
+                    on = [s[0] == 0 and _fraction_on(p1, p2, q1),
+                          s[1] == 0 and _fraction_on(p1, p2, q2),
+                          s[2] == 0 and _fraction_on(q1, q2, p1),
+                          s[3] == 0 and _fraction_on(q1, q2, p2)]
+                    if not (any(on) or (s[0] * s[1] < 0 and s[2] * s[3] < 0)):
+                        continue
+                    if s == [0, 0, 0, 0]:
+                        raise NotAQuadrilateral("overlap")
+                    if (s[3] == 0 and i < n - 1) or (s[1] == 0 and j < m - 1):
+                        continue
+                    r = (p2[0] - p1[0], p2[1] - p1[1])
+                    sv = (q2[0] - q1[0], q2[1] - q1[1])
+                    qp = (q1[0] - p1[0], q1[1] - p1[1])
+                    den = r[0] * sv[1] - r[1] * sv[0]
+                    t = (qp[0] * sv[1] - qp[1] * sv[0]) / den
+                    u = (qp[0] * r[1] - qp[1] * r[0]) / den
+                    hits.append((k, l, (p1[0] + t * r[0], p1[1] + t * r[1]), i + t, j + u))
+    return hits
+
+
+@st.composite
+def _frame_line_sets(draw):
+    """Two or three open polylines on a small integer lattice, so that
+    vertices on lines, touches and collinear overlaps are common, or
+    with float vertices."""
+    lattice = draw(st.booleans())
+    coord = st.integers(-3, 3).map(float) if lattice else st.floats(-3.0, 3.0)
+    lines = []
+    for _ in range(draw(st.integers(2, 3))):
+        n = draw(st.integers(2, 5))
+        pts = draw(st.lists(st.tuples(coord, coord), min_size=n, max_size=n))
+        lines.append(np.array(pts, dtype=float))
+    return lines
+
+
+@given(_frame_line_sets())
+def test_polyline_crossings_match_fraction_reference(lines):
+    try:
+        expected = _reference_crossings(lines)
+    except NotAQuadrilateral:
+        with pytest.raises(NotAQuadrilateral, match="overlap"):
+            _polyline_crossings(*lines)
+        return
+    k, l, points, pos_k, pos_l = _polyline_crossings(*lines)
+    assert list(zip(k.tolist(), l.tolist())) == [(a, b) for a, b, _, _, _ in expected]
+    for n, (_, _, point, pk, pl) in enumerate(expected):
+        assert abs(pos_k[n] - float(pk)) <= 1e-9 and abs(pos_l[n] - float(pl)) <= 1e-9
+        if pk.denominator == 1 or pl.denominator == 1:   # a touch: the vertex exactly
+            assert tuple(points[n]) == tuple(map(float, point))
+        else:
+            assert np.hypot(*(points[n] - np.array(point, dtype=float))) <= 1e-9
+
+
+def test_crossings_at_shared_vertices_count_once():
+    # gamma runs through alpha's middle vertex; alpha's vertex is also an
+    # end of gamma's first segment
+    alpha = np.array([[-2.0, 0.0], [0.0, 0.0], [2.0, 0.0]])
+    gamma = np.array([[0.0, -1.0], [0.0, 0.0], [0.0, 1.0]])
+    k, l, points, pos_k, pos_l = _polyline_crossings(alpha, gamma)
+    assert (k.tolist(), l.tolist()) == ([0], [1])
+    assert points.tolist() == [[0.0, 0.0]] and pos_k.tolist() == [1.0] and pos_l.tolist() == [1.0]
+    # a line ending on another counts once; the last segment owns its end
+    k, _, points, pos_k, pos_l = _polyline_crossings(alpha, np.array([[1.0, -1.0], [1.0, 0.0]]))
+    assert points.tolist() == [[1.0, 0.0]] and pos_k.tolist() == [1.5] and pos_l.tolist() == [1.0]
+
+
+@pytest.mark.parametrize("beta", [
+    [[-2.0, 1.0], [2.0, 1.0]],                           # inside alpha
+    [[-3.0, -1.0], [0.0, -1.0], [0.0, 1.0], [3.0, 1.0]],  # runs along alpha's right half
+    [[3.0, 1.0], [5.0, 1.0]],                            # only touches alpha's end
+])
+def test_collinear_alpha_and_beta_are_not_a_quadrilateral(beta):
+    alpha, _, gamma, delta = frame()
+    with pytest.raises(NotAQuadrilateral, match="overlap"):
+        quad_configuration_index(saddle, alpha, np.array(beta), gamma, delta, expect=-1)
+
+
+def test_frames_with_a_vertex_on_gamma():
+    # alpha bends at a vertex that lies on gamma up to a relative 1e-3: the
+    # float crossing parameters of both of alpha's segments can round to
+    # just outside [0, 1], which used to report no crossing at all
+    beta = np.array([[-3.0, -1.0], [3.0, -1.0]])
+    delta = np.array([[1.0, -3.0], [1.0, 3.0]])
+    rng = np.random.default_rng(5)
+    for _ in range(3000):
+        q1 = np.array([-1.0 + rng.uniform(-0.3, 0.3), -3.0])
+        q2 = np.array([-1.0 + rng.uniform(-0.3, 0.3), 3.0])
+        lam = (1.0 - q1[1]) / (q2[1] - q1[1]) * (1.0 + rng.uniform(-1e-3, 1e-3))
+        v = q1 + (q2 - q1) * lam
+        alpha = np.array([(-3.0, 1.0), v, (3.0, 1.0)])
+        gamma = np.array([q1, q2])
+        assert quad_configuration_index(_saddle, alpha, beta, gamma, delta, expect=-1) == -1
