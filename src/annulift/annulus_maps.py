@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional
@@ -478,20 +479,24 @@ def load_grid_lift(path: str | Path) -> LiftMap:
         header = json.loads(path.read_text(encoding="utf-8"))
         degree, nx, ny = (int(header[k]) for k in ("degree", "nx", "ny"))
         x0, y0, y1 = (float(header[k]) for k in ("x0", "y0", "y1"))
+        float(degree)   # the lift shifts by it: OverflowError for a huge int
         if "values" in header:
             values = np.asarray(header["values"], dtype=float)
         else:
             data_path = path.parent / header["values_file"]
             fmt = header.get("format", "csv")
             if fmt == "csv":
-                values = np.loadtxt(data_path, delimiter=",", dtype=float)
+                with warnings.catch_warnings():
+                    # an empty file warns; the size check below reports it
+                    warnings.simplefilter("ignore", UserWarning)
+                    values = np.loadtxt(data_path, delimiter=",", dtype=float)
             elif fmt == "binary":
                 values = np.fromfile(data_path, dtype="<f8")
             else:
                 raise ValueError(f"unknown grid format {fmt!r}")
     except KeyError as exc:
         raise GridFormatError(f"{path.name}: missing header key {exc}") from exc
-    except (OSError, TypeError, ValueError) as exc:
+    except (OSError, TypeError, ValueError, OverflowError) as exc:
         raise GridFormatError(f"{path.name}: {type(exc).__name__}: {exc}") from exc
     if nx < 2 or ny < 2:
         raise GridFormatError(f"{path.name}: need nx, ny >= 2, got nx={nx}, ny={ny}")

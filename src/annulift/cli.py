@@ -34,11 +34,10 @@ from .errors import ParamOutOfRange, ToolkitError, UnknownZooEntry
 from .fixed_points import (
     boxes_to_csv_rows,
     completeness_check,
-    default_region,
     growth_rate,
     isolate_fixed_points,
-    region_margin_check,
     reports_to_json,
+    translate_strip,
 )
 from .index import lefschetz_index
 
@@ -159,16 +158,8 @@ def cmd_index(args) -> int:
 
 def cmd_fixed_points(args) -> int:
     lift = _resolve_map(args.map, _parse_params(args.params))
-    translate = deck_translate(lift, args.lift_k)
-    region = _parse_region(args.region)
-    if region is None:
-        region = default_region(lift, 1)
-        if not region_margin_check(translate, region):
-            raise ToolkitError(
-                f"the default region {region} failed its margin test for the "
-                f"translate by ({args.lift_k}, 0), so it may miss fixed points; "
-                f"pass --region")
-    boxes = isolate_fixed_points(translate, region, args.resolution,
+    region = _parse_region(args.region) or translate_strip(lift, args.lift_k)
+    boxes = isolate_fixed_points(deck_translate(lift, args.lift_k), region, args.resolution,
                                  lift_offset=args.lift_k)
     print(f"{len(boxes)} certified box(es) in region {region}")
     # a fixed point p of F + (k, 0) has F(p) = p - (k, 0): its residue is
@@ -190,17 +181,11 @@ def cmd_fixed_points(args) -> int:
     return 0
 
 
-def _print_completeness_table(reports) -> bool:
-    print(f"{'n':>3} {'modulus':>8} {'residues':>9} {'count':>6} {'continuum':>10} verdict")
-    all_ok = True
-    for r in reports:
-        verdict = "COMPLETE" if r.complete else "INCOMPLETE"
-        if r.errors:
-            verdict += f" ({len(r.errors)} translate error(s))"
-            all_ok = False
-        print(f"{r.period:>3} {r.modulus:>8} {len(r.realized_residues):>9} "
-              f"{r.count_lower_bound:>6} {len(r.continuum_offsets):>10} {verdict}")
-    return all_ok
+def _raise_translate_errors(reports) -> None:
+    """Exit 1 through main's error path, after the table and artifacts."""
+    failed = [f"n={r.period}, k={k}: {m}" for r in reports for k, m in sorted(r.errors.items())]
+    if failed:
+        raise ToolkitError(f"{len(failed)} translate error(s); first at {failed[0]}")
 
 
 def cmd_completeness(args) -> int:
@@ -208,7 +193,13 @@ def cmd_completeness(args) -> int:
     region = _parse_region(args.region)
     reports = completeness_check(lift, args.nmax, region=region,
                                  resolution=args.resolution)
-    clean = _print_completeness_table(reports)
+    print(f"{'n':>3} {'modulus':>8} {'residues':>9} {'count':>6} {'continuum':>10} verdict")
+    for r in reports:
+        verdict = "COMPLETE" if r.complete else "INCOMPLETE"
+        if r.errors:
+            verdict += f" ({len(r.errors)} translate error(s))"
+        print(f"{r.period:>3} {r.modulus:>8} {len(r.realized_residues):>9} "
+              f"{r.count_lower_bound:>6} {len(r.continuum_offsets):>10} {verdict}")
     overall = all(r.complete for r in reports)
     print(f"overall: {'COMPLETE' if overall else 'INCOMPLETE'} up to n={args.nmax}")
     if lift.degree < -1:
@@ -218,7 +209,8 @@ def cmd_completeness(args) -> int:
     _emit_json(args.json, {"meta": _meta(args, "completeness"),
                            "reports": json.loads(reports_to_json(reports))})
     _emit_csv(args.csv, boxes_to_csv_rows(reports))
-    return 0 if clean else 1
+    _raise_translate_errors(reports)
+    return 0
 
 
 def cmd_growth(args) -> int:
@@ -236,8 +228,8 @@ def cmd_growth(args) -> int:
     _emit_json(args.json, {"meta": _meta(args, "growth"),
                            "counts": {str(r.period): r.count_lower_bound for r in reports},
                            "rate": rate, "ln_abs_degree": target})
-    clean = not any(r.errors for r in reports)
-    return 0 if clean else 1
+    _raise_translate_errors(reports)
+    return 0
 
 
 def cmd_lemmas(args) -> int:
@@ -263,6 +255,11 @@ def _add_common(p: argparse.ArgumentParser, with_map=True) -> None:
     p.add_argument("--json", default=None, help="write a JSON artifact here")
 
 
+_SWEEP_REGION_HELP = ("x0,x1,y0,y1: sweep the unit strip [x0, x0 + 1) x [y0, y1], x0 moved "
+                      "a little off fixed points; x1 is not used (default: x0 = -0.5 and "
+                      "the map's y-window)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="annulift",
@@ -286,7 +283,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fixed-points", help="certified fixed boxes of one deck translate")
     _add_common(p)
     p.add_argument("--lift-k", dest="lift_k", type=int, default=0)
-    p.add_argument("--region", default=None, help="x0,x1,y0,y1")
+    p.add_argument("--region", default=None,
+                   help="x0,x1,y0,y1 (default: the unit strip of the y-window, shifted "
+                        "by whole units to where the translate's fixed points lie)")
     p.add_argument("--resolution", type=float, default=1e-3)
     p.add_argument("--csv", default=None)
     p.set_defaults(func=cmd_fixed_points)
@@ -294,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("completeness", help="Nielsen residue census per period")
     _add_common(p)
     p.add_argument("--nmax", type=int, required=True)
-    p.add_argument("--region", default=None)
+    p.add_argument("--region", default=None, help=_SWEEP_REGION_HELP)
     p.add_argument("--resolution", type=float, default=1e-3)
     p.add_argument("--csv", default=None)
     p.set_defaults(func=cmd_completeness)
@@ -302,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("growth", help="periodic-point counts and growth rate")
     _add_common(p)
     p.add_argument("--nmax", type=int, required=True)
-    p.add_argument("--region", default=None)
+    p.add_argument("--region", default=None, help=_SWEEP_REGION_HELP)
     p.add_argument("--resolution", type=float, default=1e-3)
     p.set_defaults(func=cmd_growth)
 

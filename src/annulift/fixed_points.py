@@ -34,6 +34,11 @@ Every attempt subdivides a jittered copy of the caller's region (seeds 1 to
 _ATTEMPTS), never the region as given: symmetric windows put the invariant
 circle y = 0 of the shipped families on the first subdivision line. A
 jittered region contains the original, so no fixed point of it is missed.
+
+A completeness sweep counts each periodic point once, on a unit strip
+[x0, x0 + 1) x [y0, y1] that holds one lift of it (B. Jiang, Lectures on
+Nielsen Fixed Point Theory, 1983), through the translates admitted by an
+enclosure of the x-displacement taken with the same two slope rules.
 """
 
 from __future__ import annotations
@@ -87,6 +92,10 @@ _ATTEMPTS = len(_JITTER)          # jittered attempts before BoundaryFixedPoint
 _BOUNDARY_SAMPLES_PER_SIDE = 16   # rectangle samples for a leaf's boundary degree
 _RESIDUE_DISP_TOL = 1e-7          # NotPeriodic threshold on the projected point
 _RESIDUE_INT_TOL = 1e-5           # near-integer threshold for the translation
+_RANGE_SAMPLES = 4096             # grid samples for a strip's x-displacement enclosure
+# default strip [-1/2, 1/2): centred on the origin, which every shipped family
+# fixes, like the y-window on y = 0; the jitter moves subdivision lines off both
+_STRIP_X0 = -0.5
 
 # boxes per vectorised exclusion call: large enough that numpy overhead is
 # paid once per chunk, small enough that the sample arrays stay a few 100 kB
@@ -482,32 +491,6 @@ def boxes_to_csv_rows(reports) -> list[str]:
     return rows
 
 
-def default_region(F: LiftMap, n_max: int) -> tuple[float, float, float, float]:
-    """Sweep window: wide enough in x for every deck translate's fixed points
-    of the shipped families, y clipped to the map's invariant strip."""
-    span = n_max * abs(F.degree) + 2.0
-    return (-span, span, F.y_window[0], F.y_window[1])
-
-
-def region_margin_check(F, region, samples: int = 64) -> bool:
-    """Heuristic guard that no fixed points were cut off: the displacement is
-    nonvanishing on the region boundary and its x-component keeps a single
-    sign on each vertical edge, with opposite signs on the two edges. Exact
-    for maps whose x-displacement is monotone in x (all shipped families)."""
-    x0, x1, y0, y1 = map(float, region)
-    boundary = rectangle(x0, x1, y0, y1, per_side=samples)
-    if np.hypot(*_displacement(F, boundary.samples).T).min() <= 0.0:
-        return False
-    ys = np.linspace(y0, y1, samples)
-    left = _displacement(F, np.stack([np.full(samples, x0), ys], axis=-1))[:, 0]
-    right = _displacement(F, np.stack([np.full(samples, x1), ys], axis=-1))[:, 0]
-    left_sign = np.sign(left)
-    right_sign = np.sign(right)
-    return bool(np.all(left_sign == left_sign[0]) and left_sign[0] != 0
-                and np.all(right_sign == right_sign[0]) and right_sign[0] != 0
-                and left_sign[0] != right_sign[0])
-
-
 def diagnose_continuum(F, region, resolution: float) -> bool:
     """After isolation fails on boundary hits: does the zero set of F - id
     look one-dimensional? Probes a small circle around a polished zero; a
@@ -540,17 +523,97 @@ def diagnose_continuum(F, region, resolution: float) -> bool:
     return bool(vals.min() < 0.05 * _median(vals))
 
 
+def _x_displacement_range(F, region) -> tuple[float, float]:
+    """Enclosure [lo, hi] of (F - id)_x over the region: its range on a grid
+    of about _RANGE_SAMPLES points, widened by the slope of
+    _exclusion_margins times the grid reach (half a cell's diagonal)."""
+    x0, x1, y0, y1 = map(float, region)
+    # square cells where the aspect allows (inf for a tiny y-span), two ticks an axis
+    aspect = min((x1 - x0) / (y1 - y0), _RANGE_SAMPLES)
+    nx = min(max(2, round(math.sqrt(_RANGE_SAMPLES * aspect))), _RANGE_SAMPLES // 2)
+    xs, ys = np.linspace(x0, x1, nx), np.linspace(y0, y1, _RANGE_SAMPLES // nx)
+    disp = _displacement(F, np.stack(np.meshgrid(xs, ys), axis=-1))[..., 0]
+    if not np.isfinite(disp).all():
+        raise NonFiniteDisplacement(f"non-finite x-displacement in {region}")
+    hx, hy = (x1 - x0) / (nx - 1), (y1 - y0) / (len(ys) - 1)
+    slope = F.lipschitz + 1.0 if F.lipschitz is not None else _EXCLUSION_SAFETY * max(
+        1.0, np.abs(np.diff(disp, axis=1)).max() / hx, np.abs(np.diff(disp, axis=0)).max() / hy)
+    slack = slope * 0.5 * math.hypot(hx, hy)
+    return float(disp.min()) - slack, float(disp.max()) + slack
+
+
+def _seam_start(F_iter: LiftMap, x0: float, y0: float, y1: float,
+                resolution: float) -> float:
+    """x0, moved so that no certified box can meet the seam lines x = x0 and
+    x0 + 1. Such a box is at most ``resolution`` wide, so its point lies in
+    the band [x0 - resolution, x0 + resolution] x [y0, y1], where D_x is -k
+    for its translate k; the band is clear when the enclosure of D_x over it
+    holds no integer, and then so is the band at x0 + 1, where D_x is the
+    same plus d^n - 1. Otherwise x0 moves by what would put the enclosure's
+    middle halfway between integers, were D_x linear, up to _ATTEMPTS times.
+    """
+    for _ in range(_ATTEMPTS):
+        lo, hi = _x_displacement_range(F_iter, (x0 - resolution, x0 + resolution, y0, y1))
+        if math.ceil(lo) > hi or not hi - lo < 1.0:   # clear, or never will be
+            break
+        mid = 0.5 * (lo + hi)
+        x0 += (math.floor(mid) + 0.5 - mid) / (F_iter.degree - 1)
+    return x0
+
+
+def _strip_report(F_iter: LiftMap, period: int, strip, resolution: float) -> NielsenReport:
+    """One period on one strip: each admissible translate isolated on it,
+    the boxes whose centre lies in [x0, x0 + 1) kept, continua counted once
+    per residue. A box that meets a seam line is its translate's error."""
+    modulus = abs(F_iter.degree - 1)
+    x0, x1 = strip[0], strip[0] + 1.0
+    lo, hi = _x_displacement_range(F_iter, strip)
+    if not hi - lo < _SUBDIVISION_BUDGET:   # inf too
+        raise BudgetExceeded(f"about {hi - lo:.3g} admissible translates on {strip}")
+    boxes, residues, errors, continuum = [], [], {}, {}
+    for k in range(math.ceil(-hi), math.floor(-lo) + 1):
+        residue = (-k) % modulus
+        Fk = deck_translate(F_iter, k)
+        try:
+            found = isolate_fixed_points(Fk, strip, resolution, lift_offset=k)
+        except BoundaryFixedPoint as exc:
+            if diagnose_continuum(Fk, strip, resolution):
+                continuum.setdefault(residue, k)
+            else:
+                errors[k] = f"{type(exc).__name__}: {exc}"
+            continue
+        except ToolkitError as exc:
+            errors[k] = f"{type(exc).__name__}: {exc}"
+            continue
+        for b in found:
+            if b.box[0] <= x0 <= b.box[1] or b.box[0] <= x1 <= b.box[1]:
+                errors[k] = f"BoundaryFixedPoint: the box {b.box} meets a seam of the strip"
+            elif x0 <= b.center[0] < x1:
+                boxes.append(b)
+                residues.append(residue)
+    return NielsenReport(period=period, modulus=modulus, fixed_boxes=tuple(boxes),
+                         box_residues=tuple(residues), errors=errors,
+                         continuum_offsets=tuple(continuum.values()))
+
+
 def completeness_check(F: LiftMap, n_max: int, region=None, resolution: float = 1e-3
                        ) -> list[NielsenReport]:
-    """For each period n <= n_max, sweep every deck translate F^n + (k, 0),
-    certify its fixed points, classify them by residue, and report whether
-    all |d^n - 1| residue classes are realized.
+    """For each period n <= n_max, certify the period-n points of one unit
+    strip S = [x0, x0 + 1) x [y0, y1], classify them by Nielsen residue, and
+    report whether all |d^n - 1| residue classes are realized.
 
-    Every fixed point p of F^n + (k, 0) has F^n(p) = p - (k, 0), so its
-    residue is (-k) mod |d^n - 1| for every lift; no point is polished.
-    Isolation failures are recorded per translate in the report instead of
-    aborting the sweep; translates whose fixed set looks one-dimensional are
-    flagged as a single-class continuum and count once.
+    Each period-n point has one lift p in S, fixed by F^n + (k, 0) with
+    k = -D_x(p), D = F^n - id, so its residue is (-k) mod |d^n - 1|. The
+    admissible k are those with -k in the enclosure of D_x over S (a proof
+    under a declared bound, an estimate otherwise); each is isolated on S,
+    and a box is kept when its centre lies in [x0, x0 + 1). That is exact
+    when no box meets a seam line x = x0 or x0 + 1, and _seam_start moves x0
+    before each period so that none can.
+
+    ``region`` supplies x0 and [y0, y1], not x1; the default is _STRIP_X0
+    and the map's y_window. Failures are recorded per translate; a
+    translate whose fixed set looks one-dimensional is a continuum, counted
+    once per residue.
     """
     n_max = int(n_max)
     if n_max < 1:
@@ -558,36 +621,29 @@ def completeness_check(F: LiftMap, n_max: int, region=None, resolution: float = 
     if abs(F.degree) <= 1:
         raise ParamOutOfRange("completeness sweeps need |degree| > 1")
     if region is None:
-        region = default_region(F, n_max)
-        if not region_margin_check(F, region):
-            raise ToolkitError(
-                "the default sweep region failed its margin test for this map; "
-                "pass an explicit region")
-
+        x0, (y0, y1) = _STRIP_X0, F.y_window
+    else:
+        x0, _, y0, y1 = map(float, region)
+    rectangle(x0, x0 + 1.0, y0, y1)   # a ValueError for a bad strip, before any sweep
+    if not resolution > 0:  # NaN too
+        raise ValueError("resolution must be positive")
     reports = []
     for n in range(1, n_max + 1):
-        modulus = abs(F.degree ** n - 1)
         F_iter = iterate(F, n)
-        boxes, residues, errors, continuum = [], [], {}, []
-        for k in range(modulus):
-            Fk = deck_translate(F_iter, k)
-            try:
-                found = isolate_fixed_points(Fk, region, resolution, lift_offset=k)
-            except BoundaryFixedPoint as exc:
-                if diagnose_continuum(Fk, region, resolution):
-                    continuum.append(k)
-                else:
-                    errors[k] = f"{type(exc).__name__}: {exc}"
-            except ToolkitError as exc:
-                errors[k] = f"{type(exc).__name__}: {exc}"
-            else:
-                boxes.extend(found)
-                residues.extend([(-k) % modulus] * len(found))
-        reports.append(NielsenReport(
-            period=n, modulus=modulus, fixed_boxes=tuple(boxes),
-            box_residues=tuple(residues), errors=errors,
-            continuum_offsets=tuple(continuum)))
+        start = _seam_start(F_iter, x0, y0, y1, resolution)
+        reports.append(_strip_report(F_iter, n, (start, start + 1.0, y0, y1), resolution))
     return reports
+
+
+def translate_strip(F: LiftMap, k: int) -> tuple[float, float, float, float]:
+    """Default region of ``annulift fixed-points``: the unit strip
+    [x0 + j, x0 + j + 1) x y_window, x0 = _STRIP_X0, shifted by the whole j
+    that brings -k nearest the middle of the enclosure of (F - id)_x over
+    it, as a unit shift moves that by d - 1 (j = 0 for degree 1)."""
+    y0, y1 = F.y_window
+    lo, hi = _x_displacement_range(F, (_STRIP_X0, _STRIP_X0 + 1.0, y0, y1))
+    j = round((-k - 0.5 * (lo + hi)) / (F.degree - 1)) if F.degree != 1 else 0
+    return (_STRIP_X0 + j, _STRIP_X0 + j + 1.0, y0, y1)
 
 
 def growth_rate(reports) -> float:

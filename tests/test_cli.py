@@ -1,15 +1,19 @@
 import contextlib
 import io
 import json
+import tempfile
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from annulift import fixed_points
 from annulift.annulus_maps import ZOO_SCHEMAS, deck_translate, project, zoo
 from annulift.cli import main
+from annulift.errors import NonFiniteDisplacement
 from annulift.fixed_points import CertifiedFixedBox, nielsen_residue, polish_fixed_point
 
 
@@ -101,19 +105,20 @@ def test_fixed_points_command(tmp_path, capsys):
     assert row[7] == "0"  # residue of the k=1 translate's point
 
 
-def test_fixed_points_default_region_guard(capsys):
-    # the fixed point (-10, 0) of 2p + (10, 0) lies outside the default
-    # region; the command must say so instead of reporting 0 boxes
-    argv = ("fixed-points", "--map", "power", "--params", '{"d": 2}', "--lift-k", "10")
-    code, out, err = run(capsys, *argv)
-    assert code == 1
-    assert "certified box" not in out
-    payload = json.loads(err)
-    assert payload["error"] == "ToolkitError" and "--region" in payload["message"]
-    code, out, _ = run(capsys, *argv, "--region=-12,-8,-2,2")
+def test_fixed_points_default_region_follows_the_translate(tmp_path, capsys):
+    # the fixed point (-10, 0) of 2p + (10, 0) lies ten units left of the
+    # origin; without --region the command sweeps the unit strip there
+    js = tmp_path / "fp.json"
+    code, out, _ = run(capsys, "fixed-points", "--map", "power", "--params", '{"d": 2}',
+                       "--lift-k", "10", "--json", str(js))
     assert code == 0
     assert "1 certified box(es)" in out
     assert "residue 0" in out  # -10 mod |2 - 1|
+    payload = json.loads(js.read_text())
+    x0, x1, y0, y1 = payload["region"]
+    assert x1 - x0 == 1.0 and x0 < -10.0 < x1
+    (box,) = payload["boxes"]
+    assert CertifiedFixedBox(tuple(box["box"]), box["boundary_degree"]).contains((-10.0, 0.0))
 
 
 def test_lemmas_command(capsys):
@@ -396,15 +401,81 @@ def test_huge_region_overflow_is_one_quiet_error():
     code = _assert_error_contract(["fixed-points", "--map", "power", "--params", '{"d": 2}',
                                    "--region=0,1e308,-1,1", "--resolution", "0.1"])
     assert code == 1 and time.perf_counter() - start < 1.0
-    # the sweeps record the error per translate in their table and exit 1
+    # the sweeps take only x0 from the region, so theirs overflows in y;
+    # the strip's x-displacement enclosure is then too wide to sweep
     for command in ("completeness", "growth"):
-        with warnings.catch_warnings(record=True) as caught, \
-                np.errstate(over="warn", invalid="warn"), \
-                contextlib.redirect_stdout(io.StringIO()):
-            warnings.simplefilter("always")
-            code = main([command, "--map", "power", "--params", '{"d": 2}', "--nmax", "2",
-                         "--region=0,1e308,-1,1", "--resolution", "0.1"])
-        assert code == 1 and not caught, [str(w.message) for w in caught]
+        start = time.perf_counter()
+        code = _assert_error_contract([command, "--map", "power", "--params", '{"d": 2}',
+                                       "--nmax", "2", "--region=0,1,0,1e308",
+                                       "--resolution", "0.1"])
+        assert code == 1 and time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("command", ["completeness", "growth"])
+def test_failed_translate_is_one_json_error(monkeypatch, capsys, command):
+    # a translate that fails is recorded in the report; the command still
+    # prints its table, then exits 1 with one JSON object on stderr
+    real = fixed_points.isolate_fixed_points
+
+    def isolate(F, region, resolution, lift_offset=0):
+        if lift_offset == 0:
+            raise NonFiniteDisplacement("injected")
+        return real(F, region, resolution, lift_offset)
+
+    monkeypatch.setattr(fixed_points, "isolate_fixed_points", isolate)
+    code, out, err = run(capsys, command, "--map", "power", "--params", '{"d": 3}',
+                         "--nmax", "1", "--resolution", "0.01")
+    assert code == 1
+    assert "1 translate error(s)" in out if command == "completeness" else "growth rate" in out
+    (line,) = err.strip().splitlines()
+    payload = json.loads(line)
+    assert payload["error"] == "ToolkitError"
+    assert "k=0: NonFiniteDisplacement: injected" in payload["message"]
+
+
+# Header values: valid ones, numbers a float or an int cannot hold, and
+# values of the wrong type; a key is kept, dropped or replaced by one.
+_HEADER_VALUE = st.one_of(
+    st.integers(-3, 6), st.floats(-1e3, 1e3), st.integers(-10 ** 30, 10 ** 30),
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), 1e308, 10 ** 400, None,
+                     True, "2", "", "csv", "binary", [], {}, [2], [[0.0, 0.0]]]),
+)
+_HEADER_KEYS = ("degree", "x0", "nx", "y0", "y1", "ny", "values", "values_file", "format")
+# 4 x 3 node tables of any floats, huge ones included
+_VALUE_TABLE = st.lists(st.lists(st.floats(), min_size=2, max_size=2), min_size=12, max_size=12)
+
+
+@st.composite
+def _grid_headers(draw):
+    header = _grid_header()
+    if draw(st.booleans()):
+        header.pop("values")
+        header.update(values_file=draw(st.sampled_from(["tab.csv", "tab.bin", "nosuch", ""])),
+                      format=draw(st.sampled_from(["csv", "binary", "xml"])))
+    for key in draw(st.lists(st.sampled_from(_HEADER_KEYS), unique=True, max_size=3)):
+        if draw(st.booleans()):
+            header.pop(key, None)
+        else:
+            header[key] = draw(st.one_of(_HEADER_VALUE, _VALUE_TABLE) if key == "values"
+                               else _HEADER_VALUE)
+    if draw(st.integers(0, 9)) == 0:
+        header = draw(st.sampled_from([[], "tab", 2, None, [header]]))
+    return header
+
+
+@given(header=_grid_headers(), side=st.one_of(st.just(b"0,0\n" * 12), st.binary(max_size=200)),
+       command=st.sampled_from([("index", "--curve", "circle:r=2"),
+                                ("fixed-points", "--resolution", "0.5")]))
+def test_grid_headers_keep_the_error_contract(header, side, command):
+    # a malformed header is exit 2 (GridFormatError), a table the lift
+    # rejects is exit 1 with a typed error; never a traceback or a warning.
+    # fixed-points sweeps its default strip, sized from the header's y0, y1
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in ("tab.csv", "tab.bin"):
+            (Path(tmp) / name).write_bytes(side)
+        path = Path(tmp) / "tab.json"
+        path.write_text(json.dumps(header))
+        _assert_error_contract([command[0], "--map", str(path), *command[1:]])
 
 
 @pytest.mark.parametrize("d,k", [(3, 1), (3, -1), (-2, 1), (-2, 2)])

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from annulift import fixed_points
 from annulift.annulus_maps import (
@@ -38,14 +39,13 @@ from annulift.fixed_points import (
     _exclusion_margins,
     boxes_to_csv_rows,
     completeness_check,
-    default_region,
     diagnose_continuum,
     growth_rate,
     isolate_fixed_points,
     nielsen_residue,
     polish_fixed_point,
-    region_margin_check,
     reports_to_json,
+    translate_strip,
 )
 
 
@@ -90,7 +90,7 @@ def test_budget_is_per_attempt_with_or_without_audit(monkeypatch):
     # the second certifies after 233: a cap of 302 holds for each attempt,
     # and an audit that sums the boxes over both attempts does not trip it
     F = deck_translate(iterate(zoo("power", d=3), 3), 8)
-    region = default_region(zoo("power", d=3), 4)
+    region = (-14.0, 14.0, -2.0, 2.0)
     monkeypatch.setattr(fixed_points, "_SUBDIVISION_BUDGET", 302)
     audit = IsolationAudit()
     boxes = isolate_fixed_points(F, region, 1e-3, audit=audit)
@@ -116,7 +116,7 @@ def test_no_box_is_tested_twice_in_an_attempt(monkeypatch):
     monkeypatch.setattr(fixed_points, "_isolate_once", once)
     monkeypatch.setattr(fixed_points, "_exclusion_margins", margins)
     F = deck_translate(iterate(zoo("power", d=2), 2), 1)
-    assert len(isolate_fixed_points(F, default_region(zoo("power", d=2), 2), 1e-3)) == 1
+    assert len(isolate_fixed_points(F, (-6.0, 6.0, -2.0, 2.0), 1e-3)) == 1
     assert len(tested) == 2
     for boxes in tested:
         assert len(set(boxes)) == len(boxes)
@@ -497,25 +497,97 @@ def test_continuum_detected_for_end_swap_square():
     assert not diagnose_continuum(zoo("power", d=2), region, 1e-2)
 
 
-def test_region_margin_check():
-    F = zoo("power", d=2)
-    assert region_margin_check(F, default_region(F, 2))
-    assert not region_margin_check(F, (1.0, 2.0, -1.0, 1.0))  # fixed point cut off
+def _census(reports):
+    """What a sweep claims, without box geometry: per period the count, the
+    multiset of box residues, the realized residues, the continuum residues
+    and the translate errors."""
+    return [(r.count_lower_bound, sorted(r.box_residues), sorted(r.realized_residues),
+             sorted((-k) % r.modulus for k in r.continuum_offsets), sorted(r.errors))
+            for r in reports]
 
 
-def test_default_region_margin_guard_and_error_recording():
-    # x-displacement with a strong y shear changes sign along the vertical
-    # edges, so the default region cannot promise to contain all fixed points
+@pytest.mark.parametrize("name, params, n_max", [
+    ("power", {"d": 2}, 3), ("power", {"d": 3}, 3), ("power", {"d": -2}, 3),
+    ("end_swap", {"d": -2}, 2), ("ends_repelling", {"d": -2, "lam": 1.0}, 2),
+], ids=["power2", "power3", "power-2", "end_swap", "ends_repelling"])
+def test_sweep_does_not_depend_on_the_strip(name, params, n_max):
+    # a period-n point has one lift in every unit strip, so strips at x0,
+    # x0 + 1 and x0 + 0.37 make the same claims
+    F = zoo(name, **params)
+    claims = [_census(completeness_check(F, n_max, region=(x0, x0 + 1.0, -2.0, 2.0)))
+              for x0 in (0.1, 1.1, 0.47)]
+    assert claims[0] == claims[1] == claims[2]
+    assert all(r.complete and not r.errors
+               for r in completeness_check(F, n_max, region=(0.1, 1.1, -2.0, 2.0)))
+
+
+def test_sweep_records_a_failed_translate():
+    # this sheared displacement field is too badly conditioned for the
+    # sampled exclusion bound near its zero on the default strip; the
+    # failure is recorded per translate instead of aborting the sweep
     shear = make_lift(lambda p: np.stack(
         [2 * p[..., 0] + 10 * p[..., 1], 2 * p[..., 1]], axis=-1), 2)
-    with pytest.raises(ToolkitError):
-        completeness_check(shear, 1, resolution=1e-2)
-    # with an explicit region the sweep runs; this displacement field is too
-    # badly conditioned for the sampled exclusion bound near its zero, and
-    # the failure must be recorded per translate instead of aborting
-    reports = completeness_check(shear, 1, region=(-12, 12, -2, 2), resolution=1e-2)
-    assert 0 in reports[0].errors
-    assert not reports[0].complete
+    (report,) = completeness_check(shear, 1, resolution=1e-2)
+    assert 0 in report.errors
+    assert not report.complete
+
+
+_SEAM_FRACTIONS = st.tuples(st.integers(-40, 40), st.sampled_from([1, 2, 3, 7, 8, 9, 26]))
+
+
+@given(d=st.sampled_from([2, 3, -2]), n_max=st.integers(1, 3),
+       x0=st.one_of(st.floats(-3.0, 3.0), _SEAM_FRACTIONS.map(lambda f: f[0] / f[1])))
+def test_each_residue_is_owned_once_on_any_strip(d, n_max, x0):
+    # the fixed points of power(d)^n sit at x = j / (d^n - 1), so a strip
+    # that starts at such a fraction puts a fixed point on its seam: its
+    # box goes to one side only, proved by exclusion or after a shift
+    for r in completeness_check(zoo("power", d=d), n_max, region=(x0, x0 + 1.0, -1.0, 1.0),
+                                resolution=1e-2):
+        assert r.count_lower_bound == r.modulus == abs(d ** r.period - 1)
+        assert sorted(r.box_residues) == list(range(r.modulus))
+        assert not r.errors and not r.continuum_offsets
+
+
+def test_continuum_counts_once_per_residue(monkeypatch):
+    # on the strip [0, 1) both k and k - 3 are admissible translates of
+    # end_swap(-2)^2 for one residue: its vertical lines x = 0 and x = 1
+    # are one circle of the annulus. (A sweep would move the seam off
+    # them; the strip is swept as given here.)
+    translates = []
+    real = fixed_points.isolate_fixed_points
+    monkeypatch.setattr(fixed_points, "isolate_fixed_points",
+                        lambda F, region, res, lift_offset=0:
+                        translates.append(lift_offset) or real(F, region, res, lift_offset))
+    report = fixed_points._strip_report(iterate(zoo("end_swap", d=-2), 2), 2,
+                                        (0.0, 1.0, -2.0, 2.0), 1e-3)
+    assert {(-k) % 3 for k in translates} == {0, 1, 2} and len(translates) > 3
+    assert sorted((-k) % 3 for k in report.continuum_offsets) == [0, 1, 2]
+    assert report.count_lower_bound == 3 and report.complete and not report.errors
+
+
+def test_seam_moves_off_a_fixed_point(monkeypatch):
+    # power(3) fixes x = 1/2, where the strip [-1/2, 1/2) has its seams: the
+    # sweep moves x0 halfway to the next fixed point (D_x = 2x, so by 1/4)
+    strips = []
+    real = fixed_points._strip_report
+    monkeypatch.setattr(fixed_points, "_strip_report", lambda F, n, strip, res:
+                        strips.append(strip) or real(F, n, strip, res))
+    (report,) = completeness_check(zoo("power", d=3), 1, region=(-0.5, 0.5, -2.0, 2.0))
+    assert strips == [(-0.25, 0.75, -2.0, 2.0)]
+    assert sorted(report.box_residues) == [0, 1] and not report.errors
+    monkeypatch.undo()
+    # swept as given, the boxes of the point on both seams are errors: the
+    # strip cannot tell which lift is its own
+    report = fixed_points._strip_report(zoo("power", d=3), 1, (-0.5, 0.5, -2.0, 2.0), 1e-3)
+    assert report.box_residues == (0,) and sorted(report.errors) == [-1, 1]
+    assert all("meets a seam" in msg for msg in report.errors.values())
+
+
+def test_translate_strip_holds_the_translates_fixed_point():
+    # power(d) + (k, 0) fixes (-k / (d - 1), 0); -5/2 is where two strips meet
+    for d, k in ((2, 10), (2, -7), (3, 4), (-2, 4), (3, 5)):
+        x0, x1, y0, y1 = translate_strip(zoo("power", d=d), k)
+        assert x0 <= -k / (d - 1) <= x1 and x1 - x0 == 1.0 and (y0, y1) == (-2.0, 2.0)
 
 
 # -- residues ------------------------------------------------------------------
@@ -629,7 +701,8 @@ def test_completeness_rejects_low_degree():
 def test_end_swap_even_period_reports_continuum():
     reports = completeness_check(zoo("end_swap", d=-2), 2, resolution=1e-3)
     n2 = reports[1]
-    assert n2.continuum_offsets == (0, 1, 2)
+    # one continuum per residue class; the translates are those the strip admits
+    assert sorted((-k) % 3 for k in n2.continuum_offsets) == [0, 1, 2]
     assert n2.complete
     assert n2.count_lower_bound == 3
 
@@ -742,7 +815,7 @@ def test_census_reports_are_byte_identical():
     text = "\n".join(reports_to_json(completeness_check(zoo("power", d=d), 4))
                      for d in (2, 3, -2))
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "14ca1eb2bbd01865e6c8ca81906051b187826c5f2ce668952227f1fb26b34fa2")
+        "dc5e774b0cd4b06f9e9197eceb5710117ca2da45dda231a3fee2bdfb69d522ca")
 
 
 def _benchmark_workloads():
@@ -756,11 +829,11 @@ def _benchmark_workloads():
 
 
 @pytest.mark.parametrize("workload, digest", [
-    ("families", "e082bfc09bde4166ece16944ff4a286b18ac5feba32d168fdd1e08f891931b8d"),
+    ("families", "72475205f8bf48d6104da7f7a4006514288002c380ccef001d9397364f14f572"),
     ("index", "564726befa429e054063cecb1ce9130075000640914c4f2c0d1f1a7432e1a87d"),
 ], ids=["families", "index"])
 def test_benchmark_reports_are_byte_identical(workload, digest):
-    # one pass of the benchmark workload; the digests recorded in BENCH_8.json
+    # one pass of the benchmark workload; the digests recorded in BENCH_12.json
     wl = _benchmark_workloads()
     inputs, setup, run_pass = wl.WORKLOADS[workload]
     res = wl.PassResult()
