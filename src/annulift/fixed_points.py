@@ -550,21 +550,41 @@ def _seam_start(F_iter: LiftMap, x0: float, y0: float, y1: float,
     for its translate k; the band is clear when the enclosure of D_x over it
     holds no integer, and then so is the band at x0 + 1, where D_x is the
     same plus d^n - 1. Otherwise x0 moves by what would put the enclosure's
-    middle halfway between integers, were D_x linear, up to _ATTEMPTS times.
+    middle halfway between integers, were D_x linear, up to _ATTEMPTS times;
+    once only when the enclosure is 1 or more wide and can never clear, as
+    halfway is then the best place for the seam.
     """
     for _ in range(_ATTEMPTS):
         lo, hi = _x_displacement_range(F_iter, (x0 - resolution, x0 + resolution, y0, y1))
-        if math.ceil(lo) > hi or not hi - lo < 1.0:   # clear, or never will be
-            break
         mid = 0.5 * (lo + hi)
+        if not math.isfinite(mid) or math.ceil(lo) > hi:   # no use, or clear
+            break
         x0 += (math.floor(mid) + 0.5 - mid) / (F_iter.degree - 1)
+        if not hi - lo < 1.0:
+            break
     return x0
+
+
+def _owned(F, box, x0: float) -> Optional[bool]:
+    """Whether the point certified in a box lies in [x0, x0 + 1): where its
+    centre lies, for a box clear of both seam lines; for a box that meets
+    one (which _seam_start makes rare), the side to which one exclusion test
+    of its two halves confines the point; None when that test proves neither.
+    """
+    bx0, bx1, by0, by1 = box
+    for seam, inside_right in ((x0, True), (x0 + 1.0, False)):
+        if bx0 <= seam <= bx1:
+            margin, _ = _exclusion_margins(F, [(bx0, seam, by0, by1), (seam, bx1, by0, by1)])
+            if margin[0] > 0 or margin[1] > 0:
+                return bool(margin[0] > 0) == inside_right
+            return None
+    return x0 <= 0.5 * (bx0 + bx1) < x0 + 1.0
 
 
 def _strip_report(F_iter: LiftMap, period: int, strip, resolution: float) -> NielsenReport:
     """One period on one strip: each admissible translate isolated on it,
-    the boxes whose centre lies in [x0, x0 + 1) kept, continua counted once
-    per residue. A box that meets a seam line is its translate's error."""
+    the boxes that _owned puts in [x0, x0 + 1) kept, continua counted once
+    per residue; a box it cannot place is its translate's error."""
     modulus = abs(F_iter.degree - 1)
     x0, x1 = strip[0], strip[0] + 1.0
     lo, hi = _x_displacement_range(F_iter, strip)
@@ -586,9 +606,10 @@ def _strip_report(F_iter: LiftMap, period: int, strip, resolution: float) -> Nie
             errors[k] = f"{type(exc).__name__}: {exc}"
             continue
         for b in found:
-            if b.box[0] <= x0 <= b.box[1] or b.box[0] <= x1 <= b.box[1]:
+            owned = _owned(Fk, b.box, x0)
+            if owned is None:
                 errors[k] = f"BoundaryFixedPoint: the box {b.box} meets a seam of the strip"
-            elif x0 <= b.center[0] < x1:
+            elif owned:
                 boxes.append(b)
                 residues.append(residue)
     return NielsenReport(period=period, modulus=modulus, fixed_boxes=tuple(boxes),
@@ -607,8 +628,9 @@ def completeness_check(F: LiftMap, n_max: int, region=None, resolution: float = 
     admissible k are those with -k in the enclosure of D_x over S (a proof
     under a declared bound, an estimate otherwise); each is isolated on S,
     and a box is kept when its centre lies in [x0, x0 + 1). That is exact
-    when no box meets a seam line x = x0 or x0 + 1, and _seam_start moves x0
-    before each period so that none can.
+    when no box meets a seam line x = x0 or x0 + 1: _seam_start moves x0
+    before each period so that none can, and _owned places any box that
+    still does by one exclusion test.
 
     ``region`` supplies x0 and [y0, y1], not x1; the default is _STRIP_X0
     and the map's y_window. Failures are recorded per translate; a

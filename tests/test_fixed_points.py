@@ -539,8 +539,8 @@ _SEAM_FRACTIONS = st.tuples(st.integers(-40, 40), st.sampled_from([1, 2, 3, 7, 8
        x0=st.one_of(st.floats(-3.0, 3.0), _SEAM_FRACTIONS.map(lambda f: f[0] / f[1])))
 def test_each_residue_is_owned_once_on_any_strip(d, n_max, x0):
     # the fixed points of power(d)^n sit at x = j / (d^n - 1), so a strip
-    # that starts at such a fraction puts a fixed point on its seam: its
-    # box goes to one side only, proved by exclusion or after a shift
+    # that starts at such a fraction puts a fixed point on its seam, which
+    # the sweep first moves off it: each residue is still owned once
     for r in completeness_check(zoo("power", d=d), n_max, region=(x0, x0 + 1.0, -1.0, 1.0),
                                 resolution=1e-2):
         assert r.count_lower_bound == r.modulus == abs(d ** r.period - 1)
@@ -581,6 +581,13 @@ def test_seam_moves_off_a_fixed_point(monkeypatch):
     report = fixed_points._strip_report(zoo("power", d=3), 1, (-0.5, 0.5, -2.0, 2.0), 1e-3)
     assert report.box_residues == (0,) and sorted(report.errors) == [-1, 1]
     assert all("meets a seam" in msg for msg in report.errors.values())
+    # a box that meets a seam 3e-4 from its point (-1/2, 0) is placed by one
+    # exclusion test of its halves: outside [x0, x0 + 1) when x0 = -0.4997,
+    # inside when x0 + 1 = -0.4997; a box clear of the seams by its centre
+    F, box = deck_translate(zoo("power", d=3), 1), (-0.5004, -0.4996, -4e-4, 4e-4)
+    assert fixed_points._owned(F, box, -0.4997) is False
+    assert fixed_points._owned(F, box, -1.4997) is True
+    assert fixed_points._owned(F, box, -0.9) is True and fixed_points._owned(F, box, -0.4) is False
 
 
 def test_translate_strip_holds_the_translates_fixed_point():
