@@ -557,7 +557,7 @@ def _seam_start(F_iter: LiftMap, x0: float, y0: float, y1: float,
     for _ in range(_ATTEMPTS):
         lo, hi = _x_displacement_range(F_iter, (x0 - resolution, x0 + resolution, y0, y1))
         mid = 0.5 * (lo + hi)
-        if not math.isfinite(mid) or math.ceil(lo) > hi:   # no use, or clear
+        if not math.isfinite(mid) or math.ceil(lo) > hi:   # unbounded, or clear
             break
         x0 += (math.floor(mid) + 0.5 - mid) / (F_iter.degree - 1)
         if not hi - lo < 1.0:
