@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from annulift import fixed_points
 from annulift.annulus_maps import ZOO_SCHEMAS, deck_translate, project, zoo
@@ -463,9 +463,17 @@ def _grid_headers(draw):
     return header
 
 
+_INDEX = ("index", "--curve", "circle:r=2")
+
+
 @given(header=_grid_headers(), side=st.one_of(st.just(b"0,0\n" * 12), st.binary(max_size=200)),
-       command=st.sampled_from([("index", "--curve", "circle:r=2"),
-                                ("fixed-points", "--resolution", "0.5")]))
+       command=st.sampled_from([_INDEX, ("fixed-points", "--resolution", "0.5")]))
+# an infinite or huge degree overflowed int() or float(), and an empty CSV
+# values file warned, before they became GridFormatErrors
+@example(header=_grid_header(degree=float("inf")), side=b"", command=_INDEX)
+@example(header=_grid_header(degree=10 ** 400), side=b"", command=_INDEX)
+@example(header=_grid_header(drop=["values"], values_file="tab.csv", format="csv"), side=b"",
+         command=_INDEX)
 def test_grid_headers_keep_the_error_contract(header, side, command):
     # a malformed header is exit 2 (GridFormatError), a table the lift
     # rejects is exit 1 with a typed error; never a traceback or a warning.
