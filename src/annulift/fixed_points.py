@@ -525,8 +525,11 @@ def diagnose_continuum(F, region, resolution: float) -> bool:
 
 def _x_displacement_range(F, region) -> tuple[float, float]:
     """Enclosure [lo, hi] of (F - id)_x over the region: its range on a grid
-    of about _RANGE_SAMPLES points, widened by the slope of
-    _exclusion_margins times the grid reach (half a cell's diagonal)."""
+    of about _RANGE_SAMPLES points, widened by a slope times the grid reach
+    (half a cell's diagonal). As in _exclusion_margins the slope is L + 1
+    under a declared bound L, a proof, and otherwise an estimate:
+    _EXCLUSION_SAFETY times the largest finite-difference slope, here of the
+    sampled x-displacement, and at least 1."""
     x0, x1, y0, y1 = map(float, region)
     # square cells where the aspect allows (inf for a tiny y-span), two ticks an axis
     aspect = min((x1 - x0) / (y1 - y0), _RANGE_SAMPLES)
