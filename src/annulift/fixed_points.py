@@ -21,6 +21,10 @@ box to its nearest sample). The slope comes from one of two rules:
 Neither rule encloses the floating-point rounding of the samples; the proof
 holds in exact arithmetic. The certified boxes come from a quadtree whose
 boxes have disjoint interiors, so N of them prove N distinct fixed points.
+A box whose side along one axis is less than half its side along the other
+is halved across its long side only, into 2 children; every other box is
+quartered. Boxes of any region thus become near square (aspect at most 2)
+before they reach the resolution, instead of keeping the region's aspect.
 
 The quadtree is searched depth first, with the exclusion test batched: the
 untested boxes at the top of the stack, up to _CHUNK of them, are tested in
@@ -103,18 +107,26 @@ _CHUNK = 256
 # Quadtree stack rows are (x0, x1, y0, y1, scale, tested): a box is a leaf
 # once its size is at most its scale (the resolution, or the mop-up floor).
 # A kept untested row extended by (xm, ym, leaf) gives the rows that replace
-# it: its four untested children in push order, top-right last (on top), or
-# for a leaf, whose (xm, ym) are set to (x1, y1), the first row alone: the box
+# it: its four untested children in push order, top-right last (on top). An
+# axis kept whole has its midpoint set to its upper end, which collapses two
+# of the four rows; _KEPT, indexed by 2 * (x whole) + (y whole), keeps the
+# others. A leaf keeps both axes whole and the first row alone: the box
 # itself, flagged as tested.
 _CHILDREN = np.array([[0, 6, 2, 7, 4, 8], [6, 1, 2, 7, 4, 5],
                       [0, 6, 7, 3, 4, 5], [6, 1, 7, 3, 4, 5]])
-_REPLACED = np.array([[True, True, True, True], [True, False, False, False]])
+_KEPT = np.array([[True, True, True, True], [True, True, False, False],
+                  [True, False, True, False], [True, False, False, False]])
 # 5 x 5 exclusion grid: tick i of an axis is lo + i * h, the last pinned to
 # hi; sample (row i, column j) reads x tick j and y tick i of the (N, 2, m)
 # tick array flattened to (N, 2m)
 _TICKS = np.arange(_EXCLUSION_GRID, dtype=float)
 _GRID = np.array([[j, _EXCLUSION_GRID + i] for i in range(_EXCLUSION_GRID)
                   for j in range(_EXCLUSION_GRID)])
+# neighbour steps between the samples, numbered i * m + j: the m(m - 1)
+# steps along x, row by row, then the m(m - 1) steps along y
+_SAMPLES = np.arange(_EXCLUSION_GRID ** 2).reshape(_EXCLUSION_GRID, _EXCLUSION_GRID)
+_STEP_FROM = np.concatenate([_SAMPLES[:, :-1].ravel(), _SAMPLES[:-1].ravel()])
+_STEP_TO = np.concatenate([_SAMPLES[:, 1:].ravel(), _SAMPLES[1:].ravel()])
 
 
 @dataclass(frozen=True)
@@ -175,24 +187,21 @@ def _exclusion_margins(F, boxes) -> tuple[np.ndarray, np.ndarray]:
     n, m = len(boxes), _EXCLUSION_GRID
     lo, hi = boxes[:, 0::2], boxes[:, 1::2]   # columns x, y
     h = (hi - lo) / (m - 1)
-    hx, hy = h[:, 0], h[:, 1]
     # lo + i*step with the last tick pinned to hi: np.linspace, bit for bit
     ticks = lo[:, :, None] + h[:, :, None] * _TICKS
     ticks[:, :, -1] = hi
     pts = ticks.reshape(n, 2 * m).take(_GRID, axis=1).reshape(-1, 2)
     disp = _displacement(F, pts)
     norms = np.hypot(disp[:, 0], disp[:, 1]).reshape(n, m * m)
-    reach = 0.5 * np.hypot(hx, hy)
+    reach = 0.5 * np.hypot(h[:, 0], h[:, 1])
     sampled_min = norms.min(axis=1)
     if F.lipschitz is not None:
         return sampled_min - (F.lipschitz + 1.0) * reach, sampled_min
-    disp = disp.reshape(n, m, m, 2)
-    dx = disp[:, :, 1:] - disp[:, :, :-1]
-    dy = disp[:, 1:] - disp[:, :-1]
-    lip_x = np.divide(np.hypot(dx[..., 0], dx[..., 1]).max(axis=(1, 2)), hx,
-                      out=np.zeros(n), where=hx > 0)
-    lip_y = np.divide(np.hypot(dy[..., 0], dy[..., 1]).max(axis=(1, 2)), hy,
-                      out=np.zeros(n), where=hy > 0)
+    disp = disp.reshape(n, m * m, 2)
+    step = disp.take(_STEP_TO, axis=1) - disp.take(_STEP_FROM, axis=1)
+    lips = np.divide(np.hypot(step[..., 0], step[..., 1]).reshape(n, 2, -1).max(axis=2), h,
+                     out=np.zeros((n, 2)), where=h > 0)
+    lip_x, lip_y = lips[:, 0], lips[:, 1]
     # max(lip_x, lip_y, 1.0) with Python's NaN rule; the displacement of id
     # alone has slope 1
     lip = np.where(lip_y > lip_x, lip_y, lip_x)
@@ -227,18 +236,20 @@ def _isolate_once(F, region, resolution: float, audit: Optional[IsolationAudit],
     last. Each step tests the untested run at the top of the stack, at most
     _CHUNK boxes, in one _exclusion_margins call, and replaces it in place:
     excluded boxes go, boxes at leaf scale stay, flagged as tested, and
-    larger ones become their four children, top-right on top. A flagged leaf
-    is handled when it reaches the top, so leaves are handled in exactly the
-    order of a one-box-at-a-time depth-first search, whatever the chunk size.
+    larger ones become their children, top-right on top: two, split across
+    the long axis, when one side is less than half the other, and four
+    otherwise. A flagged leaf is handled when it reaches the top, so leaves
+    are handled in exactly the order of a one-box-at-a-time depth-first
+    search, whatever the chunk size.
 
     A leaf at resolution scale is certified by a nonzero boundary degree.
-    A degree-0 leaf that was not excluded is mopped up: its four children go
-    on the stack with the floor scale resolution / 256, to be searched down
-    to it (the leaf itself is not tested again), and a mop-up fragment
-    surviving there, or a degree-0 leaf already at that scale,
-    forces a jitter retry. No box is tested twice in an attempt. The
-    subdivision budget counts the boxes tested in this attempt; an audit,
-    when given, only observes.
+    A degree-0 leaf that was not excluded is mopped up: its four children,
+    whatever its aspect, go on the stack with the floor scale
+    resolution / 256, to be searched down to it (the leaf itself is not
+    tested again), and a mop-up fragment surviving there, or a degree-0
+    leaf already at that scale, forces a jitter retry. No box is tested
+    twice in an attempt. The subdivision budget counts the boxes tested in
+    this attempt; an audit, when given, only observes.
     """
     x0, x1, y0, y1 = region
     boundary = rectangle(x0, x1, y0, y1, per_side=64)
@@ -300,10 +311,13 @@ def _isolate_once(F, region, resolution: float, audit: Optional[IsolationAudit],
         lo, hi = keep[:, 0:4:2], keep[:, 1:4:2]
         size = hi - lo
         leaf = np.maximum(size[:, 0], size[:, 1]) <= keep[:, 4]
+        # a side less than half the other is kept whole, as are both of a leaf
+        whole = 2.0 * size < size[:, ::-1]
+        whole |= leaf[:, None]
         ext = np.concatenate([keep, 0.5 * (lo + hi), leaf[:, None]], axis=1)
-        np.copyto(ext[:, 6:8], hi, where=leaf[:, None])
+        np.copyto(ext[:, 6:8], hi, where=whole)
         rows = ext.take(_CHILDREN, axis=1).reshape(-1, 6)
-        rows = rows.compress(_REPLACED.take(leaf.view(np.int8), axis=0).ravel(), axis=0)
+        rows = rows.compress(_KEPT.take(whole.dot((2, 1)), axis=0).ravel(), axis=0)
         stack = np.concatenate([stack[:start], rows])
     return sorted(certified, key=lambda c: c.box)
 
@@ -315,7 +329,10 @@ def isolate_fixed_points(F: LiftMap, region, resolution: float, lift_offset: int
 
     Adaptive quadtree: boxes are discarded only by the displacement lower
     bound, recursed while larger than the resolution, and certified when a
-    nonzero boundary degree is found at resolution scale. The tree is
+    nonzero boundary degree is found at resolution scale. A box is halved
+    across its long side only while one side is less than half the other,
+    so when the region's short side exceeds the resolution every certified
+    box has aspect at most 2, whatever the region's aspect. The tree is
     searched depth first, a chunk of boxes per vectorised exclusion call,
     so that an attempt spoiled by a fixed point on a subdivision line stops
     at the first leaf that meets it.

@@ -121,6 +121,19 @@ def test_fixed_points_default_region_follows_the_translate(tmp_path, capsys):
     assert CertifiedFixedBox(tuple(box["box"]), box["boundary_degree"]).contains((-10.0, 0.0))
 
 
+def test_fixed_points_on_a_wide_low_region(tmp_path, capsys):
+    # a 1e8 x 2 region is halved across x alone until its boxes are near
+    # square; boxes that kept the region's aspect ran out of budget first
+    js = tmp_path / "fp.json"
+    code, out, _ = run(capsys, "fixed-points", "--map", "power", "--params", '{"d": 2}',
+                       "--region=0,1e8,-1,1", "--resolution", "0.1", "--json", str(js))
+    assert code == 0
+    assert "1 certified box(es)" in out
+    (box,) = json.loads(js.read_text())["boxes"]
+    assert box["boundary_degree"] == 1
+    assert CertifiedFixedBox(tuple(box["box"]), 1).contains((0.0, 0.0))
+
+
 def test_lemmas_command(capsys):
     code, out, _ = run(capsys, "lemmas")
     assert code == 0

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from annulift import fixed_points
 from annulift.annulus_maps import (
@@ -86,17 +86,17 @@ def test_budget_exceeded(monkeypatch):
 
 
 def test_budget_is_per_attempt_with_or_without_audit(monkeypatch):
-    # the first attempt meets a subdivision line after 301 tested boxes and
-    # the second certifies after 233: a cap of 302 holds for each attempt,
+    # the first attempt meets a subdivision line after 187 tested boxes and
+    # the second certifies after 159: a cap of 188 holds for each attempt,
     # and an audit that sums the boxes over both attempts does not trip it
     F = deck_translate(iterate(zoo("power", d=3), 3), 8)
     region = (-14.0, 14.0, -2.0, 2.0)
-    monkeypatch.setattr(fixed_points, "_SUBDIVISION_BUDGET", 302)
+    monkeypatch.setattr(fixed_points, "_SUBDIVISION_BUDGET", 188)
     audit = IsolationAudit()
     boxes = isolate_fixed_points(F, region, 1e-3, audit=audit)
     assert len(boxes) == 1
     assert boxes == isolate_fixed_points(F, region, 1e-3)
-    assert audit.boxes_processed > 302
+    assert audit.boxes_processed > 188
 
 
 def test_no_box_is_tested_twice_in_an_attempt(monkeypatch):
@@ -198,7 +198,8 @@ _REFERENCE_CHILDREN = np.array([[0, 4, 2, 5], [4, 1, 2, 5], [0, 4, 5, 3], [4, 1,
 
 def _reference_isolate_once(F, region, resolution, audit, lift_offset):
     """_isolate_once as first written: an (N, 4) box stack beside two flag
-    arrays, three concatenates and two repeats a step."""
+    arrays, three concatenates and two repeats a step; a box halves each side
+    that is at least half the other, and a leaf halves neither."""
     x0, x1, y0, y1 = region
     boundary = fixed_points.rectangle(x0, x1, y0, y1, per_side=64)
     bnorm = np.hypot(*fixed_points._displacement(F, boundary.samples).T)
@@ -249,13 +250,16 @@ def _reference_isolate_once(F, region, resolution, audit, lift_offset):
                                    sampled_min[::-1][gone].tolist(),
                                    margin[::-1][gone].tolist()))
         keep, keep_mop = chunk[~out], chunk_mop[~out]
-        leaf = (np.maximum(keep[:, 1] - keep[:, 0], keep[:, 3] - keep[:, 2])
-                <= np.where(keep_mop, floor, resolution))
+        width, height = keep[:, 1] - keep[:, 0], keep[:, 3] - keep[:, 2]
+        leaf = np.maximum(width, height) <= np.where(keep_mop, floor, resolution)
+        split_x = ~leaf & (width >= 0.5 * height)
+        split_y = ~leaf & (height >= 0.5 * width)
         mids = 0.5 * (keep[:, 0::2] + keep[:, 1::2])
+        mids[:, 0] = np.where(split_x, mids[:, 0], keep[:, 1])
+        mids[:, 1] = np.where(split_y, mids[:, 1], keep[:, 3])
         slots = np.concatenate([keep, mids], axis=1)[:, _REFERENCE_CHILDREN]
-        slots[leaf, 0] = keep[leaf]
-        used = np.ones((len(keep), 4), dtype=bool)
-        used[leaf, 1:] = False
+        used = np.stack([np.ones(len(keep), dtype=bool), split_x, split_y,
+                         split_x & split_y], axis=1)
         fanout = used.sum(axis=1)
         boxes = np.concatenate([boxes[:start], slots[used]])
         mop = np.concatenate([mop[:start], np.repeat(keep_mop, fanout)])
@@ -310,6 +314,8 @@ def _ring(p):
     (make_lift(_wobble, 1), (-1.23, 1.91, -1.0, 1.0), 1e-2),
     (zoo("perturbed_power", d=2, eps=0.05), (-0.77, 0.61, -0.45, 0.52), 1e-3),
     (make_lift(_ring, 1), (-0.31, 0.29, -0.3, 0.32), 3e-2),   # mop-up fragment survives
+    (zoo("power", d=2), (-0.5, 0.5, -2.0, 2.0), 1e-3),      # 1 x 4: y-only splits first
+    (deck_translate(iterate(zoo("power", d=3), 3), 8), (-14.0, 14.0, -2.0, 2.0), 1e-3),  # x-only
 ])
 @pytest.mark.parametrize("chunk", [7, fixed_points._CHUNK])
 def test_isolate_once_matches_reference(monkeypatch, F, region, resolution, chunk):
@@ -335,6 +341,24 @@ def test_isolate_once_matches_reference(monkeypatch, F, region, resolution, chun
     assert got == ref and got_deg == ref_deg and got_tested == ref_tested
     assert got_audit == ref_audit
     assert got_deg
+
+
+@given(short=st.floats(-2.0, 0.5), aspect=st.floats(0.0, 6.0), tall=st.booleans(),
+       at=st.tuples(st.floats(0.05, 0.95), st.floats(0.05, 0.95)),
+       resolution=st.floats(-3.0, -1.0))
+def test_certified_boxes_are_near_square(short, aspect, tall, at, resolution):
+    # power(2) fixes only the origin; a region whose short side exceeds the
+    # resolution, of any aspect up to 1e6, certifies it in one box with
+    # sides within a factor 2 of each other
+    short, resolution = 10.0 ** short, 10.0 ** resolution
+    assume(short > resolution)
+    sides = (short * 10.0 ** aspect, short)[::-1 if tall else 1]
+    region = (-at[0] * sides[0], (1.0 - at[0]) * sides[0],
+              -at[1] * sides[1], (1.0 - at[1]) * sides[1])
+    (box,) = isolate_fixed_points(zoo("power", d=2), region, resolution)
+    x0, x1, y0, y1 = box.box
+    assert box.contains((0.0, 0.0)) and box.size <= resolution
+    assert max(x1 - x0, y1 - y0) <= 2.0 * min(x1 - x0, y1 - y0) * (1.0 + 1e-9)
 
 
 def _scalar_exclusion_margin(F, box):
@@ -388,6 +412,67 @@ def _random_boxes():
     cy = rng.uniform(-1.5, 1.5, 500)
     hw = 10.0 ** rng.uniform(-5.0, -0.3, (2, 500))
     return np.stack([cx - hw[0], cx + hw[0], cy - hw[1], cy + hw[1]], axis=-1)
+
+
+def _reference_exclusion_margins(F, boxes):
+    """The estimate path of _exclusion_margins as first vectorised: strided
+    (n, 5, 4, 2) difference views per axis, two hypots, two reductions and
+    two masked divides."""
+    boxes = np.asarray(boxes, dtype=float).reshape(-1, 4)
+    n, m = len(boxes), fixed_points._EXCLUSION_GRID
+    lo, hi = boxes[:, 0::2], boxes[:, 1::2]
+    h = (hi - lo) / (m - 1)
+    hx, hy = h[:, 0], h[:, 1]
+    ticks = lo[:, :, None] + h[:, :, None] * np.arange(m, dtype=float)
+    ticks[:, :, -1] = hi
+    pts = ticks.reshape(n, 2 * m).take(fixed_points._GRID, axis=1).reshape(-1, 2)
+    disp = np.asarray(F(pts), dtype=float) - pts
+    sampled_min = np.hypot(disp[:, 0], disp[:, 1]).reshape(n, m * m).min(axis=1)
+    reach = 0.5 * np.hypot(hx, hy)
+    disp = disp.reshape(n, m, m, 2)
+    dx = disp[:, :, 1:] - disp[:, :, :-1]
+    dy = disp[:, 1:] - disp[:, :-1]
+    lip_x = np.divide(np.hypot(dx[..., 0], dx[..., 1]).max(axis=(1, 2)), hx,
+                      out=np.zeros(n), where=hx > 0)
+    lip_y = np.divide(np.hypot(dy[..., 0], dy[..., 1]).max(axis=(1, 2)), hy,
+                      out=np.zeros(n), where=hy > 0)
+    lip = np.where(lip_y > lip_x, lip_y, lip_x)
+    lip = np.where(1.0 > lip, 1.0, lip)
+    return sampled_min - fixed_points._EXCLUSION_SAFETY * lip * reach, sampled_min
+
+
+def _holes(p):
+    """power(2), undefined (NaN) on the disk of radius 1/2 around (1, 0.5)."""
+    p = np.asarray(p, dtype=float)
+    out = 2.0 * p
+    out[np.hypot(p[..., 0] - 1.0, p[..., 1] - 0.5) < 0.5] = np.nan
+    return out
+
+
+@pytest.mark.parametrize("F", [
+    pytest.param(zoo("ends_attracting", d=2, lam=0.7), id="ends_attracting"),
+    pytest.param(iterate(zoo("end_swap", d=-2), 2), id="end_swap^2"),
+    pytest.param(iterate(zoo("perturbed_power", d=2, eps=0.05), 2), id="perturbed_power^2"),
+    pytest.param(LiftMap(fn=_holes, degree=2), id="nan_holes"),
+])
+def test_exclusion_margins_match_reference_bitwise(F):
+    # NaN displacements, zero-width boxes and boxes of every scale: the
+    # stacked neighbour steps give the margins of the strided views, bit for bit
+    rng = np.random.default_rng(11)
+    boxes = _random_boxes()
+    boxes[::7, 1] = boxes[::7, 0]    # zero width
+    boxes[::11, 3] = boxes[::11, 2]  # zero height
+    boxes[::13, 1::2] = boxes[::13, 0::2]   # a point
+    boxes = np.concatenate([boxes, np.sort(rng.uniform(0.0, 2.0, (64, 4)).reshape(64, 2, 2),
+                                           axis=2).reshape(64, 4)])
+    assert F.lipschitz is None
+    for n in (1, 10, len(boxes)):
+        got = _exclusion_margins(F, boxes[:n])
+        want = _reference_exclusion_margins(F, boxes[:n])
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+    if F.fn is _holes:
+        assert np.isnan(got[0]).any() and np.isfinite(got[0]).any()
 
 
 def _scalar_declared_margin(F, box):
@@ -822,7 +907,7 @@ def test_census_reports_are_byte_identical():
     text = "\n".join(reports_to_json(completeness_check(zoo("power", d=d), 4))
                      for d in (2, 3, -2))
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "dc5e774b0cd4b06f9e9197eceb5710117ca2da45dda231a3fee2bdfb69d522ca")
+        "1c57cbae9142ee36e2ecfe6ca9c373b50ebb63d24bfa4f105b37aa117124f074")
 
 
 def _benchmark_workloads():
@@ -836,11 +921,11 @@ def _benchmark_workloads():
 
 
 @pytest.mark.parametrize("workload, digest", [
-    ("families", "72475205f8bf48d6104da7f7a4006514288002c380ccef001d9397364f14f572"),
+    ("families", "d67a80831526fe6dfa2628cdb7db9d009e4515980b1370adebd570e6aa4c4c5e"),
     ("index", "564726befa429e054063cecb1ce9130075000640914c4f2c0d1f1a7432e1a87d"),
 ], ids=["families", "index"])
 def test_benchmark_reports_are_byte_identical(workload, digest):
-    # one pass of the benchmark workload; the digests recorded in BENCH_12.json
+    # one pass of the benchmark workload; the digests recorded in BENCH_13.json
     wl = _benchmark_workloads()
     inputs, setup, run_pass = wl.WORKLOADS[workload]
     res = wl.PassResult()
