@@ -72,10 +72,10 @@ class LiftMap:
     """A lift F of an annulus map, with its degree.
 
     ``fn`` is vectorized: it maps an (..., 2) array of cover points to their
-    images, and is defined on the whole plane. ``lipschitz``, when given, is
-    a declared bound L with |F(p) - F(q)| <= L |p - q| for all p, q; the
-    displacement F - id is then (L + 1)-Lipschitz, which makes fixed-point
-    exclusion a proof (see ``fixed_points``). None declares nothing.
+    images, and is defined on the whole plane. ``lipschitz`` is a declared
+    bound L with |F(p) - F(q)| <= L |p - q|, which makes fixed-point
+    exclusion a proof (see ``fixed_points``); every shipped map and
+    tabulated lift declares one, and isolation refuses None.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
@@ -95,7 +95,7 @@ def make_lift(fn, degree: int, name: str = "", y_window=(-2.0, 2.0),
     A declared ``lipschitz`` bound must be finite and >= 0, and no two
     adjacent points of the same grid may contradict it; otherwise
     ParamOutOfRange is raised. The check can only refute a bound, never
-    prove one.
+    prove one. A lift without one cannot be isolated or swept.
     """
     if lipschitz is not None:
         lipschitz = float(lipschitz)
@@ -159,6 +159,12 @@ def _equivariance_defect(F: LiftMap, grid: GridSpec,
             f"declared degree {require_degree} but observed {d_est}",
             point=tuple(pts[worst]), defect=float(d_est - require_degree))
     return d_est
+
+
+def _norm_bound(a2: float, b2: float, p: float) -> float:
+    """Spectral norm bound of a 2 x 2 matrix with columns c1, c2, |c1|^2 <= a2,
+    |c2|^2 <= b2, |c1 . c2| <= p: exact at equality, nondecreasing in each."""
+    return math.sqrt(0.5 * (a2 + b2 + math.hypot(a2 - b2, 2.0 * p)))
 
 
 def _check_lipschitz(F: LiftMap, grid: GridSpec) -> None:
@@ -275,7 +281,11 @@ def _power(d: int) -> LiftMap:
 
 
 def _smooth_bump(y: np.ndarray) -> np.ndarray:
-    """Odd, smooth, supported in |y| < 1, vanishing at 0; |bump| < 0.37."""
+    """Odd, smooth, supported in |y| < 1, vanishing at 0. With s = 1/(1 - y^2),
+    bump = y e^(1-s) peaks where 2y^2 = (1 - y^2)^2 at 0.35897 < 0.36, and
+    bump' = e^(1-s)(1 + 2s - 2s^2), 1 at s = 1, falls to its minimum at
+    s = (3 + sqrt 7)/2, -(4 + 2 sqrt 7) e^(-(1 + sqrt 7)/2) = -1.50114, then
+    rises to 0: |bump'| < 1.51."""
     y = np.asarray(y, dtype=float)
     out = np.zeros_like(y)
     inside = np.abs(y) < 1.0
@@ -309,7 +319,11 @@ def _perturbed_power(d: int, eps: float) -> LiftMap:
         np.multiply(d, y, out=oy)
         return out
 
-    return make_lift(fn, d, name=f"perturbed_power({d},{eps})")
+    # Jacobian columns (d + 2pi eps cos(2pi x) bump(y), 0) and
+    # (eps sin(2pi x) bump'(y), d), with the bump maxima of _smooth_bump
+    a, b = abs(d) + TWO_PI * abs(eps) * 0.36, abs(eps) * 1.51
+    return make_lift(fn, d, name=f"perturbed_power({d},{eps})",
+                     lipschitz=_norm_bound(a * a, b * b + float(d) * d, a * b))
 
 
 def _ends_lift(d: int, lam: float, attracting: bool) -> LiftMap:
@@ -335,8 +349,9 @@ def _ends_lift(d: int, lam: float, attracting: bool) -> LiftMap:
         np.multiply(d, x, out=ox)
         return out
 
+    # the y-derivative 1 + slope (1 - y^2)/(1 + y^2)^2 lies in [1 - lam, 1 + lam]
     kind = "ends_attracting" if attracting else "ends_repelling"
-    return make_lift(fn, d, name=f"{kind}({d},{lam})")
+    return make_lift(fn, d, name=f"{kind}({d},{lam})", lipschitz=max(abs(d), 1.0 + lam))
 
 
 def _end_swap(d: int) -> LiftMap:
@@ -352,7 +367,7 @@ def _end_swap(d: int) -> LiftMap:
         np.negative(pts[..., 1], out=out[..., 1])
         return out
 
-    return make_lift(fn, d, name=f"end_swap({d})")
+    return make_lift(fn, d, name=f"end_swap({d})", lipschitz=max(abs(d), 1))
 
 
 ZOO_SCHEMAS = {
@@ -414,7 +429,8 @@ def grid_lift_from_values(values: np.ndarray, degree: int, x0: float,
     ``values`` has shape (ny, nx, 2): columns at x = x0 + i/nx for
     i = 0..nx-1 (the wrap column is synthesized from column 0 by
     equivariance, which makes the extension exact), rows at ny evenly spaced
-    y levels on [y0, y1]. Evaluation clamps y outside [y0, y1].
+    y levels on [y0, y1]. Evaluation clamps y outside [y0, y1]. The lift
+    declares its Lipschitz bound (_grid_lipschitz).
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 3 or values.shape[2] != 2 or values.shape[0] < 2 or values.shape[1] < 2:
@@ -463,7 +479,26 @@ def grid_lift_from_values(values: np.ndarray, degree: int, x0: float,
         return out.reshape(pts.shape)
 
     return make_lift(fn, degree, name=name,
-                     y_window=tuple(y_window) if y_window else (y0, y1))
+                     y_window=tuple(y_window) if y_window else (y0, y1),
+                     lipschitz=_grid_lipschitz(ext, step_x, step_y))
+
+
+def _grid_lipschitz(ext: np.ndarray, step_x: float, step_y: float) -> float:
+    """Lipschitz bound of the bilinear interpolant of the (ny, nx + 1, 2) node
+    table: in a cell dF/dx mixes its lower and upper edge differences over
+    step_x and dF/dy its left and right ones over step_y, and their dot
+    product, bilinear, peaks at a corner. Clamping y only shrinks slopes.
+    Blocks of 16 rows keep temporaries small; a NaN node gives NaN."""
+    dot = lambda a, b: a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]   # noqa: E731
+    peaks = []   # per block: max |c1|^2, max |c2|^2, max |c1 . c2| at each corner
+    for i in range(0, len(ext) - 1, 16):
+        block = ext[i:i + 17]
+        h = np.diff(block, axis=1) / step_x
+        v = np.diff(block, axis=0) / step_y
+        peaks.append([dot(h, h).max(), dot(v, v).max()] + [
+            abs(dot(c1, c2)).max() for c1 in (h[:-1], h[1:]) for c2 in (v[:, :-1], v[:, 1:])])
+    top = np.max(peaks, axis=0)
+    return _norm_bound(top[0], top[1], top[2:].max())
 
 
 def load_grid_lift(path: str | Path) -> LiftMap:

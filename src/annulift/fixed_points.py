@@ -4,23 +4,18 @@ A box certifies a fixed point of a lift when the winding number of the
 displacement field F - id around its boundary is nonzero; this needs only
 continuity, no derivatives. A box is discarded when a lower bound on the
 displacement over the box is positive: the minimum over a 5 x 5 sample grid
-minus a slope times the grid reach (the largest distance from a point of the
-box to its nearest sample). The slope comes from one of two rules:
+minus (L + 1) times the grid reach (the largest distance from a point of the
+box to its nearest sample), where L is the Lipschitz bound the map declares
+on F itself (``LiftMap.lipschitz``). F - id is then (L + 1)-Lipschitz, so
+the discard is a proof under that bound. Every shipped map and tabulated
+lift declares one; ``iterate`` raises it to the n-th power and
+``deck_translate`` keeps it. Isolation and sweeps refuse a map without one
+(ParamOutOfRange).
 
-- declared: the map declares a Lipschitz bound L on F itself
-  (``LiftMap.lipschitz``), so F - id is (L + 1)-Lipschitz and the discard is
-  a proof under that bound. Of the shipped maps only ``power`` declares one
-  (L = |d|); ``iterate`` raises it to the n-th power and ``deck_translate``
-  keeps it.
-- estimated: every other map, including the other zoo families and grid
-  lifts loaded from files, gets twice the largest finite-difference slope
-  of the sampled displacement. That is a guess, not a bound: a feature
-  narrower than the sample spacing can hide from it. A dense oracle in the
-  test suite cross-checks it.
-
-Neither rule encloses the floating-point rounding of the samples; the proof
-holds in exact arithmetic. The certified boxes come from a quadtree whose
-boxes have disjoint interiors, so N of them prove N distinct fixed points.
+The rule does not enclose the floating-point rounding of the samples; the
+proof holds in exact arithmetic. The certified boxes come from a quadtree
+whose boxes have disjoint interiors, so N of them prove N distinct fixed
+points.
 A box whose side along one axis is less than half its side along the other
 is halved across its long side only, into 2 children; every other box is
 quartered. Boxes of any region thus become near square (aspect at most 2)
@@ -42,7 +37,7 @@ jittered region contains the original, so no fixed point of it is missed.
 A completeness sweep counts each periodic point once, on a unit strip
 [x0, x0 + 1) x [y0, y1] that holds one lift of it (B. Jiang, Lectures on
 Nielsen Fixed Point Theory, 1983), through the translates admitted by an
-enclosure of the x-displacement taken with the same two slope rules.
+enclosure of the x-displacement taken with the same slope L + 1.
 """
 
 from __future__ import annotations
@@ -67,7 +62,6 @@ from .curves import rectangle
 from .errors import (
     BoundaryFixedPoint,
     BudgetExceeded,
-    DistanceViolation,
     EmptyReport,
     FixedPointOnCurve,
     NonFiniteDisplacement,
@@ -80,7 +74,6 @@ from .index import lefschetz_index
 
 _BOUNDARY_MIN_DISP = 1e-10        # displacement floor on subdivision boundaries
 _EXCLUSION_GRID = 5               # exclusion test samples per box axis
-_EXCLUSION_SAFETY = 2.0           # multiplier on the finite-difference Lipschitz estimate
 _SUBDIVISION_BUDGET = 500_000     # tested boxes per attempt
 _JITTER_BASE = math.sqrt(2.0) * 1e-4
 # per-attempt jitter multipliers (tx, ty, dx, dy): 0.2 + 0.6 * r[0:2] and
@@ -122,11 +115,6 @@ _KEPT = np.array([[True, True, True, True], [True, True, False, False],
 _TICKS = np.arange(_EXCLUSION_GRID, dtype=float)
 _GRID = np.array([[j, _EXCLUSION_GRID + i] for i in range(_EXCLUSION_GRID)
                   for j in range(_EXCLUSION_GRID)])
-# neighbour steps between the samples, numbered i * m + j: the m(m - 1)
-# steps along x, row by row, then the m(m - 1) steps along y
-_SAMPLES = np.arange(_EXCLUSION_GRID ** 2).reshape(_EXCLUSION_GRID, _EXCLUSION_GRID)
-_STEP_FROM = np.concatenate([_SAMPLES[:, :-1].ravel(), _SAMPLES[:-1].ravel()])
-_STEP_TO = np.concatenate([_SAMPLES[:, 1:].ravel(), _SAMPLES[1:].ravel()])
 
 
 @dataclass(frozen=True)
@@ -159,7 +147,7 @@ class CertifiedFixedBox:
 class IsolationAudit:
     """Optional byproduct collector for the soundness property tests."""
 
-    discarded: list = field(default_factory=list)   # (box, sampled_min, bound)
+    discarded: list = field(default_factory=list)   # (box, sampled_min, margin)
     unresolved: list = field(default_factory=list)  # fragments never resolved
     boxes_processed: int = 0                        # summed over attempts
 
@@ -172,17 +160,10 @@ def _displacement(F, pts):
     return np.asarray(F(pts), dtype=float) - pts
 
 
-def _exclusion_margins(F, boxes) -> tuple[np.ndarray, np.ndarray]:
-    """(margins, sampled_mins) of an (N, 4) array of boxes; margin > 0 means
-    the box holds no fixed point. The m x m sample grids of all boxes go
-    through one map call.
-
-    Every point of a box lies within ``reach``, half a grid cell's diagonal,
-    of a sample. With a declared bound L on F the margin is
-    sampled_min - (L + 1) * reach, a proof in exact arithmetic. Without one
-    the slope is estimated as the largest finite difference of the sampled
-    displacement (at least 1, the slope of id) times _EXCLUSION_SAFETY.
-    """
+def _sampled_minima(F, boxes) -> tuple[np.ndarray, np.ndarray]:
+    """(sampled_mins, reaches) of an (N, 4) array of boxes: the least
+    displacement norm on each box's m x m grid (one map call for all; NaN if
+    a sample is) and half a cell's diagonal, which reaches every point."""
     boxes = np.asarray(boxes, dtype=float).reshape(-1, 4)
     n, m = len(boxes), _EXCLUSION_GRID
     lo, hi = boxes[:, 0::2], boxes[:, 1::2]   # columns x, y
@@ -193,20 +174,14 @@ def _exclusion_margins(F, boxes) -> tuple[np.ndarray, np.ndarray]:
     pts = ticks.reshape(n, 2 * m).take(_GRID, axis=1).reshape(-1, 2)
     disp = _displacement(F, pts)
     norms = np.hypot(disp[:, 0], disp[:, 1]).reshape(n, m * m)
-    reach = 0.5 * np.hypot(h[:, 0], h[:, 1])
-    sampled_min = norms.min(axis=1)
-    if F.lipschitz is not None:
-        return sampled_min - (F.lipschitz + 1.0) * reach, sampled_min
-    disp = disp.reshape(n, m * m, 2)
-    step = disp.take(_STEP_TO, axis=1) - disp.take(_STEP_FROM, axis=1)
-    lips = np.divide(np.hypot(step[..., 0], step[..., 1]).reshape(n, 2, -1).max(axis=2), h,
-                     out=np.zeros((n, 2)), where=h > 0)
-    lip_x, lip_y = lips[:, 0], lips[:, 1]
-    # max(lip_x, lip_y, 1.0) with Python's NaN rule; the displacement of id
-    # alone has slope 1
-    lip = np.where(lip_y > lip_x, lip_y, lip_x)
-    lip = np.where(1.0 > lip, 1.0, lip)
-    return sampled_min - _EXCLUSION_SAFETY * lip * reach, sampled_min
+    return norms.min(axis=1), 0.5 * np.hypot(h[:, 0], h[:, 1])
+
+
+def _exclusion_margins(F, boxes) -> tuple[np.ndarray, np.ndarray]:
+    """(margins, sampled_mins) of boxes under F's declared bound L: a margin
+    sampled_min - (L + 1) * reach > 0 proves a box free of fixed points."""
+    sampled_min, reach = _sampled_minima(F, boxes)
+    return sampled_min - (F.lipschitz + 1.0) * reach, sampled_min
 
 
 def _boundary_degree(F, box) -> int:
@@ -274,7 +249,7 @@ def _isolate_once(F, region, resolution: float, audit: Optional[IsolationAudit],
                 raise _BoundaryHit
             try:
                 deg = _boundary_degree(F, box)
-            except (FixedPointOnCurve, DistanceViolation) as exc:
+            except FixedPointOnCurve as exc:
                 raise _BoundaryHit from exc
             if deg != 0:
                 certified.append(CertifiedFixedBox(box, deg, lift_offset))
@@ -328,8 +303,9 @@ def isolate_fixed_points(F: LiftMap, region, resolution: float, lift_offset: int
     """Certified boxes around every fixed point of F inside the region.
 
     Adaptive quadtree: boxes are discarded only by the displacement lower
-    bound, recursed while larger than the resolution, and certified when a
-    nonzero boundary degree is found at resolution scale. A box is halved
+    bound that F's declared Lipschitz bound gives, recursed while larger
+    than the resolution, and certified when a nonzero boundary degree is
+    found at resolution scale. A box is halved
     across its long side only while one side is less than half the other,
     so when the region's short side exceeds the resolution every certified
     box has aspect at most 2, whatever the region's aspect. The tree is
@@ -342,14 +318,17 @@ def isolate_fixed_points(F: LiftMap, region, resolution: float, lift_offset: int
     dilation exceeds the translation, so each contains the original). The
     first attempt that meets no subdivision line returns; when all of them
     do, BoundaryFixedPoint is raised. A non-finite displacement on an
-    attempt's boundary raises NonFiniteDisplacement. The boxes have disjoint
-    interiors, so each certifies its own fixed point. The subdivision budget
+    attempt's boundary raises NonFiniteDisplacement, and a map without a
+    Lipschitz bound ParamOutOfRange. The boxes have disjoint interiors, so
+    each certifies its own fixed point. The subdivision budget
     counts the boxes tested in one attempt; as a chunk is tested ahead of
     the depth-first order, an attempt that would fail on a boundary hit
     near the budget can report BudgetExceeded instead.
     """
     if not resolution > 0:  # NaN too
         raise ValueError("resolution must be positive")
+    if F.lipschitz is None:
+        raise ParamOutOfRange(f"{F.name or 'the map'} declares no Lipschitz bound")
     last_exc = None
     for attempt in range(1, _ATTEMPTS + 1):
         try:
@@ -366,8 +345,9 @@ def polish_fixed_point(F, box: CertifiedFixedBox, tol: float = 1e-12) -> np.ndar
     """Refine the certified point to high accuracy.
 
     Newton with finite-difference Jacobian, verified afterwards; falls back
-    to greedy subdivision when Newton leaves the box neighborhood. The
-    certification never relies on this step.
+    to greedy subdivision on sampled minima when Newton leaves the box
+    neighborhood, so F needs no Lipschitz bound. The certification never
+    relies on this step.
     """
     x0, x1, y0, y1 = box.box
     p = np.array(box.center, dtype=float)
@@ -400,7 +380,7 @@ def polish_fixed_point(F, box: CertifiedFixedBox, tol: float = 1e-12) -> np.ndar
             xm, ym = 0.5 * (b[0] + b[1]), 0.5 * (b[2] + b[3])
             children = [(b[0], xm, b[2], ym), (xm, b[1], b[2], ym),
                         (b[0], xm, ym, b[3]), (xm, b[1], ym, b[3])]
-            _, mins = _exclusion_margins(F, children)
+            mins, _ = _sampled_minima(F, children)
             b = children[int(np.argmin(mins))]
         p = np.array([0.5 * (b[0] + b[1]), 0.5 * (b[2] + b[3])])
     residual = np.hypot(*_displacement(F, p))
@@ -542,11 +522,11 @@ def diagnose_continuum(F, region, resolution: float) -> bool:
 
 def _x_displacement_range(F, region) -> tuple[float, float]:
     """Enclosure [lo, hi] of (F - id)_x over the region: its range on a grid
-    of about _RANGE_SAMPLES points, widened by a slope times the grid reach
-    (half a cell's diagonal). As in _exclusion_margins the slope is L + 1
-    under a declared bound L, a proof, and otherwise an estimate:
-    _EXCLUSION_SAFETY times the largest finite-difference slope, here of the
-    sampled x-displacement, and at least 1."""
+    of about _RANGE_SAMPLES points, widened by L + 1 times the grid reach
+    (half a cell's diagonal), L the declared bound on F; a proof in exact
+    arithmetic, as in _exclusion_margins. ParamOutOfRange without a bound."""
+    if F.lipschitz is None:
+        raise ParamOutOfRange(f"{F.name or 'the map'} declares no Lipschitz bound")
     x0, x1, y0, y1 = map(float, region)
     # square cells where the aspect allows (inf for a tiny y-span), two ticks an axis
     aspect = min((x1 - x0) / (y1 - y0), _RANGE_SAMPLES)
@@ -556,9 +536,7 @@ def _x_displacement_range(F, region) -> tuple[float, float]:
     if not np.isfinite(disp).all():
         raise NonFiniteDisplacement(f"non-finite x-displacement in {region}")
     hx, hy = (x1 - x0) / (nx - 1), (y1 - y0) / (len(ys) - 1)
-    slope = F.lipschitz + 1.0 if F.lipschitz is not None else _EXCLUSION_SAFETY * max(
-        1.0, np.abs(np.diff(disp, axis=1)).max() / hx, np.abs(np.diff(disp, axis=0)).max() / hy)
-    slack = slope * 0.5 * math.hypot(hx, hy)
+    slack = (F.lipschitz + 1.0) * 0.5 * math.hypot(hx, hy)
     return float(disp.min()) - slack, float(disp.max()) + slack
 
 
@@ -645,12 +623,12 @@ def completeness_check(F: LiftMap, n_max: int, region=None, resolution: float = 
 
     Each period-n point has one lift p in S, fixed by F^n + (k, 0) with
     k = -D_x(p), D = F^n - id, so its residue is (-k) mod |d^n - 1|. The
-    admissible k are those with -k in the enclosure of D_x over S (a proof
-    under a declared bound, an estimate otherwise); each is isolated on S,
-    and a box is kept when its centre lies in [x0, x0 + 1). That is exact
-    when no box meets a seam line x = x0 or x0 + 1: _seam_start moves x0
-    before each period so that none can, and _owned places any box that
-    still does by one exclusion test.
+    admissible k are those with -k in the enclosure of D_x over S, a proof
+    under F's declared Lipschitz bound (ParamOutOfRange without one); each
+    is isolated on S, and a box is kept when its centre lies in
+    [x0, x0 + 1). That is exact when no box meets a seam line x = x0 or
+    x0 + 1: _seam_start moves x0 before each period so that none can, and
+    _owned places any box that still does by one exclusion test.
 
     ``region`` supplies x0 and [y0, y1], not x1; the default is _STRIP_X0
     and the map's y_window. Failures are recorded per translate; a

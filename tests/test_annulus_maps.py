@@ -9,8 +9,11 @@ from hypothesis import given, strategies as st
 
 import annulift.annulus_maps as am
 from annulift.annulus_maps import (
+    PERTURBATION_MAX,
+    ZOO_SCHEMAS,
     GridSpec,
     LiftMap,
+    _norm_bound,
     counterexample_deg_minus1,
     counterexample_restriction,
     counterexample_spine,
@@ -85,11 +88,51 @@ def test_lipschitz_bound_propagates(d, n, k):
     assert np.all(moved <= G.lipschitz * np.hypot(*(p - q).T) * (1 + 1e-9))
 
 
-def test_families_without_a_bound_declare_none():
-    for F in (zoo("perturbed_power", d=2, eps=0.05), zoo("end_swap", d=-2),
-              zoo("ends_attracting", d=2, lam=0.5), counterexample_deg_minus1(),
-              iterate(zoo("ends_repelling", d=2, lam=0.5), 2)):
-        assert F.lipschitz is None
+@pytest.fixture(scope="module")
+def tabulated(tmp_path_factory):
+    """The benchmark's 256 x 257 copy of perturbed_power(2, 0.05), and the
+    shear (2x + y, 2y) loaded from a file: bilinear is exact on it, so its
+    bound is its spectral norm, above both column norms."""
+    path = tmp_path_factory.mktemp("grid") / "lift.json"
+    shear = _tabulate(lambda p: p @ np.array([[2.0, 0.0], [1.0, 2.0]]), nx=40, ny=21)
+    write_grid_lift(path, shear, 2, 0.0, -1.0, 1.0, fmt="binary")
+    values = _tabulate(zoo("perturbed_power", d=2, eps=0.05), nx=256, ny=257, y0=-2.0, y1=2.0)
+    return {"grid_copy": grid_lift_from_values(values, 2, 0.0, -2.0, 2.0),
+            "grid_file": load_grid_lift(path)}
+
+
+@pytest.mark.parametrize("name", sorted(ZOO_SCHEMAS) + ["grid_copy", "grid_file"])
+@given(d=st.integers(-50, 50).filter(bool), lam=st.floats(0.0, 1.0, exclude_min=True),
+       eps=st.floats(-PERTURBATION_MAX, PERTURBATION_MAX, exclude_min=True, exclude_max=True),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_declared_lipschitz_bound_holds(tabulated, name, d, lam, eps, seed):
+    # every zoo family across its documented parameters and every grid lift
+    # declares a bound that random pairs, at scales from 1e-6 to 1, obey;
+    # y reaches past the grids, where evaluation clamps it
+    schema = ZOO_SCHEMAS.get(name, {"params": ()})["params"]   # documented parameters
+    params = {k: v for k, v in {"d": d, "lam": lam, "eps": eps}.items() if k in schema}
+    rng = np.random.default_rng(seed)
+    p = rng.uniform((-2.0, -2.5), (2.0, 2.5), (2000, 2))
+    step = rng.normal(size=(2000, 2))
+    step *= 10.0 ** rng.uniform(-6.0, 0.0, (2000, 1)) / np.hypot(*step.T)[:, None]
+    q = p + step
+    with np.errstate(under="ignore"):   # tiny lam or eps, and the bump's tails
+        F = tabulated.get(name) or zoo(name, **params)
+        moved = np.hypot(*(F(p) - F(q)).T)
+    assert np.all(moved <= F.lipschitz * np.hypot(*(p - q).T) * (1 + 1e-9))
+
+
+@given(m=st.lists(st.floats(-1e3, 1e3), min_size=4, max_size=4),
+       slack=st.lists(st.floats(0.0, 10.0), min_size=3, max_size=3))
+def test_norm_bound_dominates_the_spectral_norm(m, slack):
+    # exact at zero slack, and larger column bounds only raise it
+    M = np.array(m).reshape(2, 2)
+    c1, c2 = M[:, 0], M[:, 1]
+    with np.errstate(under="ignore"):
+        a2, b2, p = c1 @ c1, c2 @ c2, abs(c1 @ c2)
+    exact = _norm_bound(a2, b2, p)
+    assert exact == pytest.approx(np.linalg.norm(M, 2), rel=1e-9, abs=1e-12)
+    assert _norm_bound(a2 + slack[0], b2 + slack[1], p + slack[2]) >= exact
 
 
 @pytest.mark.parametrize("bound", [float("nan"), float("inf"), -1.0])
@@ -284,16 +327,15 @@ def test_zoo_errors():
 
 # -- tabulated lifts ----------------------------------------------------------------
 
-def _tabulate_power(d=2, nx=16, y0=-1.0, y1=1.0, ny=9):
-    xs = np.arange(nx) / nx
-    ys = np.linspace(y0, y1, ny)
-    gx, gy = np.meshgrid(xs, ys)
-    return np.stack([d * gx, d * gy], axis=-1)
+def _tabulate(F, nx=16, ny=9, y0=-1.0, y1=1.0):
+    """F on nx columns of [0, 1) and ny rows of [y0, y1]."""
+    gx, gy = np.meshgrid(np.arange(nx) / nx, np.linspace(y0, y1, ny))
+    return F(np.stack([gx, gy], axis=-1))
 
 
 def test_grid_lift_reproduces_linear_map():
     # bilinear interpolation is exact on a linear map
-    values = _tabulate_power()
+    values = _tabulate(zoo("power", d=2))
     F = grid_lift_from_values(values, 2, 0.0, -1.0, 1.0)
     pts = np.stack([RNG.uniform(-3, 3, 50), RNG.uniform(-1, 1, 50)], axis=-1)
     np.testing.assert_allclose(F(pts), 2.0 * pts, atol=1e-12)
@@ -302,7 +344,7 @@ def test_grid_lift_reproduces_linear_map():
 
 @pytest.mark.parametrize("fmt", ["inline", "csv", "binary"])
 def test_grid_lift_file_round_trip(tmp_path, fmt):
-    values = _tabulate_power(d=-2)
+    values = _tabulate(zoo("power", d=-2))
     path = tmp_path / "lift.json"
     write_grid_lift(path, values, -2, 0.0, -1.0, 1.0, fmt=fmt, name="tab")
     F = load_grid_lift(path)

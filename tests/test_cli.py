@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from annulift import fixed_points
-from annulift.annulus_maps import ZOO_SCHEMAS, deck_translate, project, zoo
+from annulift.annulus_maps import ZOO_SCHEMAS, deck_translate, project, write_grid_lift, zoo
 from annulift.cli import main
 from annulift.errors import NonFiniteDisplacement
 from annulift.fixed_points import CertifiedFixedBox, nielsen_residue, polish_fixed_point
@@ -200,7 +200,6 @@ def test_removed_tolerance_flags_are_usage_errors(capsys, flag, value):
 
 
 def test_tabulated_lift_as_map_argument(tmp_path, capsys):
-    from annulift.annulus_maps import write_grid_lift
     xs = np.arange(16) / 16
     ys = np.linspace(-1, 1, 9)
     gx, gy = np.meshgrid(xs, ys)
@@ -210,6 +209,26 @@ def test_tabulated_lift_as_map_argument(tmp_path, capsys):
     code, out, _ = run(capsys, "index", "--map", str(path), "--curve", "circle:r=2")
     assert code == 0
     assert out.strip() == "2"
+
+
+def test_tabulated_hat_gives_the_same_boxes_on_any_region(tmp_path, capsys):
+    # a hat of width 0.008 at x = 0.3 puts two fixed points (0.3 +- 0.004/6, 0)
+    # inside one 5 x 5 sample cell of the large region; the grid's declared
+    # bound (151) keeps them, and both regions report the same two points
+    gx, gy = np.meshgrid(np.arange(2000) / 2000, np.linspace(-1.0, 1.0, 5))
+    hat = np.maximum(0.0, 1.0 - np.abs((gx - 0.3) / 0.004))
+    path = tmp_path / "hat.json"
+    write_grid_lift(path, np.stack([gx + 0.5 - 0.6 * hat, 0.5 * gy], axis=-1), 1, 0.0, -1.0, 1.0)
+    points = [(0.3 - 0.004 / 6, 0.0), (0.3 + 0.004 / 6, 0.0)]
+    for region in ("0,1,-1,1", "0.25,0.35,-0.1,0.1"):
+        js = tmp_path / "fp.json"
+        code, out, _ = run(capsys, "fixed-points", "--map", str(path), f"--region={region}",
+                           "--json", str(js))
+        assert code == 0 and "2 certified box(es)" in out
+        boxes = [CertifiedFixedBox(tuple(b["box"]), b["boundary_degree"])
+                 for b in json.loads(js.read_text())["boxes"]]
+        assert [b.boundary_degree for b in boxes] == [1, -1]
+        assert all(b.contains(p) for b, p in zip(boxes, points))
 
 
 @pytest.mark.parametrize("argv", [

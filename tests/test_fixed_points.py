@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import importlib.util
 import json
@@ -13,6 +12,7 @@ from annulift import fixed_points
 from annulift.annulus_maps import (
     AnnulusPoint,
     LiftMap,
+    _norm_bound,
     counterexample_deg_minus1,
     counterexample_spine_distance,
     counterexample_spine_segments,
@@ -75,8 +75,19 @@ def test_translate_isolates_minus_one():
 
 
 def test_fixed_point_free_lift_certifies_nothing():
-    F = make_lift(lambda p: np.asarray(p, float) + np.array([0.3, 0.0]), 1)
+    F = make_lift(lambda p: np.asarray(p, float) + np.array([0.3, 0.0]), 1, lipschitz=1)
     assert isolate_fixed_points(F, (-2, 2, -2, 2), 1e-3) == []
+
+
+def test_a_map_without_a_bound_is_refused():
+    # isolation and the x-displacement enclosure, through which sweeps and
+    # the default fixed-points strip go, need a declared Lipschitz bound
+    F = make_lift(lambda p: 2.0 * np.asarray(p, float), 2)
+    for call in (lambda: isolate_fixed_points(F, (-2, 2, -2, 2), 1e-3),
+                 lambda: completeness_check(F, 1),
+                 lambda: translate_strip(F, 0)):
+        with pytest.raises(ParamOutOfRange, match="no Lipschitz bound"):
+            call()
 
 
 def test_budget_exceeded(monkeypatch):
@@ -220,7 +231,7 @@ def _reference_isolate_once(F, region, resolution, audit, lift_offset):
                 raise fixed_points._BoundaryHit
             try:
                 deg = fixed_points._boundary_degree(F, box)
-            except (fixed_points.FixedPointOnCurve, fixed_points.DistanceViolation) as exc:
+            except fixed_points.FixedPointOnCurve as exc:
                 raise fixed_points._BoundaryHit from exc
             if deg != 0:
                 certified.append(CertifiedFixedBox(box, deg, lift_offset))
@@ -268,15 +279,19 @@ def _reference_isolate_once(F, region, resolution, audit, lift_offset):
 
 
 def _wobble(p):
-    """Degree 1, fixed points at (k/2, 0.3) for every integer k."""
+    """Degree 1, fixed points at (k/2, 0.3) for every integer k; Jacobian
+    diag(1 + 0.4 pi cos(2 pi x), 0.5)."""
     p = np.asarray(p, dtype=float)
     return np.stack([p[..., 0] + 0.2 * np.sin(2 * np.pi * p[..., 0]),
                      0.5 * p[..., 1] + 0.15], axis=-1)
 
 
+WOBBLE = make_lift(_wobble, 1, lipschitz=1.0 + 0.4 * np.pi)
+
+
 @pytest.mark.parametrize("F, region", [
     (iterate(zoo("end_swap", d=-2), 2), (-2, 2, -1, 1)),     # continuum: every attempt fails
-    (make_lift(_wobble, 1), (-1.23, 1.91, -1.0, 1.0)),      # six fixed points
+    (WOBBLE, (-1.23, 1.91, -1.0, 1.0)),      # six fixed points
 ])
 def test_leaf_order_is_independent_of_chunk_size(monkeypatch, F, region):
     # leaves get their boundary degrees in the one-box-at-a-time depth-first
@@ -300,20 +315,25 @@ def test_leaf_order_is_independent_of_chunk_size(monkeypatch, F, region):
 
 
 def _ring(p):
-    """Degree 1; fixed on the small closed curve sin(pi x)^2 + y^2 = 4e-6
-    around (0, 0), which one leaf at resolution 3e-2 can hold whole."""
+    """Degree 1; fixed on the small closed curve
+    sin(pi x)^2 + sin(pi y)^2 / pi^2 = 4e-6 around (0, 0), which one leaf at
+    resolution 3e-2 can hold whole. F = id + g (1, 1) with
+    |grad g| <= hypot(pi, 1/pi)."""
     p = np.asarray(p, dtype=float)
-    g = np.sin(np.pi * p[..., 0]) ** 2 + p[..., 1] ** 2 - 4e-6
+    g = np.sin(np.pi * p[..., 0]) ** 2 + np.sin(np.pi * p[..., 1]) ** 2 / np.pi ** 2 - 4e-6
     return np.stack([p[..., 0] + g, p[..., 1] + g], axis=-1)
+
+
+RING = make_lift(_ring, 1, lipschitz=1.0 + np.sqrt(2.0) * np.hypot(np.pi, 1.0 / np.pi))
 
 
 @pytest.mark.parametrize("F, region, resolution", [
     (zoo("power", d=2), (-1.7, 2.3, -2.1, 1.9), 1e-3),
     (deck_translate(iterate(zoo("power", d=3), 2), 4), (-1.3, 0.9, -0.7, 0.6), 1e-3),
     (zoo("power", d=2), (-2, 2, -2, 2), 1e-3),       # fixed point on a subdivision line
-    (make_lift(_wobble, 1), (-1.23, 1.91, -1.0, 1.0), 1e-2),
+    (WOBBLE, (-1.23, 1.91, -1.0, 1.0), 1e-2),
     (zoo("perturbed_power", d=2, eps=0.05), (-0.77, 0.61, -0.45, 0.52), 1e-3),
-    (make_lift(_ring, 1), (-0.31, 0.29, -0.3, 0.32), 3e-2),   # mop-up fragment survives
+    (RING, (-0.31, 0.29, -0.3, 0.32), 3e-2),   # mop-up fragment survives
     (zoo("power", d=2), (-0.5, 0.5, -2.0, 2.0), 1e-3),      # 1 x 4: y-only splits first
     (deck_translate(iterate(zoo("power", d=3), 3), 8), (-14.0, 14.0, -2.0, 2.0), 1e-3),  # x-only
 ])
@@ -361,84 +381,24 @@ def test_certified_boxes_are_near_square(short, aspect, tall, at, resolution):
     assert max(x1 - x0, y1 - y0) <= 2.0 * min(x1 - x0, y1 - y0) * (1.0 + 1e-9)
 
 
-def _scalar_exclusion_margin(F, box):
-    """The one-box exclusion formula, kept here as the reference."""
-    x0, x1, y0, y1 = box
-    m = fixed_points._EXCLUSION_GRID
-    gx, gy = np.meshgrid(np.linspace(x0, x1, m), np.linspace(y0, y1, m))
-    pts = np.stack([gx, gy], axis=-1)
-    disp = (np.asarray(F(pts.reshape(-1, 2))) - pts.reshape(-1, 2)).reshape(m, m, 2)
-    norms = np.hypot(disp[..., 0], disp[..., 1])
-    hx = (x1 - x0) / (m - 1)
-    hy = (y1 - y0) / (m - 1)
-    lip_x = np.hypot(*(np.diff(disp, axis=1).T)).max() / hx if hx > 0 else 0.0
-    lip_y = np.hypot(*(np.diff(disp, axis=0).T)).max() / hy if hy > 0 else 0.0
-    lip = max(lip_x, lip_y, 1.0)
-    reach = 0.5 * float(np.hypot(hx, hy))
-    sampled_min = float(norms.min())
-    return sampled_min - fixed_points._EXCLUSION_SAFETY * lip * reach, sampled_min
-
-
 def _grid_copy(F, nx=256, ny=257, y_range=(-2.0, 2.0)):
     xs = np.arange(nx, dtype=float) / nx
     gx, gy = np.meshgrid(xs, np.linspace(*y_range, ny))
     return grid_lift_from_values(F(np.stack([gx, gy], axis=-1)), F.degree, 0.0, *y_range)
 
 
-@pytest.mark.parametrize("F", [
-    # stripped of its declared bound, so that it runs the estimate path
-    pytest.param(dataclasses.replace(iterate(zoo("power", d=3), 3), lipschitz=None),
-                 id="power(3)^3"),
-    pytest.param(deck_translate(iterate(zoo("end_swap", d=-2), 2), 1),
-                 id="end_swap(-2)^2+(1,0)"),
-    pytest.param(zoo("ends_attracting", d=2, lam=0.7), id="ends_attracting"),
-    pytest.param(zoo("perturbed_power", d=2, eps=0.05), id="perturbed_power"),
-    pytest.param(_grid_copy(zoo("perturbed_power", d=2, eps=0.05)), id="grid_perturbed_power"),
-    pytest.param(counterexample_deg_minus1(), id="counterexample_deg_minus1"),
-])
-def test_exclusion_margins_match_scalar_reference(F):
-    assert F.lipschitz is None
-    boxes = _random_boxes()
-    margins, mins = _exclusion_margins(F, boxes)
-    ref = np.array([_scalar_exclusion_margin(F, tuple(b)) for b in boxes.tolist()])
-    # bitwise: the chunked quadtree must discard exactly the boxes it did before
-    assert margins.tobytes() == ref[:, 0].tobytes()
-    assert mins.tobytes() == ref[:, 1].tobytes()
-
-
 def _random_boxes():
+    """Boxes of every scale, some of zero width, zero height or a point."""
     rng = np.random.default_rng(7)
     cx = rng.uniform(-3.0, 3.0, 500)
     cy = rng.uniform(-1.5, 1.5, 500)
     hw = 10.0 ** rng.uniform(-5.0, -0.3, (2, 500))
-    return np.stack([cx - hw[0], cx + hw[0], cy - hw[1], cy + hw[1]], axis=-1)
-
-
-def _reference_exclusion_margins(F, boxes):
-    """The estimate path of _exclusion_margins as first vectorised: strided
-    (n, 5, 4, 2) difference views per axis, two hypots, two reductions and
-    two masked divides."""
-    boxes = np.asarray(boxes, dtype=float).reshape(-1, 4)
-    n, m = len(boxes), fixed_points._EXCLUSION_GRID
-    lo, hi = boxes[:, 0::2], boxes[:, 1::2]
-    h = (hi - lo) / (m - 1)
-    hx, hy = h[:, 0], h[:, 1]
-    ticks = lo[:, :, None] + h[:, :, None] * np.arange(m, dtype=float)
-    ticks[:, :, -1] = hi
-    pts = ticks.reshape(n, 2 * m).take(fixed_points._GRID, axis=1).reshape(-1, 2)
-    disp = np.asarray(F(pts), dtype=float) - pts
-    sampled_min = np.hypot(disp[:, 0], disp[:, 1]).reshape(n, m * m).min(axis=1)
-    reach = 0.5 * np.hypot(hx, hy)
-    disp = disp.reshape(n, m, m, 2)
-    dx = disp[:, :, 1:] - disp[:, :, :-1]
-    dy = disp[:, 1:] - disp[:, :-1]
-    lip_x = np.divide(np.hypot(dx[..., 0], dx[..., 1]).max(axis=(1, 2)), hx,
-                      out=np.zeros(n), where=hx > 0)
-    lip_y = np.divide(np.hypot(dy[..., 0], dy[..., 1]).max(axis=(1, 2)), hy,
-                      out=np.zeros(n), where=hy > 0)
-    lip = np.where(lip_y > lip_x, lip_y, lip_x)
-    lip = np.where(1.0 > lip, 1.0, lip)
-    return sampled_min - fixed_points._EXCLUSION_SAFETY * lip * reach, sampled_min
+    boxes = np.stack([cx - hw[0], cx + hw[0], cy - hw[1], cy + hw[1]], axis=-1)
+    boxes[::7, 1] = boxes[::7, 0]    # zero width
+    boxes[::11, 3] = boxes[::11, 2]  # zero height
+    boxes[::13, 1::2] = boxes[::13, 0::2]   # a point
+    corners = np.sort(rng.uniform(0.0, 2.0, (64, 4)).reshape(64, 2, 2), axis=2)
+    return np.concatenate([boxes, corners.reshape(64, 4)])
 
 
 def _holes(p):
@@ -447,32 +407,6 @@ def _holes(p):
     out = 2.0 * p
     out[np.hypot(p[..., 0] - 1.0, p[..., 1] - 0.5) < 0.5] = np.nan
     return out
-
-
-@pytest.mark.parametrize("F", [
-    pytest.param(zoo("ends_attracting", d=2, lam=0.7), id="ends_attracting"),
-    pytest.param(iterate(zoo("end_swap", d=-2), 2), id="end_swap^2"),
-    pytest.param(iterate(zoo("perturbed_power", d=2, eps=0.05), 2), id="perturbed_power^2"),
-    pytest.param(LiftMap(fn=_holes, degree=2), id="nan_holes"),
-])
-def test_exclusion_margins_match_reference_bitwise(F):
-    # NaN displacements, zero-width boxes and boxes of every scale: the
-    # stacked neighbour steps give the margins of the strided views, bit for bit
-    rng = np.random.default_rng(11)
-    boxes = _random_boxes()
-    boxes[::7, 1] = boxes[::7, 0]    # zero width
-    boxes[::11, 3] = boxes[::11, 2]  # zero height
-    boxes[::13, 1::2] = boxes[::13, 0::2]   # a point
-    boxes = np.concatenate([boxes, np.sort(rng.uniform(0.0, 2.0, (64, 4)).reshape(64, 2, 2),
-                                           axis=2).reshape(64, 4)])
-    assert F.lipschitz is None
-    for n in (1, 10, len(boxes)):
-        got = _exclusion_margins(F, boxes[:n])
-        want = _reference_exclusion_margins(F, boxes[:n])
-        assert got[0].tobytes() == want[0].tobytes()
-        assert got[1].tobytes() == want[1].tobytes()
-    if F.fn is _holes:
-        assert np.isnan(got[0]).any() and np.isfinite(got[0]).any()
 
 
 def _scalar_declared_margin(F, box):
@@ -504,21 +438,25 @@ HAT_LIPSCHITZ = 1.0 + 0.6 / 0.004
     pytest.param(iterate(zoo("power", d=3), 3), id="power(3)^3"),
     pytest.param(deck_translate(iterate(zoo("power", d=-2), 2), 1), id="power(-2)^2+(1,0)"),
     pytest.param(make_lift(_hat, 1, lipschitz=HAT_LIPSCHITZ), id="hat"),
+    pytest.param(LiftMap(fn=_holes, degree=2, lipschitz=2.0), id="nan_holes"),
 ])
 def test_declared_exclusion_margins_match_scalar_reference(F):
-    assert F.lipschitz is not None
+    # degenerate boxes and NaN displacements too: bit for bit the one-box formula
     boxes = _random_boxes()
     margins, mins = _exclusion_margins(F, boxes)
     ref = np.array([_scalar_declared_margin(F, tuple(b)) for b in boxes.tolist()])
     assert margins.tobytes() == ref[:, 0].tobytes()
     assert mins.tobytes() == ref[:, 1].tobytes()
+    if F.fn is _holes:   # a NaN displacement never excludes a box
+        assert np.isnan(margins).any() and (margins > 0).any()
+        assert np.isnan(margins[np.isnan(mins)]).all()
 
 
 @pytest.mark.parametrize("region", [(0, 1, -1, 1), (0.25, 0.35, -0.1, 0.1)])
 def test_declared_bound_finds_both_hat_fixed_points(region):
-    # the estimate misses the hat on the large region; the declared bound
-    # sees it on both, and a bound below the true one (the mutation) proves
-    # the hat away
+    # a 5 x 5 sample grid of the large region misses the hat; the declared
+    # bound sees it on both, and a bound below the true one (the mutation)
+    # proves the hat away
     boxes = isolate_fixed_points(make_lift(_hat, 1, lipschitz=HAT_LIPSCHITZ), region, 1e-3)
     assert sorted(b.boundary_degree for b in boxes) == [-1, 1]
     for x in (0.3 - 0.004 / 6, 0.3 + 0.004 / 6):
@@ -527,9 +465,9 @@ def test_declared_bound_finds_both_hat_fixed_points(region):
 
 
 @pytest.mark.parametrize("F, region", [
-    (make_lift(_hat, 1), (0.25, 0.35, -0.1, 0.1)),       # two points of degree +1, -1
+    (make_lift(_hat, 1, lipschitz=HAT_LIPSCHITZ), (0.25, 0.35, -0.1, 0.1)),   # degrees +1, -1
     (zoo("power", d=2), (-2, 2, -2, 2)),
-    (make_lift(_wobble, 1), (-1.23, 1.91, -1.0, 1.0)),
+    (WOBBLE, (-1.23, 1.91, -1.0, 1.0)),
 ])
 def test_every_reported_box_has_nonzero_degree(F, region):
     boxes = isolate_fixed_points(F, region, 1e-3)
@@ -556,12 +494,12 @@ def test_exclusion_oracle_agreement():
 
 @pytest.mark.parametrize("F, region", [
     pytest.param(zoo("ends_attracting", d=2, lam=0.7), (-2, 2, -2, 2), id="ends_attracting"),
+    pytest.param(zoo("end_swap", d=-2), (-2, 2, -2, 2), id="end_swap"),
     pytest.param(_grid_copy(zoo("perturbed_power", d=2, eps=0.05)), (-2, 2, -1.5, 1.5),
                  id="grid_perturbed_power"),
 ])
-def test_estimated_exclusion_oracle_agreement(F, region):
-    # the estimate path, on maps that declare no bound
-    assert F.lipschitz is None
+def test_declared_exclusion_oracle_agreement(F, region):
+    # the declared bounds of the other families and of a grid lift
     audit = IsolationAudit()
     isolate_fixed_points(F, region, 1e-2, audit=audit)
     assert audit.discarded, "expected some excluded boxes"
@@ -609,9 +547,11 @@ def test_sweep_does_not_depend_on_the_strip(name, params, n_max):
 def test_sweep_records_a_failed_translate():
     # this sheared displacement field is too badly conditioned for the
     # sampled exclusion bound near its zero on the default strip; the
-    # failure is recorded per translate instead of aborting the sweep
+    # failure is recorded per translate instead of aborting the sweep.
+    # Its bound is the spectral norm of [[2, 10], [0, 2]].
     shear = make_lift(lambda p: np.stack(
-        [2 * p[..., 0] + 10 * p[..., 1], 2 * p[..., 1]], axis=-1), 2)
+        [2 * p[..., 0] + 10 * p[..., 1], 2 * p[..., 1]], axis=-1), 2,
+        lipschitz=_norm_bound(4.0, 104.0, 20.0))
     (report,) = completeness_check(shear, 1, resolution=1e-2)
     assert 0 in report.errors
     assert not report.complete
