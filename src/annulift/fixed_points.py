@@ -3,14 +3,16 @@
 A box certifies a fixed point of a lift when the winding number of the
 displacement field F - id around its boundary is nonzero; this needs only
 continuity, no derivatives. A box is discarded when a lower bound on the
-displacement over the box is positive: the minimum over a 5 x 5 sample grid
-minus (L + 1) times the grid reach (the largest distance from a point of the
-box to its nearest sample), where L is the Lipschitz bound the map declares
-on F itself (``LiftMap.lipschitz``). F - id is then (L + 1)-Lipschitz, so
-the discard is a proof under that bound. Every shipped map and tabulated
-lift declares one; ``iterate`` raises it to the n-th power and
+displacement over the box is positive: the minimum at the centres of a
+3 x 3 split of the box minus (L + 1) times half a cell's diagonal, which
+reaches every point of a cell from its centre; L is the Lipschitz bound the
+map declares on F itself (``LiftMap.lipschitz``), so F - id is
+(L + 1)-Lipschitz and the discard is a proof. Every shipped map and
+tabulated lift declares one; ``iterate`` raises it to the n-th power and
 ``deck_translate`` keeps it. Isolation and sweeps refuse a map without one
-(ParamOutOfRange).
+(ParamOutOfRange). Centres, not edge samples: a box shares its edges with
+its neighbours, and beside a fixed point's box the displacement on the
+shared edge is near zero, so a neighbour sampled there survives to a leaf.
 
 The rule does not enclose the floating-point rounding of the samples; the
 proof holds in exact arithmetic. The certified boxes come from a quadtree
@@ -73,7 +75,7 @@ from .errors import (
 from .index import lefschetz_index
 
 _BOUNDARY_MIN_DISP = 1e-10        # displacement floor on subdivision boundaries
-_EXCLUSION_GRID = 5               # exclusion test samples per box axis
+_EXCLUSION_GRID = 3               # exclusion test samples per box axis
 _SUBDIVISION_BUDGET = 500_000     # tested boxes per attempt
 _JITTER_BASE = math.sqrt(2.0) * 1e-4
 # per-attempt jitter multipliers (tx, ty, dx, dy): 0.2 + 0.6 * r[0:2] and
@@ -109,10 +111,10 @@ _CHILDREN = np.array([[0, 6, 2, 7, 4, 8], [6, 1, 2, 7, 4, 5],
                       [0, 6, 7, 3, 4, 5], [6, 1, 7, 3, 4, 5]])
 _KEPT = np.array([[True, True, True, True], [True, True, False, False],
                   [True, False, True, False], [True, False, False, False]])
-# 5 x 5 exclusion grid: tick i of an axis is lo + i * h, the last pinned to
-# hi; sample (row i, column j) reads x tick j and y tick i of the (N, 2, m)
-# tick array flattened to (N, 2m)
-_TICKS = np.arange(_EXCLUSION_GRID, dtype=float)
+# 3 x 3 exclusion cell centres: tick i of an axis is lo + h * (i + 0.5), with
+# h = (hi - lo) / 3; sample (row i, column j) reads x tick j and y tick i of
+# the (N, 2, m) tick array flattened to (N, 2m)
+_TICKS = np.arange(_EXCLUSION_GRID) + 0.5
 _GRID = np.array([[j, _EXCLUSION_GRID + i] for i in range(_EXCLUSION_GRID)
                   for j in range(_EXCLUSION_GRID)])
 
@@ -162,15 +164,13 @@ def _displacement(F, pts):
 
 def _sampled_minima(F, boxes) -> tuple[np.ndarray, np.ndarray]:
     """(sampled_mins, reaches) of an (N, 4) array of boxes: the least
-    displacement norm on each box's m x m grid (one map call for all; NaN if
-    a sample is) and half a cell's diagonal, which reaches every point."""
+    displacement norm at the centres of each box's m x m split (one map call
+    for all; NaN if a sample is) and half a cell's diagonal, their reach."""
     boxes = np.asarray(boxes, dtype=float).reshape(-1, 4)
     n, m = len(boxes), _EXCLUSION_GRID
     lo, hi = boxes[:, 0::2], boxes[:, 1::2]   # columns x, y
-    h = (hi - lo) / (m - 1)
-    # lo + i*step with the last tick pinned to hi: np.linspace, bit for bit
+    h = (hi - lo) / m
     ticks = lo[:, :, None] + h[:, :, None] * _TICKS
-    ticks[:, :, -1] = hi
     pts = ticks.reshape(n, 2 * m).take(_GRID, axis=1).reshape(-1, 2)
     disp = _displacement(F, pts)
     norms = np.hypot(disp[:, 0], disp[:, 1]).reshape(n, m * m)

@@ -213,7 +213,7 @@ def test_tabulated_lift_as_map_argument(tmp_path, capsys):
 
 def test_tabulated_hat_gives_the_same_boxes_on_any_region(tmp_path, capsys):
     # a hat of width 0.008 at x = 0.3 puts two fixed points (0.3 +- 0.004/6, 0)
-    # inside one 5 x 5 sample cell of the large region; the grid's declared
+    # inside one 3 x 3 sample cell of the large region; the grid's declared
     # bound (151) keeps them, and both regions report the same two points
     gx, gy = np.meshgrid(np.arange(2000) / 2000, np.linspace(-1.0, 1.0, 5))
     hat = np.maximum(0.0, 1.0 - np.abs((gx - 0.3) / 0.004))

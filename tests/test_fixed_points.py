@@ -97,17 +97,34 @@ def test_budget_exceeded(monkeypatch):
 
 
 def test_budget_is_per_attempt_with_or_without_audit(monkeypatch):
-    # the first attempt meets a subdivision line after 187 tested boxes and
-    # the second certifies after 159: a cap of 188 holds for each attempt,
-    # and an audit that sums the boxes over both attempts does not trip it
-    F = deck_translate(iterate(zoo("power", d=3), 3), 8)
-    region = (-14.0, 14.0, -2.0, 2.0)
-    monkeypatch.setattr(fixed_points, "_SUBDIVISION_BUDGET", 188)
+    # the fixed point of (2x - a, 2y - b) is the centre (a, b) of attempt 1's
+    # region, on both of its first split lines: attempt 1 meets it on a leaf
+    # corner after 245 tested boxes and attempt 2 certifies it after 289. A
+    # cap of 289 holds for each attempt, and an audit that sums the boxes
+    # over both attempts does not trip it
+    region = (-2.0, 2.0, -2.0, 2.0)
+    jx0, jx1, jy0, jy1 = fixed_points._jittered(region, 1)
+    centre = np.array([0.5 * (jx0 + jx1), 0.5 * (jy0 + jy1)])
+    F = make_lift(lambda p: 2.0 * np.asarray(p, float) - centre, 2, lipschitz=2)
+    monkeypatch.setattr(fixed_points, "_SUBDIVISION_BUDGET", 289)
     audit = IsolationAudit()
-    boxes = isolate_fixed_points(F, region, 1e-3, audit=audit)
-    assert len(boxes) == 1
-    assert boxes == isolate_fixed_points(F, region, 1e-3)
-    assert audit.boxes_processed > 188
+    regions = _record_attempts(monkeypatch)
+    boxes = isolate_fixed_points(F, region, 1e-4, audit=audit)
+    assert len(regions) == 2 and audit.unresolved == []
+    assert len(boxes) == 1 and boxes[0].contains(centre)
+    assert boxes == isolate_fixed_points(F, region, 1e-4)
+    assert audit.boxes_processed > 289
+
+
+def test_census_mop_up_failure_is_gone(monkeypatch):
+    # a leaf beside this fixed point's leaf shares an edge with it; centre
+    # samples exclude that leaf's mop-up fragments, so attempt 1 certifies
+    regions = _record_attempts(monkeypatch)
+    audit = IsolationAudit()
+    F = deck_translate(iterate(zoo("power", d=3), 3), 8)
+    boxes = isolate_fixed_points(F, (-14.0, 14.0, -2.0, 2.0), 1e-3, audit=audit)
+    assert len(boxes) == 1 and len(regions) == 1
+    assert audit.unresolved == []
 
 
 def test_no_box_is_tested_twice_in_an_attempt(monkeypatch):
@@ -410,20 +427,47 @@ def _holes(p):
 
 
 def _scalar_declared_margin(F, box):
-    """The one-box exclusion formula under a declared bound L on F: sampled
-    minimum minus (L + 1) times half a grid cell's diagonal."""
+    """The one-box exclusion formula under a declared bound L on F: the least
+    displacement at the centres of an m x m split of the box, minus (L + 1)
+    times half a cell's diagonal."""
     x0, x1, y0, y1 = box
     m = fixed_points._EXCLUSION_GRID
-    gx, gy = np.meshgrid(np.linspace(x0, x1, m), np.linspace(y0, y1, m))
-    pts = np.stack([gx.ravel(), gy.ravel()], axis=-1)
+    hx, hy = (x1 - x0) / m, (y1 - y0) / m
+    pts = np.array([(x0 + hx * (j + 0.5), y0 + hy * (i + 0.5))
+                    for i in range(m) for j in range(m)])
     sampled_min = float(np.hypot(*(np.asarray(F(pts)) - pts).T).min())
-    reach = 0.5 * float(np.hypot((x1 - x0) / (m - 1), (y1 - y0) / (m - 1)))
+    reach = 0.5 * float(np.hypot(hx, hy))
     return sampled_min - (F.lipschitz + 1.0) * reach, sampled_min
+
+
+_UNIT = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+@given(corner=st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)),
+       sides=st.tuples(st.floats(0.0, 1e6), st.floats(0.0, 1e6)),
+       at=st.lists(st.tuples(_UNIT, _UNIT), min_size=1, max_size=8))
+def test_every_point_of_a_box_is_within_reach_of_a_sample(corner, sides, at):
+    # the geometric half of the exclusion proof, on the kernel's own samples:
+    # every point of the box, corners and edges too, lies within the reach
+    # of one of the 9 cell centres; the slack is the rounding of the sample
+    # coordinates, which the proof leaves to exact arithmetic
+    lo = np.array(corner)
+    hi = lo + np.array(sides)
+    samples = []
+    with np.errstate(under="ignore"):   # subnormal sides
+        _, (reach,) = fixed_points._sampled_minima(
+            lambda p: samples.append(p.copy()) or p, [(lo[0], hi[0], lo[1], hi[1])])
+        (samples,) = samples
+        assert samples.shape == (fixed_points._EXCLUSION_GRID ** 2, 2) == (9, 2)
+        rounding = float(np.spacing(np.maximum(abs(lo), abs(hi))).sum())
+        for u in at:
+            p = np.clip(lo + np.array(u) * (hi - lo), lo, hi)
+            assert np.hypot(*(samples - p).T).min() <= reach * (1.0 + 1e-12) + rounding
 
 
 def _hat(p):
     """Degree 1 with a hat of width 0.008 at x = 0.3: two fixed points,
-    (0.3 +- 0.004/6, 0), that a 5 x 5 sample grid of a large box misses.
+    (0.3 +- 0.004/6, 0), that the 3 x 3 samples of a large box miss.
     Lipschitz constant 1 + 0.6/0.004 = 151."""
     p = np.asarray(p, dtype=float)
     t = (np.mod(p[..., 0], 1.0) - 0.3) / 0.004
@@ -454,7 +498,7 @@ def test_declared_exclusion_margins_match_scalar_reference(F):
 
 @pytest.mark.parametrize("region", [(0, 1, -1, 1), (0.25, 0.35, -0.1, 0.1)])
 def test_declared_bound_finds_both_hat_fixed_points(region):
-    # a 5 x 5 sample grid of the large region misses the hat; the declared
+    # the 3 x 3 samples of the large region miss the hat; the declared
     # bound sees it on both, and a bound below the true one (the mutation)
     # proves the hat away
     boxes = isolate_fixed_points(make_lift(_hat, 1, lipschitz=HAT_LIPSCHITZ), region, 1e-3)
