@@ -18,7 +18,6 @@ from .annulus_maps import (
 )
 from .curves import (
     ClosedCurve,
-    PlanePoint,
     circle,
     curve_from_json,
     curve_to_json,
@@ -50,7 +49,6 @@ __all__ = [
     "GridSpec",
     "LiftMap",
     "NielsenReport",
-    "PlanePoint",
     "annulus_distance",
     "circle",
     "completeness_check",

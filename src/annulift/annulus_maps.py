@@ -29,6 +29,7 @@ from .errors import (
 TWO_PI = 2.0 * np.pi
 
 _EQUIVARIANCE_TOL = 1e-9  # max deck-equivariance defect on a check grid
+_EXP_NORMAL_MIN = math.log(np.finfo(float).tiny)  # e^a is a normal float iff a >= this
 
 _DATA_DIR = Path(__file__).parent / "data"
 
@@ -113,7 +114,7 @@ def make_lift(fn, degree: int, name: str = "", y_window=(-2.0, 2.0),
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Sample grid for equivariance checks."""
+    """Regular nx by ny sample grid over x_range x y_range, row by row in y."""
 
     nx: int = 8
     ny: int = 8
@@ -285,12 +286,16 @@ def _smooth_bump(y: np.ndarray) -> np.ndarray:
     bump = y e^(1-s) peaks where 2y^2 = (1 - y^2)^2 at 0.35897 < 0.36, and
     bump' = e^(1-s)(1 + 2s - 2s^2), 1 at s = 1, falls to its minimum at
     s = (3 + sqrt 7)/2, -(4 + 2 sqrt 7) e^(-(1 + sqrt 7)/2) = -1.50114, then
-    rises to 0: |bump'| < 1.51."""
+    rises to 0: |bump'| < 1.51. Where e^(1-s) would be subnormal, the bump
+    is 0 (its true size is below 2.3e-308): exp(-inf) is an exact 0, which
+    raises no underflow."""
     y = np.asarray(y, dtype=float)
     out = np.zeros_like(y)
     inside = np.abs(y) < 1.0
     yi = y[inside]
-    out[inside] = yi * np.exp(1.0 - 1.0 / (1.0 - yi * yi))
+    arg = 1.0 - 1.0 / (1.0 - yi * yi)
+    arg[arg < _EXP_NORMAL_MIN] = -np.inf
+    out[inside] = yi * np.exp(arg)
     return out
 
 
@@ -593,7 +598,7 @@ def _spine_interp(geo: dict):
         y = np.interp(tf, tv, py)
         return np.stack([x, y], axis=-1)
 
-    return spine, verts
+    return spine
 
 
 def _param_map(geo: dict):
@@ -633,14 +638,14 @@ def counterexample_spine_segments(translates=(-1, 0, 1)):
 
 def counterexample_spine(t) -> np.ndarray:
     geo = _counterexample_geometry()
-    spine, _ = _spine_interp(geo)
+    spine = _spine_interp(geo)
     return spine(t)
 
 
 def counterexample_restriction(t) -> np.ndarray:
     """The map's exact values on the invariant curve, as spine(gmap(t))."""
     geo = _counterexample_geometry()
-    spine, _ = _spine_interp(geo)
+    spine = _spine_interp(geo)
     gmap = _param_map(geo)
     return spine(gmap(t))
 
@@ -721,7 +726,7 @@ def counterexample_deg_minus1() -> LiftMap:
     background value exactly.
     """
     geo = _counterexample_geometry()
-    spine, _ = _spine_interp(geo)
+    spine = _spine_interp(geo)
     gmap = _param_map(geo)
     segs = counterexample_spine_segments()
     bg = geo["background"]

@@ -6,8 +6,9 @@ invalid value such as a non-positive resolution or a reversed rectangle).
 Failures also emit one JSON object on stderr. Artifact JSON is
 deterministic for identical flags: sorted keys and no timestamps.
 
-Every tolerance is a fixed constant of the library module that reads it;
-``index --min-disp`` is the only one a flag overrides.
+Every tolerance is a fixed constant of the library module that reads it.
+The only floors a caller chooses are ``lefschetz_index(min_disp)``, which
+``index --min-disp`` sets, and ``winding_number(min_dist)``.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .fixed_points import (
     reports_to_json,
     translate_strip,
 )
-from .index import lefschetz_index
+from .index import _MIN_DISP, lefschetz_index
 
 
 class UsageError(Exception):
@@ -276,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--curve", required=True,
                    help="circle:r=<r>[,n=<samples>] | rect:<x0,x1,y0,y1> | JSON file")
-    p.add_argument("--min-disp", dest="min_disp", type=float, default=1e-6,
+    p.add_argument("--min-disp", dest="min_disp", type=float, default=_MIN_DISP,
                    help="displacement floor below which the index is undefined")
     p.set_defaults(func=cmd_index)
 

@@ -50,24 +50,7 @@ def _cyclic_next(a: np.ndarray) -> np.ndarray:
     return np.concatenate([a[1:], a[:1]])
 
 
-@dataclass(frozen=True)
-class PlanePoint:
-    """A point of the universal cover; x is the angular lift, y the radial."""
-
-    x: float
-    y: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.x) and np.isfinite(self.y)):
-            raise ValueError(f"non-finite point ({self.x}, {self.y})")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y], dtype=float)
-
-
 def _as_point(p) -> np.ndarray:
-    if isinstance(p, PlanePoint):
-        return p.as_array()
     arr = np.asarray(p, dtype=float)
     if arr.shape != (2,) or not np.all(np.isfinite(arr)):
         raise ValueError(f"expected a finite plane point, got {p!r}")
@@ -314,11 +297,12 @@ def _orient_signs(a, b, c) -> np.ndarray:
     for (n, 2) point arrays, exact for finite points: a float sign the static
     filter cannot vouch for is recomputed by _exact_orient_sign."""
     u, v = b - a, c - a
-    left = u[:, 0] * v[:, 1]
-    right = u[:, 1] * v[:, 0]
-    det = left - right
+    with np.errstate(under="ignore"):   # _ORIENT_TINY covers what underflows
+        left = u[:, 0] * v[:, 1]
+        right = u[:, 1] * v[:, 0]
+        det = left - right
+        bound = _ORIENT_ERRBOUND * (np.abs(left) + np.abs(right)) + _ORIENT_TINY
     sign = np.sign(det)
-    bound = _ORIENT_ERRBOUND * (np.abs(left) + np.abs(right)) + _ORIENT_TINY
     for k in (np.abs(det) <= bound).nonzero()[0].tolist():
         coords = a[k].tolist() + b[k].tolist() + c[k].tolist()
         if all(map(math.isfinite, coords)):

@@ -53,6 +53,7 @@ import numpy as np
 
 from .annulus_maps import (
     AnnulusPoint,
+    GridSpec,
     LiftMap,
     _median,
     annulus_distance,
@@ -91,6 +92,7 @@ _ATTEMPTS = len(_JITTER)          # jittered attempts before BoundaryFixedPoint
 _BOUNDARY_SAMPLES_PER_SIDE = 16   # rectangle samples for a leaf's boundary degree
 _RESIDUE_DISP_TOL = 1e-7          # NotPeriodic threshold on the projected point
 _RESIDUE_INT_TOL = 1e-5           # near-integer threshold for the translation
+_POLISH_TOL = 1e-12               # displacement at which Newton polishing stops
 _RANGE_SAMPLES = 4096             # grid samples for a strip's x-displacement enclosure
 # default strip [-1/2, 1/2): centred on the origin, which every shipped family
 # fixes, like the y-window on y = 0; the jitter moves subdivision lines off both
@@ -341,7 +343,7 @@ def isolate_fixed_points(F: LiftMap, region, resolution: float, lift_offset: int
         f"{_ATTEMPTS} attempts") from last_exc
 
 
-def polish_fixed_point(F, box: CertifiedFixedBox, tol: float = 1e-12) -> np.ndarray:
+def polish_fixed_point(F, box: CertifiedFixedBox) -> np.ndarray:
     """Refine the certified point to high accuracy.
 
     Newton with finite-difference Jacobian, verified afterwards; falls back
@@ -356,7 +358,7 @@ def polish_fixed_point(F, box: CertifiedFixedBox, tol: float = 1e-12) -> np.ndar
     ok = False
     for _ in range(40):
         g = _displacement(F, p)
-        if np.hypot(*g) < tol:
+        if np.hypot(*g) < _POLISH_TOL:
             ok = True
             break
         e1 = np.array([h, 0.0])
@@ -408,7 +410,7 @@ def nielsen_residue(F0: LiftMap, point, period: int, lift_x_offset: int = 0) -> 
         raise ParamOutOfRange(
             f"degree {F0.degree} has no residue classes at period {period}")
     p_lift = p.lift(lift_x_offset)
-    q = iterate(F0, period)(p_lift) if period > 1 else F0(p_lift)
+    q = iterate(F0, period)(p_lift)
     if not np.all(np.isfinite(q)):
         raise NonFiniteDisplacement(
             f"non-finite image ({q[0]}, {q[1]}) of ({p.theta:.6g}, {p.y:.6g}) "
@@ -436,9 +438,14 @@ class NielsenReport:
     period: int
     modulus: int
     fixed_boxes: tuple
-    box_residues: tuple
     errors: dict = field(default_factory=dict)            # lift offset -> message
     continuum_offsets: tuple = ()                         # offsets with 1D fixed sets
+
+    @property
+    def box_residues(self) -> tuple:
+        """Residue of each certified box: a fixed point of F^n + (k, 0) has
+        residue (-k) mod |d^n - 1|."""
+        return tuple((-b.lift_offset) % self.modulus for b in self.fixed_boxes)
 
     @property
     def realized_residues(self) -> frozenset:
@@ -473,8 +480,8 @@ class NielsenReport:
         }
 
 
-def reports_to_json(reports, indent: int = 2) -> str:
-    return json.dumps([r.to_dict() for r in reports], indent=indent, sort_keys=True)
+def reports_to_json(reports) -> str:
+    return json.dumps([r.to_dict() for r in reports], indent=2, sort_keys=True)
 
 
 def boxes_to_csv_rows(reports) -> list[str]:
@@ -494,10 +501,7 @@ def diagnose_continuum(F, region, resolution: float) -> bool:
     1D zero set crosses the circle, an isolated point keeps it clear."""
     x0, x1, y0, y1 = map(float, region)
     m = 160
-    xs = np.linspace(x0, x1, m)
-    ys = np.linspace(y0, y1, m)
-    gx, gy = np.meshgrid(xs, ys)
-    pts = np.stack([gx.ravel(), gy.ravel()], axis=-1)
+    pts = GridSpec(m, m, (x0, x1), (y0, y1)).points()
     norms = np.hypot(*_displacement(F, pts).T)
     p = pts[int(np.argmin(norms))]
     # local descent to land on the zero set
@@ -531,11 +535,11 @@ def _x_displacement_range(F, region) -> tuple[float, float]:
     # square cells where the aspect allows (inf for a tiny y-span), two ticks an axis
     aspect = min((x1 - x0) / (y1 - y0), _RANGE_SAMPLES)
     nx = min(max(2, round(math.sqrt(_RANGE_SAMPLES * aspect))), _RANGE_SAMPLES // 2)
-    xs, ys = np.linspace(x0, x1, nx), np.linspace(y0, y1, _RANGE_SAMPLES // nx)
-    disp = _displacement(F, np.stack(np.meshgrid(xs, ys), axis=-1))[..., 0]
+    ny = _RANGE_SAMPLES // nx
+    disp = _displacement(F, GridSpec(nx, ny, (x0, x1), (y0, y1)).points())[:, 0]
     if not np.isfinite(disp).all():
         raise NonFiniteDisplacement(f"non-finite x-displacement in {region}")
-    hx, hy = (x1 - x0) / (nx - 1), (y1 - y0) / (len(ys) - 1)
+    hx, hy = (x1 - x0) / (nx - 1), (y1 - y0) / (ny - 1)
     slack = (F.lipschitz + 1.0) * 0.5 * math.hypot(hx, hy)
     return float(disp.min()) - slack, float(disp.max()) + slack
 
@@ -588,7 +592,7 @@ def _strip_report(F_iter: LiftMap, period: int, strip, resolution: float) -> Nie
     lo, hi = _x_displacement_range(F_iter, strip)
     if not hi - lo < _SUBDIVISION_BUDGET:   # inf too
         raise BudgetExceeded(f"about {hi - lo:.3g} admissible translates on {strip}")
-    boxes, residues, errors, continuum = [], [], {}, {}
+    boxes, errors, continuum = [], {}, {}
     for k in range(math.ceil(-hi), math.floor(-lo) + 1):
         residue = (-k) % modulus
         Fk = deck_translate(F_iter, k)
@@ -609,10 +613,8 @@ def _strip_report(F_iter: LiftMap, period: int, strip, resolution: float) -> Nie
                 errors[k] = f"BoundaryFixedPoint: the box {b.box} meets a seam of the strip"
             elif owned:
                 boxes.append(b)
-                residues.append(residue)
     return NielsenReport(period=period, modulus=modulus, fixed_boxes=tuple(boxes),
-                         box_residues=tuple(residues), errors=errors,
-                         continuum_offsets=tuple(continuum.values()))
+                         errors=errors, continuum_offsets=tuple(continuum.values()))
 
 
 def completeness_check(F: LiftMap, n_max: int, region=None, resolution: float = 1e-3

@@ -37,7 +37,12 @@ from .errors import (
 )
 
 
-def lefschetz_index(F, curve: ClosedCurve, min_disp: float = 1e-6) -> int:
+_MIN_DISP = 1e-6              # displacement floor of an index along a curve
+_RECT_SAMPLES_PER_SIDE = 64   # saddle rectangle samples, for its conditions and its index
+_JUMP_PROBES = 8              # homotopy times index_jump_experiment probes between its ends
+
+
+def lefschetz_index(F, curve: ClosedCurve, min_disp: float = _MIN_DISP) -> int:
     """Winding number of the displacement curve F(gamma) - gamma about 0.
 
     ``F`` is any vectorized plane-map callable (a LiftMap works). Raises
@@ -59,35 +64,20 @@ def lefschetz_index(F, curve: ClosedCurve, min_disp: float = 1e-6) -> int:
                           FixedPointOnCurve, "fixed point on curve")
 
 
-def _param_lefschetz(map_at: Callable[[np.ndarray], np.ndarray], curve: ClosedCurve,
-                     min_disp: float) -> int:
+def _param_lefschetz(map_at: Callable[[np.ndarray], np.ndarray], curve: ClosedCurve) -> int:
     """Index for a map given directly in curve parameters (t -> image point)."""
 
     def disp(t):
         return np.asarray(map_at(t), dtype=float) - curve.point_at(t)
 
     v0 = np.asarray(map_at(curve.params), dtype=float) - curve.samples
-    return _turning_count(v0, curve.params, disp, min_disp,
+    return _turning_count(v0, curve.params, disp, _MIN_DISP,
                           FixedPointOnCurve, "fixed point on curve")
 
 
 # -- saddle rectangles ----------------------------------------------------------
 
-def _side_samples(rect, per_side: int):
-    x0, x1, y0, y1 = map(float, rect)
-    if not (x1 > x0 and y1 > y0):
-        raise ValueError("rectangle needs x1 > x0 and y1 > y0")
-    u = np.linspace(0.0, 1.0, per_side)
-    # bottom, top, left and right, written into one array
-    out = np.empty((4, per_side, 2))
-    out[:2, :, 0] = x0 + (x1 - x0) * u
-    out[:2, :, 1] = ((y0,), (y1,))
-    out[2:, :, 0] = ((x0,), (x1,))
-    out[2:, :, 1] = y0 + (y1 - y0) * u
-    return dict(zip(("bottom", "top", "left", "right"), out))
-
-
-def saddle_rectangle_index(F, rect, per_side: int = 64, min_disp: float = 1e-6) -> int:
+def saddle_rectangle_index(F, rect) -> int:
     """Index of F along the positively oriented boundary of ``rect``.
 
     The vertical conditions are mandatory: the top side must map strictly
@@ -96,40 +86,41 @@ def saddle_rectangle_index(F, rect, per_side: int = 64, min_disp: float = 1e-6) 
     right and left strictly to the left gives index -1 (a topological
     saddle); the crossed variant (right lands left of the box, left lands
     right of it) gives +1. Anything else raises BoundaryConditionViolation
-    naming the failing side and sample.
+    naming the failing side and sample. The conditions are checked on the
+    samples the index is computed on, rectangle(..., per_side=64), a side
+    being the samples on its line, both corners included.
     """
     x0, x1, y0, y1 = map(float, rect)
-    sides = _side_samples(rect, per_side)
-    imgs = {name: np.asarray(F(pts), dtype=float) for name, pts in sides.items()}
+    curve = rectangle(x0, x1, y0, y1, per_side=_RECT_SAMPLES_PER_SIDE)
+    pts = curve.samples
+    img = np.asarray(F(pts), dtype=float)
+    on = {"top": pts[:, 1] == y1, "bottom": pts[:, 1] == y0,
+          "right": pts[:, 0] == x1, "left": pts[:, 0] == x0}
+    right_of, left_of = img[:, 0] > x1, img[:, 0] < x0
 
-    def fail(side, mask):
-        i = int(np.flatnonzero(mask)[0])
-        pt = sides[side][i]
+    def holds(side, ok):
+        return bool(ok[on[side]].all())
+
+    def fail(side, ok):
+        pt = pts[np.flatnonzero(on[side] & ~ok)[0]]
         raise BoundaryConditionViolation(
             f"{side} side condition fails at ({pt[0]:.6g}, {pt[1]:.6g})",
             side=side, point=tuple(pt))
 
-    bad_top = ~(imgs["top"][:, 1] < y1)
-    if bad_top.any():
-        fail("top", bad_top)
-    bad_bottom = ~(imgs["bottom"][:, 1] > y0)
-    if bad_bottom.any():
-        fail("bottom", bad_bottom)
+    for side, ok in (("top", img[:, 1] < y1), ("bottom", img[:, 1] > y0)):
+        if not holds(side, ok):
+            fail(side, ok)
 
-    straight = (imgs["right"][:, 0] > x1).all() and (imgs["left"][:, 0] < x0).all()
-    crossed = (imgs["right"][:, 0] < x0).all() and (imgs["left"][:, 0] > x1).all()
-    if straight:
+    if holds("right", right_of) and holds("left", left_of):
         expect = -1
-    elif crossed:
+    elif holds("right", left_of) and holds("left", right_of):
         expect = 1
+    elif not holds("right", right_of):
+        fail("right", right_of)
     else:
-        bad_right = ~(imgs["right"][:, 0] > x1)
-        side = "right" if bad_right.any() else "left"
-        mask = bad_right if bad_right.any() else ~(imgs["left"][:, 0] < x0)
-        fail(side, mask)
+        fail("left", left_of)
 
-    curve = rectangle(x0, x1, y0, y1, per_side=per_side)
-    idx = lefschetz_index(F, curve, min_disp=min_disp)
+    idx = lefschetz_index(F, curve)
     if idx != expect:
         raise ToolkitError(f"boundary conditions promise index {expect}, computed {idx}")
     return idx
@@ -161,10 +152,14 @@ def _polyline_crossings(*lines):
     i, j, on = i[own], j[own], on[:, own]
     p1, p2, q1, q2 = starts[i], ends[i], starts[j], ends[j]
     r, s, qp = p2 - p1, q2 - q1, q1 - p1
-    denom = r[:, 0] * s[:, 1] - r[:, 1] * s[:, 0]
-    t = np.clip((qp[:, 0] * s[:, 1] - qp[:, 1] * s[:, 0]) / denom, 0.0, 1.0)
-    u = np.clip((qp[:, 0] * r[:, 1] - qp[:, 1] * r[:, 0]) / denom, 0.0, 1.0)
-    points = p1 + t[:, None] * r
+    with np.errstate(under="ignore"):   # rounded anyway, tiny products too
+        denom = r[:, 0] * s[:, 1] - r[:, 1] * s[:, 0]
+        # no division for a fraction that a touch sets below
+        t = np.divide(qp[:, 0] * s[:, 1] - qp[:, 1] * s[:, 0], denom,
+                      out=np.zeros(len(denom)), where=~(on[2] | on[3])).clip(0.0, 1.0)
+        u = np.divide(qp[:, 0] * r[:, 1] - qp[:, 1] * r[:, 0], denom,
+                      out=np.zeros(len(denom)), where=~(on[0] | on[1])).clip(0.0, 1.0)
+        points = p1 + t[:, None] * r
     # a touch is the vertex on the other segment, at fraction 0 or 1
     for k, vertex, frac, value in ((0, q1, u, 0.0), (1, q2, u, 1.0),
                                    (2, p1, t, 0.0), (3, p2, t, 1.0)):
@@ -190,8 +185,7 @@ def _sides(line: np.ndarray, pts: np.ndarray) -> np.ndarray:
     return _orient_signs(a[j], b[j], pts)
 
 
-def quad_configuration_index(F, alpha, beta, gamma, delta, expect: int,
-                             min_disp: float = 1e-6) -> int:
+def quad_configuration_index(F, alpha, beta, gamma, delta, expect: int) -> int:
     """Index of F along the quadrilateral bounded by two pairs of frame lines.
 
     alpha/beta and gamma/delta are open polylines standing in for disjoint
@@ -265,7 +259,7 @@ def quad_configuration_index(F, alpha, beta, gamma, delta, expect: int,
         if not np.all(s[len(other):] == sense * s[0]):
             raise ConfigurationViolation(f"image of {what} is not in the required half region")
 
-    idx = lefschetz_index(F, curve, min_disp=min_disp)
+    idx = lefschetz_index(F, curve)
     if idx != expect:
         raise ToolkitError(f"frame conditions promise index {expect}, computed {idx}")
     return idx
@@ -277,8 +271,7 @@ def _cyclic_offset(u, center):
     return np.mod(u - center + 0.5, 1.0) - 0.5
 
 
-def arc_push_family(gamma: ClosedCurve, arc: tuple[float, float],
-                    inner_point=None, outer_point=None):
+def arc_push_family(gamma: ClosedCurve, arc: tuple[float, float], inner_point=None):
     """Homotopy that drags the image of an arc of gamma from a constant
     interior point across the arc's midpoint to an exterior point.
 
@@ -304,22 +297,15 @@ def arc_push_family(gamma: ClosedCurve, arc: tuple[float, float],
     if not point_in_polygon(p_in, gamma.samples):
         raise HomotopyConstructionFailure("base point is not interior to the curve")
 
-    if outer_point is not None:
-        p_out = _as_point(outer_point)
-        if point_in_polygon(p_out, gamma.samples):
-            raise HomotopyConstructionFailure("outer target is not exterior")
+    rho = 0.25 * gamma.diameter
+    for _ in range(40):
+        p_out = pm + rho * outward
+        if (not point_in_polygon(p_out, gamma.samples)
+                and distance_to_polyline(p_out, gamma.samples) > 1e-9):
+            break
+        rho *= 0.5
     else:
-        p_out = None
-        rho = 0.25 * gamma.diameter
-        for _ in range(40):
-            cand = pm + rho * outward
-            if (not point_in_polygon(cand, gamma.samples)
-                    and distance_to_polyline(cand, gamma.samples) > 1e-9):
-                p_out = cand
-                break
-            rho *= 0.5
-        if p_out is None:
-            raise HomotopyConstructionFailure("could not place an exterior target")
+        raise HomotopyConstructionFailure("could not place an exterior target")
 
     def bump(u):
         du = np.abs(_cyclic_offset(u, mid))
@@ -343,8 +329,7 @@ def arc_push_family(gamma: ClosedCurve, arc: tuple[float, float],
 
 
 def index_jump_experiment(gamma: ClosedCurve, arc: tuple[float, float],
-                          direction: str, inner_point=None, min_disp: float = 1e-6,
-                          probe_times: int = 8) -> tuple[int, int]:
+                          direction: str, inner_point=None) -> tuple[int, int]:
     """Push the image of an arc of gamma across gamma and report the index
     before and after.
 
@@ -363,7 +348,7 @@ def index_jump_experiment(gamma: ClosedCurve, arc: tuple[float, float],
 
     def index_at(s):
         try:
-            return _param_lefschetz(family(s), gamma, min_disp)
+            return _param_lefschetz(family(s), gamma)
         except FixedPointOnCurve as exc:
             raise HomotopyConstructionFailure(
                 f"fixed point developed at homotopy time {s}: {exc}") from exc
@@ -372,7 +357,7 @@ def index_jump_experiment(gamma: ClosedCurve, arc: tuple[float, float],
     i_outside = index_at(1.0)  # arc image pushed exterior
 
     # the family must sit on one index plateau on each side of the crossing
-    for s in np.linspace(0.0, 1.0, probe_times + 2)[1:-1]:
+    for s in np.linspace(0.0, 1.0, _JUMP_PROBES + 2)[1:-1]:
         if abs(s - 0.5) < 0.05:
             continue
         if index_at(s) != (i_inside if s < 0.5 else i_outside):
@@ -390,8 +375,7 @@ def index_jump_experiment(gamma: ClosedCurve, arc: tuple[float, float],
     return i_start, i_end
 
 
-def homotopy_index_profile(family, curve: ClosedCurve, times: Sequence[float],
-                           min_disp: float = 1e-6) -> list[int]:
+def homotopy_index_profile(family, curve: ClosedCurve, times: Sequence[float]) -> list[int]:
     """Indices of family(t) along the curve at the given times; family(t)
     must be a vectorized plane-map callable for each t."""
-    return [lefschetz_index(family(t), curve, min_disp=min_disp) for t in times]
+    return [lefschetz_index(family(t), curve) for t in times]

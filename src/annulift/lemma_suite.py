@@ -97,12 +97,11 @@ def suite_index_jump() -> SuiteResult:
                        f"outward {out_pair} expected (1, 0); inward {in_pair} expected (0, 1)")
 
 
-def suite_homotopy_invariance(steps: int = 20) -> SuiteResult:
+def suite_homotopy_invariance() -> SuiteResult:
     # squash the saddle image onto the horizontal axis: never a fixed point
     # on the boundary, so the index must stay -1 the whole way
     boundary = ClosedCurve(np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]]))
-    times = np.linspace(0.0, 1.0, steps)
-    profile = homotopy_index_profile(_squashed_saddle, boundary, times)
+    profile = homotopy_index_profile(_squashed_saddle, boundary, np.linspace(0.0, 1.0, 20))
     squash_ok = all(v == -1 for v in profile)
 
     # free homotopy of the curve: the power-map index is constant on each

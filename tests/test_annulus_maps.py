@@ -131,7 +131,8 @@ def test_norm_bound_dominates_the_spectral_norm(m, slack):
     with np.errstate(under="ignore"):
         a2, b2, p = c1 @ c1, c2 @ c2, abs(c1 @ c2)
     exact = _norm_bound(a2, b2, p)
-    assert exact == pytest.approx(np.linalg.norm(M, 2), rel=1e-9, abs=1e-12)
+    # a Python float, so approx's own tolerance arithmetic cannot flag underflow
+    assert exact == pytest.approx(float(np.linalg.norm(M, 2)), rel=1e-9, abs=1e-12)
     assert _norm_bound(a2 + slack[0], b2 + slack[1], p + slack[2]) >= exact
 
 
@@ -299,6 +300,28 @@ def test_perturbed_power_preserves_invariant_circle_exactly():
     x = RNG.uniform(-5, 5, 64)
     pts = np.stack([x, np.zeros_like(x)], axis=-1)
     assert np.all(F(pts)[:, 1] == 0.0)
+
+
+# e^(1 - s), s = 1/(1 - y^2), leaves the normal floats at |y| ~ 0.999295
+_NEAR_BUMP_CUT = st.floats(0.9992, 0.9994)
+
+
+@given(ys=st.lists(st.floats(-1.5, 1.5) | _NEAR_BUMP_CUT | _NEAR_BUMP_CUT.map(lambda v: -v),
+                   min_size=1, max_size=40))
+def test_smooth_bump_is_its_formula_while_the_exponential_is_normal(ys):
+    # bit for bit y e^(1 - s) where that factor is a normal float; elsewhere
+    # 0, where the formula is below 2.3e-308 in magnitude
+    y = np.array(ys)
+    inside = np.abs(y) < 1.0
+    with np.errstate(under="ignore"):
+        factor = np.zeros_like(y)
+        factor[inside] = np.exp(1.0 - 1.0 / (1.0 - y[inside] * y[inside]))
+        formula = y * factor
+        bump = am._smooth_bump(y)
+    normal = factor >= np.finfo(float).tiny
+    assert np.array_equal(bump[normal].view(np.int64), formula[normal].view(np.int64))
+    assert np.all(bump[~normal] == 0.0)
+    assert np.all(np.abs(formula[~normal]) < 2.3e-308)
 
 
 def test_end_swap_square_fixes_circle_and_has_degree_four():

@@ -886,12 +886,33 @@ def test_end_swap_growth_rate_bound():
 
 # -- serialization ------------------------------------------------------------------
 
-def test_census_reports_are_byte_identical():
-    # the census benchmark's digest of the same reports (perfbench census)
+def test_census_reports_are_byte_identical(monkeypatch):
+    # the census benchmark's digest of the same reports (perfbench census),
+    # and the search's work for them: exclusion steps and the boxes they
+    # test, leaf degrees, isolations and strip enclosures
+    work = dict.fromkeys(("steps", "boxes", "degrees", "isolations", "enclosures"), 0)
+
+    def counted(name, key):
+        inner = getattr(fixed_points, name)
+
+        def call(*args, **kwargs):
+            work[key] += 1
+            if key == "steps":
+                work["boxes"] += len(args[1])
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(fixed_points, name, call)
+
+    for name, key in (("_exclusion_margins", "steps"), ("_boundary_degree", "degrees"),
+                      ("isolate_fixed_points", "isolations"),
+                      ("_x_displacement_range", "enclosures")):
+        counted(name, key)
     text = "\n".join(reports_to_json(completeness_check(zoo("power", d=d), 4))
                      for d in (2, 3, -2))
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "1c57cbae9142ee36e2ecfe6ca9c373b50ebb63d24bfa4f105b37aa117124f074")
+    assert work == {"steps": 2421, "boxes": 17614, "degrees": 266, "isolations": 178,
+                    "enclosures": 28}
 
 
 def _benchmark_workloads():

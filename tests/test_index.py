@@ -130,6 +130,26 @@ def test_expanding_map_violates_top_condition():
     assert err.value.side == "top"
 
 
+def test_side_conditions_are_checked_on_the_index_samples():
+    # a tent of height 1 and half-width 2e-4 at (1 - 1/32, 1), a top sample
+    # of rectangle(-1, 1, -1, 1, per_side=64), lifts the saddle's image above
+    # the top line there; it is 5e-4 from the nearest point of an evenly
+    # spaced 64-point side, so only the index samples see it
+    tip, width = np.array([1.0 - 1.0 / 32.0, 1.0]), 2e-4
+
+    def tented(pts):
+        img = saddle(pts)
+        w = np.clip(1.0 - np.abs(np.asarray(pts, float) - tip) / width, 0.0, None)
+        img[..., 1] += w[..., 0] * w[..., 1]
+        return img
+
+    assert rectangle(-1, 1, -1, 1, per_side=64).samples.tolist().count(tip.tolist()) == 1
+    with pytest.raises(BoundaryConditionViolation) as err:
+        saddle_rectangle_index(tented, (-1, 1, -1, 1))
+    assert err.value.side == "top"
+    assert err.value.point == tuple(tip)
+
+
 def test_saddle_on_shifted_rectangle():
     # conditions are relative to the box, not the origin
     def f(pts):
@@ -264,17 +284,6 @@ def test_local_perturbation_stability():
 
 # -- one-array kernels against their np.stack references -------------------------------
 
-def _reference_side_samples(rect, per_side):
-    x0, x1, y0, y1 = map(float, rect)
-    u = np.linspace(0.0, 1.0, per_side)
-    return {
-        "bottom": np.stack([x0 + (x1 - x0) * u, np.full_like(u, y0)], axis=-1),
-        "top": np.stack([x0 + (x1 - x0) * u, np.full_like(u, y1)], axis=-1),
-        "left": np.stack([np.full_like(u, x0), y0 + (y1 - y0) * u], axis=-1),
-        "right": np.stack([np.full_like(u, x1), y0 + (y1 - y0) * u], axis=-1),
-    }
-
-
 def _reference_scaled(pts, sx, sy):
     pts = np.asarray(pts, dtype=float)
     return np.stack([sx * pts[..., 0], sy * pts[..., 1]], axis=-1)
@@ -290,16 +299,6 @@ def _reference_squashed_saddle(t):
 def _same_bits(got, want):
     return (got.shape == want.shape and got.dtype == want.dtype
             and np.array_equal(got.view(np.int64), want.view(np.int64)))
-
-
-def test_side_samples_match_stacked_reference_bitwise():
-    from annulift.index import _side_samples
-    for rect in ((-1, 1, -1, 1), (0.1, 0.4, -0.3, 0.2), (-0.0, 1e-9, -3.5, 7.25)):
-        for per_side in (2, 5, 64):
-            got = _side_samples(rect, per_side)
-            want = _reference_side_samples(rect, per_side)
-            assert list(got) == list(want)
-            assert all(_same_bits(got[k], want[k]) for k in want), (rect, per_side)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
