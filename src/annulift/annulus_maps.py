@@ -310,19 +310,20 @@ def _perturbed_power(d: int, eps: float) -> LiftMap:
 
     def fn(pts):
         # (d*x + eps*sin(2pi x)*bump(y), d*y), written into one array
-        pts = np.asarray(pts, dtype=float)
-        x, y = pts[..., 0], pts[..., 1]
-        out = np.empty(pts.shape)
-        ox, oy = out[..., 0], out[..., 1]
-        wobble = np.empty(x.shape)   # eps*sin(2pi x)*bump(y), contiguous
-        np.multiply(TWO_PI, x, out=wobble)
-        np.sin(wobble, out=wobble)
-        np.multiply(eps, wobble, out=wobble)
-        np.multiply(wobble, _smooth_bump(y), out=wobble)
-        np.multiply(d, x, out=ox)
-        np.add(ox, wobble, out=ox)
-        np.multiply(d, y, out=oy)
-        return out
+        with np.errstate(under="ignore"):   # errs by < 2^-1074, below the rounding
+            pts = np.asarray(pts, dtype=float)
+            x, y = pts[..., 0], pts[..., 1]
+            out = np.empty(pts.shape)
+            ox, oy = out[..., 0], out[..., 1]
+            wobble = np.empty(x.shape)   # eps*sin(2pi x)*bump(y), contiguous
+            np.multiply(TWO_PI, x, out=wobble)
+            np.sin(wobble, out=wobble)
+            np.multiply(eps, wobble, out=wobble)
+            np.multiply(wobble, _smooth_bump(y), out=wobble)
+            np.multiply(d, x, out=ox)
+            np.add(ox, wobble, out=ox)
+            np.multiply(d, y, out=oy)
+            return out
 
     # Jacobian columns (d + 2pi eps cos(2pi x) bump(y), 0) and
     # (eps sin(2pi x) bump'(y), d), with the bump maxima of _smooth_bump
@@ -342,17 +343,18 @@ def _ends_lift(d: int, lam: float, attracting: bool) -> LiftMap:
 
     def fn(pts):
         # (d*x, y + slope*y/(1 + y*y)), written into one array
-        pts = np.asarray(pts, dtype=float)
-        x, y = pts[..., 0], pts[..., 1]
-        out = np.empty(pts.shape)
-        ox, oy = out[..., 0], out[..., 1]
-        np.multiply(slope, y, out=ox)     # scratch until d*x
-        np.multiply(y, y, out=oy)
-        np.add(1.0, oy, out=oy)
-        np.divide(ox, oy, out=oy)
-        np.add(y, oy, out=oy)
-        np.multiply(d, x, out=ox)
-        return out
+        with np.errstate(under="ignore"):   # errs by < 2^-1074, below the rounding
+            pts = np.asarray(pts, dtype=float)
+            x, y = pts[..., 0], pts[..., 1]
+            out = np.empty(pts.shape)
+            ox, oy = out[..., 0], out[..., 1]
+            np.multiply(slope, y, out=ox)     # scratch until d*x
+            np.multiply(y, y, out=oy)
+            np.add(1.0, oy, out=oy)
+            np.divide(ox, oy, out=oy)
+            np.add(y, oy, out=oy)
+            np.multiply(d, x, out=ox)
+            return out
 
     # the y-derivative 1 + slope (1 - y^2)/(1 + y^2)^2 lies in [1 - lam, 1 + lam]
     kind = "ends_attracting" if attracting else "ends_repelling"

@@ -310,14 +310,19 @@ def _orient_signs(a, b, c) -> np.ndarray:
     return sign
 
 
-def _exact_orient_sign(coords) -> int:
-    """Sign of the orientation determinant of finite (ax, ay, bx, by, cx, cy)
-    in exact rational arithmetic: each float is n / 2^e, so all six scale to
-    integers over their largest denominator (fractions.Fraction gives the
-    same sign at about five times the cost)."""
+def _integer_coords(coords) -> list[int]:
+    """Finite floats as integers in one exact common scale: each float is
+    n / 2^e, so all scale to integers over their largest denominator
+    (fractions.Fraction gives the same answers at about five times the cost)."""
     ratios = [v.as_integer_ratio() for v in coords]
     den = max(d for _, d in ratios)
-    ax, ay, bx, by, cx, cy = [n * (den // d) for n, d in ratios]
+    return [n * (den // d) for n, d in ratios]
+
+
+def _exact_orient_sign(coords) -> int:
+    """Sign of the orientation determinant of finite (ax, ay, bx, by, cx, cy)
+    in exact rational arithmetic."""
+    ax, ay, bx, by, cx, cy = _integer_coords(coords)
     det = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
     return (det > 0) - (det < 0)
 

@@ -167,7 +167,9 @@ def _displacement(F, pts):
 def _sampled_minima(F, boxes) -> tuple[np.ndarray, np.ndarray]:
     """(sampled_mins, reaches) of an (N, 4) array of boxes: the least
     displacement norm at the centres of each box's m x m split (one map call
-    for all; NaN if a sample is) and half a cell's diagonal, their reach."""
+    for all) and half a cell's diagonal, their reach. A NaN or infinite
+    displacement at any sample raises NonFiniteDisplacement, naming the
+    first box that has one: a bound built on it would be void."""
     boxes = np.asarray(boxes, dtype=float).reshape(-1, 4)
     n, m = len(boxes), _EXCLUSION_GRID
     lo, hi = boxes[:, 0::2], boxes[:, 1::2]   # columns x, y
@@ -176,6 +178,10 @@ def _sampled_minima(F, boxes) -> tuple[np.ndarray, np.ndarray]:
     pts = ticks.reshape(n, 2 * m).take(_GRID, axis=1).reshape(-1, 2)
     disp = _displacement(F, pts)
     norms = np.hypot(disp[:, 0], disp[:, 1]).reshape(n, m * m)
+    if not norms.max() < np.inf:  # NaN fails the comparison too
+        i = int(np.argmin(np.isfinite(norms).all(axis=1)))
+        raise NonFiniteDisplacement(
+            f"non-finite displacement in the box {tuple(boxes[i].tolist())}")
     return norms.min(axis=1), 0.5 * np.hypot(h[:, 0], h[:, 1])
 
 
@@ -223,23 +229,17 @@ def _isolate_once(F, region, resolution: float, audit: Optional[IsolationAudit],
     A degree-0 leaf that was not excluded is mopped up: its four children,
     whatever its aspect, go on the stack with the floor scale
     resolution / 256, to be searched down to it (the leaf itself is not
-    tested again), and a mop-up fragment surviving there, or a degree-0
-    leaf already at that scale, forces a jitter retry. No box is tested
-    twice in an attempt. The subdivision budget counts the boxes tested in
-    this attempt; an audit, when given, only observes.
+    tested again), and a mop-up fragment surviving there forces a jitter
+    retry. No box is tested twice in an attempt. The subdivision budget
+    counts the boxes tested in this attempt; an audit, when given, only
+    observes. A non-finite displacement at any sample raises
+    NonFiniteDisplacement (_sampled_minima).
     """
-    x0, x1, y0, y1 = region
-    boundary = rectangle(x0, x1, y0, y1, per_side=64)
-    bnorm = np.hypot(*_displacement(F, boundary.samples).T)
-    if not np.isfinite(bnorm).all():
-        raise NonFiniteDisplacement(f"non-finite displacement on the boundary of {region}")
-    if bnorm.min() <= _BOUNDARY_MIN_DISP:
-        raise _BoundaryHit
     resolution = float(resolution)
     floor = resolution / 256.0
     certified = []
     processed = 0
-    stack = np.array([[x0, x1, y0, y1, resolution, 0.0]])
+    stack = np.array([[*region, resolution, 0.0]])
     while len(stack):
         if stack[-1, 5]:
             bx0, bx1, by0, by1, scale, _ = stack[-1].tolist()
@@ -256,10 +256,6 @@ def _isolate_once(F, region, resolution: float, audit: Optional[IsolationAudit],
             if deg != 0:
                 certified.append(CertifiedFixedBox(box, deg, lift_offset))
                 continue
-            if max(bx1 - bx0, by1 - by0) <= floor:
-                if audit is not None:
-                    audit.unresolved.append(box)
-                raise _BoundaryHit
             # the leaf failed exclusion, and would fail it again: go straight
             # to its children, as mop-up fragments
             row = [bx0, bx1, by0, by1, floor, 0.0, 0.5 * (bx0 + bx1), 0.5 * (by0 + by1), 0.0]
@@ -319,18 +315,20 @@ def isolate_fixed_points(F: LiftMap, region, resolution: float, lift_offset: int
     dilated by its own irrational offsets (jitter seeds 1, 2, ...; the
     dilation exceeds the translation, so each contains the original). The
     first attempt that meets no subdivision line returns; when all of them
-    do, BoundaryFixedPoint is raised. A non-finite displacement on an
-    attempt's boundary raises NonFiniteDisplacement, and a map without a
-    Lipschitz bound ParamOutOfRange. The boxes have disjoint interiors, so
-    each certifies its own fixed point. The subdivision budget
-    counts the boxes tested in one attempt; as a chunk is tested ahead of
-    the depth-first order, an attempt that would fail on a boundary hit
-    near the budget can report BudgetExceeded instead.
+    do, BoundaryFixedPoint is raised. A non-finite displacement at any
+    sample raises NonFiniteDisplacement, a reversed or overflowing region
+    ValueError, and a map without a Lipschitz bound ParamOutOfRange. The
+    boxes have disjoint interiors, so each certifies its own fixed point.
+    The subdivision budget counts the boxes tested in one attempt; as a
+    chunk is tested ahead of the depth-first order, an attempt that would
+    fail on a boundary hit near the budget can report BudgetExceeded
+    instead.
     """
     if not resolution > 0:  # NaN too
         raise ValueError("resolution must be positive")
     if F.lipschitz is None:
         raise ParamOutOfRange(f"{F.name or 'the map'} declares no Lipschitz bound")
+    rectangle(*region)   # a ValueError for a bad region, before any attempt
     last_exc = None
     for attempt in range(1, _ATTEMPTS + 1):
         try:
@@ -586,7 +584,8 @@ def _owned(F, box, x0: float) -> Optional[bool]:
 def _strip_report(F_iter: LiftMap, period: int, strip, resolution: float) -> NielsenReport:
     """One period on one strip: each admissible translate isolated on it,
     the boxes that _owned puts in [x0, x0 + 1) kept, continua counted once
-    per residue; a box it cannot place is its translate's error."""
+    per residue; a box it cannot place, or a toolkit error in isolating or
+    placing, is its translate's error."""
     modulus = abs(F_iter.degree - 1)
     x0, x1 = strip[0], strip[0] + 1.0
     lo, hi = _x_displacement_range(F_iter, strip)
@@ -598,6 +597,7 @@ def _strip_report(F_iter: LiftMap, period: int, strip, resolution: float) -> Nie
         Fk = deck_translate(F_iter, k)
         try:
             found = isolate_fixed_points(Fk, strip, resolution, lift_offset=k)
+            owned = [_owned(Fk, b.box, x0) for b in found]
         except BoundaryFixedPoint as exc:
             if diagnose_continuum(Fk, strip, resolution):
                 continuum.setdefault(residue, k)
@@ -607,11 +607,10 @@ def _strip_report(F_iter: LiftMap, period: int, strip, resolution: float) -> Nie
         except ToolkitError as exc:
             errors[k] = f"{type(exc).__name__}: {exc}"
             continue
-        for b in found:
-            owned = _owned(Fk, b.box, x0)
-            if owned is None:
+        for b, own in zip(found, owned):
+            if own is None:
                 errors[k] = f"BoundaryFixedPoint: the box {b.box} meets a seam of the strip"
-            elif owned:
+            elif own:
                 boxes.append(b)
     return NielsenReport(period=period, modulus=modulus, fixed_boxes=tuple(boxes),
                          errors=errors, continuum_offsets=tuple(continuum.values()))

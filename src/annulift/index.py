@@ -16,6 +16,7 @@ from .curves import (
     ClosedCurve,
     _as_point,
     _cyclic_next,
+    _integer_coords,
     _orient_signs,
     _segment_distances,
     _segments_meet,
@@ -39,7 +40,9 @@ from .errors import (
 
 _MIN_DISP = 1e-6              # displacement floor of an index along a curve
 _RECT_SAMPLES_PER_SIDE = 64   # saddle rectangle samples, for its conditions and its index
-_JUMP_PROBES = 8              # homotopy times index_jump_experiment probes between its ends
+# homotopy times index_jump_experiment probes between its ends, i / (N + 1):
+# an even count N keeps them off the crossing at 1/2, at least 1/(2N + 2) away
+_JUMP_PROBES = 8
 
 
 def lefschetz_index(F, curve: ClosedCurve, min_disp: float = _MIN_DISP) -> int:
@@ -154,11 +157,18 @@ def _polyline_crossings(*lines):
     r, s, qp = p2 - p1, q2 - q1, q1 - p1
     with np.errstate(under="ignore"):   # rounded anyway, tiny products too
         denom = r[:, 0] * s[:, 1] - r[:, 1] * s[:, 0]
-        # no division for a fraction that a touch sets below
-        t = np.divide(qp[:, 0] * s[:, 1] - qp[:, 1] * s[:, 0], denom,
-                      out=np.zeros(len(denom)), where=~(on[2] | on[3])).clip(0.0, 1.0)
-        u = np.divide(qp[:, 0] * r[:, 1] - qp[:, 1] * r[:, 0], denom,
-                      out=np.zeros(len(denom)), where=~(on[0] | on[1])).clip(0.0, 1.0)
+        # no division for a fraction that a touch sets below, or the loop
+        t = np.divide(qp[:, 0] * s[:, 1] - qp[:, 1] * s[:, 0], denom, out=np.zeros(len(denom)),
+                      where=(denom != 0) & ~(on[2] | on[3])).clip(0.0, 1.0)
+        u = np.divide(qp[:, 0] * r[:, 1] - qp[:, 1] * r[:, 0], denom, out=np.zeros(len(denom)),
+                      where=(denom != 0) & ~(on[0] | on[1])).clip(0.0, 1.0)
+        # a meeting whose float r x s rounds to 0: exact, as _exact_orient_sign,
+        # then rounded once, and in [0, 1] as the exact fraction is
+        for k in (denom == 0).nonzero()[0].tolist():
+            ax, ay, bx, by, cx, cy, ex, ey = _integer_coords([*p1[k], *p2[k], *q1[k], *q2[k]])
+            rx, ry, sx, sy, qx, qy = bx - ax, by - ay, ex - cx, ey - cy, cx - ax, cy - ay
+            den = rx * sy - ry * sx
+            t[k], u[k] = (qx * sy - qy * sx) / den, (qx * ry - qy * rx) / den
         points = p1 + t[:, None] * r
     # a touch is the vertex on the other segment, at fraction 0 or 1
     for k, vertex, frac, value in ((0, q1, u, 0.0), (1, q2, u, 1.0),
@@ -358,20 +368,14 @@ def index_jump_experiment(gamma: ClosedCurve, arc: tuple[float, float],
 
     # the family must sit on one index plateau on each side of the crossing
     for s in np.linspace(0.0, 1.0, _JUMP_PROBES + 2)[1:-1]:
-        if abs(s - 0.5) < 0.05:
-            continue
         if index_at(s) != (i_inside if s < 0.5 else i_outside):
             raise HomotopyConstructionFailure(f"index plateau broken at time {s:.3f}")
 
-    if direction == "out":
-        i_start, i_end = i_inside, i_outside
-    else:
-        i_start, i_end = i_outside, i_inside
-    jump = i_start - i_end
+    i_start, i_end = (i_inside, i_outside) if direction == "out" else (i_outside, i_inside)
     want = 1 if direction == "out" else -1
-    if jump != want:
+    if i_start - i_end != want:
         raise HomotopyConstructionFailure(
-            f"index jump {jump} instead of {want} for direction {direction!r}")
+            f"index jump {i_start - i_end} instead of {want} for direction {direction!r}")
     return i_start, i_end
 
 

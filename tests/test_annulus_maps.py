@@ -116,10 +116,21 @@ def test_declared_lipschitz_bound_holds(tabulated, name, d, lam, eps, seed):
     step = rng.normal(size=(2000, 2))
     step *= 10.0 ** rng.uniform(-6.0, 0.0, (2000, 1)) / np.hypot(*step.T)[:, None]
     q = p + step
-    with np.errstate(under="ignore"):   # tiny lam or eps, and the bump's tails
-        F = tabulated.get(name) or zoo(name, **params)
-        moved = np.hypot(*(F(p) - F(q)).T)
+    F = tabulated.get(name) or zoo(name, **params)
+    moved = np.hypot(*(F(p) - F(q)).T)
     assert np.all(moved <= F.lipschitz * np.hypot(*(p - q).T) * (1 + 1e-9))
+
+
+@pytest.mark.parametrize("name, params, point", [
+    ("perturbed_power", {"d": 2, "eps": 0.05}, (0.25, 1e-160)),             # y * y
+    ("perturbed_power", {"d": 2, "eps": 0.05}, (0.3, 0.999294926603846)),   # the bump's tail
+    ("ends_attracting", {"d": 2, "lam": 1e-300}, (0.0, 1e-10)),             # slope * y
+])
+def test_map_underflow_is_no_error(name, params, point):
+    # an underflow errs by less than 2^-1074, below the image's rounding
+    with np.errstate(all="raise"):
+        image = zoo(name, **params)(np.array([point]))
+    assert np.isfinite(image).all()
 
 
 @given(m=st.lists(st.floats(-1e3, 1e3), min_size=4, max_size=4),

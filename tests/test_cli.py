@@ -234,6 +234,8 @@ def test_tabulated_hat_gives_the_same_boxes_on_any_region(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ("fixed-points", "--map", "power", "--params", '{"d": 2}', "--resolution", "0"),
     ("fixed-points", "--map", "power", "--params", '{"d": 2}', "--resolution", "nan"),
+    # reversed by less than the jitter, which used to widen it into a region
+    ("fixed-points", "--map", "power", "--params", '{"d": 2}', "--region=1e-5,0,-1,1"),
     ("index", "--map", "power", "--params", '{"d": 2}', "--curve", "rect:1,0,0,1"),
 ])
 def test_invalid_values_are_usage_errors(capsys, argv):

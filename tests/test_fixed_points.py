@@ -228,11 +228,6 @@ def _reference_isolate_once(F, region, resolution, audit, lift_offset):
     """_isolate_once as first written: an (N, 4) box stack beside two flag
     arrays, three concatenates and two repeats a step; a box halves each side
     that is at least half the other, and a leaf halves neither."""
-    x0, x1, y0, y1 = region
-    boundary = fixed_points.rectangle(x0, x1, y0, y1, per_side=64)
-    bnorm = np.hypot(*fixed_points._displacement(F, boundary.samples).T)
-    if bnorm.min() <= fixed_points._BOUNDARY_MIN_DISP:
-        raise fixed_points._BoundaryHit
     floor = resolution / 256.0
     certified = []
     processed = 0
@@ -253,9 +248,6 @@ def _reference_isolate_once(F, region, resolution, audit, lift_offset):
             if deg != 0:
                 certified.append(CertifiedFixedBox(box, deg, lift_offset))
                 continue
-            if max(box[1] - box[0], box[3] - box[2]) <= floor:
-                audit.unresolved.append(box)
-                raise fixed_points._BoundaryHit
             cell = np.array(box)
             kids = np.concatenate([cell, 0.5 * (cell[0::2] + cell[1::2])])[_REFERENCE_CHILDREN]
             boxes = np.concatenate([boxes, kids])
@@ -482,18 +474,53 @@ HAT_LIPSCHITZ = 1.0 + 0.6 / 0.004
     pytest.param(iterate(zoo("power", d=3), 3), id="power(3)^3"),
     pytest.param(deck_translate(iterate(zoo("power", d=-2), 2), 1), id="power(-2)^2+(1,0)"),
     pytest.param(make_lift(_hat, 1, lipschitz=HAT_LIPSCHITZ), id="hat"),
-    pytest.param(LiftMap(fn=_holes, degree=2, lipschitz=2.0), id="nan_holes"),
 ])
 def test_declared_exclusion_margins_match_scalar_reference(F):
-    # degenerate boxes and NaN displacements too: bit for bit the one-box formula
+    # degenerate boxes too: bit for bit the one-box formula
     boxes = _random_boxes()
     margins, mins = _exclusion_margins(F, boxes)
     ref = np.array([_scalar_declared_margin(F, tuple(b)) for b in boxes.tolist()])
     assert margins.tobytes() == ref[:, 0].tobytes()
     assert mins.tobytes() == ref[:, 1].tobytes()
-    if F.fn is _holes:   # a NaN displacement never excludes a box
-        assert np.isnan(margins).any() and (margins > 0).any()
-        assert np.isnan(margins[np.isnan(mins)]).all()
+
+
+def test_exclusion_margins_raise_on_a_nan_sample():
+    # some of the boxes sample the NaN disk of _holes: no margin is a bound
+    with pytest.raises(NonFiniteDisplacement, match="non-finite displacement in the box"):
+        _exclusion_margins(LiftMap(fn=_holes, degree=2, lipschitz=2.0), _random_boxes())
+
+
+def _inf_disk(p):
+    """power(2), infinite on the disk of radius 0.2 around (0.3, 0.2)."""
+    p = np.asarray(p, dtype=float)
+    out = 2.0 * p
+    out[np.hypot(p[..., 0] - 0.3, p[..., 1] - 0.2) < 0.2] = np.inf
+    return out
+
+
+def test_isolation_raises_on_an_infinite_sample():
+    # an infinite displacement inside the region is an error, not "far from fixed"
+    with pytest.raises(NonFiniteDisplacement):
+        isolate_fixed_points(LiftMap(fn=_inf_disk, degree=2, lipschitz=2.0), (-1, 1, -1, 1), 1e-2)
+
+
+def test_degree_zero_leaf_at_the_mop_up_floor_is_mopped_up():
+    # at resolution 1 the whole region is one leaf, already narrower than the
+    # floor 1/256; its quarters are excluded, so the translate fixes nothing
+    F = make_lift(lambda p: np.asarray(p, dtype=float) + (1.2e-4, 0.0), 1, lipschitz=1.0)
+    assert isolate_fixed_points(F, (-1e-5, 1e-5, -1e-5, 1e-5), 1) == []
+
+
+def test_fixed_point_at_an_attempts_corner_is_certified_by_the_next(monkeypatch):
+    # 2p - c fixes c, the lower-left corner of attempt 1's jittered region:
+    # the corner leaf's degree meets it, and attempt 2 certifies it
+    region = (-0.5, 0.5, -0.5, 0.5)
+    c = np.array(fixed_points._jittered(region, 1)[::2])
+    F = make_lift(lambda p: 2.0 * np.asarray(p, dtype=float) - c, 2, lipschitz=2.0)
+    regions = _record_attempts(monkeypatch)
+    (box,) = isolate_fixed_points(F, region, 1e-2)
+    assert box.contains(c) and box.boundary_degree == 1
+    assert regions == [fixed_points._jittered(region, a) for a in (1, 2)]
 
 
 @pytest.mark.parametrize("region", [(0, 1, -1, 1), (0.25, 0.35, -0.1, 0.1)])

@@ -11,6 +11,7 @@ from annulift.errors import (
     BoundaryConditionViolation,
     ConfigurationViolation,
     FixedPointOnCurve,
+    HomotopyConstructionFailure,
     NonFiniteDisplacement,
     NotAQuadrilateral,
 )
@@ -219,6 +220,11 @@ def test_jump_is_arc_width_independent(width):
     assert index_jump_experiment(g, (0.3, 0.3 + width), "out", inner_point=(0, 0)) == (1, 0)
 
 
+def test_jump_needs_an_interior_base_point():
+    with pytest.raises(HomotopyConstructionFailure, match="base point is not interior"):
+        index_jump_experiment(circle(1.0, 256), (0.0, 0.125), "out", inner_point=(2.0, 0.0))
+
+
 def test_jump_family_midpoint_crosses_curve():
     g = circle(1.0, 128)
     family, p_in, p_out = arc_push_family(g, (0.0, 0.125), inner_point=(0, 0))
@@ -412,6 +418,15 @@ def test_crossings_at_shared_vertices_count_once():
     # a line ending on another counts once; the last segment owns its end
     k, _, points, pos_k, pos_l = _polyline_crossings(alpha, np.array([[1.0, -1.0], [1.0, 0.0]]))
     assert points.tolist() == [[1.0, 0.0]] and pos_k.tolist() == [1.5] and pos_l.tolist() == [1.0]
+
+
+@pytest.mark.filterwarnings("error")
+def test_crossing_with_an_underflowing_cross_product():
+    # r x s = -2e-640 rounds to 0: the fractions come from exact arithmetic
+    k, l, points, pos_k, pos_l = _polyline_crossings(
+        np.array([[0.0, 0.0], [1e-320, 1e-320]]), np.array([[0.0, 1e-320], [1e-320, 0.0]]))
+    assert (k.tolist(), l.tolist()) == ([0], [1])
+    assert pos_k.tolist() == pos_l.tolist() == [0.5] and np.isfinite(points).all()
 
 
 @pytest.mark.parametrize("beta", [
