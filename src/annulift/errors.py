@@ -114,8 +114,13 @@ class BoundaryFixedPoint(ToolkitError):
     """Every jittered isolation attempt met a fixed point on a subdivision line."""
 
 
+class FixedContinuum(BoundaryFixedPoint):
+    """The first isolation attempt met a fixed point on a subdivision line,
+    and the region's fixed set looks one-dimensional (diagnose_continuum)."""
+
+
 class BudgetExceeded(ToolkitError):
-    """Quadtree subdivision passed the configured box cap."""
+    """Subdivision passed the configured box cap."""
 
 
 class EmptyReport(ToolkitError):

@@ -15,15 +15,17 @@ its neighbours, and beside a fixed point's box the displacement on the
 shared edge is near zero, so a neighbour sampled there survives to a leaf.
 
 The rule does not enclose the floating-point rounding of the samples; the
-proof holds in exact arithmetic. The certified boxes come from a quadtree
-whose boxes have disjoint interiors, so N of them prove N distinct fixed
-points.
-A box whose side along one axis is less than half its side along the other
-is halved across its long side only, into 2 children; every other box is
-quartered. Boxes of any region thus become near square (aspect at most 2)
-before they reach the resolution, instead of keeping the region's aspect.
+proof holds in exact arithmetic. Each centre sample proves its own cell
+(W. Tucker, Validated Numerics, 2011: a proved sub-box need not be proved
+again), so a box that is kept is replaced by its kept cells alone; a box
+whose side along one axis is less than half its side along the other
+becomes its kept thirds across the long side instead (a third is kept with
+any of its cells). Boxes of any region thus become near square (aspect at
+most 2) before they reach the resolution, instead of keeping the region's
+aspect. The certified boxes come from this tree of cells, whose boxes have
+disjoint interiors, so N of them prove N distinct fixed points.
 
-The quadtree is searched depth first, with the exclusion test batched: the
+The tree is searched depth first, with the exclusion test batched: the
 untested boxes at the top of the stack, up to _CHUNK of them, are tested in
 one vectorised map call. Depth first, not level by level, because a
 subdivision line through a fixed point aborts the attempt at the first leaf
@@ -35,6 +37,10 @@ Every attempt subdivides a jittered copy of the caller's region (seeds 1 to
 _ATTEMPTS), never the region as given: symmetric windows put the invariant
 circle y = 0 of the shipped families on the first subdivision line. A
 jittered region contains the original, so no fixed point of it is missed.
+When the first attempt meets a fixed point on a subdivision line and the
+region's fixed set looks one-dimensional (diagnose_continuum), the search
+stops there with FixedContinuum: no jitter moves a line of fixed points off
+every subdivision line.
 
 A completeness sweep counts each periodic point once, on a unit strip
 [x0, x0 + 1) x [y0, y1] that holds one lift of it (B. Jiang, Lectures on
@@ -66,6 +72,7 @@ from .errors import (
     BoundaryFixedPoint,
     BudgetExceeded,
     EmptyReport,
+    FixedContinuum,
     FixedPointOnCurve,
     NonFiniteDisplacement,
     NotPeriodic,
@@ -101,24 +108,36 @@ _STRIP_X0 = -0.5
 # boxes per vectorised exclusion call: large enough that numpy overhead is
 # paid once per chunk, small enough that the sample arrays stay a few 100 kB
 _CHUNK = 256
-# Quadtree stack rows are (x0, x1, y0, y1, scale, tested): a box is a leaf
-# once its size is at most its scale (the resolution, or the mop-up floor).
-# A kept untested row extended by (xm, ym, leaf) gives the rows that replace
-# it: its four untested children in push order, top-right last (on top). An
-# axis kept whole has its midpoint set to its upper end, which collapses two
-# of the four rows; _KEPT, indexed by 2 * (x whole) + (y whole), keeps the
-# others. A leaf keeps both axes whole and the first row alone: the box
-# itself, flagged as tested.
-_CHILDREN = np.array([[0, 6, 2, 7, 4, 8], [6, 1, 2, 7, 4, 5],
-                      [0, 6, 7, 3, 4, 5], [6, 1, 7, 3, 4, 5]])
-_KEPT = np.array([[True, True, True, True], [True, True, False, False],
-                  [True, False, True, False], [True, False, False, False]])
-# 3 x 3 exclusion cell centres: tick i of an axis is lo + h * (i + 0.5), with
-# h = (hi - lo) / 3; sample (row i, column j) reads x tick j and y tick i of
-# the (N, 2, m) tick array flattened to (N, 2m)
+# 3 x 3 exclusion cells: with h = (hi - lo) / 3 along an axis, cell i spans
+# edges i and i + 1 of lo + h * (0, 1, 2, 3), the last edge pinned to hi, and
+# is sampled at its centre, tick i of lo + h * (i + 0.5). Cell c = 3 * i + j
+# is row i, column j; sample c reads x tick j and y tick i of the (N, 2, m)
+# tick array flattened to (N, 2m), and bit c of a kept mask is that cell
 _TICKS = np.arange(_EXCLUSION_GRID) + 0.5
+_EDGES = np.arange(_EXCLUSION_GRID + 1)
 _GRID = np.array([[j, _EXCLUSION_GRID + i] for i in range(_EXCLUSION_GRID)
                   for j in range(_EXCLUSION_GRID)])
+_BITS = 1 << np.arange(_EXCLUSION_GRID ** 2)
+# Quadtree stack rows are (x0, x1, y0, y1, scale, kept): a box is a leaf once
+# its size is at most its scale (the resolution, or the mop-up floor); kept is
+# 0 for an untested box and the mask of its kept cells for a tested leaf.
+# The rows that replace a kept box are the columns _LAYOUT[kind] of its
+# extended row (x edges 0-3, y edges 4-7, scale 8, 0 at 9, mask 10), one
+# per slot that _USED[kind, mask] holds: a slot is held when it covers
+# (_COVER[kind], a cell mask) a kept cell. Kinds: 0, the 3 x 3 cells; 1,
+# the thirds across x; 2, across y; 3, a leaf, which stays whole, flagged
+# by its mask. Slots run bottom-left to top-right, so the top-right child
+# is pushed last (on top); unused slots stay 0.
+_LAYOUT = np.zeros((4, 9, 6), dtype=int)
+_LAYOUT[0] = [[j, j + 1, 4 + i, 5 + i, 8, 9] for i in range(3) for j in range(3)]
+_LAYOUT[1, :3] = [[j, j + 1, 4, 7, 8, 9] for j in range(3)]
+_LAYOUT[2, :3] = [[0, 3, 4 + i, 5 + i, 8, 9] for i in range(3)]
+_LAYOUT[3, 0] = [0, 3, 4, 7, 8, 10]
+_COVER = np.array([[1, 2, 4, 8, 16, 32, 64, 128, 256],
+                   [73, 146, 292, 0, 0, 0, 0, 0, 0],     # column j: cells j, j + 3, j + 6
+                   [7, 56, 448, 0, 0, 0, 0, 0, 0],       # row i: cells 3i to 3i + 2
+                   [511, 0, 0, 0, 0, 0, 0, 0, 0]])
+_USED = np.arange(512)[:, None] & _COVER[:, None, :] > 0   # (kind, mask, slot)
 
 
 @dataclass(frozen=True)
@@ -151,7 +170,7 @@ class CertifiedFixedBox:
 class IsolationAudit:
     """Optional byproduct collector for the soundness property tests."""
 
-    discarded: list = field(default_factory=list)   # (box, sampled_min, margin)
+    discarded: list = field(default_factory=list)   # (box or cell, sampled_min, margin)
     unresolved: list = field(default_factory=list)  # fragments never resolved
     boxes_processed: int = 0                        # summed over attempts
 
@@ -164,12 +183,12 @@ def _displacement(F, pts):
     return np.asarray(F(pts), dtype=float) - pts
 
 
-def _sampled_minima(F, boxes) -> tuple[np.ndarray, np.ndarray]:
-    """(sampled_mins, reaches) of an (N, 4) array of boxes: the least
-    displacement norm at the centres of each box's m x m split (one map call
-    for all) and half a cell's diagonal, their reach. A NaN or infinite
-    displacement at any sample raises NonFiniteDisplacement, naming the
-    first box that has one: a bound built on it would be void."""
+def _sampled_norms(F, boxes) -> tuple[np.ndarray, np.ndarray]:
+    """(norms, reaches) of an (N, 4) array of boxes: the displacement norm at
+    the centre of each of a box's m x m cells, an (N, m * m) array from one
+    map call for all, and half a cell's diagonal, their reach. A NaN or
+    infinite displacement at any sample raises NonFiniteDisplacement, naming
+    the first box that has one: a bound built on it would be void."""
     boxes = np.asarray(boxes, dtype=float).reshape(-1, 4)
     n, m = len(boxes), _EXCLUSION_GRID
     lo, hi = boxes[:, 0::2], boxes[:, 1::2]   # columns x, y
@@ -182,14 +201,42 @@ def _sampled_minima(F, boxes) -> tuple[np.ndarray, np.ndarray]:
         i = int(np.argmin(np.isfinite(norms).all(axis=1)))
         raise NonFiniteDisplacement(
             f"non-finite displacement in the box {tuple(boxes[i].tolist())}")
-    return norms.min(axis=1), 0.5 * np.hypot(h[:, 0], h[:, 1])
+    return norms, 0.5 * np.hypot(h[:, 0], h[:, 1])
 
 
 def _exclusion_margins(F, boxes) -> tuple[np.ndarray, np.ndarray]:
-    """(margins, sampled_mins) of boxes under F's declared bound L: a margin
-    sampled_min - (L + 1) * reach > 0 proves a box free of fixed points."""
-    sampled_min, reach = _sampled_minima(F, boxes)
-    return sampled_min - (F.lipschitz + 1.0) * reach, sampled_min
+    """(margins, norms) of the 3 x 3 cells of boxes under F's declared bound
+    L, each (N, 9): a cell's margin norm - (L + 1) * reach > 0 proves it
+    free of fixed points, and a box whose nine margins are all > 0 is."""
+    norms, reach = _sampled_norms(F, boxes)
+    return norms - (F.lipschitz + 1.0) * reach[:, None], norms
+
+
+def _cell_edges(boxes) -> np.ndarray:
+    """(N, 8) cell edges of boxes: x0 + h * (0, 1, 2), x1, then the same in
+    y, with h as _sampled_norms takes it, so each cell's own centre is the
+    sample that tested it."""
+    lo, hi = boxes[:, 0:4:2], boxes[:, 1:4:2]
+    edges = lo[:, :, None] + ((hi - lo) / _EXCLUSION_GRID)[:, :, None] * _EDGES
+    edges[:, :, -1] = hi
+    return edges.reshape(-1, 8)
+
+
+def _layout(boxes, masks, leaf) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, kinds): the stack rows that replace kept (x0, x1, y0, y1,
+    scale) boxes with kept-cell masks, and each box's kind (_LAYOUT). A
+    leaf stays, flagged by its mask; any other box becomes its kept cells,
+    or its kept thirds across the long side when one side is less than half
+    the other, untested, top-right last. A few numpy calls for all boxes."""
+    n = len(boxes)
+    size = boxes[:, 1:4:2] - boxes[:, 0:4:2]
+    # 1 when the height is less than half the width, 2 in the mirror case
+    kinds = np.where(leaf, 3, (2.0 * size < size[:, ::-1]).dot((2, 1)))
+    ext = np.concatenate([_cell_edges(boxes), boxes[:, 4:5], np.zeros((n, 1)),
+                          masks[:, None]], axis=1)
+    slots = _LAYOUT.take(kinds, axis=0) + ext.shape[1] * np.arange(n)[:, None, None]
+    used = _USED[kinds, masks].ravel()
+    return ext.take(slots).reshape(-1, 6).compress(used, axis=0), kinds
 
 
 def _boundary_degree(F, box) -> int:
@@ -213,27 +260,28 @@ def _jittered(region, attempt: int):
 
 def _isolate_once(F, region, resolution: float, audit: Optional[IsolationAudit],
                   lift_offset: int) -> list[CertifiedFixedBox]:
-    """One attempt: a depth-first quadtree over the region.
+    """One attempt: a depth-first tree of 3 x 3 cells over the region.
 
-    The stack is an (N, 6) array of rows (x0, x1, y0, y1, scale, tested), top
+    The stack is an (N, 6) array of rows (x0, x1, y0, y1, scale, kept), top
     last. Each step tests the untested run at the top of the stack, at most
-    _CHUNK boxes, in one _exclusion_margins call, and replaces it in place:
-    excluded boxes go, boxes at leaf scale stay, flagged as tested, and
-    larger ones become their children, top-right on top: two, split across
-    the long axis, when one side is less than half the other, and four
-    otherwise. A flagged leaf is handled when it reaches the top, so leaves
-    are handled in exactly the order of a one-box-at-a-time depth-first
-    search, whatever the chunk size.
+    _CHUNK boxes, in one _exclusion_margins call, and replaces it in place
+    (_layout): a box goes when each of its 3 x 3 cells is proved free of
+    fixed points, a box at leaf scale stays, flagged by the mask of its kept
+    cells, and a larger one becomes its kept cells, or its kept thirds
+    across the long side when one side is less than half the other, top
+    right on top. Each sample proves its own cell, so no proved cell is
+    tested again. A flagged leaf is handled when it reaches the top, so
+    leaves are handled in exactly the order of a one-box-at-a-time
+    depth-first search, whatever the chunk size.
 
     A leaf at resolution scale is certified by a nonzero boundary degree.
-    A degree-0 leaf that was not excluded is mopped up: its four children,
-    whatever its aspect, go on the stack with the floor scale
-    resolution / 256, to be searched down to it (the leaf itself is not
-    tested again), and a mop-up fragment surviving there forces a jitter
-    retry. No box is tested twice in an attempt. The subdivision budget
-    counts the boxes tested in this attempt; an audit, when given, only
-    observes. A non-finite displacement at any sample raises
-    NonFiniteDisplacement (_sampled_minima).
+    A degree-0 leaf is mopped up: its kept cells (or thirds) go on the
+    stack with the floor scale resolution / 256, to be searched down to it
+    (the leaf itself is not tested again), and a mop-up fragment surviving
+    there forces a jitter retry. No box is tested twice in an attempt. The
+    subdivision budget counts the boxes tested in this attempt; an audit,
+    when given, only observes. A non-finite displacement at any sample
+    raises NonFiniteDisplacement (_sampled_norms).
     """
     resolution = float(resolution)
     floor = resolution / 256.0
@@ -242,7 +290,7 @@ def _isolate_once(F, region, resolution: float, audit: Optional[IsolationAudit],
     stack = np.array([[*region, resolution, 0.0]])
     while len(stack):
         if stack[-1, 5]:
-            bx0, bx1, by0, by1, scale, _ = stack[-1].tolist()
+            bx0, bx1, by0, by1, scale, mask = stack[-1].tolist()
             box = (bx0, bx1, by0, by1)
             stack = stack[:-1]
             if scale != resolution:  # a mop-up fragment
@@ -256,10 +304,11 @@ def _isolate_once(F, region, resolution: float, audit: Optional[IsolationAudit],
             if deg != 0:
                 certified.append(CertifiedFixedBox(box, deg, lift_offset))
                 continue
-            # the leaf failed exclusion, and would fail it again: go straight
-            # to its children, as mop-up fragments
-            row = [bx0, bx1, by0, by1, floor, 0.0, 0.5 * (bx0 + bx1), 0.5 * (by0 + by1), 0.0]
-            stack = np.concatenate([stack, np.array(row)[_CHILDREN]])
+            # the leaf failed exclusion, and its kept cells would fail it
+            # again: go straight to them (or its kept thirds), as mop-up
+            # fragments
+            rows, _ = _layout(np.array([[*box, floor]]), np.array([int(mask)]), False)
+            stack = np.concatenate([stack, rows])
             continue
         top = stack[-_CHUNK:, 5]
         flagged = top.nonzero()[0]
@@ -270,29 +319,35 @@ def _isolate_once(F, region, resolution: float, audit: Optional[IsolationAudit],
         processed += len(chunk)
         if processed > _SUBDIVISION_BUDGET:
             raise BudgetExceeded(f"subdivision cap {_SUBDIVISION_BUDGET} passed")
-        margin, sampled_min = _exclusion_margins(F, chunk[:, :4])
-        out = margin > 0
+        margin, norms = _exclusion_margins(F, chunk[:, :4])
+        masks = (~(margin > 0)).dot(_BITS)
+        kept = masks > 0
+        keep, masks = chunk.compress(kept, axis=0), masks.compress(kept)
+        leaf = np.maximum(keep[:, 1] - keep[:, 0], keep[:, 3] - keep[:, 2]) <= keep[:, 4]
+        rows, kinds = _layout(keep, masks, leaf)
         if audit is not None:
-            audit.boxes_processed += len(chunk)
-            # mop-up discards are not audited; top of the stack first, the
-            # order in which the boxes would be popped one at a time
-            gone = (out & (chunk[:, 4] == resolution))[::-1]
-            audit.discarded.extend(zip(map(tuple, chunk[::-1, :4][gone].tolist()),
-                                       sampled_min[::-1][gone].tolist(),
-                                       margin[::-1][gone].tolist()))
-        keep = chunk.compress(~out, axis=0)
-        lo, hi = keep[:, 0:4:2], keep[:, 1:4:2]
-        size = hi - lo
-        leaf = np.maximum(size[:, 0], size[:, 1]) <= keep[:, 4]
-        # a side less than half the other is kept whole, as are both of a leaf
-        whole = 2.0 * size < size[:, ::-1]
-        whole |= leaf[:, None]
-        ext = np.concatenate([keep, 0.5 * (lo + hi), leaf[:, None]], axis=1)
-        np.copyto(ext[:, 6:8], hi, where=whole)
-        rows = ext.take(_CHILDREN, axis=1).reshape(-1, 6)
-        rows = rows.compress(_KEPT.take(whole.dot((2, 1)), axis=0).ravel(), axis=0)
+            _audit_step(audit, chunk, kept, masks, kinds, margin, norms, resolution)
         stack = np.concatenate([stack[:start], rows])
     return sorted(certified, key=lambda c: c.box)
+
+
+def _audit_step(audit, chunk, kept, masks, kinds, margin, norms, resolution) -> None:
+    """Record a step's tested boxes and its discards at resolution scale
+    (mop-up discards are not audited): each box that went whole, with its
+    least sample and margin, then each cell dropped from a kept box, with
+    its own."""
+    audit.boxes_processed += len(chunk)
+    top = chunk[:, 4] == resolution
+    gone = ~kept & top
+    audit.discarded.extend(zip(map(tuple, chunk[gone, :4].tolist()),
+                               norms[gone].min(axis=1).tolist(),
+                               margin[gone].min(axis=1).tolist()))
+    covered = (_USED[kinds, masks] * _COVER[kinds]).sum(axis=1)   # slots are disjoint
+    dropped = (covered[:, None] & _BITS == 0) & top[kept][:, None]
+    cells = _cell_edges(chunk[kept])[:, _LAYOUT[0, :, :4]]
+    audit.discarded.extend(zip(map(tuple, cells[dropped].tolist()),
+                               norms[kept][dropped].tolist(),
+                               margin[kept][dropped].tolist()))
 
 
 def isolate_fixed_points(F: LiftMap, region, resolution: float, lift_offset: int = 0,
@@ -300,22 +355,26 @@ def isolate_fixed_points(F: LiftMap, region, resolution: float, lift_offset: int
                          ) -> list[CertifiedFixedBox]:
     """Certified boxes around every fixed point of F inside the region.
 
-    Adaptive quadtree: boxes are discarded only by the displacement lower
-    bound that F's declared Lipschitz bound gives, recursed while larger
-    than the resolution, and certified when a nonzero boundary degree is
-    found at resolution scale. A box is halved
-    across its long side only while one side is less than half the other,
-    so when the region's short side exceeds the resolution every certified
-    box has aspect at most 2, whatever the region's aspect. The tree is
-    searched depth first, a chunk of boxes per vectorised exclusion call,
-    so that an attempt spoiled by a fixed point on a subdivision line stops
-    at the first leaf that meets it.
+    Adaptive tree of 3 x 3 cells: a cell is discarded only by the
+    displacement lower bound that F's declared Lipschitz bound gives at its
+    centre, a box is replaced by its kept cells while larger than the
+    resolution, and a box at resolution scale is certified when its
+    boundary degree is nonzero. A box is cut in thirds across its long side
+    only while one side is less than half the other, so when the region's
+    short side exceeds the resolution every certified box has aspect at
+    most 2, whatever the region's aspect. The tree is searched depth first,
+    a chunk of boxes per vectorised exclusion call, so that an attempt
+    spoiled by a fixed point on a subdivision line stops at the first leaf
+    that meets it.
 
     There are _ATTEMPTS attempts, each over the region translated and
     dilated by its own irrational offsets (jitter seeds 1, 2, ...; the
     dilation exceeds the translation, so each contains the original). The
-    first attempt that meets no subdivision line returns; when all of them
-    do, BoundaryFixedPoint is raised. A non-finite displacement at any
+    first attempt that meets no subdivision line returns. When the first
+    attempt meets one, diagnose_continuum is asked about the region, and
+    FixedContinuum (a BoundaryFixedPoint) is raised if the fixed set looks
+    one-dimensional; otherwise the other attempts run, and when all of them
+    meet a line, BoundaryFixedPoint is raised. A non-finite displacement at any
     sample raises NonFiniteDisplacement, a reversed or overflowing region
     ValueError, and a map without a Lipschitz bound ParamOutOfRange. The
     boxes have disjoint interiors, so each certifies its own fixed point.
@@ -329,13 +388,16 @@ def isolate_fixed_points(F: LiftMap, region, resolution: float, lift_offset: int
     if F.lipschitz is None:
         raise ParamOutOfRange(f"{F.name or 'the map'} declares no Lipschitz bound")
     rectangle(*region)   # a ValueError for a bad region, before any attempt
-    last_exc = None
     for attempt in range(1, _ATTEMPTS + 1):
         try:
             return _isolate_once(F, _jittered(region, attempt), resolution, audit,
                                  lift_offset)
         except _BoundaryHit as exc:
             last_exc = exc
+        if attempt == 1 and diagnose_continuum(F, region, resolution):
+            raise FixedContinuum(
+                "the fixed set looks one-dimensional: the first attempt met it "
+                "on a subdivision line") from last_exc
     raise BoundaryFixedPoint(
         f"fixed point kept hitting subdivision boundaries after "
         f"{_ATTEMPTS} attempts") from last_exc
@@ -380,8 +442,8 @@ def polish_fixed_point(F, box: CertifiedFixedBox) -> np.ndarray:
             xm, ym = 0.5 * (b[0] + b[1]), 0.5 * (b[2] + b[3])
             children = [(b[0], xm, b[2], ym), (xm, b[1], b[2], ym),
                         (b[0], xm, ym, b[3]), (xm, b[1], ym, b[3])]
-            mins, _ = _sampled_minima(F, children)
-            b = children[int(np.argmin(mins))]
+            norms, _ = _sampled_norms(F, children)
+            b = children[int(np.argmin(norms.min(axis=1)))]
         p = np.array([0.5 * (b[0] + b[1]), 0.5 * (b[2] + b[3])])
     residual = np.hypot(*_displacement(F, p))
     if not np.isfinite(residual):  # NaN would pass the test below
@@ -493,33 +555,45 @@ def boxes_to_csv_rows(reports) -> list[str]:
     return rows
 
 
-def diagnose_continuum(F, region, resolution: float) -> bool:
-    """After isolation fails on boundary hits: does the zero set of F - id
-    look one-dimensional? Probes a small circle around a polished zero; a
-    1D zero set crosses the circle, an isolated point keeps it clear."""
-    x0, x1, y0, y1 = map(float, region)
-    m = 160
-    pts = GridSpec(m, m, (x0, x1), (y0, y1)).points()
-    norms = np.hypot(*_displacement(F, pts).T)
-    p = pts[int(np.argmin(norms))]
-    # local descent to land on the zero set
-    step = max((x1 - x0), (y1 - y0)) / m
+_STENCIL = np.array([[0, 0], [1, 0], [-1, 0], [0, 1], [0, -1],
+                     [1, 1], [1, -1], [-1, 1], [-1, -1]], dtype=float)
+
+
+def _descend(F, p, step: float) -> np.ndarray:
+    """Greedy descent of the displacement norm from p on a 3 x 3 stencil,
+    halving the step whenever p is the stencil's best point."""
     for _ in range(60):
-        trial = p + step * np.array([[0, 0], [1, 0], [-1, 0], [0, 1], [0, -1],
-                                     [1, 1], [1, -1], [-1, 1], [-1, -1]], dtype=float)
-        vals = np.hypot(*_displacement(F, trial).T)
+        vals = np.hypot(*_displacement(F, p + step * _STENCIL).T)
         i = int(np.argmin(vals))
-        p = trial[i]
+        p = p + step * _STENCIL[i]
         if i == 0:
             step *= 0.5
         if step < 1e-12:
             break
+    return p
+
+
+def diagnose_continuum(F, region, resolution: float) -> bool:
+    """After isolation fails on a boundary hit: does the zero set of F - id
+    look one-dimensional? Probes a circle of radius 4 * resolution around a
+    polished zero p; a 1D zero set crosses the circle, an isolated point
+    keeps it clear. The circle's lowest sample must also descend to a zero
+    at least 2 * resolution from p, so that a nearby isolated zero, or a
+    thin band where one component of F - id vanishes, is no continuum."""
+    x0, x1, y0, y1 = map(float, region)
+    m = 160
+    pts = GridSpec(m, m, (x0, x1), (y0, y1)).points()
+    norms = np.hypot(*_displacement(F, pts).T)
+    p = _descend(F, pts[int(np.argmin(norms))], max((x1 - x0), (y1 - y0)) / m)
     if np.hypot(*_displacement(F, p)) > 1e-6:
         return False
     ang = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
     ring = p + 4.0 * resolution * np.stack([np.cos(ang), np.sin(ang)], axis=-1)
     vals = np.hypot(*_displacement(F, ring).T)
-    return bool(vals.min() < 0.05 * _median(vals))
+    if not vals.min() < 0.05 * _median(vals):
+        return False
+    q = _descend(F, ring[int(np.argmin(vals))], resolution)
+    return bool(np.hypot(*_displacement(F, q)) <= 1e-6 and np.hypot(*(q - p)) >= 2.0 * resolution)
 
 
 def _x_displacement_range(F, region) -> tuple[float, float]:
@@ -575,8 +649,9 @@ def _owned(F, box, x0: float) -> Optional[bool]:
     for seam, inside_right in ((x0, True), (x0 + 1.0, False)):
         if bx0 <= seam <= bx1:
             margin, _ = _exclusion_margins(F, [(bx0, seam, by0, by1), (seam, bx1, by0, by1)])
-            if margin[0] > 0 or margin[1] > 0:
-                return bool(margin[0] > 0) == inside_right
+            left, right = (margin > 0).all(axis=1).tolist()
+            if left or right:
+                return left == inside_right
             return None
     return x0 <= 0.5 * (bx0 + bx1) < x0 + 1.0
 
@@ -598,11 +673,8 @@ def _strip_report(F_iter: LiftMap, period: int, strip, resolution: float) -> Nie
         try:
             found = isolate_fixed_points(Fk, strip, resolution, lift_offset=k)
             owned = [_owned(Fk, b.box, x0) for b in found]
-        except BoundaryFixedPoint as exc:
-            if diagnose_continuum(Fk, strip, resolution):
-                continuum.setdefault(residue, k)
-            else:
-                errors[k] = f"{type(exc).__name__}: {exc}"
+        except FixedContinuum:
+            continuum.setdefault(residue, k)
             continue
         except ToolkitError as exc:
             errors[k] = f"{type(exc).__name__}: {exc}"

@@ -122,7 +122,7 @@ def test_fixed_points_default_region_follows_the_translate(tmp_path, capsys):
 
 
 def test_fixed_points_on_a_wide_low_region(tmp_path, capsys):
-    # a 1e8 x 2 region is halved across x alone until its boxes are near
+    # a 1e8 x 2 region is cut in thirds across x alone until its boxes are near
     # square; boxes that kept the region's aspect ran out of budget first
     js = tmp_path / "fp.json"
     code, out, _ = run(capsys, "fixed-points", "--map", "power", "--params", '{"d": 2}',
@@ -429,11 +429,12 @@ def test_non_finite_map_params_are_usage_errors(name, params):
 
 
 def test_huge_region_overflow_is_one_quiet_error():
-    # 2 * 1e308 overflows on the region's boundary: a typed error at once,
-    # not a warning followed by a subdivision budget run of seconds
+    # 2 * 1.7e308 overflows at a sample of the region's first test: a typed
+    # error at once, not a warning followed by a subdivision budget run of
+    # seconds
     start = time.perf_counter()
     code = _assert_error_contract(["fixed-points", "--map", "power", "--params", '{"d": 2}',
-                                   "--region=0,1e308,-1,1", "--resolution", "0.1"])
+                                   "--region=0,1.7e308,-1,1", "--resolution", "0.1"])
     assert code == 1 and time.perf_counter() - start < 1.0
     # the sweeps take only x0 from the region, so theirs overflows in y;
     # the strip's x-displacement enclosure is then too wide to sweep
@@ -443,6 +444,18 @@ def test_huge_region_overflow_is_one_quiet_error():
                                        "--nmax", "2", "--region=0,1,0,1e308",
                                        "--resolution", "0.1"])
         assert code == 1 and time.perf_counter() - start < 1.0
+
+
+def test_huge_region_without_overflow_certifies_the_origin(tmp_path, capsys):
+    # on 0 <= x <= 1e308 every sample's image stays finite, 2 x at most
+    # 1.67e308: the right third is excluded, and the origin is certified
+    js = tmp_path / "fp.json"
+    code = _assert_error_contract(["fixed-points", "--map", "power", "--params", '{"d": 2}',
+                                   "--region=0,1e308,-1,1", "--resolution", "0.1",
+                                   "--json", str(js)])
+    assert code == 0
+    (box,) = json.loads(js.read_text())["boxes"]
+    assert CertifiedFixedBox(tuple(box["box"]), 1).contains((0.0, 0.0))
 
 
 @pytest.mark.parametrize("command", ["completeness", "growth"])
