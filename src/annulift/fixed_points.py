@@ -576,24 +576,35 @@ def _descend(F, p, step: float) -> np.ndarray:
 def diagnose_continuum(F, region, resolution: float) -> bool:
     """After isolation fails on a boundary hit: does the zero set of F - id
     look one-dimensional? Probes a circle of radius 4 * resolution around a
-    polished zero p; a 1D zero set crosses the circle, an isolated point
-    keeps it clear. The circle's lowest sample must also descend to a zero
-    at least 2 * resolution from p, so that a nearby isolated zero, or a
-    thin band where one component of F - id vanishes, is no continuum."""
+    polished zero p. A curve of zeros through p crosses the circle twice,
+    an isolated point keeps it clear: the circle must dip low twice, at its
+    lowest sample and at its lowest sample a quarter turn or more from that
+    one, and each dip must descend to a zero, so that p and the two zeros
+    lie pairwise at least 2 * resolution apart. Two isolated zeros, at any
+    spacing, give no third; nor does a thin band where one component of
+    F - id vanishes."""
     x0, x1, y0, y1 = map(float, region)
     m = 160
     pts = GridSpec(m, m, (x0, x1), (y0, y1)).points()
     norms = np.hypot(*_displacement(F, pts).T)
     p = _descend(F, pts[int(np.argmin(norms))], max((x1 - x0), (y1 - y0)) / m)
-    if np.hypot(*_displacement(F, p)) > 1e-6:
+    if not np.hypot(*_displacement(F, p)) <= 1e-6:   # NaN too
         return False
-    ang = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
+    n = 64
+    ang = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
     ring = p + 4.0 * resolution * np.stack([np.cos(ang), np.sin(ang)], axis=-1)
     vals = np.hypot(*_displacement(F, ring).T)
-    if not vals.min() < 0.05 * _median(vals):
+    first = int(np.argmin(vals))
+    turn = (np.arange(n) - first) % n
+    second = int(np.argmin(np.where(np.minimum(turn, n - turn) >= n // 4, vals, np.inf)))
+    if not vals[second] < 0.05 * _median(vals):   # vals[first] is no higher
         return False
-    q = _descend(F, ring[int(np.argmin(vals))], resolution)
-    return bool(np.hypot(*_displacement(F, q)) <= 1e-6 and np.hypot(*(q - p)) >= 2.0 * resolution)
+    q = np.array([_descend(F, ring[i], resolution) for i in (first, second)])
+    if not np.hypot(*_displacement(F, q).T).max() <= 1e-6:
+        return False
+    zeros = np.concatenate([p[None], q])
+    gaps = np.hypot(*(zeros - np.roll(zeros, 1, axis=0)).T)   # all three pairs
+    return bool(gaps.min() >= 2.0 * resolution)
 
 
 def _x_displacement_range(F, region) -> tuple[float, float]:

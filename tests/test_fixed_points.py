@@ -298,13 +298,15 @@ def _reference_children(box, kept):
     return children, dropped
 
 
-def _reference_isolate_once(F, region, resolution, audit, lift_offset):
+def _reference_isolate_once(F, region, resolution, audit, lift_offset, stop=True):
     """_isolate_once one box at a time, in plain Python: the top box is
     popped; an untested one is tested alone and goes when each of its nine
     cells has a positive margin, stays whole and flagged by its kept cells at
     leaf scale, and otherwise becomes its kept children (_reference_children),
     the top-right pushed last; a flagged leaf gets its boundary degree, and
-    at degree 0 its kept children go back as mop-up fragments."""
+    at degree 0 its kept children go back as mop-up fragments. With stop
+    false, a leaf that would end the attempt is skipped instead, and the
+    search goes on through the whole tree."""
     floor = resolution / 256.0
     certified = []
     processed = 0
@@ -314,10 +316,14 @@ def _reference_isolate_once(F, region, resolution, audit, lift_offset):
         if kept is not None:
             if scale != resolution:
                 audit.unresolved.append(box)
+                if not stop:
+                    continue
                 raise fixed_points._BoundaryHit
             try:
                 deg = fixed_points._boundary_degree(F, box)
             except fixed_points.FixedPointOnCurve as exc:
+                if not stop:
+                    continue
                 raise fixed_points._BoundaryHit from exc
             if deg != 0:
                 certified.append(CertifiedFixedBox(box, deg, lift_offset))
@@ -409,7 +415,10 @@ def test_isolate_once_matches_reference(monkeypatch, F, region, resolution, chun
     # same certified boxes, same leaves given boundary degrees in the same
     # order, same mop-up; the chunked search tests boxes ahead of the
     # one-box-at-a-time order, so it tests and discards the same boxes when
-    # the attempt completes, and a superset of them when it stops on a hit
+    # the attempt completes, and when it stops on a hit, a superset of them
+    # within what the one-box search tests and discards on the whole tree
+    # (the surplus is not confined to the last chunk: an early chunk holds
+    # boxes below the subtree that meets the hit)
     monkeypatch.setattr(fixed_points, "_CHUNK", chunk)
     degree, margins = fixed_points._boundary_degree, fixed_points._exclusion_margins
     log = {}
@@ -434,7 +443,12 @@ def test_isolate_once_matches_reference(monkeypatch, F, region, resolution, chun
     assert ref_audit.boxes_processed == ref_tested.total()
     got_discarded, ref_discarded = Counter(got_audit.discarded), Counter(ref_audit.discarded)
     if got == "boundary":
-        assert ref_tested <= got_tested and ref_discarded <= got_discarded
+        log["tested"] = []
+        whole = IsolationAudit()
+        _reference_isolate_once(F, region, resolution, whole, 3, stop=False)
+        whole_tested, whole_discarded = Counter(log["tested"]), Counter(whole.discarded)
+        assert ref_tested <= got_tested <= whole_tested
+        assert ref_discarded <= got_discarded <= whole_discarded
     else:
         assert got_tested == ref_tested and got_discarded == ref_discarded
 
@@ -604,21 +618,25 @@ def test_fixed_point_at_an_attempts_corner_is_certified_by_the_next(monkeypatch)
 def test_a_close_pair_on_the_first_split_lines_is_no_continuum(monkeypatch):
     # the hat's fixed points are 0.004/3 apart, the left one where attempt
     # 1's first split lines cross. The diagnosis circle about it crosses the
-    # hat, where (F - id)_x vanishes and (F - id)_y = -y/2 is small, which
-    # the circle test alone took for a continuum; its lowest point descends
-    # to the other fixed point, within 2 * resolution, so the diagnosis
-    # says no, and a later attempt certifies both points
+    # hat, where (F - id)_x vanishes and (F - id)_y = -y/2 is small, and
+    # dips low on both sides; but both dips descend to the two fixed points,
+    # and no third zero, so the diagnosis says no, and a later attempt
+    # certifies both points. At 0.004/12 the circle passes through the other
+    # fixed point, at 5e-4 it holds it, at 1e-3 it is within 2 * resolution
     point = (0.3 - 0.004 / 6, 0.0)
     region = _onto_first_split(point, (-0.3, 0.6, -0.3, 0.6))
-    regions = _record_attempts(monkeypatch)
-    verdicts = []
+    F = make_lift(_hat, 1, lipschitz=HAT_LIPSCHITZ)
     real = fixed_points.diagnose_continuum
-    monkeypatch.setattr(fixed_points, "diagnose_continuum",
-                        lambda *args: verdicts.append(real(*args)) or verdicts[-1])
-    boxes = isolate_fixed_points(make_lift(_hat, 1, lipschitz=HAT_LIPSCHITZ), region, 1e-3)
-    assert sorted(b.boundary_degree for b in boxes) == [-1, 1]
-    assert sum(b.contains(point) for b in boxes) == 1
-    assert len(regions) > 1 and verdicts == [False]
+    for resolution in (1e-3, 5e-4, 0.004 / 12):
+        regions = _record_attempts(monkeypatch)
+        verdicts = []
+        monkeypatch.setattr(fixed_points, "diagnose_continuum",
+                            lambda *args: verdicts.append(real(*args)) or verdicts[-1])
+        boxes = isolate_fixed_points(F, region, resolution)
+        assert sorted(b.boundary_degree for b in boxes) == [-1, 1]
+        assert sum(b.contains(point) for b in boxes) == 1
+        assert len(regions) > 1 and verdicts == [False]
+        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("region", [(0, 1, -1, 1), (0.25, 0.35, -0.1, 0.1)])
@@ -713,19 +731,32 @@ def test_sweep_does_not_depend_on_the_strip(name, params, n_max):
                for r in completeness_check(F, n_max, region=(0.1, 1.1, -2.0, 2.0)))
 
 
-def test_sweep_records_a_failed_translate():
+def test_sweep_records_a_failed_translate(monkeypatch):
     # this sheared displacement field is too badly conditioned for the
     # sampled exclusion bound near its zero on the default strip: every
-    # attempt keeps a mop-up fragment, and the diagnosis finds no continuum.
-    # The failure is recorded per translate instead of aborting the sweep.
+    # attempt keeps a mop-up fragment, and the diagnosis finds no continuum,
+    # so each of the _ATTEMPTS jittered attempts runs. The failure is
+    # recorded per translate instead of aborting the sweep.
     # Its bound is the spectral norm of [[2, 30], [0, 2]].
     shear = make_lift(lambda p: np.stack(
         [2 * p[..., 0] + 30 * p[..., 1], 2 * p[..., 1]], axis=-1), 2,
         lipschitz=_norm_bound(4.0, 904.0, 60.0))
+    strips, attempts = [], []
+    real, real_once = fixed_points.isolate_fixed_points, fixed_points._isolate_once
+    monkeypatch.setattr(fixed_points, "isolate_fixed_points",
+                        lambda F, region, res, lift_offset=0:
+                        strips.append(region) or real(F, region, res, lift_offset))
+    monkeypatch.setattr(fixed_points, "_isolate_once",
+                        lambda F, region, res, audit, lift_offset:
+                        attempts.append((lift_offset, region))
+                        or real_once(F, region, res, audit, lift_offset))
     (report,) = completeness_check(shear, 1, resolution=1e-2)
     assert report.errors == {0: "BoundaryFixedPoint: fixed point kept hitting "
                                 "subdivision boundaries after 4 attempts"}
     assert not report.complete
+    strip = strips[0]
+    assert [region for k, region in attempts if k == 0] == [
+        fixed_points._jittered(strip, a) for a in range(1, fixed_points._ATTEMPTS + 1)]
 
 
 _SEAM_FRACTIONS = st.tuples(st.integers(-40, 40), st.sampled_from([1, 2, 3, 7, 8, 9, 26]))
