@@ -33,7 +33,7 @@ from .errors import (
 TWO_PI = 2.0 * np.pi
 HALF_PI = 0.5 * np.pi
 
-_REFINEMENT_BUDGET = 2 ** 16  # inserted points per turning count
+_REFINEMENT_BUDGET = 2 ** 16  # points inserted into one turning count's grid
 _WINDING_RESIDUAL = 0.1       # max |total/2pi - nearest integer|
 # Shewchuk's static filter for the sign of the float orientation determinant
 # l - r: it is exact when |l - r| > (3 + 16 eps) eps (|l| + |r|), eps = 2^-53,
@@ -225,56 +225,113 @@ def curve_from_json(data) -> ClosedCurve:
 
 # -- winding numbers ----------------------------------------------------------
 
-def _turning_count(vectors, params, vec_fn, min_norm, too_close_cls,
-                   too_close_msg: str) -> int:
-    """Sum principal-value angle steps of a cyclic vector loop, refining until
-    every step is below pi/2. Returns the exact integer turning count.
-    A NaN or infinite vector, given or inserted, raises NonFiniteDisplacement."""
+def _turning_counts(vectors, params, vec_fn, min_norm, too_close_cls,
+                    too_close_msg: str) -> tuple[list, Optional[Exception]]:
+    """Exact integer turning counts of an (m, n, 2) stack of cyclic vector
+    loops that share one ascending parameter grid ``params``.
+
+    The grid is refined for all rows together: a segment where any row's
+    principal-value angle step is pi/2 or more is bisected for every row,
+    with one ``vec_fn(t, rows)`` call a round, which returns the first
+    ``rows`` loops at the new parameters t as a (rows, len(t), 2) array.
+    Each row's steps are summed once no step of any row reaches pi/2.
+
+    Shared-grid rows stay right. A point inserted for another row splits a
+    step of this row that is below pi/2 into two: the row's count can then
+    change only where its loop really turns more inside that segment, which
+    moves it toward the true count, and a new sample within ``min_norm`` of
+    0 fails the row there, as it should. ``_REFINEMENT_BUDGET`` bounds the
+    insertions into the shared grid, as it bounds one loop's. At m = 1 the
+    samples, refinements, budget and errors are those of one loop alone.
+
+    Returns (counts, error): every row's count and None, or the counts of
+    the rows before the earliest failing row and that row's exception. A
+    row fails on a NaN or infinite vector (NonFiniteDisplacement), on a
+    vector no longer than ``min_norm`` (``too_close_cls``, with
+    ``too_close_msg``) and on a turning not near an integer
+    (WindingResidualError). Rows after a failing row are dropped, as their
+    outcome cannot change which failure is the earliest. Running out of
+    budget fails the grid: RefinementBudgetExceeded comes with no counts.
+    """
     t = np.asarray(params, dtype=float)
-    z = _as_complex(vectors)
+    # sample-major and flat: entry i * rows + r is row r's vector at t[i], so
+    # a round's elementwise work runs on one contiguous array at any m
+    rows = len(vectors)
+    z = _as_complex(vectors).T.ravel()
+    error = None
     inserted = 0
-    while True:
+    while rows:
         norms = np.hypot(z.real, z.imag)
-        if not norms.max() < np.inf:  # NaN fails the comparison too
-            i = int(np.argmin(np.isfinite(norms)))
-            raise NonFiniteDisplacement(
-                f"non-finite vector ({z.real[i]}, {z.imag[i]}) at t={t[i] % 1.0:.6f}")
-        if norms.min() <= min_norm:
-            i = int(norms.argmin())
-            raise too_close_cls(
-                f"{too_close_msg}: |v|={norms[i]:.3e} <= {min_norm:.3e} at t={t[i] % 1.0:.6f}")
-        ratio = _cyclic_next(z) / z
+        if not norms.max() < np.inf or norms.min() <= min_norm:  # NaN fails < too
+            norms = norms.reshape(-1, rows)
+            j = int((~(norms.max(axis=0) < np.inf) | (norms.min(axis=0) <= min_norm)).argmax())
+            row = norms[:, j]
+            if not row.max() < np.inf:
+                i = int(np.argmin(np.isfinite(row)))
+                error = NonFiniteDisplacement(f"non-finite vector ({z.real[i * rows + j]}, "
+                                              f"{z.imag[i * rows + j]}) at t={t[i] % 1.0:.6f}")
+            else:
+                i = int(row.argmin())
+                error = too_close_cls(
+                    f"{too_close_msg}: |v|={row[i]:.3e} <= {min_norm:.3e} at t={t[i] % 1.0:.6f}")
+            z = z.reshape(-1, rows)[:, :j].ravel()
+            rows = j
+            if not rows:
+                break
+        ratio = np.concatenate([z[rows:], z[:rows]]) / z
         steps = np.arctan2(ratio.imag, ratio.real)   # np.angle
-        bad = (np.abs(steps) >= HALF_PI).nonzero()[0]
+        big = np.abs(steps) >= HALF_PI
+        if rows > 1:   # a parameter's segment is bisected when any row's step is big
+            big = big.reshape(-1, rows).any(axis=1)
+        bad = big.nonzero()[0]
         if bad.size == 0:
-            total = float(steps.sum()) / TWO_PI
-            nearest = round(total)
-            if abs(total - nearest) > _WINDING_RESIDUAL:
-                raise WindingResidualError(
-                    f"turning {total:.6f} not within {_WINDING_RESIDUAL} of an integer")
-            return int(nearest)
+            counts = []
+            for total in steps.reshape(-1, rows).sum(axis=0).tolist():
+                total /= TWO_PI
+                nearest = round(total)
+                if abs(total - nearest) > _WINDING_RESIDUAL:
+                    return counts, WindingResidualError(
+                        f"turning {total:.6f} not within {_WINDING_RESIDUAL} of an integer")
+                counts.append(nearest)
+            return counts, error
         inserted += bad.size
         if inserted > _REFINEMENT_BUDGET:
-            raise RefinementBudgetExceeded(
+            return [], RefinementBudgetExceeded(
                 f"needed more than {_REFINEMENT_BUDGET} refinement points")
         t_ext = np.append(t, t[0] + 1.0)
         t_mid = 0.5 * (t_ext[bad] + t_ext[bad + 1])
-        z_mid = _as_complex(np.asarray(vec_fn(t_mid), dtype=float).reshape(-1, 2))
+        z_mid = _as_complex(np.asarray(vec_fn(t_mid, rows), dtype=float).reshape(rows, -1, 2))
         # sample i + 1 goes after sample i, so the new sample j lands at bad[j] + j + 1
         old = np.ones(len(t) + bad.size, dtype=bool)
         old[bad + np.arange(1, bad.size + 1)] = False
         new = ~old
         t_out = np.empty(len(old))
         t_out[old], t_out[new] = t, t_mid
+        if rows > 1:   # each parameter's entries, one a row, move together
+            old, new = np.repeat(old, rows), np.repeat(new, rows)
         z_out = np.empty(len(old), dtype=complex)
-        z_out[old], z_out[new] = z, z_mid
+        z_out[old], z_out[new] = z, z_mid.T.ravel()
         t, z = t_out, z_out
+    return [], error
+
+
+def _turning_count(vectors, params, vec_fn, min_norm, too_close_cls,
+                   too_close_msg: str) -> int:
+    """The turning count of one (n, 2) loop, where vec_fn(t) gives its
+    vectors at parameters t: _turning_counts on a stack of one, raising
+    its error."""
+    counts, error = _turning_counts(np.asarray(vectors, dtype=float)[None], params,
+                                    lambda t, rows: vec_fn(t), min_norm, too_close_cls,
+                                    too_close_msg)
+    if error is not None:
+        raise error
+    return counts[0]
 
 
 def _as_complex(vectors) -> np.ndarray:
-    """An (n, 2) float array of vectors as n complex numbers x + iy (a view
-    when the array is C-contiguous)."""
-    return np.ascontiguousarray(vectors, dtype=float).view(complex)[:, 0]
+    """An (..., n, 2) float array of vectors as (..., n) complex numbers
+    x + iy (a view when the array is C-contiguous)."""
+    return np.ascontiguousarray(vectors, dtype=float).view(complex)[..., 0]
 
 
 def winding_number(curve: ClosedCurve, basepoint, min_dist: float = 1e-9) -> int:

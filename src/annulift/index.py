@@ -8,7 +8,7 @@ the origin. Everything here reduces to that one number.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from .curves import (
     _segment_distances,
     _segments_meet,
     _turning_count,
+    _turning_counts,
     distance_to_polyline,
     interior_point,
     is_positively_oriented,
@@ -64,17 +65,6 @@ def lefschetz_index(F, curve: ClosedCurve, min_disp: float = _MIN_DISP) -> int:
 
     v0 = np.asarray(F(curve.samples), dtype=float) - curve.samples
     return _turning_count(v0, curve.params, disp, min_disp,
-                          FixedPointOnCurve, "fixed point on curve")
-
-
-def _param_lefschetz(map_at: Callable[[np.ndarray], np.ndarray], curve: ClosedCurve) -> int:
-    """Index for a map given directly in curve parameters (t -> image point)."""
-
-    def disp(t):
-        return np.asarray(map_at(t), dtype=float) - curve.point_at(t)
-
-    v0 = np.asarray(map_at(curve.params), dtype=float) - curve.samples
-    return _turning_count(v0, curve.params, disp, _MIN_DISP,
                           FixedPointOnCurve, "fixed point on curve")
 
 
@@ -281,16 +271,11 @@ def _cyclic_offset(u, center):
     return np.mod(u - center + 0.5, 1.0) - 0.5
 
 
-def arc_push_family(gamma: ClosedCurve, arc: tuple[float, float], inner_point=None):
-    """Homotopy that drags the image of an arc of gamma from a constant
-    interior point across the arc's midpoint to an exterior point.
-
-    The time-s map is defined on gamma in curve parameters: a piecewise
-    linear bump supported on the doubled arc blends the constant base map
-    toward a moving target that crosses gamma exactly at the arc midpoint
-    at s = 1/2. Returns (family, p_in, p_out) where family(s) maps curve
-    parameters to image points.
-    """
+def _arc_push(gamma: ClosedCurve, arc: tuple[float, float], inner_point):
+    """(images, p_in, p_out) of the arc-push homotopy, where images(s, u)
+    gives the time-s maps at curve parameters u for a 1-d array of times s,
+    shape s.shape + u.shape + (2,): one broadcast of one formula, so a
+    time's images are the same bits whichever times come with it."""
     t0, t1 = arc
     width = (t1 - t0) % 1.0
     if not 0.0 < width < 0.5:
@@ -317,23 +302,33 @@ def arc_push_family(gamma: ClosedCurve, arc: tuple[float, float], inner_point=No
     else:
         raise HomotopyConstructionFailure("could not place an exterior target")
 
-    def bump(u):
-        du = np.abs(_cyclic_offset(u, mid))
-        return np.clip(2.0 - 2.0 * du / width, 0.0, 1.0)
+    def images(s, u):
+        u = np.asarray(u, dtype=float)
+        # the moving target: p_in to the arc midpoint pm, then on to p_out
+        s = np.asarray(s, dtype=float).reshape((-1,) + (1,) * u.ndim + (1,))
+        p_s = np.where(s <= 0.5, p_in + 2.0 * s * (pm - p_in),
+                       pm + (2.0 * s - 1.0) * (p_out - pm))
+        # a piecewise linear bump on the doubled arc blends p_in toward it
+        lam = np.clip(2.0 - 2.0 * np.abs(_cyclic_offset(u, mid)) / width, 0.0, 1.0)[..., None]
+        return (1.0 - lam) * p_in + lam * p_s
 
-    def target(s):
-        if s <= 0.5:
-            return p_in + 2.0 * s * (pm - p_in)
-        return pm + (2.0 * s - 1.0) * (p_out - pm)
+    return images, p_in, p_out
+
+
+def arc_push_family(gamma: ClosedCurve, arc: tuple[float, float], inner_point=None):
+    """Homotopy that drags the image of an arc of gamma from a constant
+    interior point across the arc's midpoint to an exterior point.
+
+    The time-s map is defined on gamma in curve parameters: a piecewise
+    linear bump supported on the doubled arc blends the constant base map
+    toward a moving target that crosses gamma exactly at the arc midpoint
+    at s = 1/2. Returns (family, p_in, p_out) where family(s) maps curve
+    parameters to image points.
+    """
+    images, p_in, p_out = _arc_push(gamma, arc, inner_point)
 
     def family(s):
-        p_s = target(s)
-
-        def map_at(u):
-            lam = bump(np.asarray(u, dtype=float))[..., None]
-            return (1.0 - lam) * p_in + lam * p_s
-
-        return map_at
+        return lambda u: images(np.array([s], dtype=float), u)[0]
 
     return family, p_in, p_out
 
@@ -348,28 +343,37 @@ def index_jump_experiment(gamma: ClosedCurve, arc: tuple[float, float],
     direction="in" runs the same family backwards and the difference is -1.
     Raises HomotopyConstructionFailure if any probed time develops a fixed
     point away from the arc or the jump size is wrong.
+
+    The 10 times, 0, 1 and the probes i / 9 between, are one stack of loops
+    on one refined grid (curves._turning_counts), evaluated in one
+    broadcast of the arc-push formula. The error raised is the one the
+    times give in that order, one after another: a failure at an earlier
+    time, or a broken plateau at an earlier probe, wins over a later one.
     """
     if direction not in ("out", "in"):
         raise ValueError("direction must be 'out' or 'in'")
     if not is_positively_oriented(gamma):
         raise ValueError("gamma must be positively oriented")
 
-    family, _, _ = arc_push_family(gamma, arc, inner_point=inner_point)
-
-    def index_at(s):
-        try:
-            return _param_lefschetz(family(s), gamma)
-        except FixedPointOnCurve as exc:
-            raise HomotopyConstructionFailure(
-                f"fixed point developed at homotopy time {s}: {exc}") from exc
-
-    i_inside = index_at(0.0)   # arc image still interior
-    i_outside = index_at(1.0)  # arc image pushed exterior
-
+    images, _, _ = _arc_push(gamma, arc, inner_point)
     # the family must sit on one index plateau on each side of the crossing
-    for s in np.linspace(0.0, 1.0, _JUMP_PROBES + 2)[1:-1]:
-        if index_at(s) != (i_inside if s < 0.5 else i_outside):
-            raise HomotopyConstructionFailure(f"index plateau broken at time {s:.3f}")
+    probes = np.linspace(0.0, 1.0, _JUMP_PROBES + 2)[1:-1]
+    times = np.concatenate([[0.0, 1.0], probes])
+    counts, error = _turning_counts(
+        images(times, gamma.params) - gamma.samples, gamma.params,
+        lambda t, rows: images(times[:rows], t) - gamma.point_at(t),
+        _MIN_DISP, FixedPointOnCurve, "fixed point on curve")
+
+    if len(counts) >= 2:
+        i_inside, i_outside = counts[:2]   # arc image interior, then pushed exterior
+        for s, idx in zip(probes.tolist(), counts[2:]):
+            if idx != (i_inside if s < 0.5 else i_outside):
+                raise HomotopyConstructionFailure(f"index plateau broken at time {s:.3f}")
+    if isinstance(error, FixedPointOnCurve):
+        raise HomotopyConstructionFailure(
+            f"fixed point developed at homotopy time {times[len(counts)]}: {error}") from error
+    if error is not None:
+        raise error
 
     i_start, i_end = (i_inside, i_outside) if direction == "out" else (i_outside, i_inside)
     want = 1 if direction == "out" else -1
@@ -381,5 +385,49 @@ def index_jump_experiment(gamma: ClosedCurve, arc: tuple[float, float],
 
 def homotopy_index_profile(family, curve: ClosedCurve, times: Sequence[float]) -> list[int]:
     """Indices of family(t) along the curve at the given times; family(t)
-    must be a vectorized plane-map callable for each t."""
-    return [lefschetz_index(family(t), curve) for t in times]
+    must be a vectorized plane-map callable for each t.
+
+    The displacement loops of all times share one refined grid
+    (curves._turning_counts): each round calls each map family(t) once, on
+    every new parameter. The error raised is the one the times give in
+    order, one after another: the earliest time's failure, whether its
+    index fails or family(t) or its map raises, wins over a later one.
+    """
+    pts = curve.samples
+    maps, v0 = [], np.empty((len(times), len(pts), 2))
+    raised = None   # (time index, exception) of the earliest map that raised
+
+    def evaluate(i, F, at, out):
+        nonlocal raised
+        try:
+            np.subtract(np.asarray(F(at), dtype=float), at, out=out)
+        except Exception as exc:
+            raised = (i, exc)
+            return False
+        return True
+
+    for i, t in enumerate(times):
+        try:
+            F = family(t)
+        except Exception as exc:
+            raised = (i, exc)
+            break
+        if not evaluate(i, F, pts, v0[i]):
+            break
+        maps.append(F)
+
+    def disp(t, rows):
+        at = curve.point_at(t)
+        out = np.full((rows, len(t), 2), np.nan)
+        for i, F in enumerate(maps[:rows]):
+            if not evaluate(i, F, at, out[i]):
+                break   # its NaN row fails there, and drops the later rows
+        return out
+
+    counts, error = _turning_counts(v0[:len(maps)], curve.params, disp, _MIN_DISP,
+                                    FixedPointOnCurve, "fixed point on curve")
+    if raised is not None and raised[0] == len(counts):
+        raise raised[1]
+    if error is not None:
+        raise error
+    return counts

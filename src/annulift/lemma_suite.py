@@ -58,6 +58,11 @@ def _squashed_saddle(t):
     return f
 
 
+# the power map z^2 on the plane, whose index is 1 inside the unit circle and
+# 2 outside it; built once, as building re-runs the lift's spot checks
+_POWER2 = projected_plane_map(zoo("power", d=2))
+
+
 def _frame_lines():
     alpha = np.array([[-3.0, 1.0], [3.0, 1.0]])
     beta = np.array([[-3.0, -1.0], [3.0, -1.0]])
@@ -106,9 +111,8 @@ def suite_homotopy_invariance() -> SuiteResult:
 
     # free homotopy of the curve: the power-map index is constant on each
     # side of the invariant circle
-    plane2 = projected_plane_map(zoo("power", d=2))
-    inner = [lefschetz_index(plane2, circle(r, 256)) for r in (0.3, 0.5, 0.7)]
-    outer = [lefschetz_index(plane2, circle(r, 256)) for r in (1.5, 2.0, 3.0)]
+    inner = [lefschetz_index(_POWER2, circle(r, 256)) for r in (0.3, 0.5, 0.7)]
+    outer = [lefschetz_index(_POWER2, circle(r, 256)) for r in (1.5, 2.0, 3.0)]
     radii_ok = inner == [1, 1, 1] and outer == [2, 2, 2]
 
     return SuiteResult(

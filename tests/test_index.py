@@ -2,11 +2,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from annulift import curves, index, lemma_suite
 from annulift.annulus_maps import projected_plane_map, zoo
 from annulift.curves import ClosedCurve, circle, rectangle
-from annulift.lemma_suite import _saddle
+from annulift.lemma_suite import _saddle, _squashed_saddle
 from annulift.errors import (
     BoundaryConditionViolation,
     ConfigurationViolation,
@@ -16,6 +17,7 @@ from annulift.errors import (
     NotAQuadrilateral,
 )
 from annulift.index import (
+    _arc_push,
     _polyline_crossings,
     arc_push_family,
     homotopy_index_profile,
@@ -236,6 +238,94 @@ def test_jump_family_midpoint_crosses_curve():
     assert abs(np.hypot(*mid_image[0]) - 1.0) < 1e-6
 
 
+def _reference_arc_push_map(gamma, arc, inner_point, s):
+    """The time-s map of arc_push_family as first written: a scalar target
+    and a bump closure, one time at a time."""
+    _, p_in, p_out = arc_push_family(gamma, arc, inner_point=inner_point)
+    t0, t1 = arc
+    width = (t1 - t0) % 1.0
+    mid = (t0 + 0.5 * width) % 1.0
+    pm = gamma.point_at(mid)
+    p_s = p_in + 2.0 * s * (pm - p_in) if s <= 0.5 else pm + (2.0 * s - 1.0) * (p_out - pm)
+
+    def map_at(u):
+        du = np.abs(np.mod(np.asarray(u, dtype=float) - mid + 0.5, 1.0) - 0.5)
+        lam = np.clip(2.0 - 2.0 * du / width, 0.0, 1.0)[..., None]
+        return (1.0 - lam) * p_in + lam * p_s
+
+    return map_at
+
+
+def _recording_kernel(monkeypatch, module):
+    """Replace module._turning_counts by a wrapper that records each call's
+    loops and vec_fn, and returns the list it records into."""
+    seen = []
+    inner = module._turning_counts
+
+    def record(vectors, params, vec_fn, *rest):
+        seen.append((np.array(vectors), vec_fn))
+        return inner(vectors, params, vec_fn, *rest)
+
+    monkeypatch.setattr(module, "_turning_counts", record)
+    return seen
+
+
+@pytest.mark.parametrize("arc", [(0.0, 0.125), (0.3, 0.55), (0.9, 0.05)])
+def test_jump_times_are_one_broadcast_of_the_family(monkeypatch, arc):
+    # the loops index_jump_experiment counts, at times 0, 1 and the eight
+    # probes, are the bits of arc_push_family's time-s maps, and of the
+    # one-time-at-a-time formula, at the samples and at inserted parameters
+    g = circle(1.0, 256)
+    seen = _recording_kernel(monkeypatch, index)
+    assert index_jump_experiment(g, arc, "out", inner_point=(0, 0)) == (1, 0)
+    (v0, vec_fn), = seen
+    times = [0.0, 1.0, *np.linspace(0.0, 1.0, 10)[1:-1]]
+    family, _, _ = arc_push_family(g, arc, inner_point=(0, 0))
+    u = np.random.default_rng(3).uniform(0.0, 1.0, 40)
+    inserted = vec_fn(u, len(times))
+    images, _, _ = _arc_push(g, arc, (0, 0))
+    for i, s in enumerate(times):
+        want = family(s)(g.params) - g.samples
+        assert _same_bits(v0[i], want)
+        assert _same_bits(inserted[i], family(s)(u) - g.point_at(u))
+        assert _same_bits(family(s)(u), _reference_arc_push_map(g, arc, (0, 0), s)(u))
+        assert _same_bits(images(np.array([s]), u)[0], family(s)(u))
+    # a scalar parameter gives one image point, as the closure did
+    assert _same_bits(family(0.25)(0.1), _reference_arc_push_map(g, arc, (0, 0), 0.25)(0.1))
+
+
+def test_jump_probe_with_a_fixed_point_names_its_time(monkeypatch):
+    # with three probes, the one at 1/2 puts the arc midpoint's image on the
+    # curve: the midpoint of (0, 1/8) is a sample of circle(1, 256)
+    monkeypatch.setattr(index, "_JUMP_PROBES", 3)
+    g = circle(1.0, 256)
+    with pytest.raises(HomotopyConstructionFailure,
+                       match=r"^fixed point developed at homotopy time 0\.5: fixed point on curve"):
+        index_jump_experiment(g, (0.0, 0.125), "out", inner_point=(0, 0))
+
+
+def test_jump_plateau_break_before_a_later_fixed_point_wins(monkeypatch):
+    # a family whose probe at 1/4 leaves the plateau and whose probe at 3/4
+    # has a fixed point: the earlier probe's failure is the one raised, as
+    # it would be probing one time after another
+    monkeypatch.setattr(index, "_JUMP_PROBES", 3)
+    g = circle(1.0, 64)
+    at_sample = g.samples[5]
+
+    def images(s, u):
+        s = np.asarray(s, dtype=float)[:, None, None]
+        u = np.asarray(u, dtype=float)
+        base = np.where(s == 0.25, 3.0, 0.0)        # outside at s = 1/4
+        out = np.broadcast_to(base, s.shape[:1] + u.shape + (2,)).copy()
+        out[(s == 0.75)[:, 0, 0]] = at_sample       # on the curve at s = 3/4
+        out[(s == 1.0)[:, 0, 0]] = (3.0, 0.0)
+        return out
+
+    monkeypatch.setattr(index, "_arc_push", lambda *a: (images, None, None))
+    with pytest.raises(HomotopyConstructionFailure, match="index plateau broken at time 0.250"):
+        index_jump_experiment(g, (0.0, 0.125), "out", inner_point=(0, 0))
+
+
 # -- homotopy invariance -----------------------------------------------------------------
 
 def test_homotopy_invariance_over_twenty_steps():
@@ -249,6 +339,164 @@ def test_homotopy_invariance_over_twenty_steps():
 
     profile = homotopy_index_profile(family, boundary, np.linspace(0, 1, 20))
     assert profile == [-1] * 20
+
+
+def _outcome(fn):
+    """A call's value, or the type and message of what it raised."""
+    try:
+        return fn()
+    except Exception as exc:   # the outcome is compared, type and message
+        return type(exc), str(exc)
+
+
+def _sequential_profile(family, curve, times):
+    return [lefschetz_index(family(t), curve) for t in times]
+
+
+def _power_blend(a, b, turn):
+    """t -> e^(2 pi i turn t) ((1 - t) z^a + t z^b) as plane maps."""
+
+    def family(t):
+        w = np.exp(2j * np.pi * turn * t)
+
+        def f(pts):
+            z = pts[..., 0] + 1j * pts[..., 1]
+            img = w * ((1.0 - t) * z ** a + t * z ** b)
+            return np.stack([img.real, img.imag], axis=-1)
+        return f
+
+    return family
+
+
+_SQUARE = ClosedCurve(np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]]))
+
+
+@st.composite
+def _homotopies(draw):
+    """A family and a curve: blends and rotations of z^a on circles of 16 to
+    256 samples (some refine: z^4 turns a right angle a sample on 16), or
+    the squash suite's saddle family on its 4-vertex square."""
+    times = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8))
+    if draw(st.booleans()):
+        return _squashed_saddle, _SQUARE, times
+    a, b = draw(st.integers(-2, 5)), draw(st.integers(-2, 5))
+    turn = draw(st.sampled_from([0.0, 0.25, 0.5, 1.0, -1.5]))
+    n = draw(st.sampled_from([16, 32, 64, 128, 256]))
+    r = draw(st.sampled_from([0.35, 0.6, 0.9, 1.1, 1.5, 2.2]))
+    center = draw(st.sampled_from([(0.0, 0.0), (0.05, -0.1)]))
+    return _power_blend(a, b, turn), circle(r, n, center), times
+
+
+@settings(derandomize=True)
+@given(_homotopies())
+def test_profile_matches_one_index_a_time(case):
+    family, curve, times = case
+    got = _outcome(lambda: homotopy_index_profile(family, curve, times))
+    assert got == _outcome(lambda: _sequential_profile(family, curve, times))
+
+
+def test_profile_of_no_times_is_empty():
+    assert homotopy_index_profile(_squashed_saddle, _SQUARE, []) == []
+    assert homotopy_index_profile(_squashed_saddle, _SQUARE, np.array([])) == []
+
+
+def _moving_constant(t):
+    """The constant map at (2 - 2t, 0): on sample 0 of circle(1, 16) at t = 1/2."""
+    return const_map([2.0 - 2.0 * t, 0.0])
+
+
+def _off_samples(fail):
+    """z -> 3 z^8, which turns by about a half turn from each sample of
+    circle(1, 16) to the next, so the count refines; at any other points
+    than those 16 samples it calls fail()."""
+
+    def f(pts):
+        pts = np.asarray(pts, dtype=float)
+        z = 3.0 * (pts[..., 0] + 1j * pts[..., 1]) ** 8
+        out = np.stack([z.real, z.imag], axis=-1)
+        if len(pts) != 16:
+            out[:] = fail()
+        return out
+
+    return f
+
+
+def _raise(exc):
+    raise exc
+
+
+_RAISES_OFF_SAMPLES = _off_samples(lambda: _raise(KeyError("refinement point")))
+_NAN_OFF_SAMPLES = _off_samples(lambda: np.nan)
+
+
+def _pick(maps):
+    """A family from {time: map}, where a map may be an exception to raise
+    when the family is built at that time."""
+
+    def family(t):
+        m = maps[t]
+        if isinstance(m, Exception):
+            raise m
+        return m
+
+    return family
+
+
+_BAD_MAP = lambda pts: _raise(IndexError("map fails"))  # noqa: E731
+
+
+@pytest.mark.parametrize("family, times, error", [
+    # a fixed point on the curve at the middle time
+    (_moving_constant, np.linspace(0.0, 1.0, 5).tolist(), FixedPointOnCurve),
+    # ... wins over a family that cannot be built at a later time
+    (lambda t: _moving_constant(t) if t < 0.6 else 1 / 0, np.linspace(0.0, 1.0, 5).tolist(),
+     FixedPointOnCurve),
+    # a family that cannot be built at the middle time, later times fine
+    (lambda t: 1 / 0 if t == 0.5 else _moving_constant(t + 0.1), [0.0, 0.25, 0.5, 1.0],
+     ZeroDivisionError),
+    # a map that raises at a middle time wins over a later fixed point
+    (_pick({0.0: _moving_constant(0.0), 0.5: _BAD_MAP, 1.0: _moving_constant(0.5)}),
+     [0.0, 0.5, 1.0], IndexError),
+    # errors that only refinement meets, in either order: a NaN and a raise
+    (_pick({0.0: _moving_constant(0.0), 0.5: _NAN_OFF_SAMPLES, 1.0: _RAISES_OFF_SAMPLES}),
+     [0.0, 0.5, 1.0], NonFiniteDisplacement),
+    (_pick({0.0: _moving_constant(0.0), 0.5: _RAISES_OFF_SAMPLES, 1.0: _NAN_OFF_SAMPLES}),
+     [0.0, 0.5, 1.0], KeyError),
+    # a map raising on refinement points after a later time's fixed point
+    (_pick({0.0: _RAISES_OFF_SAMPLES, 0.5: _moving_constant(0.5)}), [0.0, 0.5], KeyError),
+    (_pick({0.0: _moving_constant(0.5), 0.5: _RAISES_OFF_SAMPLES}), [0.0, 0.5],
+     FixedPointOnCurve),
+    # one time fails to build: no loop is counted at all
+    (_pick({0.0: ValueError("no map")}), [0.0], ValueError),
+])
+def test_profile_raises_what_one_index_a_time_raises(family, times, error):
+    curve = circle(1.0, 16)
+    want = _outcome(lambda: _sequential_profile(family, curve, times))
+    assert want[0] is error
+    assert _outcome(lambda: homotopy_index_profile(family, curve, times)) == want
+
+
+def test_lemma_suite_work_is_pinned(monkeypatch):
+    # the turning counts one run_all() makes, the loops they count together
+    # and the map points their refinement evaluates (rows x parameters): the
+    # two saddle rectangles and two frames, the two jumps of ten times each,
+    # the squash profile of twenty times, then six circles of z^2
+    work = {"calls": 0, "loops": 0, "points": 0}
+    inner = curves._turning_counts
+
+    def counted(vectors, params, vec_fn, *rest):
+        work["calls"] += 1
+        work["loops"] += len(vectors)
+
+        def fn(t, rows):
+            work["points"] += rows * len(t)
+            return vec_fn(t, rows)
+        return inner(vectors, params, fn, *rest)
+
+    for module in (curves, index):
+        monkeypatch.setattr(module, "_turning_counts", counted)
+    assert all(r.passed for r in lemma_suite.run_all())
+    assert work == {"calls": 13, "loops": 50, "points": 84}
 
 
 def test_free_homotopy_radius_independence():
