@@ -393,34 +393,29 @@ def homotopy_index_profile(family, curve: ClosedCurve, times: Sequence[float]) -
     order, one after another: the earliest time's failure, whether its
     index fails or family(t) or its map raises, wins over a later one.
     """
+    # what family(t) or its map raises is kept, with its time's index, and
+    # raised only if no earlier time fails first
     pts = curve.samples
     maps, v0 = [], np.empty((len(times), len(pts), 2))
-    raised = None   # (time index, exception) of the earliest map that raised
-
-    def evaluate(i, F, at, out):
-        nonlocal raised
-        try:
-            np.subtract(np.asarray(F(at), dtype=float), at, out=out)
-        except Exception as exc:
-            raised = (i, exc)
-            return False
-        return True
-
+    raised = None
     for i, t in enumerate(times):
         try:
             F = family(t)
+            np.subtract(np.asarray(F(pts), dtype=float), pts, out=v0[i])
         except Exception as exc:
             raised = (i, exc)
-            break
-        if not evaluate(i, F, pts, v0[i]):
             break
         maps.append(F)
 
     def disp(t, rows):
+        nonlocal raised
         at = curve.point_at(t)
         out = np.full((rows, len(t), 2), np.nan)
         for i, F in enumerate(maps[:rows]):
-            if not evaluate(i, F, at, out[i]):
+            try:
+                np.subtract(np.asarray(F(at), dtype=float), at, out=out[i])
+            except Exception as exc:
+                raised = (i, exc)
                 break   # its NaN row fails there, and drops the later rows
         return out
 
