@@ -8,7 +8,8 @@ deterministic for identical flags: sorted keys and no timestamps.
 
 Every tolerance is a fixed constant of the library module that reads it.
 The only floors a caller chooses are ``lefschetz_index(min_disp)``, which
-``index --min-disp`` sets, and ``winding_number(min_dist)``.
+``index --min-disp`` sets, and ``winding_number(min_dist)``; a floor that is
+not finite and at least 0 is a ValueError, so exit 2.
 """
 
 from __future__ import annotations
@@ -278,7 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--curve", required=True,
                    help="circle:r=<r>[,n=<samples>] | rect:<x0,x1,y0,y1> | JSON file")
     p.add_argument("--min-disp", dest="min_disp", type=float, default=_MIN_DISP,
-                   help="displacement floor below which the index is undefined")
+                   help="displacement floor below which the index is undefined "
+                        "(finite, at least 0)")
     p.set_defaults(func=cmd_index)
 
     p = sub.add_parser("fixed-points", help="certified fixed boxes of one deck translate")

@@ -86,7 +86,7 @@ class ClosedCurve:
             i = int(same.argmax()) if same.any() else n - 1
             raise ValueError(f"consecutive samples {i} and {(i + 1) % n} coincide")
         object.__setattr__(self, "samples", pts)
-        if self.params is None:
+        if self.params is None:   # circle() relies on these being its i / n
             t = np.arange(n, dtype=float) / n
         else:
             t = np.asarray(self.params, dtype=float)
@@ -146,7 +146,11 @@ class ClosedCurve:
 
 
 def circle(radius: float, n: int = 256, center=(0.0, 0.0)) -> ClosedCurve:
-    """Counterclockwise circle with the exact parametrization attached."""
+    """Counterclockwise circle with the exact parametrization attached.
+
+    Its params are i / n, which ClosedCurve derives itself when given none,
+    so they are not validated again; its samples are checked as any
+    curve's are."""
     cx, cy = float(center[0]), float(center[1])
 
     def fn(t):
@@ -161,27 +165,25 @@ def circle(radius: float, n: int = 256, center=(0.0, 0.0)) -> ClosedCurve:
         y += cy
         return out
 
-    t, unit = _circle_template(n)
-    samples = unit * radius
+    samples = _circle_template(n) * radius
     # adding a complex number adds each part on its own, as unit * radius +
     # (cx, cy) would, but in one contiguous pass instead of a broadcast one
     z = samples.view(complex)
     z += complex(cx, cy)
-    return ClosedCurve(samples, params=t, curve_fn=fn)
+    return ClosedCurve(samples, curve_fn=fn)
 
 
 @functools.lru_cache(maxsize=16)
-def _circle_template(n: int):
-    """Read-only params t = i / n and unit samples (cos 2 pi t, sin 2 pi t) of
-    an n-sample circle, computed as circle's fn computes them, so that
+def _circle_template(n: int) -> np.ndarray:
+    """Read-only unit samples (cos 2 pi t, sin 2 pi t) of an n-sample circle
+    at t = i / n, computed as circle's fn computes them, so that
     unit * radius + center is bit for bit fn(t)."""
-    t = np.arange(n, dtype=float) / n
-    ang = TWO_PI * t
-    unit = np.empty((len(t), 2))
+    ang = TWO_PI * (np.arange(n, dtype=float) / n)
+    unit = np.empty((n, 2))
     np.cos(ang, out=unit[:, 0])
     np.sin(ang, out=unit[:, 1])
-    t.flags.writeable = unit.flags.writeable = False
-    return t, unit
+    unit.flags.writeable = False
+    return unit
 
 
 def rectangle(x0: float, x1: float, y0: float, y1: float, per_side: int = 16) -> ClosedCurve:
@@ -334,13 +336,23 @@ def _as_complex(vectors) -> np.ndarray:
     return np.ascontiguousarray(vectors, dtype=float).view(complex)[..., 0]
 
 
+def _check_floor(name: str, floor: float) -> None:
+    """A turning count's floor must be finite and at least 0: a NaN floor
+    compares false everywhere and so is no floor at all, and a negative one
+    lets a zero vector through to the count's division."""
+    if not 0.0 <= floor < math.inf:
+        raise ValueError(f"{name} must be finite and at least 0, got {floor!r}")
+
+
 def winding_number(curve: ClosedCurve, basepoint, min_dist: float = 1e-9) -> int:
     """Signed number of turns of the curve around the basepoint.
 
     Every sample and every refinement point must stay farther than
     ``min_dist`` from the basepoint, otherwise the result would be
-    numerically unsafe and DistanceViolation is raised.
+    numerically unsafe and DistanceViolation is raised. ``min_dist`` must
+    be finite and at least 0 (ValueError otherwise).
     """
+    _check_floor("min_dist", min_dist)
     p = _as_point(basepoint)
     vec_fn = lambda t: curve.point_at(t) - p  # noqa: E731
     return _turning_count(curve.samples - p, curve.params, vec_fn, min_dist,

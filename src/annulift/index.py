@@ -15,6 +15,7 @@ import numpy as np
 from .curves import (
     ClosedCurve,
     _as_point,
+    _check_floor,
     _cyclic_next,
     _integer_coords,
     _orient_signs,
@@ -53,11 +54,13 @@ def lefschetz_index(F, curve: ClosedCurve, min_disp: float = _MIN_DISP) -> int:
     FixedPointOnCurve when the displacement magnitude drops to min_disp at
     any sample or refinement point, which means the index is undefined,
     and NonFiniteDisplacement when a displacement there is NaN or infinite.
+    ``min_disp`` must be finite and at least 0 (ValueError otherwise).
     Refinement only reacts to angle steps of at least pi/2, so a
     displacement that turns by nearly a whole multiple of 2*pi between
     samples aliases undetected: on circle(r, 256) with 1 < r <= 2 the
     projected power(3)^5 and power(3)^6 give -13 and -39, not 243 and 729.
     """
+    _check_floor("min_disp", min_disp)
 
     def disp(t):
         pts = curve.point_at(t)
@@ -177,12 +180,25 @@ def _sub_arc(poly: np.ndarray, corner: np.ndarray, pos_a: float, pos_b: float) -
     return np.concatenate([corner[None], between if pos_a < pos_b else between[::-1]])
 
 
-def _sides(line: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Side (+1, -1, or 0 on it) of a frame line for each point: the exact
-    orientation sign against the nearest of its segments."""
-    a, b = line[:-1], line[1:]
-    j = _segment_distances(pts, a, b).argmin(axis=1)
-    return _orient_signs(a[j], b[j], pts)
+def _frame_sides(lines, queries) -> list:
+    """Sides (+1, -1, or 0 on it) of each frame line for its own query
+    points: the exact orientation sign against the nearest of that line's
+    segments, ties to its lowest segment. One distance matrix and one sign
+    call answer every line."""
+    a = np.concatenate([line[:-1] for line in lines])
+    b = np.concatenate([line[1:] for line in lines])
+    pts = np.concatenate(queries)
+    nseg = [len(line) - 1 for line in lines]
+    first = np.cumsum(nseg) - nseg   # each line's first segment
+    owner = np.repeat(np.arange(len(lines)), [len(q) for q in queries])
+    dist = _segment_distances(pts, a, b)
+    dist[owner[:, None] != np.repeat(np.arange(len(lines)), nseg)] = np.inf
+    # a point whose own distances are all inf finds an earlier inf first:
+    # its nearest is then its line's first segment, as over its line alone
+    j = np.maximum(dist.argmin(axis=1), first[owner])
+    signs = _orient_signs(a[j], b[j], pts)
+    ends = np.cumsum([0] + [len(q) for q in queries]).tolist()
+    return [signs[lo:hi] for lo, hi in zip(ends, ends[1:])]
 
 
 def quad_configuration_index(F, alpha, beta, gamma, delta, expect: int) -> int:
@@ -242,8 +258,9 @@ def quad_configuration_index(F, alpha, beta, gamma, delta, expect: int) -> int:
     img_a, img_d, img_b, img_g = (img[lo:hi + 1] for lo, hi in zip(ends, ends[1:]))
 
     # sample-resolution membership checks for the four half-region conditions:
-    # each frame line is queried once, for the other line of its pair and for
-    # the side images that must lie on (+1) or off (-1) that line's side
+    # the four frame lines are queried together, each for the other line of
+    # its pair and for the side images that must lie on (+1) or off (-1)
+    # that line's side
     if expect == -1:
         pushed = ((img_g, "the gamma side"), (img_d, "the delta side"))
     else:
@@ -251,7 +268,8 @@ def quad_configuration_index(F, alpha, beta, gamma, delta, expect: int) -> int:
                   (img_g, "the gamma side (swapped layout)"))
     checks = ((alpha, beta, 1, img_a, "the alpha side"), (beta, alpha, 1, img_b, "the beta side"),
               (gamma, delta, -1, *pushed[0]), (delta, gamma, -1, *pushed[1]))
-    sides = [_sides(line, np.concatenate([other, image])) for line, other, _, image, _ in checks]
+    sides = _frame_sides((alpha, beta, gamma, delta),
+                         [np.concatenate([other, image]) for _, other, _, image, _ in checks])
     for (_, other, _, _, _), name, s in zip(checks, ("beta", "alpha", "delta", "gamma"), sides):
         if not (np.all(s[:len(other)] > 0) or np.all(s[:len(other)] < 0)):
             raise ConfigurationViolation(f"{name} does not lie on one side of the frame line")

@@ -141,6 +141,16 @@ def test_lemmas_command(capsys):
     assert "FAIL" not in out
 
 
+@pytest.mark.parametrize("floor", ["nan", "-1", "inf"])
+def test_index_floor_out_of_range_is_usage_error(capsys, floor):
+    code, out, err = run(capsys, "index", "--map", "power", "--params", '{"d": 2}',
+                         "--curve", "circle:r=2", "--min-disp", floor)
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "ValueError",
+                               "message": f"min_disp must be finite and at least 0, "
+                                          f"got {float(floor)!r}"}
+
+
 def test_unknown_map_is_usage_error(capsys):
     code, _, err = run(capsys, "index", "--map", "nosuch", "--curve", "circle:r=1")
     assert code == 2

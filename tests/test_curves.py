@@ -585,11 +585,11 @@ def test_thin_sliver_gets_an_orientation():
 
 
 def test_circle_template_is_read_only():
-    t, unit = curves._circle_template(64)
-    for arr in (t, unit):
-        assert not arr.flags.writeable
-        with pytest.raises(ValueError):
-            arr[0] = 0.5
+    unit = curves._circle_template(64)
+    assert not unit.flags.writeable
+    with pytest.raises(ValueError):
+        unit[0] = 0.5
+    t = np.arange(64) / 64
     c = circle(2.0, 64)
     assert c.samples.flags.writeable and not np.shares_memory(c.samples, unit)
     assert circle(2.0, 64).samples.tobytes() == c.samples.tobytes()
@@ -599,6 +599,32 @@ def test_circle_template_is_read_only():
         expected = np.stack([center[0] + radius * np.cos(ang),
                              center[1] + radius * np.sin(ang)], axis=-1)
         assert circle(radius, 64, center).samples.tobytes() == expected.tobytes()
+
+
+def test_circle_params_are_derived():
+    for n in (3, 16, 17, 256, 1000):
+        c = circle(1.5, n, (0.25, -1.0))
+        assert c.params.tobytes() == (np.arange(n) / n).tobytes()
+    # the sample checks stay: no radius makes a circle of coinciding or
+    # non-finite samples
+    with pytest.raises(ValueError, match="^consecutive samples 0 and 1 coincide$"):
+        circle(0.0, 16)
+    with pytest.raises(ValueError, match="^samples must be finite$"):
+        circle(float("nan"), 16)
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError,
+                                                      match="^samples must be finite$"):
+        circle(float("inf"), 16)
+
+
+@pytest.mark.parametrize("floor", [float("nan"), -1.0, -1e-300, float("inf")])
+def test_winding_floor_must_be_finite_and_nonnegative(floor):
+    # far from the basepoint, so that an unchecked floor would return at once
+    with pytest.raises(ValueError, match="min_dist must be finite and at least 0"):
+        winding_number(circle(1.0, 64), (5.0, 0.0), min_dist=floor)
+
+
+def test_winding_floor_of_zero_is_accepted():
+    assert winding_number(circle(1.0, 64), (0.5, 0.0), min_dist=0.0) == 1
 
 
 # -- exact containment and the convex-corner interior point -------------------------
@@ -626,8 +652,10 @@ def _polygon_and_point(draw):
     i = draw(st.integers(0, len(pts) - 1))
     a, b = pts[i], pts[(i + 1) % len(pts)]
     w = draw(st.sampled_from([0.0, 0.25, 0.5, 1.0]))
+    with np.errstate(under="ignore"):   # w * a subnormal edge: any point is a fair case
+        on_edge = tuple(a + w * (b - a))
     point = draw(st.one_of(
-        st.just(tuple(a + w * (b - a))),                           # on an edge or a vertex
+        st.just(on_edge),                                          # on an edge or a vertex
         st.tuples(coord, st.sampled_from(pts[:, 1].tolist())),     # at a vertex's height
         st.tuples(coord, coord)))
     return pts, point

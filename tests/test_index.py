@@ -80,6 +80,15 @@ def test_constant_map_inside_and_outside():
     assert lefschetz_index(const_map([3.0, 1.0]), g) == 0
 
 
+@pytest.mark.parametrize("floor", [float("nan"), -1.0, float("inf")])
+def test_index_floor_must_be_finite_and_nonnegative(floor):
+    # z^2 has no fixed point on circle(2, 64), so an unchecked floor returns 2
+    f = projected_plane_map(zoo("power", d=2))
+    with pytest.raises(ValueError, match="min_disp must be finite and at least 0"):
+        lefschetz_index(f, circle(2.0, 64), min_disp=floor)
+    assert lefschetz_index(f, circle(2.0, 64), min_disp=0.0) == 2
+
+
 def test_fixed_point_on_curve_detected():
     g = circle(1.0, 64)
     with pytest.raises(FixedPointOnCurve):
@@ -479,8 +488,9 @@ def test_profile_raises_what_one_index_a_time_raises(family, times, error):
 def test_lemma_suite_work_is_pinned(monkeypatch):
     # the turning counts one run_all() makes, the loops they count together
     # and the map points their refinement evaluates (rows x parameters): the
-    # two saddle rectangles and two frames, the two jumps of ten times each,
-    # the squash profile of twenty times, then six circles of z^2
+    # two saddle rectangles and two frames, the one jump of ten times (the
+    # inward pair is the outward one reversed), the squash profile of twenty
+    # times, then the six circles of z^2 in one stack
     work = {"calls": 0, "loops": 0, "points": 0}
     inner = curves._turning_counts
 
@@ -496,7 +506,35 @@ def test_lemma_suite_work_is_pinned(monkeypatch):
     for module in (curves, index):
         monkeypatch.setattr(module, "_turning_counts", counted)
     assert all(r.passed for r in lemma_suite.run_all())
-    assert work == {"calls": 13, "loops": 50, "points": 84}
+    assert work == {"calls": 7, "loops": 40, "points": 84}
+
+
+def test_lemma_suite_output_is_pinned():
+    assert [(r.name, r.passed, r.detail) for r in lemma_suite.run_all()] == [
+        ("saddle rectangle boundary", True, "index -1, expected -1"),
+        ("crossed rectangle boundary", True, "index 1, expected +1"),
+        ("quadrilateral frame, straight layout", True, "index -1, expected -1"),
+        ("quadrilateral frame, swapped layout", True, "index 1, expected +1"),
+        ("index jump across an arc", True,
+         "outward (1, 0) expected (1, 0); inward (0, 1) expected (0, 1)"),
+        ("homotopy invariance of the index", True,
+         "squash profile [-1] expected [-1]; inner radii [1, 1, 1] expected all 1; "
+         "outer radii [2, 2, 2] expected all 2"),
+    ]
+
+
+def test_power2_circles_match_one_index_a_time():
+    radii = (0.3, 0.5, 0.7, 1.5, 2.0, 3.0)
+    f = lemma_suite._POWER2
+    assert lemma_suite._power2_indices(radii) == [lefschetz_index(f, circle(r, 256))
+                                                  for r in radii]
+    # z^2 is fixed at (1, 0), a sample of the unit circle: the first failing
+    # circle's error is raised, with lefschetz_index's message
+    with pytest.raises(FixedPointOnCurve) as one:
+        lefschetz_index(f, circle(1.0, 256))
+    with pytest.raises(FixedPointOnCurve) as stacked:
+        lemma_suite._power2_indices((0.5, 1.0, 2.0))
+    assert str(stacked.value) == str(one.value)
 
 
 def test_free_homotopy_radius_independence():
@@ -675,6 +713,58 @@ def test_crossing_with_an_underflowing_cross_product():
         np.array([[0.0, 0.0], [1e-320, 1e-320]]), np.array([[0.0, 1e-320], [1e-320, 0.0]]))
     assert (k.tolist(), l.tolist()) == ([0], [1])
     assert pos_k.tolist() == pos_l.tolist() == [0.5] and np.isfinite(points).all()
+
+
+def _reference_sides(line, pts):
+    """Side of one frame line for each point: the exact orientation sign
+    against the nearest of its segments, the line queried alone."""
+    a, b = line[:-1], line[1:]
+    j = curves._segment_distances(pts, a, b).argmin(axis=1)
+    return curves._orient_signs(a[j], b[j], pts)
+
+
+# coordinates on a coarse grid, so that distance ties and points on a line
+# occur, with a few far out (infinite distances) and NaN
+_FRAME_COORDS = st.one_of(st.integers(-3, 3).map(float),
+                          st.sampled_from([0.5, -1.5, 1e308, -1e308, float("nan")]))
+
+
+@st.composite
+def _frame_queries(draw):
+    lines, queries = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        nv, nq = draw(st.integers(2, 6)), draw(st.integers(0, 8))
+        lines.append(np.array(draw(st.lists(_FRAME_COORDS, min_size=2 * nv, max_size=2 * nv)))
+                     .reshape(nv, 2))
+        queries.append(np.array(draw(st.lists(_FRAME_COORDS, min_size=2 * nq, max_size=2 * nq)))
+                       .reshape(nq, 2))
+    return lines, queries
+
+
+@settings(derandomize=True)
+@given(_frame_queries())
+def test_batched_frame_sides_match_per_line(case):
+    lines, queries = case
+    with np.errstate(all="ignore"):
+        got = index._frame_sides(lines, queries)
+        want = [_reference_sides(line, q) for line, q in zip(lines, queries)]
+    assert len(got) == len(lines)
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
+
+
+def test_batched_frame_sides_with_all_distances_infinite():
+    # the second line's point is at an infinite float distance from every
+    # segment: it takes its own line's first segment, on whose line it lies,
+    # not the first line's, below which it lies
+    lines = [np.array([[0.0, 0.0], [1.0, 0.0]]),
+             np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 3.0]])]
+    queries = [np.array([[0.5, 1.0]]), np.array([[-1.5e308, -1.5e308]])]
+    with np.errstate(over="ignore"):
+        got = index._frame_sides(lines, queries)
+        want = [_reference_sides(line, q) for line, q in zip(lines, queries)]
+        assert np.isinf(curves._segment_distances(queries[1], lines[1][:-1], lines[1][1:])).all()
+    assert [g.tolist() for g in got] == [w.tolist() for w in want] == [[1.0], [0.0]]
 
 
 @pytest.mark.parametrize("beta", [
