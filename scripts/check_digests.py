@@ -6,8 +6,11 @@ For each workload, reads the digest of the untraced run record
 ``perfbench/results/<workload>-seed<seed>-trace0.json`` (written by
 ``perfbench/run.py``) and compares it with the digest that the newest
 ``BENCH_<n>.json`` at the root of the repository recorded, n the largest
-integer label. The digests do not depend on the seed. Exits 1 on a missing
-file or any mismatch, printing one line per workload.
+integer label. The digests do not depend on the seed. A record is stale,
+and is not compared, when its ``commit`` is not the checkout's HEAD or its
+file is older than the newest file under ``src/annulift/``: it was made
+from other code. Exits 1 on a missing file, a stale record or any mismatch,
+printing one line per workload.
 """
 
 from __future__ import annotations
@@ -29,6 +32,38 @@ def newest_bench(root: Path) -> Path:
     return max(labelled)[1]
 
 
+def head_commit(root: Path) -> str:
+    """HEAD of root's git checkout, read as perfbench/run.py records it."""
+    git = root / ".git"
+    head = (git / "HEAD").read_text().strip()
+    if not head.startswith("ref: "):
+        return head
+    ref = head[len("ref: "):]
+    if (git / ref).exists():
+        return (git / ref).read_text().strip()
+    for line in (git / "packed-refs").read_text().splitlines():
+        if line.endswith(" " + ref):
+            return line.split()[0]
+    raise FileNotFoundError(f"{ref} names no commit in {git}")
+
+
+def newest_source(root: Path) -> Path:
+    sources = [p for p in (root / "src" / "annulift").rglob("*")
+               if p.is_file() and "__pycache__" not in p.parts]
+    if not sources:
+        raise FileNotFoundError(f"no files under {root / 'src' / 'annulift'}")
+    return max(sources, key=lambda p: p.stat().st_mtime)
+
+
+def stale(record: Path, run: dict, head: str, source: Path) -> str:
+    """Why a run record was not made from this checkout, or ''."""
+    if run.get("commit") != head:
+        return f"commit {str(run.get('commit'))[:12]} is not HEAD {head[:12]}"
+    if record.stat().st_mtime < source.stat().st_mtime:
+        return f"older than {source.name}"
+    return ""
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -39,10 +74,17 @@ def main(argv=None) -> int:
     try:
         bench_path = newest_bench(args.root)
         bench = json.loads(bench_path.read_text())["workloads"]
+        head, source = head_commit(args.root), newest_source(args.root)
         ok = True
         for w in WORKLOADS:
             record = args.root / "perfbench" / "results" / f"{w}-seed{args.seed}-trace0.json"
-            got = json.loads(record.read_text())["digest"]
+            run = json.loads(record.read_text())
+            why = stale(record, run, head, source)
+            if why:
+                ok = False
+                print(f"{w}: stale record {record.name}: {why}")
+                continue
+            got = run["digest"]
             want = bench[w]["digests"]
             match = want == [got]
             ok &= match

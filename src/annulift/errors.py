@@ -36,8 +36,9 @@ class RefinementBudgetExceeded(ToolkitError):
 
 class NonFiniteDisplacement(ToolkitError):
     """A vector of a turning count (a displacement, or a curve point relative
-    to the basepoint), a polished point's displacement or a residue's map
-    image was NaN or infinite, so it has no direction or no value."""
+    to the basepoint), an enclosure's displacement (proofs.enclosure), a
+    polished point's displacement or a residue's map image was NaN or
+    infinite, so it has no direction or no value."""
 
 
 # -- annulus maps ------------------------------------------------------------

@@ -2,28 +2,25 @@
 
 A box certifies a fixed point of a lift when the winding number of the
 displacement field F - id around its boundary is nonzero; this needs only
-continuity, no derivatives. A box is discarded when a lower bound on the
-displacement over the box is positive: the minimum at the centres of a
-3 x 3 split of the box minus (L + 1) times half a cell's diagonal, which
-reaches every point of a cell from its centre; L is the Lipschitz bound the
-map declares on F itself (``LiftMap.lipschitz``), so F - id is
-(L + 1)-Lipschitz and the discard is a proof. Every shipped map and
-tabulated lift declares one; ``iterate`` raises it to the n-th power and
-``deck_translate`` keeps it. Isolation and sweeps refuse a map without one
-(ParamOutOfRange). Centres, not edge samples: a box shares its edges with
+continuity, no derivatives. Every other proof here, that a cell holds no
+fixed point, where a box cut by a strip's seam lies, and which translates a
+strip admits, is one call of ``proofs.enclosure``, under the Lipschitz bound
+the map declares; ``proofs`` names the whole trusted base. Isolation and
+sweeps refuse a map without a bound (ParamOutOfRange).
+
+A box is discarded when each cell of its 3 x 3 split is, by the enclosure at
+the cell's centre. Centres, not edge samples: a box shares its edges with
 its neighbours, and beside a fixed point's box the displacement on the
 shared edge is near zero, so a neighbour sampled there survives to a leaf.
-
-The rule does not enclose the floating-point rounding of the samples; the
-proof holds in exact arithmetic. Each centre sample proves its own cell
-(W. Tucker, Validated Numerics, 2011: a proved sub-box need not be proved
-again), so a box that is kept is replaced by its kept cells alone; a box
-whose side along one axis is less than half its side along the other
-becomes its kept thirds across the long side instead (a third is kept with
-any of its cells). Boxes of any region thus become near square (aspect at
-most 2) before they reach the resolution, instead of keeping the region's
-aspect. The certified boxes come from this tree of cells, whose boxes have
-disjoint interiors, so N of them prove N distinct fixed points.
+Each centre proves its own cell (W. Tucker, Validated Numerics, 2011: a
+proved sub-box need not be proved again), so a box that is kept is replaced
+by its kept cells alone; a box whose side along one axis is less than half
+its side along the other becomes its kept thirds across the long side
+instead (a third is kept with any of its cells). Boxes of any region thus
+become near square (aspect at most 2) before they reach the resolution,
+instead of keeping the region's aspect. The certified boxes come from this
+tree of cells, whose boxes have disjoint interiors, so N of them prove N
+distinct fixed points.
 
 The tree is searched depth first, with the exclusion test batched: the
 untested boxes at the top of the stack, up to _CHUNK of them, are tested in
@@ -45,7 +42,7 @@ every subdivision line.
 A completeness sweep counts each periodic point once, on a unit strip
 [x0, x0 + 1) x [y0, y1] that holds one lift of it (B. Jiang, Lectures on
 Nielsen Fixed Point Theory, 1983), through the translates admitted by an
-enclosure of the x-displacement taken with the same slope L + 1.
+enclosure of the x-displacement over the strip.
 """
 
 from __future__ import annotations
@@ -81,6 +78,7 @@ from .errors import (
     ToolkitError,
 )
 from .index import lefschetz_index
+from .proofs import enclosure
 
 _BOUNDARY_MIN_DISP = 1e-10        # displacement floor on subdivision boundaries
 _EXCLUSION_GRID = 3               # exclusion test samples per box axis
@@ -183,38 +181,32 @@ def _displacement(F, pts):
     return np.asarray(F(pts), dtype=float) - pts
 
 
-def _sampled_norms(F, boxes) -> tuple[np.ndarray, np.ndarray]:
-    """(norms, reaches) of an (N, 4) array of boxes: the displacement norm at
-    the centre of each of a box's m x m cells, an (N, m * m) array from one
-    map call for all, and half a cell's diagonal, their reach. A NaN or
-    infinite displacement at any sample raises NonFiniteDisplacement, naming
-    the first box that has one: a bound built on it would be void."""
+def _cells(boxes) -> tuple[np.ndarray, np.ndarray]:
+    """(centres, half) of the m x m cells of an (N, 4) array of boxes: the
+    cell centres, (N * m * m, 2), box by box, and each box's half cell
+    widths, (N, 2), which all its cells share."""
     boxes = np.asarray(boxes, dtype=float).reshape(-1, 4)
     n, m = len(boxes), _EXCLUSION_GRID
     lo, hi = boxes[:, 0::2], boxes[:, 1::2]   # columns x, y
     h = (hi - lo) / m
     ticks = lo[:, :, None] + h[:, :, None] * _TICKS
-    pts = ticks.reshape(n, 2 * m).take(_GRID, axis=1).reshape(-1, 2)
-    disp = _displacement(F, pts)
-    norms = np.hypot(disp[:, 0], disp[:, 1]).reshape(n, m * m)
-    if not norms.max() < np.inf:  # NaN fails the comparison too
-        i = int(np.argmin(np.isfinite(norms).all(axis=1)))
-        raise NonFiniteDisplacement(
-            f"non-finite displacement in the box {tuple(boxes[i].tolist())}")
-    return norms, 0.5 * np.hypot(h[:, 0], h[:, 1])
+    return ticks.reshape(n, 2 * m).take(_GRID, axis=1).reshape(-1, 2), 0.5 * h
 
 
 def _exclusion_margins(F, boxes) -> tuple[np.ndarray, np.ndarray]:
-    """(margins, norms) of the 3 x 3 cells of boxes under F's declared bound
-    L, each (N, 9): a cell's margin norm - (L + 1) * reach > 0 proves it
-    free of fixed points, and a box whose nine margins are all > 0 is."""
-    norms, reach = _sampled_norms(F, boxes)
-    return norms - (F.lipschitz + 1.0) * reach[:, None], norms
+    """(margins, norms) of the 3 x 3 cells of boxes, each (N, 9): a cell's
+    displacement norm at its centre less the enclosure radius; a margin > 0
+    proves the cell free of fixed points, and a box whose nine margins are
+    all > 0 is."""
+    centres, half = _cells(boxes)
+    D, r = enclosure(F, centres, half)
+    norms = np.hypot(D[:, 0], D[:, 1]).reshape(len(half), -1)
+    return norms - r[:, None], norms
 
 
 def _cell_edges(boxes) -> np.ndarray:
     """(N, 8) cell edges of boxes: x0 + h * (0, 1, 2), x1, then the same in
-    y, with h as _sampled_norms takes it, so each cell's own centre is the
+    y, with h as _cells takes it, so each cell's own centre is the
     sample that tested it."""
     lo, hi = boxes[:, 0:4:2], boxes[:, 1:4:2]
     edges = lo[:, :, None] + ((hi - lo) / _EXCLUSION_GRID)[:, :, None] * _EDGES
@@ -281,7 +273,7 @@ def _isolate_once(F, region, resolution: float, audit: Optional[IsolationAudit],
     there forces a jitter retry. No box is tested twice in an attempt. The
     subdivision budget counts the boxes tested in this attempt; an audit,
     when given, only observes. A non-finite displacement at any sample
-    raises NonFiniteDisplacement (_sampled_norms).
+    raises NonFiniteDisplacement (proofs.enclosure).
     """
     resolution = float(resolution)
     floor = resolution / 256.0
@@ -385,8 +377,6 @@ def isolate_fixed_points(F: LiftMap, region, resolution: float, lift_offset: int
     """
     if not resolution > 0:  # NaN too
         raise ValueError("resolution must be positive")
-    if F.lipschitz is None:
-        raise ParamOutOfRange(f"{F.name or 'the map'} declares no Lipschitz bound")
     rectangle(*region)   # a ValueError for a bad region, before any attempt
     for attempt in range(1, _ATTEMPTS + 1):
         try:
@@ -442,7 +432,8 @@ def polish_fixed_point(F, box: CertifiedFixedBox) -> np.ndarray:
             xm, ym = 0.5 * (b[0] + b[1]), 0.5 * (b[2] + b[3])
             children = [(b[0], xm, b[2], ym), (xm, b[1], b[2], ym),
                         (b[0], xm, ym, b[3]), (xm, b[1], ym, b[3])]
-            norms, _ = _sampled_norms(F, children)
+            centres, _ = _cells(children)
+            norms = np.hypot(*_displacement(F, centres).T).reshape(len(children), -1)
             b = children[int(np.argmin(norms.min(axis=1)))]
         p = np.array([0.5 * (b[0] + b[1]), 0.5 * (b[2] + b[3])])
     residual = np.hypot(*_displacement(F, p))
@@ -608,23 +599,18 @@ def diagnose_continuum(F, region, resolution: float) -> bool:
 
 
 def _x_displacement_range(F, region) -> tuple[float, float]:
-    """Enclosure [lo, hi] of (F - id)_x over the region: its range on a grid
-    of about _RANGE_SAMPLES points, widened by L + 1 times the grid reach
-    (half a cell's diagonal), L the declared bound on F; a proof in exact
-    arithmetic, as in _exclusion_margins. ParamOutOfRange without a bound."""
-    if F.lipschitz is None:
-        raise ParamOutOfRange(f"{F.name or 'the map'} declares no Lipschitz bound")
+    """Enclosure [lo, hi] of (F - id)_x over the region: the range of D_x at
+    a grid of about _RANGE_SAMPLES points, widened by the enclosure radius
+    of the grid's cells, each centred at its point with half the grid step
+    as half-width, which cover the region."""
     x0, x1, y0, y1 = map(float, region)
     # square cells where the aspect allows (inf for a tiny y-span), two ticks an axis
     aspect = min((x1 - x0) / (y1 - y0), _RANGE_SAMPLES)
     nx = min(max(2, round(math.sqrt(_RANGE_SAMPLES * aspect))), _RANGE_SAMPLES // 2)
     ny = _RANGE_SAMPLES // nx
-    disp = _displacement(F, GridSpec(nx, ny, (x0, x1), (y0, y1)).points())[:, 0]
-    if not np.isfinite(disp).all():
-        raise NonFiniteDisplacement(f"non-finite x-displacement in {region}")
-    hx, hy = (x1 - x0) / (nx - 1), (y1 - y0) / (ny - 1)
-    slack = (F.lipschitz + 1.0) * 0.5 * math.hypot(hx, hy)
-    return float(disp.min()) - slack, float(disp.max()) + slack
+    half = [(0.5 * (x1 - x0) / (nx - 1), 0.5 * (y1 - y0) / (ny - 1))]
+    D, (r,) = enclosure(F, GridSpec(nx, ny, (x0, x1), (y0, y1)).points(), half)
+    return float(D[:, 0].min() - r), float(D[:, 0].max() + r)
 
 
 def _seam_start(F_iter: LiftMap, x0: float, y0: float, y1: float,

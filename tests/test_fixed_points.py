@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import importlib.util
 import json
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from annulift import fixed_points
 from annulift.annulus_maps import (
@@ -49,6 +50,7 @@ from annulift.fixed_points import (
     reports_to_json,
     translate_strip,
 )
+from annulift.proofs import enclosure
 
 
 def displacement_oracle(F, box, n=33):
@@ -530,10 +532,9 @@ def test_every_point_of_a_box_is_within_reach_of_a_sample(corner, sides, at):
     lo = np.array(corner)
     hi = lo + np.array(sides)
     box = np.array([[lo[0], hi[0], lo[1], hi[1]]])
-    samples = []
     with np.errstate(under="ignore"):   # subnormal sides
-        _, (reach,) = fixed_points._sampled_norms(lambda p: samples.append(p.copy()) or p, box)
-        (samples,) = samples
+        samples, (half,) = fixed_points._cells(box)
+        reach = float(np.hypot(*half))   # the enclosure radius is (L + 1) times this
         assert samples.shape == (fixed_points._EXCLUSION_GRID ** 2, 2) == (9, 2)
         (edges,) = fixed_points._cell_edges(box)
         cells = edges[fixed_points._LAYOUT[0, :, :4]]
@@ -578,8 +579,78 @@ def test_declared_exclusion_margins_match_scalar_reference(F):
 
 def test_exclusion_margins_raise_on_a_nan_sample():
     # some of the boxes sample the NaN disk of _holes: no margin is a bound
-    with pytest.raises(NonFiniteDisplacement, match="non-finite displacement in the box"):
+    with pytest.raises(NonFiniteDisplacement,
+                       match=r"non-finite displacement in the cell centred at \("):
         _exclusion_margins(LiftMap(fn=_holes, degree=2, lipschitz=2.0), _random_boxes())
+
+
+_ENCLOSED = {
+    "power(3)^2": iterate(zoo("power", d=3), 2),
+    "perturbed_power": zoo("perturbed_power", d=2, eps=0.07),
+    "ends_attracting": zoo("ends_attracting", d=-2, lam=0.7),
+    "ends_repelling": zoo("ends_repelling", d=3, lam=0.834),
+    "end_swap": zoo("end_swap", d=-2),
+    "grid": _grid_copy(zoo("perturbed_power", d=-2, eps=0.05), nx=64, ny=65),
+    "translate": deck_translate(iterate(zoo("ends_repelling", d=-2, lam=0.8), 2), -3),
+}
+_SIGNED = st.one_of(st.sampled_from([-1.0, 0.0, 1.0]), st.floats(-1.0, 1.0))
+
+
+@pytest.mark.parametrize("name", sorted(_ENCLOSED))
+@settings(derandomize=True)
+@given(centre=st.tuples(st.floats(-3.0, 3.0), st.floats(-2.5, 2.5)),
+       half=st.tuples(st.floats(0.0, 0.5), st.floats(0.0, 0.5)),
+       strip=st.tuples(st.floats(-3.0, 3.0), st.floats(-2.5, 2.0),
+                       st.floats(1e-3, 1.0), st.floats(1e-3, 2.0)),
+       at=st.lists(st.tuples(_SIGNED, _SIGNED), min_size=1, max_size=16))
+def test_enclosures_hold_at_every_point(name, centre, half, strip, at):
+    # the trusted statement itself, on maps with their declared bounds: every
+    # point p of a cell c +- w has |D(p) - D(c)| <= r, and D_x at every point
+    # of a region lies in its _x_displacement_range; the slack is the rounding
+    # of D, which the proof leaves to exact arithmetic
+    F = _ENCLOSED[name]
+    at = np.array(at)
+    with np.errstate(under="ignore"):   # subnormal half-widths
+        c, w = np.array([centre]), np.array([half])
+        (d,), (r,) = enclosure(F, c, w)
+        p = c + at * w
+        image = F(p)
+        rounding = 8.0 * float(np.spacing(np.abs(np.concatenate([image, p, c])).max()))
+        assert (np.hypot(*(image - p - d).T) <= r * (1.0 + 1e-12) + rounding).all()
+        x0, y0, width, height = strip
+        lo, hi = fixed_points._x_displacement_range(F, (x0, x0 + width, y0, y0 + height))
+        q = np.array([x0, y0]) + 0.5 * (at + 1.0) * np.array([width, height])
+        dx = (F(q) - q)[:, 0]
+        rounding = 8.0 * float(np.spacing(np.abs(np.concatenate([F(q), q])).max()))
+        assert (lo - rounding <= dx).all() and (dx <= hi + rounding).all()
+
+
+def test_only_proofs_reads_the_declared_bound():
+    # every proof goes through proofs.enclosure: no other module reads a
+    # map's declared bound, except annulus_maps, which declares and composes it
+    src = Path(fixed_points.__file__).parent
+    readers = {path.name for path in src.glob("*.py")
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Attribute) and node.attr == "lipschitz"}
+    assert readers == {"proofs.py", "annulus_maps.py"}
+
+
+def _nan_band(p):
+    """power(2), its y-image NaN on the band 0.1 < x < 0.2: D_x is finite
+    everywhere, D_y is not."""
+    p = np.asarray(p, dtype=float)
+    out = 2.0 * p
+    out[..., 1] = np.where((p[..., 0] > 0.1) & (p[..., 0] < 0.2), np.nan, out[..., 1])
+    return out
+
+
+def test_strip_enclosure_raises_on_a_nan_y_displacement():
+    # one rule for non-finite values: the strip enclosure refuses a NaN in
+    # either component, as exclusion does, instead of passing the strip on
+    # to fail once per translate
+    F = LiftMap(fn=_nan_band, degree=2, lipschitz=2.0)
+    with pytest.raises(NonFiniteDisplacement, match="in the cell centred at"):
+        completeness_check(F, 1)
 
 
 def _inf_disk(p):
@@ -1047,30 +1118,34 @@ def test_end_swap_growth_rate_bound():
 def test_census_reports_are_byte_identical(monkeypatch):
     # the census benchmark's digest of the same reports (perfbench census),
     # and the search's work for them: exclusion steps and the boxes they
-    # test, leaf degrees, isolations and strip enclosures
-    work = dict.fromkeys(("steps", "boxes", "degrees", "isolations", "enclosures"), 0)
+    # test, leaf degrees, isolations and strip enclosures, and the calls of
+    # proofs.enclosure and their centres: every exclusion step and strip
+    # enclosure is one call of it
+    work = dict.fromkeys(("steps", "boxes", "degrees", "isolations", "enclosures",
+                          "proofs", "centres"), 0)
+    sizes = {"steps": "boxes", "proofs": "centres"}
 
     def counted(name, key):
         inner = getattr(fixed_points, name)
 
         def call(*args, **kwargs):
             work[key] += 1
-            if key == "steps":
-                work["boxes"] += len(args[1])
+            if key in sizes:
+                work[sizes[key]] += len(args[1])
             return inner(*args, **kwargs)
 
         monkeypatch.setattr(fixed_points, name, call)
 
     for name, key in (("_exclusion_margins", "steps"), ("_boundary_degree", "degrees"),
                       ("isolate_fixed_points", "isolations"),
-                      ("_x_displacement_range", "enclosures")):
+                      ("_x_displacement_range", "enclosures"), ("enclosure", "proofs")):
         counted(name, key)
     text = "\n".join(reports_to_json(completeness_check(zoo("power", d=d), 4))
                      for d in (2, 3, -2))
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "5b2737532bc651385be90e14a643c33daf219ef1fbe9d4a05e963c740d30bd4a")
     assert work == {"steps": 1605, "boxes": 2730, "degrees": 188, "isolations": 178,
-                    "enclosures": 28}
+                    "enclosures": 28, "proofs": 1633, "centres": 139258}
 
 
 def _benchmark_workloads():

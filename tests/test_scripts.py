@@ -37,14 +37,22 @@ def test_check_digests_reads_the_newest_bench_file(tmp_path):
     workloads = ("census", "families", "index")
     results = tmp_path / "perfbench" / "results"
     results.mkdir(parents=True)
+    (tmp_path / ".git" / "refs" / "heads").mkdir(parents=True)
+    (tmp_path / ".git" / "HEAD").write_text("ref: refs/heads/main\n")
+    (tmp_path / ".git" / "refs" / "heads" / "main").write_text("c0ffee\n")
+    source = tmp_path / "src" / "annulift" / "fixed_points.py"
+    source.parent.mkdir(parents=True)
+    source.write_text("")
+    os.utime(source, (1e9, 1e9))
 
     def bench(label, digest):
         doc = {"workloads": {w: {"digests": [digest + w]} for w in workloads}}
         (tmp_path / f"BENCH_{label}.json").write_text(json.dumps(doc))
 
-    def record(digest):
+    def record(digest, commit="c0ffee"):
         for w in workloads:
-            (results / f"{w}-seed1-trace0.json").write_text(json.dumps({"digest": digest + w}))
+            (results / f"{w}-seed1-trace0.json").write_text(
+                json.dumps({"digest": digest + w, "commit": commit}))
 
     bench(9, "old-")
     bench(10, "new-")   # newest by number, not by name
@@ -53,5 +61,16 @@ def test_check_digests_reads_the_newest_bench_file(tmp_path):
     record("old-")
     proc = _check_digests(tmp_path)
     assert proc.returncode == 1 and "differs from BENCH_10.json" in proc.stdout
+    # a record of another commit, or older than the sources, is stale
+    record("new-", commit="beef")
+    proc = _check_digests(tmp_path)
+    assert proc.returncode == 1 and proc.stdout.count("stale record") == 3
+    assert "commit beef is not HEAD c0ffee" in proc.stdout
+    record("new-")
+    os.utime(source, (2e9, 2e9))
+    proc = _check_digests(tmp_path)
+    assert proc.returncode == 1 and proc.stdout.count("older than fixed_points.py") == 3
+    os.utime(source, (1e9, 1e9))
+    assert _check_digests(tmp_path).returncode == 0
     (results / "index-seed1-trace0.json").unlink()
     assert _check_digests(tmp_path).returncode == 1
