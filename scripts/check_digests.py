@@ -2,20 +2,24 @@
 
     python scripts/check_digests.py --seed 1
 
-For each workload, reads the digest of the untraced run record
-``perfbench/results/<workload>-seed<seed>-trace0.json`` (written by
-``perfbench/run.py``) and compares it with the digest that the newest
+For each workload, reads the digests of the untraced and the traced run
+records ``perfbench/results/<workload>-seed<seed>-trace0.json`` and
+``...-trace1.json`` (written by ``perfbench/run.py --trace 0`` and
+``--trace 1``) and compares them with the digests that the newest
 ``BENCH_<n>.json`` at the root of the repository recorded, n the largest
-integer label. The digests do not depend on the seed. A record is stale,
-and is not compared, when its ``commit`` is not the checkout's HEAD or its
-file is older than the newest file under ``src/annulift/``: it was made
-from other code. Exits 1 on a missing file, a stale record or any mismatch,
-printing one line per workload.
+integer label. The untraced digest must be the only one recorded; the
+traced digest must be among them, as the BENCH file records the digests
+of traced and untraced runs together. The digests do not depend on the
+seed. A record is stale, and is not compared, when its ``commit`` is not
+the checkout's HEAD or its file is older than the newest file under
+``src/annulift/``: it was made from other code. Exits 1 on a missing file,
+a stale record or any mismatch, printing one line per record.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -76,19 +80,20 @@ def main(argv=None) -> int:
         bench = json.loads(bench_path.read_text())["workloads"]
         head, source = head_commit(args.root), newest_source(args.root)
         ok = True
-        for w in WORKLOADS:
-            record = args.root / "perfbench" / "results" / f"{w}-seed{args.seed}-trace0.json"
+        for w, trace in itertools.product(WORKLOADS, (0, 1)):
+            label = f"{w} traced" if trace else w
+            record = args.root / "perfbench" / "results" / f"{w}-seed{args.seed}-trace{trace}.json"
             run = json.loads(record.read_text())
             why = stale(record, run, head, source)
             if why:
                 ok = False
-                print(f"{w}: stale record {record.name}: {why}")
+                print(f"{label}: stale record {record.name}: {why}")
                 continue
             got = run["digest"]
             want = bench[w]["digests"]
-            match = want == [got]
+            match = got in want if trace else want == [got]
             ok &= match
-            print(f"{w}: {got[:16]} {'matches' if match else 'differs from'} "
+            print(f"{label}: {got[:16]} {'matches' if match else 'differs from'} "
                   f"{bench_path.name} {', '.join(d[:16] for d in want)}")
     except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc!r}", file=sys.stderr)

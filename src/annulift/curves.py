@@ -186,14 +186,23 @@ def _circle_template(n: int) -> np.ndarray:
     return unit
 
 
-def rectangle(x0: float, x1: float, y0: float, y1: float, per_side: int = 16) -> ClosedCurve:
-    """Counterclockwise rectangle boundary; corners are always samples."""
+def check_rectangle(x0: float, x1: float, y0: float, y1: float
+                    ) -> tuple[float, float, float, float]:
+    """(x0, x1, y0, y1) as floats, or ValueError unless x1 > x0 and y1 > y0
+    (NaN fails) with finite side lengths; the check of rectangle(), without
+    building a curve."""
     x0, x1, y0, y1 = float(x0), float(x1), float(y0), float(y1)
     if not (x1 > x0 and y1 > y0):
         raise ValueError("rectangle needs x1 > x0 and y1 > y0")
     if not (math.isfinite(x1 - x0) and math.isfinite(y1 - y0)):
         # checked in Python floats, so an overflowing span warns nowhere
         raise ValueError("rectangle side lengths x1 - x0 and y1 - y0 must be finite")
+    return x0, x1, y0, y1
+
+
+def rectangle(x0: float, x1: float, y0: float, y1: float, per_side: int = 16) -> ClosedCurve:
+    """Counterclockwise rectangle boundary; corners are always samples."""
+    x0, x1, y0, y1 = check_rectangle(x0, x1, y0, y1)
     base, coef = _rectangle_template(max(1, int(per_side)))
     c = np.array([x0, x1, y0, y1], dtype=float)
     return ClosedCurve(c[base] + (c[1::2] - c[0::2]) * coef)
@@ -263,7 +272,7 @@ def _turning_counts(vectors, params, vec_fn, min_norm, too_close_cls,
     error = None
     inserted = 0
     while rows:
-        norms = np.hypot(z.real, z.imag)
+        norms = np.abs(z)
         if not norms.max() < np.inf or norms.min() <= min_norm:  # NaN fails < too
             norms = norms.reshape(-1, rows)
             j = int((~(norms.max(axis=0) < np.inf) | (norms.min(axis=0) <= min_norm)).argmax())

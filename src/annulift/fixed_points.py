@@ -28,7 +28,11 @@ one vectorised map call. Depth first, not level by level, because a
 subdivision line through a fixed point aborts the attempt at the first leaf
 that meets it; a level sweep would evaluate the whole tree before reaching
 that leaf. Leaves are handled in exactly the one-box-at-a-time order, so
-reports do not depend on the chunk size.
+reports do not depend on the chunk size. A step makes one geometry pass: a
+single tick grid per chunk, seven ticks an axis and box, holds the cell
+centres, which are sampled, and the cell edges, from which the kept cells
+are laid out, so the proved cells and the cells pushed are the same cells
+by construction.
 
 Every attempt subdivides a jittered copy of the caller's region (seeds 1 to
 _ATTEMPTS), never the region as given: symmetric windows put the invariant
@@ -64,7 +68,7 @@ from .annulus_maps import (
     iterate,
     project,
 )
-from .curves import rectangle
+from .curves import check_rectangle, rectangle
 from .errors import (
     BoundaryFixedPoint,
     BudgetExceeded,
@@ -106,31 +110,34 @@ _STRIP_X0 = -0.5
 # boxes per vectorised exclusion call: large enough that numpy overhead is
 # paid once per chunk, small enough that the sample arrays stay a few 100 kB
 _CHUNK = 256
-# 3 x 3 exclusion cells: with h = (hi - lo) / 3 along an axis, cell i spans
-# edges i and i + 1 of lo + h * (0, 1, 2, 3), the last edge pinned to hi, and
-# is sampled at its centre, tick i of lo + h * (i + 0.5). Cell c = 3 * i + j
-# is row i, column j; sample c reads x tick j and y tick i of the (N, 2, m)
-# tick array flattened to (N, 2m), and bit c of a kept mask is that cell
-_TICKS = np.arange(_EXCLUSION_GRID) + 0.5
-_EDGES = np.arange(_EXCLUSION_GRID + 1)
-_GRID = np.array([[j, _EXCLUSION_GRID + i] for i in range(_EXCLUSION_GRID)
-                  for j in range(_EXCLUSION_GRID)])
+# 3 x 3 exclusion cells on one (N, 2, 7) tick grid per box, x ticks then y
+# ticks: with h = (hi - lo) / 3 an axis, tick k is lo + h * k / 2, the last
+# pinned to hi. Even tick 2i is edge i, so cell i spans ticks 2i and 2i + 2,
+# and odd tick 2i + 1, lo + h * (i + 0.5), is its centre, where it is
+# sampled. Cell c = 3 * i + j is row i, column j; it reads x tick 2j + 1 and
+# y tick 2i + 1 of the grid flattened to (N, 14) (_CENTRES), and bit c of a
+# kept mask is that cell
+_TICKS = 0.5 * np.arange(2 * _EXCLUSION_GRID + 1)
+_CENTRES = np.array([[2 * j + 1, 8 + 2 * i] for i in range(_EXCLUSION_GRID)
+                     for j in range(_EXCLUSION_GRID)])
 _BITS = 1 << np.arange(_EXCLUSION_GRID ** 2)
 # Quadtree stack rows are (x0, x1, y0, y1, scale, kept): a box is a leaf once
 # its size is at most its scale (the resolution, or the mop-up floor); kept is
 # 0 for an untested box and the mask of its kept cells for a tested leaf.
 # The rows that replace a kept box are the columns _LAYOUT[kind] of its
-# extended row (x edges 0-3, y edges 4-7, scale 8, 0 at 9, mask 10), one
-# per slot that _USED[kind, mask] holds: a slot is held when it covers
-# (_COVER[kind], a cell mask) a kept cell. Kinds: 0, the 3 x 3 cells; 1,
-# the thirds across x; 2, across y; 3, a leaf, which stays whole, flagged
-# by its mask. Slots run bottom-left to top-right, so the top-right child
-# is pushed last (on top); unused slots stay 0.
+# extended row (its flattened grid 0-13, so x edges 0, 2, 4, 6 and y edges
+# 7, 9, 11, 13; scale 14, 0 at 15, mask 16), one per slot that
+# _USED[kind, mask] holds: a slot is held when it covers (_COVER[kind], a
+# cell mask) a kept cell. Kinds: 0, the 3 x 3 cells; 1, the thirds across
+# x; 2, across y; 3, a leaf, which stays whole, flagged by its mask. Slots
+# run bottom-left to top-right, so the top-right child is pushed last (on
+# top); unused slots stay 0.
 _LAYOUT = np.zeros((4, 9, 6), dtype=int)
-_LAYOUT[0] = [[j, j + 1, 4 + i, 5 + i, 8, 9] for i in range(3) for j in range(3)]
-_LAYOUT[1, :3] = [[j, j + 1, 4, 7, 8, 9] for j in range(3)]
-_LAYOUT[2, :3] = [[0, 3, 4 + i, 5 + i, 8, 9] for i in range(3)]
-_LAYOUT[3, 0] = [0, 3, 4, 7, 8, 10]
+_LAYOUT[0] = [[2 * j, 2 * j + 2, 7 + 2 * i, 9 + 2 * i, 14, 15] for i in range(3)
+              for j in range(3)]
+_LAYOUT[1, :3] = [[2 * j, 2 * j + 2, 7, 13, 14, 15] for j in range(3)]
+_LAYOUT[2, :3] = [[0, 6, 7 + 2 * i, 9 + 2 * i, 14, 15] for i in range(3)]
+_LAYOUT[3, 0] = [0, 6, 7, 13, 14, 16]
 _COVER = np.array([[1, 2, 4, 8, 16, 32, 64, 128, 256],
                    [73, 146, 292, 0, 0, 0, 0, 0, 0],     # column j: cells j, j + 3, j + 6
                    [7, 56, 448, 0, 0, 0, 0, 0, 0],       # row i: cells 3i to 3i + 2
@@ -181,54 +188,52 @@ def _displacement(F, pts):
     return np.asarray(F(pts), dtype=float) - pts
 
 
-def _cells(boxes) -> tuple[np.ndarray, np.ndarray]:
-    """(centres, half) of the m x m cells of an (N, 4) array of boxes: the
-    cell centres, (N * m * m, 2), box by box, and each box's half cell
-    widths, (N, 2), which all its cells share."""
-    boxes = np.asarray(boxes, dtype=float).reshape(-1, 4)
-    n, m = len(boxes), _EXCLUSION_GRID
-    lo, hi = boxes[:, 0::2], boxes[:, 1::2]   # columns x, y
-    h = (hi - lo) / m
-    ticks = lo[:, :, None] + h[:, :, None] * _TICKS
-    return ticks.reshape(n, 2 * m).take(_GRID, axis=1).reshape(-1, 2), 0.5 * h
+def _grid(boxes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(grid, centres, half) of the 3 x 3 cells of an (N, 4) array of
+    boxes: the (N, 2, 7) tick grid (_TICKS), whose even ticks are the cell
+    edges; the cell centres, its odd ticks, (N * 9, 2), box by box; and
+    each box's half cell widths, (N, 2), which all its cells share."""
+    boxes = np.asarray(boxes, dtype=float)
+    lo, hi = boxes[:, 0:4:2], boxes[:, 1:4:2]   # columns x, y
+    h = (hi - lo) / _EXCLUSION_GRID
+    grid = lo[:, :, None] + h[:, :, None] * _TICKS
+    grid[:, :, -1] = hi
+    return grid, grid.reshape(len(h), -1).take(_CENTRES, axis=1).reshape(-1, 2), 0.5 * h
 
 
-def _exclusion_margins(F, boxes) -> tuple[np.ndarray, np.ndarray]:
-    """(margins, norms) of the 3 x 3 cells of boxes, each (N, 9): a cell's
-    displacement norm at its centre less the enclosure radius; a margin > 0
+def _exclusion_margins(F, boxes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(margins, norms, grid) of the 3 x 3 cells of boxes: a cell's
+    displacement norm at its centre less the enclosure radius, and the
+    norm, each (N, 9), and the boxes' tick grid (_grid); a margin > 0
     proves the cell free of fixed points, and a box whose nine margins are
     all > 0 is."""
-    centres, half = _cells(boxes)
-    D, r = enclosure(F, centres, half)
-    norms = np.hypot(D[:, 0], D[:, 1]).reshape(len(half), -1)
-    return norms - r[:, None], norms
+    grid, centres, half = _grid(boxes)
+    _, norms, r = enclosure(F, centres, half)
+    norms = norms.reshape(len(half), -1)
+    return norms - r[:, None], norms, grid
 
 
-def _cell_edges(boxes) -> np.ndarray:
-    """(N, 8) cell edges of boxes: x0 + h * (0, 1, 2), x1, then the same in
-    y, with h as _cells takes it, so each cell's own centre is the
-    sample that tested it."""
-    lo, hi = boxes[:, 0:4:2], boxes[:, 1:4:2]
-    edges = lo[:, :, None] + ((hi - lo) / _EXCLUSION_GRID)[:, :, None] * _EDGES
-    edges[:, :, -1] = hi
-    return edges.reshape(-1, 8)
-
-
-def _layout(boxes, masks, leaf) -> tuple[np.ndarray, np.ndarray]:
+def _layout(boxes, grid, masks, leaf: bool) -> tuple[np.ndarray, np.ndarray]:
     """(rows, kinds): the stack rows that replace kept (x0, x1, y0, y1,
-    scale) boxes with kept-cell masks, and each box's kind (_LAYOUT). A
-    leaf stays, flagged by its mask; any other box becomes its kept cells,
-    or its kept thirds across the long side when one side is less than half
-    the other, untested, top-right last. A few numpy calls for all boxes."""
+    scale) boxes, given their tick grids (_grid) and kept-cell masks, and
+    each box's kind (_LAYOUT). With leaf true, a box at most its scale
+    stays, flagged by its mask; any other box, and every box of a mop-up
+    (leaf false), becomes its kept cells, or its kept thirds across the long
+    side when one side is less than half the other, untested, top-right
+    last. A few numpy calls for all boxes."""
     n = len(boxes)
     size = boxes[:, 1:4:2] - boxes[:, 0:4:2]
     # 1 when the height is less than half the width, 2 in the mirror case
-    kinds = np.where(leaf, 3, (2.0 * size < size[:, ::-1]).dot((2, 1)))
-    ext = np.concatenate([_cell_edges(boxes), boxes[:, 4:5], np.zeros((n, 1)),
-                          masks[:, None]], axis=1)
-    slots = _LAYOUT.take(kinds, axis=0) + ext.shape[1] * np.arange(n)[:, None, None]
-    used = _USED[kinds, masks].ravel()
-    return ext.take(slots).reshape(-1, 6).compress(used, axis=0), kinds
+    kinds = (2.0 * size < size[:, ::-1]).dot((2, 1))
+    if leaf:
+        kinds[size.max(axis=1) <= boxes[:, 4]] = 3
+    ext = np.empty((n, 17))
+    ext[:, :14] = grid.reshape(n, 14)
+    ext[:, 14] = boxes[:, 4]
+    ext[:, 15] = 0.0
+    ext[:, 16] = masks
+    box, slot = _USED[kinds, masks].nonzero()   # box by box, slot by slot
+    return ext[box[:, None], _LAYOUT[kinds[box], slot]], kinds
 
 
 def _boundary_degree(F, box) -> int:
@@ -299,7 +304,8 @@ def _isolate_once(F, region, resolution: float, audit: Optional[IsolationAudit],
             # the leaf failed exclusion, and its kept cells would fail it
             # again: go straight to them (or its kept thirds), as mop-up
             # fragments
-            rows, _ = _layout(np.array([[*box, floor]]), np.array([int(mask)]), False)
+            row = np.array([[*box, floor]])
+            rows, _ = _layout(row, _grid(row)[0], np.array([int(mask)]), False)
             stack = np.concatenate([stack, rows])
             continue
         top = stack[-_CHUNK:, 5]
@@ -311,19 +317,19 @@ def _isolate_once(F, region, resolution: float, audit: Optional[IsolationAudit],
         processed += len(chunk)
         if processed > _SUBDIVISION_BUDGET:
             raise BudgetExceeded(f"subdivision cap {_SUBDIVISION_BUDGET} passed")
-        margin, norms = _exclusion_margins(F, chunk[:, :4])
+        margin, norms, grid = _exclusion_margins(F, chunk[:, :4])
         masks = (~(margin > 0)).dot(_BITS)
         kept = masks > 0
-        keep, masks = chunk.compress(kept, axis=0), masks.compress(kept)
-        leaf = np.maximum(keep[:, 1] - keep[:, 0], keep[:, 3] - keep[:, 2]) <= keep[:, 4]
-        rows, kinds = _layout(keep, masks, leaf)
+        masks = masks.compress(kept)
+        rows, kinds = _layout(chunk.compress(kept, axis=0), grid.compress(kept, axis=0),
+                              masks, True)
         if audit is not None:
-            _audit_step(audit, chunk, kept, masks, kinds, margin, norms, resolution)
+            _audit_step(audit, chunk, kept, masks, kinds, margin, norms, grid, resolution)
         stack = np.concatenate([stack[:start], rows])
     return sorted(certified, key=lambda c: c.box)
 
 
-def _audit_step(audit, chunk, kept, masks, kinds, margin, norms, resolution) -> None:
+def _audit_step(audit, chunk, kept, masks, kinds, margin, norms, grid, resolution) -> None:
     """Record a step's tested boxes and its discards at resolution scale
     (mop-up discards are not audited): each box that went whole, with its
     least sample and margin, then each cell dropped from a kept box, with
@@ -336,7 +342,7 @@ def _audit_step(audit, chunk, kept, masks, kinds, margin, norms, resolution) -> 
                                margin[gone].min(axis=1).tolist()))
     covered = (_USED[kinds, masks] * _COVER[kinds]).sum(axis=1)   # slots are disjoint
     dropped = (covered[:, None] & _BITS == 0) & top[kept][:, None]
-    cells = _cell_edges(chunk[kept])[:, _LAYOUT[0, :, :4]]
+    cells = grid[kept].reshape(-1, 14)[:, _LAYOUT[0, :, :4]]
     audit.discarded.extend(zip(map(tuple, cells[dropped].tolist()),
                                norms[kept][dropped].tolist(),
                                margin[kept][dropped].tolist()))
@@ -377,7 +383,7 @@ def isolate_fixed_points(F: LiftMap, region, resolution: float, lift_offset: int
     """
     if not resolution > 0:  # NaN too
         raise ValueError("resolution must be positive")
-    rectangle(*region)   # a ValueError for a bad region, before any attempt
+    check_rectangle(*region)   # a ValueError for a bad region, before any attempt
     for attempt in range(1, _ATTEMPTS + 1):
         try:
             return _isolate_once(F, _jittered(region, attempt), resolution, audit,
@@ -432,7 +438,7 @@ def polish_fixed_point(F, box: CertifiedFixedBox) -> np.ndarray:
             xm, ym = 0.5 * (b[0] + b[1]), 0.5 * (b[2] + b[3])
             children = [(b[0], xm, b[2], ym), (xm, b[1], b[2], ym),
                         (b[0], xm, ym, b[3]), (xm, b[1], ym, b[3])]
-            centres, _ = _cells(children)
+            _, centres, _ = _grid(children)
             norms = np.hypot(*_displacement(F, centres).T).reshape(len(children), -1)
             b = children[int(np.argmin(norms.min(axis=1)))]
         p = np.array([0.5 * (b[0] + b[1]), 0.5 * (b[2] + b[3])])
@@ -609,7 +615,7 @@ def _x_displacement_range(F, region) -> tuple[float, float]:
     nx = min(max(2, round(math.sqrt(_RANGE_SAMPLES * aspect))), _RANGE_SAMPLES // 2)
     ny = _RANGE_SAMPLES // nx
     half = [(0.5 * (x1 - x0) / (nx - 1), 0.5 * (y1 - y0) / (ny - 1))]
-    D, (r,) = enclosure(F, GridSpec(nx, ny, (x0, x1), (y0, y1)).points(), half)
+    D, _, (r,) = enclosure(F, GridSpec(nx, ny, (x0, x1), (y0, y1)).points(), half)
     return float(D[:, 0].min() - r), float(D[:, 0].max() + r)
 
 
@@ -645,7 +651,7 @@ def _owned(F, box, x0: float) -> Optional[bool]:
     bx0, bx1, by0, by1 = box
     for seam, inside_right in ((x0, True), (x0 + 1.0, False)):
         if bx0 <= seam <= bx1:
-            margin, _ = _exclusion_margins(F, [(bx0, seam, by0, by1), (seam, bx1, by0, by1)])
+            margin = _exclusion_margins(F, [(bx0, seam, by0, by1), (seam, bx1, by0, by1)])[0]
             left, right = (margin > 0).all(axis=1).tolist()
             if left or right:
                 return left == inside_right
@@ -714,7 +720,7 @@ def completeness_check(F: LiftMap, n_max: int, region=None, resolution: float = 
         x0, (y0, y1) = _STRIP_X0, F.y_window
     else:
         x0, _, y0, y1 = map(float, region)
-    rectangle(x0, x0 + 1.0, y0, y1)   # a ValueError for a bad strip, before any sweep
+    check_rectangle(x0, x0 + 1.0, y0, y1)   # a ValueError for a bad strip, before any sweep
     if not resolution > 0:  # NaN too
         raise ValueError("resolution must be positive")
     reports = []

@@ -6,8 +6,9 @@ L (``LiftMap.lipschitz``) has displacement D = F - id that is
 
     |D(p) - D(c)| <= (L + 1) |w|   for every p in the cell.
 
-``enclosure`` evaluates D at the centres and returns that radius; each proof
-of ``fixed_points`` is written through it and nothing else reads the bound:
+``enclosure`` evaluates D at the centres and returns its norms |D(c)|
+(``np.hypot`` of the two components) with that radius; each proof of
+``fixed_points`` is written through it and nothing else reads the bound:
 
 - a cell whose |D(c)| exceeds the radius holds no fixed point (exclusion,
   and the seam test that places a box cut by a strip's seam);
@@ -23,6 +24,12 @@ map's declarations: its lift, degree and Lipschitz bound (``annulus_maps``;
 ``iterate`` raises the bound to the n-th power, ``deck_translate`` keeps it).
 The statements hold in exact arithmetic; the rounding of the samples is not
 enclosed.
+
+A bound built on a NaN or infinite D would be void, so ``enclosure`` refuses
+one. The test is on the norms, which it computes anyway: a row is finite
+when its norm is below infinity. NaN fails that comparison, and so does
+hypot(NaN, +-inf), which is infinity. A finite D whose norm overflows to
+infinity fails too; numpy warns of that overflow.
 """
 
 from __future__ import annotations
@@ -32,20 +39,22 @@ import numpy as np
 from .errors import NonFiniteDisplacement, ParamOutOfRange
 
 
-def enclosure(F, centres, half) -> tuple[np.ndarray, np.ndarray]:
-    """(D, r): D = F - id at the (N, 2) centres, from one map call, and
-    r = (L + 1) * hypot(half) for each row of the (M, 2) half-widths, L the
-    bound F declares; every point of the cell around a centre with half-width
-    row w lies within r(w) of its centre value. ParamOutOfRange when F
-    declares no bound, NonFiniteDisplacement, naming the first cell, when any
-    component of D is NaN or infinite: a bound built on it would be void."""
+def enclosure(F, centres, half) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(D, norms, r): D = F - id at the (N, 2) centres, from one map call,
+    its norms |D| (N,), and r = (L + 1) * hypot(half) for each row of the
+    (M, 2) half-widths, L the bound F declares; every point of the cell
+    around a centre with half-width row w lies within r(w) of its centre
+    value. ParamOutOfRange when F declares no bound, NonFiniteDisplacement,
+    naming the first cell, when a norm is not below infinity (any component
+    of D NaN or infinite)."""
     if F.lipschitz is None:
         raise ParamOutOfRange(f"{F.name or 'the map'} declares no Lipschitz bound")
     centres = np.asarray(centres, dtype=float)
     D = np.asarray(F(centres), dtype=float) - centres
-    if not np.isfinite(D).all():
-        i = int(np.argmin(np.isfinite(D).all(axis=1)))
+    norms = np.hypot(D[:, 0], D[:, 1])
+    if not norms.max() < np.inf:   # NaN fails the comparison too
+        i = int(np.argmin(norms < np.inf))
         raise NonFiniteDisplacement(
             f"non-finite displacement in the cell centred at {tuple(centres[i].tolist())}")
     half = np.asarray(half, dtype=float)
-    return D, (F.lipschitz + 1.0) * np.hypot(half[:, 0], half[:, 1])
+    return D, norms, (F.lipschitz + 1.0) * np.hypot(half[:, 0], half[:, 1])

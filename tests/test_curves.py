@@ -434,6 +434,21 @@ def _reference_turning_count(vectors, params, vec_fn, min_norm, too_close_cls,
         v = np.insert(v, bad + 1, v_mid, axis=0)
 
 
+@pytest.mark.parametrize("k", [-1000, 0, 30, 900])
+def test_a_vector_exactly_at_the_floor_fails_its_row(k):
+    # |(3, 4) 2^-k| is exactly 5 * 2^-k, the floor: a vector no longer than
+    # the floor fails its row, and the rows before it keep their counts
+    scale = 2.0 ** -k
+    ang = 2.0 * np.pi * np.arange(8) / 8
+    loop = 10.0 * scale * np.stack([np.cos(ang), np.sin(ang)], axis=-1)
+    touching = loop.copy()
+    touching[3] = (3.0 * scale, 4.0 * scale)
+    counts, error = curves._turning_counts(np.stack([loop, touching, loop]), np.arange(8) / 8,
+                                           None, 5.0 * scale, DistanceViolation, "too close")
+    assert counts == [1]
+    assert isinstance(error, DistanceViolation) and str(error).startswith("too close: |v|=")
+
+
 def _seeded_loop(rng):
     """A loop t -> sum of a few harmonics, shifted off the origin by a random
     vector; winding numbers up to 7, some passing close to 0, some NaN."""

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from annulift import fixed_points
+from annulift import curves, fixed_points
 from annulift.annulus_maps import (
     AnnulusPoint,
     LiftMap,
@@ -94,6 +94,40 @@ def test_a_map_without_a_bound_is_refused():
             call()
 
 
+@pytest.mark.parametrize("region, message", [
+    ((0.0, 1.0, 1.0, -1.0), "rectangle needs x1 > x0 and y1 > y0"),
+    ((0.0, 1.0, np.nan, 1.0), "rectangle needs x1 > x0 and y1 > y0"),
+    ((0.0, 1.0, -1.7e308, 1.7e308),
+     "rectangle side lengths x1 - x0 and y1 - y0 must be finite"),
+], ids=["reversed", "nan", "overflowing"])
+def test_a_bad_region_is_refused_without_building_a_curve(monkeypatch, region, message):
+    # isolation and sweeps check their region as rectangle() does, with its
+    # messages, before any attempt and without building the rectangle: a
+    # good region reaches the search with no curve built
+    class Searched(Exception):
+        pass
+
+    def built(*args):
+        raise AssertionError("a curve was built")
+
+    def search(*args):
+        raise Searched
+
+    monkeypatch.setattr(curves.ClosedCurve, "__post_init__", built)
+    monkeypatch.setattr(fixed_points, "_isolate_once", search)
+    monkeypatch.setattr(fixed_points, "_seam_start", search)
+    F = zoo("power", d=2)
+    for bad, error in ((region, ValueError), ((0.0, 1.0, -1.0, 1.0), Searched)):
+        for call in (lambda: isolate_fixed_points(F, bad, 1e-2),
+                     lambda: completeness_check(F, 1, region=bad)):
+            with pytest.raises(error) as exc:
+                call()
+            if error is ValueError:
+                assert str(exc.value) == message
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        curves.rectangle(*region)
+
+
 def test_budget_exceeded(monkeypatch):
     monkeypatch.setattr(fixed_points, "_SUBDIVISION_BUDGET", 10)
     with pytest.raises(BudgetExceeded):
@@ -164,9 +198,9 @@ def test_no_box_is_tested_twice_in_an_attempt(monkeypatch):
         tested[-1].extend(map(tuple, np.asarray(boxes).tolist()))
         return real_margins(F, boxes)
 
-    def layout(boxes, masks, leaf):
+    def layout(boxes, grid, masks, leaf):
         mop_ups[-1] += leaf is False
-        return real_layout(boxes, masks, leaf)
+        return real_layout(boxes, grid, masks, leaf)
 
     monkeypatch.setattr(fixed_points, "_isolate_once", once)
     monkeypatch.setattr(fixed_points, "_exclusion_margins", margins)
@@ -335,7 +369,7 @@ def _reference_isolate_once(F, region, resolution, audit, lift_offset, stop=True
         processed += 1
         if processed > fixed_points._SUBDIVISION_BUDGET:
             raise BudgetExceeded("budget")
-        (margins,), (norms,) = (a.tolist() for a in fixed_points._exclusion_margins(F, [box]))
+        (margins,), (norms,), _ = (a.tolist() for a in fixed_points._exclusion_margins(F, [box]))
         audit.boxes_processed += 1
         kept = [not m > 0 for m in margins]
         if not any(kept):
@@ -533,11 +567,10 @@ def test_every_point_of_a_box_is_within_reach_of_a_sample(corner, sides, at):
     hi = lo + np.array(sides)
     box = np.array([[lo[0], hi[0], lo[1], hi[1]]])
     with np.errstate(under="ignore"):   # subnormal sides
-        samples, (half,) = fixed_points._cells(box)
+        (grid,), samples, (half,) = fixed_points._grid(box)
         reach = float(np.hypot(*half))   # the enclosure radius is (L + 1) times this
         assert samples.shape == (fixed_points._EXCLUSION_GRID ** 2, 2) == (9, 2)
-        (edges,) = fixed_points._cell_edges(box)
-        cells = edges[fixed_points._LAYOUT[0, :, :4]]
+        cells = grid.ravel()[fixed_points._LAYOUT[0, :, :4]]
         assert cells[0, ::2].tolist() == box[0, ::2].tolist()
         assert cells[-1, 1::2].tolist() == box[0, 1::2].tolist()
         rounding = float(np.spacing(np.maximum(abs(lo), abs(hi))).sum())
@@ -547,6 +580,33 @@ def test_every_point_of_a_box_is_within_reach_of_a_sample(corner, sides, at):
             q = cells[:, 0::2] + np.array(u) * (cells[:, 1::2] - cells[:, 0::2])
             q = np.clip(q, cells[:, 0::2], cells[:, 1::2])
             assert (np.hypot(*(samples - q).T) <= reach * (1.0 + 1e-12) + rounding).all()
+
+
+_SIDE = st.one_of(st.floats(0.0, 1e6), st.floats(0.0, 1e-300),
+                 st.integers(0, 2 ** 20).map(lambda k: k * 5e-324))
+_CORNER = st.one_of(st.floats(-1e6, 1e6), st.floats(-1e-300, 1e-300))
+
+
+@given(corner=st.lists(_CORNER, min_size=2, max_size=2),
+       sides=st.lists(_SIDE, min_size=2, max_size=2))
+def test_grid_ticks_are_the_cell_centres_and_edges(corner, sides):
+    # one tick grid per box serves both the exclusion samples and the layout
+    # of the kept cells: bit for bit, its odd ticks are lo + h * (i + 0.5)
+    # and its even ticks lo + h * i, h = (hi - lo) / 3, with the last edge hi
+    lo = np.array(corner)
+    hi = lo + np.array(sides)
+    with np.errstate(under="ignore"):   # subnormal sides
+        (grid,), centres, (half,) = fixed_points._grid(np.array([[lo[0], hi[0], lo[1], hi[1]]]))
+        h = (hi - lo) / 3.0
+        for axis in (0, 1):
+            want_centres = [lo[axis] + h[axis] * (i + 0.5) for i in range(3)]
+            want_edges = [lo[axis] + h[axis] * i for i in range(3)] + [hi[axis]]
+            assert grid[axis, 1::2].tobytes() == np.array(want_centres).tobytes()
+            assert grid[axis, 0::2].tobytes() == np.array(want_edges).tobytes()
+        assert half.tobytes() == (0.5 * h).tobytes()
+    # cell 3 i + j is sampled at x centre j and y centre i
+    assert centres.tobytes() == np.array([[grid[0, 2 * j + 1], grid[1, 2 * i + 1]]
+                                          for i in range(3) for j in range(3)]).tobytes()
 
 
 def _hat(p):
@@ -570,7 +630,7 @@ HAT_LIPSCHITZ = 1.0 + 0.6 / 0.004
 def test_declared_exclusion_margins_match_scalar_reference(F):
     # degenerate boxes too: bit for bit the one-box formula, cell by cell
     boxes = _random_boxes()
-    margins, norms = _exclusion_margins(F, boxes)
+    margins, norms, _ = _exclusion_margins(F, boxes)
     ref = np.array([_scalar_declared_margins(F, tuple(b)) for b in boxes.tolist()])
     assert margins.shape == norms.shape == (len(boxes), 9)
     assert margins.tobytes() == ref[:, 0].tobytes()
@@ -612,7 +672,8 @@ def test_enclosures_hold_at_every_point(name, centre, half, strip, at):
     at = np.array(at)
     with np.errstate(under="ignore"):   # subnormal half-widths
         c, w = np.array([centre]), np.array([half])
-        (d,), (r,) = enclosure(F, c, w)
+        (d,), (norm,), (r,) = enclosure(F, c, w)
+        assert norm == np.hypot(*d)
         p = c + at * w
         image = F(p)
         rounding = 8.0 * float(np.spacing(np.abs(np.concatenate([image, p, c])).max()))
@@ -651,6 +712,40 @@ def test_strip_enclosure_raises_on_a_nan_y_displacement():
     F = LiftMap(fn=_nan_band, degree=2, lipschitz=2.0)
     with pytest.raises(NonFiniteDisplacement, match="in the cell centred at"):
         completeness_check(F, 1)
+
+
+def _bad_right_of(a, bad):
+    """power(2), its displacement set to the pair ``bad`` (NaN or inf
+    components) at every point with x >= a."""
+    def fn(p):
+        p = np.asarray(p, dtype=float)
+        out = 2.0 * p
+        right = p[..., 0] >= a
+        out[right] = p[right] + bad
+        return out
+    return LiftMap(fn=fn, degree=2, lipschitz=2.0)
+
+
+@pytest.mark.parametrize("bad", [(np.nan, 0.0), (0.0, np.nan), (np.nan, np.inf)],
+                         ids=["nan-x", "nan-y", "nan-inf"])
+def test_enclosures_name_the_first_non_finite_cell(monkeypatch, bad):
+    # a NaN in D_x alone or D_y alone, and a (NaN, inf) pair, whose norm is
+    # inf, each fail the enclosure, which names its first bad cell, in the
+    # exclusion test and in the strip enclosure alike
+    a = 0.37
+    F = _bad_right_of(a, bad)
+    asked = []
+    monkeypatch.setattr(fixed_points, "enclosure", lambda G, centres, half:
+                        asked.append(centres) or enclosure(G, centres, half))
+    boxes = np.array([[-1.0, 0.0, -1.0, 1.0], [0.0, 1.0, -1.0, 1.0], [-1.0, 1.0, 0.0, 2.0]])
+    for prove in (lambda: _exclusion_margins(F, boxes),
+                  lambda: fixed_points._x_displacement_range(F, (0.0, 1.0, -1.0, 1.0))):
+        with pytest.raises(NonFiniteDisplacement) as exc:
+            prove()
+        centres = asked[-1]
+        first = centres[np.argmax(centres[:, 0] >= a)]
+        assert 0 < np.argmax(centres[:, 0] >= a) < len(centres) - 1
+        assert str(exc.value).endswith(f"centred at {tuple(first.tolist())}")
 
 
 def _inf_disk(p):
@@ -1115,14 +1210,14 @@ def test_end_swap_growth_rate_bound():
 
 # -- serialization ------------------------------------------------------------------
 
-def test_census_reports_are_byte_identical(monkeypatch):
-    # the census benchmark's digest of the same reports (perfbench census),
-    # and the search's work for them: exclusion steps and the boxes they
-    # test, leaf degrees, isolations and strip enclosures, and the calls of
-    # proofs.enclosure and their centres: every exclusion step and strip
-    # enclosure is one call of it
+def _count_work(monkeypatch) -> dict:
+    """The search's work from here on, counted by wrapping fixed_points'
+    functions: exclusion steps and the boxes they test, leaf degrees,
+    isolations, strip enclosures and continuum diagnoses, and the calls of
+    proofs.enclosure and their centres (every exclusion step and strip
+    enclosure is one call of it)."""
     work = dict.fromkeys(("steps", "boxes", "degrees", "isolations", "enclosures",
-                          "proofs", "centres"), 0)
+                          "continua", "proofs", "centres"), 0)
     sizes = {"steps": "boxes", "proofs": "centres"}
 
     def counted(name, key):
@@ -1138,14 +1233,22 @@ def test_census_reports_are_byte_identical(monkeypatch):
 
     for name, key in (("_exclusion_margins", "steps"), ("_boundary_degree", "degrees"),
                       ("isolate_fixed_points", "isolations"),
-                      ("_x_displacement_range", "enclosures"), ("enclosure", "proofs")):
+                      ("_x_displacement_range", "enclosures"),
+                      ("diagnose_continuum", "continua"), ("enclosure", "proofs")):
         counted(name, key)
+    return work
+
+
+def test_census_reports_are_byte_identical(monkeypatch):
+    # the census benchmark's digest of the same reports (perfbench census),
+    # and the search's work for them
+    work = _count_work(monkeypatch)
     text = "\n".join(reports_to_json(completeness_check(zoo("power", d=d), 4))
                      for d in (2, 3, -2))
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "5b2737532bc651385be90e14a643c33daf219ef1fbe9d4a05e963c740d30bd4a")
     assert work == {"steps": 1605, "boxes": 2730, "degrees": 188, "isolations": 178,
-                    "enclosures": 28, "proofs": 1633, "centres": 139258}
+                    "enclosures": 28, "continua": 0, "proofs": 1633, "centres": 139258}
 
 
 def _benchmark_workloads():
@@ -1169,6 +1272,21 @@ def test_benchmark_reports_are_byte_identical(workload, digest):
     res = wl.PassResult()
     run_pass(setup(inputs(1)), res)
     assert res.digest() == digest
+
+
+def test_families_work_is_pinned(monkeypatch):
+    # one pass of the families benchmark workload at seed 1, counted as the
+    # census is: the sweeps of five maps (three end_swap continua among them)
+    # and the tube isolations
+    wl = _benchmark_workloads()
+    inputs, setup, run_pass = wl.WORKLOADS["families"]
+    state = setup(inputs(1))
+    work = _count_work(monkeypatch)
+    res = wl.PassResult()
+    run_pass(state, res)
+    assert res.failed == 0 and res.attempted > 0
+    assert work == {"steps": 844, "boxes": 9937, "degrees": 152, "isolations": 150,
+                    "enclosures": 30, "continua": 3, "proofs": 874, "centres": 212313}
 
 
 def test_reports_serialize():

@@ -45,14 +45,15 @@ def test_check_digests_reads_the_newest_bench_file(tmp_path):
     source.write_text("")
     os.utime(source, (1e9, 1e9))
 
-    def bench(label, digest):
-        doc = {"workloads": {w: {"digests": [digest + w]} for w in workloads}}
+    def bench(label, *digests):
+        doc = {"workloads": {w: {"digests": [d + w for d in digests]} for w in workloads}}
         (tmp_path / f"BENCH_{label}.json").write_text(json.dumps(doc))
 
-    def record(digest, commit="c0ffee"):
+    def record(digest, commit="c0ffee", traces=(0, 1)):
         for w in workloads:
-            (results / f"{w}-seed1-trace0.json").write_text(
-                json.dumps({"digest": digest + w, "commit": commit}))
+            for trace in traces:
+                (results / f"{w}-seed1-trace{trace}.json").write_text(
+                    json.dumps({"digest": digest + w, "commit": commit}))
 
     bench(9, "old-")
     bench(10, "new-")   # newest by number, not by name
@@ -60,17 +61,39 @@ def test_check_digests_reads_the_newest_bench_file(tmp_path):
     assert _check_digests(tmp_path).returncode == 0
     record("old-")
     proc = _check_digests(tmp_path)
-    assert proc.returncode == 1 and "differs from BENCH_10.json" in proc.stdout
+    assert proc.returncode == 1 and proc.stdout.count("differs from BENCH_10.json") == 6
+    # the traced record is compared too, under the same rules
+    record("new-", traces=(0,))
+    proc = _check_digests(tmp_path)
+    assert proc.returncode == 1 and proc.stdout.count("traced: ") == 3
+    assert proc.stdout.count("differs from BENCH_10.json") == 3
     # a record of another commit, or older than the sources, is stale
     record("new-", commit="beef")
     proc = _check_digests(tmp_path)
-    assert proc.returncode == 1 and proc.stdout.count("stale record") == 3
+    assert proc.returncode == 1 and proc.stdout.count("stale record") == 6
     assert "commit beef is not HEAD c0ffee" in proc.stdout
+    record("new-")
+    record("new-", commit="beef", traces=(1,))
+    proc = _check_digests(tmp_path)
+    assert proc.returncode == 1 and proc.stdout.count("stale record") == 3
+    assert proc.stdout.count("traced: stale record") == 3
     record("new-")
     os.utime(source, (2e9, 2e9))
     proc = _check_digests(tmp_path)
-    assert proc.returncode == 1 and proc.stdout.count("older than fixed_points.py") == 3
+    assert proc.returncode == 1 and proc.stdout.count("older than fixed_points.py") == 6
     os.utime(source, (1e9, 1e9))
     assert _check_digests(tmp_path).returncode == 0
+    # a traced digest passes when it is among the digests the BENCH file
+    # records for traced and untraced runs together
+    bench(11, "new-", "path-")
+    record("path-", traces=(1,))
+    proc = _check_digests(tmp_path)
+    assert proc.stdout.count("traced: path-") == 3
+    assert proc.stdout.count("matches BENCH_11.json") == 3
+    record("new-")
+    (tmp_path / "BENCH_11.json").unlink()
+    (results / "index-seed1-trace1.json").unlink()
+    assert _check_digests(tmp_path).returncode == 1
+    record("new-")
     (results / "index-seed1-trace0.json").unlink()
     assert _check_digests(tmp_path).returncode == 1
