@@ -7,11 +7,13 @@ records ``perfbench/results/<workload>-seed<seed>-trace0.json`` and
 ``...-trace1.json`` (written by ``perfbench/run.py --trace 0`` and
 ``--trace 1``) and compares them with the digests that the newest
 ``BENCH_<n>.json`` at the root of the repository recorded, n the largest
-integer label. The untraced digest must be the only one recorded; the
-traced digest must be among them, as the BENCH file records the digests
-of traced and untraced runs together. The digests do not depend on the
-seed. A record is stale, and is not compared, when its ``commit`` is not
-the checkout's HEAD or its file is older than the newest file under
+integer label. The untraced digest must be the only one that the BENCH
+file records for untraced runs (``untraced_digests``, or ``digests`` in
+files older than that field); the traced digest must be among
+``digests``, the digests of traced and untraced runs together, as a traced
+run may take another path. The digests do not depend on the seed. A
+record is stale, and is not compared, when its ``commit`` is not the
+checkout's HEAD or its file is older than the newest file under
 ``src/annulift/``: it was made from other code. Exits 1 on a missing file,
 a stale record or any mismatch, printing one line per record.
 """
@@ -91,6 +93,8 @@ def main(argv=None) -> int:
                 continue
             got = run["digest"]
             want = bench[w]["digests"]
+            if not trace:   # BENCH files before untraced_digests record only digests
+                want = bench[w].get("untraced_digests", want)
             match = got in want if trace else want == [got]
             ok &= match
             print(f"{label}: {got[:16]} {'matches' if match else 'differs from'} "

@@ -143,8 +143,7 @@ def _median(values: np.ndarray) -> float:
     return (float(s[k - 1]) + float(s[k]) + 0.0) / 2
 
 
-def _equivariance_defect(F: LiftMap, grid: GridSpec,
-                         require_degree: Optional[int] = None) -> int:
+def _equivariance_defect(F: LiftMap, grid: GridSpec, require_degree: int) -> int:
     pts = grid.points()
     diff = F(pts + np.array([1.0, 0.0])) - F(pts)
     d_est = int(np.round(_median(diff[:, 0])))
@@ -155,7 +154,7 @@ def _equivariance_defect(F: LiftMap, grid: GridSpec,
             f"deck equivariance defect {defect[worst]:.3e} at grid point "
             f"({pts[worst, 0]:.4f}, {pts[worst, 1]:.4f})",
             point=tuple(pts[worst]), defect=float(defect[worst]))
-    if require_degree is not None and d_est != require_degree:
+    if d_est != require_degree:
         raise EquivarianceViolation(
             f"declared degree {require_degree} but observed {d_est}",
             point=tuple(pts[worst]), defect=float(d_est - require_degree))

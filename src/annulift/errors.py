@@ -117,7 +117,8 @@ class BoundaryFixedPoint(ToolkitError):
 
 class FixedContinuum(BoundaryFixedPoint):
     """The first isolation attempt met a fixed point on a subdivision line,
-    and the region's fixed set looks one-dimensional (diagnose_continuum)."""
+    and the fixed set looks one-dimensional at the box where the attempt
+    stopped (diagnose_continuum)."""
 
 
 class BudgetExceeded(ToolkitError):

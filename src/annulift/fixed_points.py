@@ -39,9 +39,9 @@ _ATTEMPTS), never the region as given: symmetric windows put the invariant
 circle y = 0 of the shipped families on the first subdivision line. A
 jittered region contains the original, so no fixed point of it is missed.
 When the first attempt meets a fixed point on a subdivision line and the
-region's fixed set looks one-dimensional (diagnose_continuum), the search
-stops there with FixedContinuum: no jitter moves a line of fixed points off
-every subdivision line.
+fixed set looks one-dimensional there (diagnose_continuum, asked about the
+box where attempt 1 failed), the search stops with FixedContinuum: no
+jitter moves a line of fixed points off every subdivision line.
 
 A completeness sweep counts each periodic point once, on a unit strip
 [x0, x0 + 1) x [y0, y1] that holds one lift of it (B. Jiang, Lectures on
@@ -181,7 +181,13 @@ class IsolationAudit:
 
 
 class _BoundaryHit(Exception):
-    """Internal: a fixed point sat on a subdivision boundary; jitter and retry."""
+    """Internal: a fixed point sat on a subdivision boundary; jitter and retry.
+    ``box`` is where the attempt stopped: the leaf whose boundary met a zero,
+    or the mop-up fragment that survived."""
+
+    def __init__(self, box):
+        super().__init__(box)
+        self.box = box
 
 
 def _displacement(F, pts):
@@ -293,11 +299,11 @@ def _isolate_once(F, region, resolution: float, audit: Optional[IsolationAudit],
             if scale != resolution:  # a mop-up fragment
                 if audit is not None:
                     audit.unresolved.append(box)
-                raise _BoundaryHit
+                raise _BoundaryHit(box)
             try:
                 deg = _boundary_degree(F, box)
             except FixedPointOnCurve as exc:
-                raise _BoundaryHit from exc
+                raise _BoundaryHit(box) from exc
             if deg != 0:
                 certified.append(CertifiedFixedBox(box, deg, lift_offset))
                 continue
@@ -369,17 +375,19 @@ def isolate_fixed_points(F: LiftMap, region, resolution: float, lift_offset: int
     dilated by its own irrational offsets (jitter seeds 1, 2, ...; the
     dilation exceeds the translation, so each contains the original). The
     first attempt that meets no subdivision line returns. When the first
-    attempt meets one, diagnose_continuum is asked about the region, and
-    FixedContinuum (a BoundaryFixedPoint) is raised if the fixed set looks
-    one-dimensional; otherwise the other attempts run, and when all of them
-    meet a line, BoundaryFixedPoint is raised. A non-finite displacement at any
-    sample raises NonFiniteDisplacement, a reversed or overflowing region
-    ValueError, and a map without a Lipschitz bound ParamOutOfRange. The
-    boxes have disjoint interiors, so each certifies its own fixed point.
-    The subdivision budget counts the boxes tested in one attempt; as a
-    chunk is tested ahead of the depth-first order, an attempt that would
-    fail on a boundary hit near the budget can report BudgetExceeded
-    instead.
+    attempt meets one, diagnose_continuum is asked about the box where it
+    stopped (the leaf whose boundary met a zero, or the surviving mop-up
+    fragment), descending from the box's centre with a step of a quarter of
+    its longest side, and FixedContinuum (a BoundaryFixedPoint) is raised
+    if the fixed set looks one-dimensional there; otherwise the other
+    attempts run, and when all of them meet a line, BoundaryFixedPoint is
+    raised. A non-finite displacement at any sample raises
+    NonFiniteDisplacement, a reversed or overflowing region ValueError, and
+    a map without a Lipschitz bound ParamOutOfRange. The boxes have disjoint
+    interiors, so each certifies its own fixed point. The subdivision budget
+    counts the boxes tested in one attempt; as a chunk is tested ahead of
+    the depth-first order, an attempt that would fail on a boundary hit near
+    the budget can report BudgetExceeded instead.
     """
     if not resolution > 0:  # NaN too
         raise ValueError("resolution must be positive")
@@ -390,7 +398,7 @@ def isolate_fixed_points(F: LiftMap, region, resolution: float, lift_offset: int
                                  lift_offset)
         except _BoundaryHit as exc:
             last_exc = exc
-        if attempt == 1 and diagnose_continuum(F, region, resolution):
+        if attempt == 1 and diagnose_continuum(F, last_exc.box, resolution):
             raise FixedContinuum(
                 "the fixed set looks one-dimensional: the first attempt met it "
                 "on a subdivision line") from last_exc
@@ -402,27 +410,25 @@ def isolate_fixed_points(F: LiftMap, region, resolution: float, lift_offset: int
 def polish_fixed_point(F, box: CertifiedFixedBox) -> np.ndarray:
     """Refine the certified point to high accuracy.
 
-    Newton with finite-difference Jacobian, verified afterwards; falls back
-    to greedy subdivision on sampled minima when Newton leaves the box
-    neighborhood, so F needs no Lipschitz bound. The certification never
-    relies on this step.
+    Newton with a central-difference Jacobian, verified afterwards: each
+    step is one map call on the first five points of _STENCIL, scaled by
+    h, about p (the centre, then +-x and +-y). When Newton fails or leaves
+    the box's neighbourhood, the point is found instead by the greedy
+    descent that diagnose_continuum uses (_descend), from the box's centre
+    with a step of a quarter of its size, so F needs no Lipschitz bound.
+    The certification never relies on this step.
     """
     x0, x1, y0, y1 = box.box
-    p = np.array(box.center, dtype=float)
+    p = centre = np.array(box.center, dtype=float)
     size = box.size
     h = max(1e-9, 1e-3 * size)
     ok = False
     for _ in range(40):
-        g = _displacement(F, p)
+        g, gx, g_x, gy, g_y = _displacement(F, p + h * _STENCIL[:5])
         if np.hypot(*g) < _POLISH_TOL:
             ok = True
             break
-        e1 = np.array([h, 0.0])
-        e2 = np.array([0.0, h])
-        jac = np.column_stack([
-            (_displacement(F, p + e1) - _displacement(F, p - e1)) / (2 * h),
-            (_displacement(F, p + e2) - _displacement(F, p - e2)) / (2 * h),
-        ])
+        jac = np.column_stack([(gx - g_x) / (2 * h), (gy - g_y) / (2 * h)])
         try:
             step = np.linalg.solve(jac, -g)
         except np.linalg.LinAlgError:
@@ -432,16 +438,7 @@ def polish_fixed_point(F, box: CertifiedFixedBox) -> np.ndarray:
                 and y0 - 3 * size <= p[1] <= y1 + 3 * size):
             break
     if not ok:
-        # greedy descent: follow the child with the smallest displacement
-        b = list(box.box)
-        for _ in range(50):
-            xm, ym = 0.5 * (b[0] + b[1]), 0.5 * (b[2] + b[3])
-            children = [(b[0], xm, b[2], ym), (xm, b[1], b[2], ym),
-                        (b[0], xm, ym, b[3]), (xm, b[1], ym, b[3])]
-            _, centres, _ = _grid(children)
-            norms = np.hypot(*_displacement(F, centres).T).reshape(len(children), -1)
-            b = children[int(np.argmin(norms.min(axis=1)))]
-        p = np.array([0.5 * (b[0] + b[1]), 0.5 * (b[2] + b[3])])
+        p = _descend(F, centre, size / 4)
     residual = np.hypot(*_displacement(F, p))
     if not np.isfinite(residual):  # NaN would pass the test below
         raise NonFiniteDisplacement(
@@ -552,6 +549,8 @@ def boxes_to_csv_rows(reports) -> list[str]:
     return rows
 
 
+# the centre, +-x, +-y, then the diagonals: Newton's central differences read
+# the first five
 _STENCIL = np.array([[0, 0], [1, 0], [-1, 0], [0, 1], [0, -1],
                      [1, 1], [1, -1], [-1, 1], [-1, -1]], dtype=float)
 
@@ -572,19 +571,19 @@ def _descend(F, p, step: float) -> np.ndarray:
 
 def diagnose_continuum(F, region, resolution: float) -> bool:
     """After isolation fails on a boundary hit: does the zero set of F - id
-    look one-dimensional? Probes a circle of radius 4 * resolution around a
-    polished zero p. A curve of zeros through p crosses the circle twice,
-    an isolated point keeps it clear: the circle must dip low twice, at its
-    lowest sample and at its lowest sample a quarter turn or more from that
-    one, and each dip must descend to a zero, so that p and the two zeros
-    lie pairwise at least 2 * resolution apart. Two isolated zeros, at any
-    spacing, give no third; nor does a thin band where one component of
-    F - id vanishes."""
+    look one-dimensional? isolate_fixed_points passes the box where its first
+    attempt stopped as the region. A zero p is found by _descend from the
+    region's centre, with a step of a quarter of its longest side, and a
+    circle of radius 4 * resolution around p is probed. A curve of zeros
+    through p crosses the circle twice, an isolated point keeps it clear:
+    the circle must dip low twice, at its lowest sample and at its lowest
+    sample a quarter turn or more from that one, and each dip must descend
+    to a zero, so that p and the two zeros lie pairwise at least
+    2 * resolution apart. Two isolated zeros, at any spacing, give no third;
+    nor does a thin band where one component of F - id vanishes."""
     x0, x1, y0, y1 = map(float, region)
-    m = 160
-    pts = GridSpec(m, m, (x0, x1), (y0, y1)).points()
-    norms = np.hypot(*_displacement(F, pts).T)
-    p = _descend(F, pts[int(np.argmin(norms))], max((x1 - x0), (y1 - y0)) / m)
+    p = _descend(F, np.array([0.5 * (x0 + x1), 0.5 * (y0 + y1)]),
+                 0.25 * max(x1 - x0, y1 - y0))
     if not np.hypot(*_displacement(F, p)) <= 1e-6:   # NaN too
         return False
     n = 64

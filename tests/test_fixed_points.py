@@ -254,14 +254,25 @@ def test_jitter_table_matches_its_generator():
 
 def test_continuum_raises_after_one_attempt(monkeypatch):
     # end_swap(-2)^2 fixes whole vertical lines: the first attempt meets one
-    # on a subdivision line, the diagnosis says continuum, and no other
-    # attempt runs
-    region = (-2, 2, -1, 1)
+    # on a subdivision line, the diagnosis, asked about the box where the
+    # attempt stopped, says continuum, and no other attempt runs
+    region, resolution = (-2, 2, -1, 1), 1e-2
     regions = _record_attempts(monkeypatch)
+    asked = []
+    real = fixed_points.diagnose_continuum
+    monkeypatch.setattr(fixed_points, "diagnose_continuum",
+                        lambda F, box, res: asked.append(box) or real(F, box, res))
     with pytest.raises(FixedContinuum):
-        isolate_fixed_points(iterate(zoo("end_swap", d=-2), 2), region, 1e-2)
+        isolate_fixed_points(iterate(zoo("end_swap", d=-2), 2), region, resolution)
     assert regions == [fixed_points._jittered(region, 1)]
     assert _contains(regions[0], region)
+    # a leaf or a mop-up fragment of attempt 1, on the fixed line x = 0
+    (box,) = asked
+    x0, x1, y0, y1 = box
+    rx0, rx1, ry0, ry1 = regions[0]
+    assert max(x1 - x0, y1 - y0) <= resolution
+    assert rx0 <= x0 < x1 <= rx1 and ry0 <= y0 < y1 <= ry1
+    assert x0 - 1e-10 <= 0.0 <= x1 + 1e-10
 
 
 @pytest.mark.parametrize("d, n, k", [(2, 1, 0), (3, 2, 4), (-2, 2, 1), (2, 3, 3)],
@@ -354,13 +365,13 @@ def _reference_isolate_once(F, region, resolution, audit, lift_offset, stop=True
                 audit.unresolved.append(box)
                 if not stop:
                     continue
-                raise fixed_points._BoundaryHit
+                raise fixed_points._BoundaryHit(box)
             try:
                 deg = fixed_points._boundary_degree(F, box)
             except fixed_points.FixedPointOnCurve as exc:
                 if not stop:
                     continue
-                raise fixed_points._BoundaryHit from exc
+                raise fixed_points._BoundaryHit(box) from exc
             if deg != 0:
                 certified.append(CertifiedFixedBox(box, deg, lift_offset))
                 continue
@@ -451,10 +462,10 @@ def test_isolate_once_matches_reference(monkeypatch, F, region, resolution, chun
     # same certified boxes, same leaves given boundary degrees in the same
     # order, same mop-up; the chunked search tests boxes ahead of the
     # one-box-at-a-time order, so it tests and discards the same boxes when
-    # the attempt completes, and when it stops on a hit, a superset of them
-    # within what the one-box search tests and discards on the whole tree
-    # (the surplus is not confined to the last chunk: an early chunk holds
-    # boxes below the subtree that meets the hit)
+    # the attempt completes, and when it stops on a hit (at the same box), a
+    # superset of them within what the one-box search tests and discards on
+    # the whole tree (the surplus is not confined to the last chunk: an early
+    # chunk holds boxes below the subtree that meets the hit)
     monkeypatch.setattr(fixed_points, "_CHUNK", chunk)
     degree, margins = fixed_points._boundary_degree, fixed_points._exclusion_margins
     log = {}
@@ -469,8 +480,8 @@ def test_isolate_once_matches_reference(monkeypatch, F, region, resolution, chun
         audit = IsolationAudit()
         try:
             outcome = kernel(F, region, resolution, audit, 3)
-        except fixed_points._BoundaryHit:
-            outcome = "boundary"
+        except fixed_points._BoundaryHit as hit:
+            outcome = ("boundary", hit.box)
         runs.append((outcome, log["degrees"], Counter(log["tested"]), audit))
     (got, got_deg, got_tested, got_audit), (ref, ref_deg, ref_tested, ref_audit) = runs
     assert got == ref and got_deg == ref_deg and got_deg
@@ -478,7 +489,7 @@ def test_isolate_once_matches_reference(monkeypatch, F, region, resolution, chun
     assert got_audit.boxes_processed == got_tested.total()
     assert ref_audit.boxes_processed == ref_tested.total()
     got_discarded, ref_discarded = Counter(got_audit.discarded), Counter(ref_audit.discarded)
-    if got == "boundary":
+    if isinstance(got, tuple):
         log["tested"] = []
         whole = IsolationAudit()
         _reference_isolate_once(F, region, resolution, whole, 3, stop=False)
@@ -1144,19 +1155,31 @@ def test_isolation_failure_is_recorded_per_translate(monkeypatch):
     assert n2.realized_residues == {0, 1}
 
 
-def test_translation_identity_residues_match_polished_residues():
+@pytest.mark.parametrize("newton", [True, False], ids=["newton", "descent"])
+def test_translation_identity_residues_match_polished_residues(monkeypatch, newton):
     # the sweep reads each box's residue off its translate, (-k) mod |d^n - 1|;
     # polishing the point and classifying it from scratch must agree on
-    # every census box
-    for d in (2, 3, -2):
-        F = zoo("power", d=d)
-        for r in completeness_check(F, 4, resolution=1e-3):
+    # every census box, whether Newton polishes it or, with every Newton
+    # solve failing, the greedy descent from the box's centre does
+    sweeps = [(F, completeness_check(F, 4, resolution=1e-3))
+              for F in (zoo("power", d=d) for d in (2, 3, -2))]
+    failed = []
+    if not newton:
+        def solve(*args):
+            failed.append(args)
+            raise np.linalg.LinAlgError("forced")
+
+        monkeypatch.setattr(np.linalg, "solve", solve)
+    for F, reports in sweeps:
+        for r in reports:
             assert r.complete and not r.errors
             Fn = iterate(F, r.period)
             for b, res in zip(r.fixed_boxes, r.box_residues):
                 point = polish_fixed_point(deck_translate(Fn, b.lift_offset), b)
                 assert res == (-b.lift_offset) % r.modulus
                 assert nielsen_residue(F, AnnulusPoint(point[0], point[1]), r.period) == res
+    boxes = sum(len(r.fixed_boxes) for _, reports in sweeps for r in reports)
+    assert len(failed) == (0 if newton else boxes)
 
 
 def test_sweep_is_independent_of_chunk_size(monkeypatch):
@@ -1213,18 +1236,19 @@ def test_end_swap_growth_rate_bound():
 def _count_work(monkeypatch) -> dict:
     """The search's work from here on, counted by wrapping fixed_points'
     functions: exclusion steps and the boxes they test, leaf degrees,
-    isolations, strip enclosures and continuum diagnoses, and the calls of
+    isolations, strip enclosures and continuum diagnoses, the calls of
     proofs.enclosure and their centres (every exclusion step and strip
-    enclosure is one call of it)."""
+    enclosure is one call of it), and the map points that _displacement
+    evaluates (the diagnoses' descents and ring probes, and polishing)."""
     work = dict.fromkeys(("steps", "boxes", "degrees", "isolations", "enclosures",
-                          "continua", "proofs", "centres"), 0)
+                          "continua", "proofs", "centres", "points"), 0)
     sizes = {"steps": "boxes", "proofs": "centres"}
 
     def counted(name, key):
         inner = getattr(fixed_points, name)
 
         def call(*args, **kwargs):
-            work[key] += 1
+            work[key] += np.size(args[1]) // 2 if key == "points" else 1
             if key in sizes:
                 work[sizes[key]] += len(args[1])
             return inner(*args, **kwargs)
@@ -1234,7 +1258,8 @@ def _count_work(monkeypatch) -> dict:
     for name, key in (("_exclusion_margins", "steps"), ("_boundary_degree", "degrees"),
                       ("isolate_fixed_points", "isolations"),
                       ("_x_displacement_range", "enclosures"),
-                      ("diagnose_continuum", "continua"), ("enclosure", "proofs")):
+                      ("diagnose_continuum", "continua"), ("enclosure", "proofs"),
+                      ("_displacement", "points")):
         counted(name, key)
     return work
 
@@ -1248,7 +1273,8 @@ def test_census_reports_are_byte_identical(monkeypatch):
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "5b2737532bc651385be90e14a643c33daf219ef1fbe9d4a05e963c740d30bd4a")
     assert work == {"steps": 1605, "boxes": 2730, "degrees": 188, "isolations": 178,
-                    "enclosures": 28, "continua": 0, "proofs": 1633, "centres": 139258}
+                    "enclosures": 28, "continua": 0, "proofs": 1633, "centres": 139258,
+                    "points": 0}
 
 
 def _benchmark_workloads():
@@ -1277,7 +1303,8 @@ def test_benchmark_reports_are_byte_identical(workload, digest):
 def test_families_work_is_pinned(monkeypatch):
     # one pass of the families benchmark workload at seed 1, counted as the
     # census is: the sweeps of five maps (three end_swap continua among them)
-    # and the tube isolations
+    # and the tube isolations. The map points are the diagnoses' descents and
+    # ring probes about the box where each first attempt stopped
     wl = _benchmark_workloads()
     inputs, setup, run_pass = wl.WORKLOADS["families"]
     state = setup(inputs(1))
@@ -1286,7 +1313,8 @@ def test_families_work_is_pinned(monkeypatch):
     run_pass(state, res)
     assert res.failed == 0 and res.attempted > 0
     assert work == {"steps": 844, "boxes": 9937, "degrees": 152, "isolations": 150,
-                    "enclosures": 30, "continua": 3, "proofs": 874, "centres": 212313}
+                    "enclosures": 30, "continua": 3, "proofs": 874, "centres": 212313,
+                    "points": 2919}
 
 
 def test_reports_serialize():

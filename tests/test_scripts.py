@@ -45,8 +45,11 @@ def test_check_digests_reads_the_newest_bench_file(tmp_path):
     source.write_text("")
     os.utime(source, (1e9, 1e9))
 
-    def bench(label, *digests):
+    def bench(label, *digests, untraced=None):
         doc = {"workloads": {w: {"digests": [d + w for d in digests]} for w in workloads}}
+        if untraced is not None:
+            for w in workloads:
+                doc["workloads"][w]["untraced_digests"] = [d + w for d in untraced]
         (tmp_path / f"BENCH_{label}.json").write_text(json.dumps(doc))
 
     def record(digest, commit="c0ffee", traces=(0, 1)):
@@ -90,6 +93,15 @@ def test_check_digests_reads_the_newest_bench_file(tmp_path):
     proc = _check_digests(tmp_path)
     assert proc.stdout.count("traced: path-") == 3
     assert proc.stdout.count("matches BENCH_11.json") == 3
+    # with the untraced runs' digests recorded apart, the untraced record
+    # must be the only one of them, and a second, traced path is no fault
+    bench(12, "new-", "path-", untraced=["new-"])
+    proc = _check_digests(tmp_path)
+    assert proc.returncode == 0 and proc.stdout.count("matches BENCH_12.json") == 6
+    record("path-", traces=(0,))
+    proc = _check_digests(tmp_path)
+    assert proc.returncode == 1 and proc.stdout.count("differs from BENCH_12.json") == 3
+    (tmp_path / "BENCH_12.json").unlink()
     record("new-")
     (tmp_path / "BENCH_11.json").unlink()
     (results / "index-seed1-trace1.json").unlink()
