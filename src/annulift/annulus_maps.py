@@ -435,74 +435,80 @@ def grid_lift_from_values(values: np.ndarray, degree: int, x0: float,
     ``values`` has shape (ny, nx, 2): columns at x = x0 + i/nx for
     i = 0..nx-1 (the wrap column is synthesized from column 0 by
     equivariance, which makes the extension exact), rows at ny evenly spaced
-    y levels on [y0, y1]. Evaluation clamps y outside [y0, y1]. The lift
-    declares its Lipschitz bound (_grid_lipschitz).
+    y levels on [y0, y1]. Evaluation clamps y outside [y0, y1], and a point
+    with a NaN coordinate evaluates to NaN. The lift declares its Lipschitz
+    bound (_grid_lipschitz).
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 3 or values.shape[2] != 2 or values.shape[0] < 2 or values.shape[1] < 2:
         raise ValueError("values must have shape (ny >= 2, nx >= 2, 2)")
     degree = int(degree)
     ny, nx, _ = values.shape
-    # one table row per node: row iy, column ix (the wrap column nx
-    # included) at iy*(nx + 1) + ix, so a cell's four corners sit at its
-    # lower left node plus `corners`
-    ext = np.concatenate([values, values[:, :1] + np.array([float(degree), 0.0])], axis=1)
-    table = ext.reshape(-1, 2)
-    corners = np.array([0, 1, nx + 1, nx + 2])
-    step_x = 1.0 / nx
-    step_y = (y1 - y0) / (ny - 1)
+    # the node table as two (ny, nx + 1) coordinate planes, fx then fy; the
+    # wrap column nx is column 0 shifted by (degree, 0)
+    planes = np.empty((2, ny, nx + 1))
+    planes[:, :, :nx] = values.transpose(2, 0, 1)
+    planes[:, :, nx] = values[:, 0].T + np.array([[float(degree)], [0.0]])
+    # node (iy, ix) of a plane at iy*(nx + 1) + ix, so a cell's four corners
+    # (lower left, lower right, upper left, upper right) sit at its lower
+    # left node plus `corners`
+    table = planes.reshape(2, -1)
+    corners = np.array([[0], [1], [nx + 1], [nx + 2]])
+    origin = np.array([x0, y0])
+    step_x, step_y = 1.0 / nx, (y1 - y0) / (ny - 1)
+    step = np.array([step_x, step_y])
+    span = y1 - y0
+    last = np.array([nx - 1.0, ny - 2.0])   # the last cell's lower left node
+    width = np.array([1, nx + 1])
     shift = float(degree)
 
     def fn(pts):
         pts = np.asarray(pts, dtype=float)
-        flat = pts.reshape(-1, 2)
-        xr = flat[:, 0] - x0
-        k = np.floor(xr)
-        gx = xr - k
-        gx /= step_x
-        gy = np.clip(flat[:, 1], y0, y1)
-        gy -= y0
-        gy /= step_y
-        # gx and gy are >= 0 or NaN, so truncation floors them; NaN casts to
-        # some integer, which the clamp sends into range
-        ix = gx.astype(np.intp)
-        np.maximum(ix, 0, out=ix)
-        np.minimum(ix, nx - 1, out=ix)
-        iy = gy.astype(np.intp)
-        np.maximum(iy, 0, out=iy)
-        np.minimum(iy, ny - 2, out=iy)
-        ux = (gx - ix)[:, None, None]
-        uy = (gy - iy)[:, None]
-        base = iy * (nx + 1)
-        base += ix
-        # (N, 2, 2, 2): lower and upper row, left and right corner, (fx, fy)
-        c = table.take(base[:, None] + corners, axis=0).reshape(-1, 2, 2, 2)
-        rows = (1.0 - ux) * c[:, :, 0]
-        rows += ux * c[:, :, 1]
-        out = (1.0 - uy) * rows[:, 0]
+        # (N, 2): x - x0 reduced to [0, 1) by whole periods k, y - y0 clamped
+        # to the window, both in node steps
+        g = pts.reshape(-1, 2) - origin
+        k = np.floor(g[:, 0])
+        g[:, 0] -= k
+        gy = g[:, 1]
+        np.maximum(gy, 0.0, out=gy)
+        np.minimum(gy, span, out=gy)
+        g /= step
+        # the cell's lower left node: g is >= 0 or NaN, so truncation floors
+        # it; the clamp runs in float before the cast, and fmin sends NaN to
+        # the last cell, so a NaN coordinate evaluates to NaN without
+        # numpy's invalid-cast warning
+        node = np.fmin(g, last).astype(np.intp)
+        g -= node
+        ux, uy = g.T
+        vx, vy = (1.0 - g).T
+        c = table.take(node.dot(width) + corners, axis=1)   # (2, 4, N)
+        rows = vx * c[:, 0::2]   # (2, 2, N): fx, fy by lower, upper row
+        rows += ux * c[:, 1::2]
+        out = vy * rows[:, 0]
         out += uy * rows[:, 1]
-        out[:, 0] += shift * k
-        return out.reshape(pts.shape)
+        out[0] += shift * k
+        return out.T.reshape(pts.shape)
 
     return make_lift(fn, degree, name=name,
                      y_window=tuple(y_window) if y_window else (y0, y1),
-                     lipschitz=_grid_lipschitz(ext, step_x, step_y))
+                     lipschitz=_grid_lipschitz(planes, step_x, step_y))
 
 
-def _grid_lipschitz(ext: np.ndarray, step_x: float, step_y: float) -> float:
-    """Lipschitz bound of the bilinear interpolant of the (ny, nx + 1, 2) node
-    table: in a cell dF/dx mixes its lower and upper edge differences over
-    step_x and dF/dy its left and right ones over step_y, and their dot
+def _grid_lipschitz(planes: np.ndarray, step_x: float, step_y: float) -> float:
+    """Lipschitz bound of the bilinear interpolant of the (2, ny, nx + 1)
+    node planes: in a cell dF/dx mixes its lower and upper edge differences
+    over step_x and dF/dy its left and right ones over step_y, and their dot
     product, bilinear, peaks at a corner. Clamping y only shrinks slopes.
     Blocks of 16 rows keep temporaries small; a NaN node gives NaN."""
-    dot = lambda a, b: a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]   # noqa: E731
+    dot = lambda a, b: a[0] * b[0] + a[1] * b[1]   # noqa: E731
     peaks = []   # per block: max |c1|^2, max |c2|^2, max |c1 . c2| at each corner
-    for i in range(0, len(ext) - 1, 16):
-        block = ext[i:i + 17]
-        h = np.diff(block, axis=1) / step_x
-        v = np.diff(block, axis=0) / step_y
+    for i in range(0, planes.shape[1] - 1, 16):
+        block = planes[:, i:i + 17]
+        h = np.diff(block, axis=2) / step_x
+        v = np.diff(block, axis=1) / step_y
         peaks.append([dot(h, h).max(), dot(v, v).max()] + [
-            abs(dot(c1, c2)).max() for c1 in (h[:-1], h[1:]) for c2 in (v[:, :-1], v[:, 1:])])
+            abs(dot(c1, c2)).max() for c1 in (h[:, :-1], h[:, 1:])
+            for c2 in (v[:, :, :-1], v[:, :, 1:])])
     top = np.max(peaks, axis=0)
     return _norm_bound(top[0], top[1], top[2:].max())
 

@@ -32,7 +32,10 @@ reports do not depend on the chunk size. A step makes one geometry pass: a
 single tick grid per chunk, seven ticks an axis and box, holds the cell
 centres, which are sampled, and the cell edges, from which the kept cells
 are laid out, so the proved cells and the cells pushed are the same cells
-by construction.
+by construction. The layout takes the whole tested chunk: a discarded box
+has an empty mask, holds no slot and yields no row, so no step first
+compresses the chunk to its kept boxes; and the sides hi - lo that cut a
+box's grid also give its kind, computed once a chunk.
 
 Every attempt subdivides a jittered copy of the caller's region (seeds 1 to
 _ATTEMPTS), never the region as given: symmetric windows put the invariant
@@ -194,49 +197,54 @@ def _displacement(F, pts):
     return np.asarray(F(pts), dtype=float) - pts
 
 
-def _grid(boxes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(grid, centres, half) of the 3 x 3 cells of an (N, 4) array of
+def _grid(boxes) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(grid, centres, half, size) of the 3 x 3 cells of an (N, 4) array of
     boxes: the (N, 2, 7) tick grid (_TICKS), whose even ticks are the cell
-    edges; the cell centres, its odd ticks, (N * 9, 2), box by box; and
-    each box's half cell widths, (N, 2), which all its cells share."""
+    edges; the cell centres, its odd ticks, (N * 9, 2), box by box; each
+    box's half cell widths, (N, 2), which all its cells share; and its
+    sides hi - lo, (N, 2), from which the cells are cut."""
     boxes = np.asarray(boxes, dtype=float)
     lo, hi = boxes[:, 0:4:2], boxes[:, 1:4:2]   # columns x, y
-    h = (hi - lo) / _EXCLUSION_GRID
+    size = hi - lo
+    h = size / _EXCLUSION_GRID
     grid = lo[:, :, None] + h[:, :, None] * _TICKS
     grid[:, :, -1] = hi
-    return grid, grid.reshape(len(h), -1).take(_CENTRES, axis=1).reshape(-1, 2), 0.5 * h
+    return (grid, grid.reshape(len(h), -1).take(_CENTRES, axis=1).reshape(-1, 2), 0.5 * h,
+            size)
 
 
-def _exclusion_margins(F, boxes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(margins, norms, grid) of the 3 x 3 cells of boxes: a cell's
+def _exclusion_margins(F, boxes) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(margins, norms, grid, size) of the 3 x 3 cells of boxes: a cell's
     displacement norm at its centre less the enclosure radius, and the
-    norm, each (N, 9), and the boxes' tick grid (_grid); a margin > 0
-    proves the cell free of fixed points, and a box whose nine margins are
-    all > 0 is."""
-    grid, centres, half = _grid(boxes)
+    norm, each (N, 9), and the boxes' tick grid and sides (_grid); a
+    margin > 0 proves the cell free of fixed points, and a box whose nine
+    margins are all > 0 is."""
+    grid, centres, half, size = _grid(boxes)
     _, norms, r = enclosure(F, centres, half)
     norms = norms.reshape(len(half), -1)
-    return norms - r[:, None], norms, grid
+    return norms - r[:, None], norms, grid, size
 
 
-def _layout(boxes, grid, masks, leaf: bool) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, kinds): the stack rows that replace kept (x0, x1, y0, y1,
-    scale) boxes, given their tick grids (_grid) and kept-cell masks, and
-    each box's kind (_LAYOUT). With leaf true, a box at most its scale
-    stays, flagged by its mask; any other box, and every box of a mop-up
-    (leaf false), becomes its kept cells, or its kept thirds across the long
-    side when one side is less than half the other, untested, top-right
-    last. A few numpy calls for all boxes."""
+def _layout(boxes, size, grid, masks, leaf: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, kinds): the stack rows that replace untested (x0, x1, y0, y1,
+    scale, 0) boxes, given their sides and tick grids (_grid) and the masks
+    of their kept cells, and each box's kind (_LAYOUT). Every tested box is
+    laid out: a box with an empty mask holds no slot, so it yields no row.
+    With leaf true, a box at most its scale stays, flagged by its mask; any
+    other box, and every box of a mop-up (leaf false), becomes its kept
+    cells, or its kept thirds across the long side when one side is less
+    than half the other, untested, top-right last. A few numpy calls for
+    all boxes."""
     n = len(boxes)
-    size = boxes[:, 1:4:2] - boxes[:, 0:4:2]
+    twice = 2.0 * size
     # 1 when the height is less than half the width, 2 in the mirror case
-    kinds = (2.0 * size < size[:, ::-1]).dot((2, 1))
+    kinds = (twice[:, 1] < size[:, 0]).astype(np.intp)
+    kinds[twice[:, 0] < size[:, 1]] = 2
     if leaf:
-        kinds[size.max(axis=1) <= boxes[:, 4]] = 3
+        kinds[np.maximum(size[:, 0], size[:, 1]) <= boxes[:, 4]] = 3
     ext = np.empty((n, 17))
     ext[:, :14] = grid.reshape(n, 14)
-    ext[:, 14] = boxes[:, 4]
-    ext[:, 15] = 0.0
+    ext[:, 14:16] = boxes[:, 4:]
     ext[:, 16] = masks
     box, slot = _USED[kinds, masks].nonzero()   # box by box, slot by slot
     return ext[box[:, None], _LAYOUT[kinds[box], slot]], kinds
@@ -310,8 +318,9 @@ def _isolate_once(F, region, resolution: float, audit: Optional[IsolationAudit],
             # the leaf failed exclusion, and its kept cells would fail it
             # again: go straight to them (or its kept thirds), as mop-up
             # fragments
-            row = np.array([[*box, floor]])
-            rows, _ = _layout(row, _grid(row)[0], np.array([int(mask)]), False)
+            row = np.array([[*box, floor, 0.0]])
+            grid, _, _, size = _grid(row)
+            rows, _ = _layout(row, size, grid, np.array([int(mask)]), False)
             stack = np.concatenate([stack, rows])
             continue
         top = stack[-_CHUNK:, 5]
@@ -323,35 +332,33 @@ def _isolate_once(F, region, resolution: float, audit: Optional[IsolationAudit],
         processed += len(chunk)
         if processed > _SUBDIVISION_BUDGET:
             raise BudgetExceeded(f"subdivision cap {_SUBDIVISION_BUDGET} passed")
-        margin, norms, grid = _exclusion_margins(F, chunk[:, :4])
-        masks = (~(margin > 0)).dot(_BITS)
-        kept = masks > 0
-        masks = masks.compress(kept)
-        rows, kinds = _layout(chunk.compress(kept, axis=0), grid.compress(kept, axis=0),
-                              masks, True)
+        margin, norms, grid, size = _exclusion_margins(F, chunk[:, :4])
+        # enclosure raised on any non-finite norm, so no margin is NaN
+        masks = (margin <= 0).dot(_BITS)
+        rows, kinds = _layout(chunk, size, grid, masks, True)
         if audit is not None:
-            _audit_step(audit, chunk, kept, masks, kinds, margin, norms, grid, resolution)
+            _audit_step(audit, chunk, masks, kinds, margin, norms, grid, resolution)
         stack = np.concatenate([stack[:start], rows])
     return sorted(certified, key=lambda c: c.box)
 
 
-def _audit_step(audit, chunk, kept, masks, kinds, margin, norms, grid, resolution) -> None:
+def _audit_step(audit, chunk, masks, kinds, margin, norms, grid, resolution) -> None:
     """Record a step's tested boxes and its discards at resolution scale
     (mop-up discards are not audited): each box that went whole, with its
     least sample and margin, then each cell dropped from a kept box, with
     its own."""
     audit.boxes_processed += len(chunk)
     top = chunk[:, 4] == resolution
+    kept = masks > 0
     gone = ~kept & top
     audit.discarded.extend(zip(map(tuple, chunk[gone, :4].tolist()),
                                norms[gone].min(axis=1).tolist(),
                                margin[gone].min(axis=1).tolist()))
     covered = (_USED[kinds, masks] * _COVER[kinds]).sum(axis=1)   # slots are disjoint
-    dropped = (covered[:, None] & _BITS == 0) & top[kept][:, None]
-    cells = grid[kept].reshape(-1, 14)[:, _LAYOUT[0, :, :4]]
+    dropped = (covered[:, None] & _BITS == 0) & (kept & top)[:, None]
+    cells = grid.reshape(-1, 14)[:, _LAYOUT[0, :, :4]]
     audit.discarded.extend(zip(map(tuple, cells[dropped].tolist()),
-                               norms[kept][dropped].tolist(),
-                               margin[kept][dropped].tolist()))
+                               norms[dropped].tolist(), margin[dropped].tolist()))
 
 
 def isolate_fixed_points(F: LiftMap, region, resolution: float, lift_offset: int = 0,

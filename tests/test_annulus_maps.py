@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import annulift.annulus_maps as am
 from annulift.annulus_maps import (
@@ -30,9 +30,11 @@ from annulift.annulus_maps import (
 )
 from annulift.errors import (
     EquivarianceViolation,
+    NonFiniteDisplacement,
     ParamOutOfRange,
     UnknownZooEntry,
 )
+from annulift.proofs import enclosure
 
 RNG = np.random.default_rng(42)
 
@@ -544,6 +546,40 @@ def _reference_grid_fn(values, degree, x0, y0, y1):
     return fn
 
 
+def _reference_grid_eval(values, degree, x0, y0, y1):
+    """The corner-table formula: one (M, 2) node table, the index math of
+    each axis on its own, and the four corners of each point's cell
+    gathered as (N, 2, 2, 2): lower and upper row, left and right corner,
+    (fx, fy); the same two lerps as grid_lift_from_values."""
+    ny, nx, _ = values.shape
+    ext = np.concatenate([values, values[:, :1] + np.array([float(degree), 0.0])], axis=1)
+    table = ext.reshape(-1, 2)
+    corners = np.array([0, 1, nx + 1, nx + 2])
+    step_x = 1.0 / nx
+    step_y = (y1 - y0) / (ny - 1)
+
+    def fn(pts):
+        pts = np.asarray(pts, dtype=float)
+        flat = pts.reshape(-1, 2)
+        xr = flat[:, 0] - x0
+        k = np.floor(xr)
+        gx = (xr - k) / step_x
+        gy = (np.clip(flat[:, 1], y0, y1) - y0) / step_y
+        ix = np.clip(gx.astype(np.intp), 0, nx - 1)
+        iy = np.clip(gy.astype(np.intp), 0, ny - 2)
+        ux = (gx - ix)[:, None, None]
+        uy = (gy - iy)[:, None]
+        c = table.take((iy * (nx + 1) + ix)[:, None] + corners, axis=0).reshape(-1, 2, 2, 2)
+        rows = (1.0 - ux) * c[:, :, 0]
+        rows += ux * c[:, :, 1]
+        out = (1.0 - uy) * rows[:, 0]
+        out += uy * rows[:, 1]
+        out[:, 0] += float(degree) * k
+        return out.reshape(pts.shape)
+
+    return fn
+
+
 _SPECIAL = [np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0, -1.0, 1e300, -1e-300, 2.5, -7.25]
 
 
@@ -620,6 +656,76 @@ def test_counterexample_lift_matches_four_gather_reference_bitwise(monkeypatch):
     ny, nx, _ = values.shape
     for pts in _kernel_inputs(nx, ny, x0, y0, y1):
         _assert_bitwise(C(pts), reference(pts))
+
+
+# a point recipe: how x is placed (anywhere; whole periods away; on a node
+# column; just below a whole period, where (x - x0) - floor(x - x0) rounds up
+# to 1 and the node index to nx), and how y is (inside the window, below or
+# above it, on an edge, on a node row)
+_GRID_POINT = st.tuples(st.sampled_from(["random", "periods", "column", "below"]),
+                        st.integers(-10 ** 9, 10 ** 9), st.floats(0.0, 1.0),
+                        st.sampled_from(["inside", "below", "above", "edge", "row"]),
+                        st.floats(0.0, 1e6))
+
+
+def _grid_point(recipe, nx, ny, x0, y0, y1):
+    xkind, m, frac, ykind, far = recipe
+    whole = x0 + (m % 11 - 5)
+    x = {"random": 20.0 * frac - 10.0,
+         "periods": x0 + m + frac,
+         "column": x0 + (m % (nx + 1)) / nx + (m % 11 - 5),
+         "below": np.nextafter(whole, -np.inf) if whole else -2.0 ** -60}[xkind]
+    y = {"inside": y0 + frac * (y1 - y0), "below": y0 - far, "above": y1 + far,
+         "edge": y0 if frac < 0.5 else y1,
+         "row": y0 + (m % ny) * ((y1 - y0) / (ny - 1))}[ykind]
+    return x, y
+
+
+@settings(derandomize=True)
+@given(shape=st.tuples(st.integers(2, 7), st.integers(2, 7), st.integers(-3, 3)),
+       x0=st.one_of(st.sampled_from([0.0, 0.3, -1.7]), st.floats(-10.0, 10.0)),
+       window=st.tuples(st.floats(-3.0, 3.0), st.floats(0.05, 4.0)),
+       seed=st.integers(0, 2 ** 32 - 1),
+       recipes=st.lists(_GRID_POINT, min_size=1, max_size=40))
+@example(shape=(4, 3, -1), x0=0.0, window=(-1.0, 2.0), seed=0,
+         recipes=[("below", 5, 0.0, "inside", 0.0), ("below", 5, 0.5, "above", 1e6)])
+def test_grid_lift_matches_corner_table_reference_bitwise(shape, x0, window, seed, recipes):
+    # the two-axis kernel against the (N, 2, 2, 2) corner-table formula, on
+    # finite points: y outside the window, x many periods away, x on node
+    # columns, and x where the node index rounds up to nx
+    nx, ny, degree = shape
+    y0, y1 = window[0], window[0] + window[1]
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=(ny, nx, 2))
+    zero = rng.random(values.shape) < 0.2   # nodes at 0.0 and -0.0 too
+    values[zero] = np.copysign(0.0, values[zero])
+    reference = _reference_grid_eval(values, degree, x0, y0, y1)
+    pts = np.array([_grid_point(r, nx, ny, x0, y0, y1) for r in recipes])
+    # a tiny x0 (say -4.5e-222) makes tiny weights near x = 0, whose
+    # products underflow harmlessly, in both kernels and in the norms of the
+    # Lipschitz check that builds the lift
+    with np.errstate(under="ignore"):
+        F = grid_lift_from_values(values, degree, x0, y0, y1)
+        _assert_bitwise(F(pts), reference(pts))
+        _assert_bitwise(F(pts[None]), reference(pts[None]))
+        _assert_bitwise(F(pts[0]), reference(pts[0]))
+
+
+def test_a_nan_point_through_a_tabulated_lift_evaluates_to_nan_quietly():
+    # tier-1 turns RuntimeWarnings into errors, and numpy warns when a NaN
+    # node coordinate is cast to an index, so the evaluator clamps in float
+    # first. A NaN in either coordinate gives NaN, the finite points beside
+    # it keep their values, and an enclosure at the NaN point is refused
+    C = counterexample_deg_minus1()
+    finite = np.array([[0.1, 0.1], [0.37, -0.2], [-4.6, 0.3]])
+    for bad in ([np.nan, 0.1], [0.1, np.nan], [np.nan, np.nan]):
+        out = C(np.array([bad]))
+        assert out.shape == (1, 2) and np.isnan(out).all()
+        mixed = C(np.concatenate([finite, [bad]]))
+        assert np.isnan(mixed[-1]).all()
+        _assert_bitwise(mixed[:-1], C(finite))
+        with pytest.raises(NonFiniteDisplacement):
+            enclosure(C, np.array([bad]), [[0.01, 0.01]])
 
 
 # -- the median without numpy.ma -----------------------------------------------------

@@ -184,13 +184,17 @@ def test_census_mop_up_failure_is_gone(monkeypatch):
 def test_no_box_is_tested_twice_in_an_attempt(monkeypatch):
     # two attempts, each mopping up degree-0 leaves (a mopped-up leaf used to
     # be tested again before it was split): WOBBLE's fixed point (0, 0.3)
-    # sits where attempt 1's first split lines cross
-    tested, mop_ups = [], []
+    # sits where attempt 1's first split lines cross. A step lays out the
+    # whole chunk it tested, discarded boxes too, so its layout (leaf true)
+    # sees each tested box once, in order; a mop-up lays out a leaf that is
+    # not tested again (leaf false)
+    tested, laid_out, mop_ups = [], [], []
     real_once, real_margins = fixed_points._isolate_once, fixed_points._exclusion_margins
     real_layout = fixed_points._layout
 
     def once(*args, **kwargs):
         tested.append([])
+        laid_out.append([])
         mop_ups.append(0)
         return real_once(*args, **kwargs)
 
@@ -198,9 +202,13 @@ def test_no_box_is_tested_twice_in_an_attempt(monkeypatch):
         tested[-1].extend(map(tuple, np.asarray(boxes).tolist()))
         return real_margins(F, boxes)
 
-    def layout(boxes, grid, masks, leaf):
-        mop_ups[-1] += leaf is False
-        return real_layout(boxes, grid, masks, leaf)
+    def layout(boxes, size, grid, masks, leaf):
+        if leaf is False:
+            mop_ups[-1] += 1
+        else:
+            assert leaf is True and len(boxes) == len(size) == len(grid) == len(masks)
+            laid_out[-1].extend(map(tuple, boxes[:, :4].tolist()))
+        return real_layout(boxes, size, grid, masks, leaf)
 
     monkeypatch.setattr(fixed_points, "_isolate_once", once)
     monkeypatch.setattr(fixed_points, "_exclusion_margins", margins)
@@ -208,8 +216,9 @@ def test_no_box_is_tested_twice_in_an_attempt(monkeypatch):
     region = _onto_first_split((0.0, 0.3), (-0.3, 0.6, -0.3, 0.6))
     assert len(isolate_fixed_points(WOBBLE, region, 1e-2)) == 2
     assert len(tested) == 2 and all(mop_ups)
-    for boxes in tested:
+    for boxes, seen in zip(tested, laid_out):
         assert len(set(boxes)) == len(boxes)
+        assert seen == boxes
 
 
 def _record_attempts(monkeypatch) -> list:
@@ -380,7 +389,7 @@ def _reference_isolate_once(F, region, resolution, audit, lift_offset, stop=True
         processed += 1
         if processed > fixed_points._SUBDIVISION_BUDGET:
             raise BudgetExceeded("budget")
-        (margins,), (norms,), _ = (a.tolist() for a in fixed_points._exclusion_margins(F, [box]))
+        (margins,), (norms,), *_ = (a.tolist() for a in fixed_points._exclusion_margins(F, [box]))
         audit.boxes_processed += 1
         kept = [not m > 0 for m in margins]
         if not any(kept):
@@ -578,7 +587,7 @@ def test_every_point_of_a_box_is_within_reach_of_a_sample(corner, sides, at):
     hi = lo + np.array(sides)
     box = np.array([[lo[0], hi[0], lo[1], hi[1]]])
     with np.errstate(under="ignore"):   # subnormal sides
-        (grid,), samples, (half,) = fixed_points._grid(box)
+        (grid,), samples, (half,), _ = fixed_points._grid(box)
         reach = float(np.hypot(*half))   # the enclosure radius is (L + 1) times this
         assert samples.shape == (fixed_points._EXCLUSION_GRID ** 2, 2) == (9, 2)
         cells = grid.ravel()[fixed_points._LAYOUT[0, :, :4]]
@@ -603,11 +612,14 @@ _CORNER = st.one_of(st.floats(-1e6, 1e6), st.floats(-1e-300, 1e-300))
 def test_grid_ticks_are_the_cell_centres_and_edges(corner, sides):
     # one tick grid per box serves both the exclusion samples and the layout
     # of the kept cells: bit for bit, its odd ticks are lo + h * (i + 0.5)
-    # and its even ticks lo + h * i, h = (hi - lo) / 3, with the last edge hi
+    # and its even ticks lo + h * i, h = (hi - lo) / 3, with the last edge hi;
+    # the sides it returns for the layout are hi - lo
     lo = np.array(corner)
     hi = lo + np.array(sides)
     with np.errstate(under="ignore"):   # subnormal sides
-        (grid,), centres, (half,) = fixed_points._grid(np.array([[lo[0], hi[0], lo[1], hi[1]]]))
+        (grid,), centres, (half,), (size,) = fixed_points._grid(
+            np.array([[lo[0], hi[0], lo[1], hi[1]]]))
+        assert size.tobytes() == (hi - lo).tobytes()
         h = (hi - lo) / 3.0
         for axis in (0, 1):
             want_centres = [lo[axis] + h[axis] * (i + 0.5) for i in range(3)]
@@ -618,6 +630,76 @@ def test_grid_ticks_are_the_cell_centres_and_edges(corner, sides):
     # cell 3 i + j is sampled at x centre j and y centre i
     assert centres.tobytes() == np.array([[grid[0, 2 * j + 1], grid[1, 2 * i + 1]]
                                           for i in range(3) for j in range(3)]).tobytes()
+
+
+def _reference_layout(boxes, grid, masks, leaf):
+    """_layout one box at a time, in plain Python, from the _LAYOUT and
+    _USED tables: each box's kind from its sides (1 when the height is less
+    than half the width, 2 in the mirror case, 3 for a leaf at most its
+    scale when leaf is true), and one row per slot _USED holds, its columns
+    _LAYOUT picks from the extended row (flattened grid, scale, 0, mask)."""
+    rows, kinds = [], []
+    for box, ticks, mask in zip(boxes.tolist(), grid.reshape(len(boxes), 14).tolist(),
+                                masks.tolist()):
+        x0, x1, y0, y1, scale, _ = box
+        w, h = x1 - x0, y1 - y0
+        kind = 1 if 2.0 * h < w else 2 if 2.0 * w < h else 0
+        if leaf and max(w, h) <= scale:
+            kind = 3
+        kinds.append(kind)
+        ext = ticks + [scale, 0.0, float(mask)]
+        rows.extend([ext[c] for c in fixed_points._LAYOUT[kind, slot]]
+                    for slot in range(9) if fixed_points._USED[kind, mask, slot])
+    return np.array(rows, dtype=float).reshape(-1, 6), kinds
+
+
+# dyadic corners and sides, so that hi - lo is exact and an aspect of exactly
+# 2 or 1/2, or a side exactly at scale, is what the layout sees
+_DYADIC = st.integers(-2 ** 20, 2 ** 20).map(lambda k: k * 2.0 ** -10)
+_LAYOUT_BOX = st.tuples(
+    _DYADIC, _DYADIC, st.integers(1, 2 ** 20).map(lambda k: k * 2.0 ** -20),
+    st.one_of(st.sampled_from([0.5, 2.0, 1.0, 0.25, 4.0]), st.floats(1e-3, 1e3)),
+    st.sampled_from(["at", "below", "above", "small", "large"]),
+    st.integers(0, 511))
+
+
+@settings(derandomize=True)
+@given(specs=st.lists(_LAYOUT_BOX, min_size=1, max_size=6), leaf=st.booleans())
+def test_layout_matches_per_box_reference(specs, leaf):
+    # the whole tested chunk is laid out at once, a box with an empty mask
+    # holding no slot: bit for bit the per-box rows, and the same kinds
+    boxes, masks = [], []
+    for x0, y0, w, aspect, scale_at, mask in specs:
+        h = w * aspect
+        side = max(w, h)
+        scale = {"at": side, "below": np.nextafter(side, 0.0),
+                 "above": np.nextafter(side, np.inf), "small": side / 3.0,
+                 "large": 4.0 * side}[scale_at]
+        boxes.append([x0, x0 + w, y0, y0 + h, scale, 0.0])
+        masks.append(mask)
+    boxes, masks = np.array(boxes), np.array(masks)
+    grid, _, _, size = fixed_points._grid(boxes[:, :4])
+    rows, kinds = fixed_points._layout(boxes, size, grid, masks, leaf)
+    want_rows, want_kinds = _reference_layout(boxes, grid, masks, leaf)
+    assert rows.shape == want_rows.shape and rows.tobytes() == want_rows.tobytes()
+    assert kinds.tolist() == want_kinds
+
+
+def test_layout_reference_cases_reach_every_kind():
+    # the cases the property draws from: thirds across x and y at aspect
+    # beyond 2, cells at aspect exactly 2, a leaf exactly at its scale, and
+    # no row for an empty mask
+    boxes = np.array([[0.0, 1.0, 0.0, 0.25, 0.1, 0.0], [0.0, 0.25, 0.0, 1.0, 0.1, 0.0],
+                      [0.0, 1.0, 0.0, 0.5, 0.1, 0.0], [0.0, 0.5, 0.0, 1.0, 1.0, 0.0],
+                      [0.0, 0.5, 0.0, 1.0, 1.0, 0.0]])
+    masks = np.array([511, 511, 511, 7, 0])
+    grid, _, _, size = fixed_points._grid(boxes[:, :4])
+    for leaf, want_kinds, want_count in ((True, [1, 2, 0, 3, 3], 3 + 3 + 9 + 1),
+                                         (False, [1, 2, 0, 0, 0], 3 + 3 + 9 + 3)):
+        rows, kinds = fixed_points._layout(boxes, size, grid, masks, leaf)
+        assert kinds.tolist() == want_kinds and len(rows) == want_count
+        want_rows, want_kinds = _reference_layout(boxes, grid, masks, leaf)
+        assert rows.tobytes() == want_rows.tobytes() and kinds.tolist() == want_kinds
 
 
 def _hat(p):
@@ -641,7 +723,7 @@ HAT_LIPSCHITZ = 1.0 + 0.6 / 0.004
 def test_declared_exclusion_margins_match_scalar_reference(F):
     # degenerate boxes too: bit for bit the one-box formula, cell by cell
     boxes = _random_boxes()
-    margins, norms, _ = _exclusion_margins(F, boxes)
+    margins, norms, *_ = _exclusion_margins(F, boxes)
     ref = np.array([_scalar_declared_margins(F, tuple(b)) for b in boxes.tolist()])
     assert margins.shape == norms.shape == (len(boxes), 9)
     assert margins.tobytes() == ref[:, 0].tobytes()
