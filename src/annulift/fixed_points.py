@@ -3,10 +3,11 @@
 A box certifies a fixed point of a lift when the winding number of the
 displacement field F - id around its boundary is nonzero; this needs only
 continuity, no derivatives. Every other proof here, that a cell holds no
-fixed point, where a box cut by a strip's seam lies, and which translates a
-strip admits, is one call of ``proofs.enclosure``, under the Lipschitz bound
-the map declares; ``proofs`` names the whole trusted base. Isolation and
-sweeps refuse a map without a bound (ParamOutOfRange).
+fixed point, where a box cut by a strip's seam lies, which translates a
+strip admits and where each can have fixed points, is one call of
+``proofs.enclosure``, under the Lipschitz bound the map declares; ``proofs``
+names the whole trusted base. Isolation and sweeps refuse a map without a
+bound (ParamOutOfRange).
 
 A box is discarded when each cell of its 3 x 3 split is, by the enclosure at
 the cell's centre. Centres, not edge samples: a box shares its edges with
@@ -48,8 +49,14 @@ jitter moves a line of fixed points off every subdivision line.
 
 A completeness sweep counts each periodic point once, on a unit strip
 [x0, x0 + 1) x [y0, y1] that holds one lift of it (B. Jiang, Lectures on
-Nielsen Fixed Point Theory, 1983), through the translates admitted by an
-enclosure of the x-displacement over the strip.
+Nielsen Fixed Point Theory, 1983). One enclosure of D = F^n - id over the
+strip, on about _RANGE_SAMPLES cells that cover it, decides what is
+searched: a translate F^n + (k, 0) is admitted when -k lies in the
+enclosure of D_x, and is isolated only on the bounding box of the cells
+whose |D(c) + (k, 0)| does not exceed the radius, grown by half a cell and
+clipped to the strip, since every other cell is proved free of its fixed
+points; a translate with no such cell is proved to fix no point of the
+strip and is not searched.
 """
 
 from __future__ import annotations
@@ -105,7 +112,7 @@ _BOUNDARY_SAMPLES_PER_SIDE = 16   # rectangle samples for a leaf's boundary degr
 _RESIDUE_DISP_TOL = 1e-7          # NotPeriodic threshold on the projected point
 _RESIDUE_INT_TOL = 1e-5           # near-integer threshold for the translation
 _POLISH_TOL = 1e-12               # displacement at which Newton polishing stops
-_RANGE_SAMPLES = 4096             # grid samples for a strip's x-displacement enclosure
+_RANGE_SAMPLES = 4096             # cells of a strip's displacement enclosure
 # default strip [-1/2, 1/2): centred on the origin, which every shipped family
 # fixes, like the y-window on y = 0; the jitter moves subdivision lines off both
 _STRIP_X0 = -0.5
@@ -610,19 +617,69 @@ def diagnose_continuum(F, region, resolution: float) -> bool:
     return bool(gaps.min() >= 2.0 * resolution)
 
 
-def _x_displacement_range(F, region) -> tuple[float, float]:
-    """Enclosure [lo, hi] of (F - id)_x over the region: the range of D_x at
-    a grid of about _RANGE_SAMPLES points, widened by the enclosure radius
-    of the grid's cells, each centred at its point with half the grid step
-    as half-width, which cover the region."""
+def _strip_cells(F, region) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """(centres, half, D, r): one enclosure of F - id over the region, on
+    cells centred at a grid of about _RANGE_SAMPLES points, row by row in y,
+    each with half the grid step as half-width (half, per axis), so that
+    they cover the region; D (N, 2) at the centres, and the radius r that
+    every cell shares."""
     x0, x1, y0, y1 = map(float, region)
     # square cells where the aspect allows (inf for a tiny y-span), two ticks an axis
     aspect = min((x1 - x0) / (y1 - y0), _RANGE_SAMPLES)
     nx = min(max(2, round(math.sqrt(_RANGE_SAMPLES * aspect))), _RANGE_SAMPLES // 2)
     ny = _RANGE_SAMPLES // nx
-    half = [(0.5 * (x1 - x0) / (nx - 1), 0.5 * (y1 - y0) / (ny - 1))]
-    D, _, (r,) = enclosure(F, GridSpec(nx, ny, (x0, x1), (y0, y1)).points(), half)
+    half = np.array([0.5 * (x1 - x0) / (nx - 1), 0.5 * (y1 - y0) / (ny - 1)])
+    centres = GridSpec(nx, ny, (x0, x1), (y0, y1)).points()
+    D, _, (r,) = enclosure(F, centres, half[None])
+    return centres, half, D, float(r)
+
+
+def _x_range(cells) -> tuple[float, float]:
+    """Enclosure [lo, hi] of D_x over _strip_cells' region: the range of D_x
+    at the centres, widened by the radius."""
+    _, _, D, r = cells
     return float(D[:, 0].min() - r), float(D[:, 0].max() + r)
+
+
+def _x_displacement_range(F, region) -> tuple[float, float]:
+    """Enclosure [lo, hi] of (F - id)_x over the region (_strip_cells)."""
+    return _x_range(_strip_cells(F, region))
+
+
+def _translate_regions(cells, ks, strip) -> list:
+    """For each translate k of ks, the region its isolation searches: the
+    bounding box of the cells c (_strip_cells over the strip) with
+    |D(c) + (k, 0)| <= r, grown by half a cell and clipped to the strip;
+    None when there is no such cell. Every other cell holds no fixed point
+    of F + (k, 0) (proofs), so the region holds each one in the strip, and
+    None proves that there is none there.
+
+    |D + (k, 0)| >= |D_y|, so a cell with |D_y| > r is out for every k; the
+    rest are tested _CHUNK translates at a time, so no block holds more
+    than _CHUNK x _RANGE_SAMPLES entries."""
+    centres, half, D, r = cells
+    near = np.abs(D[:, 1]) <= r
+    if not near.any():
+        return [None] * len(ks)
+    xy, Dx, Dy = centres[near], D[near, 0], D[near, 1]
+    # the cells in x order, and in y order, which is the grid's row order
+    orders = (np.argsort(xy[:, 0], kind="stable"), np.arange(len(xy)))
+    x0, x1, y0, y1 = strip
+    regions = []
+    for start in range(0, len(ks), _CHUNK):
+        t = np.add.outer(np.asarray(ks[start:start + _CHUNK], dtype=float), Dx)
+        keep = np.hypot(t, Dy, out=t) <= r
+        del t   # before the next block allocates its own
+        lo, hi = np.empty((len(keep), 2)), np.empty((len(keep), 2))
+        for axis, order in enumerate(orders):   # the first and last kept cell along it
+            kept = keep[:, order]
+            lo[:, axis] = xy[order[kept.argmax(axis=1)], axis]
+            hi[:, axis] = xy[order[-1 - kept[:, ::-1].argmax(axis=1)], axis]
+        lo = np.maximum(lo - half, (x0, y0)).tolist()
+        hi = np.minimum(hi + half, (x1, y1)).tolist()
+        regions.extend((a, b, c, d) if found else None
+                       for (a, c), (b, d), found in zip(lo, hi, keep.any(axis=1).tolist()))
+    return regions
 
 
 def _seam_start(F_iter: LiftMap, x0: float, y0: float, y1: float,
@@ -666,21 +723,28 @@ def _owned(F, box, x0: float) -> Optional[bool]:
 
 
 def _strip_report(F_iter: LiftMap, period: int, strip, resolution: float) -> NielsenReport:
-    """One period on one strip: each admissible translate isolated on it,
-    the boxes that _owned puts in [x0, x0 + 1) kept, continua counted once
-    per residue; a box it cannot place, or a toolkit error in isolating or
-    placing, is its translate's error."""
+    """One period on one strip, from one enclosure of D = F^n - id over it
+    (_strip_cells): each admissible translate k, -k in the enclosure of
+    D_x, isolated on the part of the strip where that enclosure leaves room
+    for its fixed points (_translate_regions), and not at all when it
+    leaves none; the boxes that _owned puts in [x0, x0 + 1) kept, continua
+    counted once per residue; a box it cannot place, or a toolkit error in
+    isolating or placing, is its translate's error."""
     modulus = abs(F_iter.degree - 1)
-    x0, x1 = strip[0], strip[0] + 1.0
-    lo, hi = _x_displacement_range(F_iter, strip)
+    x0 = strip[0]
+    cells = _strip_cells(F_iter, strip)
+    lo, hi = _x_range(cells)
     if not hi - lo < _SUBDIVISION_BUDGET:   # inf too
         raise BudgetExceeded(f"about {hi - lo:.3g} admissible translates on {strip}")
+    ks = range(math.ceil(-hi), math.floor(-lo) + 1)
     boxes, errors, continuum = [], {}, {}
-    for k in range(math.ceil(-hi), math.floor(-lo) + 1):
+    for k, region in zip(ks, _translate_regions(cells, ks, strip)):
+        if region is None:   # F^n + (k, 0) fixes no point of the strip
+            continue
         residue = (-k) % modulus
         Fk = deck_translate(F_iter, k)
         try:
-            found = isolate_fixed_points(Fk, strip, resolution, lift_offset=k)
+            found = isolate_fixed_points(Fk, region, resolution, lift_offset=k)
             owned = [_owned(Fk, b.box, x0) for b in found]
         except FixedContinuum:
             continuum.setdefault(residue, k)
@@ -704,13 +768,15 @@ def completeness_check(F: LiftMap, n_max: int, region=None, resolution: float = 
     report whether all |d^n - 1| residue classes are realized.
 
     Each period-n point has one lift p in S, fixed by F^n + (k, 0) with
-    k = -D_x(p), D = F^n - id, so its residue is (-k) mod |d^n - 1|. The
-    admissible k are those with -k in the enclosure of D_x over S, a proof
-    under F's declared Lipschitz bound (ParamOutOfRange without one); each
-    is isolated on S, and a box is kept when its centre lies in
-    [x0, x0 + 1). That is exact when no box meets a seam line x = x0 or
-    x0 + 1: _seam_start moves x0 before each period so that none can, and
-    _owned places any box that still does by one exclusion test.
+    k = -D_x(p), D = F^n - id, so its residue is (-k) mod |d^n - 1|. One
+    enclosure of D over S, a proof under F's declared Lipschitz bound
+    (ParamOutOfRange without one), admits the k with -k in its range of
+    D_x, and isolates each only on the part of S where it leaves room for
+    a fixed point of F^n + (k, 0) (_strip_report); a k with no room there
+    fixes no point of S and is not searched. A box is kept when its centre
+    lies in [x0, x0 + 1). That is exact when no box meets a seam line x = x0
+    or x0 + 1: _seam_start moves x0 before each period so that none can,
+    and _owned places any box that still does by one exclusion test.
 
     ``region`` supplies x0 and [y0, y1], not x1; the default is _STRIP_X0
     and the map's y_window. Failures are recorded per translate; a

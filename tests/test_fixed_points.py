@@ -2,7 +2,9 @@ import ast
 import hashlib
 import importlib.util
 import json
+import math
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -13,6 +15,7 @@ from hypothesis import assume, given, settings, strategies as st
 from annulift import curves, fixed_points
 from annulift.annulus_maps import (
     AnnulusPoint,
+    GridSpec,
     LiftMap,
     _norm_bound,
     counterexample_deg_minus1,
@@ -990,6 +993,145 @@ def test_sweep_does_not_depend_on_the_strip(name, params, n_max):
                for r in completeness_check(F, n_max, region=(0.1, 1.1, -2.0, 2.0)))
 
 
+_SEAM_FRACTIONS = st.tuples(st.integers(-40, 40), st.sampled_from([1, 2, 3, 7, 8, 9, 26]))
+
+
+def _reference_strip_report(F_iter, period, strip, resolution):
+    """The strip sweep that searches every admissible translate on the whole
+    strip, whatever the enclosure says of where its fixed points can be."""
+    modulus = abs(F_iter.degree - 1)
+    x0 = strip[0]
+    lo, hi = fixed_points._x_displacement_range(F_iter, strip)
+    if not hi - lo < fixed_points._SUBDIVISION_BUDGET:
+        raise BudgetExceeded(f"about {hi - lo:.3g} admissible translates on {strip}")
+    boxes, errors, continuum = [], {}, {}
+    for k in range(math.ceil(-hi), math.floor(-lo) + 1):
+        residue = (-k) % modulus
+        Fk = deck_translate(F_iter, k)
+        try:
+            found = isolate_fixed_points(Fk, strip, resolution, lift_offset=k)
+            owned = [fixed_points._owned(Fk, b.box, x0) for b in found]
+        except FixedContinuum:
+            continuum.setdefault(residue, k)
+            continue
+        except ToolkitError as exc:
+            errors[k] = f"{type(exc).__name__}: {exc}"
+            continue
+        for b, own in zip(found, owned):
+            if own is None:
+                errors[k] = f"BoundaryFixedPoint: the box {b.box} meets a seam of the strip"
+            elif own:
+                boxes.append(b)
+    return fixed_points.NielsenReport(period, modulus, tuple(boxes), errors,
+                                      tuple(continuum.values()))
+
+
+def _claims(reports):
+    """_census plus completeness and each translate error's type: all that a
+    sweep claims except box geometry and the boxes named in messages."""
+    return [(c, r.complete, {k: msg.split(":")[0] for k, msg in r.errors.items()})
+            for c, r in zip(_census(reports), reports)]
+
+
+def _families_maps(seed):
+    wl = _benchmark_workloads()
+    return [F for _, F, _, _ in wl.families_setup(wl.families_inputs(seed))["sweeps"]]
+
+
+@pytest.mark.parametrize("maps, n_max, x0", [
+    ("census", 3, None), ("families 1", 3, None), ("families 601", 3, None),
+    ("census", 3, 0.1), ("census", 3, 0.47), ("census", 3, 1.1),
+], ids=["census", "families1", "families601", "x0=0.1", "x0=0.47", "x0=1.1"])
+def test_searched_regions_keep_the_reference_claims(monkeypatch, maps, n_max, x0):
+    # searching each translate only where the strip enclosure leaves room
+    # for its fixed points changes box geometry and nothing else: the same
+    # counts, residues, continua and errors as searching the whole strip
+    Fs = ([zoo("power", d=d) for d in (2, 3, -2)] if maps == "census"
+          else _families_maps(int(maps.split()[1])))
+    for F in Fs:
+        region = None if x0 is None else (x0, x0 + 1.0, -2.0, 2.0)
+        swept = completeness_check(F, n_max, region=region)
+        with monkeypatch.context() as m:
+            m.setattr(fixed_points, "_strip_report", _reference_strip_report)
+            reference = completeness_check(F, n_max, region=region)
+        assert _claims(swept) == _claims(reference), F.name
+        assert all(r.complete and not r.errors for r in swept)
+
+
+@settings(derandomize=True)
+@given(name=st.sampled_from([("power", {"d": 2}), ("power", {"d": 3}), ("power", {"d": -2}),
+                             ("perturbed_power", {"d": 2, "eps": 0.05})]),
+       n=st.integers(1, 3), height=st.sampled_from([1.0, 2.0]),
+       x0=st.one_of(st.floats(-3.0, 3.0), _SEAM_FRACTIONS.map(lambda f: f[0] / f[1])))
+def test_every_reference_point_lies_where_its_translate_searched(name, n, height, x0):
+    # every box that an isolation on the whole strip certifies holds its
+    # point in the region that its translate's search covers: its polished
+    # point, when that lies in the strip, is in the region itself (a box
+    # near the region's edge can stick out of it by up to its size), and a
+    # translate that is not searched has no box anywhere on the jittered strip
+    F = iterate(zoo(name[0], **name[1]), n)
+    strip = (x0, x0 + 1.0, -height, height)
+    cells = fixed_points._strip_cells(F, strip)
+    lo, hi = fixed_points._x_range(cells)
+    ks = range(math.ceil(-hi), math.floor(-lo) + 1)
+    for k, region in zip(ks, fixed_points._translate_regions(cells, ks, strip)):
+        Fk = deck_translate(F, k)
+        found = isolate_fixed_points(Fk, strip, 1e-2, lift_offset=k)
+        if region is None:
+            assert found == []
+            continue
+        assert strip[0] <= region[0] < region[1] <= strip[1]
+        assert strip[2] <= region[2] < region[3] <= strip[3]
+        for b in found:
+            px, py = polish_fixed_point(Fk, b)
+            if strip[0] <= px <= strip[1] and strip[2] <= py <= strip[3]:
+                assert region[0] <= px <= region[1] and region[2] <= py <= region[3]
+
+
+def _reference_regions(cells, ks, strip):
+    """_translate_regions one translate at a time, on every cell."""
+    centres, half, D, r = cells
+    regions = []
+    for k in ks:
+        kept = centres[np.hypot(D[:, 0] + k, D[:, 1]) <= r]
+        if not len(kept):
+            regions.append(None)
+            continue
+        lo = np.maximum(kept.min(axis=0) - half, strip[0::2])
+        hi = np.minimum(kept.max(axis=0) + half, strip[1::2])
+        regions.append((lo[0], hi[0], lo[1], hi[1]))
+    return regions
+
+
+def test_translate_regions_match_a_per_translate_loop_in_bounded_memory():
+    # D_y = 0, as for end_swap(-2) at even n, lets every cell into the
+    # (translate x cell) test, and 10,000 translates at once would take
+    # 330 MB; in blocks the test stays under 16 MB. D_x on half-integers
+    # with r = 2.5 puts cells exactly on the radius
+    strip = (0.0, 1.0, -2.0, 2.0)
+    centres = GridSpec(64, 64, (0.0, 1.0), (-2.0, 2.0)).points()
+    rng = np.random.default_rng(26)
+    D = np.column_stack([rng.integers(-20_000, 0, len(centres)) / 2.0, np.zeros(len(centres))])
+    cells = (centres, np.array([0.5 / 63, 2.0 / 63]), D, 2.5)
+    ks = range(1, 10_001)
+    tracemalloc.start()
+    try:
+        regions = fixed_points._translate_regions(cells, ks, strip)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+    assert regions == _reference_regions(cells, ks, strip)
+    assert 0 < regions.count(None) < len(ks)
+    # and a real strip enclosure, whose D_y filter drops most cells
+    F, strip = iterate(zoo("power", d=3), 4), (-0.25, 0.75, -2.0, 2.0)
+    cells = fixed_points._strip_cells(F, strip)
+    lo, hi = fixed_points._x_range(cells)
+    ks = range(math.ceil(-hi), math.floor(-lo) + 1)
+    assert fixed_points._translate_regions(cells, ks, strip) == _reference_regions(
+        cells, ks, strip)
+
+
 def test_sweep_records_a_failed_translate(monkeypatch):
     # this sheared displacement field is too badly conditioned for the
     # sampled exclusion bound near its zero on the default strip: every
@@ -1000,11 +1142,12 @@ def test_sweep_records_a_failed_translate(monkeypatch):
     shear = make_lift(lambda p: np.stack(
         [2 * p[..., 0] + 30 * p[..., 1], 2 * p[..., 1]], axis=-1), 2,
         lipschitz=_norm_bound(4.0, 904.0, 60.0))
-    strips, attempts = [], []
+    searched, attempts = {}, []
     real, real_once = fixed_points.isolate_fixed_points, fixed_points._isolate_once
     monkeypatch.setattr(fixed_points, "isolate_fixed_points",
                         lambda F, region, res, lift_offset=0:
-                        strips.append(region) or real(F, region, res, lift_offset))
+                        searched.setdefault(lift_offset, region)
+                        and real(F, region, res, lift_offset))
     monkeypatch.setattr(fixed_points, "_isolate_once",
                         lambda F, region, res, audit, lift_offset:
                         attempts.append((lift_offset, region))
@@ -1013,12 +1156,9 @@ def test_sweep_records_a_failed_translate(monkeypatch):
     assert report.errors == {0: "BoundaryFixedPoint: fixed point kept hitting "
                                 "subdivision boundaries after 4 attempts"}
     assert not report.complete
-    strip = strips[0]
+    # every attempt jitters the region that k = 0's own isolation searched
     assert [region for k, region in attempts if k == 0] == [
-        fixed_points._jittered(strip, a) for a in range(1, fixed_points._ATTEMPTS + 1)]
-
-
-_SEAM_FRACTIONS = st.tuples(st.integers(-40, 40), st.sampled_from([1, 2, 3, 7, 8, 9, 26]))
+        fixed_points._jittered(searched[0], a) for a in range(1, fixed_points._ATTEMPTS + 1)]
 
 
 @given(d=st.sampled_from([2, 3, -2]), n_max=st.integers(1, 3),
@@ -1339,7 +1479,7 @@ def _count_work(monkeypatch) -> dict:
 
     for name, key in (("_exclusion_margins", "steps"), ("_boundary_degree", "degrees"),
                       ("isolate_fixed_points", "isolations"),
-                      ("_x_displacement_range", "enclosures"),
+                      ("_strip_cells", "enclosures"),
                       ("diagnose_continuum", "continua"), ("enclosure", "proofs"),
                       ("_displacement", "points")):
         counted(name, key)
@@ -1353,9 +1493,9 @@ def test_census_reports_are_byte_identical(monkeypatch):
     text = "\n".join(reports_to_json(completeness_check(zoo("power", d=d), 4))
                      for d in (2, 3, -2))
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "5b2737532bc651385be90e14a643c33daf219ef1fbe9d4a05e963c740d30bd4a")
-    assert work == {"steps": 1605, "boxes": 2730, "degrees": 188, "isolations": 178,
-                    "enclosures": 28, "continua": 0, "proofs": 1633, "centres": 139258,
+        "772998cb4b98dbdf22c8e821711b2fd844e810e7ae2ea101792141a98300d9ef")
+    assert work == {"steps": 924, "boxes": 1846, "degrees": 204, "isolations": 174,
+                    "enclosures": 28, "continua": 0, "proofs": 952, "centres": 131302,
                     "points": 0}
 
 
@@ -1370,11 +1510,11 @@ def _benchmark_workloads():
 
 
 @pytest.mark.parametrize("workload, digest", [
-    ("families", "f4cb3474124c3f40575025e18ea298b963290a5a1be91f33775d81b2fcd1003f"),
+    ("families", "48d22fcdbc9a9088ce0d943a1d05d58a6c27ed0542f924e7c6248d45af5d0892"),
     ("index", "564726befa429e054063cecb1ce9130075000640914c4f2c0d1f1a7432e1a87d"),
 ], ids=["families", "index"])
 def test_benchmark_reports_are_byte_identical(workload, digest):
-    # one pass of the benchmark workload; the digests recorded in BENCH_13.json
+    # one pass of the benchmark workload; the digests recorded in BENCH_26.json
     wl = _benchmark_workloads()
     inputs, setup, run_pass = wl.WORKLOADS[workload]
     res = wl.PassResult()
@@ -1394,9 +1534,9 @@ def test_families_work_is_pinned(monkeypatch):
     res = wl.PassResult()
     run_pass(state, res)
     assert res.failed == 0 and res.attempted > 0
-    assert work == {"steps": 844, "boxes": 9937, "degrees": 152, "isolations": 150,
-                    "enclosures": 30, "continua": 3, "proofs": 874, "centres": 212313,
-                    "points": 2919}
+    assert work == {"steps": 668, "boxes": 8383, "degrees": 169, "isolations": 150,
+                    "enclosures": 30, "continua": 3, "proofs": 698, "centres": 198327,
+                    "points": 2964}
 
 
 def test_reports_serialize():
