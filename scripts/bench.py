@@ -8,8 +8,8 @@ every workload, once per seed with tracing off and once more traced (first
 seed), and writes ``BENCH_<label>.json`` at the root of this repository. The
 file holds the commit, Python and numpy versions and core count of the runs,
 the median and quartiles of every end-to-end metric per workload, the report
-digests of all runs and of the untraced runs alone, whether every run was
-correct, and the traced per-layer metrics.
+digests of all runs, of the untraced runs alone and of each seed's untraced
+run, whether every run was correct, and the traced per-layer metrics.
 Exits 1, writing nothing, if any run fails. Each run takes about half a
 minute at the default ``--seconds`` (the benchmark's ``run_seconds``).
 """
@@ -64,6 +64,7 @@ def summarize(runs: list[dict], traced: dict) -> dict:
         "correct": all(r["summary"]["correct"] for r in runs + [traced]),
         "digests": sorted({r["record"]["digest"] for r in runs + [traced]}),
         "untraced_digests": sorted({r["record"]["digest"] for r in runs}),
+        "seed_digests": {str(r["record"]["seed"]): r["record"]["digest"] for r in runs},
         "end_to_end": {name: {"unit": m["unit"],
                               **spread([r["summary"]["metrics"][name]["value"] for r in runs])}
                        for name, m in metrics.items()},

@@ -7,11 +7,14 @@ records ``perfbench/results/<workload>-seed<seed>-trace0.json`` and
 ``...-trace1.json`` (written by ``perfbench/run.py --trace 0`` and
 ``--trace 1``) and compares them with the digests that the newest
 ``BENCH_<n>.json`` at the root of the repository recorded, n the largest
-integer label. The untraced digest must be the only one that the BENCH
-file records for untraced runs (``untraced_digests``, or ``digests`` in
-files older than that field); the traced digest must be among
-``digests``, the digests of traced and untraced runs together, as a traced
-run may take another path. The digests do not depend on the seed. A
+integer label. The untraced digest must be the one that the BENCH file
+records for the seed's untraced run (``seed_digests``); files older than
+that field record no seeds, and the untraced digest must then be the only
+one that they record for untraced runs (``untraced_digests``, or
+``digests`` in files older than that). A digest can depend on the seed:
+the families maps are seeded, and each translate's search region follows
+its map. The traced digest must be among ``digests``, the digests of
+traced and untraced runs together, as a traced run may take another path. A
 record is stale, and is not compared, when its ``commit`` is not the
 checkout's HEAD or its file is older than the newest file under
 ``src/annulift/``: it was made from other code. Exits 1 on a missing file,
@@ -93,7 +96,15 @@ def main(argv=None) -> int:
                 continue
             got = run["digest"]
             want = bench[w]["digests"]
-            if not trace:   # BENCH files before untraced_digests record only digests
+            if not trace and "seed_digests" in bench[w]:
+                by_seed = bench[w]["seed_digests"]
+                if str(args.seed) not in by_seed:
+                    ok = False
+                    print(f"{label}: seed {args.seed} is not recorded in {bench_path.name} "
+                          f"(seeds {', '.join(sorted(by_seed, key=int))})")
+                    continue
+                want = [by_seed[str(args.seed)]]
+            elif not trace:   # BENCH files before untraced_digests record only digests
                 want = bench[w].get("untraced_digests", want)
             match = got in want if trace else want == [got]
             ok &= match

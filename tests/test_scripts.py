@@ -45,11 +45,14 @@ def test_check_digests_reads_the_newest_bench_file(tmp_path):
     source.write_text("")
     os.utime(source, (1e9, 1e9))
 
-    def bench(label, *digests, untraced=None):
+    def bench(label, *digests, untraced=None, seeds=None):
         doc = {"workloads": {w: {"digests": [d + w for d in digests]} for w in workloads}}
         if untraced is not None:
             for w in workloads:
                 doc["workloads"][w]["untraced_digests"] = [d + w for d in untraced]
+        if seeds is not None:
+            for w in workloads:
+                doc["workloads"][w]["seed_digests"] = {s: d + w for s, d in seeds.items()}
         (tmp_path / f"BENCH_{label}.json").write_text(json.dumps(doc))
 
     def record(digest, commit="c0ffee", traces=(0, 1)):
@@ -101,6 +104,21 @@ def test_check_digests_reads_the_newest_bench_file(tmp_path):
     record("path-", traces=(0,))
     proc = _check_digests(tmp_path)
     assert proc.returncode == 1 and proc.stdout.count("differs from BENCH_12.json") == 3
+    # with each seed's untraced digest recorded, the untraced record must be
+    # its seed's, whatever the other seeds gave; an unrecorded seed fails
+    record("new-")
+    bench(13, "new-", "seeded-", untraced=["new-", "seeded-"],
+          seeds={"1": "new-", "2": "seeded-"})
+    proc = _check_digests(tmp_path)
+    assert proc.returncode == 0 and proc.stdout.count("matches BENCH_13.json") == 6
+    record("seeded-", traces=(0,))
+    proc = _check_digests(tmp_path)
+    assert proc.returncode == 1 and proc.stdout.count("differs from BENCH_13.json") == 3
+    bench(13, "new-", "seeded-", untraced=["new-", "seeded-"], seeds={"2": "seeded-"})
+    record("new-")
+    proc = _check_digests(tmp_path)
+    assert proc.returncode == 1 and proc.stdout.count("seed 1 is not recorded in BENCH_13") == 3
+    (tmp_path / "BENCH_13.json").unlink()
     (tmp_path / "BENCH_12.json").unlink()
     record("new-")
     (tmp_path / "BENCH_11.json").unlink()
