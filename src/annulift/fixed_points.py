@@ -661,13 +661,14 @@ def _translate_regions(cells, ks, strip) -> list:
     near = np.abs(D[:, 1]) <= r
     if not near.any():
         return [None] * len(ks)
-    xy, Dx, Dy = centres[near], D[near, 0], D[near, 1]
+    xy, (Dx, Dy) = centres.compress(near, axis=0), D.compress(near, axis=0).T
     # the cells in x order, and in y order, which is the grid's row order
     orders = (np.argsort(xy[:, 0], kind="stable"), np.arange(len(xy)))
     x0, x1, y0, y1 = strip
+    ks = np.asarray(ks, dtype=float)
     regions = []
     for start in range(0, len(ks), _CHUNK):
-        t = np.add.outer(np.asarray(ks[start:start + _CHUNK], dtype=float), Dx)
+        t = np.add.outer(ks[start:start + _CHUNK], Dx)
         keep = np.hypot(t, Dy, out=t) <= r
         del t   # before the next block allocates its own
         lo, hi = np.empty((len(keep), 2)), np.empty((len(keep), 2))

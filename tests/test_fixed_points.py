@@ -1514,7 +1514,8 @@ def _benchmark_workloads():
     ("index", "564726befa429e054063cecb1ce9130075000640914c4f2c0d1f1a7432e1a87d"),
 ], ids=["families", "index"])
 def test_benchmark_reports_are_byte_identical(workload, digest):
-    # one pass of the benchmark workload; the digests recorded in BENCH_26.json
+    # one pass of the benchmark workload at seed 1: the index digest is the
+    # one BENCH_26.json records; the families digest depends on the seed
     wl = _benchmark_workloads()
     inputs, setup, run_pass = wl.WORKLOADS[workload]
     res = wl.PassResult()
