@@ -257,9 +257,8 @@ def _add_common(p: argparse.ArgumentParser, with_map=True) -> None:
     p.add_argument("--json", default=None, help="write a JSON artifact here")
 
 
-_SWEEP_REGION_HELP = ("x0,x1,y0,y1: sweep the unit strip [x0, x0 + 1) x [y0, y1], x0 moved "
-                      "a little off fixed points; x1 is not used (default: x0 = -0.5 and "
-                      "the map's y-window)")
+_SWEEP_REGION_HELP = ("x0,x1,y0,y1: sweep the unit strip [x0, x0 + 1] x [y0, y1]; x1 is "
+                      "not used (default: x0 = -0.5 and the map's y-window)")
 
 
 def build_parser() -> argparse.ArgumentParser:

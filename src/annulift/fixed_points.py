@@ -3,11 +3,10 @@
 A box certifies a fixed point of a lift when the winding number of the
 displacement field F - id around its boundary is nonzero; this needs only
 continuity, no derivatives. Every other proof here, that a cell holds no
-fixed point, where a box cut by a strip's seam lies, which translates a
-strip admits and where each can have fixed points, is one call of
-``proofs.enclosure``, under the Lipschitz bound the map declares; ``proofs``
-names the whole trusted base. Isolation and sweeps refuse a map without a
-bound (ParamOutOfRange).
+fixed point, which translates a strip admits and where each can have fixed
+points, is one call of ``proofs.enclosure``, under the Lipschitz bound the
+map declares; ``proofs`` names the whole trusted base. Isolation and sweeps
+refuse a map without a bound (ParamOutOfRange).
 
 A box is discarded when each cell of its 3 x 3 split is, by the enclosure at
 the cell's centre. Centres, not edge samples: a box shares its edges with
@@ -47,16 +46,19 @@ fixed set looks one-dimensional there (diagnose_continuum, asked about the
 box where attempt 1 failed), the search stops with FixedContinuum: no
 jitter moves a line of fixed points off every subdivision line.
 
-A completeness sweep counts each periodic point once, on a unit strip
-[x0, x0 + 1) x [y0, y1] that holds one lift of it (B. Jiang, Lectures on
-Nielsen Fixed Point Theory, 1983). One enclosure of D = F^n - id over the
-strip, on about _RANGE_SAMPLES cells that cover it, decides what is
+A completeness sweep counts each periodic point once, by its Nielsen class,
+a residue of the deck offset k mod M = d^n - 1 (B. Jiang, Lectures on
+Nielsen Fixed Point Theory, 1983). One enclosure of D = F^n - id over a
+unit strip [x0, x0 + 1] x [y0, y1], which holds a lift of every periodic
+point, on about _RANGE_SAMPLES cells that cover it, decides what is
 searched: a translate F^n + (k, 0) is admitted when -k lies in the
-enclosure of D_x, and is isolated only on the bounding box of the cells
-whose |D(c) + (k, 0)| does not exceed the radius, grown by half a cell and
-clipped to the strip, since every other cell is proved free of its fixed
-points; a translate with no such cell is proved to fix no point of the
-strip and is not searched.
+enclosure of D_x, and its fixed points in the strip lie in the bounding box
+of the cells whose |D(c) + (k, 0)| does not exceed the radius, grown by
+half a cell and clipped to the strip, since every other cell is proved free
+of them; a translate with no such cell fixes no point of the strip. As p is
+fixed by F^n + (k + jM, 0) exactly when p + (j, 0) is fixed by F^n + (k, 0),
+each class is isolated once, on its first translate with a region, over the
+bounding box of its translates' regions, each moved onto that translate.
 """
 
 from __future__ import annotations
@@ -641,14 +643,9 @@ def _x_range(cells) -> tuple[float, float]:
     return float(D[:, 0].min() - r), float(D[:, 0].max() + r)
 
 
-def _x_displacement_range(F, region) -> tuple[float, float]:
-    """Enclosure [lo, hi] of (F - id)_x over the region (_strip_cells)."""
-    return _x_range(_strip_cells(F, region))
-
-
 def _translate_regions(cells, ks, strip) -> list:
-    """For each translate k of ks, the region its isolation searches: the
-    bounding box of the cells c (_strip_cells over the strip) with
+    """For each translate k of ks, the region of the strip where it can fix
+    points: the bounding box of the cells c (_strip_cells over the strip) with
     |D(c) + (k, 0)| <= r, grown by half a cell and clipped to the strip;
     None when there is no such cell. Every other cell holds no fixed point
     of F + (k, 0) (proofs), so the region holds each one in the strip, and
@@ -683,106 +680,65 @@ def _translate_regions(cells, ks, strip) -> list:
     return regions
 
 
-def _seam_start(F_iter: LiftMap, x0: float, y0: float, y1: float,
-                resolution: float) -> float:
-    """x0, moved so that no certified box can meet the seam lines x = x0 and
-    x0 + 1. Such a box is at most ``resolution`` wide, so its point lies in
-    the band [x0 - resolution, x0 + resolution] x [y0, y1], where D_x is -k
-    for its translate k; the band is clear when the enclosure of D_x over it
-    holds no integer, and then so is the band at x0 + 1, where D_x is the
-    same plus d^n - 1. Otherwise x0 moves by what would put the enclosure's
-    middle halfway between integers, were D_x linear, up to _ATTEMPTS times;
-    once only when the enclosure is 1 or more wide and can never clear, as
-    halfway is then the best place for the seam.
-    """
-    for _ in range(_ATTEMPTS):
-        lo, hi = _x_displacement_range(F_iter, (x0 - resolution, x0 + resolution, y0, y1))
-        mid = 0.5 * (lo + hi)
-        if not math.isfinite(mid) or math.ceil(lo) > hi:   # unbounded, or clear
-            break
-        x0 += (math.floor(mid) + 0.5 - mid) / (F_iter.degree - 1)
-        if not hi - lo < 1.0:
-            break
-    return x0
-
-
-def _owned(F, box, x0: float) -> Optional[bool]:
-    """Whether the point certified in a box lies in [x0, x0 + 1): where its
-    centre lies, for a box clear of both seam lines; for a box that meets
-    one (which _seam_start makes rare), the side to which one exclusion test
-    of its two halves confines the point; None when that test proves neither.
-    """
-    bx0, bx1, by0, by1 = box
-    for seam, inside_right in ((x0, True), (x0 + 1.0, False)):
-        if bx0 <= seam <= bx1:
-            margin = _exclusion_margins(F, [(bx0, seam, by0, by1), (seam, bx1, by0, by1)])[0]
-            left, right = (margin > 0).all(axis=1).tolist()
-            if left or right:
-                return left == inside_right
-            return None
-    return x0 <= 0.5 * (bx0 + bx1) < x0 + 1.0
-
-
 def _strip_report(F_iter: LiftMap, period: int, strip, resolution: float) -> NielsenReport:
     """One period on one strip, from one enclosure of D = F^n - id over it
-    (_strip_cells): each admissible translate k, -k in the enclosure of
-    D_x, isolated on the part of the strip where that enclosure leaves room
-    for its fixed points (_translate_regions), and not at all when it
-    leaves none; the boxes that _owned puts in [x0, x0 + 1) kept, continua
-    counted once per residue; a box it cannot place, or a toolkit error in
-    isolating or placing, is its translate's error."""
-    modulus = abs(F_iter.degree - 1)
-    x0 = strip[0]
+    (_strip_cells). The admissible translates k, -k in the enclosure of
+    D_x, that have a region (_translate_regions) are grouped by class,
+    k mod |M|, M = d^n - 1. A point p is fixed by F^n + (k', 0) exactly
+    when p + ((k' - k) / M, 0) is fixed by F^n + (k, 0), for k' = k mod M,
+    so each class is isolated once, on its first translate k: over the
+    bounding box of its translates' regions, each moved by (k' - k) / M in
+    x. Distinct fixed points of one translate are distinct periodic points,
+    and every lift in the strip of a point of the class lands in that box,
+    so each point is counted once. A continuum is its class's continuum; a
+    toolkit error in isolating is its class's error, keyed by k."""
+    M = F_iter.degree - 1
     cells = _strip_cells(F_iter, strip)
     lo, hi = _x_range(cells)
     if not hi - lo < _SUBDIVISION_BUDGET:   # inf too
         raise BudgetExceeded(f"about {hi - lo:.3g} admissible translates on {strip}")
     ks = range(math.ceil(-hi), math.floor(-lo) + 1)
-    boxes, errors, continuum = [], {}, {}
+    classes = {}   # k mod |M| -> (its first translate with a region, their merged region)
     for k, region in zip(ks, _translate_regions(cells, ks, strip)):
         if region is None:   # F^n + (k, 0) fixes no point of the strip
             continue
-        residue = (-k) % modulus
-        Fk = deck_translate(F_iter, k)
+        first, (x0, x1, y0, y1) = classes.setdefault(k % abs(M), (k, region))
+        s = (k - first) // M   # moves the fixed points of k onto those of first
+        classes[k % abs(M)] = (first, (min(x0, region[0] + s), max(x1, region[1] + s),
+                                       min(y0, region[2]), max(y1, region[3])))
+    boxes, errors, continuum = [], {}, []
+    for k, region in classes.values():
         try:
-            found = isolate_fixed_points(Fk, region, resolution, lift_offset=k)
-            owned = [_owned(Fk, b.box, x0) for b in found]
+            boxes.extend(isolate_fixed_points(deck_translate(F_iter, k), region, resolution,
+                                              lift_offset=k))
         except FixedContinuum:
-            continuum.setdefault(residue, k)
-            continue
+            continuum.append(k)
         except ToolkitError as exc:
             errors[k] = f"{type(exc).__name__}: {exc}"
-            continue
-        for b, own in zip(found, owned):
-            if own is None:
-                errors[k] = f"BoundaryFixedPoint: the box {b.box} meets a seam of the strip"
-            elif own:
-                boxes.append(b)
-    return NielsenReport(period=period, modulus=modulus, fixed_boxes=tuple(boxes),
-                         errors=errors, continuum_offsets=tuple(continuum.values()))
+    return NielsenReport(period=period, modulus=abs(M), fixed_boxes=tuple(boxes),
+                         errors=errors, continuum_offsets=tuple(continuum))
 
 
 def completeness_check(F: LiftMap, n_max: int, region=None, resolution: float = 1e-3
                        ) -> list[NielsenReport]:
-    """For each period n <= n_max, certify the period-n points of one unit
-    strip S = [x0, x0 + 1) x [y0, y1], classify them by Nielsen residue, and
-    report whether all |d^n - 1| residue classes are realized.
+    """For each period n <= n_max, certify the period-n points, each once,
+    classify them by Nielsen residue, and report whether all |d^n - 1|
+    residue classes are realized.
 
-    Each period-n point has one lift p in S, fixed by F^n + (k, 0) with
-    k = -D_x(p), D = F^n - id, so its residue is (-k) mod |d^n - 1|. One
+    Every period-n point has a lift p in the unit strip
+    S = [x0, x0 + 1] x [y0, y1], fixed by F^n + (k, 0) with
+    k = -D_x(p), D = F^n - id, and its residue is (-k) mod |d^n - 1|. One
     enclosure of D over S, a proof under F's declared Lipschitz bound
     (ParamOutOfRange without one), admits the k with -k in its range of
-    D_x, and isolates each only on the part of S where it leaves room for
-    a fixed point of F^n + (k, 0) (_strip_report); a k with no room there
-    fixes no point of S and is not searched. A box is kept when its centre
-    lies in [x0, x0 + 1). That is exact when no box meets a seam line x = x0
-    or x0 + 1: _seam_start moves x0 before each period so that none can,
-    and _owned places any box that still does by one exclusion test.
+    D_x and bounds where in S each can fix a point; a k with no room there
+    fixes no point of S and is not searched. Each class is then isolated
+    once, on one translate, over where the enclosure leaves room for the
+    lifts of its points (_strip_report), so each periodic point is counted
+    once, wherever it lies in S, on the strip's edges too.
 
     ``region`` supplies x0 and [y0, y1], not x1; the default is _STRIP_X0
-    and the map's y_window. Failures are recorded per translate; a
-    translate whose fixed set looks one-dimensional is a continuum, counted
-    once per residue.
+    and the map's y_window. Failures are recorded per class; a class whose
+    fixed set looks one-dimensional is a continuum, counted once.
     """
     n_max = int(n_max)
     if n_max < 1:
@@ -796,12 +752,8 @@ def completeness_check(F: LiftMap, n_max: int, region=None, resolution: float = 
     check_rectangle(x0, x0 + 1.0, y0, y1)   # a ValueError for a bad strip, before any sweep
     if not resolution > 0:  # NaN too
         raise ValueError("resolution must be positive")
-    reports = []
-    for n in range(1, n_max + 1):
-        F_iter = iterate(F, n)
-        start = _seam_start(F_iter, x0, y0, y1, resolution)
-        reports.append(_strip_report(F_iter, n, (start, start + 1.0, y0, y1), resolution))
-    return reports
+    return [_strip_report(iterate(F, n), n, (x0, x0 + 1.0, y0, y1), resolution)
+            for n in range(1, n_max + 1)]
 
 
 def translate_strip(F: LiftMap, k: int) -> tuple[float, float, float, float]:
@@ -810,7 +762,7 @@ def translate_strip(F: LiftMap, k: int) -> tuple[float, float, float, float]:
     that brings -k nearest the middle of the enclosure of (F - id)_x over
     it, as a unit shift moves that by d - 1 (j = 0 for degree 1)."""
     y0, y1 = F.y_window
-    lo, hi = _x_displacement_range(F, (_STRIP_X0, _STRIP_X0 + 1.0, y0, y1))
+    lo, hi = _x_range(_strip_cells(F, (_STRIP_X0, _STRIP_X0 + 1.0, y0, y1)))
     j = round((-k - 0.5 * (lo + hi)) / (F.degree - 1)) if F.degree != 1 else 0
     return (_STRIP_X0 + j, _STRIP_X0 + j + 1.0, y0, y1)
 

@@ -10,13 +10,12 @@ L (``LiftMap.lipschitz``) has displacement D = F - id that is
 (``np.hypot`` of the two components) with that radius; each proof of
 ``fixed_points`` is written through it and nothing else reads the bound:
 
-- a cell whose |D(c)| exceeds the radius holds no fixed point (exclusion,
-  and the seam test that places a box cut by a strip's seam);
+- a cell whose |D(c)| exceeds the radius holds no fixed point (exclusion);
 - D_x over a strip lies within the range of D_x at the centres of cells
   covering it, widened by the radius (the admissible translates of a sweep);
 - a strip cell whose |D(c) + (k, 0)| exceeds the radius holds no fixed point
-  of F + (k, 0) (where a sweep searches translate k; a translate left with
-  no cell is not searched).
+  of F + (k, 0) (where a sweep searches the class of translate k; a
+  translate left with no cell is not searched).
 
 The search around these statements (the tree of cells, its chunking,
 jitter, mop-up and retries, and ``diagnose_continuum``) is heuristic and

@@ -118,7 +118,7 @@ def test_a_bad_region_is_refused_without_building_a_curve(monkeypatch, region, m
 
     monkeypatch.setattr(curves.ClosedCurve, "__post_init__", built)
     monkeypatch.setattr(fixed_points, "_isolate_once", search)
-    monkeypatch.setattr(fixed_points, "_seam_start", search)
+    monkeypatch.setattr(fixed_points, "_strip_cells", search)
     F = zoo("power", d=2)
     for bad, error in ((region, ValueError), ((0.0, 1.0, -1.0, 1.0), Searched)):
         for call in (lambda: isolate_fixed_points(F, bad, 1e-2),
@@ -762,7 +762,7 @@ _SIGNED = st.one_of(st.sampled_from([-1.0, 0.0, 1.0]), st.floats(-1.0, 1.0))
 def test_enclosures_hold_at_every_point(name, centre, half, strip, at):
     # the trusted statement itself, on maps with their declared bounds: every
     # point p of a cell c +- w has |D(p) - D(c)| <= r, and D_x at every point
-    # of a region lies in its _x_displacement_range; the slack is the rounding
+    # of a region lies in the _x_range of its _strip_cells; the slack is the rounding
     # of D, which the proof leaves to exact arithmetic
     F = _ENCLOSED[name]
     at = np.array(at)
@@ -775,7 +775,8 @@ def test_enclosures_hold_at_every_point(name, centre, half, strip, at):
         rounding = 8.0 * float(np.spacing(np.abs(np.concatenate([image, p, c])).max()))
         assert (np.hypot(*(image - p - d).T) <= r * (1.0 + 1e-12) + rounding).all()
         x0, y0, width, height = strip
-        lo, hi = fixed_points._x_displacement_range(F, (x0, x0 + width, y0, y0 + height))
+        lo, hi = fixed_points._x_range(
+            fixed_points._strip_cells(F, (x0, x0 + width, y0, y0 + height)))
         q = np.array([x0, y0]) + 0.5 * (at + 1.0) * np.array([width, height])
         dx = (F(q) - q)[:, 0]
         rounding = 8.0 * float(np.spacing(np.abs(np.concatenate([F(q), q])).max()))
@@ -835,7 +836,7 @@ def test_enclosures_name_the_first_non_finite_cell(monkeypatch, bad):
                         asked.append(centres) or enclosure(G, centres, half))
     boxes = np.array([[-1.0, 0.0, -1.0, 1.0], [0.0, 1.0, -1.0, 1.0], [-1.0, 1.0, 0.0, 2.0]])
     for prove in (lambda: _exclusion_margins(F, boxes),
-                  lambda: fixed_points._x_displacement_range(F, (0.0, 1.0, -1.0, 1.0))):
+                  lambda: fixed_points._strip_cells(F, (0.0, 1.0, -1.0, 1.0))):
         with pytest.raises(NonFiniteDisplacement) as exc:
             prove()
         centres = asked[-1]
@@ -993,15 +994,36 @@ def test_sweep_does_not_depend_on_the_strip(name, params, n_max):
                for r in completeness_check(F, n_max, region=(0.1, 1.1, -2.0, 2.0)))
 
 
-_SEAM_FRACTIONS = st.tuples(st.integers(-40, 40), st.sampled_from([1, 2, 3, 7, 8, 9, 26]))
+_EDGE_FRACTIONS = st.tuples(st.integers(-40, 40), st.sampled_from([1, 2, 3, 7, 8, 9, 26]))
 
 
 def _reference_strip_report(F_iter, period, strip, resolution):
-    """The strip sweep that searches every admissible translate on the whole
-    strip, whatever the enclosure says of where its fixed points can be."""
+    """The sweep of one period that counts each periodic point by its one
+    lift in [x0, x0 + 1): x0 first moved off the fixed points near the
+    strip's seam lines x = x0 and x0 + 1, every admissible translate
+    searched on the whole strip, whatever the enclosure says of where its
+    fixed points can be, and each box kept when its point lies in the strip.
+
+    A box that meets a seam is at most ``resolution`` wide, so its point lies
+    in the band x0 +- resolution, where D_x = -k; x0 moves by what would put
+    the middle of the band's D_x enclosure halfway between integers, were D_x
+    linear, until that enclosure holds no integer, at most _ATTEMPTS times,
+    and once only when it is 1 or more wide. A box clear of both seams is
+    placed by its centre, one that meets a seam by one exclusion test of its
+    two halves, and one that test cannot place is its translate's error."""
     modulus = abs(F_iter.degree - 1)
-    x0 = strip[0]
-    lo, hi = fixed_points._x_displacement_range(F_iter, strip)
+    x0, _, y0, y1 = strip
+    for _ in range(fixed_points._ATTEMPTS):
+        lo, hi = fixed_points._x_range(
+            fixed_points._strip_cells(F_iter, (x0 - resolution, x0 + resolution, y0, y1)))
+        mid = 0.5 * (lo + hi)
+        if not math.isfinite(mid) or math.ceil(lo) > hi:   # unbounded, or clear
+            break
+        x0 += (math.floor(mid) + 0.5 - mid) / (F_iter.degree - 1)
+        if not hi - lo < 1.0:
+            break
+    strip = (x0, x0 + 1.0, y0, y1)
+    lo, hi = fixed_points._x_range(fixed_points._strip_cells(F_iter, strip))
     if not hi - lo < fixed_points._SUBDIVISION_BUDGET:
         raise BudgetExceeded(f"about {hi - lo:.3g} admissible translates on {strip}")
     boxes, errors, continuum = [], {}, {}
@@ -1010,7 +1032,18 @@ def _reference_strip_report(F_iter, period, strip, resolution):
         Fk = deck_translate(F_iter, k)
         try:
             found = isolate_fixed_points(Fk, strip, resolution, lift_offset=k)
-            owned = [fixed_points._owned(Fk, b.box, x0) for b in found]
+            owned = []
+            for b in found:
+                bx0, bx1, by0, by1 = b.box
+                own = x0 <= 0.5 * (bx0 + bx1) < x0 + 1.0
+                for seam, inside_right in ((x0, True), (x0 + 1.0, False)):
+                    if bx0 <= seam <= bx1:
+                        margin = _exclusion_margins(
+                            Fk, [(bx0, seam, by0, by1), (seam, bx1, by0, by1)])[0]
+                        left, right = (margin > 0).all(axis=1).tolist()
+                        own = left == inside_right if left or right else None
+                        break
+                owned.append(own)
         except FixedContinuum:
             continuum.setdefault(residue, k)
             continue
@@ -1024,6 +1057,19 @@ def _reference_strip_report(F_iter, period, strip, resolution):
                 boxes.append(b)
     return fixed_points.NielsenReport(period, modulus, tuple(boxes), errors,
                                       tuple(continuum.values()))
+
+
+def _record_isolations(m) -> list:
+    """Patch fixed_points through the MonkeyPatch m so that every
+    _strip_report call appends the list of its isolations, each a
+    (lift_offset, region) pair; returns the list of those lists."""
+    periods = []
+    isolate, report = fixed_points.isolate_fixed_points, fixed_points._strip_report
+    m.setattr(fixed_points, "isolate_fixed_points", lambda F, region, res, lift_offset=0:
+              periods[-1].append((lift_offset, region)) or isolate(F, region, res, lift_offset))
+    m.setattr(fixed_points, "_strip_report", lambda F, n, strip, res:
+              periods.append([]) or report(F, n, strip, res))
+    return periods
 
 
 def _claims(reports):
@@ -1043,9 +1089,11 @@ def _families_maps(seed):
     ("census", 3, 0.1), ("census", 3, 0.47), ("census", 3, 1.1),
 ], ids=["census", "families1", "families601", "x0=0.1", "x0=0.47", "x0=1.1"])
 def test_searched_regions_keep_the_reference_claims(monkeypatch, maps, n_max, x0):
-    # searching each translate only where the strip enclosure leaves room
-    # for its fixed points changes box geometry and nothing else: the same
-    # counts, residues, continua and errors as searching the whole strip
+    # searching each class once, on one translate and only where the strip
+    # enclosure leaves room for its fixed points, changes box geometry and
+    # nothing else: the same counts, residues, continua and errors as
+    # searching every translate on the whole strip and keeping the boxes
+    # whose point lies in it
     Fs = ([zoo("power", d=d) for d in (2, 3, -2)] if maps == "census"
           else _families_maps(int(maps.split()[1])))
     for F in Fs:
@@ -1062,7 +1110,7 @@ def test_searched_regions_keep_the_reference_claims(monkeypatch, maps, n_max, x0
 @given(name=st.sampled_from([("power", {"d": 2}), ("power", {"d": 3}), ("power", {"d": -2}),
                              ("perturbed_power", {"d": 2, "eps": 0.05})]),
        n=st.integers(1, 3), height=st.sampled_from([1.0, 2.0]),
-       x0=st.one_of(st.floats(-3.0, 3.0), _SEAM_FRACTIONS.map(lambda f: f[0] / f[1])))
+       x0=st.one_of(st.floats(-3.0, 3.0), _EDGE_FRACTIONS.map(lambda f: f[0] / f[1])))
 def test_every_reference_point_lies_where_its_translate_searched(name, n, height, x0):
     # every box that an isolation on the whole strip certifies holds its
     # point in the region that its translate's search covers: its polished
@@ -1137,83 +1185,90 @@ def test_sweep_records_a_failed_translate(monkeypatch):
     # sampled exclusion bound near its zero on the default strip: every
     # attempt keeps a mop-up fragment, and the diagnosis finds no continuum,
     # so each of the _ATTEMPTS jittered attempts runs. The failure is
-    # recorded per translate instead of aborting the sweep.
+    # recorded for its class instead of aborting the sweep. Its one class
+    # (d - 1 = 1) is searched once, on its first translate k = -20, over
+    # the regions of all 41 translates that have one, moved onto it.
     # Its bound is the spectral norm of [[2, 30], [0, 2]].
     shear = make_lift(lambda p: np.stack(
         [2 * p[..., 0] + 30 * p[..., 1], 2 * p[..., 1]], axis=-1), 2,
         lipschitz=_norm_bound(4.0, 904.0, 60.0))
-    searched, attempts = {}, []
-    real, real_once = fixed_points.isolate_fixed_points, fixed_points._isolate_once
-    monkeypatch.setattr(fixed_points, "isolate_fixed_points",
-                        lambda F, region, res, lift_offset=0:
-                        searched.setdefault(lift_offset, region)
-                        and real(F, region, res, lift_offset))
+    attempts = []
+    real_once = fixed_points._isolate_once
+    searched = _record_isolations(monkeypatch)
     monkeypatch.setattr(fixed_points, "_isolate_once",
                         lambda F, region, res, audit, lift_offset:
                         attempts.append((lift_offset, region))
                         or real_once(F, region, res, audit, lift_offset))
     (report,) = completeness_check(shear, 1, resolution=1e-2)
-    assert report.errors == {0: "BoundaryFixedPoint: fixed point kept hitting "
-                                "subdivision boundaries after 4 attempts"}
+    assert report.errors == {-20: "BoundaryFixedPoint: fixed point kept hitting "
+                                  "subdivision boundaries after 4 attempts"}
     assert not report.complete
-    # every attempt jitters the region that k = 0's own isolation searched
-    assert [region for k, region in attempts if k == 0] == [
-        fixed_points._jittered(searched[0], a) for a in range(1, fixed_points._ATTEMPTS + 1)]
+    ((k, region),) = searched[0]
+    assert k == -20 and region[:2] == pytest.approx((-0.48, 40.48), abs=0.01)
+    # every attempt jitters the region that the class's isolation searched
+    assert attempts == [(k, fixed_points._jittered(region, a))
+                        for a in range(1, fixed_points._ATTEMPTS + 1)]
 
 
 @given(d=st.sampled_from([2, 3, -2]), n_max=st.integers(1, 3),
-       x0=st.one_of(st.floats(-3.0, 3.0), _SEAM_FRACTIONS.map(lambda f: f[0] / f[1])))
+       x0=st.one_of(st.floats(-3.0, 3.0), _EDGE_FRACTIONS.map(lambda f: f[0] / f[1])))
 def test_each_residue_is_owned_once_on_any_strip(d, n_max, x0):
     # the fixed points of power(d)^n sit at x = j / (d^n - 1), so a strip
-    # that starts at such a fraction puts a fixed point on its seam, which
-    # the sweep first moves off it: each residue is still owned once
-    for r in completeness_check(zoo("power", d=d), n_max, region=(x0, x0 + 1.0, -1.0, 1.0),
-                                resolution=1e-2):
+    # that starts at such a fraction has a fixed point on both of its edges,
+    # one lift of one periodic point each: each residue is still owned once,
+    # by one isolation of its class
+    with pytest.MonkeyPatch.context() as m:
+        periods = _record_isolations(m)
+        reports = completeness_check(zoo("power", d=d), n_max,
+                                     region=(x0, x0 + 1.0, -1.0, 1.0), resolution=1e-2)
+    for r, isolations in zip(reports, periods, strict=True):
         assert r.count_lower_bound == r.modulus == abs(d ** r.period - 1)
         assert sorted(r.box_residues) == list(range(r.modulus))
+        assert sorted((-k) % r.modulus for k, _ in isolations) == list(range(r.modulus))
         assert not r.errors and not r.continuum_offsets
 
 
+@pytest.mark.parametrize("d", [2, 3, -2, -3])
+@pytest.mark.parametrize("x0", [1 / 3, 1 / 2, -1 / 2, 0.0], ids=["1/3", "1/2", "-1/2", "0"])
+def test_each_class_region_holds_its_point(monkeypatch, d, x0):
+    # power(d)^n + (k, 0) fixes (-k / M, 0), M = d^n - 1, and strips that
+    # start at 1/3 or 1/2 have such a point on both edges, on two translates
+    # of one class: the class's region, its translates' regions moved onto
+    # its first translate k, holds (-k / M, 0) and is a few strip cells wide,
+    # not the strip's width, as it would be were the regions not moved, or
+    # moved the wrong way
+    periods = _record_isolations(monkeypatch)
+    strip = (x0, x0 + 1.0, -2.0, 2.0)
+    reports = completeness_check(zoo("power", d=d), 3, region=strip, resolution=1e-2)
+    for n, (r, isolations) in enumerate(zip(reports, periods, strict=True), start=1):
+        M = d ** n - 1
+        cell = 2.0 * fixed_points._strip_cells(iterate(zoo("power", d=d), n), strip)[1][0]
+        assert len(isolations) == r.count_lower_bound == abs(M)
+        for k, (a, b, c, e) in isolations:
+            assert a <= -k / M <= b and c <= 0.0 <= e
+            assert b - a <= 6.0 * cell
+
+
 def test_continuum_counts_once_per_residue(monkeypatch):
-    # on the strip [0, 1) both k and k - 3 are admissible translates of
+    # on the strip [0, 1], both k and k - 3 are admissible translates of
     # end_swap(-2)^2 for one residue: its vertical lines x = 0 and x = 1
-    # are one circle of the annulus. (A sweep would move the seam off
-    # them; the strip is swept as given here.)
-    translates = []
-    real = fixed_points.isolate_fixed_points
-    monkeypatch.setattr(fixed_points, "isolate_fixed_points",
-                        lambda F, region, res, lift_offset=0:
-                        translates.append(lift_offset) or real(F, region, res, lift_offset))
+    # are one circle of the annulus, so its class is searched once
+    periods = _record_isolations(monkeypatch)
     report = fixed_points._strip_report(iterate(zoo("end_swap", d=-2), 2), 2,
                                         (0.0, 1.0, -2.0, 2.0), 1e-3)
-    assert {(-k) % 3 for k in translates} == {0, 1, 2} and len(translates) > 3
+    assert [k for k, _ in periods[0]] == [-3, -2, -1]
     assert sorted((-k) % 3 for k in report.continuum_offsets) == [0, 1, 2]
     assert report.count_lower_bound == 3 and report.complete and not report.errors
 
 
-def test_seam_moves_off_a_fixed_point(monkeypatch):
-    # power(3) fixes x = 1/2, where the strip [-1/2, 1/2) has its seams: the
-    # sweep moves x0 halfway to the next fixed point (D_x = 2x, so by 1/4)
-    strips = []
-    real = fixed_points._strip_report
-    monkeypatch.setattr(fixed_points, "_strip_report", lambda F, n, strip, res:
-                        strips.append(strip) or real(F, n, strip, res))
+def test_a_point_on_both_edges_is_isolated_once(monkeypatch):
+    # power(3) fixes x = -1/2 and 1/2, the edges of the strip [-1/2, 1/2],
+    # two lifts of one point, fixed by F + (1, 0) and F + (-1, 0): one class,
+    # searched once, beside the class of x = 0
+    periods = _record_isolations(monkeypatch)
     (report,) = completeness_check(zoo("power", d=3), 1, region=(-0.5, 0.5, -2.0, 2.0))
-    assert strips == [(-0.25, 0.75, -2.0, 2.0)]
+    assert [k for k, _ in periods[0]] == [-1, 0]
     assert sorted(report.box_residues) == [0, 1] and not report.errors
-    monkeypatch.undo()
-    # swept as given, the boxes of the point on both seams are errors: the
-    # strip cannot tell which lift is its own
-    report = fixed_points._strip_report(zoo("power", d=3), 1, (-0.5, 0.5, -2.0, 2.0), 1e-3)
-    assert report.box_residues == (0,) and sorted(report.errors) == [-1, 1]
-    assert all("meets a seam" in msg for msg in report.errors.values())
-    # a box that meets a seam 3e-4 from its point (-1/2, 0) is placed by one
-    # exclusion test of its halves: outside [x0, x0 + 1) when x0 = -0.4997,
-    # inside when x0 + 1 = -0.4997; a box clear of the seams by its centre
-    F, box = deck_translate(zoo("power", d=3), 1), (-0.5004, -0.4996, -4e-4, 4e-4)
-    assert fixed_points._owned(F, box, -0.4997) is False
-    assert fixed_points._owned(F, box, -1.4997) is True
-    assert fixed_points._owned(F, box, -0.9) is True and fixed_points._owned(F, box, -0.4) is False
 
 
 def test_translate_strip_holds_the_translates_fixed_point():
@@ -1493,9 +1548,9 @@ def test_census_reports_are_byte_identical(monkeypatch):
     text = "\n".join(reports_to_json(completeness_check(zoo("power", d=d), 4))
                      for d in (2, 3, -2))
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "772998cb4b98dbdf22c8e821711b2fd844e810e7ae2ea101792141a98300d9ef")
-    assert work == {"steps": 924, "boxes": 1846, "degrees": 204, "isolations": 174,
-                    "enclosures": 28, "continua": 0, "proofs": 952, "centres": 131302,
+        "9bb9f1d5ac4a51df1922e1492d00a1e545602ac56fb0be17e88ac02011863355")
+    assert work == {"steps": 913, "boxes": 1859, "degrees": 200, "isolations": 172,
+                    "enclosures": 12, "continua": 0, "proofs": 925, "centres": 65883,
                     "points": 0}
 
 
@@ -1536,7 +1591,7 @@ def test_families_work_is_pinned(monkeypatch):
     run_pass(state, res)
     assert res.failed == 0 and res.attempted > 0
     assert work == {"steps": 668, "boxes": 8383, "degrees": 169, "isolations": 150,
-                    "enclosures": 30, "continua": 3, "proofs": 698, "centres": 198327,
+                    "enclosures": 15, "continua": 3, "proofs": 683, "centres": 136887,
                     "points": 2964}
 
 
