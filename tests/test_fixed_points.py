@@ -1229,7 +1229,8 @@ def test_each_residue_is_owned_once_on_any_strip(d, n_max, x0):
 
 
 @pytest.mark.parametrize("d", [2, 3, -2, -3])
-@pytest.mark.parametrize("x0", [1 / 3, 1 / 2, -1 / 2, 0.0], ids=["1/3", "1/2", "-1/2", "0"])
+@pytest.mark.parametrize("x0", [1 / 3, 1 / 2, -1 / 2, 0.0],
+                         ids=["third", "half", "minus-half", "zero"])
 def test_each_class_region_holds_its_point(monkeypatch, d, x0):
     # power(d)^n + (k, 0) fixes (-k / M, 0), M = d^n - 1, and strips that
     # start at 1/3 or 1/2 have such a point on both edges, on two translates
@@ -1570,7 +1571,7 @@ def _benchmark_workloads():
 ], ids=["families", "index"])
 def test_benchmark_reports_are_byte_identical(workload, digest):
     # one pass of the benchmark workload at seed 1: the index digest is the
-    # one BENCH_26.json records; the families digest depends on the seed
+    # one BENCH_27.json records; the families digest depends on the seed
     wl = _benchmark_workloads()
     inputs, setup, run_pass = wl.WORKLOADS[workload]
     res = wl.PassResult()
