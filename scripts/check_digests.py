@@ -1,6 +1,6 @@
 """Check that benchmark runs reproduce the reports of the newest trajectory point.
 
-    python scripts/check_digests.py --seed 1
+    python scripts/check_digests.py --seed 601
 
 For each workload, reads the digests of the untraced and the traced run
 records ``perfbench/results/<workload>-seed<seed>-trace0.json`` and

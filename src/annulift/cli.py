@@ -1,15 +1,14 @@
 """Command line front end for the experiment suites.
 
 Exit codes: 0 all certifications and assertions passed, 1 a certification
-or assertion failed, 2 usage error (bad flags, or a ValueError from an
-invalid value such as a non-positive resolution or a reversed rectangle).
-Failures also emit one JSON object on stderr. Artifact JSON is
-deterministic for identical flags: sorted keys and no timestamps.
+or assertion failed, 2 usage error (an unknown, missing or malformed flag,
+or a ValueError from an invalid value such as a non-positive resolution or
+a reversed rectangle). Failures also emit one JSON object on stderr.
+Artifact JSON is deterministic for identical flags: sorted keys and no
+timestamps.
 
-Every tolerance is a fixed constant of the library module that reads it.
-The only floors a caller chooses are ``lefschetz_index(min_disp)``, which
-``index --min-disp`` sets, and ``winding_number(min_dist)``; a floor that is
-not finite and at least 0 is a ValueError, so exit 2.
+Every tolerance is a fixed constant of the library module that reads it:
+no command takes a tolerance or a floor.
 """
 
 from __future__ import annotations
@@ -41,11 +40,20 @@ from .fixed_points import (
     reports_to_json,
     translate_strip,
 )
-from .index import _MIN_DISP, lefschetz_index
+from .index import lefschetz_index
 
 
 class UsageError(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors raise UsageError, so main reports
+    them as one JSON object like any other; add_subparsers gives every
+    subcommand's parser this class too."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
 
 
 def _parse_params(raw: str | None) -> dict:
@@ -151,7 +159,7 @@ def cmd_zoo(args) -> int:
 def cmd_index(args) -> int:
     lift = _resolve_map(args.map, _parse_params(args.params))
     curve = _parse_curve(args.curve)
-    idx = lefschetz_index(projected_plane_map(lift), curve, min_disp=args.min_disp)
+    idx = lefschetz_index(projected_plane_map(lift), curve)
     print(idx)
     _emit_json(args.json, {"meta": _meta(args, "index"), "index": idx,
                            "degree": lift.degree})
@@ -166,7 +174,7 @@ def cmd_fixed_points(args) -> int:
     print(f"{len(boxes)} certified box(es) in region {region}")
     # a fixed point p of F + (k, 0) has F(p) = p - (k, 0): its residue is
     # (-k) mod |d - 1|, as completeness_check reads it
-    residue = (-args.lift_k) % abs(lift.degree - 1) if abs(lift.degree) > 1 else ""
+    residue = (-args.lift_k) % abs(lift.degree - 1) if lift.degree != 1 else ""
     rows = ["n,k,x_lo,x_hi,y_lo,y_hi,degree,residue"]
     out_boxes = []
     for b in boxes:
@@ -262,7 +270,7 @@ _SWEEP_REGION_HELP = ("x0,x1,y0,y1: sweep the unit strip [x0, x0 + 1] x [y0, y1]
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="annulift",
         description="Annulus-map lifts: indices, certified fixed points, "
                     "Nielsen classes, completeness and growth experiments.")
@@ -277,9 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--curve", required=True,
                    help="circle:r=<r>[,n=<samples>] | rect:<x0,x1,y0,y1> | JSON file")
-    p.add_argument("--min-disp", dest="min_disp", type=float, default=_MIN_DISP,
-                   help="displacement floor below which the index is undefined "
-                        "(finite, at least 0)")
     p.set_defaults(func=cmd_index)
 
     p = sub.add_parser("fixed-points", help="certified fixed boxes of one deck translate")
@@ -315,12 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    try:
+        args = build_parser().parse_args(argv)
         # a map image far out overflows to inf or NaN; the library reports
         # that as NonFiniteDisplacement, which numpy's warnings would only
         # repeat
@@ -334,6 +335,8 @@ def main(argv=None) -> int:
         json.dump({"error": type(exc).__name__, "message": str(exc)}, sys.stderr)
         sys.stderr.write("\n")
         return 1
+    except SystemExit:   # --help: a usage error raises UsageError instead
+        return 0
 
 
 if __name__ == "__main__":

@@ -35,6 +35,7 @@ HALF_PI = 0.5 * np.pi
 
 _REFINEMENT_BUDGET = 2 ** 16  # points inserted into one turning count's grid
 _WINDING_RESIDUAL = 0.1       # max |total/2pi - nearest integer|
+_MIN_NORM = 1e-10             # a turning count's vector must be longer than this
 # Shewchuk's static filter for the sign of the float orientation determinant
 # l - r: it is exact when |l - r| > (3 + 16 eps) eps (|l| + |r|), eps = 2^-53,
 # as long as nothing underflows; the tiny absolute term covers products that
@@ -236,7 +237,7 @@ def curve_from_json(data) -> ClosedCurve:
 
 # -- winding numbers ----------------------------------------------------------
 
-def _turning_counts(vectors, params, vec_fn, min_norm, too_close_cls,
+def _turning_counts(vectors, params, vec_fn, too_close_cls,
                     too_close_msg: str) -> tuple[list, Optional[Exception]]:
     """Exact integer turning counts of an (m, n, 2) stack of cyclic vector
     loops that share one ascending parameter grid ``params``.
@@ -250,7 +251,7 @@ def _turning_counts(vectors, params, vec_fn, min_norm, too_close_cls,
     Shared-grid rows stay right. A point inserted for another row splits a
     step of this row that is below pi/2 into two: the row's count can then
     change only where its loop really turns more inside that segment, which
-    moves it toward the true count, and a new sample within ``min_norm`` of
+    moves it toward the true count, and a new sample within ``_MIN_NORM`` of
     0 fails the row there, as it should. ``_REFINEMENT_BUDGET`` bounds the
     insertions into the shared grid, as it bounds one loop's. At m = 1 the
     samples, refinements, budget and errors are those of one loop alone.
@@ -258,7 +259,7 @@ def _turning_counts(vectors, params, vec_fn, min_norm, too_close_cls,
     Returns (counts, error): every row's count and None, or the counts of
     the rows before the earliest failing row and that row's exception. A
     row fails on a NaN or infinite vector (NonFiniteDisplacement), on a
-    vector no longer than ``min_norm`` (``too_close_cls``, with
+    vector no longer than ``_MIN_NORM`` (``too_close_cls``, with
     ``too_close_msg``) and on a turning not near an integer
     (WindingResidualError). Rows after a failing row are dropped, as their
     outcome cannot change which failure is the earliest. Running out of
@@ -273,9 +274,9 @@ def _turning_counts(vectors, params, vec_fn, min_norm, too_close_cls,
     inserted = 0
     while rows:
         norms = np.abs(z)
-        if not norms.max() < np.inf or norms.min() <= min_norm:  # NaN fails < too
+        if not norms.max() < np.inf or norms.min() <= _MIN_NORM:  # NaN fails < too
             norms = norms.reshape(-1, rows)
-            j = int((~(norms.max(axis=0) < np.inf) | (norms.min(axis=0) <= min_norm)).argmax())
+            j = int((~(norms.max(axis=0) < np.inf) | (norms.min(axis=0) <= _MIN_NORM)).argmax())
             row = norms[:, j]
             if not row.max() < np.inf:
                 i = int(np.argmin(np.isfinite(row)))
@@ -284,7 +285,7 @@ def _turning_counts(vectors, params, vec_fn, min_norm, too_close_cls,
             else:
                 i = int(row.argmin())
                 error = too_close_cls(
-                    f"{too_close_msg}: |v|={row[i]:.3e} <= {min_norm:.3e} at t={t[i] % 1.0:.6f}")
+                    f"{too_close_msg}: |v|={row[i]:.3e} <= {_MIN_NORM:.3e} at t={t[i] % 1.0:.6f}")
             z = z.reshape(-1, rows)[:, :j].ravel()
             rows = j
             if not rows:
@@ -326,14 +327,12 @@ def _turning_counts(vectors, params, vec_fn, min_norm, too_close_cls,
     return [], error
 
 
-def _turning_count(vectors, params, vec_fn, min_norm, too_close_cls,
-                   too_close_msg: str) -> int:
+def _turning_count(vectors, params, vec_fn, too_close_cls, too_close_msg: str) -> int:
     """The turning count of one (n, 2) loop, where vec_fn(t) gives its
     vectors at parameters t: _turning_counts on a stack of one, raising
     its error."""
     counts, error = _turning_counts(np.asarray(vectors, dtype=float)[None], params,
-                                    lambda t, rows: vec_fn(t), min_norm, too_close_cls,
-                                    too_close_msg)
+                                    lambda t, rows: vec_fn(t), too_close_cls, too_close_msg)
     if error is not None:
         raise error
     return counts[0]
@@ -345,26 +344,16 @@ def _as_complex(vectors) -> np.ndarray:
     return np.ascontiguousarray(vectors, dtype=float).view(complex)[..., 0]
 
 
-def _check_floor(name: str, floor: float) -> None:
-    """A turning count's floor must be finite and at least 0: a NaN floor
-    compares false everywhere and so is no floor at all, and a negative one
-    lets a zero vector through to the count's division."""
-    if not 0.0 <= floor < math.inf:
-        raise ValueError(f"{name} must be finite and at least 0, got {floor!r}")
-
-
-def winding_number(curve: ClosedCurve, basepoint, min_dist: float = 1e-9) -> int:
+def winding_number(curve: ClosedCurve, basepoint) -> int:
     """Signed number of turns of the curve around the basepoint.
 
     Every sample and every refinement point must stay farther than
-    ``min_dist`` from the basepoint, otherwise the result would be
-    numerically unsafe and DistanceViolation is raised. ``min_dist`` must
-    be finite and at least 0 (ValueError otherwise).
+    ``_MIN_NORM`` from the basepoint, otherwise the result would be
+    numerically unsafe and DistanceViolation is raised.
     """
-    _check_floor("min_dist", min_dist)
     p = _as_point(basepoint)
     vec_fn = lambda t: curve.point_at(t) - p  # noqa: E731
-    return _turning_count(curve.samples - p, curve.params, vec_fn, min_dist,
+    return _turning_count(curve.samples - p, curve.params, vec_fn,
                           DistanceViolation, "sample too close to basepoint")
 
 

@@ -72,7 +72,7 @@ class GridFormatError(ToolkitError, ValueError):
 # -- index -------------------------------------------------------------------
 
 class FixedPointOnCurve(ToolkitError):
-    """Displacement magnitude dropped below min_disp; the index is undefined."""
+    """Displacement magnitude dropped to curves._MIN_NORM; the index is undefined."""
 
 
 class BoundaryConditionViolation(ToolkitError):

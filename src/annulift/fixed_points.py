@@ -96,7 +96,6 @@ from .errors import (
 from .index import lefschetz_index
 from .proofs import enclosure
 
-_BOUNDARY_MIN_DISP = 1e-10        # displacement floor on subdivision boundaries
 _EXCLUSION_GRID = 3               # exclusion test samples per box axis
 _SUBDIVISION_BUDGET = 500_000     # tested boxes per attempt
 _JITTER_BASE = math.sqrt(2.0) * 1e-4
@@ -262,7 +261,7 @@ def _layout(boxes, size, grid, masks, leaf: bool) -> tuple[np.ndarray, np.ndarra
 def _boundary_degree(F, box) -> int:
     x0, x1, y0, y1 = box
     curve = rectangle(x0, x1, y0, y1, per_side=_BOUNDARY_SAMPLES_PER_SIDE)
-    return lefschetz_index(F, curve, min_disp=_BOUNDARY_MIN_DISP)
+    return lefschetz_index(F, curve)
 
 
 def _jittered(region, attempt: int):

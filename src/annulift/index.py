@@ -15,7 +15,6 @@ import numpy as np
 from .curves import (
     ClosedCurve,
     _as_point,
-    _check_floor,
     _cyclic_next,
     _integer_coords,
     _orient_signs,
@@ -40,35 +39,31 @@ from .errors import (
 )
 
 
-_MIN_DISP = 1e-6              # displacement floor of an index along a curve
 _RECT_SAMPLES_PER_SIDE = 64   # saddle rectangle samples, for its conditions and its index
 # homotopy times index_jump_experiment probes between its ends, i / (N + 1):
 # an even count N keeps them off the crossing at 1/2, at least 1/(2N + 2) away
 _JUMP_PROBES = 8
 
 
-def lefschetz_index(F, curve: ClosedCurve, min_disp: float = _MIN_DISP) -> int:
+def lefschetz_index(F, curve: ClosedCurve) -> int:
     """Winding number of the displacement curve F(gamma) - gamma about 0.
 
     ``F`` is any vectorized plane-map callable (a LiftMap works). Raises
-    FixedPointOnCurve when the displacement magnitude drops to min_disp at
-    any sample or refinement point, which means the index is undefined,
-    and NonFiniteDisplacement when a displacement there is NaN or infinite.
-    ``min_disp`` must be finite and at least 0 (ValueError otherwise).
+    FixedPointOnCurve when the displacement magnitude drops to the turning
+    count's floor (curves._MIN_NORM) at any sample or refinement point,
+    which means the index is undefined, and NonFiniteDisplacement when a
+    displacement there is NaN or infinite.
     Refinement only reacts to angle steps of at least pi/2, so a
     displacement that turns by nearly a whole multiple of 2*pi between
     samples aliases undetected: on circle(r, 256) with 1 < r <= 2 the
     projected power(3)^5 and power(3)^6 give -13 and -39, not 243 and 729.
     """
-    _check_floor("min_disp", min_disp)
-
     def disp(t):
         pts = curve.point_at(t)
         return np.asarray(F(pts), dtype=float) - pts
 
     v0 = np.asarray(F(curve.samples), dtype=float) - curve.samples
-    return _turning_count(v0, curve.params, disp, min_disp,
-                          FixedPointOnCurve, "fixed point on curve")
+    return _turning_count(v0, curve.params, disp, FixedPointOnCurve, "fixed point on curve")
 
 
 # -- saddle rectangles ----------------------------------------------------------
@@ -380,7 +375,7 @@ def index_jump_experiment(gamma: ClosedCurve, arc: tuple[float, float],
     counts, error = _turning_counts(
         images(times, gamma.params) - gamma.samples, gamma.params,
         lambda t, rows: images(times[:rows], t) - gamma.point_at(t),
-        _MIN_DISP, FixedPointOnCurve, "fixed point on curve")
+        FixedPointOnCurve, "fixed point on curve")
 
     if len(counts) >= 2:
         i_inside, i_outside = counts[:2]   # arc image interior, then pushed exterior
@@ -437,7 +432,7 @@ def homotopy_index_profile(family, curve: ClosedCurve, times: Sequence[float]) -
                 break   # its NaN row fails there, and drops the later rows
         return out
 
-    counts, error = _turning_counts(v0[:len(maps)], curve.params, disp, _MIN_DISP,
+    counts, error = _turning_counts(v0[:len(maps)], curve.params, disp,
                                     FixedPointOnCurve, "fixed point on curve")
     if raised is not None and raised[0] == len(counts):
         raise raised[1]

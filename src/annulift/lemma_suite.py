@@ -22,7 +22,6 @@ from .annulus_maps import projected_plane_map, zoo
 from .curves import ClosedCurve, circle
 from .errors import FixedPointOnCurve
 from .index import (
-    _MIN_DISP,
     homotopy_index_profile,
     index_jump_experiment,
     quad_configuration_index,
@@ -82,7 +81,7 @@ def _power2_indices(radii) -> list[int]:
         at = np.stack([c.point_at(t) for c in rings[:rows]])
         return _POWER2(at) - at
 
-    counts, error = curves._turning_counts(_POWER2(pts) - pts, rings[0].params, disp, _MIN_DISP,
+    counts, error = curves._turning_counts(_POWER2(pts) - pts, rings[0].params, disp,
                                            FixedPointOnCurve, "fixed point on curve")
     if error is not None:
         raise error

@@ -52,7 +52,7 @@ def test_index_curve_from_file(tmp_path, capsys):
     path = tmp_path / "curve.json"
     path.write_text(json.dumps(pts))
     code, out, _ = run(capsys, "index", "--map", "power", "--params", '{"d": 2}',
-                       "--curve", str(path), "--min-disp", "1e-9")
+                       "--curve", str(path))
     assert code == 0
     assert out.strip() == "2"
 
@@ -141,16 +141,6 @@ def test_lemmas_command(capsys):
     assert "FAIL" not in out
 
 
-@pytest.mark.parametrize("floor", ["nan", "-1", "inf"])
-def test_index_floor_out_of_range_is_usage_error(capsys, floor):
-    code, out, err = run(capsys, "index", "--map", "power", "--params", '{"d": 2}',
-                         "--curve", "circle:r=2", "--min-disp", floor)
-    assert code == 2 and out == ""
-    assert json.loads(err) == {"error": "ValueError",
-                               "message": f"min_disp must be finite and at least 0, "
-                                          f"got {float(floor)!r}"}
-
-
 def test_unknown_map_is_usage_error(capsys):
     code, _, err = run(capsys, "index", "--map", "nosuch", "--curve", "circle:r=1")
     assert code == 2
@@ -183,19 +173,21 @@ def test_non_finite_displacement_fails_with_code_one(capsys):
 
 
 def test_usage_error_without_subcommand():
-    assert main([]) == 2
+    assert _assert_error_contract([]) == 2
 
 
-def test_index_min_disp_flag(capsys):
-    # an absurd floor: the index is undefined
-    code, _, err = run(capsys, "index", "--map", "power", "--params", '{"d": 2}',
-                       "--curve", "circle:r=2", "--min-disp", "10")
-    assert code == 1
-    assert json.loads(err)["error"] == "FixedPointOnCurve"
-    code, out, _ = run(capsys, "index", "--map", "power", "--params", '{"d": 2}',
-                       "--curve", "circle:r=2", "--min-disp", "1e-6")
-    assert code == 0
-    assert out.strip() == "2"
+@pytest.mark.parametrize("argv", [
+    ["index", "--map", "power", "--params", '{"d": 2}', "--curve", "circle:r=2", "--bogus", "1"],
+    ["index", "--map", "power", "--params", '{"d": 2}'],
+    ["completeness", "--map", "power", "--params", '{"d": 2}', "--nmax", "abc"],
+], ids=["unknown flag", "missing --curve", "--nmax abc"])
+def test_argparse_errors_keep_the_error_contract(argv):
+    assert _assert_error_contract(argv) == 2
+
+
+def test_help_exits_zero(capsys):
+    code, out, err = run(capsys, "index", "--help")
+    assert code == 0 and out.startswith("usage: annulift index") and err == ""
 
 
 @pytest.mark.parametrize("flag, value", [
@@ -204,9 +196,12 @@ def test_index_min_disp_flag(capsys):
     ("--min-disp", "1e-6"),
 ])
 def test_removed_tolerance_flags_are_usage_errors(capsys, flag, value):
-    code, _, _ = run(capsys, "completeness", "--map", "power", "--params", '{"d": 2}',
-                     "--nmax", "1", flag, value)
-    assert code == 2
+    for command in (["completeness", "--nmax", "1"], ["index", "--curve", "circle:r=2"]):
+        code, out, err = run(capsys, command[0], "--map", "power", "--params", '{"d": 2}',
+                             *command[1:], flag, value)
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"error": "UsageError",
+                                   "message": f"annulift: unrecognized arguments: {flag} {value}"}
 
 
 def test_tabulated_lift_as_map_argument(tmp_path, capsys):
@@ -543,7 +538,7 @@ def test_grid_headers_keep_the_error_contract(header, side, command):
         _assert_error_contract([command[0], "--map", str(path), *command[1:]])
 
 
-@pytest.mark.parametrize("d,k", [(3, 1), (3, -1), (-2, 1), (-2, 2)])
+@pytest.mark.parametrize("d,k", [(3, 1), (3, -1), (-2, 1), (-2, 2), (-1, 1), (-1, 2)])
 def test_fixed_point_residue_is_read_off_the_translate(tmp_path, capsys, d, k):
     # the printed residue (-k) mod |d - 1| is the one nielsen_residue reads
     # off the polished point

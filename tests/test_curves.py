@@ -76,11 +76,12 @@ def test_degree_three_curve_matches_brute_force_oracle():
 
 
 def test_basepoint_too_close_raises():
+    # on a sample, and within the one floor curves._MIN_NORM of one
     c = circle(1.0, n=64)
     with pytest.raises(DistanceViolation):
-        winding_number(c, (1.0, 0.0), min_dist=1e-9)
-    with pytest.raises(DistanceViolation):
-        winding_number(c, (0.999, 0.0), min_dist=0.01)
+        winding_number(c, (1.0, 0.0))
+    with pytest.raises(DistanceViolation, match=f"<= {curves._MIN_NORM:.3e} at t=0.000000"):
+        winding_number(c, (1.0 - 0.5 * curves._MIN_NORM, 0.0))
 
 
 def test_refinement_budget_exceeded(monkeypatch):
@@ -398,9 +399,9 @@ def test_closed_curve_rejects_what_the_reference_rejects():
         assert str(info.value) == expected, (samples, params)
 
 
-def _reference_turning_count(vectors, params, vec_fn, min_norm, too_close_cls,
-                             too_close_msg, budget):
+def _reference_turning_count(vectors, params, vec_fn, too_close_cls, too_close_msg, budget):
     """_turning_count as first written: two real arrays, np.insert refinement."""
+    min_norm = curves._MIN_NORM
     t = np.asarray(params, dtype=float)
     v = np.asarray(vectors, dtype=float)
     inserted = 0
@@ -435,16 +436,17 @@ def _reference_turning_count(vectors, params, vec_fn, min_norm, too_close_cls,
 
 
 @pytest.mark.parametrize("k", [-1000, 0, 30, 900])
-def test_a_vector_exactly_at_the_floor_fails_its_row(k):
+def test_a_vector_exactly_at_the_floor_fails_its_row(monkeypatch, k):
     # |(3, 4) 2^-k| is exactly 5 * 2^-k, the floor: a vector no longer than
     # the floor fails its row, and the rows before it keep their counts
     scale = 2.0 ** -k
+    monkeypatch.setattr(curves, "_MIN_NORM", 5.0 * scale)
     ang = 2.0 * np.pi * np.arange(8) / 8
     loop = 10.0 * scale * np.stack([np.cos(ang), np.sin(ang)], axis=-1)
     touching = loop.copy()
     touching[3] = (3.0 * scale, 4.0 * scale)
     counts, error = curves._turning_counts(np.stack([loop, touching, loop]), np.arange(8) / 8,
-                                           None, 5.0 * scale, DistanceViolation, "too close")
+                                           None, DistanceViolation, "too close")
     assert counts == [1]
     assert isinstance(error, DistanceViolation) and str(error).startswith("too close: |v|=")
 
@@ -473,7 +475,7 @@ def _seeded_loop(rng):
     return fn, t
 
 
-def _outcome(kernel, fn, t, min_norm):
+def _outcome(kernel, fn, t):
     seen = []
 
     def counted(tm):
@@ -481,7 +483,7 @@ def _outcome(kernel, fn, t, min_norm):
         return fn(tm)
 
     try:
-        result = kernel(fn(t), t, counted, min_norm, DistanceViolation, "too close")
+        result = kernel(fn(t), t, counted, DistanceViolation, "too close")
     except Exception as exc:  # the outcome is compared, type and message
         result = (type(exc), str(exc))
     return result, sum(seen)
@@ -494,9 +496,10 @@ def test_turning_count_matches_reference(monkeypatch, budget):
     kinds = set()
     for _ in range(400):
         fn, t = _seeded_loop(rng)
-        min_norm = float(rng.choice([1e-9, 0.05, 0.3]))
-        got = _outcome(_turning_count, fn, t, min_norm)
-        ref = _outcome(lambda *a: _reference_turning_count(*a, budget), fn, t, min_norm)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(curves, "_MIN_NORM", float(rng.choice([1e-9, 0.05, 0.3])))
+            got = _outcome(_turning_count, fn, t)
+            ref = _outcome(lambda *a: _reference_turning_count(*a, budget), fn, t)
         assert got == ref
         kinds.add(got[0][0] if isinstance(got[0], tuple) else int)
         kinds.add("refined" if got[1] else "unrefined")
@@ -547,7 +550,7 @@ def _reference_is_positively_oriented(curve):
         raise NotSimple("sampled segments cross")
     p0 = _reference_interior_point(curve)
     clearance = curves.distance_to_polyline(p0, curve.samples)
-    w = winding_number(curve, p0, min_dist=0.5 * clearance)
+    w = winding_number(curve, p0)
     if abs(w) != 1:
         raise NotSimple(f"winding {w} about an interior point; curve is not simple")
     return w == 1
@@ -629,17 +632,6 @@ def test_circle_params_are_derived():
     with np.errstate(invalid="ignore"), pytest.raises(ValueError,
                                                       match="^samples must be finite$"):
         circle(float("inf"), 16)
-
-
-@pytest.mark.parametrize("floor", [float("nan"), -1.0, -1e-300, float("inf")])
-def test_winding_floor_must_be_finite_and_nonnegative(floor):
-    # far from the basepoint, so that an unchecked floor would return at once
-    with pytest.raises(ValueError, match="min_dist must be finite and at least 0"):
-        winding_number(circle(1.0, 64), (5.0, 0.0), min_dist=floor)
-
-
-def test_winding_floor_of_zero_is_accepted():
-    assert winding_number(circle(1.0, 64), (0.5, 0.0), min_dist=0.0) == 1
 
 
 # -- exact containment and the convex-corner interior point -------------------------

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from annulift import curves, index, lemma_suite
+from annulift import curves, fixed_points, index, lemma_suite
 from annulift.annulus_maps import projected_plane_map, zoo
 from annulift.curves import ClosedCurve, circle, rectangle
 from annulift.lemma_suite import _saddle, _squashed_saddle
 from annulift.errors import (
     BoundaryConditionViolation,
     ConfigurationViolation,
+    DistanceViolation,
     FixedPointOnCurve,
     HomotopyConstructionFailure,
     NonFiniteDisplacement,
@@ -80,13 +81,43 @@ def test_constant_map_inside_and_outside():
     assert lefschetz_index(const_map([3.0, 1.0]), g) == 0
 
 
-@pytest.mark.parametrize("floor", [float("nan"), -1.0, float("inf")])
-def test_index_floor_must_be_finite_and_nonnegative(floor):
-    # z^2 has no fixed point on circle(2, 64), so an unchecked floor returns 2
-    f = projected_plane_map(zoo("power", d=2))
-    with pytest.raises(ValueError, match="min_disp must be finite and at least 0"):
-        lefschetz_index(f, circle(2.0, 64), min_disp=floor)
-    assert lefschetz_index(f, circle(2.0, 64), min_disp=0.0) == 2
+def _double(pts):
+    return 2.0 * np.asarray(pts, dtype=float)
+
+
+@pytest.mark.parametrize("count, want, too_close", [
+    (lambda: lefschetz_index(_double, rectangle(-1, 1, -1, 1)), 1, FixedPointOnCurve),
+    (lambda: curves.winding_number(rectangle(-1, 1, -1, 1), (0.0, 0.0)), 1,
+     DistanceViolation),
+    (lambda: fixed_points._boundary_degree(_double, (-1.0, 1.0, -1.0, 1.0)), 1,
+     FixedPointOnCurve),
+    (lambda: homotopy_index_profile(lambda t: _double, rectangle(-1, 1, -1, 1), [0.0, 1.0]),
+     [1, 1], FixedPointOnCurve),
+], ids=["lefschetz_index", "winding_number", "boundary_degree", "homotopy_index_profile"])
+def test_every_count_has_the_one_floor(monkeypatch, count, want, too_close):
+    # each loop is p on the square's boundary, exactly: its shortest vector
+    # is a side's midpoint sample, of length exactly 1, and no step refines
+    monkeypatch.setattr(curves, "_MIN_NORM", np.nextafter(1.0, 0.0))
+    assert count() == want
+    monkeypatch.setattr(curves, "_MIN_NORM", np.nextafter(1.0, 2.0))
+    with pytest.raises(too_close, match=r"\|v\|=1\.000e\+00 <= 1\.000e\+00"):
+        count()
+
+
+def test_a_loop_within_1e_8_of_zero_counts(monkeypatch):
+    # 2p - q displaces p by p - q: on the unit circle that bottoms out near
+    # 1e-8 at p = (1, 0) for q = (1 - 1e-8, 0), above the floor 1e-10 and
+    # below the 1e-6 that indices once took, and reaches 0 there for q = (1, 0)
+    g = circle(1.0, 64)
+    near, on = np.array([1.0 - 1e-8, 0.0]), np.array([1.0, 0.0])
+    assert lefschetz_index(lambda p: 2.0 * p - near, g) == curves.winding_number(g, near) == 1
+    with pytest.raises(FixedPointOnCurve):
+        lefschetz_index(lambda p: 2.0 * p - on, g)
+    with pytest.raises(DistanceViolation):
+        curves.winding_number(g, on)
+    monkeypatch.setattr(curves, "_MIN_NORM", 1e-6)
+    with pytest.raises(FixedPointOnCurve, match="<= 1.000e-06 at t=0.000000"):
+        lefschetz_index(lambda p: 2.0 * p - near, g)
 
 
 def test_fixed_point_on_curve_detected():
