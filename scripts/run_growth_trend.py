@@ -21,8 +21,7 @@ def main() -> int:
     reports = completeness_check(lift, args.nmax, resolution=args.resolution)
     print(f"{'n':>3} {'count':>8} {'(1/n) ln count':>15}")
     for r in reports:
-        rate = np.log(r.count_lower_bound) / r.period if r.count_lower_bound else float("nan")
-        print(f"{r.period:>3} {r.count_lower_bound:>8} {rate:>15.6f}")
+        print(f"{r.period:>3} {r.count_lower_bound:>8} {growth_rate([r]):>15.6f}")
     bound = np.log(abs(args.d))
     for m in range(2, args.nmax + 1, 2):
         print(f"rate at n_max={m}: {growth_rate(reports[:m]):.6f}")

@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -197,8 +198,10 @@ def degree_check(F: LiftMap, grid: Optional[GridSpec] = None) -> int:
 
 
 def deck_translate(F: LiftMap, k: int) -> LiftMap:
-    """The lift F + (k, 0); same degree, same projected annulus map."""
-    k = int(k)
+    """The lift F + (k, 0); same degree, same projected annulus map. A k of
+    no integer type, such as a float, raises TypeError instead of being
+    truncated."""
+    k = operator.index(k)
     if k == 0:
         return F
     offset = np.array([float(k), 0.0])

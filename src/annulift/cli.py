@@ -22,22 +22,15 @@ from pathlib import Path
 import numpy as np
 
 from . import lemma_suite
-from .annulus_maps import (
-    ZOO_SCHEMAS,
-    LiftMap,
-    deck_translate,
-    load_grid_lift,
-    projected_plane_map,
-    zoo,
-)
+from .annulus_maps import ZOO_SCHEMAS, LiftMap, load_grid_lift, projected_plane_map, zoo
 from .curves import ClosedCurve, circle, curve_from_json, rectangle
 from .errors import ParamOutOfRange, ToolkitError, UnknownZooEntry
 from .fixed_points import (
+    NielsenReport,
     boxes_to_csv_rows,
     completeness_check,
     growth_rate,
     isolate_fixed_points,
-    reports_to_json,
     translate_strip,
 )
 from .index import lefschetz_index
@@ -169,25 +162,18 @@ def cmd_index(args) -> int:
 def cmd_fixed_points(args) -> int:
     lift = _resolve_map(args.map, _parse_params(args.params))
     region = _parse_region(args.region) or translate_strip(lift, args.lift_k)
-    boxes = isolate_fixed_points(deck_translate(lift, args.lift_k), region, args.resolution,
-                                 lift_offset=args.lift_k)
+    boxes = isolate_fixed_points(lift, region, args.resolution, args.lift_k)
     print(f"{len(boxes)} certified box(es) in region {region}")
-    # a fixed point p of F + (k, 0) has F(p) = p - (k, 0): its residue is
-    # (-k) mod |d - 1|, as completeness_check reads it
-    residue = (-args.lift_k) % abs(lift.degree - 1) if lift.degree != 1 else ""
-    rows = ["n,k,x_lo,x_hi,y_lo,y_hi,degree,residue"]
-    out_boxes = []
-    for b in boxes:
+    # one translate's period-1 report: it reads each box's residue off k, as
+    # completeness_check does
+    report = NielsenReport(period=1, modulus=abs(lift.degree - 1), fixed_boxes=tuple(boxes))
+    for b, residue in zip(report.fixed_boxes, report.box_residues):
         x0, x1, y0, y1 = b.box
         print(f"  box [{x0:.6g}, {x1:.6g}] x [{y0:.6g}, {y1:.6g}] "
               f"degree {b.boundary_degree} residue {residue}")
-        rows.append(f"1,{args.lift_k},{x0!r},{x1!r},{y0!r},{y1!r},"
-                    f"{b.boundary_degree},{residue}")
-        out_boxes.append({"box": list(b.box), "boundary_degree": b.boundary_degree,
-                          "lift_offset": b.lift_offset, "residue": residue})
     _emit_json(args.json, {"meta": _meta(args, "fixed-points"), "region": list(region),
-                           "boxes": out_boxes})
-    _emit_csv(args.csv, rows)
+                           "boxes": report.to_dict()["boxes"]})
+    _emit_csv(args.csv, boxes_to_csv_rows([report]))
     return 0
 
 
@@ -217,7 +203,7 @@ def cmd_completeness(args) -> int:
               "families (both ends attracting or repelling); other sweeps are "
               "EXPLORATORY probes, not verification")
     _emit_json(args.json, {"meta": _meta(args, "completeness"),
-                           "reports": json.loads(reports_to_json(reports))})
+                           "reports": [r.to_dict() for r in reports]})
     _emit_csv(args.csv, boxes_to_csv_rows(reports))
     _raise_translate_errors(reports)
     return 0
@@ -230,8 +216,7 @@ def cmd_growth(args) -> int:
                                  resolution=args.resolution)
     print(f"{'n':>3} {'count':>7} {'rate':>10}")
     for r in reports:
-        rate = np.log(r.count_lower_bound) / r.period if r.count_lower_bound else float("-inf")
-        print(f"{r.period:>3} {r.count_lower_bound:>7} {rate:>10.6f}")
+        print(f"{r.period:>3} {r.count_lower_bound:>7} {growth_rate([r]):>10.6f}")
     rate = growth_rate(reports)
     target = float(np.log(abs(lift.degree)))
     print(f"growth rate {rate:.6f} vs ln|d| = {target:.6f}")

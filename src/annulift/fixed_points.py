@@ -160,7 +160,8 @@ _USED = np.arange(512)[:, None] & _COVER[:, None, :] > 0   # (kind, mask, slot)
 class CertifiedFixedBox:
     """Axis-aligned box whose boundary degree certifies an interior fixed point.
 
-    ``lift_offset`` records which deck translate F + (k, 0) was certified.
+    ``lift_offset`` is the k of the deck translate F + (k, 0) that the box
+    was searched on (isolate_fixed_points' k): its point p has F(p) = p - (k, 0).
     """
 
     box: tuple[float, float, float, float]   # x_lo, x_hi, y_lo, y_hi
@@ -278,8 +279,9 @@ def _jittered(region, attempt: int):
 
 
 def _isolate_once(F, region, resolution: float, audit: Optional[IsolationAudit],
-                  lift_offset: int) -> list[CertifiedFixedBox]:
-    """One attempt: a depth-first tree of 3 x 3 cells over the region.
+                  k: int) -> list[CertifiedFixedBox]:
+    """One attempt: a depth-first tree of 3 x 3 cells over the region, whose
+    certified boxes are stamped with k (F is already F + (k, 0)).
 
     The stack is an (N, 6) array of rows (x0, x1, y0, y1, scale, kept), top
     last. Each step tests the untested run at the top of the stack, at most
@@ -321,7 +323,7 @@ def _isolate_once(F, region, resolution: float, audit: Optional[IsolationAudit],
             except FixedPointOnCurve as exc:
                 raise _BoundaryHit(box) from exc
             if deg != 0:
-                certified.append(CertifiedFixedBox(box, deg, lift_offset))
+                certified.append(CertifiedFixedBox(box, deg, k))
                 continue
             # the leaf failed exclusion, and its kept cells would fail it
             # again: go straight to them (or its kept thirds), as mop-up
@@ -369,10 +371,11 @@ def _audit_step(audit, chunk, masks, kinds, margin, norms, grid, resolution) -> 
                                norms[dropped].tolist(), margin[dropped].tolist()))
 
 
-def isolate_fixed_points(F: LiftMap, region, resolution: float, lift_offset: int = 0,
+def isolate_fixed_points(F: LiftMap, region, resolution: float, k: int = 0,
                          audit: Optional[IsolationAudit] = None
                          ) -> list[CertifiedFixedBox]:
-    """Certified boxes around every fixed point of F inside the region.
+    """Certified boxes around every fixed point of the deck translate
+    F + (k, 0) inside the region, each stamped with k (its lift_offset).
 
     Adaptive tree of 3 x 3 cells: a cell is discarded only by the
     displacement lower bound that F's declared Lipschitz bound gives at its
@@ -407,10 +410,10 @@ def isolate_fixed_points(F: LiftMap, region, resolution: float, lift_offset: int
     if not resolution > 0:  # NaN too
         raise ValueError("resolution must be positive")
     check_rectangle(*region)   # a ValueError for a bad region, before any attempt
+    F = deck_translate(F, k)
     for attempt in range(1, _ATTEMPTS + 1):
         try:
-            return _isolate_once(F, _jittered(region, attempt), resolution, audit,
-                                 lift_offset)
+            return _isolate_once(F, _jittered(region, attempt), resolution, audit, k)
         except _BoundaryHit as exc:
             last_exc = exc
         if attempt == 1 and diagnose_continuum(F, last_exc.box, resolution):
@@ -513,8 +516,9 @@ class NielsenReport:
     @property
     def box_residues(self) -> tuple:
         """Residue of each certified box: a fixed point of F^n + (k, 0) has
-        residue (-k) mod |d^n - 1|."""
-        return tuple((-b.lift_offset) % self.modulus for b in self.fixed_boxes)
+        residue (-k) mod |d^n - 1|, or "" when d^n = 1 leaves no classes."""
+        return tuple((-b.lift_offset) % self.modulus if self.modulus else ""
+                     for b in self.fixed_boxes)
 
     @property
     def realized_residues(self) -> frozenset:
@@ -708,8 +712,7 @@ def _strip_report(F_iter: LiftMap, period: int, strip, resolution: float) -> Nie
     boxes, errors, continuum = [], {}, []
     for k, region in classes.values():
         try:
-            boxes.extend(isolate_fixed_points(deck_translate(F_iter, k), region, resolution,
-                                              lift_offset=k))
+            boxes.extend(isolate_fixed_points(F_iter, region, resolution, k))
         except FixedContinuum:
             continuum.append(k)
         except ToolkitError as exc:
@@ -756,10 +759,13 @@ def completeness_check(F: LiftMap, n_max: int, region=None, resolution: float = 
 
 
 def translate_strip(F: LiftMap, k: int) -> tuple[float, float, float, float]:
-    """Default region of ``annulift fixed-points``: the unit strip
-    [x0 + j, x0 + j + 1) x y_window, x0 = _STRIP_X0, shifted by the whole j
+    """Default region of ``annulift fixed-points``: the closed unit strip
+    [x0 + j, x0 + j + 1] x y_window, x0 = _STRIP_X0, shifted by the whole j
     that brings -k nearest the middle of the enclosure of (F - id)_x over
-    it, as a unit shift moves that by d - 1 (j = 0 for degree 1)."""
+    it, as a unit shift moves that by d - 1 (j = 0 for degree 1). The search
+    covers it jittered a little wider, so for degree 1, where p and
+    p + (1, 0) are fixed by one translate, a point on its edge is reported
+    at both edges."""
     y0, y1 = F.y_window
     lo, hi = _x_range(_strip_cells(F, (_STRIP_X0, _STRIP_X0 + 1.0, y0, y1)))
     j = round((-k - 0.5 * (lo + hi)) / (F.degree - 1)) if F.degree != 1 else 0

@@ -6,9 +6,9 @@ take no tolerances: they run at the fixed constants of the index and curves
 modules.
 
 Work that two checks share is done once in a run: the inward index jump is
-the outward one reversed, and the six circles of z^2 are one stack of
-displacement loops on their shared parameter grid. Nothing is kept from one
-run to the next; only the z^2 map itself is built once, at import.
+the outward one reversed, and the six circles of z^2 are one homotopy
+profile on the unit circle. Nothing is kept from one run to the next; only
+the z^2 map itself is built once, at import.
 """
 
 from __future__ import annotations
@@ -17,10 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import curves
 from .annulus_maps import projected_plane_map, zoo
 from .curves import ClosedCurve, circle
-from .errors import FixedPointOnCurve
 from .index import (
     homotopy_index_profile,
     index_jump_experiment,
@@ -69,23 +67,10 @@ def _squashed_saddle(t):
 _POWER2 = projected_plane_map(zoo("power", d=2))
 
 
-def _power2_indices(radii) -> list[int]:
-    """Indices of z^2 along circle(r, 256) for each radius, as lefschetz_index
-    gives them one by one. The circles share their params i / 256, so their
-    displacement loops are one stack on one grid (curves._turning_counts,
-    looked up at call time), and the first failing circle's error is raised."""
-    rings = [circle(r, 256) for r in radii]
-    pts = np.stack([c.samples for c in rings])
-
-    def disp(t, rows):
-        at = np.stack([c.point_at(t) for c in rings[:rows]])
-        return _POWER2(at) - at
-
-    counts, error = curves._turning_counts(_POWER2(pts) - pts, rings[0].params, disp,
-                                           FixedPointOnCurve, "fixed point on curve")
-    if error is not None:
-        raise error
-    return counts
+def _power2_at_radius(r):
+    """z^2 conjugated by z -> r z: its displacement along the unit circle is
+    that of z^2 along circle(r), divided by r, so it has the same index."""
+    return lambda pts: _POWER2(r * pts) / r
 
 
 def _frame_lines():
@@ -138,7 +123,8 @@ def suite_homotopy_invariance() -> SuiteResult:
 
     # free homotopy of the curve: the power-map index is constant on each
     # side of the invariant circle
-    indices = _power2_indices((0.3, 0.5, 0.7, 1.5, 2.0, 3.0))
+    indices = homotopy_index_profile(_power2_at_radius, circle(1.0, 256),
+                                     (0.3, 0.5, 0.7, 1.5, 2.0, 3.0))
     inner, outer = indices[:3], indices[3:]
     radii_ok = inner == [1, 1, 1] and outer == [2, 2, 2]
 

@@ -469,10 +469,10 @@ def test_failed_translate_is_one_json_error(monkeypatch, capsys, command):
     # prints its table, then exits 1 with one JSON object on stderr
     real = fixed_points.isolate_fixed_points
 
-    def isolate(F, region, resolution, lift_offset=0):
-        if lift_offset == 0:
+    def isolate(F, region, resolution, k=0):
+        if k == 0:
             raise NonFiniteDisplacement("injected")
-        return real(F, region, resolution, lift_offset)
+        return real(F, region, resolution, k)
 
     monkeypatch.setattr(fixed_points, "isolate_fixed_points", isolate)
     code, out, err = run(capsys, command, "--map", "power", "--params", '{"d": 3}',

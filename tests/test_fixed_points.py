@@ -81,6 +81,26 @@ def test_translate_isolates_minus_one():
     assert boxes[0].contains((-1.0, 0.0))
 
 
+@pytest.mark.parametrize("d, n, k", [(2, 1, 1), (3, 2, 4), (-2, 2, -3), (2, 2, 0)])
+def test_isolation_searches_the_translate_it_stamps(d, n, k):
+    # isolate_fixed_points(F, region, res, k) searches F + (k, 0) and stamps
+    # every box with k; the lift_offset keyword, beside which a caller passed
+    # the translated map, is gone, so an old call cannot search F + (2k, 0),
+    # and a k that is no integer is refused, not searched as one and
+    # stamped as another
+    F = iterate(zoo("power", d=d), n)
+    region = (-2.0, 2.0, -1.0, 1.0)
+    Fk = deck_translate(F, k)
+    boxes = isolate_fixed_points(F, region, 1e-2, k)
+    assert boxes == [CertifiedFixedBox(b.box, b.boundary_degree, k)
+                     for b in isolate_fixed_points(Fk, region, 1e-2)]
+    assert len(boxes) == 1 and boxes[0].contains((-k / (d ** n - 1), 0.0))
+    with pytest.raises(TypeError):
+        isolate_fixed_points(Fk, region, 1e-2, lift_offset=k)
+    with pytest.raises(TypeError):
+        isolate_fixed_points(F, region, 1e-2, k + 0.5)
+
+
 def test_fixed_point_free_lift_certifies_nothing():
     F = make_lift(lambda p: np.asarray(p, float) + np.array([0.3, 0.0]), 1, lipschitz=1)
     assert isolate_fixed_points(F, (-2, 2, -2, 2), 1e-3) == []
@@ -357,7 +377,7 @@ def _reference_children(box, kept):
     return children, dropped
 
 
-def _reference_isolate_once(F, region, resolution, audit, lift_offset, stop=True):
+def _reference_isolate_once(F, region, resolution, audit, k, stop=True):
     """_isolate_once one box at a time, in plain Python: the top box is
     popped; an untested one is tested alone and goes when each of its nine
     cells has a positive margin, stays whole and flagged by its kept cells at
@@ -385,7 +405,7 @@ def _reference_isolate_once(F, region, resolution, audit, lift_offset, stop=True
                     continue
                 raise fixed_points._BoundaryHit(box) from exc
             if deg != 0:
-                certified.append(CertifiedFixedBox(box, deg, lift_offset))
+                certified.append(CertifiedFixedBox(box, deg, k))
                 continue
             stack.extend((child, floor, None) for child in _reference_children(box, kept)[0])
             continue
@@ -1031,7 +1051,7 @@ def _reference_strip_report(F_iter, period, strip, resolution):
         residue = (-k) % modulus
         Fk = deck_translate(F_iter, k)
         try:
-            found = isolate_fixed_points(Fk, strip, resolution, lift_offset=k)
+            found = isolate_fixed_points(F_iter, strip, resolution, k)
             owned = []
             for b in found:
                 bx0, bx1, by0, by1 = b.box
@@ -1062,11 +1082,11 @@ def _reference_strip_report(F_iter, period, strip, resolution):
 def _record_isolations(m) -> list:
     """Patch fixed_points through the MonkeyPatch m so that every
     _strip_report call appends the list of its isolations, each a
-    (lift_offset, region) pair; returns the list of those lists."""
+    (k, region) pair; returns the list of those lists."""
     periods = []
     isolate, report = fixed_points.isolate_fixed_points, fixed_points._strip_report
-    m.setattr(fixed_points, "isolate_fixed_points", lambda F, region, res, lift_offset=0:
-              periods[-1].append((lift_offset, region)) or isolate(F, region, res, lift_offset))
+    m.setattr(fixed_points, "isolate_fixed_points", lambda F, region, res, k=0:
+              periods[-1].append((k, region)) or isolate(F, region, res, k))
     m.setattr(fixed_points, "_strip_report", lambda F, n, strip, res:
               periods.append([]) or report(F, n, strip, res))
     return periods
@@ -1124,7 +1144,7 @@ def test_every_reference_point_lies_where_its_translate_searched(name, n, height
     ks = range(math.ceil(-hi), math.floor(-lo) + 1)
     for k, region in zip(ks, fixed_points._translate_regions(cells, ks, strip)):
         Fk = deck_translate(F, k)
-        found = isolate_fixed_points(Fk, strip, 1e-2, lift_offset=k)
+        found = isolate_fixed_points(F, strip, 1e-2, k)
         if region is None:
             assert found == []
             continue
@@ -1196,9 +1216,8 @@ def test_sweep_records_a_failed_translate(monkeypatch):
     real_once = fixed_points._isolate_once
     searched = _record_isolations(monkeypatch)
     monkeypatch.setattr(fixed_points, "_isolate_once",
-                        lambda F, region, res, audit, lift_offset:
-                        attempts.append((lift_offset, region))
-                        or real_once(F, region, res, audit, lift_offset))
+                        lambda F, region, res, audit, k:
+                        attempts.append((k, region)) or real_once(F, region, res, audit, k))
     (report,) = completeness_check(shear, 1, resolution=1e-2)
     assert report.errors == {-20: "BoundaryFixedPoint: fixed point kept hitting "
                                   "subdivision boundaries after 4 attempts"}
@@ -1415,10 +1434,10 @@ def test_isolation_failure_is_recorded_per_translate(monkeypatch):
     real = fixed_points.isolate_fixed_points
     bad = []
 
-    def isolate(F, region, resolution, **kw):
-        if kw.get("lift_offset") in bad:
+    def isolate(F, region, resolution, k=0):
+        if k in bad:
             raise ToolkitError("isolation failed")
-        return real(F, region, resolution, **kw)
+        return real(F, region, resolution, k)
 
     monkeypatch.setattr(fixed_points, "isolate_fixed_points", isolate)
     bad[:] = [0]

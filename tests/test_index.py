@@ -555,16 +555,18 @@ def test_lemma_suite_output_is_pinned():
 
 
 def test_power2_circles_match_one_index_a_time():
+    # the suite's family, z^2 conjugated by z -> r z, has along the unit
+    # circle the index z^2 has along circle(r)
     radii = (0.3, 0.5, 0.7, 1.5, 2.0, 3.0)
-    f = lemma_suite._POWER2
-    assert lemma_suite._power2_indices(radii) == [lefschetz_index(f, circle(r, 256))
-                                                  for r in radii]
+    f, unit = lemma_suite._POWER2, circle(1.0, 256)
+    assert homotopy_index_profile(lemma_suite._power2_at_radius, unit, radii) == [
+        lefschetz_index(f, circle(r, 256)) for r in radii]
     # z^2 is fixed at (1, 0), a sample of the unit circle: the first failing
     # circle's error is raised, with lefschetz_index's message
     with pytest.raises(FixedPointOnCurve) as one:
-        lefschetz_index(f, circle(1.0, 256))
+        lefschetz_index(f, unit)
     with pytest.raises(FixedPointOnCurve) as stacked:
-        lemma_suite._power2_indices((0.5, 1.0, 2.0))
+        homotopy_index_profile(lemma_suite._power2_at_radius, unit, (0.5, 1.0, 2.0))
     assert str(stacked.value) == str(one.value)
 
 
