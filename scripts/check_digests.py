@@ -8,17 +8,16 @@ records ``perfbench/results/<workload>-seed<seed>-trace0.json`` and
 ``--trace 1``) and compares them with the digests that the newest
 ``BENCH_<n>.json`` at the root of the repository recorded, n the largest
 integer label. The untraced digest must be the one that the BENCH file
-records for the seed's untraced run (``seed_digests``); files older than
-that field record no seeds, and the untraced digest must then be the only
-one that they record for untraced runs (``untraced_digests``, or
-``digests`` in files older than that). A digest can depend on the seed:
-the families maps are seeded, and each translate's search region follows
-its map. The traced digest must be among ``digests``, the digests of
-traced and untraced runs together, as a traced run may take another path. A
+records for the seed's untraced run (``seed_digests``), which every file
+``scripts/bench.py`` writes holds. A digest can depend on the seed: the
+families maps are seeded, and each translate's search region follows its
+map. The traced digest must be among ``digests``, the digests of traced
+and untraced runs together, as a traced run may take another path. A
 record is stale, and is not compared, when its ``commit`` is not the
 checkout's HEAD or its file is older than the newest file under
 ``src/annulift/``: it was made from other code. Exits 1 on a missing file,
-a stale record or any mismatch, printing one line per record.
+a BENCH file without ``seed_digests``, a stale record or any mismatch,
+printing one line per record.
 """
 
 from __future__ import annotations
@@ -96,7 +95,7 @@ def main(argv=None) -> int:
                 continue
             got = run["digest"]
             want = bench[w]["digests"]
-            if not trace and "seed_digests" in bench[w]:
+            if not trace:
                 by_seed = bench[w]["seed_digests"]
                 if str(args.seed) not in by_seed:
                     ok = False
@@ -104,9 +103,7 @@ def main(argv=None) -> int:
                           f"(seeds {', '.join(sorted(by_seed, key=int))})")
                     continue
                 want = [by_seed[str(args.seed)]]
-            elif not trace:   # BENCH files before untraced_digests record only digests
-                want = bench[w].get("untraced_digests", want)
-            match = got in want if trace else want == [got]
+            match = got in want
             ok &= match
             print(f"{label}: {got[:16]} {'matches' if match else 'differs from'} "
                   f"{bench_path.name} {', '.join(d[:16] for d in want)}")

@@ -31,7 +31,7 @@ from .fixed_points import (
     completeness_check,
     growth_rate,
     isolate_fixed_points,
-    translate_strip,
+    translate_region,
 )
 from .index import lefschetz_index
 
@@ -161,8 +161,10 @@ def cmd_index(args) -> int:
 
 def cmd_fixed_points(args) -> int:
     lift = _resolve_map(args.map, _parse_params(args.params))
-    region = _parse_region(args.region) or translate_strip(lift, args.lift_k)
-    boxes = isolate_fixed_points(lift, region, args.resolution, args.lift_k)
+    region = _parse_region(args.region) or translate_region(lift, args.lift_k)
+    if not args.resolution > 0:   # NaN too; checked also when there is nothing to search
+        raise ValueError("resolution must be positive")
+    boxes = isolate_fixed_points(lift, region, args.resolution, args.lift_k) if region else []
     print(f"{len(boxes)} certified box(es) in region {region}")
     # one translate's period-1 report: it reads each box's residue off k, as
     # completeness_check does
@@ -171,7 +173,7 @@ def cmd_fixed_points(args) -> int:
         x0, x1, y0, y1 = b.box
         print(f"  box [{x0:.6g}, {x1:.6g}] x [{y0:.6g}, {y1:.6g}] "
               f"degree {b.boundary_degree} residue {residue}")
-    _emit_json(args.json, {"meta": _meta(args, "fixed-points"), "region": list(region),
+    _emit_json(args.json, {"meta": _meta(args, "fixed-points"), "region": region and list(region),
                            "boxes": report.to_dict()["boxes"]})
     _emit_csv(args.csv, boxes_to_csv_rows([report]))
     return 0
@@ -276,8 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--lift-k", dest="lift_k", type=int, default=0)
     p.add_argument("--region", default=None,
-                   help="x0,x1,y0,y1 (default: the unit strip of the y-window, shifted "
-                        "by whole units to where the translate's fixed points lie)")
+                   help="x0,x1,y0,y1 (default: where the strip enclosure leaves room "
+                        "for the translate's fixed points, as sweeps search)")
     p.add_argument("--resolution", type=float, default=1e-3)
     p.add_argument("--csv", default=None)
     p.set_defaults(func=cmd_fixed_points)

@@ -589,17 +589,17 @@ def _descend(F, p, step: float) -> np.ndarray:
 
 
 def diagnose_continuum(F, region, resolution: float) -> bool:
-    """After isolation fails on a boundary hit: does the zero set of F - id
-    look one-dimensional? isolate_fixed_points passes the box where its first
-    attempt stopped as the region. A zero p is found by _descend from the
-    region's centre, with a step of a quarter of its longest side, and a
-    circle of radius 4 * resolution around p is probed. A curve of zeros
-    through p crosses the circle twice, an isolated point keeps it clear:
-    the circle must dip low twice, at its lowest sample and at its lowest
-    sample a quarter turn or more from that one, and each dip must descend
-    to a zero, so that p and the two zeros lie pairwise at least
-    2 * resolution apart. Two isolated zeros, at any spacing, give no third;
-    nor does a thin band where one component of F - id vanishes."""
+    """After isolation fails on a boundary hit: is the zero set of F - id
+    not isolated, a curve or a region of zeros? isolate_fixed_points passes
+    the box where its first attempt stopped as the region. A zero p is found
+    by _descend from the region's centre, with a step of a quarter of its
+    longest side, and a circle of radius 4 * resolution around p is probed.
+    A curve of zeros through p crosses it twice, a region of zeros covers
+    it, an isolated point keeps it clear: the circle must dip to at most
+    0.05 of its median twice, at its lowest sample and a quarter turn or
+    more from it, and each dip must descend to a zero, so that p and the two
+    zeros lie pairwise at least 2 * resolution apart. Two isolated zeros, at
+    any spacing, give no third; nor does a band where one component vanishes."""
     x0, x1, y0, y1 = map(float, region)
     p = _descend(F, np.array([0.5 * (x0 + x1), 0.5 * (y0 + y1)]),
                  0.25 * max(x1 - x0, y1 - y0))
@@ -612,7 +612,7 @@ def diagnose_continuum(F, region, resolution: float) -> bool:
     first = int(np.argmin(vals))
     turn = (np.arange(n) - first) % n
     second = int(np.argmin(np.where(np.minimum(turn, n - turn) >= n // 4, vals, np.inf)))
-    if not vals[second] < 0.05 * _median(vals):   # vals[first] is no higher
+    if not vals[second] <= 0.05 * _median(vals):   # vals[first] is no higher
         return False
     q = np.array([_descend(F, ring[i], resolution) for i in (first, second)])
     if not np.hypot(*_displacement(F, q).T).max() <= 1e-6:
@@ -683,41 +683,42 @@ def _translate_regions(cells, ks, strip) -> list:
     return regions
 
 
-def _strip_report(F_iter: LiftMap, period: int, strip, resolution: float) -> NielsenReport:
-    """One period on one strip, from one enclosure of D = F^n - id over it
-    (_strip_cells). The admissible translates k, -k in the enclosure of
-    D_x, that have a region (_translate_regions) are grouped by class,
-    k mod |M|, M = d^n - 1. A point p is fixed by F^n + (k', 0) exactly
-    when p + ((k' - k) / M, 0) is fixed by F^n + (k, 0), for k' = k mod M,
-    so each class is isolated once, on its first translate k: over the
-    bounding box of its translates' regions, each moved by (k' - k) / M in
-    x. Distinct fixed points of one translate are distinct periodic points,
-    and every lift in the strip of a point of the class lands in that box,
-    so each point is counted once. A continuum is its class's continuum; a
-    toolkit error in isolating is its class's error, keyed by k."""
-    M = F_iter.degree - 1
-    cells = _strip_cells(F_iter, strip)
+def _class_regions(F: LiftMap, strip) -> dict:
+    """{class: (k, region)}: the admissible translates of one enclosure of
+    D = F - id over the strip that have a region (_translate_regions),
+    grouped by class k mod |M|, M = d - 1 (k itself when M = 0), a class's
+    region the bounding box of its translates' regions, each moved onto its
+    first translate k; a class with no entry has no fixed point at all."""
+    M = F.degree - 1
+    cells = _strip_cells(F, strip)
     lo, hi = _x_range(cells)
     if not hi - lo < _SUBDIVISION_BUDGET:   # inf too
         raise BudgetExceeded(f"about {hi - lo:.3g} admissible translates on {strip}")
     ks = range(math.ceil(-hi), math.floor(-lo) + 1)
     classes = {}   # k mod |M| -> (its first translate with a region, their merged region)
     for k, region in zip(ks, _translate_regions(cells, ks, strip)):
-        if region is None:   # F^n + (k, 0) fixes no point of the strip
+        if region is None:   # F + (k, 0) fixes no point of the strip
             continue
-        first, (x0, x1, y0, y1) = classes.setdefault(k % abs(M), (k, region))
-        s = (k - first) // M   # moves the fixed points of k onto those of first
-        classes[k % abs(M)] = (first, (min(x0, region[0] + s), max(x1, region[1] + s),
-                                       min(y0, region[2]), max(y1, region[3])))
+        key = k % abs(M) if M else k
+        first, (x0, x1, y0, y1) = classes.setdefault(key, (k, region))
+        s = (k - first) // M if M else 0   # moves the fixed points of k onto those of first
+        classes[key] = (first, (min(x0, region[0] + s), max(x1, region[1] + s),
+                                min(y0, region[2]), max(y1, region[3])))
+    return classes
+
+
+def _strip_report(F_iter: LiftMap, period: int, strip, resolution: float) -> NielsenReport:
+    """One period on one strip: each class (_class_regions) is isolated once, on its
+    first translate k, over its region; a continuum or error is the class's, keyed by k."""
     boxes, errors, continuum = [], {}, []
-    for k, region in classes.values():
+    for k, region in _class_regions(F_iter, strip).values():
         try:
             boxes.extend(isolate_fixed_points(F_iter, region, resolution, k))
         except FixedContinuum:
             continuum.append(k)
         except ToolkitError as exc:
             errors[k] = f"{type(exc).__name__}: {exc}"
-    return NielsenReport(period=period, modulus=abs(M), fixed_boxes=tuple(boxes),
+    return NielsenReport(period=period, modulus=abs(F_iter.degree - 1), fixed_boxes=tuple(boxes),
                          errors=errors, continuum_offsets=tuple(continuum))
 
 
@@ -758,18 +759,20 @@ def completeness_check(F: LiftMap, n_max: int, region=None, resolution: float = 
             for n in range(1, n_max + 1)]
 
 
-def translate_strip(F: LiftMap, k: int) -> tuple[float, float, float, float]:
-    """Default region of ``annulift fixed-points``: the closed unit strip
-    [x0 + j, x0 + j + 1] x y_window, x0 = _STRIP_X0, shifted by the whole j
-    that brings -k nearest the middle of the enclosure of (F - id)_x over
-    it, as a unit shift moves that by d - 1 (j = 0 for degree 1). The search
-    covers it jittered a little wider, so for degree 1, where p and
-    p + (1, 0) are fixed by one translate, a point on its edge is reported
-    at both edges."""
+def translate_region(F: LiftMap, k: int):
+    """Default region of ``annulift fixed-points``: k's class region over
+    [_STRIP_X0, _STRIP_X0 + 1] x y_window (_class_regions), moved onto k;
+    None proves, under F's declared bound, that F + (k, 0) fixes no point.
+    For degree 1 it lies in the strip, searched jittered a little wider, so
+    a point on the strip's edge is reported at both edges."""
     y0, y1 = F.y_window
-    lo, hi = _x_range(_strip_cells(F, (_STRIP_X0, _STRIP_X0 + 1.0, y0, y1)))
-    j = round((-k - 0.5 * (lo + hi)) / (F.degree - 1)) if F.degree != 1 else 0
-    return (_STRIP_X0 + j, _STRIP_X0 + j + 1.0, y0, y1)
+    M = F.degree - 1
+    found = _class_regions(F, (_STRIP_X0, _STRIP_X0 + 1.0, y0, y1)).get(k % abs(M) if M else k)
+    if found is None:
+        return None
+    first, (x0, x1, y0, y1) = found
+    s = (first - k) // M if M else 0
+    return (x0 + s, x1 + s, y0, y1)
 
 
 def growth_rate(reports) -> float:

@@ -107,7 +107,8 @@ def test_fixed_points_command(tmp_path, capsys):
 
 def test_fixed_points_default_region_follows_the_translate(tmp_path, capsys):
     # the fixed point (-10, 0) of 2p + (10, 0) lies ten units left of the
-    # origin; without --region the command sweeps the unit strip there
+    # origin; without --region the command searches the translate's class
+    # region, moved there from the default strip
     js = tmp_path / "fp.json"
     code, out, _ = run(capsys, "fixed-points", "--map", "power", "--params", '{"d": 2}',
                        "--lift-k", "10", "--json", str(js))
@@ -116,9 +117,51 @@ def test_fixed_points_default_region_follows_the_translate(tmp_path, capsys):
     assert "residue 0" in out  # -10 mod |2 - 1|
     payload = json.loads(js.read_text())
     x0, x1, y0, y1 = payload["region"]
-    assert x1 - x0 == 1.0 and x0 < -10.0 < x1
+    assert x1 - x0 <= 1.0 and x0 < -10.0 < x1 and y0 < 0.0 < y1
     (box,) = payload["boxes"]
     assert CertifiedFixedBox(tuple(box["box"]), box["boundary_degree"]).contains((-10.0, 0.0))
+
+
+def test_fixed_points_without_a_region_searches_nothing(tmp_path, capsys):
+    # (x + 0.3, y / 2), degree 1: no translate fixes a point, the strip
+    # enclosure proves it, and the command writes no box and a null region
+    gx, gy = np.meshgrid(np.arange(8) / 8, np.linspace(-2.0, 2.0, 5))
+    path, js = tmp_path / "shift.json", tmp_path / "fp.json"
+    write_grid_lift(path, np.stack([gx + 0.3, 0.5 * gy], axis=-1), 1, 0.0, -2.0, 2.0)
+    code, out, _ = run(capsys, "fixed-points", "--map", str(path), "--json", str(js))
+    assert code == 0 and out == "0 certified box(es) in region None\n"
+    payload = json.loads(js.read_text())
+    assert payload["region"] is None and payload["boxes"] == []
+    # a bad resolution is still a usage error, though nothing is searched
+    code, _, err = run(capsys, "fixed-points", "--map", str(path), "--resolution", "0")
+    assert code == 2 and json.loads(err)["error"] == "ValueError"
+
+
+def test_fixed_points_of_the_identity_is_one_continuum(capsys):
+    # every point is fixed: the first attempt's failure is a continuum
+    code, _, err = run(capsys, "fixed-points", "--map", "power", "--params", '{"d": 1}',
+                       "--lift-k", "0", "--resolution", "1e-2")
+    assert code == 1
+    assert json.loads(err.strip().splitlines()[-1])["error"] == "FixedContinuum"
+
+
+@pytest.mark.parametrize("argv, code, stream, text", [
+    (("index", "--map", "power", "--params", "[2]", "--curve", "circle:r=2"), 2, "err",
+     '{"error": "UsageError", "message": "--params must be a JSON object"}'),
+    (("index", "--map", "power", "--params", '{"d": 2}', "--curve", "no-such-curve.json"), 2,
+     "err", '{"error": "UsageError", "message": "curve spec \'no-such-curve.json\': not a '
+     'builtin spec and no such file"}'),
+    (("zoo", "show"), 2, "err",
+     '{"error": "UsageError", "message": "the zoo subcommand supports: list"}'),
+    (("completeness", "--map", "power", "--params", '{"d": -2}', "--nmax", "1"), 0, "out",
+     "note: completeness for degree < -1 is settled only for the covered families (both "
+     "ends attracting or repelling); other sweeps are EXPLORATORY probes, not verification"),
+], ids=["params-not-an-object", "missing-curve-file", "zoo-action", "degree-below-minus-1"])
+def test_cli_branches(tmp_path, monkeypatch, capsys, argv, code, stream, text):
+    monkeypatch.chdir(tmp_path)   # no curve file of that name
+    got, out, err = run(capsys, *argv)
+    assert got == code
+    assert text in (out if stream == "out" else err).splitlines()
 
 
 def test_fixed_points_on_a_wide_low_region(tmp_path, capsys):

@@ -51,7 +51,7 @@ from annulift.fixed_points import (
     nielsen_residue,
     polish_fixed_point,
     reports_to_json,
-    translate_strip,
+    translate_region,
 )
 from annulift.proofs import enclosure
 
@@ -104,15 +104,18 @@ def test_isolation_searches_the_translate_it_stamps(d, n, k):
 def test_fixed_point_free_lift_certifies_nothing():
     F = make_lift(lambda p: np.asarray(p, float) + np.array([0.3, 0.0]), 1, lipschitz=1)
     assert isolate_fixed_points(F, (-2, 2, -2, 2), 1e-3) == []
+    # F + (k, 0) moves every point by 0.3 + k in x: no translate has a
+    # default region, and None proves that none fixes a point
+    assert [translate_region(F, k) for k in range(-2, 3)] == [None] * 5
 
 
 def test_a_map_without_a_bound_is_refused():
-    # isolation and the x-displacement enclosure, through which sweeps and
-    # the default fixed-points strip go, need a declared Lipschitz bound
+    # isolation and the strip enclosure, through which sweeps and the
+    # default fixed-points region go, need a declared Lipschitz bound
     F = make_lift(lambda p: 2.0 * np.asarray(p, float), 2)
     for call in (lambda: isolate_fixed_points(F, (-2, 2, -2, 2), 1e-3),
                  lambda: completeness_check(F, 1),
-                 lambda: translate_strip(F, 0)):
+                 lambda: translate_region(F, 0)):
         with pytest.raises(ParamOutOfRange, match="no Lipschitz bound"):
             call()
 
@@ -305,6 +308,19 @@ def test_continuum_raises_after_one_attempt(monkeypatch):
     assert max(x1 - x0, y1 - y0) <= resolution
     assert rx0 <= x0 < x1 <= rx1 and ry0 <= y0 < y1 <= ry1
     assert x0 - 1e-10 <= 0.0 <= x1 + 1e-10
+
+
+def test_a_region_of_zeros_is_a_continuum_after_one_attempt(monkeypatch):
+    # the identity fixes every point: the ring around the descended zero is
+    # all zeros, its median 0, and the ring test accepts it, so the first
+    # attempt's failure is diagnosed as a continuum and no other attempt runs
+    F = zoo("power", d=1)
+    region = translate_region(F, 0)
+    regions = _record_attempts(monkeypatch)
+    with pytest.raises(FixedContinuum):
+        isolate_fixed_points(F, region, 1e-2)
+    assert regions == [fixed_points._jittered(region, 1)]
+    assert diagnose_continuum(F, (0.1, 0.2, -0.3, -0.2), 1e-2)
 
 
 @pytest.mark.parametrize("d, n, k", [(2, 1, 0), (3, 2, 4), (-2, 2, 1), (2, 3, 3)],
@@ -1291,11 +1307,30 @@ def test_a_point_on_both_edges_is_isolated_once(monkeypatch):
     assert sorted(report.box_residues) == [0, 1] and not report.errors
 
 
-def test_translate_strip_holds_the_translates_fixed_point():
-    # power(d) + (k, 0) fixes (-k / (d - 1), 0); -5/2 is where two strips meet
+def test_translate_region_holds_the_translates_fixed_point():
+    # power(d) + (k, 0) fixes (-k / (d - 1), 0), however far from the
+    # default strip; -5/2 is where two unit strips meet
     for d, k in ((2, 10), (2, -7), (3, 4), (-2, 4), (3, 5)):
-        x0, x1, y0, y1 = translate_strip(zoo("power", d=d), k)
-        assert x0 <= -k / (d - 1) <= x1 and x1 - x0 == 1.0 and (y0, y1) == (-2.0, 2.0)
+        x0, x1, y0, y1 = translate_region(zoo("power", d=d), k)
+        assert x0 <= -k / (d - 1) <= x1 and x1 - x0 <= 1.0 and -2.0 <= y0 <= 0.0 <= y1 <= 2.0
+
+
+def _wavy(p):
+    p = np.asarray(p, dtype=float)
+    return np.stack([3 * p[..., 0] + 2 * np.sin(2 * np.pi * p[..., 0]), 0.5 * p[..., 1]], axis=-1)
+
+
+@pytest.mark.parametrize("k", range(-3, 4))
+def test_the_default_region_holds_every_fixed_point_of_the_translate(k):
+    # 2x + 2 sin 2 pi x = -k has 5 roots at even k and 3 at odd k, up to
+    # 1.7 apart (x = 0, +-0.60, +-0.84 at k = 0): more than a unit strip
+    # holds. The translate's class region finds the points that isolation
+    # over [-3, 3] x [-2, 2], which holds all of them, finds
+    F = make_lift(_wavy, 3, lipschitz=3 + 4 * np.pi)
+    found = isolate_fixed_points(F, translate_region(F, k), 1e-2, k)
+    wide = isolate_fixed_points(F, (-3.0, 3.0, -2.0, 2.0), 1e-2, k)
+    assert len(found) == len(wide) == (5 if k % 2 == 0 else 3)
+    assert np.allclose([b.center for b in found], [b.center for b in wide], atol=1e-2)
 
 
 # -- residues ------------------------------------------------------------------
@@ -1334,6 +1369,12 @@ def test_residue_errors(monkeypatch):
                         AnnulusPoint(0.0, 0.0), 1)
 
 
+@pytest.mark.parametrize("period", [0, -1])
+def test_residue_needs_a_positive_period(period):
+    with pytest.raises(ValueError, match="^period must be >= 1$"):
+        nielsen_residue(zoo("power", d=2), AnnulusPoint(0.0, 0.0), period)
+
+
 def test_residue_partition_matches_common_translate_oracle():
     # two periodic points share a residue iff one deck translate of the
     # iterated lift fixes lifts of both; checked exhaustively for the power
@@ -1365,6 +1406,12 @@ def test_residue_partition_matches_common_translate_oracle():
 
 
 # -- completeness ----------------------------------------------------------------
+
+@pytest.mark.parametrize("n_max", [0, -2])
+def test_completeness_needs_n_max_at_least_one(n_max):
+    with pytest.raises(ValueError, match="^n_max must be >= 1$"):
+        completeness_check(zoo("power", d=2), n_max)
+
 
 def test_power_two_completeness_counts():
     reports = completeness_check(zoo("power", d=2), 3, resolution=1e-3)

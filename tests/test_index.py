@@ -193,6 +193,17 @@ def test_side_conditions_are_checked_on_the_index_samples():
     assert err.value.point == tuple(tip)
 
 
+@pytest.mark.parametrize("F, side", [
+    (lambda p: 0.5 * np.asarray(p, float), "right"),   # lands inside: neither layout
+    (lambda p: np.asarray(p, float) * (1.0, 0.5) + (2.0, 0.0), "left"),   # all pushed right
+])
+def test_a_failing_horizontal_side_is_named(F, side):
+    with pytest.raises(BoundaryConditionViolation,
+                       match=f"^{side} side condition fails at ") as err:
+        saddle_rectangle_index(F, (-1, 1, -1, 1))
+    assert err.value.side == side
+
+
 def test_saddle_on_shifted_rectangle():
     # conditions are relative to the box, not the origin
     def f(pts):
@@ -239,6 +250,24 @@ def test_quad_missing_crossing():
         quad_configuration_index(saddle, alpha, beta, gamma_short, delta, expect=-1)
 
 
+@pytest.mark.parametrize("lines, error, message", [
+    # beta rises through alpha
+    ({1: [[-3.0, -1.0], [3.0, 2.0]]}, NotAQuadrilateral, "alpha and beta must be disjoint"),
+    # delta bends back through gamma
+    ({3: [[1.0, -3.0], [1.0, 3.0], [-2.0, 2.0]]}, NotAQuadrilateral,
+     "gamma and delta must be disjoint"),
+    # beta passes alpha's end and climbs above its line
+    ({1: [[-3.0, -1.0], [3.0, -1.0], [5.0, 3.0]]}, ConfigurationViolation,
+     "beta does not lie on one side of the frame line"),
+], ids=["alpha-beta", "gamma-delta", "one-side"])
+def test_quad_frame_errors(lines, error, message):
+    frame_lines = list(frame())
+    for i, line in lines.items():
+        frame_lines[i] = np.array(line)
+    with pytest.raises(error, match=f"^{message}$"):
+        quad_configuration_index(saddle, *frame_lines, expect=-1)
+
+
 def test_quad_wrong_layout_rejected():
     with pytest.raises(ConfigurationViolation):
         quad_configuration_index(saddle, *frame(), expect=1)
@@ -265,6 +294,22 @@ def test_jump_is_arc_width_independent(width):
 def test_jump_needs_an_interior_base_point():
     with pytest.raises(HomotopyConstructionFailure, match="base point is not interior"):
         index_jump_experiment(circle(1.0, 256), (0.0, 0.125), "out", inner_point=(2.0, 0.0))
+
+
+@pytest.mark.parametrize("arc", [(0.2, 0.2), (0.0, 0.5), (0.1, 0.75)],
+                         ids=["empty", "half", "over-half"])
+def test_arc_push_needs_an_arc_under_half_the_curve(arc):
+    with pytest.raises(ValueError, match=r"^arc width must lie in \(0, 1/2\) "):
+        _arc_push(circle(1.0, 256), arc, (0.0, 0.0))
+
+
+@pytest.mark.parametrize("gamma, direction, message", [
+    (circle(1.0, 256), "up", "direction must be 'out' or 'in'"),
+    (circle(1.0, 256).reversed(), "out", "gamma must be positively oriented"),
+], ids=["direction", "clockwise"])
+def test_jump_refuses_bad_input(gamma, direction, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        index_jump_experiment(gamma, (0.0, 0.125), direction, inner_point=(0, 0))
 
 
 def test_jump_family_midpoint_crosses_curve():

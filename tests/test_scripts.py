@@ -45,14 +45,12 @@ def test_check_digests_reads_the_newest_bench_file(tmp_path):
     source.write_text("")
     os.utime(source, (1e9, 1e9))
 
-    def bench(label, *digests, untraced=None, seeds=None):
-        doc = {"workloads": {w: {"digests": [d + w for d in digests]} for w in workloads}}
-        if untraced is not None:
-            for w in workloads:
-                doc["workloads"][w]["untraced_digests"] = [d + w for d in untraced]
-        if seeds is not None:
-            for w in workloads:
-                doc["workloads"][w]["seed_digests"] = {s: d + w for s, d in seeds.items()}
+    def bench(label, *digests, seeds=None):
+        # as scripts/bench.py writes it: seed 1's untraced digest is the first
+        seeds = {"1": digests[0]} if seeds is None else seeds
+        doc = {"workloads": {w: {"digests": [d + w for d in digests],
+                                 "seed_digests": {s: d + w for s, d in seeds.items()}}
+                             for w in workloads}}
         (tmp_path / f"BENCH_{label}.json").write_text(json.dumps(doc))
 
     def record(digest, commit="c0ffee", traces=(0, 1)):
@@ -94,33 +92,28 @@ def test_check_digests_reads_the_newest_bench_file(tmp_path):
     bench(11, "new-", "path-")
     record("path-", traces=(1,))
     proc = _check_digests(tmp_path)
-    assert proc.stdout.count("traced: path-") == 3
-    assert proc.stdout.count("matches BENCH_11.json") == 3
-    # with the untraced runs' digests recorded apart, the untraced record
-    # must be the only one of them, and a second, traced path is no fault
-    bench(12, "new-", "path-", untraced=["new-"])
+    assert proc.returncode == 0 and proc.stdout.count("traced: path-") == 3
+    assert proc.stdout.count("matches BENCH_11.json") == 6
+    # the untraced record must be its seed's digest, whatever the other
+    # seeds gave; an unrecorded seed fails
+    record("new-")
+    bench(12, "new-", "seeded-", seeds={"1": "new-", "2": "seeded-"})
     proc = _check_digests(tmp_path)
     assert proc.returncode == 0 and proc.stdout.count("matches BENCH_12.json") == 6
-    record("path-", traces=(0,))
-    proc = _check_digests(tmp_path)
-    assert proc.returncode == 1 and proc.stdout.count("differs from BENCH_12.json") == 3
-    # with each seed's untraced digest recorded, the untraced record must be
-    # its seed's, whatever the other seeds gave; an unrecorded seed fails
-    record("new-")
-    bench(13, "new-", "seeded-", untraced=["new-", "seeded-"],
-          seeds={"1": "new-", "2": "seeded-"})
-    proc = _check_digests(tmp_path)
-    assert proc.returncode == 0 and proc.stdout.count("matches BENCH_13.json") == 6
     record("seeded-", traces=(0,))
     proc = _check_digests(tmp_path)
-    assert proc.returncode == 1 and proc.stdout.count("differs from BENCH_13.json") == 3
-    bench(13, "new-", "seeded-", untraced=["new-", "seeded-"], seeds={"2": "seeded-"})
+    assert proc.returncode == 1 and proc.stdout.count("differs from BENCH_12.json") == 3
+    bench(12, "new-", "seeded-", seeds={"2": "seeded-"})
     record("new-")
     proc = _check_digests(tmp_path)
-    assert proc.returncode == 1 and proc.stdout.count("seed 1 is not recorded in BENCH_13") == 3
+    assert proc.returncode == 1 and proc.stdout.count("seed 1 is not recorded in BENCH_12") == 3
+    # a BENCH file that records no seeds is not one that bench.py writes
+    (tmp_path / "BENCH_13.json").write_text(json.dumps(
+        {"workloads": {w: {"digests": ["new-" + w]} for w in workloads}}))
+    proc = _check_digests(tmp_path)
+    assert proc.returncode == 1 and "KeyError('seed_digests')" in proc.stderr
     (tmp_path / "BENCH_13.json").unlink()
     (tmp_path / "BENCH_12.json").unlink()
-    record("new-")
     (tmp_path / "BENCH_11.json").unlink()
     (results / "index-seed1-trace1.json").unlink()
     assert _check_digests(tmp_path).returncode == 1
