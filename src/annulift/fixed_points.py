@@ -688,7 +688,7 @@ def _class_regions(F: LiftMap, strip) -> dict:
     D = F - id over the strip that have a region (_translate_regions),
     grouped by class k mod |M|, M = d - 1 (k itself when M = 0), a class's
     region the bounding box of its translates' regions, each moved onto its
-    first translate k; a class with no entry has no fixed point at all."""
+    first translate k; a class with no entry fixes no point with y in the strip."""
     M = F.degree - 1
     cells = _strip_cells(F, strip)
     lo, hi = _x_range(cells)
