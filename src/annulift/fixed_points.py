@@ -683,18 +683,26 @@ def _translate_regions(cells, ks, strip) -> list:
     return regions
 
 
-def _class_regions(F: LiftMap, strip) -> dict:
+def _class_regions(F: LiftMap, strip, only=None) -> dict:
     """{class: (k, region)}: the admissible translates of one enclosure of
     D = F - id over the strip that have a region (_translate_regions),
     grouped by class k mod |M|, M = d - 1 (k itself when M = 0), a class's
     region the bounding box of its translates' regions, each moved onto its
-    first translate k; a class with no entry fixes no point with y in the strip."""
+    first translate k; a class with no entry fixes no point with y in the strip.
+    With ``only`` a translate, only its class's translates are enumerated,
+    every |M|-th admissible one, and the budget bounds their count."""
     M = F.degree - 1
     cells = _strip_cells(F, strip)
     lo, hi = _x_range(cells)
-    if not hi - lo < _SUBDIVISION_BUDGET:   # inf too
-        raise BudgetExceeded(f"about {hi - lo:.3g} admissible translates on {strip}")
+    step = abs(M) if only is not None and M else 1
+    if not (hi - lo) / step < _SUBDIVISION_BUDGET:   # inf too
+        raise BudgetExceeded(f"about {(hi - lo) / step:.3g} admissible translates on {strip}")
     ks = range(math.ceil(-hi), math.floor(-lo) + 1)
+    if only is not None:
+        if M:
+            ks = ks[(only - ks.start) % step::step]
+        else:
+            ks = range(only, only + 1) if only in ks else range(0)
     classes = {}   # k mod |M| -> (its first translate with a region, their merged region)
     for k, region in zip(ks, _translate_regions(cells, ks, strip)):
         if region is None:   # F + (k, 0) fixes no point of the strip
@@ -761,16 +769,17 @@ def completeness_check(F: LiftMap, n_max: int, region=None, resolution: float = 
 
 def translate_region(F: LiftMap, k: int):
     """Default region of ``annulift fixed-points``: k's class region over
-    [_STRIP_X0, _STRIP_X0 + 1] x y_window (_class_regions), moved onto k;
+    [_STRIP_X0, _STRIP_X0 + 1] x y_window (_class_regions, enumerating only
+    k's class), moved onto k;
     None proves, under F's declared bound, that F + (k, 0) fixes no point.
     For degree 1 it lies in the strip, searched jittered a little wider, so
     a point on the strip's edge is reported at both edges."""
     y0, y1 = F.y_window
-    M = F.degree - 1
-    found = _class_regions(F, (_STRIP_X0, _STRIP_X0 + 1.0, y0, y1)).get(k % abs(M) if M else k)
-    if found is None:
+    found = _class_regions(F, (_STRIP_X0, _STRIP_X0 + 1.0, y0, y1), only=k)
+    if not found:
         return None
-    first, (x0, x1, y0, y1) = found
+    (first, (x0, x1, y0, y1)), = found.values()
+    M = F.degree - 1
     s = (first - k) // M if M else 0
     return (x0 + s, x1 + s, y0, y1)
 

@@ -8,6 +8,7 @@ the origin. Everything here reduces to that one number.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -196,20 +197,66 @@ def _frame_sides(lines, queries) -> list:
     return [signs[lo:hi] for lo, hi in zip(ends, ends[1:])]
 
 
-def quad_configuration_index(F, alpha, beta, gamma, delta, expect: int) -> int:
-    """Index of F along the quadrilateral bounded by two pairs of frame lines.
+@dataclass(frozen=True, eq=False)
+class QuadFrame:
+    """The quadrilateral bounded by two pairs of frame lines (quad_frame),
+    built once and checked against any number of maps (index).
 
-    alpha/beta and gamma/delta are open polylines standing in for disjoint
-    proper lines; each of gamma, delta must cross each of alpha, beta
-    exactly once. ``expect=-1`` demands the straight layout (images of the
-    gamma/delta sides pushed beyond their own line, away from the other),
-    ``expect=+1`` the swapped layout (each pushed beyond the *other* line).
-    Side membership is decided at sample resolution. Crossings, sides and
-    containment use exact orientation signs; only the choice of the nearest
-    segment for a side and the coordinates of a crossing are floats.
+    ``lines`` are alpha, beta, gamma, delta as float arrays; ``corners`` the
+    crossings alpha x gamma, alpha x delta, beta x delta, beta x gamma;
+    ``arcs`` the sides along alpha, delta, beta and gamma, each from its
+    corner to the next side's; ``ring`` the arcs end to end; ``curve`` the
+    ring without repeated points, positively oriented.
     """
-    if expect not in (-1, 1):
-        raise ValueError("expect must be -1 or +1")
+
+    lines: tuple
+    corners: np.ndarray
+    arcs: tuple
+    ring: np.ndarray
+    curve: ClosedCurve
+
+    def index(self, F, expect: int) -> int:
+        """Index of F along the frame's boundary, after the side and
+        half-region conditions of the layout ``expect`` (quad_configuration_index)
+        hold for F's images of the sides."""
+        if expect not in (-1, 1):
+            raise ValueError("expect must be -1 or +1")
+        alpha, beta, gamma, delta = self.lines
+        ring = self.ring
+        img = np.asarray(F(np.concatenate([ring, ring[:1]])), float)
+        ends = np.cumsum([0] + [len(arc) for arc in self.arcs])
+        img_a, img_d, img_b, img_g = (img[lo:hi + 1] for lo, hi in zip(ends, ends[1:]))
+
+        # sample-resolution membership checks for the four half-region conditions:
+        # the four frame lines are queried together, each for the other line of
+        # its pair and for the side images that must lie on (+1) or off (-1)
+        # that line's side
+        if expect == -1:
+            pushed = ((img_g, "the gamma side"), (img_d, "the delta side"))
+        else:
+            pushed = ((img_d, "the delta side (swapped layout)"),
+                      (img_g, "the gamma side (swapped layout)"))
+        checks = ((alpha, beta, 1, img_a, "the alpha side"), (beta, alpha, 1, img_b, "the beta side"),
+                  (gamma, delta, -1, *pushed[0]), (delta, gamma, -1, *pushed[1]))
+        sides = _frame_sides(self.lines,
+                             [np.concatenate([other, image]) for _, other, _, image, _ in checks])
+        for (_, other, _, _, _), name, s in zip(checks, ("beta", "alpha", "delta", "gamma"), sides):
+            if not (np.all(s[:len(other)] > 0) or np.all(s[:len(other)] < 0)):
+                raise ConfigurationViolation(f"{name} does not lie on one side of the frame line")
+        for (_, other, sense, _, what), s in zip(checks, sides):
+            if not np.all(s[len(other):] == sense * s[0]):
+                raise ConfigurationViolation(f"image of {what} is not in the required half region")
+
+        idx = lefschetz_index(F, self.curve)
+        if idx != expect:
+            raise ToolkitError(f"frame conditions promise index {expect}, computed {idx}")
+        return idx
+
+
+def quad_frame(alpha, beta, gamma, delta) -> QuadFrame:
+    """The quadrilateral of quad_configuration_index's frame lines, with no map:
+    its crossings, sides, ring and positively oriented boundary curve.
+    Raises NotAQuadrilateral when the lines do not bound one."""
     alpha, beta = np.asarray(alpha, float), np.asarray(beta, float)
     gamma, delta = np.asarray(gamma, float), np.asarray(delta, float)
 
@@ -245,37 +292,29 @@ def quad_configuration_index(F, alpha, beta, gamma, delta, expect: int) -> int:
         positive = is_positively_oriented(curve)
     except NotSimple as exc:
         raise NotAQuadrilateral("assembled boundary is not a simple closed curve") from exc
-    if not positive:
-        curve = curve.reversed()
+    return QuadFrame(lines=(alpha, beta, gamma, delta),
+                     corners=np.array([p_ag, p_ad, p_bd, p_bg]), arcs=arcs, ring=ring,
+                     curve=curve if positive else curve.reversed())
 
-    img = np.asarray(F(np.concatenate([ring, ring[:1]])), float)
-    ends = np.cumsum([0] + [len(arc) for arc in arcs])
-    img_a, img_d, img_b, img_g = (img[lo:hi + 1] for lo, hi in zip(ends, ends[1:]))
 
-    # sample-resolution membership checks for the four half-region conditions:
-    # the four frame lines are queried together, each for the other line of
-    # its pair and for the side images that must lie on (+1) or off (-1)
-    # that line's side
-    if expect == -1:
-        pushed = ((img_g, "the gamma side"), (img_d, "the delta side"))
-    else:
-        pushed = ((img_d, "the delta side (swapped layout)"),
-                  (img_g, "the gamma side (swapped layout)"))
-    checks = ((alpha, beta, 1, img_a, "the alpha side"), (beta, alpha, 1, img_b, "the beta side"),
-              (gamma, delta, -1, *pushed[0]), (delta, gamma, -1, *pushed[1]))
-    sides = _frame_sides((alpha, beta, gamma, delta),
-                         [np.concatenate([other, image]) for _, other, _, image, _ in checks])
-    for (_, other, _, _, _), name, s in zip(checks, ("beta", "alpha", "delta", "gamma"), sides):
-        if not (np.all(s[:len(other)] > 0) or np.all(s[:len(other)] < 0)):
-            raise ConfigurationViolation(f"{name} does not lie on one side of the frame line")
-    for (_, other, sense, _, what), s in zip(checks, sides):
-        if not np.all(s[len(other):] == sense * s[0]):
-            raise ConfigurationViolation(f"image of {what} is not in the required half region")
+def quad_configuration_index(F, alpha, beta, gamma, delta, expect: int) -> int:
+    """Index of F along the quadrilateral bounded by two pairs of frame lines.
 
-    idx = lefschetz_index(F, curve)
-    if idx != expect:
-        raise ToolkitError(f"frame conditions promise index {expect}, computed {idx}")
-    return idx
+    alpha/beta and gamma/delta are open polylines standing in for disjoint
+    proper lines; each of gamma, delta must cross each of alpha, beta
+    exactly once. ``expect=-1`` demands the straight layout (images of the
+    gamma/delta sides pushed beyond their own line, away from the other),
+    ``expect=+1`` the swapped layout (each pushed beyond the *other* line).
+    Side membership is decided at sample resolution. Crossings, sides and
+    containment use exact orientation signs; only the choice of the nearest
+    segment for a side and the coordinates of a crossing are floats.
+
+    The same as ``quad_frame(alpha, beta, gamma, delta).index(F, expect)``;
+    checking several maps against one frame builds it once.
+    """
+    if expect not in (-1, 1):
+        raise ValueError("expect must be -1 or +1")
+    return quad_frame(alpha, beta, gamma, delta).index(F, expect)
 
 
 # -- index jumps across an arc --------------------------------------------------

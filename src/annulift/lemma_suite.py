@@ -5,10 +5,11 @@ Used by the CLI ``lemmas`` subcommand and by the test suite. The suites
 take no tolerances: they run at the fixed constants of the index and curves
 modules.
 
-Work that two checks share is done once in a run: the inward index jump is
-the outward one reversed, and the six circles of z^2 are one homotopy
-profile on the unit circle. Nothing is kept from one run to the next; only
-the z^2 map itself is built once, at import.
+Work that two checks share is done once in a run: the two frame layouts
+are checked against one quadrilateral frame, the inward index jump is the
+outward one reversed, and the six circles of z^2 are one homotopy profile
+on the unit circle. Nothing is kept from one run to the next; only the z^2
+map itself is built once, at import.
 """
 
 from __future__ import annotations
@@ -20,9 +21,10 @@ import numpy as np
 from .annulus_maps import projected_plane_map, zoo
 from .curves import ClosedCurve, circle
 from .index import (
+    QuadFrame,
     homotopy_index_profile,
     index_jump_experiment,
-    quad_configuration_index,
+    quad_frame,
     saddle_rectangle_index,
 )
 
@@ -91,14 +93,16 @@ def suite_crossed_rectangle() -> SuiteResult:
     return SuiteResult("crossed rectangle boundary", idx == 1, f"index {idx}, expected +1")
 
 
-def suite_quad_straight() -> SuiteResult:
-    idx = quad_configuration_index(_saddle, *_frame_lines(), expect=-1)
+def suite_quad_straight(frame: QuadFrame) -> SuiteResult:
+    """Checked against the run's frame of _frame_lines."""
+    idx = frame.index(_saddle, -1)
     return SuiteResult("quadrilateral frame, straight layout", idx == -1,
                        f"index {idx}, expected -1")
 
 
-def suite_quad_swapped() -> SuiteResult:
-    idx = quad_configuration_index(_crossed, *_frame_lines(), expect=1)
+def suite_quad_swapped(frame: QuadFrame) -> SuiteResult:
+    """Checked against the run's frame of _frame_lines."""
+    idx = frame.index(_crossed, 1)
     return SuiteResult("quadrilateral frame, swapped layout", idx == 1,
                        f"index {idx}, expected +1")
 
@@ -145,5 +149,9 @@ ALL_SUITES = (
 )
 
 
+_FRAME_SUITES = (suite_quad_straight, suite_quad_swapped)
+
+
 def run_all() -> list[SuiteResult]:
-    return [suite() for suite in ALL_SUITES]
+    frame = quad_frame(*_frame_lines())   # both frame suites check against it
+    return [suite(frame) if suite in _FRAME_SUITES else suite() for suite in ALL_SUITES]

@@ -122,6 +122,20 @@ def test_fixed_points_default_region_follows_the_translate(tmp_path, capsys):
     assert CertifiedFixedBox(tuple(box["box"]), box["boundary_degree"]).contains((-10.0, 0.0))
 
 
+def test_fixed_points_of_a_high_degree_translate(tmp_path, capsys):
+    # power(600000) + (3, 0) fixes (-3 / 599999, 0). The strip admits about
+    # 6.27e5 translates, but only those of k's class, one in 599999, are
+    # enumerated and counted against the budget
+    js = tmp_path / "fp.json"
+    code, out, _ = run(capsys, "fixed-points", "--map", "power", "--params", '{"d": 600000}',
+                       "--lift-k", "3", "--resolution", "0.1", "--json", str(js))
+    assert code == 0
+    assert out.startswith("1 certified box(es)")
+    (box,) = json.loads(js.read_text())["boxes"]
+    assert box["lift_offset"] == 3 and box["residue"] == 599996
+    assert CertifiedFixedBox(tuple(box["box"]), box["boundary_degree"]).contains((-3 / 599999, 0.0))
+
+
 def test_fixed_points_without_a_region_searches_nothing(tmp_path, capsys):
     # (x + 0.3, y / 2), degree 1: no translate fixes a point, the strip
     # enclosure proves it, and the command writes no box and a null region

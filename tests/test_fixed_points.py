@@ -1315,6 +1315,40 @@ def test_translate_region_holds_the_translates_fixed_point():
         assert x0 <= -k / (d - 1) <= x1 and x1 - x0 <= 1.0 and -2.0 <= y0 <= 0.0 <= y1 <= 2.0
 
 
+def _region_from_every_class(F, k):
+    """translate_region as taken from the classes of every admissible
+    translate of the default strip."""
+    y0, y1 = F.y_window
+    M = F.degree - 1
+    found = fixed_points._class_regions(F, (fixed_points._STRIP_X0, fixed_points._STRIP_X0 + 1.0,
+                                            y0, y1)).get(k % abs(M))
+    if found is None:
+        return None
+    first, (x0, x1, y0, y1) = found
+    s = (first - k) // M
+    return (x0 + s, x1 + s, y0, y1)
+
+
+@pytest.mark.parametrize("d", [2, 3, -2])
+def test_translate_region_enumerates_only_the_class_of_k(monkeypatch, d):
+    # the same regions, from the admissible translates of k's class alone
+    F = zoo("power", d=d)
+    ks = (-7, -4, -1, 0, 1, 2, 3, 5, 12)
+    enumerated = []
+    inner = fixed_points._translate_regions
+
+    def recorded(cells, translates, strip):
+        enumerated.append(list(translates))
+        return inner(cells, translates, strip)
+
+    monkeypatch.setattr(fixed_points, "_translate_regions", recorded)
+    want = [_region_from_every_class(F, k) for k in ks]
+    assert [translate_region(F, k) for k in ks] == want
+    every, ours = enumerated[:len(ks)], enumerated[len(ks):]
+    M = abs(d - 1)
+    assert ours == [[j for j in js if j % M == k % M] for k, js in zip(ks, every)]
+
+
 def _wavy(p):
     p = np.asarray(p, dtype=float)
     return np.stack([3 * p[..., 0] + 2 * np.sin(2 * np.pi * p[..., 0]), 0.5 * p[..., 1]], axis=-1)

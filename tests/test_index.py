@@ -2,12 +2,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from annulift import curves, fixed_points, index, lemma_suite
 from annulift.annulus_maps import projected_plane_map, zoo
 from annulift.curves import ClosedCurve, circle, rectangle
-from annulift.lemma_suite import _saddle, _squashed_saddle
+from annulift.lemma_suite import _crossed, _saddle, _squashed_saddle
 from annulift.errors import (
     BoundaryConditionViolation,
     ConfigurationViolation,
@@ -25,6 +25,7 @@ from annulift.index import (
     index_jump_experiment,
     lefschetz_index,
     quad_configuration_index,
+    quad_frame,
     saddle_rectangle_index,
 )
 
@@ -271,6 +272,52 @@ def test_quad_frame_errors(lines, error, message):
 def test_quad_wrong_layout_rejected():
     with pytest.raises(ConfigurationViolation):
         quad_configuration_index(saddle, *frame(), expect=1)
+
+
+_OFFSETS = st.sampled_from(np.arange(-1.5, 1.75, 0.25).tolist())
+
+
+@st.composite
+def _bent_frames(draw):
+    """frame()'s lines, each bent at one inner vertex and moved across
+    itself at its three vertices by offsets on a quarter grid up to 1.5:
+    mostly frames, but lines can cross twice, touch or overlap."""
+    lines = []
+    for base, upright in ((1.0, False), (-1.0, False), (-1.0, True), (1.0, True)):
+        along = (-3.0, draw(st.sampled_from([-2.0, -1.0, 0.0, 0.5, 2.0])), 3.0)
+        pts = [(t, base + draw(_OFFSETS)) for t in along]
+        lines.append(np.array([(y, x) if upright else (x, y) for x, y in pts]))
+    return lines
+
+
+_TWICE = [*frame()[:2], np.array([[-1.0, -3.0], [-1.0, 2.0], [-0.5, 0.0]]), frame()[3]]
+_OVERLAP = [frame()[0], np.array([[-3.0, -1.0], [0.0, -1.0], [0.0, 1.0], [3.0, 1.0]]),
+            *frame()[2:]]
+
+
+@given(lines=_bent_frames(), F=st.sampled_from([_saddle, _crossed]),
+       expect=st.sampled_from([-1, 1]))
+@example(lines=list(frame()), F=_saddle, expect=-1)
+@example(lines=list(frame()), F=_crossed, expect=1)
+@example(lines=list(frame()), F=_crossed, expect=-1)
+@example(lines=_TWICE, F=_saddle, expect=-1)
+@example(lines=_OVERLAP, F=_crossed, expect=1)
+def test_a_frame_checks_a_map_as_quad_configuration_index_does(lines, F, expect):
+    # the same value, or the same error type and message
+    assert _outcome(lambda: quad_frame(*lines).index(F, expect)) == _outcome(
+        lambda: quad_configuration_index(F, *lines, expect=expect))
+
+
+def test_one_frame_checks_both_layouts():
+    quad = quad_frame(*frame())
+    assert quad.corners.tolist() == [[-1.0, 1.0], [1.0, 1.0], [1.0, -1.0], [-1.0, -1.0]]
+    assert curves.is_positively_oriented(quad.curve)
+    assert (quad.index(_saddle, -1), quad.index(_crossed, 1)) == (-1, 1)
+    with pytest.raises(ValueError, match="expect must be -1 or \\+1"):
+        quad.index(_saddle, 0)
+    # a bad expect is refused before the lines are looked at
+    with pytest.raises(ValueError, match="expect must be -1 or \\+1"):
+        quad_configuration_index(_saddle, *_TWICE, expect=0)
 
 
 # -- index jumps ------------------------------------------------------------------------
@@ -567,7 +614,7 @@ def test_lemma_suite_work_is_pinned(monkeypatch):
     # two saddle rectangles and two frames, the one jump of ten times (the
     # inward pair is the outward one reversed), the squash profile of twenty
     # times, then the six circles of z^2 in one stack
-    work = {"calls": 0, "loops": 0, "points": 0}
+    work = {"calls": 0, "loops": 0, "points": 0, "crossings": 0}
     inner = curves._turning_counts
 
     def counted(vectors, params, vec_fn, *rest):
@@ -581,8 +628,16 @@ def test_lemma_suite_work_is_pinned(monkeypatch):
 
     for module in (curves, index):
         monkeypatch.setattr(module, "_turning_counts", counted)
+    # the two frame layouts are checked against one frame, built once
+    crossings = index._polyline_crossings
+
+    def counted_crossings(*lines):
+        work["crossings"] += 1
+        return crossings(*lines)
+
+    monkeypatch.setattr(index, "_polyline_crossings", counted_crossings)
     assert all(r.passed for r in lemma_suite.run_all())
-    assert work == {"calls": 7, "loops": 40, "points": 84}
+    assert work == {"calls": 7, "loops": 40, "points": 84, "crossings": 1}
 
 
 def test_lemma_suite_output_is_pinned():
