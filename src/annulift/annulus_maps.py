@@ -241,7 +241,7 @@ def projected_plane_map(F: LiftMap) -> Callable[[np.ndarray], np.ndarray]:
     def fn(pts):
         pts = np.asarray(pts, dtype=float)
         r = np.hypot(pts[..., 0], pts[..., 1])
-        if (r == 0.0).any():
+        if not r.all():
             raise ValueError("plane map is undefined at the origin")
         # cover point (angle / 2pi, -log r / 2pi); the image (x, y) goes back
         # as e^(-2pi y) (cos 2pi x, sin 2pi x); coordinates are written in place
@@ -252,12 +252,13 @@ def projected_plane_map(F: LiftMap) -> Callable[[np.ndarray], np.ndarray]:
         np.log(r, out=y)
         y /= -TWO_PI
         img = F(cover)
-        rad = np.exp(img[..., 1] * -TWO_PI)
+        rad = img[..., 1:] * -TWO_PI   # a trailing axis keeps it an array
+        np.exp(rad, out=rad)
         ang = TWO_PI * img[..., 0]
         out = np.empty(img.shape)
         np.cos(ang, out=out[..., 0])
         np.sin(ang, out=out[..., 1])
-        out *= rad[..., None]
+        out *= rad
         return out
 
     return fn

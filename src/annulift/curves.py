@@ -6,10 +6,13 @@ attached, adaptive refinement queries it instead of chord midpoints, so a
 coarsely sampled analytic curve still gets exact integer winding numbers.
 
 Checks on curves hold at sample resolution. A ClosedCurve rejects non-finite
-samples and params. Simplicity means that no two non-adjacent segments of
-the polyline cross or touch, decided with exact orientation signs; the
-orientation of a simple curve is the exact turn at its lexicographically
-smallest sample, and point_in_polygon decides containment by the same signs.
+samples and params, and consecutive samples that coincide; circle() and
+rectangle() prove their scaled templates free of both from a few scalars,
+and scan the samples only when that proof fails. Simplicity means that no
+two non-adjacent segments of the polyline cross or touch, decided with exact
+orientation signs; the orientation of a simple curve is the exact turn at
+its lexicographically smallest sample, and point_in_polygon decides
+containment by the same signs.
 """
 
 from __future__ import annotations
@@ -62,10 +65,13 @@ def _as_point(p) -> np.ndarray:
 class ClosedCurve:
     """Cyclic ordered samples of a closed curve (closure implicit).
 
-    Consecutive samples must be distinct; refinement only ever inserts
-    points on parameter intervals, never reorders. ``params`` are ascending
-    parameters in [0, 1); ``curve_fn`` is an optional exact parametrization
-    t -> point used during refinement.
+    Samples must be finite and consecutive samples distinct; refinement only
+    ever inserts points on parameter intervals, never reorders. ``params``
+    are ascending parameters in [0, 1); ``curve_fn`` is an optional exact
+    parametrization t -> point used during refinement. Every curve built
+    here is checked by scanning its samples, except the circles and
+    rectangles that ``_scaled_template`` builds once a scalar bound has
+    proved the scan would pass.
     """
 
     samples: np.ndarray
@@ -100,6 +106,19 @@ class ClosedCurve:
             if t[0] < 0.0 or t[-1] >= t[0] + 1.0:
                 raise ValueError("params must fit in one period [t0, t0+1)")
         object.__setattr__(self, "params", t)
+
+    @classmethod
+    def _scaled_template(cls, samples: np.ndarray, curve_fn=None) -> "ClosedCurve":
+        """The curve __post_init__ would build from an (n, 2) float array of
+        n >= 3 samples, without its scan: the caller has proved the samples
+        finite and consecutive samples distinct. Params are i / n, derived as
+        __post_init__ derives them."""
+        curve = object.__new__(cls)
+        n = len(samples)
+        object.__setattr__(curve, "samples", samples)
+        object.__setattr__(curve, "params", np.arange(n, dtype=float) / n)
+        object.__setattr__(curve, "curve_fn", curve_fn)
+        return curve
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -146,12 +165,37 @@ class ClosedCurve:
         return float(np.hypot(spans[0], spans[1]))
 
 
+def _separated(step: float, scale: float, magnitude: float) -> bool:
+    """Whether the samples corner + scale * coef of a template, each
+    coordinate rounded twice (product, then sum), are finite with no two
+    consecutive samples equal. ``step`` is scale times a lower bound on the
+    max-norm gap between consecutive coefficients; ``magnitude`` bounds the
+    corner coordinates, plus the radius for a circle.
+
+    In the coordinate of that gap the exact values differ by at least step.
+    Rounding moves each product by at most scale 2^-53 + 2^-1075 (half an
+    ulp, or half the least subnormal) and each sum by at most half an ulp of
+    a value below magnitude (1 + 2^-52) (N. J. Higham, Accuracy and
+    Stability of Numerical Algorithms, 2002, ch. 2); where a rectangle's
+    corner sample replaces a product, the rounded span errs by at most
+    scale 2^-53 instead. So two samples stay apart when step exceeds the
+    sum of these. A magnitude that overflows, or a NaN, makes the ulp
+    infinite or NaN and the check false; a false check proves nothing, and
+    the caller scans the samples."""
+    return step > scale * 2.0 ** -52 + 2.0 ** -1074 + math.ulp(magnitude * (1.0 + 2.0 ** -52))
+
+
 def circle(radius: float, n: int = 256, center=(0.0, 0.0)) -> ClosedCurve:
     """Counterclockwise circle with the exact parametrization attached.
 
-    Its params are i / n, which ClosedCurve derives itself when given none,
-    so they are not validated again; its samples are checked as any
-    curve's are."""
+    Its samples are the cached unit template scaled by ``radius`` and moved
+    by ``center``, and its params are i / n. When the template's least gap
+    times |radius| clears the rounding bound of ``_separated``, the samples
+    are finite and distinct by construction and are not scanned; otherwise
+    ClosedCurve scans them and raises its ValueError. ``radius`` must be a
+    real number (float(radius)); an array or a complex radius is a
+    TypeError."""
+    r = float(radius)
     cx, cy = float(center[0]), float(center[1])
 
     def fn(t):
@@ -159,32 +203,42 @@ def circle(radius: float, n: int = 256, center=(0.0, 0.0)) -> ClosedCurve:
         out = np.empty(ang.shape + (2,))
         x, y = out[..., 0], out[..., 1]
         np.cos(ang, out=x)
-        x *= radius
+        x *= r
         x += cx
         np.sin(ang, out=y)
-        y *= radius
+        y *= r
         y += cy
         return out
 
-    samples = _circle_template(n) * radius
+    unit, gap = _circle_template(n)
+    samples = unit * r
     # adding a complex number adds each part on its own, as unit * radius +
     # (cx, cy) would, but in one contiguous pass instead of a broadcast one
     z = samples.view(complex)
     z += complex(cx, cy)
+    size = abs(r)
+    if _separated(size * gap, size, max(abs(cx), abs(cy)) + size):
+        return ClosedCurve._scaled_template(samples, curve_fn=fn)
     return ClosedCurve(samples, curve_fn=fn)
 
 
 @functools.lru_cache(maxsize=16)
-def _circle_template(n: int) -> np.ndarray:
+def _circle_template(n: int) -> tuple[np.ndarray, float]:
     """Read-only unit samples (cos 2 pi t, sin 2 pi t) of an n-sample circle
     at t = i / n, computed as circle's fn computes them, so that
-    unit * radius + center is bit for bit fn(t)."""
+    unit * radius + center is bit for bit fn(t); and a lower bound on the
+    least max-norm gap between cyclically consecutive unit samples, 0.0
+    below 3 samples. Each float difference is rounded to nearest, so the
+    float below the least of them bounds the exact gap from below."""
     ang = TWO_PI * (np.arange(n, dtype=float) / n)
     unit = np.empty((n, 2))
     np.cos(ang, out=unit[:, 0])
     np.sin(ang, out=unit[:, 1])
     unit.flags.writeable = False
-    return unit
+    gap = 0.0
+    if n >= 3:
+        gap = float(np.nextafter(np.abs(_cyclic_next(unit) - unit).max(axis=1).min(), 0.0))
+    return unit, gap
 
 
 def check_rectangle(x0: float, x1: float, y0: float, y1: float
@@ -202,11 +256,21 @@ def check_rectangle(x0: float, x1: float, y0: float, y1: float
 
 
 def rectangle(x0: float, x1: float, y0: float, y1: float, per_side: int = 16) -> ClosedCurve:
-    """Counterclockwise rectangle boundary; corners are always samples."""
+    """Counterclockwise rectangle boundary; corners are always samples.
+
+    When each side's sample spacing, side * gap (side / per_side for a power
+    of two), clears the rounding bound of ``_separated`` against the
+    corners' magnitude on its axis, the samples are distinct by construction
+    and are not scanned; otherwise ClosedCurve scans them."""
     x0, x1, y0, y1 = check_rectangle(x0, x1, y0, y1)
-    base, coef = _rectangle_template(max(1, int(per_side)))
+    base, coef, gap = _rectangle_template(max(1, int(per_side)))
     c = np.array([x0, x1, y0, y1], dtype=float)
-    return ClosedCurve(c[base] + (c[1::2] - c[0::2]) * coef)
+    samples = c[base] + (c[1::2] - c[0::2]) * coef
+    sx, sy = x1 - x0, y1 - y0   # the spans above, rounded alike
+    if (_separated(sx * gap, sx, max(abs(x0), abs(x1)))
+            and _separated(sy * gap, sy, max(abs(y0), abs(y1)))):
+        return ClosedCurve._scaled_template(samples)
+    return ClosedCurve(samples)
 
 
 @functools.lru_cache(maxsize=None)
@@ -215,14 +279,17 @@ def _rectangle_template(k: int):
     rectangle samples: sample = corner + (x1 - x0, y1 - y0) * coef. Sides run
     bottom, right, top, left with u = i / k; a side's varying coordinate is
     its start plus or minus span * u, and its constant one gets coefficient
-    -0.0, which adds nothing even to a zero of either sign."""
+    -0.0, which adds nothing even to a zero of either sign. Also the least
+    gap between consecutive u, the last one to 1 included: each difference
+    is exact (Sterbenz: u[i + 1] <= 2 u[i] for i >= 1, and u[k - 1] >= 1/2),
+    and it is 1 / k for a power of two."""
     u = np.arange(k, dtype=float) / k
     z = np.full(k, -0.0)
     coef = np.concatenate([np.stack(pair, axis=-1) for pair in
                            ((u, z), (z, u), (-u, z), (z, -u))])
     base = np.repeat([[0, 2], [1, 2], [1, 3], [0, 3]], k, axis=0)
     base.flags.writeable = coef.flags.writeable = False
-    return base, coef
+    return base, coef, float(np.diff(u, append=1.0).min())
 
 
 def curve_to_json(curve: ClosedCurve) -> list:

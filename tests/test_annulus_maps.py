@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +35,8 @@ from annulift.errors import (
     ParamOutOfRange,
     UnknownZooEntry,
 )
+from annulift.curves import circle
+from annulift.index import lefschetz_index
 from annulift.proofs import enclosure
 
 RNG = np.random.default_rng(42)
@@ -251,21 +254,42 @@ def test_projected_plane_map_is_power_map():
 
 
 def _reference_plane_map(F):
-    """projected_plane_map as first written: stacked coordinate arrays."""
+    """projected_plane_map before its origin test and its exp were trimmed;
+    bit for bit the first-written form with stacked coordinate arrays."""
 
     def fn(pts):
         pts = np.asarray(pts, dtype=float)
         r = np.hypot(pts[..., 0], pts[..., 1])
-        if np.any(r == 0.0):
+        if (r == 0.0).any():
             raise ValueError("plane map is undefined at the origin")
-        x = np.arctan2(pts[..., 1], pts[..., 0]) / am.TWO_PI
-        y = -np.log(r) / am.TWO_PI
-        img = F(np.stack([x, y], axis=-1))
-        rad = np.exp(-am.TWO_PI * img[..., 1])
+        cover = np.empty(pts.shape)
+        x, y = cover[..., 0], cover[..., 1]
+        np.arctan2(pts[..., 1], pts[..., 0], out=x)
+        x /= am.TWO_PI
+        np.log(r, out=y)
+        y /= -am.TWO_PI
+        img = F(cover)
+        rad = np.exp(img[..., 1] * -am.TWO_PI)
         ang = am.TWO_PI * img[..., 0]
-        return np.stack([rad * np.cos(ang), rad * np.sin(ang)], axis=-1)
+        out = np.empty(img.shape)
+        np.cos(ang, out=out[..., 0])
+        np.sin(ang, out=out[..., 1])
+        out *= rad[..., None]
+        return out
 
     return fn
+
+
+def _bits_and_warnings(fn, pts):
+    """fn(pts) as int64 bits, or its exception's type and text, and the
+    RuntimeWarnings it raised under np.seterr(all="warn"), in order."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            out = fn(pts).view(np.int64).tolist()
+        except Exception as exc:  # noqa: BLE001 - compared, not handled
+            out = (type(exc), str(exc))
+    return out, [(w.category, str(w.message)) for w in caught]
 
 
 @pytest.mark.parametrize("F", [zoo("power", d=2), iterate(zoo("power", d=3), 3),
@@ -284,6 +308,37 @@ def test_projected_plane_map_matches_reference_bitwise(F):
     for origin in (np.zeros(2), np.array([[1.0, 1.0], [0.0, -0.0]])):
         with pytest.raises(ValueError, match="undefined at the origin"):
             f(origin)
+    # signed zeros, NaN and infinite coordinates, and radii whose images
+    # overflow or underflow exp, alone (each may raise) and all at once: the
+    # same bits, errors and warnings
+    with np.errstate(all="ignore"):   # subnormal radii
+        extreme = 10.0 ** rng.uniform(-320.0, 308.0, 40)
+        odd = np.stack([extreme * np.cos(ang[:40]), extreme * np.sin(ang[:40])], axis=-1)
+    odd[:10] = [[-0.0, 0.5], [0.5, -0.0], [-0.0, -3.0], [np.nan, 1.0], [1.0, np.nan],
+                [np.inf, 0.0], [-np.inf, 2.0], [5e-324, -0.0], [1e300, 1e300], [1e-300, 0.0]]
+    for case in [*odd, odd, np.array([[0.5, 0.5], [-0.0, 0.0]]), np.array([-0.0, -0.0])]:
+        assert _bits_and_warnings(f, case) == _bits_and_warnings(ref, case), case
+
+
+def test_projected_plane_map_calls_its_lift_as_the_reference_does():
+    """On the index workload's 18 maps, power(d)^n for d in (2, 3, -2) and
+    n <= 6, each lefschetz_index call makes the same lift calls, with the
+    same point counts, and gets the same index."""
+    for d in (2, 3, -2):
+        for n in range(1, 7):
+            F = iterate(zoo("power", d=d), n)
+            runs = []
+            for plane_map in (projected_plane_map, _reference_plane_map):
+                for r in (0.7, 1.6):
+                    sizes = []
+
+                    def counted(pts, sizes=sizes):
+                        sizes.append(np.asarray(pts).size // 2)
+                        return F(pts)
+
+                    runs.append((lefschetz_index(plane_map(counted), circle(r, 256)), sizes))
+            assert runs[:2] == runs[2:], (d, n)
+            assert all(sizes for _, sizes in runs)
 
 
 # -- the zoo -----------------------------------------------------------------------

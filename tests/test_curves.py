@@ -1,10 +1,12 @@
 import json
+import math
+import re
 import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from annulift import curves
 from annulift.curves import (
@@ -603,7 +605,8 @@ def test_thin_sliver_gets_an_orientation():
 
 
 def test_circle_template_is_read_only():
-    unit = curves._circle_template(64)
+    unit, gap = curves._circle_template(64)
+    assert 0.0 < gap < np.abs(unit[1] - unit[0]).max()
     assert not unit.flags.writeable
     with pytest.raises(ValueError):
         unit[0] = 0.5
@@ -632,6 +635,133 @@ def test_circle_params_are_derived():
     with np.errstate(invalid="ignore"), pytest.raises(ValueError,
                                                       match="^samples must be finite$"):
         circle(float("inf"), 16)
+
+
+def test_circle_radius_must_be_a_real_number():
+    # an array radius once scaled the template axis by axis into an ellipse,
+    # and a complex one lost its imaginary part with a ComplexWarning
+    with pytest.raises(TypeError):
+        circle(np.array([1.0, 2.0]), 8)
+    with pytest.raises(TypeError):
+        circle(1.0 + 2.0j, 8)
+    c, ref = circle(np.array(0.5), 16, (1, -2)), circle(0.5, 16, (1.0, -2.0))
+    t = np.linspace(0.0, 1.0, 11)
+    assert c.samples.tobytes() == ref.samples.tobytes()
+    assert c.point_at(t).tobytes() == ref.point_at(t).tobytes()
+
+
+def test_template_curves_skip_the_scan(monkeypatch):
+    scanned = []
+    scan = ClosedCurve.__post_init__
+    monkeypatch.setattr(ClosedCurve, "__post_init__",
+                        lambda self: (scanned.append(len(self.samples)), scan(self))[1])
+    circle(0.7, 256)
+    circle(1.5, 3, (-4.0, 0.25))
+    rectangle(-1, 1, -1, 1, per_side=64)
+    rectangle(0.1, 0.4, -0.3, 0.2)
+    assert scanned == []
+    # the scalar bound fails but the scan passes: at 1e15 the float spacing
+    # is 0.125, more than a 256-gon's steps in x, while y = sin stays
+    # distinct; the rectangle's steps are exactly one spacing
+    circle(1.0, 256, (1e15, 0.0))
+    rectangle(1e15, 1e15 + 1.0, 0.0, 1.0, per_side=8)
+    assert scanned == [256, 32]
+    # refinement and reversal keep their scans
+    circle(0.7, 16).refined([0.01])
+    circle(0.7, 16).reversed()
+    assert scanned == [256, 32, 17, 16]
+
+
+_SIGNED_ZEROS = st.sampled_from([0.0, -0.0])
+
+
+@st.composite
+def _template_circles(draw):
+    """(radius, n, center). Radii run from subnormal to 1e300, with signed
+    zeros, NaN and infinity; centres reach 1e308; and half the radii are
+    1e-17 to 1e-13 times the centre's magnitude, a few of its float spacings,
+    where rounding can merge consecutive samples."""
+    n = draw(st.sampled_from([0, 1, 2, 3, 4, 17, 256]))
+    coord = st.one_of(_SIGNED_ZEROS, st.floats(-1e308, 1e308))
+    center = (draw(coord), draw(coord))
+    if draw(st.booleans()):
+        radius = max(map(abs, center)) * 10.0 ** draw(st.floats(-17.0, -13.0))
+    else:
+        radius = draw(st.one_of(_SIGNED_ZEROS, st.sampled_from([5e-324, np.inf, np.nan]),
+                                st.floats(5e-324, 1e300)))
+    return draw(st.sampled_from([1.0, -1.0])) * radius, n, center
+
+
+def _circle_formula(radius, center, t):
+    ang = 2.0 * np.pi * np.asarray(t, dtype=float)
+    return np.stack([center[0] + radius * np.cos(ang), center[1] + radius * np.sin(ang)],
+                    axis=-1)
+
+
+def _scanned_or_error(build, reference):
+    """build() against reference(), the ClosedCurve scanned from the same
+    samples: both give a curve, byte for byte the same, or both raise the
+    same ValueError text. Returns the two curves, or None on the error."""
+    try:
+        ref = reference()
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            build()
+        return None
+    got = build()
+    assert got.samples.tobytes() == ref.samples.tobytes()
+    assert got.params.tobytes() == ref.params.tobytes()
+    return got, ref
+
+
+@settings(max_examples=100)
+@given(_template_circles())
+@example((1.0, 256, (1e15, 0.0)))
+@example((3e-3, 256, (1e15, 1e15)))
+def test_template_circle_is_the_scanned_circle(case):
+    """Whether or not the scalar bound skips the scan, circle() returns the
+    curve the scan accepts, or raises the scan's error."""
+    radius, n, center = case
+    t = np.arange(n, dtype=float) / n
+    with np.errstate(all="ignore"):   # subnormal products, 0 * inf
+        built = _scanned_or_error(lambda: circle(radius, n, center),
+                                  lambda: ClosedCurve(_circle_formula(radius, center, t)))
+        if built is not None:
+            tt = np.linspace(-1.0, 2.0, 37)
+            want = _circle_formula(radius, center, np.mod(tt, 1.0))
+            assert built[0].point_at(tt).tobytes() == want.tobytes()
+
+
+@st.composite
+def _template_rectangles(draw):
+    """(x0, x1, y0, y1, k): each side is a few times k float spacings of its
+    corners long, so that side / k is near the spacing; corners run from
+    subnormal to the largest floats, just below powers of two included."""
+    k = draw(st.sampled_from([1, 2, 5, 16, 64]))
+
+    def axis():
+        lo = draw(st.one_of(_SIGNED_ZEROS, st.floats(-1.7e308, 1.7e308),
+                            st.integers(-1074, 1023).map(lambda e: -math.nextafter(2.0 ** e, 0.0))))
+        steps = draw(st.floats(0.25, 6.0))
+        return lo, lo + steps * k * math.ulp(lo)
+
+    (x0, x1), (y0, y1) = axis(), axis()
+    return x0, x1, y0, y1, k
+
+
+@settings(max_examples=100)
+@given(_template_rectangles())
+@example((1e15, 1e15 + 1.0, 0.0, 1.0, 8))
+@example((-1.0, 1.0, -4.0, -4.0 + 2.0 ** -50, 64))
+def test_template_rectangle_is_the_scanned_rectangle(case):
+    x0, x1, y0, y1, k = case
+    with np.errstate(all="ignore"):   # subnormal products
+        built = _scanned_or_error(
+            lambda: rectangle(x0, x1, y0, y1, per_side=k),
+            lambda: ClosedCurve(_reference_rectangle(*curves.check_rectangle(x0, x1, y0, y1), k)))
+        if built is not None:
+            tt = np.linspace(-1.0, 2.0, 37)
+            assert built[0].point_at(tt).tobytes() == built[1].point_at(tt).tobytes()
 
 
 # -- exact containment and the convex-corner interior point -------------------------
