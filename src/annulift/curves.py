@@ -281,8 +281,8 @@ def _rectangle_template(k: int):
     its start plus or minus span * u, and its constant one gets coefficient
     -0.0, which adds nothing even to a zero of either sign. Also the least
     gap between consecutive u, the last one to 1 included: each difference
-    is exact (Sterbenz: u[i + 1] <= 2 u[i] for i >= 1, and u[k - 1] >= 1/2),
-    and it is 1 / k for a power of two."""
+    is exact (Sterbenz: u[i + 1] <= 2 u[i] for i >= 1, and u[k - 1] >= 1/2
+    for k >= 2), and it is 1 / k for a power of two."""
     u = np.arange(k, dtype=float) / k
     z = np.full(k, -0.0)
     coef = np.concatenate([np.stack(pair, axis=-1) for pair in
