@@ -12,12 +12,16 @@ records for the seed's untraced run (``seed_digests``), which every file
 ``scripts/bench.py`` writes holds. A digest can depend on the seed: the
 families maps are seeded, and each translate's search region follows its
 map. The traced digest must be among ``digests``, the digests of traced
-and untraced runs together, as a traced run may take another path. A
-record is stale, and is not compared, when its ``commit`` is not the
-checkout's HEAD or its file is older than the newest file under
-``src/annulift/``: it was made from other code. Exits 1 on a missing file,
-a BENCH file without ``seed_digests``, a stale record or any mismatch,
-printing one line per record.
+and untraced runs together, as a traced run may take another path. When
+the seed is the BENCH file's ``traced_seed``, the traced record's per-layer
+metrics of unit ``count`` must also equal the file's ``per_layer``: the
+counts are per pass and the same at any run length, so a run that does
+more or less work for the same reports fails. A record is stale, and is
+not compared, when its ``commit`` is not the checkout's HEAD or its file
+is older than the newest file under ``src/annulift/``: it was made from
+other code. Exits 1 on a missing file, a BENCH file without
+``seed_digests`` or ``traced_seed``, a stale record or any mismatch,
+printing one line per record and one per count that differs.
 """
 
 from __future__ import annotations
@@ -72,6 +76,13 @@ def stale(record: Path, run: dict, head: str, source: Path) -> str:
     return ""
 
 
+def count_mismatches(metrics: dict, per_layer: dict) -> list:
+    """(name, value, recorded) for each per-layer metric of unit count whose
+    value in a run's metrics differs from a BENCH file's per_layer."""
+    return [(name, metrics[name]["value"], m["value"]) for name, m in per_layer.items()
+            if m["unit"] == "count" and metrics[name]["value"] != m["value"]]
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -107,6 +118,13 @@ def main(argv=None) -> int:
             ok &= match
             print(f"{label}: {got[:16]} {'matches' if match else 'differs from'} "
                   f"{bench_path.name} {', '.join(d[:16] for d in want)}")
+            if trace and args.seed == bench[w]["traced_seed"]:
+                wrong = count_mismatches(run["metrics"], bench[w]["per_layer"])
+                ok &= not wrong
+                for name, value, recorded in wrong:
+                    print(f"{label}: {name} is {value}, {bench_path.name} records {recorded}")
+                if not wrong:
+                    print(f"{label}: counts equal {bench_path.name}'s")
     except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc!r}", file=sys.stderr)
         return 1

@@ -193,8 +193,12 @@ def circle(radius: float, n: int = 256, center=(0.0, 0.0)) -> ClosedCurve:
     times |radius| clears the rounding bound of ``_separated``, the samples
     are finite and distinct by construction and are not scanned; otherwise
     ClosedCurve scans them and raises its ValueError. ``radius`` must be a
-    real number (float(radius)); an array or a complex radius is a
-    TypeError."""
+    real number (float(radius)); an array or a complex radius, a NumPy
+    complex scalar or 0-d array too, is a TypeError."""
+    # float() of a NumPy complex warns and drops the imaginary part; an int
+    # or a float (np.float64 too) skips the dtype check
+    if not isinstance(radius, (float, int)) and np.iscomplexobj(radius):
+        raise TypeError(f"circle radius must be a real number, got {radius!r}")
     r = float(radius)
     cx, cy = float(center[0]), float(center[1])
 

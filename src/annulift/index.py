@@ -435,46 +435,31 @@ def index_jump_experiment(gamma: ClosedCurve, arc: tuple[float, float],
     return i_start, i_end
 
 
-def homotopy_index_profile(family, curve: ClosedCurve, times: Sequence[float]) -> list[int]:
-    """Indices of family(t) along the curve at the given times; family(t)
-    must be a vectorized plane-map callable for each t.
+def homotopy_index_profile(images, curve: ClosedCurve, times: Sequence[float]) -> list[int]:
+    """Indices along the curve of a homotopy's maps at the given times.
 
+    ``images(times, points)`` gives the images of points under every time's
+    map at once, an array of shape ``(len(times),) + points.shape``, for a
+    1-d float array of times: the convention of _arc_push's images(s, u).
     The displacement loops of all times share one refined grid
-    (curves._turning_counts): each round calls each map family(t) once, on
-    every new parameter. The error raised is the one the times give in
-    order, one after another: the earliest time's failure, whether its
-    index fails or family(t) or its map raises, wins over a later one.
+    (curves._turning_counts), so the profile makes one ``images`` call on
+    the curve's samples and one a refinement round, for the times still
+    counted. No times gives [] without a call. Of the failures a turning
+    count meets, a NaN, infinite or too short displacement, the earliest
+    time's wins over a later one, as counting one time after another would
+    give; an exception that ``images`` raises propagates as raised.
     """
-    # what family(t) or its map raises is kept, with its time's index, and
-    # raised only if no earlier time fails first
+    times = np.asarray(times, dtype=float)
+    if not len(times):
+        return []
     pts = curve.samples
-    maps, v0 = [], np.empty((len(times), len(pts), 2))
-    raised = None
-    for i, t in enumerate(times):
-        try:
-            F = family(t)
-            np.subtract(np.asarray(F(pts), dtype=float), pts, out=v0[i])
-        except Exception as exc:
-            raised = (i, exc)
-            break
-        maps.append(F)
 
     def disp(t, rows):
-        nonlocal raised
         at = curve.point_at(t)
-        out = np.full((rows, len(t), 2), np.nan)
-        for i, F in enumerate(maps[:rows]):
-            try:
-                np.subtract(np.asarray(F(at), dtype=float), at, out=out[i])
-            except Exception as exc:
-                raised = (i, exc)
-                break   # its NaN row fails there, and drops the later rows
-        return out
+        return np.asarray(images(times[:rows], at), dtype=float) - at
 
-    counts, error = _turning_counts(v0[:len(maps)], curve.params, disp,
-                                    FixedPointOnCurve, "fixed point on curve")
-    if raised is not None and raised[0] == len(counts):
-        raise raised[1]
+    counts, error = _turning_counts(np.asarray(images(times, pts), dtype=float) - pts,
+                                    curve.params, disp, FixedPointOnCurve, "fixed point on curve")
     if error is not None:
         raise error
     return counts

@@ -8,8 +8,10 @@ modules.
 Work that two checks share is done once in a run: the two frame layouts
 are checked against one quadrilateral frame, the inward index jump is the
 outward one reversed, and the six circles of z^2 are one homotopy profile
-on the unit circle. Nothing is kept from one run to the next; only the z^2
-map itself is built once, at import.
+on the unit circle. Each homotopy evaluates all its times in one call a
+round: the squash is one saddle image scaled row by row, the circles one
+call of the z^2 map on the six scaled curves stacked. Nothing is kept from
+one run to the next; only the z^2 map itself is built once, at import.
 """
 
 from __future__ import annotations
@@ -53,15 +55,17 @@ def _crossed(pts):
     return _scaled(pts, -2.0, 0.5)
 
 
-def _squashed_saddle(t):
-    """The saddle with its vertical image component scaled by 1 - t."""
-
-    def f(pts):
-        img = _saddle(pts)
-        np.multiply(1.0 - t, img[..., 1], out=img[..., 1])
-        return img
-
-    return f
+def _squashed_saddle(times, pts):
+    """The saddle's images under each time t's map, its vertical component
+    scaled by 1 - t: one saddle image of pts, stacked (len(times),) +
+    pts.shape. Element for element the arithmetic of one time alone."""
+    img = _saddle(pts)
+    scale = 1.0 - np.asarray(times, dtype=float)
+    out = np.empty(scale.shape + img.shape)
+    out[...] = img
+    np.multiply(scale.reshape(scale.shape + (1,) * (img.ndim - 1)), img[..., 1],
+                out=out[..., 1])
+    return out
 
 
 # the power map z^2 on the plane, whose index is 1 inside the unit circle and
@@ -69,10 +73,14 @@ def _squashed_saddle(t):
 _POWER2 = projected_plane_map(zoo("power", d=2))
 
 
-def _power2_at_radius(r):
-    """z^2 conjugated by z -> r z: its displacement along the unit circle is
-    that of z^2 along circle(r), divided by r, so it has the same index."""
-    return lambda pts: _POWER2(r * pts) / r
+def _power2_at_radii(radii, pts):
+    """z^2 conjugated by z -> r z for each radius r, stacked (len(radii),) +
+    pts.shape: one _POWER2 call on the points scaled by every radius. Its
+    displacement along the unit circle is that of z^2 along circle(r),
+    divided by r, so it has the same index."""
+    r = np.asarray(radii, dtype=float)
+    r = r.reshape(r.shape + (1,) * np.ndim(pts))
+    return _POWER2(r * pts) / r
 
 
 def _frame_lines():
@@ -127,7 +135,7 @@ def suite_homotopy_invariance() -> SuiteResult:
 
     # free homotopy of the curve: the power-map index is constant on each
     # side of the invariant circle
-    indices = homotopy_index_profile(_power2_at_radius, circle(1.0, 256),
+    indices = homotopy_index_profile(_power2_at_radii, circle(1.0, 256),
                                      (0.3, 0.5, 0.7, 1.5, 2.0, 3.0))
     inner, outer = indices[:3], indices[3:]
     radii_ok = inner == [1, 1, 1] and outer == [2, 2, 2]

@@ -86,11 +86,10 @@ def test_criterion_3_index_identity_suite():
     g = circle(1.0, 256)
     square = ClosedCurve(np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]]))
 
-    def squash_family(t):
-        def f(pts):
-            img = saddle(pts)
-            return np.stack([img[..., 0], (1.0 - t) * img[..., 1]], axis=-1)
-        return f
+    def squash_family(times, pts):
+        img = saddle(pts)
+        return np.stack([np.broadcast_to(img[..., 0], (len(times), len(pts))),
+                         (1.0 - times)[:, None] * img[..., 1]], axis=-1)
 
     checks = {
         "saddle": saddle_rectangle_index(saddle, (-1, 1, -1, 1)) == -1,

@@ -650,6 +650,20 @@ def test_circle_radius_must_be_a_real_number():
     assert c.point_at(t).tobytes() == ref.point_at(t).tobytes()
 
 
+@pytest.mark.filterwarnings("error")
+def test_circle_refuses_a_numpy_complex_radius():
+    # float() of a NumPy complex scalar or 0-d array warns ComplexWarning and
+    # keeps the real part, which made circle(np.complex128(1+2j), 8) the
+    # unit circle
+    for radius in (np.complex128(1 + 2j), np.complex64(0.5), np.array(1 + 2j),
+                   np.complex128(1.0)):
+        with pytest.raises(TypeError, match="circle radius must be a real number"):
+            circle(radius, 8)
+    # NumPy real scalars and 0-d arrays are still radii
+    for radius in (np.float32(0.5), np.float64(0.5), np.int64(2), np.array(2.0)):
+        assert circle(radius, 8).samples.tobytes() == circle(float(radius), 8).samples.tobytes()
+
+
 def test_template_curves_skip_the_scan(monkeypatch):
     scanned = []
     scan = ClosedCurve.__post_init__

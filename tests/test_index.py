@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from annulift import curves, fixed_points, index, lemma_suite
-from annulift.annulus_maps import projected_plane_map, zoo
+from annulift.annulus_maps import LiftMap, projected_plane_map, zoo
 from annulift.curves import ClosedCurve, circle, rectangle
 from annulift.lemma_suite import _crossed, _saddle, _squashed_saddle
 from annulift.errors import (
@@ -92,7 +92,8 @@ def _double(pts):
      DistanceViolation),
     (lambda: fixed_points._boundary_degree(_double, (-1.0, 1.0, -1.0, 1.0)), 1,
      FixedPointOnCurve),
-    (lambda: homotopy_index_profile(lambda t: _double, rectangle(-1, 1, -1, 1), [0.0, 1.0]),
+    (lambda: homotopy_index_profile(lambda s, p: np.stack([_double(p)] * len(s)),
+                                    rectangle(-1, 1, -1, 1), [0.0, 1.0]),
      [1, 1], FixedPointOnCurve),
 ], ids=["lefschetz_index", "winding_number", "boundary_degree", "homotopy_index_profile"])
 def test_every_count_has_the_one_floor(monkeypatch, count, want, too_close):
@@ -463,13 +464,12 @@ def test_jump_plateau_break_before_a_later_fixed_point_wins(monkeypatch):
 def test_homotopy_invariance_over_twenty_steps():
     boundary = ClosedCurve(np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]]))
 
-    def family(t):
-        def f(pts):
-            img = saddle(pts)
-            return np.stack([img[..., 0], (1.0 - t) * img[..., 1]], axis=-1)
-        return f
+    def images(times, pts):
+        img = saddle(pts)
+        return np.stack([np.broadcast_to(img[..., 0], (len(times), len(pts))),
+                         (1.0 - times)[:, None] * img[..., 1]], axis=-1)
 
-    profile = homotopy_index_profile(family, boundary, np.linspace(0, 1, 20))
+    profile = homotopy_index_profile(images, boundary, np.linspace(0, 1, 20))
     assert profile == [-1] * 20
 
 
@@ -481,23 +481,23 @@ def _outcome(fn):
         return type(exc), str(exc)
 
 
-def _sequential_profile(family, curve, times):
-    return [lefschetz_index(family(t), curve) for t in times]
+def _sequential_profile(images, curve, times):
+    """One lefschetz_index a time, of that time's row of the images."""
+    return [lefschetz_index(lambda pts, t=t: images(np.array([t]), pts)[0], curve)
+            for t in times]
 
 
 def _power_blend(a, b, turn):
-    """t -> e^(2 pi i turn t) ((1 - t) z^a + t z^b) as plane maps."""
+    """The images of z under e^(2 pi i turn t) ((1 - t) z^a + t z^b) for
+    every time t at once."""
 
-    def family(t):
-        w = np.exp(2j * np.pi * turn * t)
+    def images(times, pts):
+        t = np.asarray(times, dtype=float)[:, None]
+        z = pts[..., 0] + 1j * pts[..., 1]
+        img = np.exp(2j * np.pi * turn * t) * ((1.0 - t) * z ** a + t * z ** b)
+        return np.stack([img.real, img.imag], axis=-1)
 
-        def f(pts):
-            z = pts[..., 0] + 1j * pts[..., 1]
-            img = w * ((1.0 - t) * z ** a + t * z ** b)
-            return np.stack([img.real, img.imag], axis=-1)
-        return f
-
-    return family
+    return images
 
 
 _SQUARE = ClosedCurve(np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]]))
@@ -505,9 +505,10 @@ _SQUARE = ClosedCurve(np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.
 
 @st.composite
 def _homotopies(draw):
-    """A family and a curve: blends and rotations of z^a on circles of 16 to
-    256 samples (some refine: z^4 turns a right angle a sample on 16), or
-    the squash suite's saddle family on its 4-vertex square."""
+    """A homotopy's images and a curve: blends and rotations of z^a on
+    circles of 16 to 256 samples (some refine: z^4 turns a right angle a
+    sample on 16), or the squash suite's saddle family on its 4-vertex
+    square."""
     times = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8))
     if draw(st.booleans()):
         return _squashed_saddle, _SQUARE, times
@@ -522,19 +523,25 @@ def _homotopies(draw):
 @settings(derandomize=True)
 @given(_homotopies())
 def test_profile_matches_one_index_a_time(case):
-    family, curve, times = case
-    got = _outcome(lambda: homotopy_index_profile(family, curve, times))
-    assert got == _outcome(lambda: _sequential_profile(family, curve, times))
+    images, curve, times = case
+    got = _outcome(lambda: homotopy_index_profile(images, curve, times))
+    assert got == _outcome(lambda: _sequential_profile(images, curve, times))
 
 
 def test_profile_of_no_times_is_empty():
-    assert homotopy_index_profile(_squashed_saddle, _SQUARE, []) == []
-    assert homotopy_index_profile(_squashed_saddle, _SQUARE, np.array([])) == []
+    def images(times, pts):
+        raise AssertionError("no times need no images")
+
+    assert homotopy_index_profile(images, _SQUARE, []) == []
+    assert homotopy_index_profile(images, _SQUARE, np.array([])) == []
 
 
-def _moving_constant(t):
-    """The constant map at (2 - 2t, 0): on sample 0 of circle(1, 16) at t = 1/2."""
-    return const_map([2.0 - 2.0 * t, 0.0])
+def _moving_constant(times, pts):
+    """The constant map at (2 - 2t, 0) at each time t: on sample 0 of
+    circle(1, 16) at t = 1/2."""
+    out = np.zeros((len(times),) + np.shape(pts))
+    out[..., 0] = (2.0 - 2.0 * np.asarray(times, dtype=float))[:, None]
+    return out
 
 
 def _off_samples(fail):
@@ -557,48 +564,54 @@ def _raise(exc):
     raise exc
 
 
-_RAISES_OFF_SAMPLES = _off_samples(lambda: _raise(KeyError("refinement point")))
+_REFINE_ERROR = KeyError("refinement point")
+_RAISES_OFF_SAMPLES = _off_samples(lambda: _raise(_REFINE_ERROR))
 _NAN_OFF_SAMPLES = _off_samples(lambda: np.nan)
 
 
 def _pick(maps):
-    """A family from {time: map}, where a map may be an exception to raise
-    when the family is built at that time."""
+    """A homotopy's images from {time: map}, each time's map called on the
+    points in turn; a map may be an exception, raised when its time is
+    among the times."""
 
-    def family(t):
-        m = maps[t]
-        if isinstance(m, Exception):
-            raise m
-        return m
+    def family(times, pts):
+        out = []
+        for t in times.tolist():
+            m = maps[t]
+            if isinstance(m, Exception):
+                raise m
+            out.append(m(pts))
+        return np.stack(out)
 
     return family
 
 
+_OUTSIDE, _ON_SAMPLE_0 = const_map([2.0, 0.0]), const_map([1.0, 0.0])
 _BAD_MAP = lambda pts: _raise(IndexError("map fails"))  # noqa: E731
 
 
 @pytest.mark.parametrize("family, times, error", [
     # a fixed point on the curve at the middle time
     (_moving_constant, np.linspace(0.0, 1.0, 5).tolist(), FixedPointOnCurve),
-    # ... wins over a family that cannot be built at a later time
-    (lambda t: _moving_constant(t) if t < 0.6 else 1 / 0, np.linspace(0.0, 1.0, 5).tolist(),
-     FixedPointOnCurve),
-    # a family that cannot be built at the middle time, later times fine
-    (lambda t: 1 / 0 if t == 0.5 else _moving_constant(t + 0.1), [0.0, 0.25, 0.5, 1.0],
-     ZeroDivisionError),
-    # a map that raises at a middle time wins over a later fixed point
-    (_pick({0.0: _moving_constant(0.0), 0.5: _BAD_MAP, 1.0: _moving_constant(0.5)}),
-     [0.0, 0.5, 1.0], IndexError),
-    # errors that only refinement meets, in either order: a NaN and a raise
-    (_pick({0.0: _moving_constant(0.0), 0.5: _NAN_OFF_SAMPLES, 1.0: _RAISES_OFF_SAMPLES}),
-     [0.0, 0.5, 1.0], NonFiniteDisplacement),
-    (_pick({0.0: _moving_constant(0.0), 0.5: _RAISES_OFF_SAMPLES, 1.0: _NAN_OFF_SAMPLES}),
+    # ... wins over a NaN at a later time
+    (lambda s, pts: np.where((s < 0.6)[:, None, None], _moving_constant(s, pts), np.nan),
+     np.linspace(0.0, 1.0, 5).tolist(), FixedPointOnCurve),
+    # images that raise for the middle time are raised, later times fine
+    (lambda s, pts: 1 / 0 if 0.5 in s else _moving_constant(s + 0.1, pts),
+     [0.0, 0.25, 0.5, 1.0], ZeroDivisionError),
+    # ... and so are images that raise for a middle time, before a later fixed point
+    (_pick({0.0: _OUTSIDE, 0.5: _BAD_MAP, 1.0: _ON_SAMPLE_0}), [0.0, 0.5, 1.0], IndexError),
+    # a NaN that only refinement meets wins over a later fixed point on a sample
+    (_pick({0.0: _OUTSIDE, 0.5: _NAN_OFF_SAMPLES, 1.0: _ON_SAMPLE_0}), [0.0, 0.5, 1.0],
+     NonFiniteDisplacement),
+    # images that raise on refinement points, a later time's NaN there too
+    (_pick({0.0: _OUTSIDE, 0.5: _RAISES_OFF_SAMPLES, 1.0: _NAN_OFF_SAMPLES}),
      [0.0, 0.5, 1.0], KeyError),
-    # a map raising on refinement points after a later time's fixed point
-    (_pick({0.0: _RAISES_OFF_SAMPLES, 0.5: _moving_constant(0.5)}), [0.0, 0.5], KeyError),
-    (_pick({0.0: _moving_constant(0.5), 0.5: _RAISES_OFF_SAMPLES}), [0.0, 0.5],
-     FixedPointOnCurve),
-    # one time fails to build: no loop is counted at all
+    # ... and a later time's fixed point on a sample
+    (_pick({0.0: _RAISES_OFF_SAMPLES, 0.5: _ON_SAMPLE_0}), [0.0, 0.5], KeyError),
+    # a fixed point on a sample drops the later times before any refinement
+    (_pick({0.0: _ON_SAMPLE_0, 0.5: _RAISES_OFF_SAMPLES}), [0.0, 0.5], FixedPointOnCurve),
+    # images that raise for the only time: no loop is counted at all
     (_pick({0.0: ValueError("no map")}), [0.0], ValueError),
 ])
 def test_profile_raises_what_one_index_a_time_raises(family, times, error):
@@ -606,6 +619,20 @@ def test_profile_raises_what_one_index_a_time_raises(family, times, error):
     want = _outcome(lambda: _sequential_profile(family, curve, times))
     assert want[0] is error
     assert _outcome(lambda: homotopy_index_profile(family, curve, times)) == want
+
+
+@pytest.mark.parametrize("maps", [
+    {0.0: _OUTSIDE, 0.5: _RAISES_OFF_SAMPLES},          # raised in the refinement round
+    {0.0: _NAN_OFF_SAMPLES, 0.5: _RAISES_OFF_SAMPLES},  # ... where time 0 fails too
+    {0.0: _ON_SAMPLE_0, 0.5: _REFINE_ERROR},            # raised on the samples
+], ids=["refinement", "refinement-after-nan", "samples-after-fixed-point"])
+def test_profile_raises_what_images_raise(maps):
+    # all times are one images call a round: what it raises propagates
+    # unchanged, also where an earlier time alone would fail first
+    curve, images = circle(1.0, 16), _pick(maps)
+    with pytest.raises(KeyError) as raised:
+        homotopy_index_profile(images, curve, [0.0, 0.5])
+    assert raised.value is _REFINE_ERROR
 
 
 def test_lemma_suite_work_is_pinned(monkeypatch):
@@ -659,14 +686,14 @@ def test_power2_circles_match_one_index_a_time():
     # circle the index z^2 has along circle(r)
     radii = (0.3, 0.5, 0.7, 1.5, 2.0, 3.0)
     f, unit = lemma_suite._POWER2, circle(1.0, 256)
-    assert homotopy_index_profile(lemma_suite._power2_at_radius, unit, radii) == [
+    assert homotopy_index_profile(lemma_suite._power2_at_radii, unit, radii) == [
         lefschetz_index(f, circle(r, 256)) for r in radii]
     # z^2 is fixed at (1, 0), a sample of the unit circle: the first failing
     # circle's error is raised, with lefschetz_index's message
     with pytest.raises(FixedPointOnCurve) as one:
         lefschetz_index(f, unit)
     with pytest.raises(FixedPointOnCurve) as stacked:
-        homotopy_index_profile(lemma_suite._power2_at_radius, unit, (0.5, 1.0, 2.0))
+        homotopy_index_profile(lemma_suite._power2_at_radii, unit, (0.5, 1.0, 2.0))
     assert str(stacked.value) == str(one.value)
 
 
@@ -734,13 +761,53 @@ def test_lemma_suite_maps_match_stacked_reference_bitwise():
     rand = rng.uniform(-3.0, 3.0, size=(60, 2))
     sets = [rand, np.array([(a, b) for a in special for b in special]), rand[0],
             rand[:24].reshape(4, 6, 2), rand[:6].reshape(3, 2, 2)[:, ::-1]]
+    times = np.linspace(0.0, 1.0, 20)
     maps = [(_saddle, lambda p: _reference_scaled(p, 2.0, 0.5)),
-            (_crossed, lambda p: _reference_scaled(p, -2.0, 0.5))]
-    maps += [(_squashed_saddle(t), _reference_squashed_saddle(t))
-             for t in np.linspace(0.0, 1.0, 20)]
+            (_crossed, lambda p: _reference_scaled(p, -2.0, 0.5)),
+            (lambda p: _squashed_saddle(times, p),
+             lambda p: np.stack([_reference_squashed_saddle(t)(p) for t in times]))]
     for f, ref in maps:
         for pts in sets:
             assert _same_bits(f(pts), ref(pts))
+
+
+def test_lemma_families_match_one_time_a_call():
+    # each time's row of a stacked family is, bit for bit, that time's map
+    # called alone: the squash's saddle scaled by 1 - t, and z^2 conjugated
+    # by z -> r z; as displacements on the suite's curves, at their samples
+    # and at 300 refinement parameters
+    rng = np.random.default_rng(3)
+    square = ClosedCurve(np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]]))
+    radii = np.array([0.3, 0.5, 0.7, 1.5, 2.0, 3.0])
+    families = [(_squashed_saddle, _reference_squashed_saddle, np.linspace(0.0, 1.0, 20), square),
+                (lemma_suite._power2_at_radii,
+                 lambda r: lambda p: lemma_suite._POWER2(r * p) / r, radii, circle(1.0, 256))]
+    for images, one, times, curve in families:
+        for pts in (curve.samples, curve.point_at(rng.uniform(0.0, 1.0, 300))):
+            want = np.stack([one(t)(pts) - pts for t in times.tolist()])
+            assert _same_bits(images(times, pts) - pts, want)
+
+
+def test_lemma_suite_map_calls_are_pinned(monkeypatch):
+    # each homotopy of one run_all() evaluates all its times in one call a
+    # round: the six circles of z^2 are one lift call, as no step refines;
+    # the squash images the square's samples, then the one round's midpoints
+    lift_calls, squash_calls = [], []
+    lift_call, squash = LiftMap.__call__, lemma_suite._squashed_saddle
+
+    def counted_lift(lift, pts):
+        lift_calls.append(np.shape(pts))
+        return lift_call(lift, pts)
+
+    def counted_squash(times, pts):
+        squash_calls.append((len(times), len(pts)))
+        return squash(times, pts)
+
+    monkeypatch.setattr(LiftMap, "__call__", counted_lift)
+    monkeypatch.setattr(lemma_suite, "_squashed_saddle", counted_squash)
+    assert all(r.passed for r in lemma_suite.run_all())
+    assert lift_calls == [(6, 256, 2)]
+    assert squash_calls == [(20, 4), (20, 4)]
 
 
 # -- exact frame crossings ---------------------------------------------------------------

@@ -45,19 +45,27 @@ def test_check_digests_reads_the_newest_bench_file(tmp_path):
     source.write_text("")
     os.utime(source, (1e9, 1e9))
 
-    def bench(label, *digests, seeds=None):
-        # as scripts/bench.py writes it: seed 1's untraced digest is the first
+    def layers(counts, self_s):
+        return {**{name: {"value": v, "unit": "count"} for name, v in counts.items()},
+                "index.toolbox_self_s": {"value": self_s, "unit": "s"}}
+
+    def bench(label, *digests, seeds=None, traced_seed=2, counts=None):
+        # as scripts/bench.py writes it: seed 1's untraced digest is the
+        # first, and one seed's traced run gives the per-layer metrics
         seeds = {"1": digests[0]} if seeds is None else seeds
         doc = {"workloads": {w: {"digests": [d + w for d in digests],
-                                 "seed_digests": {s: d + w for s, d in seeds.items()}}
+                                 "seed_digests": {s: d + w for s, d in seeds.items()},
+                                 "traced_seed": traced_seed,
+                                 "per_layer": layers(counts or {}, 0.05)}
                              for w in workloads}}
         (tmp_path / f"BENCH_{label}.json").write_text(json.dumps(doc))
 
-    def record(digest, commit="c0ffee", traces=(0, 1)):
+    def record(digest, commit="c0ffee", traces=(0, 1), counts=None):
         for w in workloads:
             for trace in traces:
                 (results / f"{w}-seed1-trace{trace}.json").write_text(
-                    json.dumps({"digest": digest + w, "commit": commit}))
+                    json.dumps({"digest": digest + w, "commit": commit,
+                                "metrics": layers(counts or {}, 0.07)}))
 
     bench(9, "old-")
     bench(10, "new-")   # newest by number, not by name
@@ -87,6 +95,25 @@ def test_check_digests_reads_the_newest_bench_file(tmp_path):
     assert proc.returncode == 1 and proc.stdout.count("older than fixed_points.py") == 6
     os.utime(source, (1e9, 1e9))
     assert _check_digests(tmp_path).returncode == 0
+    # at the BENCH file's traced seed, the traced record's per-layer counts
+    # must equal the file's per_layer; its times are not compared
+    counts = {"index.lefschetz_calls": 1600, "annulus_maps.eval_calls": 1600}
+    bench(10, "new-", traced_seed=1, counts=counts)
+    record("new-", counts=counts)
+    proc = _check_digests(tmp_path)
+    assert proc.returncode == 0 and proc.stdout.count("traced: counts equal BENCH_10.json's") == 3
+    record("new-", counts={**counts, "annulus_maps.eval_calls": 1800})
+    proc = _check_digests(tmp_path)
+    assert proc.returncode == 1 and proc.stdout.count("matches BENCH_10.json") == 6
+    assert proc.stdout.count(
+        "traced: annulus_maps.eval_calls is 1800, BENCH_10.json records 1600") == 3
+    assert "lefschetz_calls" not in proc.stdout and "counts equal" not in proc.stdout
+    # another seed's traced record is not compared with the traced seed's counts
+    bench(10, "new-", traced_seed=2, counts=counts)
+    proc = _check_digests(tmp_path)
+    assert proc.returncode == 0 and "counts equal" not in proc.stdout
+    assert "eval_calls" not in proc.stdout
+    record("new-")
     # a traced digest passes when it is among the digests the BENCH file
     # records for traced and untraced runs together
     bench(11, "new-", "path-")
