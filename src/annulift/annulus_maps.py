@@ -8,6 +8,7 @@ infinity. A lift of a degree-d map satisfies F(x+1, y) = F(x, y) + (d, 0).
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import math
@@ -31,6 +32,9 @@ TWO_PI = 2.0 * np.pi
 
 _EQUIVARIANCE_TOL = 1e-9  # max deck-equivariance defect on a check grid
 _EXP_NORMAL_MIN = math.log(np.finfo(float).tiny)  # e^a is a normal float iff a >= this
+# cells a side of a block of a tabulated lift's region-bound table; it
+# divides 16, the rows of cells that _grid_bounds takes at a time
+_BOUND_BLOCK = 4
 
 _DATA_DIR = Path(__file__).parent / "data"
 
@@ -78,6 +82,8 @@ class LiftMap:
     bound L with |F(p) - F(q)| <= L |p - q|, which makes fixed-point
     exclusion a proof (see ``fixed_points``); every shipped map and
     tabulated lift declares one, and isolation refuses None.
+    ``region_bound``, when set, maps a region (x0, x1, y0, y1) to a bound
+    that holds over it, at most ``lipschitz``; only ``restrict`` reads it.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
@@ -85,6 +91,7 @@ class LiftMap:
     name: str = ""
     y_window: tuple[float, float] = (-2.0, 2.0)  # default sweep window for fixed points
     lipschitz: Optional[float] = None
+    region_bound: Optional[Callable[[tuple], float]] = None
 
     def __call__(self, pts) -> np.ndarray:
         return np.asarray(self.fn(np.asarray(pts, dtype=float)), dtype=float)
@@ -208,11 +215,22 @@ def deck_translate(F: LiftMap, k: int) -> LiftMap:
     return LiftMap(fn=lambda pts, _f=F.fn: np.asarray(_f(pts), dtype=float) + offset,
                    degree=F.degree,
                    name=f"{F.name}+({k},0)" if F.name else f"translate({k})",
-                   y_window=F.y_window, lipschitz=F.lipschitz)
+                   y_window=F.y_window, lipschitz=F.lipschitz, region_bound=F.region_bound)
+
+
+def restrict(F: LiftMap, region) -> LiftMap:
+    """F with its Lipschitz bound over the region (x0, x1, y0, y1), from its
+    region_bound, in place of its global one; F itself when it declares no
+    region bound. The returned map's bound holds only over the region, so
+    every cell proved under it must lie inside."""
+    if F.region_bound is None:
+        return F
+    return dataclasses.replace(F, lipschitz=F.region_bound(region))
 
 
 def iterate(F: LiftMap, n: int) -> LiftMap:
-    """n-fold composition, degree F.degree**n, Lipschitz bound F.lipschitz**n."""
+    """n-fold composition, degree F.degree**n, Lipschitz bound F.lipschitz**n;
+    the iterate has no region bound, since its orbit leaves the region."""
     n = int(n)
     if n < 1:
         raise ValueError("iterate needs n >= 1")
@@ -441,7 +459,8 @@ def grid_lift_from_values(values: np.ndarray, degree: int, x0: float,
     equivariance, which makes the extension exact), rows at ny evenly spaced
     y levels on [y0, y1]. Evaluation clamps y outside [y0, y1], and a point
     with a NaN coordinate evaluates to NaN. The lift declares its Lipschitz
-    bound (_grid_lipschitz).
+    bound and, as its region bound (``restrict``), the largest bound of the
+    cell blocks that hold the cells a region meets (_grid_bounds).
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 3 or values.shape[2] != 2 or values.shape[0] < 2 or values.shape[1] < 2:
@@ -493,28 +512,64 @@ def grid_lift_from_values(values: np.ndarray, degree: int, x0: float,
         out[0] += shift * k
         return out.T.reshape(pts.shape)
 
-    return make_lift(fn, degree, name=name,
+    lipschitz, blocks = _grid_bounds(planes, step_x, step_y)
+    b = _BOUND_BLOCK
+
+    def region_bound(region) -> float:
+        # the cells the region meets, one margin cell on each side against
+        # the rounding of their indices: rows clamped to the end cells (a
+        # clamped y keeps its end row's slopes), columns taken mod nx
+        # (equivariance repeats the slopes), then the blocks holding them
+        rx0, rx1, ry0, ry1 = map(float, region)
+        ix0 = math.floor((rx0 - x0) * nx) - 1
+        ix1 = math.floor((rx1 - x0) * nx) + 1
+        iy0 = min(max(math.floor((ry0 - y0) / step_y) - 1, 0), ny - 2)
+        iy1 = min(max(math.floor((ry1 - y0) / step_y) + 1, 0), ny - 2)
+        rows = blocks[iy0 // b:iy1 // b + 1]
+        if ix1 - ix0 + 1 >= nx:
+            return float(rows.max())
+        lo, hi = ix0 % nx // b, ix1 % nx // b
+        if ix0 % nx <= ix1 % nx:
+            return float(rows[:, lo:hi + 1].max())
+        return float(max(rows[:, lo:].max(), rows[:, :hi + 1].max()))   # wraps
+
+    lift = make_lift(fn, degree, name=name,
                      y_window=tuple(y_window) if y_window else (y0, y1),
-                     lipschitz=_grid_lipschitz(planes, step_x, step_y))
+                     lipschitz=lipschitz)
+    return dataclasses.replace(lift, region_bound=region_bound)
 
 
-def _grid_lipschitz(planes: np.ndarray, step_x: float, step_y: float) -> float:
-    """Lipschitz bound of the bilinear interpolant of the (2, ny, nx + 1)
-    node planes: in a cell dF/dx mixes its lower and upper edge differences
-    over step_x and dF/dy its left and right ones over step_y, and their dot
-    product, bilinear, peaks at a corner. Clamping y only shrinks slopes.
-    Blocks of 16 rows keep temporaries small; a NaN node gives NaN."""
+def _grid_bounds(planes: np.ndarray, step_x: float, step_y: float
+                 ) -> tuple[float, np.ndarray]:
+    """(L, table): a Lipschitz bound L of the bilinear interpolant of the
+    (2, ny, nx + 1) node planes, and one over each block of b = _BOUND_BLOCK
+    cells a side, by rows then columns, (ceil((ny - 1) / b), ceil(nx / b)).
+    In a cell dF/dx mixes its lower and upper edge differences over step_x
+    and dF/dy its left and right ones over step_y, and their dot product,
+    bilinear, peaks at a corner: _norm_bound of those maxima bounds the
+    cell. L is _norm_bound of their maxima over all cells, so it is at least
+    every cell's bound, and the table is clipped to it against rounding.
+    Clamping y only shrinks slopes. Blocks of 16 rows keep temporaries
+    small; a NaN node gives NaN."""
     dot = lambda a, b: a[0] * b[0] + a[1] * b[1]   # noqa: E731
-    peaks = []   # per block: max |c1|^2, max |c2|^2, max |c1 . c2| at each corner
+    side = _BOUND_BLOCK
+    cols = range(0, planes.shape[2] - 1, side)
+    peaks, table = [], []   # per row block: max |c1|^2, |c2|^2, |c1 . c2|; its cell blocks
     for i in range(0, planes.shape[1] - 1, 16):
         block = planes[:, i:i + 17]
         h = np.diff(block, axis=2) / step_x
         v = np.diff(block, axis=1) / step_y
-        peaks.append([dot(h, h).max(), dot(v, v).max()] + [
-            abs(dot(c1, c2)).max() for c1 in (h[:, :-1], h[:, 1:])
-            for c2 in (v[:, :, :-1], v[:, :, 1:])])
-    top = np.max(peaks, axis=0)
-    return _norm_bound(top[0], top[1], top[2:].max())
+        hh, vv = dot(h, h), dot(v, v)
+        a2 = np.maximum(hh[:-1], hh[1:])          # a cell's lower or upper edge
+        b2 = np.maximum(vv[:, :-1], vv[:, 1:])    # its left or right edge
+        p = functools.reduce(np.maximum, [abs(dot(c1, c2)) for c1 in (h[:, :-1], h[:, 1:])
+                                          for c2 in (v[:, :, :-1], v[:, :, 1:])])
+        peaks.append([a2.max(), b2.max(), p.max()])
+        cell = np.sqrt(0.5 * (a2 + b2 + np.hypot(a2 - b2, 2.0 * p)))
+        table.append(np.maximum.reduceat(np.maximum.reduceat(cell, range(0, len(cell), side)),
+                                         cols, axis=1))
+    bound = _norm_bound(*np.max(peaks, axis=0))
+    return bound, np.minimum(np.concatenate(table), bound)
 
 
 def load_grid_lift(path: str | Path) -> LiftMap:
@@ -692,8 +747,9 @@ def _nearest_on_spine(points: np.ndarray, segs, reach: float = np.inf
     """Distance to the invariant set and parameter of the nearest point.
 
     Each segment, in order, measures only the points inside its bounding
-    box grown by ``reach``; a running minimum updated with strict ``<``
-    gives ties to the lowest segment index. Every point within ``reach`` of
+    box grown by ``reach``, and is skipped when that box misses the points'
+    bounding box; a running minimum updated with strict ``<`` gives ties to
+    the lowest segment index. Every point within ``reach`` of
     the set gets its exact distance and parameter. A point farther than
     ``reach`` from the set gets some distance above ``reach``, not
     necessarily the true one: inf and parameter 0 when it lies in no grown
@@ -701,10 +757,16 @@ def _nearest_on_spine(points: np.ndarray, segs, reach: float = np.inf
     """
     best_d = np.full(len(points), np.inf)
     best_t = np.zeros(len(points))
+    if not len(points):
+        return best_d, best_t
     px, py = points[:, 0], points[:, 1]
+    # a NaN coordinate makes these NaN, and then no segment is skipped
+    (x_lo, y_lo), (x_hi, y_hi) = points.min(axis=0).tolist(), points.max(axis=0).tolist()
     for a, b, ta, tb in segs:
         lo = np.minimum(a, b) - reach
         hi = np.maximum(a, b) + reach
+        if lo[0] > x_hi or lo[1] > y_hi or hi[0] < x_lo or hi[1] < y_lo:
+            continue
         idx = np.flatnonzero((px >= lo[0]) & (px <= hi[0]) & (py >= lo[1]) & (py <= hi[1]))
         ab = b - a
         apx, apy = px[idx] - a[0], py[idx] - a[1]
@@ -747,14 +809,15 @@ def counterexample_deg_minus1() -> LiftMap:
 
     xs = np.arange(nx, dtype=float) / nx
     ys = np.linspace(y0, y1, ny)
-    gx, gy = np.meshgrid(xs, ys)
-    nodes = np.stack([gx.ravel(), gy.ravel()], axis=-1)
-
-    dist, t_near = _nearest_on_spine(nodes, segs, reach=outer)
-    on_curve = spine(gmap(t_near))
-    background = np.stack([bg["cx"] - nodes[:, 0], nodes[:, 1] + bg["dy"]], axis=-1)
-    w = np.clip((outer - dist) / (outer - inner), 0.0, 1.0)[:, None]
-    values = (w * on_curve + (1.0 - w) * background).reshape(ny, nx, 2)
+    values = np.empty((ny, nx, 2))
+    for i in range(0, ny, 16):   # 16 rows of nodes at a time keep temporaries small
+        gx, gy = np.meshgrid(xs, ys[i:i + 16])
+        nodes = np.stack([gx.ravel(), gy.ravel()], axis=-1)
+        dist, t_near = _nearest_on_spine(nodes, segs, reach=outer)
+        on_curve = spine(gmap(t_near))
+        background = np.stack([bg["cx"] - nodes[:, 0], nodes[:, 1] + bg["dy"]], axis=-1)
+        w = np.clip((outer - dist) / (outer - inner), 0.0, 1.0)[:, None]
+        values[i:i + 16] = (w * on_curve + (1.0 - w) * background).reshape(-1, nx, 2)
 
     return grid_lift_from_values(values, degree=-1, x0=0.0, y0=y0, y1=y1,
                                  name="counterexample_deg_minus1",

@@ -185,6 +185,15 @@ def _separated(step: float, scale: float, magnitude: float) -> bool:
     return step > scale * 2.0 ** -52 + 2.0 ** -1074 + math.ulp(magnitude * (1.0 + 2.0 ** -52))
 
 
+def _real(value, what: str) -> float:
+    """float(value), refusing a complex value with TypeError: float() of a
+    NumPy complex warns and drops the imaginary part. An int or a float
+    (np.float64 too) skips the dtype check."""
+    if not isinstance(value, (float, int)) and np.iscomplexobj(value):
+        raise TypeError(f"{what} must be a real number, got {value!r}")
+    return float(value)
+
+
 def circle(radius: float, n: int = 256, center=(0.0, 0.0)) -> ClosedCurve:
     """Counterclockwise circle with the exact parametrization attached.
 
@@ -193,14 +202,12 @@ def circle(radius: float, n: int = 256, center=(0.0, 0.0)) -> ClosedCurve:
     times |radius| clears the rounding bound of ``_separated``, the samples
     are finite and distinct by construction and are not scanned; otherwise
     ClosedCurve scans them and raises its ValueError. ``radius`` must be a
-    real number (float(radius)); an array or a complex radius, a NumPy
-    complex scalar or 0-d array too, is a TypeError."""
-    # float() of a NumPy complex warns and drops the imaginary part; an int
-    # or a float (np.float64 too) skips the dtype check
-    if not isinstance(radius, (float, int)) and np.iscomplexobj(radius):
-        raise TypeError(f"circle radius must be a real number, got {radius!r}")
-    r = float(radius)
-    cx, cy = float(center[0]), float(center[1])
+    real number (float(radius)), and so must each ``center`` coordinate;
+    an array or a complex value, a NumPy complex scalar or 0-d array too, is
+    a TypeError."""
+    r = _real(radius, "circle radius")
+    what = "circle centre coordinate"
+    cx, cy = _real(center[0], what), _real(center[1], what)
 
     def fn(t):
         ang = TWO_PI * np.asarray(t, dtype=float)

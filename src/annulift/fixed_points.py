@@ -79,6 +79,7 @@ from .annulus_maps import (
     deck_translate,
     iterate,
     project,
+    restrict,
 )
 from .curves import check_rectangle, rectangle
 from .errors import (
@@ -379,9 +380,10 @@ def isolate_fixed_points(F: LiftMap, region, resolution: float, k: int = 0,
 
     Adaptive tree of 3 x 3 cells: a cell is discarded only by the
     displacement lower bound that F's declared Lipschitz bound gives at its
-    centre, a box is replaced by its kept cells while larger than the
-    resolution, and a box at resolution scale is certified when its
-    boundary degree is nonzero. A box is cut in thirds across its long side
+    centre (its bound over the attempt's region, annulus_maps.restrict,
+    which holds every cell of the attempt), a box is replaced by its kept
+    cells while larger than the resolution, and a box at resolution scale
+    is certified when its boundary degree is nonzero. A box is cut in thirds across its long side
     only while one side is less than half the other, so when the region's
     short side exceeds the resolution every certified box has aspect at
     most 2, whatever the region's aspect. The tree is searched depth first,
@@ -412,8 +414,9 @@ def isolate_fixed_points(F: LiftMap, region, resolution: float, k: int = 0,
     check_rectangle(*region)   # a ValueError for a bad region, before any attempt
     F = deck_translate(F, k)
     for attempt in range(1, _ATTEMPTS + 1):
+        jittered = _jittered(region, attempt)
         try:
-            return _isolate_once(F, _jittered(region, attempt), resolution, audit, k)
+            return _isolate_once(restrict(F, jittered), jittered, resolution, audit, k)
         except _BoundaryHit as exc:
             last_exc = exc
         if attempt == 1 and diagnose_continuum(F, last_exc.box, resolution):

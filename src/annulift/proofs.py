@@ -17,13 +17,24 @@ L (``LiftMap.lipschitz``) has displacement D = F - id that is
   of F + (k, 0) (where a sweep searches the class of translate k; a
   translate left with no cell is not searched).
 
+A bound may hold over a region only: ``annulus_maps.restrict(F, region)``
+declares F's bound over the region, derived in ``annulus_maps`` (for a
+tabulated lift, the largest bound of the grid cells the region meets,
+with a margin).
+``enclosure`` reads it as it reads any bound, and the statements above hold
+for every cell inside the region, since the segment from a cell's centre to
+each of its points stays in the cell. ``isolate_fixed_points`` restricts
+each attempt to its jittered region, which holds every cell the attempt
+tests; a sweep's strip enclosure keeps the global bound.
+
 The search around these statements (the tree of cells, its chunking,
 jitter, mop-up and retries, and ``diagnose_continuum``) is heuristic and
 need not be trusted: it only decides where to ask. The trusted base of a
 certified report is this module, ``curves._turning_counts`` with
 ``curves._orient_signs`` (the boundary degree that certifies a box), and each
 map's declarations: its lift, degree and Lipschitz bound (``annulus_maps``;
-``iterate`` raises the bound to the n-th power, ``deck_translate`` keeps it).
+``iterate`` raises the bound to the n-th power and drops a region bound,
+``deck_translate`` keeps both, ``restrict`` reads the region bound).
 The statements hold in exact arithmetic; the rounding of the samples is not
 enclosed.
 

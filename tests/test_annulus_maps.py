@@ -1,3 +1,4 @@
+import functools
 import os
 import subprocess
 import sys
@@ -26,6 +27,7 @@ from annulift.annulus_maps import (
     make_lift,
     project,
     projected_plane_map,
+    restrict,
     write_grid_lift,
     zoo,
 )
@@ -442,6 +444,110 @@ def test_grid_lift_file_round_trip(tmp_path, fmt):
     pts = np.stack([RNG.uniform(-2, 2, 30), RNG.uniform(-1, 1, 30)], axis=-1)
     np.testing.assert_allclose(F(pts), -2.0 * pts, atol=1e-12)
     assert degree_check(F) == -2
+
+
+# -- region bounds of tabulated lifts -------------------------------------------------
+
+@functools.lru_cache(maxsize=1)
+def _rough_grid():
+    """A degree -1 tabulated lift over [-0.5, 0.7] whose slopes vary by
+    three orders of magnitude from node to node."""
+    rng = np.random.default_rng(3)
+    values = rng.normal(size=(13, 24, 2)) * 10.0 ** rng.uniform(-1.0, 2.0, (13, 24, 1))
+    return grid_lift_from_values(values, -1, 0.3, -0.5, 0.7)
+
+
+@given(x=st.floats(-3.0, 3.0), width=st.floats(0.0, 1.5), y=st.floats(-1.5, 1.5),
+       height=st.floats(0.0, 1.0), seed=st.integers(0, 2 ** 32 - 1))
+@example(x=0.9, width=0.5, y=1.2, height=0.2, seed=0)     # wraps x0 + 1, above both windows
+@example(x=-2.05, width=0.1, y=-1.5, height=0.3, seed=1)  # below both windows
+def test_pairs_in_a_region_obey_its_bound(x, width, y, height, seed):
+    # restrict(F, region) declares F's bound over the region: random pairs
+    # inside it, some close, obey it, in regions past the y window (where
+    # evaluation clamps y) and across the wrap of the columns; it never
+    # exceeds the global bound
+    region = (x, x + width, y, y + height)
+    lo, hi = np.array([x, y]), np.array([x + width, y + height])
+    rng = np.random.default_rng(seed)
+    p = rng.uniform(lo, hi, (1000, 2))
+    step = rng.normal(size=(1000, 2)) * 10.0 ** rng.uniform(-6.0, 0.0, (1000, 1))
+    q = np.clip(p + step * (hi - lo), lo, hi)
+    for F in (_rough_grid(), counterexample_deg_minus1()):
+        G = restrict(F, region)
+        assert (G.fn, G.degree, G.y_window) == (F.fn, F.degree, F.y_window)
+        assert 0.0 <= G.lipschitz <= F.lipschitz
+        fp, fq = F(p), F(q)
+        rounding = 8.0 * float(np.spacing(np.abs(np.concatenate([fp, fq])).max()))
+        moved = np.hypot(*(fp - fq).T)
+        assert np.all(moved <= G.lipschitz * np.hypot(*(p - q).T) * (1 + 1e-9) + rounding)
+
+
+@pytest.mark.parametrize("side", ["left", "right", "below", "above"])
+def test_a_region_bound_takes_one_margin_cell_on_each_side(side):
+    # the region bound covers the cells a region meets and one more on each
+    # side, against the rounding of the cell indices. One node of a linear
+    # grid is moved, which steepens its four cells, all in one block of b x b;
+    # the region is the middle of the cell beside them, in the next block
+    b = am._BOUND_BLOCK
+    (ni, nj), (ci, cj) = {"left": ((b + 1, b + 1), (b, b - 1)),
+                          "right": ((b + 1, 2 * b - 1), (b, 2 * b)),
+                          "below": ((b + 1, b + 1), (b - 1, b)),
+                          "above": ((2 * b - 1, b + 1), (2 * b, b))}[side]
+    nx, ny = 4 * b, 4 * b + 1
+    values = _tabulate(zoo("power", d=2), nx=nx, ny=ny)
+    values[ni, nj, 0] += 5.0
+    F = grid_lift_from_values(values, 2, 0.0, -1.0, 1.0)
+    sy = 2.0 / (ny - 1)
+    cell = lambda i, j: ((j + 0.25) / nx, (j + 0.75) / nx,   # noqa: E731
+                         -1.0 + (i + 0.25) * sy, -1.0 + (i + 0.75) * sy)
+    assert restrict(F, cell(ci, cj)).lipschitz > 20.0
+    assert restrict(F, cell(0, 3 * b)).lipschitz < 2.0 + 1e-9
+
+
+def test_region_bounds_follow_translates_not_iterates():
+    # a translate moves no slope, so it keeps the lift's region bound; an
+    # iterate's orbit leaves the region, so it has none; a map without a
+    # table passes through restrict as itself
+    F = counterexample_deg_minus1()
+    region = (0.1, 0.2, 0.0, 0.1)
+    G = deck_translate(F, 3)
+    assert G.region_bound is F.region_bound
+    assert restrict(G, region).lipschitz == restrict(F, region).lipschitz < F.lipschitz
+    assert iterate(F, 1) is F
+    F2 = iterate(F, 2)
+    assert F2.region_bound is None and restrict(F2, region) is F2
+    for name, params, _ in ZOO_CASES:
+        H = zoo(name, **params)
+        if name != "counterexample_deg_minus1":
+            assert restrict(H, region) is H
+
+
+def _reference_grid_lipschitz(values, degree, y0, y1):
+    """The whole-grid bound of a tabulated lift, in one pass over all cells:
+    _norm_bound of the largest squared edge slopes and corner dot product."""
+    ny, nx, _ = values.shape
+    ext = np.concatenate([values, values[:, :1] + np.array([float(degree), 0.0])], axis=1)
+    h = np.diff(ext, axis=1) / (1.0 / nx)
+    v = np.diff(ext, axis=0) / ((y1 - y0) / (ny - 1))
+    dot = lambda a, c: a[..., 0] * c[..., 0] + a[..., 1] * c[..., 1]   # noqa: E731
+    p = max(abs(dot(c1, c2)).max() for c1 in (h[:-1], h[1:]) for c2 in (v[:, :-1], v[:, 1:]))
+    return _norm_bound(dot(h, h).max(), dot(v, v).max(), p)
+
+
+@settings(derandomize=True)
+@given(shape=st.tuples(st.integers(2, 40), st.integers(2, 40), st.integers(-3, 3)),
+       scale=st.floats(1e-3, 1e3), seed=st.integers(0, 2 ** 32 - 1))
+def test_grid_bound_is_the_whole_grid_formula_bitwise(shape, scale, seed):
+    # the blocked pass that also fills the region-bound table declares the
+    # global bound of the whole-grid formula, bit for bit, signed zeros too
+    nx, ny, degree = shape
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=(ny, nx, 2)) * scale
+    zero = rng.random(values.shape) < 0.1
+    values[zero] = np.copysign(0.0, values[zero])
+    F = grid_lift_from_values(values, degree, 0.0, -1.0, 2.0)
+    assert F.lipschitz == _reference_grid_lipschitz(values, degree, -1.0, 2.0)
+    assert F.region_bound((-10.0, 10.0, -5.0, 5.0)) <= F.lipschitz
 
 
 # -- the shipped degree -1 example ---------------------------------------------------

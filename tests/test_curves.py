@@ -664,6 +664,23 @@ def test_circle_refuses_a_numpy_complex_radius():
         assert circle(radius, 8).samples.tobytes() == circle(float(radius), 8).samples.tobytes()
 
 
+@pytest.mark.filterwarnings("error")
+def test_circle_refuses_a_numpy_complex_centre():
+    # float() of a NumPy complex centre coordinate warned ComplexWarning and
+    # kept the real part: circle(1.0, 8, (np.complex128(1+2j), 0.0)) was
+    # centred at (1, 0)
+    for z in (np.complex128(1 + 2j), np.complex64(0.5), np.array(1 + 2j), np.complex128(1.0)):
+        for center in ((z, 0.0), (0.0, z)):
+            with pytest.raises(TypeError, match="circle centre coordinate must be a real number"):
+                circle(1.0, 8, center)
+    with pytest.raises(TypeError):
+        circle(1.0, 8, (1.0 + 2.0j, 0.0))
+    # NumPy real scalars and 0-d arrays are still coordinates
+    for x in (np.float32(0.5), np.float64(0.5), np.int64(2), np.array(2.0)):
+        got, want = circle(1.0, 8, (x, x)), circle(1.0, 8, (float(x), float(x)))
+        assert got.samples.tobytes() == want.samples.tobytes()
+
+
 def test_template_curves_skip_the_scan(monkeypatch):
     scanned = []
     scan = ClosedCurve.__post_init__

@@ -821,12 +821,52 @@ def test_enclosures_hold_at_every_point(name, centre, half, strip, at):
 
 def test_only_proofs_reads_the_declared_bound():
     # every proof goes through proofs.enclosure: no other module reads a
-    # map's declared bound, except annulus_maps, which declares and composes it
+    # map's declared bound, except annulus_maps, which declares and composes
+    # it; and only annulus_maps reads a map's region bound (restrict), so a
+    # search gets a bound over its region only as a map declaring it
     src = Path(fixed_points.__file__).parent
-    readers = {path.name for path in src.glob("*.py")
-               for node in ast.walk(ast.parse(path.read_text()))
-               if isinstance(node, ast.Attribute) and node.attr == "lipschitz"}
-    assert readers == {"proofs.py", "annulus_maps.py"}
+
+    def readers(attr):
+        return {path.name for path in src.glob("*.py")
+                for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.Attribute) and node.attr == attr}
+
+    assert readers("lipschitz") == {"proofs.py", "annulus_maps.py"}
+    assert readers("region_bound") == {"annulus_maps.py"}
+
+
+def test_region_bound_exclusions_stay_inside_their_region(monkeypatch):
+    # isolate_fixed_points proves each attempt's exclusions under the lift's
+    # bound over the attempt's jittered region (annulus_maps.restrict); that
+    # is sound because every enclosure cell of the attempt lies in that region
+    restricted = {}   # id of a restricted map -> (the map, its region)
+    real_restrict, real_enclosure = fixed_points.restrict, fixed_points.enclosure
+
+    def restrict(F, region):
+        G = real_restrict(F, region)
+        restricted[id(G)] = (G, region)
+        return G
+
+    cells = []
+
+    def enclosure(F, centres, half):
+        G, region = restricted[id(F)]   # a KeyError: a proof under another bound
+        cells.append((region, np.asarray(centres), np.repeat(half, len(centres) // len(half),
+                                                             axis=0)))
+        return real_enclosure(F, centres, half)
+
+    monkeypatch.setattr(fixed_points, "restrict", restrict)
+    monkeypatch.setattr(fixed_points, "enclosure", enclosure)
+    C = counterexample_deg_minus1()
+    for box in counterexample_tube_cover(rho=0.015, step=0.08, translates=(0,))[::2]:
+        for k in (0, 2):   # a translate keeps the region bound
+            assert isolate_fixed_points(C, box, 1e-3, k) == []
+    assert all(G.lipschitz < C.lipschitz for G, _ in restricted.values())
+    for (x0, x1, y0, y1), centres, half in cells:
+        lo, hi = centres - half, centres + half
+        slack = 4.0 * np.spacing(np.abs(centres).max() + 1.0)
+        assert (lo >= np.array([x0, y0]) - slack).all() and (hi <= np.array([x1, y1]) + slack).all()
+    assert len(cells) > 40
 
 
 def _nan_band(p):
@@ -1683,7 +1723,9 @@ def test_families_work_is_pinned(monkeypatch):
     # one pass of the families benchmark workload at seed 1, counted as the
     # census is: the sweeps of five maps (three end_swap continua among them)
     # and the tube isolations. The map points are the diagnoses' descents and
-    # ring probes about the box where each first attempt stopped
+    # ring probes about the box where each first attempt stopped. The tube
+    # isolations prove their exclusions under the degree -1 lift's bound over
+    # each attempt's region (annulus_maps.restrict), not its global bound
     wl = _benchmark_workloads()
     inputs, setup, run_pass = wl.WORKLOADS["families"]
     state = setup(inputs(1))
@@ -1691,8 +1733,8 @@ def test_families_work_is_pinned(monkeypatch):
     res = wl.PassResult()
     run_pass(state, res)
     assert res.failed == 0 and res.attempted > 0
-    assert work == {"steps": 668, "boxes": 8383, "degrees": 169, "isolations": 150,
-                    "enclosures": 15, "continua": 3, "proofs": 683, "centres": 136887,
+    assert work == {"steps": 616, "boxes": 6604, "degrees": 169, "isolations": 150,
+                    "enclosures": 15, "continua": 3, "proofs": 631, "centres": 120876,
                     "points": 2964}
 
 
