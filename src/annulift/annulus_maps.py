@@ -57,10 +57,6 @@ class AnnulusPoint:
         """The cover point (theta + j, y)."""
         return np.array([self.theta + j, self.y], dtype=float)
 
-    @property
-    def radius(self) -> float:
-        return float(np.exp(-TWO_PI * self.y))
-
 
 def project(p) -> AnnulusPoint:
     """Quotient a cover point by the deck translation (x, y) -> (x+1, y)."""
@@ -450,17 +446,17 @@ def zoo(name: str, **params) -> LiftMap:
 # -- tabulated lifts (bilinear grids) ------------------------------------------
 
 def grid_lift_from_values(values: np.ndarray, degree: int, x0: float,
-                          y0: float, y1: float, name: str = "grid_lift",
-                          y_window=None) -> LiftMap:
+                          y0: float, y1: float, name: str = "grid_lift") -> LiftMap:
     """Lift from F-values on a regular grid over one fundamental domain.
 
     ``values`` has shape (ny, nx, 2): columns at x = x0 + i/nx for
     i = 0..nx-1 (the wrap column is synthesized from column 0 by
     equivariance, which makes the extension exact), rows at ny evenly spaced
-    y levels on [y0, y1]. Evaluation clamps y outside [y0, y1], and a point
-    with a NaN coordinate evaluates to NaN. The lift declares its Lipschitz
-    bound and, as its region bound (``restrict``), the largest bound of the
-    cell blocks that hold the cells a region meets (_grid_bounds).
+    y levels on [y0, y1], which is also the lift's y_window. Evaluation
+    clamps y outside [y0, y1], and a point with a NaN coordinate evaluates
+    to NaN. The lift declares its Lipschitz bound and, as its region bound
+    (``restrict``), the largest bound of the cell blocks that hold the
+    cells a region meets (_grid_bounds).
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 3 or values.shape[2] != 2 or values.shape[0] < 2 or values.shape[1] < 2:
@@ -533,9 +529,7 @@ def grid_lift_from_values(values: np.ndarray, degree: int, x0: float,
             return float(rows[:, lo:hi + 1].max())
         return float(max(rows[:, lo:].max(), rows[:, :hi + 1].max()))   # wraps
 
-    lift = make_lift(fn, degree, name=name,
-                     y_window=tuple(y_window) if y_window else (y0, y1),
-                     lipschitz=lipschitz)
+    lift = make_lift(fn, degree, name=name, y_window=(y0, y1), lipschitz=lipschitz)
     return dataclasses.replace(lift, region_bound=region_bound)
 
 
@@ -721,14 +715,14 @@ def counterexample_tube_cover(rho: float = 0.015, step: float = 0.08,
     """Axis-aligned boxes covering the radius-rho tube around the invariant
     set: each spine segment is cut into pieces of length <= step and each
     piece's bounding box is inflated by rho, so no cover box strays farther
-    than rho plus half a piece from the set."""
+    than rho plus half a piece from the set. Coordinates are Python floats."""
     boxes = []
     for a, b, _, _ in counterexample_spine_segments(translates):
         length = float(np.hypot(*(b - a)))
         pieces = max(1, int(np.ceil(length / step)))
         for i in range(pieces):
-            p = a + (b - a) * (i / pieces)
-            q = a + (b - a) * ((i + 1) / pieces)
+            p = (a + (b - a) * (i / pieces)).tolist()
+            q = (a + (b - a) * ((i + 1) / pieces)).tolist()
             x0, x1 = sorted((p[0], q[0]))
             y0, y1 = sorted((p[1], q[1]))
             boxes.append((x0 - rho, x1 + rho, y0 - rho, y1 + rho))
@@ -820,5 +814,4 @@ def counterexample_deg_minus1() -> LiftMap:
         values[i:i + 16] = (w * on_curve + (1.0 - w) * background).reshape(-1, nx, 2)
 
     return grid_lift_from_values(values, degree=-1, x0=0.0, y0=y0, y1=y1,
-                                 name="counterexample_deg_minus1",
-                                 y_window=(y0, y1))
+                                 name="counterexample_deg_minus1")

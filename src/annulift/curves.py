@@ -1,24 +1,26 @@
 """Closed polyline curves, robust winding numbers, orientation.
 
 A ClosedCurve is a cyclic sample list; the polyline through the samples is
-the curve every operation acts on. When a continuous parametrization is
-attached, adaptive refinement queries it instead of chord midpoints, so a
-coarsely sampled analytic curve still gets exact integer winding numbers.
+the curve every operation acts on, and every polyline predicate here takes
+it closed. When a continuous parametrization is attached, adaptive
+refinement queries it instead of chord midpoints, so a coarsely sampled
+analytic curve still gets exact integer winding numbers.
 
 Checks on curves hold at sample resolution. A ClosedCurve rejects non-finite
-samples and params, and consecutive samples that coincide; circle() and
-rectangle() prove their scaled templates free of both from a few scalars,
-and scan the samples only when that proof fails. Simplicity means that no
-two non-adjacent segments of the polyline cross or touch, decided with exact
-orientation signs; the orientation of a simple curve is the exact turn at
-its lexicographically smallest sample, and point_in_polygon decides
-containment by the same signs.
+samples and params, and consecutive samples that coincide; circle(), always
+centred at 0, and rectangle() prove their scaled templates free of both
+from a few scalars, and scan the samples only when that proof fails.
+Simplicity means that no two non-adjacent segments of the polyline cross or
+touch, decided with exact orientation signs; the orientation of a simple
+curve is the exact turn at its lexicographically smallest sample, and
+point_in_polygon decides containment by the same signs.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -26,7 +28,6 @@ import numpy as np
 
 from .errors import (
     DistanceViolation,
-    InteriorPointNotFound,
     NonFiniteDisplacement,
     NotSimple,
     RefinementBudgetExceeded,
@@ -170,7 +171,8 @@ def _separated(step: float, scale: float, magnitude: float) -> bool:
     coordinate rounded twice (product, then sum), are finite with no two
     consecutive samples equal. ``step`` is scale times a lower bound on the
     max-norm gap between consecutive coefficients; ``magnitude`` bounds the
-    corner coordinates, plus the radius for a circle.
+    corner coordinates, or is the radius for a circle, whose samples are
+    products alone.
 
     In the coordinate of that gap the exact values differ by at least step.
     Rounding moves each product by at most scale 2^-53 + 2^-1075 (half an
@@ -185,29 +187,27 @@ def _separated(step: float, scale: float, magnitude: float) -> bool:
     return step > scale * 2.0 ** -52 + 2.0 ** -1074 + math.ulp(magnitude * (1.0 + 2.0 ** -52))
 
 
-def _real(value, what: str) -> float:
-    """float(value), refusing a complex value with TypeError: float() of a
-    NumPy complex warns and drops the imaginary part. An int or a float
-    (np.float64 too) skips the dtype check."""
+def _real(value) -> float:
+    """float(value) of a circle radius, refusing a complex value with
+    TypeError: float() of a NumPy complex warns and drops the imaginary
+    part. An int or a float (np.float64 too) skips the dtype check."""
     if not isinstance(value, (float, int)) and np.iscomplexobj(value):
-        raise TypeError(f"{what} must be a real number, got {value!r}")
+        raise TypeError(f"circle radius must be a real number, got {value!r}")
     return float(value)
 
 
-def circle(radius: float, n: int = 256, center=(0.0, 0.0)) -> ClosedCurve:
-    """Counterclockwise circle with the exact parametrization attached.
+def circle(radius: float, n: int = 256) -> ClosedCurve:
+    """Counterclockwise circle about the origin with the exact
+    parametrization attached.
 
-    Its samples are the cached unit template scaled by ``radius`` and moved
-    by ``center``, and its params are i / n. When the template's least gap
-    times |radius| clears the rounding bound of ``_separated``, the samples
-    are finite and distinct by construction and are not scanned; otherwise
-    ClosedCurve scans them and raises its ValueError. ``radius`` must be a
-    real number (float(radius)), and so must each ``center`` coordinate;
-    an array or a complex value, a NumPy complex scalar or 0-d array too, is
-    a TypeError."""
-    r = _real(radius, "circle radius")
-    what = "circle centre coordinate"
-    cx, cy = _real(center[0], what), _real(center[1], what)
+    Its samples are the cached unit template scaled by ``radius``, and its
+    params are i / n. When the template's least gap times |radius| clears
+    the rounding bound of ``_separated``, the samples are finite and
+    distinct by construction and are not scanned; otherwise ClosedCurve
+    scans them and raises its ValueError. ``radius`` must be a real number
+    (float(radius)); an array or a complex value, a NumPy complex scalar or
+    0-d array too, is a TypeError."""
+    r = _real(radius)
 
     def fn(t):
         ang = TWO_PI * np.asarray(t, dtype=float)
@@ -215,20 +215,14 @@ def circle(radius: float, n: int = 256, center=(0.0, 0.0)) -> ClosedCurve:
         x, y = out[..., 0], out[..., 1]
         np.cos(ang, out=x)
         x *= r
-        x += cx
         np.sin(ang, out=y)
         y *= r
-        y += cy
         return out
 
     unit, gap = _circle_template(n)
     samples = unit * r
-    # adding a complex number adds each part on its own, as unit * radius +
-    # (cx, cy) would, but in one contiguous pass instead of a broadcast one
-    z = samples.view(complex)
-    z += complex(cx, cy)
     size = abs(r)
-    if _separated(size * gap, size, max(abs(cx), abs(cy)) + size):
+    if _separated(size * gap, size, size):
         return ClosedCurve._scaled_template(samples, curve_fn=fn)
     return ClosedCurve(samples, curve_fn=fn)
 
@@ -237,7 +231,7 @@ def circle(radius: float, n: int = 256, center=(0.0, 0.0)) -> ClosedCurve:
 def _circle_template(n: int) -> tuple[np.ndarray, float]:
     """Read-only unit samples (cos 2 pi t, sin 2 pi t) of an n-sample circle
     at t = i / n, computed as circle's fn computes them, so that
-    unit * radius + center is bit for bit fn(t); and a lower bound on the
+    unit * radius is bit for bit fn(t); and a lower bound on the
     least max-norm gap between cyclically consecutive unit samples, 0.0
     below 3 samples. Each float difference is rounded to nearest, so the
     float below the least of them bounds the exact gap from below."""
@@ -269,12 +263,17 @@ def check_rectangle(x0: float, x1: float, y0: float, y1: float
 def rectangle(x0: float, x1: float, y0: float, y1: float, per_side: int = 16) -> ClosedCurve:
     """Counterclockwise rectangle boundary; corners are always samples.
 
-    When each side's sample spacing, side * gap (side / per_side for a power
-    of two), clears the rounding bound of ``_separated`` against the
-    corners' magnitude on its axis, the samples are distinct by construction
-    and are not scanned; otherwise ClosedCurve scans them."""
+    ``per_side`` must be an integer (operator.index, else TypeError) of at
+    least 1 (else ValueError). When each side's sample spacing, side * gap
+    (side / per_side for a power of two), clears the rounding bound of
+    ``_separated`` against the corners' magnitude on its axis, the samples
+    are distinct by construction and are not scanned; otherwise ClosedCurve
+    scans them."""
     x0, x1, y0, y1 = check_rectangle(x0, x1, y0, y1)
-    base, coef, gap = _rectangle_template(max(1, int(per_side)))
+    k = operator.index(per_side)
+    if k < 1:
+        raise ValueError(f"rectangle needs per_side >= 1, got {k}")
+    base, coef, gap = _rectangle_template(k)
     c = np.array([x0, x1, y0, y1], dtype=float)
     samples = c[base] + (c[1::2] - c[0::2]) * coef
     sx, sy = x1 - x0, y1 - y0   # the spans above, rounded alike
@@ -493,8 +492,9 @@ def _segments_meet(p1, p2, q1, q2):
     return proper | touch, signs
 
 
-def polyline_self_intersects(samples: np.ndarray, closed: bool = True) -> bool:
-    """Whether two non-adjacent segments cross or touch, at sample resolution.
+def polyline_self_intersects(samples: np.ndarray) -> bool:
+    """Whether two non-adjacent segments of the closed polyline through the
+    samples cross or touch, at sample resolution.
 
     Only pairs whose closed bounding boxes meet are tested: a shared point
     lies in both boxes, so no crossing or touch is lost. Orientation signs
@@ -508,7 +508,7 @@ def polyline_self_intersects(samples: np.ndarray, closed: bool = True) -> bool:
     pts = np.asarray(samples, dtype=float)
     if len(pts) < 4:
         return False
-    a, b = (pts, _cyclic_next(pts)) if closed else (pts[:-1], pts[1:])
+    a, b = pts, _cyclic_next(pts)
     m = len(a)
     lo, hi = np.minimum(a, b), np.maximum(a, b)
     order = np.argsort(lo[:, 0], kind="stable")
@@ -521,9 +521,8 @@ def polyline_self_intersects(samples: np.ndarray, closed: bool = True) -> bool:
     s = np.arange(len(r)) + np.repeat(start - first, count)
     i, j = order[r], order[s]
     gap = np.abs(i - j)
-    keep = (lo[i, 1] <= hi[j, 1]) & (lo[j, 1] <= hi[i, 1]) & (gap > 1)
-    if closed:
-        keep &= gap != m - 1   # the closing segment meets segment 0
+    # the closing segment m - 1 is adjacent to segment 0
+    keep = (lo[i, 1] <= hi[j, 1]) & (lo[j, 1] <= hi[i, 1]) & (gap > 1) & (gap != m - 1)
     i, j = i[keep], j[keep]
     if i.size == 0:
         return False
@@ -556,13 +555,10 @@ def _segment_distances(points, a, b) -> np.ndarray:
     return np.hypot(foot[..., 0] - points[:, None, 0], foot[..., 1] - points[:, None, 1])
 
 
-def distance_to_polyline(point, samples: np.ndarray, closed: bool = True) -> float:
-    """Min distance from a point to a (closed) polyline."""
+def distance_to_polyline(point, samples: np.ndarray) -> float:
+    """Min distance from a point to the closed polyline through the samples."""
     a = np.asarray(samples, dtype=float)
-    b = _cyclic_next(a) if closed else a[1:]
-    if not closed:
-        a = a[:-1]
-    return float(_segment_distances(_as_point(point)[None], a, b).min())
+    return float(_segment_distances(_as_point(point)[None], a, _cyclic_next(a)).min())
 
 
 def _extreme_corner(pts: np.ndarray) -> list:
@@ -570,34 +566,6 @@ def _extreme_corner(pts: np.ndarray) -> list:
     sample v and its neighbours: v is a convex corner of any simple polygon."""
     v = int(np.argmin(_as_complex(pts)))   # complex numbers order by real part first
     return [(v - 1) % len(pts), v, (v + 1) % len(pts)]
-
-
-def interior_point(curve: ClosedCurve) -> np.ndarray:
-    """A point inside a simple curve, at the convex corner v of _extreme_corner
-    with neighbours a and b (G. H. Meisters, Polygons have ears, 1975): the
-    centroid of triangle (a, v, b) when no other sample lies in it (closed,
-    exact signs), else the midpoint of the internal diagonal from v to the
-    sample in it farthest from line ab (a float choice). The exact
-    point_in_polygon certifies it, or InteriorPointNotFound is raised."""
-    pts = curve.samples
-    idx = _extreme_corner(pts)
-    a, v, b = corner = pts[idx]
-    m = len(pts) - 3
-    others = pts[(idx[2] + np.arange(1, m + 1)) % len(pts)]
-    # the turn at v, then the sides (a, v), (v, b) and (b, a) against the others
-    signs = _orient_signs(np.repeat(corner, [1 + m, m, m], axis=0),
-                          np.repeat(corner[[1, 2, 0]], [1 + m, m, m], axis=0),
-                          np.concatenate([b[None], others, others, others]))
-    inside = (signs[1:].reshape(3, m) * signs[0] >= 0).all(axis=0)
-    if inside.any():
-        q = others[inside]
-        height = np.abs((b[0] - a[0]) * (q[:, 1] - a[1]) - (b[1] - a[1]) * (q[:, 0] - a[0]))
-        p = 0.5 * (v + q[height.argmax()])
-    else:
-        p = (a + v + b) / 3.0
-    if not point_in_polygon(p, pts):
-        raise InteriorPointNotFound(f"no certified interior point at sample {idx[1]}")
-    return p
 
 
 def is_positively_oriented(curve: ClosedCurve) -> bool:

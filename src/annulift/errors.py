@@ -22,10 +22,6 @@ class NotSimple(ToolkitError):
     """Sampled segments of a supposedly simple curve cross."""
 
 
-class InteriorPointNotFound(ToolkitError):
-    """Ray casting failed to certify an interior point of a closed curve."""
-
-
 class WindingResidualError(ToolkitError):
     """Accumulated turning was not within tolerance of an integer multiple of 2*pi."""
 

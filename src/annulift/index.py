@@ -1,5 +1,6 @@
 """Lefschetz index of a map along a closed curve, and the index toolbox:
-saddle rectangles, quadrilateral frames, and controlled index jumps.
+saddle rectangles, quadrilateral frames, index jumps pushed from a given
+interior base point, and the index profile of a homotopy.
 
 The index of a map f along a curve gamma (no fixed points on gamma) is the
 winding number of the displacement loop t -> f(gamma(t)) - gamma(t) about
@@ -24,7 +25,6 @@ from .curves import (
     _turning_count,
     _turning_counts,
     distance_to_polyline,
-    interior_point,
     is_positively_oriented,
     point_in_polygon,
     rectangle,
@@ -319,10 +319,6 @@ def quad_configuration_index(F, alpha, beta, gamma, delta, expect: int) -> int:
 
 # -- index jumps across an arc --------------------------------------------------
 
-def _cyclic_offset(u, center):
-    return np.mod(u - center + 0.5, 1.0) - 0.5
-
-
 def _arc_push(gamma: ClosedCurve, arc: tuple[float, float], inner_point):
     """(images, p_in, p_out) of the arc-push homotopy, where images(s, u)
     gives the time-s maps at curve parameters u for a 1-d array of times s,
@@ -340,7 +336,7 @@ def _arc_push(gamma: ClosedCurve, arc: tuple[float, float], inner_point):
     tang = tang / np.hypot(*tang)
     outward = np.array([tang[1], -tang[0]])  # right of the tangent, CCW curve
 
-    p_in = interior_point(gamma) if inner_point is None else _as_point(inner_point)
+    p_in = _as_point(inner_point)
     if not point_in_polygon(p_in, gamma.samples):
         raise HomotopyConstructionFailure("base point is not interior to the curve")
 
@@ -361,37 +357,23 @@ def _arc_push(gamma: ClosedCurve, arc: tuple[float, float], inner_point):
         p_s = np.where(s <= 0.5, p_in + 2.0 * s * (pm - p_in),
                        pm + (2.0 * s - 1.0) * (p_out - pm))
         # a piecewise linear bump on the doubled arc blends p_in toward it
-        lam = np.clip(2.0 - 2.0 * np.abs(_cyclic_offset(u, mid)) / width, 0.0, 1.0)[..., None]
+        du = np.abs(np.mod(u - mid + 0.5, 1.0) - 0.5)   # cyclic distance to mid
+        lam = np.clip(2.0 - 2.0 * du / width, 0.0, 1.0)[..., None]
         return (1.0 - lam) * p_in + lam * p_s
 
     return images, p_in, p_out
 
 
-def arc_push_family(gamma: ClosedCurve, arc: tuple[float, float], inner_point=None):
-    """Homotopy that drags the image of an arc of gamma from a constant
-    interior point across the arc's midpoint to an exterior point.
-
-    The time-s map is defined on gamma in curve parameters: a piecewise
-    linear bump supported on the doubled arc blends the constant base map
-    toward a moving target that crosses gamma exactly at the arc midpoint
-    at s = 1/2. Returns (family, p_in, p_out) where family(s) maps curve
-    parameters to image points.
-    """
-    images, p_in, p_out = _arc_push(gamma, arc, inner_point)
-
-    def family(s):
-        return lambda u: images(np.array([s], dtype=float), u)[0]
-
-    return family, p_in, p_out
-
-
 def index_jump_experiment(gamma: ClosedCurve, arc: tuple[float, float],
-                          direction: str, inner_point=None) -> tuple[int, int]:
+                          direction: str, inner_point) -> tuple[int, int]:
     """Push the image of an arc of gamma across gamma and report the index
     before and after.
 
-    direction="out" starts from the constant interior map (index 1) and
-    ends with the arc's image outside (index 0): the difference is +1.
+    The homotopy starts from the constant map at ``inner_point``, which must
+    lie inside gamma; a bump on the doubled arc drags the arc's image across
+    the arc midpoint, at time 1/2, to an exterior point. direction="out"
+    starts from the constant interior map (index 1) and ends with the arc's
+    image outside (index 0): the difference is +1.
     direction="in" runs the same family backwards and the difference is -1.
     Raises HomotopyConstructionFailure if any probed time develops a fixed
     point away from the arc or the jump size is wrong.

@@ -19,6 +19,8 @@ from annulift.annulus_maps import (
     counterexample_deg_minus1,
     counterexample_restriction,
     counterexample_spine,
+    counterexample_spine_segments,
+    counterexample_tube_cover,
     deck_translate,
     degree_check,
     grid_lift_from_values,
@@ -585,6 +587,30 @@ def test_counterexample_restriction_is_continuous_at_the_jump():
 def test_counterexample_glue_point_is_single_point():
     pts = counterexample_spine(np.array([0.2, 0.8]))
     np.testing.assert_allclose(pts[0], pts[1])
+
+
+def _reference_tube_cover(rho, step, translates):
+    """counterexample_tube_cover as first written, in NumPy floats."""
+    boxes = []
+    for a, b, _, _ in counterexample_spine_segments(translates):
+        pieces = max(1, int(np.ceil(float(np.hypot(*(b - a))) / step)))
+        for i in range(pieces):
+            p = a + (b - a) * (i / pieces)
+            q = a + (b - a) * ((i + 1) / pieces)
+            x0, x1 = sorted((p[0], q[0]))
+            y0, y1 = sorted((p[1], q[1]))
+            boxes.append((x0 - rho, x1 + rho, y0 - rho, y1 + rho))
+    return boxes
+
+
+@pytest.mark.parametrize("rho, step, translates",
+                         [(0.015, 0.08, (-1, 0, 1)), (0.2, 0.013, (0,)), (0.0, 1.0, (2,))])
+def test_tube_cover_coordinates_are_python_floats(rho, step, translates):
+    # they were NumPy floats, so str() of a box printed np.float64(...)
+    got = counterexample_tube_cover(rho, step, translates)
+    assert all(type(v) is float for box in got for v in box)
+    want = _reference_tube_cover(rho, step, translates)
+    assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 # -- the culled nearest-point kernel against a dense reference --------------------

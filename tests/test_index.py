@@ -20,7 +20,6 @@ from annulift.errors import (
 from annulift.index import (
     _arc_push,
     _polyline_crossings,
-    arc_push_family,
     homotopy_index_profile,
     index_jump_experiment,
     lefschetz_index,
@@ -362,19 +361,19 @@ def test_jump_refuses_bad_input(gamma, direction, message):
 
 def test_jump_family_midpoint_crosses_curve():
     g = circle(1.0, 128)
-    family, p_in, p_out = arc_push_family(g, (0.0, 0.125), inner_point=(0, 0))
+    images, p_in, p_out = _arc_push(g, (0.0, 0.125), (0, 0))
     from annulift.curves import point_in_polygon
     assert point_in_polygon(p_in, g.samples)
     assert not point_in_polygon(p_out, g.samples)
     # at the crossing time the pushed arc sits on the curve
-    mid_image = family(0.5)(np.array([0.0625]))
+    mid_image = images(np.array([0.5]), np.array([0.0625]))[0]
     assert abs(np.hypot(*mid_image[0]) - 1.0) < 1e-6
 
 
 def _reference_arc_push_map(gamma, arc, inner_point, s):
-    """The time-s map of arc_push_family as first written: a scalar target
-    and a bump closure, one time at a time."""
-    _, p_in, p_out = arc_push_family(gamma, arc, inner_point=inner_point)
+    """The time-s map of the arc push as first written: a scalar target and
+    a bump closure, one time at a time."""
+    _, p_in, p_out = _arc_push(gamma, arc, inner_point)
     t0, t1 = arc
     width = (t1 - t0) % 1.0
     mid = (t0 + 0.5 * width) % 1.0
@@ -406,25 +405,26 @@ def _recording_kernel(monkeypatch, module):
 @pytest.mark.parametrize("arc", [(0.0, 0.125), (0.3, 0.55), (0.9, 0.05)])
 def test_jump_times_are_one_broadcast_of_the_family(monkeypatch, arc):
     # the loops index_jump_experiment counts, at times 0, 1 and the eight
-    # probes, are the bits of arc_push_family's time-s maps, and of the
-    # one-time-at-a-time formula, at the samples and at inserted parameters
+    # probes, are the bits of _arc_push's images one time at a time, and of
+    # the one-time-at-a-time formula, at the samples and at inserted parameters
     g = circle(1.0, 256)
     seen = _recording_kernel(monkeypatch, index)
     assert index_jump_experiment(g, arc, "out", inner_point=(0, 0)) == (1, 0)
     (v0, vec_fn), = seen
     times = [0.0, 1.0, *np.linspace(0.0, 1.0, 10)[1:-1]]
-    family, _, _ = arc_push_family(g, arc, inner_point=(0, 0))
+    images, _, _ = _arc_push(g, arc, (0, 0))
+
+    def at(s, u):
+        return images(np.array([s]), u)[0]
+
     u = np.random.default_rng(3).uniform(0.0, 1.0, 40)
     inserted = vec_fn(u, len(times))
-    images, _, _ = _arc_push(g, arc, (0, 0))
     for i, s in enumerate(times):
-        want = family(s)(g.params) - g.samples
-        assert _same_bits(v0[i], want)
-        assert _same_bits(inserted[i], family(s)(u) - g.point_at(u))
-        assert _same_bits(family(s)(u), _reference_arc_push_map(g, arc, (0, 0), s)(u))
-        assert _same_bits(images(np.array([s]), u)[0], family(s)(u))
+        assert _same_bits(v0[i], at(s, g.params) - g.samples)
+        assert _same_bits(inserted[i], at(s, u) - g.point_at(u))
+        assert _same_bits(at(s, u), _reference_arc_push_map(g, arc, (0, 0), s)(u))
     # a scalar parameter gives one image point, as the closure did
-    assert _same_bits(family(0.25)(0.1), _reference_arc_push_map(g, arc, (0, 0), 0.25)(0.1))
+    assert _same_bits(at(0.25, 0.1), _reference_arc_push_map(g, arc, (0, 0), 0.25)(0.1))
 
 
 def test_jump_probe_with_a_fixed_point_names_its_time(monkeypatch):
@@ -503,12 +503,18 @@ def _power_blend(a, b, turn):
 _SQUARE = ClosedCurve(np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]]))
 
 
+def _shifted(curve, offset):
+    """The curve moved by offset, samples and parametrization alike."""
+    offset = np.asarray(offset, dtype=float)
+    return ClosedCurve(curve.samples + offset, curve_fn=lambda t: curve.curve_fn(t) + offset)
+
+
 @st.composite
 def _homotopies(draw):
     """A homotopy's images and a curve: blends and rotations of z^a on
     circles of 16 to 256 samples (some refine: z^4 turns a right angle a
-    sample on 16), or the squash suite's saddle family on its 4-vertex
-    square."""
+    sample on 16), some of them moved off the origin, or the squash suite's
+    saddle family on its 4-vertex square."""
     times = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8))
     if draw(st.booleans()):
         return _squashed_saddle, _SQUARE, times
@@ -516,8 +522,10 @@ def _homotopies(draw):
     turn = draw(st.sampled_from([0.0, 0.25, 0.5, 1.0, -1.5]))
     n = draw(st.sampled_from([16, 32, 64, 128, 256]))
     r = draw(st.sampled_from([0.35, 0.6, 0.9, 1.1, 1.5, 2.2]))
-    center = draw(st.sampled_from([(0.0, 0.0), (0.05, -0.1)]))
-    return _power_blend(a, b, turn), circle(r, n, center), times
+    curve = circle(r, n)
+    if draw(st.booleans()):
+        curve = _shifted(curve, (0.05, -0.1))
+    return _power_blend(a, b, turn), curve, times
 
 
 @settings(derandomize=True)
