@@ -245,11 +245,23 @@ def iterate(F: LiftMap, n: int) -> LiftMap:
                    lipschitz=None if F.lipschitz is None else F.lipschitz ** n)
 
 
+class ProjectedImages(np.ndarray):
+    """Plane images returned by a projected_plane_map callable, tagged with
+    the lift ``lift``, the array ``points`` they are the images of, and the
+    lift's cover images ``cover`` of those points. The tag belongs to the
+    returned array alone: an array derived from it, or a view of it, has
+    every tag None, since nothing is copied on derivation."""
+
+    lift = points = cover = None
+
+
 def projected_plane_map(F: LiftMap) -> Callable[[np.ndarray], np.ndarray]:
     """The induced self-map of the punctured plane, for index computations.
 
     Well defined because any two lifts of the angle differ by an integer and
-    F is equivariant.
+    F is equivariant. Its images are a ProjectedImages array tagged with F,
+    the points (as np.asarray gives them) and F's cover images, from which
+    ``index.lefschetz_index`` decides a circle through ``proofs.circle_index``.
     """
 
     def fn(pts):
@@ -273,6 +285,8 @@ def projected_plane_map(F: LiftMap) -> Callable[[np.ndarray], np.ndarray]:
         np.cos(ang, out=out[..., 0])
         np.sin(ang, out=out[..., 1])
         out *= rad
+        out = out.view(ProjectedImages)
+        out.lift, out.points, out.cover = F, pts, img
         return out
 
     return fn

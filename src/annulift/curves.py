@@ -21,7 +21,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -72,12 +72,17 @@ class ClosedCurve:
     parametrization t -> point used during refinement. Every curve built
     here is checked by scanning its samples, except the circles and
     rectangles that ``_scaled_template`` builds once a scalar bound has
-    proved the scan would pass.
+    proved the scan would pass. ``radius`` is recorded by circle() alone,
+    on a circle whose samples that bound proved: the curve is then a
+    counterclockwise simple n-gon whose samples lie on the circle of that
+    radius about 0, 2 pi / n apart in angle. Every other curve, a refined
+    or reversed circle too, records None.
     """
 
     samples: np.ndarray
     params: Optional[np.ndarray] = None
     curve_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    radius: Optional[float] = field(default=None, init=False)
 
     def __post_init__(self):
         pts = np.asarray(self.samples, dtype=float)
@@ -204,7 +209,8 @@ def circle(radius: float, n: int = 256) -> ClosedCurve:
     params are i / n. When the template's least gap times |radius| clears
     the rounding bound of ``_separated``, the samples are finite and
     distinct by construction and are not scanned; otherwise ClosedCurve
-    scans them and raises its ValueError. ``radius`` must be a real number
+    scans them and raises its ValueError. Only a circle proved so records
+    |radius| as its ``radius``. ``radius`` must be a real number
     (float(radius)); an array or a complex value, a NumPy complex scalar or
     0-d array too, is a TypeError."""
     r = _real(radius)
@@ -223,7 +229,9 @@ def circle(radius: float, n: int = 256) -> ClosedCurve:
     samples = unit * r
     size = abs(r)
     if _separated(size * gap, size, size):
-        return ClosedCurve._scaled_template(samples, curve_fn=fn)
+        curve = ClosedCurve._scaled_template(samples, curve_fn=fn)
+        object.__setattr__(curve, "radius", size)
+        return curve
     return ClosedCurve(samples, curve_fn=fn)
 
 

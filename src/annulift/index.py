@@ -15,6 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .curves import (
+    _MIN_NORM,
     ClosedCurve,
     _as_point,
     _cyclic_next,
@@ -38,6 +39,7 @@ from .errors import (
     NotSimple,
     ToolkitError,
 )
+from .proofs import circle_index
 
 
 _RECT_SAMPLES_PER_SIDE = 64   # saddle rectangle samples, for its conditions and its index
@@ -54,16 +56,38 @@ def lefschetz_index(F, curve: ClosedCurve) -> int:
     count's floor (curves._MIN_NORM) at any sample or refinement point,
     which means the index is undefined, and NonFiniteDisplacement when a
     displacement there is NaN or infinite.
-    Refinement only reacts to angle steps of at least pi/2, so a
-    displacement that turns by nearly a whole multiple of 2*pi between
-    samples aliases undetected: on circle(r, 256) with 1 < r <= 2 the
-    projected power(3)^5 and power(3)^6 give -13 and -39, not 243 and 729.
+
+    The index is the turning count of the sampled displacement, which
+    refines only angle steps of at least pi/2: a displacement that turns by
+    nearly a whole multiple of 2*pi between samples aliases undetected.
+    A circle of a projected lift is therefore decided from its samples
+    where they settle it: when F's images of ``curve.samples`` are the
+    tagged images of a projected_plane_map callable, ``curve`` is a
+    circle() that records its radius, and every sample displacement passes
+    the count's checks (each component below 2^1023, one above _MIN_NORM),
+    ``proofs.circle_index`` gives the index from the lift's cover images of
+    the samples, with no further map call. So power(3)^5 and power(3)^6 on
+    circle(r, 256), 1.1 <= r <= 2, give 243 and 729, where the count gives
+    -13 and -39. A circle whose samples do not settle it, such as
+    power(729) on circle(1.0001, 256) (the count gives 9, not 729), and
+    every other curve or callable get the count.
     """
     def disp(t):
         pts = curve.point_at(t)
         return np.asarray(F(pts), dtype=float) - pts
 
-    v0 = np.asarray(F(curve.samples), dtype=float) - curve.samples
+    samples = curve.samples
+    img = F(samples)
+    v0 = np.asarray(img, dtype=float) - samples
+    if curve.radius is not None and getattr(img, "points", None) is samples:
+        # a norm lies between the max-norm and sqrt(2) times it: max-norms
+        # in (_MIN_NORM, 2^1023) pass the count's checks on the samples
+        size = np.abs(v0)
+        size = np.maximum(size[:, 0], size[:, 1])
+        if size.max() < 2.0 ** 1023 and size.min() > _MIN_NORM:
+            index = circle_index(img.lift, img.cover, curve.radius)
+            if index is not None:
+                return index
     return _turning_count(v0, curve.params, disp, FixedPointOnCurve, "fixed point on curve")
 
 
@@ -386,7 +410,9 @@ def index_jump_experiment(gamma: ClosedCurve, arc: tuple[float, float],
     """
     if direction not in ("out", "in"):
         raise ValueError("direction must be 'out' or 'in'")
-    if not is_positively_oriented(gamma):
+    # a circle() that records its radius is counterclockwise and simple by
+    # construction; any other curve is checked
+    if gamma.radius is None and not is_positively_oriented(gamma):
         raise ValueError("gamma must be positively oriented")
 
     images, _, _ = _arc_push(gamma, arc, inner_point)

@@ -38,6 +38,14 @@ def test_index_power_outer_circle(capsys):
     assert out.strip() == "2"
 
 
+def test_index_of_power_729_is_decided_from_the_samples(capsys):
+    # the turning count of 256 samples aliases this index to -39
+    code, out, _ = run(capsys, "index", "--map", "power", "--params", '{"d": 729}',
+                       "--curve", "circle:r=1.5")
+    assert code == 0
+    assert out.strip() == "729"
+
+
 def test_index_rect_curve(capsys):
     code, out, _ = run(capsys, "index", "--map", "power", "--params", '{"d": 3}',
                        "--curve", "rect:-2,2,-2,2")

@@ -642,6 +642,22 @@ def test_circle_params_are_derived():
         circle(float("inf"), 16)
 
 
+def test_only_a_proved_circle_records_its_radius():
+    # the radius tells lefschetz_index and index_jump_experiment that the
+    # curve is the counterclockwise circle of that radius about 0
+    c = circle(2.5, 64)
+    assert c.radius == 2.5 and circle(-2.5, 64).radius == 2.5
+    for other in (c.refined([0.01]), c.reversed(), ClosedCurve(c.samples, curve_fn=c.curve_fn),
+                  curve_from_json(curve_to_json(c)), rectangle(-1.0, 1.0, -1.0, 1.0)):
+        assert other.radius is None
+    with pytest.raises(TypeError):
+        ClosedCurve(c.samples, radius=2.5)
+    # samples the scalar bound cannot prove distinct are scanned: the scan
+    # passes this subnormal circle, and it records no radius
+    with np.errstate(under="ignore"):
+        assert circle(5e-324, 3).radius is None
+
+
 def test_circle_radius_must_be_a_real_number():
     # an array radius once scaled the template axis by axis into an ellipse,
     # and a complex one lost its imaginary part with a ComplexWarning

@@ -1707,11 +1707,14 @@ def _benchmark_workloads():
 
 @pytest.mark.parametrize("workload, digest", [
     ("families", "48d22fcdbc9a9088ce0d943a1d05d58a6c27ed0542f924e7c6248d45af5d0892"),
-    ("index", "564726befa429e054063cecb1ce9130075000640914c4f2c0d1f1a7432e1a87d"),
+    ("index", "eabe6cb43429437fb6b07e78c798e3ab4a421c5c90f99bbe1d2bf2e2fc456b9c"),
 ], ids=["families", "index"])
 def test_benchmark_reports_are_byte_identical(workload, digest):
     # one pass of the benchmark workload at seed 1: the index digest is the
-    # one BENCH_27.json records; the families digest depends on the seed
+    # one BENCH_36.json records, where the outer circles of power(3)^5 and
+    # power(3)^6 are decided from their samples (243 and 729; the turning
+    # count aliased them to -13 and -39); the families digest depends on
+    # the seed
     wl = _benchmark_workloads()
     inputs, setup, run_pass = wl.WORKLOADS[workload]
     res = wl.PassResult()

@@ -1,11 +1,13 @@
+import dataclasses
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from annulift import curves, fixed_points, index, lemma_suite
-from annulift.annulus_maps import LiftMap, projected_plane_map, zoo
+from annulift import curves, fixed_points, index, lemma_suite, proofs
+from annulift.annulus_maps import LiftMap, iterate, make_lift, projected_plane_map, zoo
 from annulift.curves import ClosedCurve, circle, rectangle
 from annulift.lemma_suite import _crossed, _saddle, _squashed_saddle
 from annulift.errors import (
@@ -73,6 +75,146 @@ def test_negative_degree_inverts_the_circle_dichotomy():
     f = projected_plane_map(zoo("power", d=-2))
     assert lefschetz_index(f, circle(2.0, 256)) == 1
     assert lefschetz_index(f, circle(0.5, 256)) == -2
+
+
+# -- circle indices decided from the samples (proofs.circle_index) --------------------
+
+def _counted_lift(F, calls):
+    """F with the same declarations, its map calls appended to ``calls``."""
+    def fn(pts):
+        calls.append(len(pts))
+        return F.fn(pts)
+
+    return dataclasses.replace(F, fn=fn)
+
+
+def _count_only(f):
+    """f's images as a plain array: the same map, untagged, so its index is
+    always the turning count."""
+    return lambda pts: np.asarray(f(pts))
+
+
+@given(d=st.sampled_from([2, 3, -2, -3]), n=st.integers(1, 6),
+       log_r=st.floats(-0.9, 0.9, exclude_min=True))
+@example(d=3, n=5, log_r=math.log(1.5)).via("the turning count aliases it to -13")
+@example(d=3, n=6, log_r=math.log(1.5)).via("the turning count aliases it to -39")
+def test_circle_indices_of_power_maps_follow_the_dichotomy(d, n, log_r):
+    # outside the band the samples leave undecided, |D_y| <= L/(2 * 256) with
+    # D_y = (d^n - 1) y_r, the index is 1 inside the invariant circle and d^n
+    # outside it, swapped when d^n < 0, from the one call on the samples
+    # (|log r| <= 0.9 keeps r^(3^6) a normal float)
+    F = iterate(zoo("power", d=d), n)
+    y_r = -log_r / (2.0 * math.pi)
+    assume(abs((d ** n - 1) * y_r) > F.lipschitz / (2 * 256))
+    calls = []
+    index = lefschetz_index(projected_plane_map(_counted_lift(F, calls)),
+                            circle(math.exp(log_r), 256))
+    inside, outside = (1, d ** n) if d ** n > 0 else (d ** n, 1)
+    assert index == (inside if log_r < 0 else outside)
+    assert calls == [256]
+
+
+def _triangle_lift(level, n=256, bound=1.0):
+    """A degree 0 lift whose cover images of circle(1, n)'s samples have
+    D_y = level exactly, and whose D_y moves by bound / (2 n) toward 0 at
+    each midpoint between them: F(x, y) = (c, level -+ bound * dist(x, Z / n)),
+    Lipschitz with its declared bound exactly. At level = +-bound / (2 n)
+    the midpoint at angle 2 pi c is a fixed point of the projected map."""
+    c = 0.5 / n
+
+    def fn(pts):
+        x = pts[..., 0] * n
+        wave = np.abs(x - np.round(x)) * (bound / n)
+        return np.stack([np.full(x.shape, c), level - np.sign(level) * wave], axis=-1)
+
+    return LiftMap(fn=fn, degree=0, lipschitz=bound)
+
+
+@pytest.mark.parametrize("level, index", [
+    (-1.0 / 512, None),   # the margin itself: a fixed point on the circle
+    (-0.75 / 512, None),  # within the margin: |f| < |z| at the midpoints
+    (-1.0001 / 512, 0),   # past it: |f| > |z| on the whole circle, the index is deg F
+    (1.0 / 512, None),
+    (0.75 / 512, None),   # |f| > |z| at the midpoints
+    (1.0001 / 512, 1),    # |f| < |z| on the whole circle
+])
+def test_circle_index_decides_only_past_the_margin(level, index):
+    # the samples at cover x = i / 256 (exact), on the unit circle (y_r = 0)
+    F = _triangle_lift(level)
+    cover = F(np.stack([np.arange(256) / 256, np.zeros(256)], axis=-1))
+    assert np.all(cover[:, 1] == level)
+    assert proofs.circle_index(F, cover, 1.0) == index
+
+
+@pytest.mark.parametrize("level", [-1.0 / 512, 1.0 / 512])
+def test_the_margin_of_circle_index_is_tight(level):
+    # at D_y = +-L/(2n) on every sample the projected map has a fixed point
+    # on the circle, so no index exists there, and circle_index declines
+    f = projected_plane_map(_triangle_lift(level))
+    z = np.array([[math.cos(math.pi / 256), math.sin(math.pi / 256)]])
+    np.testing.assert_allclose(f(z), z, atol=1e-15)
+
+
+def test_a_circle_without_a_bound_declines():
+    cover = np.full((256, 2), -5.0)
+    assert proofs.circle_index(lambda pts: pts, cover, 1.0) is None
+    F = dataclasses.replace(iterate(zoo("power", d=3), 5), lipschitz=None)
+    assert proofs.circle_index(F, cover, 1.0) is None
+
+
+_POWER3_5 = iterate(zoo("power", d=3), 5)
+
+
+@pytest.mark.parametrize("f, curve", [
+    (projected_plane_map(_POWER3_5), rectangle(-1.5, 1.5, -1.5, 1.5, per_side=64)),
+    (projected_plane_map(_POWER3_5), circle(1.5, 256).refined([0.001])),
+    (projected_plane_map(_POWER3_5), circle(1.5, 256).reversed()),
+    (_count_only(projected_plane_map(_POWER3_5)), circle(1.5, 256)),
+    (lambda pts, f=projected_plane_map(_POWER3_5): f(pts) * 2.0, circle(1.5, 256)),
+    (lambda pts, f=projected_plane_map(_POWER3_5): f(pts)[:], circle(1.5, 256)),
+    (projected_plane_map(dataclasses.replace(_POWER3_5, lipschitz=None)), circle(1.5, 256)),
+    (projected_plane_map(_POWER3_5), circle(1.01, 256)),
+], ids=["rectangle", "refined circle", "reversed circle", "untagged", "derived images",
+        "view of the images", "no bound", "undecided circle"])
+def test_other_curves_and_maps_get_the_turning_count(f, curve):
+    # the count on 256 samples of this circle aliases power(3)^5 to -13, so a
+    # decision from the samples (243) would show
+    assert lefschetz_index(f, curve) == lefschetz_index(_count_only(f), curve)
+    assert lefschetz_index(_count_only(projected_plane_map(_POWER3_5)), circle(1.5, 256)) == -13
+
+
+def test_images_of_other_points_get_the_turning_count():
+    # z -> f(conj z) evaluates f elsewhere than at the samples: the images are
+    # tagged, but not as images of the curve's samples. Its index is -2
+    f = projected_plane_map(zoo("power", d=2))
+    g = lambda pts: f(pts * np.array([1.0, -1.0]))  # noqa: E731
+    assert lefschetz_index(g, circle(1.5, 256)) == -2
+
+
+def _turned_power(d, turn):
+    """power(d) followed by a turn of 2 pi turn: no sample of circle(r, 256)
+    maps onto an axis, so an image of infinite radius is infinite in both
+    coordinates, never inf * 0 = NaN."""
+    return make_lift(lambda pts: d * pts + np.array([turn, 0.0]), d, lipschitz=abs(d))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # the overflowing images
+@pytest.mark.parametrize("F, r, error", [
+    (zoo("power", d=729), 3.0, NonFiniteDisplacement),      # images inf, NaN on the axes
+    (_turned_power(729, 0.1), 3.0, NonFiniteDisplacement),  # images inf alone
+    (zoo("power", d=2), 1e-11, FixedPointOnCurve),          # |f(z) - z| < _MIN_NORM, |f| < |z|
+], ids=["non-finite", "infinite", "too short"])
+def test_a_decidable_circle_keeps_the_counts_errors(F, r, error):
+    # each circle's cover images decide it; its displacements fail the
+    # turning count's checks, and the error is the count's
+    f = projected_plane_map(F)
+    curve = circle(r, 256)
+    assert proofs.circle_index(F, f(curve.samples).cover, r) is not None
+    with pytest.raises(error) as tagged:
+        lefschetz_index(f, curve)
+    with pytest.raises(error) as counted:
+        lefschetz_index(_count_only(f), curve)
+    assert str(tagged.value) == str(counted.value)
 
 
 def test_constant_map_inside_and_outside():
@@ -330,6 +472,24 @@ def test_jump_outward():
 def test_jump_inward():
     g = circle(1.0, 256)
     assert index_jump_experiment(g, (0.0, 0.125), "in", inner_point=(0, 0)) == (0, 1)
+
+
+def test_jump_checks_the_orientation_of_curves_but_a_recorded_circle(monkeypatch):
+    # circle() is counterclockwise and simple by construction; the polygon of
+    # its samples is the same curve, but records no radius and is checked
+    checked = []
+
+    def orientation(curve):
+        checked.append(curve)
+        return curves.is_positively_oriented(curve)
+
+    monkeypatch.setattr(index, "is_positively_oriented", orientation)
+    g = circle(1.0, 256)
+    assert index_jump_experiment(g, (0.0, 0.125), "out", inner_point=(0, 0)) == (1, 0)
+    assert checked == []
+    polygon = ClosedCurve(g.samples)
+    assert index_jump_experiment(polygon, (0.0, 0.125), "out", inner_point=(0, 0)) == (1, 0)
+    assert len(checked) == 1 and checked[0] is polygon
 
 
 @pytest.mark.parametrize("width", [0.125, 0.25])
